@@ -59,10 +59,13 @@ impl std::fmt::Display for ModelChoice {
 /// The paper's experimentally chosen SG-abort multiplier.
 pub const DEFAULT_SG_THRESHOLD: usize = 2;
 
-/// The final-state form of the adaptive rule, shared with the incremental
-/// engine (which maintains both models and therefore selects *after the
-/// fact* instead of aborting mid-construction): keep the SG while its edge
-/// count is at most `threshold ×` the number of blocked tasks.
+/// The final-state form of the adaptive rule, used by the incremental
+/// engine: keep the SG while its edge count is at most `threshold ×` the
+/// number of blocked tasks. The engine has no construction to abort — under
+/// `Auto` it keeps the SG adjacency maintained (every check reads its
+/// distinct-edge count for this rule) and builds and maintains a WFG only
+/// while the rule picks one; a WFG it stops picking is retired (see
+/// [`crate::engine`]).
 ///
 /// The from-scratch builder's prefix-abort can differ on states where an
 /// early prefix exceeded the threshold but the final counts do not; both

@@ -1,28 +1,59 @@
-//! The incremental dependency engine: a persistently-maintained SG and WFG
-//! fed by the registry's delta journal, replacing snapshot-clone-and-rebuild
-//! on the check hot path.
+//! The incremental dependency engine: the registry's delta journal applied
+//! to a persistent view, with each graph model built **on demand** and
+//! maintained only while a query keeps reading it.
 //!
 //! The paper observes that "maintaining the blocked status is more frequent
-//! than checking for deadlocks" (§5.1); before this module existed every
-//! check nevertheless cloned the full registry and rebuilt its graph from
-//! nothing, making check cost proportional to the number of blocked tasks.
-//! The [`IncrementalEngine`] instead applies block/unblock [`Delta`]s to
-//! long-lived, reference-counted edge multisets, so per-check work is
-//! proportional to the *delta* since the last check:
+//! than checking for deadlocks" (§5.1), and that per program shape one
+//! graph model is orders of magnitude smaller than the other (Table 3:
+//! SPMD shapes have a tiny SG and a quadratic WFG). The engine therefore
+//! splits its state in two:
 //!
-//! * [`IncrementalEngine::sync`] pulls the journal suffix since the
-//!   engine's cursor and applies each delta in `O(local degree)`; a cursor
-//!   that fell behind the bounded journal triggers a snapshot resync.
+//! * **Always maintained** — the cheap indexes: the blocked statuses, the
+//!   awaited-event multiset (the SG vertices) and the per-phaser
+//!   registration / waiter lists. [`IncrementalEngine::sync`] pulls the
+//!   journal suffix since the engine's cursor and applies each delta to
+//!   them in `O(own registrations + waits)`; a cursor that fell behind the
+//!   bounded journal triggers a snapshot resync.
+//! * **Live only while a query uses it** — four derived structures: the
+//!   refcounted SG adjacency, the refcounted WFG adjacency, and one
+//!   Pearce–Kelly topological order ([`crate::graph::TopoOrder`]) per
+//!   adjacency. A query *demands* exactly what it reads: `Fixed*` choices
+//!   demand that model's adjacency; `Auto` demands the SG adjacency (its
+//!   distinct-edge count is the input of the §5.1 threshold rule, see
+//!   [`auto_pick`]) and the WFG adjacency only while the rule picks the
+//!   WFG; [`IncrementalEngine::check_full`] additionally demands the
+//!   selected model's order. A demanded structure that is not live is
+//!   built in one pass — an adjacency from the indexes, an order from its
+//!   live adjacency — and from then on kept up to date by every delta in
+//!   `O(local degree)` / `O(affected region)`. An avoidance engine
+//!   (`check_task` only) never builds an order; an SPMD program under
+//!   `Auto` never builds a WFG.
+//!
+//! **Retirement** is ski-rental, with no constant to tune. Work is counted
+//! in one unit — a task visit or an edge-refcount adjustment (for an order:
+//! an edge insertion or removal). Every structure remembers the maintenance
+//! work spent on it since a query last read it; once that exceeds what
+//! rebuilding it *now* would cost (an adjacency: one visit per blocked task
+//! plus one adjustment per live contribution; an order: one insertion per
+//! distinct edge) the next delta drops it instead of maintaining it, and
+//! the next query that wants it pays the rebuild. Keeping a structure
+//! nobody reads thus never costs more than about one rebuild of it,
+//! whatever the program does — a program that crosses the `Auto` threshold
+//! once does not pay for both models forever — and a structure read since
+//! the previous delta is never dropped. [`IncrementalEngine::counters`]
+//! exposes the builds and retirements.
+//!
+//! Queries:
+//!
 //! * [`IncrementalEngine::check_task`] (avoidance) runs an existence-only
-//!   cycle search directly over the maintained adjacency — no clone, no
-//!   rebuild.
-//! * [`IncrementalEngine::check_full`] (detection) answers from maintained
-//!   Pearce–Kelly topological orders ([`crate::graph::TopoOrder`], one per
-//!   model): every distinct-edge insertion updates the order in
-//!   `O(affected region)`, so detection-time cycle existence is `O(1)` —
-//!   a cycle exists iff some edge could not be ordered. The old full-graph
-//!   existence pass survives as [`IncrementalEngine::check_full_scan`]
-//!   (the differential baseline, and the parallel-peel path).
+//!   cycle search over the selected model's maintained adjacency — no
+//!   clone, no rebuild.
+//! * [`IncrementalEngine::check_full`] (detection) answers from the
+//!   selected model's maintained order: a cycle exists iff some edge could
+//!   not be ordered, so detection-time cycle existence is `O(1)`. The
+//!   full-adjacency existence pass survives as
+//!   [`IncrementalEngine::check_full_scan`] (the differential baseline,
+//!   and the parallel-peel path).
 //! * Only on a **hit** (a cycle exists, i.e. the program is about to
 //!   deadlock) does the engine materialise its state into a sorted
 //!   [`Snapshot`] and delegate to the canonical [`checker`], so delivered
@@ -35,9 +66,10 @@
 //! `w = r2 ∈ W(u)`, restricted to currently-awaited `r1`; the edge exists
 //! while the count is positive. For the WFG, the count of `t1 → t2` is the
 //! number of `(wait occurrence w ∈ W(t1), g ∈ t2.registered)` pairs with
-//! `g.impedes(w)`. Applying a delta adjusts exactly the triples the
-//! arriving or departing task participates in, so unblocking is the exact
-//! mirror of blocking and the structures drain back to empty.
+//! `g.impedes(w)`. A delta adjusts exactly the contributions that exist
+//! because its task is blocked — the same enumeration adds them on a block
+//! and removes them on an unblock, so the structures drain back to empty —
+//! and a build enumerates every task's own contributions once.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::Hash;
@@ -52,7 +84,7 @@ use crate::resource::Resource;
 /// What one [`IncrementalEngine::sync`] did, for the stats counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyncOutcome {
-    /// Journal deltas applied to the maintained graph.
+    /// Journal deltas applied to the maintained view.
     pub deltas_applied: usize,
     /// Whether the engine fell behind the journal and reloaded from a full
     /// snapshot instead.
@@ -71,46 +103,321 @@ pub struct DetectionOutcome {
     pub incremental: bool,
 }
 
+/// Cumulative build / retire counts of an engine's derived structures
+/// (the two adjacencies and their two orders, each counted on its own).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Structures built because a query demanded one that was not live.
+    pub model_builds: u64,
+    /// Structures dropped by the ski-rental rule (see the module docs).
+    /// Builds and retirements climbing together mean a query pattern that
+    /// keeps crossing the rule's break-even point.
+    pub model_retires: u64,
+    /// Live orders rebuilt from scratch by [`IncrementalEngine::reset_to`]
+    /// (a journal resync with no live order rebuilds none).
+    pub order_rebuilds: u64,
+}
+
 /// Refcounted adjacency: `adj[a][b]` is the number of live contributions
 /// to edge `a → b`; the edge exists while the count is positive.
 type RefCountedAdj<N> = HashMap<N, HashMap<N, usize>>;
 
-fn bump_edge<N: Copy + Eq + Hash>(
-    adj: &mut RefCountedAdj<N>,
-    order: &mut TopoOrder<N>,
-    edges: &mut usize,
-    from: N,
-    to: N,
-) {
-    let count = adj.entry(from).or_default().entry(to).or_insert(0);
-    *count += 1;
-    if *count == 1 {
-        *edges += 1;
-        order.insert_edge(from, to);
-    }
+/// One graph model's derived structures: its refcounted adjacency and,
+/// while `check_full` keeps asking, the topological order of its distinct
+/// edges — each with the work spent on it since a query last read it.
+struct Maintained<N> {
+    adj: RefCountedAdj<N>,
+    /// Distinct edges — what rebuilding the order costs, in insertions.
+    edges: usize,
+    /// Live contributions (the sum of the refcounts) — the adjustments a
+    /// rebuild of the adjacency performs.
+    contributions: usize,
+    /// Task visits + refcount adjustments since the adjacency's last use.
+    idle: usize,
+    /// Pearce–Kelly order of the distinct edges, updated on every 0→1 /
+    /// 1→0 refcount transition while live.
+    order: Option<TopoOrder<N>>,
+    /// Edge insertions + removals since the order's last use.
+    order_idle: usize,
 }
 
-fn drop_edge<N: Copy + Eq + Hash>(
-    adj: &mut RefCountedAdj<N>,
-    order: &mut TopoOrder<N>,
-    edges: &mut usize,
-    from: N,
-    to: N,
-) {
-    let succs = adj.get_mut(&from).expect("dropping an edge that was never added");
-    let count = succs.get_mut(&to).expect("dropping an edge that was never added");
-    *count -= 1;
-    if *count == 0 {
-        succs.remove(&to);
-        if succs.is_empty() {
-            adj.remove(&from);
+impl<N> Default for Maintained<N> {
+    fn default() -> Self {
+        Maintained {
+            adj: HashMap::new(),
+            edges: 0,
+            contributions: 0,
+            idle: 0,
+            order: None,
+            order_idle: 0,
         }
-        *edges -= 1;
-        order.remove_edge(from, to);
     }
 }
 
-/// The long-lived maintained graph. One per [`crate::Verifier`]; updates
+impl<N: Copy + Eq + Hash + Ord> Maintained<N> {
+    fn bump(&mut self, from: N, to: N) {
+        self.contributions += 1;
+        self.idle += 1;
+        let count = self.adj.entry(from).or_default().entry(to).or_insert(0);
+        *count += 1;
+        if *count == 1 {
+            self.edges += 1;
+            if let Some(order) = &mut self.order {
+                order.insert_edge(from, to);
+                self.order_idle += 1;
+            }
+        }
+    }
+
+    fn drop_edge(&mut self, from: N, to: N) {
+        self.contributions -= 1;
+        self.idle += 1;
+        let succs = self.adj.get_mut(&from).expect("dropping an edge that was never added");
+        let count = succs.get_mut(&to).expect("dropping an edge that was never added");
+        *count -= 1;
+        if *count == 0 {
+            succs.remove(&to);
+            if succs.is_empty() {
+                self.adj.remove(&from);
+            }
+            self.edges -= 1;
+            if let Some(order) = &mut self.order {
+                order.remove_edge(from, to);
+                self.order_idle += 1;
+            }
+        }
+    }
+
+    /// Distinct edges, sorted.
+    fn edge_list(&self) -> Vec<(N, N)> {
+        let mut edges: Vec<(N, N)> =
+            self.adj.iter().flat_map(|(&a, succs)| succs.keys().map(move |&b| (a, b))).collect();
+        edges.sort();
+        edges
+    }
+
+    /// Orders the live adjacency in one pass. Edges go in sorted, so the
+    /// order's labels (and a seeded testkit replay) do not depend on hash
+    /// iteration order.
+    fn build_order(&mut self) {
+        let mut order = TopoOrder::new();
+        for (a, b) in self.edge_list() {
+            order.insert_edge(a, b);
+        }
+        self.order = Some(order);
+        self.order_idle = 0;
+    }
+
+    /// Drops the adjacency (and its order with it), or just the order,
+    /// if the work spent since the last use exceeds the rebuild cost at
+    /// the present size — `tasks` visits plus one adjustment per
+    /// contribution, resp. one insertion per distinct edge.
+    fn retire_idle(slot: &mut Option<Self>, tasks: usize, counters: &mut EngineCounters) {
+        let Some(this) = slot else { return };
+        if this.idle > tasks + this.contributions {
+            counters.model_retires += 1 + u64::from(this.order.is_some());
+            *slot = None;
+        } else if this.order.is_some() && this.order_idle > this.edges {
+            counters.model_retires += 1;
+            this.order = None;
+        }
+    }
+}
+
+/// The always-maintained state: the engine's view of the registry and the
+/// per-phaser indexes every derived structure is built and updated from.
+#[derive(Default)]
+struct Indexes {
+    /// The blocked statuses (the WFG vertices).
+    tasks: HashMap<TaskId, BlockedInfo>,
+    /// Per phaser, the awaited phases and their waiter counts (the SG
+    /// vertex multiset, indexed for `impedes` range queries).
+    awaited: HashMap<PhaserId, BTreeMap<Phase, usize>>,
+    /// Distinct awaited events (SG vertex count).
+    sg_nodes: usize,
+    /// Per phaser, one `(task, local phase)` entry per registration.
+    regs_by_phaser: HashMap<PhaserId, Vec<(TaskId, Phase)>>,
+    /// Per phaser, one `(task, awaited phase)` entry per wait occurrence.
+    waiters_by_phaser: HashMap<PhaserId, Vec<(TaskId, Phase)>>,
+}
+
+/// Removes one `entry` from `index[phaser]`, dropping the list with its
+/// last entry.
+fn unindex(
+    index: &mut HashMap<PhaserId, Vec<(TaskId, Phase)>>,
+    phaser: PhaserId,
+    entry: (TaskId, Phase),
+) {
+    let list = index.get_mut(&phaser).expect("indexed phaser");
+    let at = list.iter().position(|&e| e == entry).expect("indexed entry");
+    list.swap_remove(at);
+    if list.is_empty() {
+        index.remove(&phaser);
+    }
+}
+
+impl Indexes {
+    fn insert(&mut self, info: BlockedInfo) {
+        for reg in &info.registered {
+            self.regs_by_phaser.entry(reg.phaser).or_default().push((info.task, reg.local_phase));
+        }
+        for w in &info.waits {
+            self.waiters_by_phaser.entry(w.phaser).or_default().push((info.task, w.phase));
+            let waiters = self.awaited.entry(w.phaser).or_default().entry(w.phase).or_insert(0);
+            *waiters += 1;
+            if *waiters == 1 {
+                self.sg_nodes += 1;
+            }
+        }
+        self.tasks.insert(info.task, info);
+    }
+
+    fn remove(&mut self, task: TaskId) {
+        let Some(info) = self.tasks.remove(&task) else { return };
+        for reg in &info.registered {
+            unindex(&mut self.regs_by_phaser, reg.phaser, (task, reg.local_phase));
+        }
+        for w in &info.waits {
+            unindex(&mut self.waiters_by_phaser, w.phaser, (task, w.phase));
+            let phases = self.awaited.get_mut(&w.phaser).expect("awaited entry for live wait");
+            let waiters = phases.get_mut(&w.phase).expect("waiter count for live wait");
+            *waiters -= 1;
+            if *waiters == 0 {
+                phases.remove(&w.phase);
+                if phases.is_empty() {
+                    self.awaited.remove(&w.phaser);
+                }
+                self.sg_nodes -= 1;
+            }
+        }
+    }
+
+    /// The registrations on `r`'s phaser lagging behind `r` (its impeders),
+    /// one per registration entry.
+    fn laggards(&self, r: Resource) -> impl Iterator<Item = TaskId> + '_ {
+        let regs = self.regs_by_phaser.get(&r.phaser).into_iter().flatten();
+        regs.filter(move |&&(_, m)| m < r.phase).map(|&(u, _)| u)
+    }
+
+    /// The SG contributions `u` itself makes: an edge from every awaited
+    /// event one of its registrations lags behind to each of its waits.
+    fn sg_own(&self, u: &BlockedInfo, mut edge: impl FnMut(Resource, Resource)) {
+        for reg in &u.registered {
+            let Some(phases) = self.awaited.get(&reg.phaser) else { continue };
+            for &n in phases.range(reg.local_phase + 1..).map(|(n, _)| n) {
+                for &r2 in &u.waits {
+                    edge(Resource::new(reg.phaser, n), r2);
+                }
+            }
+        }
+    }
+
+    /// Every SG contribution that exists because the indexed task `u` is
+    /// blocked: its own, plus the out-edges — contributed by the *other*
+    /// laggards — of the events only `u` awaits (SG vertices that come
+    /// and go with it).
+    fn sg_because_of(&self, u: &BlockedInfo, mut edge: impl FnMut(Resource, Resource)) {
+        self.sg_own(u, &mut edge);
+        for (i, &w) in u.waits.iter().enumerate() {
+            let occurrences = u.waits.iter().filter(|&&x| x == w).count();
+            let sole_waiter = self.awaited[&w.phaser][&w.phase] == occurrences;
+            if !sole_waiter || u.waits[..i].contains(&w) {
+                continue;
+            }
+            for x in self.laggards(w).filter(|&x| x != u.task) {
+                for &r2 in &self.tasks[&x].waits {
+                    edge(w, r2);
+                }
+            }
+        }
+    }
+
+    /// The WFG contributions `u` makes as a waiter: an edge to every task
+    /// (itself included — self-waits are self-deadlocks) lagging behind
+    /// one of its waits.
+    fn wfg_own(&self, u: &BlockedInfo, mut edge: impl FnMut(TaskId, TaskId)) {
+        for &w in &u.waits {
+            for x in self.laggards(w) {
+                edge(u.task, x);
+            }
+        }
+    }
+
+    /// Every WFG contribution that exists because the indexed task `u` is
+    /// blocked: its own, plus an edge from every *other* waiter one of its
+    /// registrations impedes.
+    fn wfg_because_of(&self, u: &BlockedInfo, mut edge: impl FnMut(TaskId, TaskId)) {
+        self.wfg_own(u, &mut edge);
+        for reg in &u.registered {
+            let waiters = self.waiters_by_phaser.get(&reg.phaser).into_iter().flatten();
+            for &(x, n) in waiters {
+                if n > reg.local_phase && x != u.task {
+                    edge(x, u.task);
+                }
+            }
+        }
+    }
+
+    /// Builds the SG adjacency into an empty `sg`: every task's own
+    /// contributions, once.
+    fn fill_sg(&self, sg: &mut Maintained<Resource>) {
+        for u in self.tasks.values() {
+            self.sg_own(u, |a, b| sg.bump(a, b));
+        }
+    }
+
+    /// Builds the WFG adjacency into an empty `wfg`.
+    fn fill_wfg(&self, wfg: &mut Maintained<TaskId>) {
+        for u in self.tasks.values() {
+            self.wfg_own(u, |a, b| wfg.bump(a, b));
+        }
+    }
+}
+
+/// Makes `slot`'s adjacency (and, if `order`, its order) live and marks
+/// them used: whatever is missing is built — the adjacency by `fill`, the
+/// order from the adjacency — and the idle work of what was read restarts.
+fn demand_in<N: Copy + Eq + Hash + Ord>(
+    slot: &mut Option<Maintained<N>>,
+    order: bool,
+    counters: &mut EngineCounters,
+    fill: impl FnOnce(&mut Maintained<N>),
+) {
+    let this = slot.get_or_insert_with(|| {
+        counters.model_builds += 1;
+        let mut built = Maintained::default();
+        fill(&mut built);
+        built
+    });
+    this.idle = 0;
+    if order {
+        if this.order.is_none() {
+            counters.model_builds += 1;
+            this.build_order();
+        }
+        this.order_idle = 0;
+    }
+}
+
+/// Rebuilds a live `slot` after the indexes were reloaded: the adjacency by
+/// `fill`, the order (if it was live) from it. Nothing live, nothing built.
+fn rebuild_in<N: Copy + Eq + Hash + Ord>(
+    slot: &mut Option<Maintained<N>>,
+    counters: &mut EngineCounters,
+    fill: impl FnOnce(&mut Maintained<N>),
+) {
+    let Some(this) = slot else { return };
+    let had_order = this.order.is_some();
+    *this = Maintained::default();
+    fill(this);
+    this.idle = 0;
+    if had_order {
+        counters.order_rebuilds += 1;
+        this.build_order();
+    }
+}
+
+/// The long-lived maintained view. One per [`crate::Verifier`]; updates
 /// are applied by whichever thread holds the verifier's engine lock.
 pub struct IncrementalEngine {
     /// Node count above which [`IncrementalEngine::check_full_scan`]
@@ -120,30 +427,13 @@ pub struct IncrementalEngine {
     par_threshold: usize,
     /// Journal position: the next delta sequence number to consume.
     cursor: u64,
-    /// The engine's materialised view of the registry.
-    tasks: HashMap<TaskId, BlockedInfo>,
-    /// Per phaser, the awaited phases and their waiter counts (the SG
-    /// vertex multiset, indexed for `impedes` range queries).
-    awaited: HashMap<PhaserId, BTreeMap<Phase, usize>>,
-    /// Distinct awaited events (SG vertex count).
-    sg_nodes: usize,
-    /// SG adjacency with contribution counts.
-    sg_adj: RefCountedAdj<Resource>,
-    /// Distinct SG edges.
-    sg_edges: usize,
-    /// Per phaser, one `(task, local phase)` entry per registration.
-    regs_by_phaser: HashMap<PhaserId, Vec<(TaskId, Phase)>>,
-    /// Per phaser, one `(task, awaited phase)` entry per wait occurrence.
-    waiters_by_phaser: HashMap<PhaserId, Vec<(TaskId, Phase)>>,
-    /// WFG adjacency with contribution counts.
-    wfg_adj: RefCountedAdj<TaskId>,
-    /// Distinct WFG edges.
-    wfg_edges: usize,
-    /// Pearce–Kelly topological order of the distinct SG edges, updated on
-    /// every 0→1 / 1→0 refcount transition.
-    sg_order: TopoOrder<Resource>,
-    /// Pearce–Kelly topological order of the distinct WFG edges.
-    wfg_order: TopoOrder<TaskId>,
+    /// The always-maintained view and indexes.
+    idx: Indexes,
+    /// The SG's derived structures, while some query reads them.
+    sg: Option<Maintained<Resource>>,
+    /// The WFG's derived structures, while some query reads them.
+    wfg: Option<Maintained<TaskId>>,
+    counters: EngineCounters,
 }
 
 impl Default for IncrementalEngine {
@@ -151,23 +441,16 @@ impl Default for IncrementalEngine {
         IncrementalEngine {
             par_threshold: PAR_NODE_THRESHOLD,
             cursor: 0,
-            tasks: HashMap::new(),
-            awaited: HashMap::new(),
-            sg_nodes: 0,
-            sg_adj: HashMap::new(),
-            sg_edges: 0,
-            regs_by_phaser: HashMap::new(),
-            waiters_by_phaser: HashMap::new(),
-            wfg_adj: HashMap::new(),
-            wfg_edges: 0,
-            sg_order: TopoOrder::new(),
-            wfg_order: TopoOrder::new(),
+            idx: Indexes::default(),
+            sg: None,
+            wfg: None,
+            counters: EngineCounters::default(),
         }
     }
 }
 
 impl IncrementalEngine {
-    /// An empty engine at journal position 0.
+    /// An empty engine at journal position 0, with nothing live.
     pub fn new() -> IncrementalEngine {
         IncrementalEngine::default()
     }
@@ -178,7 +461,7 @@ impl IncrementalEngine {
         IncrementalEngine { par_threshold: threshold.max(1), ..IncrementalEngine::default() }
     }
 
-    /// Brings the maintained graph up to date with `registry`: applies the
+    /// Brings the maintained view up to date with `registry`: applies the
     /// journal deltas since the engine's cursor, or reloads from a full
     /// snapshot when the bounded journal has truncated past it.
     pub fn sync(&mut self, registry: &Registry) -> SyncOutcome {
@@ -200,237 +483,118 @@ impl IncrementalEngine {
         }
     }
 
-    /// Applies one delta. Application is idempotent per task: a replayed
-    /// `Block` replaces the task's previous contribution, and an `Unblock`
-    /// of an unknown task is a no-op — required because a snapshot resync
-    /// may already reflect deltas at or past the resync cursor.
+    /// Applies one delta to the indexes and to whatever is live.
+    /// Application is idempotent per task: a replayed `Block` replaces the
+    /// task's previous contribution, and an `Unblock` of an unknown task
+    /// is a no-op — required because a snapshot resync may already reflect
+    /// deltas at or past the resync cursor.
     pub fn apply(&mut self, delta: Delta) {
+        // Decided before the delta's own work is spent: a structure read
+        // since the previous delta is never dropped.
+        let blocked = self.idx.tasks.len();
+        Maintained::retire_idle(&mut self.sg, blocked, &mut self.counters);
+        Maintained::retire_idle(&mut self.wfg, blocked, &mut self.counters);
         match delta {
-            Delta::Block(info) => self.apply_block(info),
-            Delta::Unblock(task) => self.apply_unblock(task),
+            Delta::Block(info) => {
+                // Re-blocking replaces the previous record (registry
+                // semantics).
+                self.unblock(info.task);
+                let task = info.task;
+                self.idx.insert(info);
+                let info = &self.idx.tasks[&task];
+                if let Some(sg) = &mut self.sg {
+                    sg.idle += 1;
+                    self.idx.sg_because_of(info, |a, b| sg.bump(a, b));
+                }
+                if let Some(wfg) = &mut self.wfg {
+                    wfg.idle += 1;
+                    self.idx.wfg_because_of(info, |a, b| wfg.bump(a, b));
+                }
+            }
+            Delta::Unblock(task) => self.unblock(task),
         }
     }
 
-    /// Discards the maintained graph and rebuilds it from `snapshot`
-    /// (consumer joins and journal-truncation recovery). The journal
-    /// cursor is preserved — [`IncrementalEngine::sync`] manages it.
+    /// The exact mirror of a block: the same enumeration, evaluated while
+    /// the task is still indexed, removes what its block added.
+    fn unblock(&mut self, task: TaskId) {
+        let Some(info) = self.idx.tasks.get(&task) else { return };
+        if let Some(sg) = &mut self.sg {
+            sg.idle += 1;
+            self.idx.sg_because_of(info, |a, b| sg.drop_edge(a, b));
+        }
+        if let Some(wfg) = &mut self.wfg {
+            wfg.idle += 1;
+            self.idx.wfg_because_of(info, |a, b| wfg.drop_edge(a, b));
+        }
+        self.idx.remove(task);
+    }
+
+    /// Discards the maintained view and reloads it from `snapshot`
+    /// (consumer joins and journal-truncation recovery), rebuilding only
+    /// the derived structures that are live. The journal cursor is
+    /// preserved — [`IncrementalEngine::sync`] manages it.
     pub fn reset_to(&mut self, snapshot: &Snapshot) {
-        *self = IncrementalEngine {
-            cursor: self.cursor,
-            par_threshold: self.par_threshold,
-            ..IncrementalEngine::default()
-        };
+        self.idx = Indexes::default();
         for info in &snapshot.tasks {
-            self.apply_block(info.clone());
+            self.idx.remove(info.task);
+            self.idx.insert(info.clone());
+        }
+        let idx = &self.idx;
+        rebuild_in(&mut self.sg, &mut self.counters, |sg| idx.fill_sg(sg));
+        rebuild_in(&mut self.wfg, &mut self.counters, |wfg| idx.fill_wfg(wfg));
+    }
+
+    // -- demand -------------------------------------------------------------
+
+    /// Makes `model`'s adjacency live — built from the indexes if it is
+    /// not — and marks it used. The queries call this for what they read;
+    /// tests call it before reading the structural accessors, which report
+    /// what is maintained and never build.
+    pub fn demand(&mut self, model: GraphModel) {
+        self.demand_with(model, false);
+    }
+
+    /// [`IncrementalEngine::demand`] plus `model`'s topological order,
+    /// built from the live adjacency if it is not live.
+    pub fn demand_order(&mut self, model: GraphModel) {
+        self.demand_with(model, true);
+    }
+
+    fn demand_with(&mut self, model: GraphModel, order: bool) {
+        let (idx, counters) = (&self.idx, &mut self.counters);
+        match model {
+            GraphModel::Sg => demand_in(&mut self.sg, order, counters, |sg| idx.fill_sg(sg)),
+            GraphModel::Wfg => demand_in(&mut self.wfg, order, counters, |wfg| idx.fill_wfg(wfg)),
         }
     }
 
-    fn apply_block(&mut self, info: BlockedInfo) {
-        // Re-blocking replaces the previous record (registry semantics).
-        self.apply_unblock(info.task);
-
-        // The arriving task's contributions against the *existing* state:
-        // SG edges from every already-awaited event one of its
-        // registrations impedes, WFG edges towards every already-blocked
-        // task lagging behind one of its waits.
-        for reg in &info.registered {
-            if let Some(phases) = self.awaited.get(&reg.phaser) {
-                let sources: Vec<Resource> = phases
-                    .range(reg.local_phase + 1..)
-                    .map(|(&n, _)| Resource::new(reg.phaser, n))
-                    .collect();
-                for r1 in sources {
-                    for &r2 in &info.waits {
-                        bump_edge(&mut self.sg_adj, &mut self.sg_order, &mut self.sg_edges, r1, r2);
-                    }
-                }
-            }
-        }
-        for &w in &info.waits {
-            let laggards: Vec<TaskId> = self
-                .regs_by_phaser
-                .get(&w.phaser)
-                .into_iter()
-                .flatten()
-                .filter(|&&(_, m)| m < w.phase)
-                .map(|&(u, _)| u)
-                .collect();
-            for u in laggards {
-                bump_edge(
-                    &mut self.wfg_adj,
-                    &mut self.wfg_order,
-                    &mut self.wfg_edges,
-                    info.task,
-                    u,
-                );
-            }
-        }
-
-        // Index the task.
-        for reg in &info.registered {
-            self.regs_by_phaser.entry(reg.phaser).or_default().push((info.task, reg.local_phase));
-        }
-        for w in &info.waits {
-            self.waiters_by_phaser.entry(w.phaser).or_default().push((info.task, w.phase));
-        }
-        self.tasks.insert(info.task, info.clone());
-
-        // WFG edges *into* the arriving task from every waiter (itself
-        // included — self-waits are self-deadlocks) one of its
-        // registrations impedes.
-        for reg in &info.registered {
-            if let Some(waiters) = self.waiters_by_phaser.get(&reg.phaser) {
-                let sources: Vec<TaskId> = waiters
-                    .iter()
-                    .filter(|&&(_, n)| n > reg.local_phase)
-                    .map(|&(u, _)| u)
-                    .collect();
-                for u in sources {
-                    bump_edge(
-                        &mut self.wfg_adj,
-                        &mut self.wfg_order,
-                        &mut self.wfg_edges,
-                        u,
-                        info.task,
-                    );
-                }
-            }
-        }
-
-        // Newly-awaited events become SG vertices, with out-edges from
-        // every registration (of any blocked task, the arriving one
-        // included) lagging behind them.
-        for &w in &info.waits {
-            let waiters = self.awaited.entry(w.phaser).or_default().entry(w.phase).or_insert(0);
-            *waiters += 1;
-            if *waiters == 1 {
-                self.sg_nodes += 1;
-                let laggards: Vec<TaskId> = self
-                    .regs_by_phaser
-                    .get(&w.phaser)
-                    .into_iter()
-                    .flatten()
-                    .filter(|&&(_, m)| m < w.phase)
-                    .map(|&(u, _)| u)
-                    .collect();
-                for u in laggards {
-                    let targets = self.tasks[&u].waits.clone();
-                    for r2 in targets {
-                        bump_edge(&mut self.sg_adj, &mut self.sg_order, &mut self.sg_edges, w, r2);
-                    }
-                }
-            }
+    /// Is `model`'s adjacency currently maintained?
+    pub fn is_live(&self, model: GraphModel) -> bool {
+        match model {
+            GraphModel::Sg => self.sg.is_some(),
+            GraphModel::Wfg => self.wfg.is_some(),
         }
     }
 
-    fn apply_unblock(&mut self, task: TaskId) {
-        let Some(info) = self.tasks.get(&task).cloned() else { return };
+    /// Is `model`'s topological order currently maintained?
+    pub fn order_is_live(&self, model: GraphModel) -> bool {
+        match model {
+            GraphModel::Sg => self.sg.as_ref().is_some_and(|sg| sg.order.is_some()),
+            GraphModel::Wfg => self.wfg.as_ref().is_some_and(|wfg| wfg.order.is_some()),
+        }
+    }
 
-        // Exact mirror of `apply_block`, in reverse order.
-
-        // WFG edges into the departing task.
-        for reg in &info.registered {
-            if let Some(waiters) = self.waiters_by_phaser.get(&reg.phaser) {
-                let sources: Vec<TaskId> = waiters
-                    .iter()
-                    .filter(|&&(_, n)| n > reg.local_phase)
-                    .map(|&(u, _)| u)
-                    .collect();
-                for u in sources {
-                    drop_edge(&mut self.wfg_adj, &mut self.wfg_order, &mut self.wfg_edges, u, task);
-                }
-            }
-        }
-
-        // SG vertices that lose their last waiter retire with all their
-        // out-edges (every laggard's contributions, the departing task's
-        // included).
-        for &w in &info.waits {
-            let phases = self.awaited.get_mut(&w.phaser).expect("awaited entry for live wait");
-            let waiters = phases.get_mut(&w.phase).expect("waiter count for live wait");
-            *waiters -= 1;
-            if *waiters == 0 {
-                phases.remove(&w.phase);
-                if phases.is_empty() {
-                    self.awaited.remove(&w.phaser);
-                }
-                self.sg_nodes -= 1;
-                let laggards: Vec<TaskId> = self
-                    .regs_by_phaser
-                    .get(&w.phaser)
-                    .into_iter()
-                    .flatten()
-                    .filter(|&&(_, m)| m < w.phase)
-                    .map(|&(u, _)| u)
-                    .collect();
-                for u in laggards {
-                    let targets = self.tasks[&u].waits.clone();
-                    for r2 in targets {
-                        drop_edge(&mut self.sg_adj, &mut self.sg_order, &mut self.sg_edges, w, r2);
-                    }
-                }
-            }
-        }
-
-        // Unindex the task: one entry per registration / wait occurrence.
-        for reg in &info.registered {
-            let list = self.regs_by_phaser.get_mut(&reg.phaser).expect("indexed registration");
-            let at = list
-                .iter()
-                .position(|&(u, m)| u == task && m == reg.local_phase)
-                .expect("indexed registration entry");
-            list.swap_remove(at);
-            if list.is_empty() {
-                self.regs_by_phaser.remove(&reg.phaser);
-            }
-        }
-        for w in &info.waits {
-            let list = self.waiters_by_phaser.get_mut(&w.phaser).expect("indexed wait");
-            let at = list
-                .iter()
-                .position(|&(u, n)| u == task && n == w.phase)
-                .expect("indexed wait entry");
-            list.swap_remove(at);
-            if list.is_empty() {
-                self.waiters_by_phaser.remove(&w.phaser);
-            }
-        }
-        self.tasks.remove(&task);
-
-        // The departing task's contributions against the surviving state.
-        for reg in &info.registered {
-            if let Some(phases) = self.awaited.get(&reg.phaser) {
-                let sources: Vec<Resource> = phases
-                    .range(reg.local_phase + 1..)
-                    .map(|(&n, _)| Resource::new(reg.phaser, n))
-                    .collect();
-                for r1 in sources {
-                    for &r2 in &info.waits {
-                        drop_edge(&mut self.sg_adj, &mut self.sg_order, &mut self.sg_edges, r1, r2);
-                    }
-                }
-            }
-        }
-        for &w in &info.waits {
-            let laggards: Vec<TaskId> = self
-                .regs_by_phaser
-                .get(&w.phaser)
-                .into_iter()
-                .flatten()
-                .filter(|&&(_, m)| m < w.phase)
-                .map(|&(u, _)| u)
-                .collect();
-            for u in laggards {
-                drop_edge(&mut self.wfg_adj, &mut self.wfg_order, &mut self.wfg_edges, task, u);
-            }
-        }
+    /// Builds and retirements so far.
+    pub fn counters(&self) -> EngineCounters {
+        self.counters
     }
 
     // -- queries ------------------------------------------------------------
 
     /// Number of blocked tasks in the maintained view.
     pub fn blocked(&self) -> usize {
-        self.tasks.len()
+        self.idx.tasks.len()
     }
 
     /// The engine's journal position.
@@ -438,30 +602,36 @@ impl IncrementalEngine {
         self.cursor
     }
 
-    /// The model a check at the current state uses. `Auto` applies the
-    /// final-state form of the paper's threshold rule (see
-    /// [`auto_pick`]) — order-free, unlike the from-scratch builder's
-    /// mid-construction abort, but calibrated identically.
-    pub fn model_for(&self, choice: ModelChoice, threshold: usize) -> GraphModel {
-        match choice {
+    /// The model a check at the current state uses, with its adjacency
+    /// demanded. `Auto` applies the final-state form of the paper's
+    /// threshold rule (see [`auto_pick`]) to the live SG — order-free,
+    /// unlike the from-scratch builder's mid-construction abort, but
+    /// calibrated identically.
+    pub fn model_for(&mut self, choice: ModelChoice, threshold: usize) -> GraphModel {
+        let model = match choice {
             ModelChoice::FixedWfg => GraphModel::Wfg,
             ModelChoice::FixedSg => GraphModel::Sg,
-            ModelChoice::Auto => auto_pick(self.sg_edges, self.tasks.len(), threshold),
-        }
+            ModelChoice::Auto => {
+                self.demand(GraphModel::Sg);
+                auto_pick(self.sg_edge_count(), self.idx.tasks.len(), threshold)
+            }
+        };
+        self.demand(model);
+        model
     }
 
     fn stats_for(&self, choice: ModelChoice, model: GraphModel) -> CheckStats {
         CheckStats {
             model,
             nodes: match model {
-                GraphModel::Wfg => self.tasks.len(),
-                GraphModel::Sg => self.sg_nodes,
+                GraphModel::Wfg => self.idx.tasks.len(),
+                GraphModel::Sg => self.idx.sg_nodes,
             },
             edges: match model {
-                GraphModel::Wfg => self.wfg_edges,
-                GraphModel::Sg => self.sg_edges,
+                GraphModel::Wfg => self.wfg_edge_count(),
+                GraphModel::Sg => self.sg_edge_count(),
             },
-            blocked_tasks: self.tasks.len(),
+            blocked_tasks: self.idx.tasks.len(),
             sg_aborted: choice == ModelChoice::Auto && model == GraphModel::Wfg,
         }
     }
@@ -471,7 +641,12 @@ impl IncrementalEngine {
     /// touches only the nodes reachable from `task`; a hit falls back to
     /// the canonical checker over the materialised snapshot so the report
     /// is byte-identical to the from-scratch oracle's.
-    pub fn check_task(&self, task: TaskId, choice: ModelChoice, threshold: usize) -> CheckOutcome {
+    pub fn check_task(
+        &mut self,
+        task: TaskId,
+        choice: ModelChoice,
+        threshold: usize,
+    ) -> CheckOutcome {
         let model = self.model_for(choice, threshold);
         let hit = match model {
             GraphModel::Wfg => self.wfg_cycle_through(task),
@@ -485,11 +660,11 @@ impl IncrementalEngine {
         CheckOutcome { report, stats: self.stats_for(choice, model) }
     }
 
-    /// Detection check answered from the maintained Pearce–Kelly order:
-    /// is there any cycle? Cycle existence is read off the order state —
-    /// `O(1)` when no insertion was deferred, `O(affected region)`
-    /// amortised over the deltas that built it — instead of walking the
-    /// whole refcounted adjacency. As with
+    /// Detection check answered from the selected model's maintained
+    /// Pearce–Kelly order: is there any cycle? Cycle existence is read off
+    /// the order state — `O(1)` when no insertion was deferred,
+    /// `O(affected region)` amortised over the deltas that built it —
+    /// instead of walking the whole refcounted adjacency. As with
     /// [`IncrementalEngine::check_task`], only a hit materialises a
     /// snapshot and delegates to the canonical [`checker`], so reports
     /// stay byte-identical to the from-scratch oracle's.
@@ -514,53 +689,69 @@ impl IncrementalEngine {
         }
     }
 
-    /// Detection check by full scan of the maintained adjacency — the
-    /// pre-order-maintenance path, kept as the differential baseline for
-    /// [`IncrementalEngine::check_full`] and as the parallel option for
-    /// one-shot checks over merged state.
+    /// Detection check by full scan of the selected model's maintained
+    /// adjacency — the pre-order-maintenance path, kept as the
+    /// differential baseline for [`IncrementalEngine::check_full`] and as
+    /// the parallel option for one-shot checks over merged state.
     ///
     /// Above [`PAR_NODE_THRESHOLD`] nodes the existence pass fans out over
     /// [`crate::graph::DiGraph::has_cycle_par`] workers (when the host has
     /// more than one core): the maintained adjacency is flattened into a
     /// dense graph — `O(V + E)`, the same order as the scan itself — and
     /// peeled in parallel.
-    pub fn check_full_scan(&self, choice: ModelChoice, threshold: usize) -> CheckOutcome {
+    pub fn check_full_scan(&mut self, choice: ModelChoice, threshold: usize) -> CheckOutcome {
         let model = self.model_for(choice, threshold);
         let hit = match model {
-            GraphModel::Wfg => cycle_exists(&self.wfg_adj, self.tasks.len(), self.par_threshold),
-            GraphModel::Sg => cycle_exists(&self.sg_adj, self.sg_nodes, self.par_threshold),
+            GraphModel::Wfg => {
+                cycle_exists(&live(&self.wfg).adj, self.idx.tasks.len(), self.par_threshold)
+            }
+            GraphModel::Sg => {
+                cycle_exists(&live(&self.sg).adj, self.idx.sg_nodes, self.par_threshold)
+            }
         };
         let report =
             if hit { checker::check(&self.materialize(), choice, threshold).report } else { None };
         CheckOutcome { report, stats: self.stats_for(choice, model) }
     }
 
-    /// Cycle existence for `model`, answered from its maintained order
-    /// (deferred-edge retries run here; `&mut` is the amortisation).
+    /// Cycle existence for `model`, answered from its (demanded) order;
+    /// deferred-edge retries run here.
     pub fn order_cycle_exists(&mut self, model: GraphModel) -> bool {
+        self.demand_order(model);
         match model {
-            GraphModel::Wfg => self.wfg_order.has_cycle(),
-            GraphModel::Sg => self.sg_order.has_cycle(),
+            GraphModel::Wfg => live_order(&mut self.wfg).has_cycle(),
+            GraphModel::Sg => live_order(&mut self.sg).has_cycle(),
         }
     }
 
-    /// Checks both maintained orders against the distinct-edge lists: every
-    /// edge accounted for, committed edges strictly ascending in label.
-    /// Test/testkit hook — `Err` means order maintenance has diverged from
-    /// the refcounted adjacency.
+    /// Checks every live order against its adjacency's distinct-edge list:
+    /// every edge accounted for, committed edges strictly ascending in
+    /// label. Test/testkit hook — `Err` means order maintenance has
+    /// diverged from the refcounted adjacency. An order that is not live
+    /// has nothing to diverge; [`IncrementalEngine::demand_order`] first
+    /// to check one.
     pub fn order_invariants(&self) -> Result<(), String> {
-        self.wfg_order.validate(&self.wfg_edge_list()).map_err(|e| format!("wfg order: {e}"))?;
-        self.sg_order.validate(&self.sg_edge_list()).map_err(|e| format!("sg order: {e}"))
+        fn validate<N: Copy + Eq + Hash + Ord + std::fmt::Debug>(
+            slot: &Option<Maintained<N>>,
+            name: &str,
+        ) -> Result<(), String> {
+            let Some(this) = slot else { return Ok(()) };
+            let Some(order) = &this.order else { return Ok(()) };
+            order.validate(&this.edge_list()).map_err(|e| format!("{name} order: {e}"))
+        }
+        validate(&self.wfg, "wfg")?;
+        validate(&self.sg, "sg")
     }
 
     /// The maintained view as a sorted [`Snapshot`] (identical, entry for
     /// entry, to `Registry::snapshot` of a caught-up registry).
     pub fn materialize(&self) -> Snapshot {
-        Snapshot::from_tasks(self.tasks.values().cloned().collect())
+        Snapshot::from_tasks(self.idx.tasks.values().cloned().collect())
     }
 
     fn wfg_cycle_through(&self, start: TaskId) -> bool {
-        let Some(succs) = self.wfg_adj.get(&start) else { return false };
+        let adj = &live(&self.wfg).adj;
+        let Some(succs) = adj.get(&start) else { return false };
         let mut stack: Vec<TaskId> = succs.keys().copied().collect();
         let mut seen: HashSet<TaskId> = HashSet::new();
         while let Some(u) = stack.pop() {
@@ -568,7 +759,7 @@ impl IncrementalEngine {
                 return true;
             }
             if seen.insert(u) {
-                if let Some(next) = self.wfg_adj.get(&u) {
+                if let Some(next) = adj.get(&u) {
                     stack.extend(next.keys().copied());
                 }
             }
@@ -580,7 +771,8 @@ impl IncrementalEngine {
     /// the task's contribution is a path from one of its awaited events
     /// back to an event it impedes, closed by the task's own edge.
     fn sg_cycle_through(&self, task: TaskId) -> bool {
-        let Some(info) = self.tasks.get(&task) else { return false };
+        let adj = &live(&self.sg).adj;
+        let Some(info) = self.idx.tasks.get(&task) else { return false };
         let mut stack: Vec<Resource> = info.waits.clone();
         let mut seen: HashSet<Resource> = HashSet::new();
         while let Some(r) = stack.pop() {
@@ -588,7 +780,7 @@ impl IncrementalEngine {
                 if info.impedes(r) {
                     return true;
                 }
-                if let Some(next) = self.sg_adj.get(&r) {
+                if let Some(next) = adj.get(&r) {
                     stack.extend(next.keys().copied());
                 }
             }
@@ -597,32 +789,25 @@ impl IncrementalEngine {
     }
 
     // -- structural accessors (equivalence tests, benches) ------------------
+    //
+    // The edge accessors report what is *maintained*: an adjacency that is
+    // not live has no edges. They never build —
+    // [`IncrementalEngine::demand`] does.
 
-    /// Distinct SG edges, sorted.
+    /// Distinct SG edges, sorted (empty while the SG is not live).
     pub fn sg_edge_list(&self) -> Vec<(Resource, Resource)> {
-        let mut edges: Vec<(Resource, Resource)> = self
-            .sg_adj
-            .iter()
-            .flat_map(|(&r1, succs)| succs.keys().map(move |&r2| (r1, r2)))
-            .collect();
-        edges.sort();
-        edges
+        self.sg.as_ref().map(Maintained::edge_list).unwrap_or_default()
     }
 
-    /// Distinct WFG edges, sorted.
+    /// Distinct WFG edges, sorted (empty while the WFG is not live).
     pub fn wfg_edge_list(&self) -> Vec<(TaskId, TaskId)> {
-        let mut edges: Vec<(TaskId, TaskId)> = self
-            .wfg_adj
-            .iter()
-            .flat_map(|(&t1, succs)| succs.keys().map(move |&t2| (t1, t2)))
-            .collect();
-        edges.sort();
-        edges
+        self.wfg.as_ref().map(Maintained::edge_list).unwrap_or_default()
     }
 
     /// Distinct awaited events (SG vertices), sorted.
     pub fn sg_vertex_list(&self) -> Vec<Resource> {
         let mut nodes: Vec<Resource> = self
+            .idx
             .awaited
             .iter()
             .flat_map(|(&p, phases)| phases.keys().map(move |&n| Resource::new(p, n)))
@@ -633,20 +818,29 @@ impl IncrementalEngine {
 
     /// Blocked tasks (WFG vertices), sorted.
     pub fn wfg_vertex_list(&self) -> Vec<TaskId> {
-        let mut nodes: Vec<TaskId> = self.tasks.keys().copied().collect();
+        let mut nodes: Vec<TaskId> = self.idx.tasks.keys().copied().collect();
         nodes.sort();
         nodes
     }
 
-    /// Distinct SG edge count of the maintained graph.
+    /// Distinct edge count of the maintained SG (0 while it is not live).
     pub fn sg_edge_count(&self) -> usize {
-        self.sg_edges
+        self.sg.as_ref().map_or(0, |sg| sg.edges)
     }
 
-    /// Distinct WFG edge count of the maintained graph.
+    /// Distinct edge count of the maintained WFG (0 while it is not live).
     pub fn wfg_edge_count(&self) -> usize {
-        self.wfg_edges
+        self.wfg.as_ref().map_or(0, |wfg| wfg.edges)
     }
+}
+
+/// The structures a query demanded a moment ago.
+fn live<N>(slot: &Option<Maintained<N>>) -> &Maintained<N> {
+    slot.as_ref().expect("model_for left the selected adjacency live")
+}
+
+fn live_order<N>(slot: &mut Option<Maintained<N>>) -> &mut TopoOrder<N> {
+    slot.as_mut().and_then(|m| m.order.as_mut()).expect("demand_order left the order live")
 }
 
 /// Node count above which [`IncrementalEngine::check_full_scan`]'s
@@ -748,9 +942,11 @@ mod tests {
         )
     }
 
-    /// Engine structures equal the from-scratch oracle on the current
-    /// materialised state.
-    fn assert_matches_oracle(engine: &IncrementalEngine) {
+    /// Engine structures — both adjacencies demanded — equal the
+    /// from-scratch oracle on the current materialised state.
+    fn assert_matches_oracle(engine: &mut IncrementalEngine) {
+        engine.demand(GraphModel::Wfg);
+        engine.demand(GraphModel::Sg);
         let snap = engine.materialize();
         let oracle_wfg = wfg::wfg(&snap);
         let oracle_sg = sg::sg(&snap);
@@ -781,10 +977,10 @@ mod tests {
         let mut engine = IncrementalEngine::new();
         for i in 1..=3 {
             engine.apply(Delta::Block(worker(i)));
-            assert_matches_oracle(&engine);
+            assert_matches_oracle(&mut engine);
         }
         engine.apply(Delta::Block(driver()));
-        assert_matches_oracle(&engine);
+        assert_matches_oracle(&mut engine);
         assert_eq!(engine.wfg_edge_count(), 6); // Figure 5a
         assert_eq!(engine.sg_edge_count(), 2); // Figure 5c
         assert_eq!(engine.blocked(), 4);
@@ -802,12 +998,15 @@ mod tests {
     #[test]
     fn unblock_is_the_exact_mirror_of_block() {
         let mut engine = IncrementalEngine::new();
+        // Live from the start, so the blocks are maintained edge by edge.
+        engine.demand_order(GraphModel::Wfg);
+        engine.demand_order(GraphModel::Sg);
         for i in 1..=3 {
             engine.apply(Delta::Block(worker(i)));
         }
         engine.apply(Delta::Block(driver()));
         engine.apply(Delta::Unblock(t(4)));
-        assert_matches_oracle(&engine);
+        assert_matches_oracle(&mut engine);
         assert!(engine.check_full(ModelChoice::Auto, DEFAULT_SG_THRESHOLD).report.is_none());
         for i in 1..=3 {
             engine.apply(Delta::Unblock(t(i)));
@@ -816,9 +1015,10 @@ mod tests {
         assert_eq!(engine.sg_edge_count(), 0);
         assert_eq!(engine.wfg_edge_count(), 0);
         assert_eq!(engine.sg_vertex_list(), Vec::<Resource>::new());
-        assert!(engine.sg_adj.is_empty() && engine.wfg_adj.is_empty());
-        assert!(engine.awaited.is_empty());
-        assert!(engine.regs_by_phaser.is_empty() && engine.waiters_by_phaser.is_empty());
+        assert!(engine.sg.as_ref().map_or(true, |sg| sg.adj.is_empty() && sg.contributions == 0));
+        assert!(engine.wfg.as_ref().map_or(true, |wfg| wfg.adj.is_empty()));
+        assert!(engine.idx.awaited.is_empty() && engine.idx.sg_nodes == 0);
+        assert!(engine.idx.regs_by_phaser.is_empty() && engine.idx.waiters_by_phaser.is_empty());
     }
 
     #[test]
@@ -829,7 +1029,7 @@ mod tests {
         moved.waits = vec![r(3, 1)];
         moved.registered = vec![Registration::new(p(3), 1)];
         engine.apply(Delta::Block(moved));
-        assert_matches_oracle(&engine);
+        assert_matches_oracle(&mut engine);
         assert_eq!(engine.blocked(), 1);
         assert_eq!(engine.sg_vertex_list(), vec![r(3, 1)]);
     }
@@ -842,7 +1042,7 @@ mod tests {
             vec![r(1, 5)],
             vec![Registration::new(p(1), 2)],
         )));
-        assert_matches_oracle(&engine);
+        assert_matches_oracle(&mut engine);
         assert!(engine.wfg_cycle_through(t(1)));
         assert!(engine.sg_cycle_through(t(1)));
         assert!(engine.check_task(t(1), ModelChoice::Auto, DEFAULT_SG_THRESHOLD).report.is_some());
@@ -876,7 +1076,7 @@ mod tests {
         registry.block(worker(2));
         let out = engine.sync(&registry);
         assert_eq!(out, SyncOutcome { deltas_applied: 2, resynced: false });
-        assert_matches_oracle(&engine);
+        assert_matches_oracle(&mut engine);
 
         // Four more deltas truncate past the engine's cursor.
         registry.block(worker(3));
@@ -885,7 +1085,7 @@ mod tests {
         registry.block(worker(3));
         let out = engine.sync(&registry);
         assert!(out.resynced);
-        assert_matches_oracle(&engine);
+        assert_matches_oracle(&mut engine);
         assert_eq!(engine.blocked(), 4);
 
         // Caught up again: the next sync is an empty delta read.
@@ -942,12 +1142,168 @@ mod tests {
         // Few tasks, many barriers each: the SG explodes, Auto falls back.
         let mut engine = IncrementalEngine::new();
         for i in 0..4u64 {
-            let regs = (0..64).map(|b| Registration::new(p(b), 0)).collect();
-            engine.apply(Delta::Block(BlockedInfo::new(t(i), vec![r(i % 64, 1)], regs)));
+            engine.apply(Delta::Block(many_barrier_task(i)));
         }
         assert_eq!(engine.model_for(ModelChoice::Auto, DEFAULT_SG_THRESHOLD), GraphModel::Wfg);
         let stats = engine.check_full(ModelChoice::Auto, DEFAULT_SG_THRESHOLD).stats;
         assert!(stats.sg_aborted);
+    }
+
+    /// The "few tasks × many phasers" shape: task `i` waits on barrier
+    /// `i % 64` while lagging on all 64.
+    fn many_barrier_task(i: u64) -> BlockedInfo {
+        let regs = (0..64).map(|b| Registration::new(p(b), 0)).collect();
+        BlockedInfo::new(t(i), vec![r(i % 64, 1)], regs)
+    }
+
+    #[test]
+    fn wfg_shaped_programs_keep_both_adjacencies_live_and_fully_maintained() {
+        // Under Auto a WFG-shaped program reads the SG (for the pick) and
+        // the WFG (for the answer) on every check, so both stay live and
+        // every delta maintains both — the per-delta work of an engine
+        // that always maintained both.
+        let mut engine = IncrementalEngine::new();
+        for round in 0..3 {
+            for i in 0..6u64 {
+                engine.apply(Delta::Block(many_barrier_task(i)));
+                let out = engine.check_task(t(i), ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+                // k tasks impede each other's every wait: k² SG edges.
+                if engine.blocked() >= 3 {
+                    assert_eq!(out.stats.model, GraphModel::Wfg, "round {round}, task {i}");
+                    assert!(out.stats.sg_aborted);
+                }
+            }
+            assert!(engine.is_live(GraphModel::Sg) && engine.is_live(GraphModel::Wfg));
+            // Both adjacencies equal the from-scratch oracle without any
+            // rebuild in between: each delta adjusted every contribution.
+            let snap = engine.materialize();
+            assert_eq!(engine.sg_edge_count(), sg::sg(&snap).edge_count());
+            assert_eq!(engine.wfg_edge_count(), wfg::wfg(&snap).edge_count());
+            // Never fewer than three blocked: the shape stays WFG-picked.
+            for i in 3..6u64 {
+                engine.apply(Delta::Unblock(t(i)));
+                let out = engine.check_task(t(0), ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+                assert_eq!(out.stats.model, GraphModel::Wfg);
+            }
+        }
+        let counters = engine.counters();
+        assert_eq!(counters.model_retires, 0, "read on every check ⇒ never retired");
+        assert_eq!(counters.model_builds, 2, "each adjacency built once, on first demand");
+        assert!(!engine.order_is_live(GraphModel::Sg) && !engine.order_is_live(GraphModel::Wfg));
+    }
+
+    #[test]
+    fn crossing_the_threshold_once_does_not_keep_the_wfg_forever() {
+        let mut engine = IncrementalEngine::new();
+        // Above the threshold: the WFG is demanded.
+        for i in 0..4u64 {
+            engine.apply(Delta::Block(many_barrier_task(i)));
+        }
+        let out = engine.check_task(t(3), ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+        assert_eq!(out.stats.model, GraphModel::Wfg);
+        for i in 0..4u64 {
+            engine.apply(Delta::Unblock(t(i)));
+            engine.check_task(t(0), ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+        }
+        // Back to an SPMD shape, checked on every delta: the SG is read
+        // every time, the WFG never again — it is dropped once keeping it
+        // has cost more than rebuilding it would.
+        for i in 0..64u64 {
+            let phase = if i == 0 { 0 } else { 1 };
+            engine.apply(Delta::Block(BlockedInfo::new(
+                t(100 + i),
+                vec![r(1, 1)],
+                vec![Registration::new(p(1), phase)],
+            )));
+            let out = engine.check_task(t(100 + i), ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+            assert_eq!(out.stats.model, GraphModel::Sg);
+        }
+        assert!(engine.is_live(GraphModel::Sg));
+        assert!(!engine.is_live(GraphModel::Wfg), "the idle WFG was retired");
+        assert_eq!(engine.wfg_edge_count(), 0, "the accessor reports what is maintained");
+        assert_eq!(engine.counters().model_retires, 1);
+    }
+
+    #[test]
+    fn demand_retire_redemand_matches_the_oracle() {
+        let mut engine = IncrementalEngine::new();
+        for i in 1..=3 {
+            engine.apply(Delta::Block(worker(i)));
+        }
+        engine.demand_order(GraphModel::Wfg);
+        engine.demand_order(GraphModel::Sg);
+        assert_eq!(engine.counters().model_builds, 4);
+        assert_matches_oracle(&mut engine);
+
+        // An idle stretch: the population turns over with no query.
+        for _ in 0..4 {
+            for i in 1..=3 {
+                engine.apply(Delta::Unblock(t(i)));
+                engine.apply(Delta::Block(worker(i)));
+            }
+        }
+        engine.apply(Delta::Block(driver()));
+        for model in [GraphModel::Wfg, GraphModel::Sg] {
+            assert!(!engine.is_live(model) && !engine.order_is_live(model), "{model} retired");
+        }
+        assert_eq!(engine.counters().model_retires, 4);
+        assert_eq!((engine.sg_edge_count(), engine.wfg_edge_count()), (0, 0));
+        engine.order_invariants().expect("nothing live, nothing to diverge");
+
+        // Re-demand: one pass from the indexes, equal to the oracle.
+        engine.demand_order(GraphModel::Wfg);
+        engine.demand_order(GraphModel::Sg);
+        assert_eq!(engine.counters().model_builds, 8);
+        assert_matches_oracle(&mut engine);
+        assert_eq!(engine.wfg_edge_count(), 6); // Figure 5a
+        assert_eq!(engine.sg_edge_count(), 2); // Figure 5c
+        engine.order_invariants().expect("rebuilt orders are valid");
+        assert!(engine.order_cycle_exists(GraphModel::Wfg));
+        assert!(engine.order_cycle_exists(GraphModel::Sg));
+    }
+
+    #[test]
+    fn reset_rebuilds_exactly_what_is_live() {
+        let mut source = IncrementalEngine::new();
+        for i in 1..=3 {
+            source.apply(Delta::Block(worker(i)));
+        }
+        source.apply(Delta::Block(driver()));
+        let snapshot = source.materialize();
+
+        // Nothing live: a reset reloads the indexes and builds nothing.
+        let mut engine = IncrementalEngine::new();
+        engine.reset_to(&snapshot);
+        assert_eq!(engine.blocked(), 4);
+        assert_eq!(engine.sg_vertex_list(), vec![r(1, 1), r(2, 1)]);
+        for model in [GraphModel::Wfg, GraphModel::Sg] {
+            assert!(!engine.is_live(model) && !engine.order_is_live(model), "{model}");
+        }
+        assert_eq!((engine.sg_edge_count(), engine.wfg_edge_count()), (0, 0));
+        assert_eq!(engine.counters(), EngineCounters::default());
+
+        // Everything live: a reset rebuilds both adjacencies and both
+        // orders, counted as order rebuilds, not as demand builds.
+        engine.demand_order(GraphModel::Wfg);
+        engine.demand_order(GraphModel::Sg);
+        engine.reset_to(&Snapshot::empty());
+        assert_eq!((engine.sg_edge_count(), engine.wfg_edge_count()), (0, 0));
+        engine.reset_to(&snapshot);
+        assert_eq!((engine.sg_edge_count(), engine.wfg_edge_count()), (2, 6));
+        assert!(engine.order_is_live(GraphModel::Wfg) && engine.order_is_live(GraphModel::Sg));
+        engine.order_invariants().expect("rebuilt orders are valid");
+        assert_eq!(
+            engine.counters(),
+            EngineCounters { model_builds: 4, model_retires: 0, order_rebuilds: 4 }
+        );
+        assert_matches_oracle(&mut engine);
+
+        // Partly live: only the SG adjacency comes back.
+        let mut engine = IncrementalEngine::new();
+        engine.demand(GraphModel::Sg);
+        engine.reset_to(&snapshot);
+        assert_eq!((engine.sg_edge_count(), engine.wfg_edge_count()), (2, 0));
+        assert!(!engine.order_is_live(GraphModel::Sg) && !engine.is_live(GraphModel::Wfg));
     }
 
     #[test]
@@ -1040,9 +1396,9 @@ mod tests {
             vec![r(2, 1)],
             vec![Registration::new(p(1), 1)],
         )));
-        assert_matches_oracle(&engine);
+        assert_matches_oracle(&mut engine);
         engine.apply(Delta::Unblock(t(1)));
-        assert_matches_oracle(&engine);
+        assert_matches_oracle(&mut engine);
         engine.apply(Delta::Unblock(t(2)));
         assert_eq!(engine.sg_edge_count(), 0);
         assert_eq!(engine.wfg_edge_count(), 0);

@@ -21,11 +21,14 @@
 //!   events involved.
 //! * The **adaptive** builder ([`adaptive::build`]) picks the cheaper model
 //!   at run time.
-//! * The **incremental engine** ([`engine::IncrementalEngine`]) maintains
-//!   both graphs persistently from the registry's delta journal, so checks
-//!   cost `O(churn since the last check)` instead of `O(blocked tasks)`;
-//!   detection additionally keeps a Pearce–Kelly topological order
-//!   ([`graph::TopoOrder`]) per model, answering whole-graph
+//! * The **incremental engine** ([`engine::IncrementalEngine`]) follows
+//!   the registry's delta journal and maintains, persistently, the graph
+//!   its checks read — the model the adaptive rule selects, built on first
+//!   demand and retired when nothing reads it — so checks cost `O(churn
+//!   since the last check)` instead of `O(blocked tasks)` and deltas cost
+//!   the selected model's local degree, not the larger model's; detection
+//!   additionally keeps a Pearce–Kelly topological order
+//!   ([`graph::TopoOrder`]) of that model, answering whole-graph
 //!   cycle-existence without a full scan. The from-scratch builders remain
 //!   the oracle it is tested against.
 //! * The [`Verifier`] packages all of this behind `block`/`unblock` calls
@@ -80,7 +83,9 @@ pub use deps::{
     BlockedInfo, Delta, JournalRead, Registry, RegistryConfig, Snapshot, DEFAULT_JOURNAL_CAPACITY,
     DEFAULT_SHARDS,
 };
-pub use engine::{DetectionOutcome, IncrementalEngine, SyncOutcome, PAR_NODE_THRESHOLD};
+pub use engine::{
+    DetectionOutcome, EngineCounters, IncrementalEngine, SyncOutcome, PAR_NODE_THRESHOLD,
+};
 pub use error::DeadlockError;
 pub use graph::TopoOrder;
 pub use ids::{Phase, PhaserId, TaskId, MAX_LOCAL_TASK, MAX_SITE_TAG, SITE_TAG_SHIFT};

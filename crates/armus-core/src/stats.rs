@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adaptive::GraphModel;
 use crate::checker::CheckStats;
+use crate::engine::EngineCounters;
 
 /// Lock-free accumulator of check statistics.
 #[derive(Debug, Default)]
@@ -33,6 +34,8 @@ pub struct StatsCollector {
     combined_checks: AtomicU64,
     incremental_detections: AtomicU64,
     order_rebuilds: AtomicU64,
+    model_builds: AtomicU64,
+    model_retires: AtomicU64,
     async_waits: AtomicU64,
     waker_wakes: AtomicU64,
 }
@@ -120,10 +123,13 @@ impl StatsCollector {
         self.incremental_detections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a from-scratch rebuild of the maintained topological order
-    /// (a journal resync, or a distributed checker reset).
-    pub fn record_order_rebuild(&self) {
-        self.order_rebuilds.fetch_add(1, Ordering::Relaxed);
+    /// Publishes the verifier's engine's cumulative build / retire /
+    /// order-rebuild counts. The verifier owns one engine and calls this
+    /// under its lock, so a plain store keeps the counters monotone.
+    pub fn mirror_engine(&self, counters: EngineCounters) {
+        self.order_rebuilds.store(counters.order_rebuilds, Ordering::Relaxed);
+        self.model_builds.store(counters.model_builds, Ordering::Relaxed);
+        self.model_retires.store(counters.model_retires, Ordering::Relaxed);
     }
 
     /// Records an async-front-end wait going pending: a waker was parked
@@ -162,6 +168,8 @@ impl StatsCollector {
             combined_checks: self.combined_checks.load(Ordering::Relaxed),
             incremental_detections: self.incremental_detections.load(Ordering::Relaxed),
             order_rebuilds: self.order_rebuilds.load(Ordering::Relaxed),
+            model_builds: self.model_builds.load(Ordering::Relaxed),
+            model_retires: self.model_retires.load(Ordering::Relaxed),
             async_waits: self.async_waits.load(Ordering::Relaxed),
             waker_wakes: self.waker_wakes.load(Ordering::Relaxed),
         }
@@ -220,9 +228,19 @@ pub struct StatsSnapshot {
     /// order (no cycle found, no canonical rebuild): `O(churn)` instead of
     /// a full-graph pass. The hit counterpart is `full_rebuilds`.
     pub incremental_detections: u64,
-    /// From-scratch rebuilds of the maintained topological order — one
-    /// per journal resync (and per distributed checker reset).
+    /// From-scratch rebuilds of a *live* topological order by a journal
+    /// resync. A resync with no order live (every avoidance verifier)
+    /// rebuilds none and counts nothing.
     pub order_rebuilds: u64,
+    /// Derived structures (an SG or WFG adjacency, or one of their orders)
+    /// the engine built because a check demanded one that was not live.
+    pub model_builds: u64,
+    /// Derived structures the engine dropped because no check had read
+    /// them for longer than rebuilding them costs. Climbing together with
+    /// `model_builds`, it shows a check pattern that keeps crossing that
+    /// break-even point (e.g. a program oscillating around the `Auto`
+    /// threshold).
+    pub model_retires: u64,
     /// Async-front-end waits that went pending: each parked a waker with
     /// the wait machine instead of an OS thread (the async counterpart of
     /// a condvar park).
@@ -308,13 +326,15 @@ mod tests {
         c.record_full_rebuild();
         c.record_incremental_detection();
         c.record_incremental_detection();
-        c.record_order_rebuild();
+        c.mirror_engine(EngineCounters { model_builds: 3, model_retires: 1, order_rebuilds: 1 });
+        c.mirror_engine(EngineCounters { model_builds: 4, model_retires: 2, order_rebuilds: 1 });
         let s = c.snapshot();
         assert_eq!(s.deltas_applied, 5);
         assert_eq!(s.resyncs, 1);
         assert_eq!(s.full_rebuilds, 1);
         assert_eq!(s.incremental_detections, 2);
         assert_eq!(s.order_rebuilds, 1);
+        assert_eq!((s.model_builds, s.model_retires), (4, 2), "cumulative, not summed");
     }
 
     #[test]

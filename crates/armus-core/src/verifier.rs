@@ -14,7 +14,11 @@
 //! maintained graph: a check consumes only the registry's journal deltas
 //! since the previous check instead of cloning the registry and rebuilding
 //! from scratch, so its cost tracks the *churn* since the last check, not
-//! the number of blocked tasks.
+//! the number of blocked tasks. The engine maintains only the structures
+//! this verifier's checks read — the adjacency of the model the §5.1 rule
+//! selects, plus (detection only) that model's topological order — so the
+//! per-delta work under the engine lock is bounded by the selected model,
+//! not by the larger one.
 //!
 //! The avoidance hot path scales across cores through two mechanisms:
 //!
@@ -416,7 +420,7 @@ impl Verifier {
         // hot path, one `try_lock` away from the old behaviour.
         if let Some(mut engine) = self.engine.try_lock() {
             let outcome = self.run_check(&mut engine, task);
-            self.drain_pending(&mut engine);
+            self.finish_locked(&mut engine);
             return outcome;
         }
         self.stats.record_engine_lock_wait();
@@ -436,7 +440,7 @@ impl Verifier {
                 if req.is_done() {
                     // The previous holder served us while we raced for
                     // the lock; just help drain and go.
-                    self.drain_pending(&mut engine);
+                    self.finish_locked(&mut engine);
                     return req.take();
                 }
                 // We hold the lock and are unserved: our request is still
@@ -446,7 +450,7 @@ impl Verifier {
                 // check ourselves, then serve everyone else.
                 self.pending.lock().retain(|r| !Arc::ptr_eq(r, &req));
                 let outcome = self.run_check(&mut engine, task);
-                self.drain_pending(&mut engine);
+                self.finish_locked(&mut engine);
                 return outcome;
             }
             spins += 1;
@@ -461,19 +465,24 @@ impl Verifier {
     /// Syncs the engine with the registry (recording delta/resync stats)
     /// and checks for a cycle through `task`.
     fn run_check(&self, engine: &mut IncrementalEngine, task: TaskId) -> CheckOutcome {
-        let sync = engine.sync(&self.registry);
-        self.note_sync(sync);
+        self.sync_engine(engine);
         engine.check_task(task, self.cfg.model, self.cfg.sg_threshold)
     }
 
-    /// Feeds one engine sync into the stats: deltas/resyncs as before, and
-    /// a resync also rebuilds the maintained topological orders from the
-    /// snapshot, which the `order_rebuilds` counter tracks.
-    fn note_sync(&self, sync: SyncOutcome) {
+    /// Syncs the engine with the registry, recording the delta/resync
+    /// stats.
+    fn sync_engine(&self, engine: &mut IncrementalEngine) {
+        let sync = engine.sync(&self.registry);
         self.stats.record_sync(sync.deltas_applied, sync.resynced);
-        if sync.resynced {
-            self.stats.record_order_rebuild();
-        }
+    }
+
+    /// Ends an engine-locked section: serves the blockers that queued
+    /// behind it, then publishes what the section's syncs and checks built,
+    /// retired and rebuilt (`model_builds` / `model_retires` /
+    /// `order_rebuilds`).
+    fn finish_locked(&self, engine: &mut IncrementalEngine) {
+        self.drain_pending(engine);
+        self.stats.mirror_engine(engine.counters());
     }
 
     /// Rounds a combiner serves before releasing the lock even if the
@@ -493,8 +502,7 @@ impl Verifier {
             if batch.is_empty() {
                 return;
             }
-            let sync = engine.sync(&self.registry);
-            self.note_sync(sync);
+            self.sync_engine(engine);
             for req in batch {
                 let outcome = engine.check_task(req.task, self.cfg.model, self.cfg.sg_threshold);
                 self.stats.record_combined_check();
@@ -521,11 +529,10 @@ impl Verifier {
     ) -> CheckOutcome {
         let outcome = {
             let mut engine = self.engine.lock();
-            let sync = engine.sync(&self.registry);
-            self.note_sync(sync);
+            self.sync_engine(&mut engine);
             let outcome = check(&mut engine);
             // Serve any avoidance blockers that queued behind this check.
-            self.drain_pending(&mut engine);
+            self.finish_locked(&mut engine);
             outcome
         };
         if outcome.report.is_some() {
@@ -542,8 +549,8 @@ impl Verifier {
             // Keep the engine's cursor moving even when quiescent so a
             // burst after a long idle stretch does not force a resync.
             let mut engine = self.engine.lock();
-            let sync = engine.sync(&self.registry);
-            self.note_sync(sync);
+            self.sync_engine(&mut engine);
+            self.finish_locked(&mut engine);
             return None;
         }
         let outcome = self.synced_check(|engine| {
@@ -1053,9 +1060,10 @@ mod tests {
 
     #[test]
     fn detection_counts_incremental_checks_and_order_rebuilds() {
-        // Journal window of 2: the four example blocks truncate past the
-        // engine's cursor, so the first check_now resyncs — rebuilding the
-        // maintained orders — and still answers the cycle canonically.
+        // Journal window of 2: three blocks truncate past the engine's
+        // cursor, so the first check_now resyncs. Nothing is live yet, so
+        // the resync rebuilds no order; the check then demands the SG
+        // adjacency and its order (two builds).
         let v = Verifier::new(
             VerifierConfig::detection_every(Duration::from_secs(3600)).with_journal_capacity(2),
         );
@@ -1065,15 +1073,37 @@ mod tests {
         assert!(v.check_now().is_none(), "bystanders only: no cycle");
         let s = v.stats();
         assert_eq!(s.resyncs, 1, "journal window 2 forces a resync");
-        assert_eq!(s.order_rebuilds, 1, "the resync rebuilt the orders");
+        assert_eq!(s.order_rebuilds, 0, "no order was live to rebuild");
+        assert_eq!(s.model_builds, 2, "the check demanded the SG adjacency and its order");
         assert_eq!(s.incremental_detections, 1, "no cycle ⇒ answered from the order");
 
+        // The four example blocks overrun the window again: this resync
+        // finds the SG order live and rebuilds it — and the check still
+        // answers the cycle canonically.
         publish_example_deadlock(&v);
         assert!(v.check_now().is_some());
         let s = v.stats();
+        assert_eq!(s.resyncs, 2);
+        assert_eq!(s.order_rebuilds, 1, "the resync rebuilt the one live order");
+        assert_eq!((s.model_builds, s.model_retires), (2, 0), "nothing demanded anew or dropped");
         assert_eq!(s.incremental_detections, 1, "the hit fell back to the canonical rebuild");
         assert_eq!(s.full_rebuilds, 1);
         v.shutdown();
+    }
+
+    #[test]
+    fn avoidance_never_builds_an_order_and_its_resyncs_rebuild_none() {
+        // Three fast-path blocks overrun a window of 2, so the driver's
+        // slow-path check resyncs — with an engine that only ever answers
+        // `check_task`: one adjacency build, no order, nothing to rebuild.
+        let v = Verifier::new(VerifierConfig::avoidance().with_journal_capacity(2));
+        publish_example_deadlock(&v);
+        let s = v.stats();
+        assert_eq!(s.deadlocks, 1, "the driver's block was refused");
+        assert_eq!(s.resyncs, 1);
+        assert_eq!(s.order_rebuilds, 0);
+        assert_eq!((s.model_builds, s.model_retires), (1, 0), "the SG adjacency, once");
+        assert!(!v.engine.lock().order_is_live(crate::GraphModel::Sg));
     }
 
     #[test]

@@ -18,7 +18,8 @@ use std::time::Duration;
 
 use armus_core::engine::IncrementalEngine;
 use armus_core::{
-    BlockedInfo, PhaserId, Registration, Registry, Resource, TaskId, Verifier, VerifierConfig,
+    BlockedInfo, GraphModel, PhaserId, Registration, Registry, Resource, TaskId, Verifier,
+    VerifierConfig,
 };
 
 fn t(n: u64) -> TaskId {
@@ -98,6 +99,10 @@ fn merged_journal_view_equals_snapshot_at_quiesce() {
         start.wait();
         while finished.load(Ordering::Acquire) < PRODUCERS {
             follower.sync(&registry);
+            // Keep both models live, so the deltas (and resyncs) of the
+            // next sync maintain them rather than only the indexes.
+            follower.demand(GraphModel::Wfg);
+            follower.demand(GraphModel::Sg);
         }
     });
 
@@ -110,6 +115,10 @@ fn merged_journal_view_equals_snapshot_at_quiesce() {
     // A joiner that only ever saw the final snapshot agrees structurally.
     let mut joiner = IncrementalEngine::new();
     joiner.reset_to(&snapshot);
+    for engine in [&mut follower, &mut joiner] {
+        engine.demand(GraphModel::Wfg);
+        engine.demand(GraphModel::Sg);
+    }
     assert_eq!(follower.wfg_edge_list(), joiner.wfg_edge_list());
     assert_eq!(follower.sg_edge_list(), joiner.sg_edge_list());
     assert_eq!(follower.wfg_vertex_list(), joiner.wfg_vertex_list());

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use armus_core::engine::IncrementalEngine;
 use armus_core::{
-    BlockedInfo, JournalRead, PhaserId, Registration, Registry, RegistryConfig, Resource, TaskId,
-    Verifier, VerifierConfig,
+    BlockedInfo, GraphModel, JournalRead, PhaserId, Registration, Registry, RegistryConfig,
+    Resource, TaskId, Verifier, VerifierConfig,
 };
 
 fn t(n: u64) -> TaskId {
@@ -177,7 +177,11 @@ fn resync_rebuilds_the_order_and_rereports_byte_identically() {
     }
     let out = engine.sync(&reg);
     assert!(out.resynced, "overflow must force the snapshot resync");
-    assert!(engine.order_invariants().is_ok(), "orders rebuilt from the snapshot");
+    // Live before the resync: the WFG adjacency and its order (the check
+    // above demanded them). The resync rebuilt exactly those.
+    assert_eq!(engine.counters().order_rebuilds, 1);
+    assert!(!engine.is_live(GraphModel::Sg), "nothing asked for the SG yet");
+    assert!(engine.order_invariants().is_ok(), "order rebuilt from the snapshot");
     // The planted cycle is re-reported byte-identically to the canonical
     // checker for both fixed models (Auto is verdict-stable by the same
     // delegation; the fixed models pin the exact report bytes).

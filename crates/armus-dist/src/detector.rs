@@ -101,10 +101,17 @@ pub struct DistCheckerStats {
     /// Rounds whose detection was answered entirely from the maintained
     /// topological order (no full graph walk).
     pub incremental_detections: u64,
-    /// From-scratch rebuilds of the engine (and its orders) from a merged
-    /// snapshot: the first round and every explicit
-    /// [`IncrementalDistChecker::resync`].
+    /// From-scratch reloads of the engine from a merged snapshot — with
+    /// whatever graph and order it keeps live rebuilt from it: the first
+    /// round and every explicit [`IncrementalDistChecker::resync`].
     pub order_rebuilds: u64,
+    /// Graph structures (a model's adjacency or its order) the engine built
+    /// because a round demanded one that was not live — see
+    /// [`armus_core::EngineCounters`].
+    pub model_builds: u64,
+    /// Graph structures the engine dropped because no round had read them
+    /// for longer than rebuilding them costs.
+    pub model_retires: u64,
     /// Check rounds completed (the fetch and the analysis both
     /// succeeded).
     pub rounds: u64,
@@ -160,7 +167,12 @@ impl IncrementalDistChecker {
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> DistCheckerStats {
-        self.stats
+        let engine = self.engine.counters();
+        DistCheckerStats {
+            model_builds: engine.model_builds,
+            model_retires: engine.model_retires,
+            ..self.stats
+        }
     }
 
     /// Advances the engine to `merged` — by diffing against the previous
@@ -409,6 +421,7 @@ mod tests {
         assert_eq!(stats.order_rebuilds, 1, "the join round rebuilds: {stats:?}");
         assert_eq!(stats.incremental_detections, 1, "no-cycle verdict from the order: {stats:?}");
         assert_eq!(stats.deltas_applied, 0);
+        assert_eq!(stats.model_builds, 2, "Auto demanded the SG and its order: {stats:?}");
 
         // Round 2 — the driver joins on site 1, closing the cross-site
         // cycle: exactly one diffed Block delta, and the report is
@@ -441,6 +454,7 @@ mod tests {
         let stats = inc.stats();
         assert_eq!(stats.deltas_applied, 2, "{stats:?}");
         assert_eq!(stats.incremental_detections, 2, "{stats:?}");
+        assert_eq!((stats.model_builds, stats.model_retires), (2, 0), "one model, kept: {stats:?}");
     }
 
     #[test]

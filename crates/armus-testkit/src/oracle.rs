@@ -21,7 +21,12 @@
 //!   (`check_full`), the naive full-scan baseline (`check_full_scan`),
 //!   and the canonical from-scratch checker must produce byte-identical
 //!   reports in every graph model, with the maintained orders validating
-//!   against the distinct-edge lists.
+//!   against the distinct-edge lists. That follower demands every model
+//!   and both orders on every step; a second, *lazy* follower beside it is
+//!   only ever asked `check_task` under `Auto` — the avoidance verifier's
+//!   query — so it builds and retires its graphs on demand, never builds an
+//!   order, and must still agree with the first follower and the canonical
+//!   checker for every blocked task at every step.
 //!
 //! Any violation surfaces as a [`Failure`] naming the config, the virtual
 //! time, and the broken invariant — the shrinker then minimises the
@@ -30,8 +35,8 @@
 use std::collections::HashMap;
 
 use armus_core::{
-    checker, sg, wfg, BlockedInfo, CycleWitness, DeadlockReport, IncrementalEngine, ModelChoice,
-    Registration, Resource, Snapshot, TaskId, VerifierConfig, DEFAULT_SG_THRESHOLD,
+    checker, sg, wfg, BlockedInfo, CycleWitness, DeadlockReport, GraphModel, IncrementalEngine,
+    ModelChoice, Registration, Resource, Snapshot, TaskId, VerifierConfig, DEFAULT_SG_THRESHOLD,
 };
 use armus_pl::{analyse, apply, enabled, Instr, Rule, State, StateVerdict, Transition};
 
@@ -168,6 +173,9 @@ pub fn run_config_with_api(
     // Behind and resyncs, exercising the order-rebuild path in lockstep),
     // without touching the verifier's own engine, lock, or stats.
     let mut follower = IncrementalEngine::new();
+    // The lazy follower: same syncs, but only ever asked `check_task`
+    // under `Auto`, so its graphs come and go with that query's demand.
+    let mut lazy = IncrementalEngine::new();
 
     loop {
         let options = sim.options();
@@ -263,10 +271,10 @@ pub fn run_config_with_api(
                         )));
                     }
                 }
-                lockstep(&mut follower, &sim, &fail)?;
+                lockstep(&mut follower, &mut lazy, &sim, &fail)?;
             }
             OracleMode::Sampling { check_every_step } => {
-                lockstep(&mut follower, &sim, &fail)?;
+                lockstep(&mut follower, &mut lazy, &sim, &fail)?;
                 if check_every_step {
                     sample(&pl, &sim, scenario, &task_index, &fail)?;
                 }
@@ -278,7 +286,7 @@ pub fn run_config_with_api(
         let clock = sim.clock;
         let fail =
             move |message: String| Failure { config: oc.name.to_string(), step: clock, message };
-        lockstep(&mut follower, &sim, &fail)?;
+        lockstep(&mut follower, &mut lazy, &sim, &fail)?;
     }
     quiesce_checks(scenario, &pl, &sim, &task_index, oc)
 }
@@ -288,13 +296,18 @@ pub fn run_config_with_api(
 /// Pearce–Kelly order answer (`check_full`), the naive full-scan baseline
 /// (`check_full_scan`), and the canonical from-scratch checker to deliver
 /// byte-identical reports in every graph model. The maintained orders
-/// must also validate against the engine's distinct-edge lists.
+/// must also validate against the engine's distinct-edge lists. The `lazy`
+/// follower answers only `check_task` under `Auto`, for every blocked
+/// task: byte-identical to the all-demanding follower and the canonical
+/// checker, with no order ever built.
 fn lockstep(
     follower: &mut IncrementalEngine,
+    lazy: &mut IncrementalEngine,
     sim: &Sim,
     fail: &impl Fn(String) -> Failure,
 ) -> Result<(), Failure> {
     sim.verifier().sync_follower(follower);
+    sim.verifier().sync_follower(lazy);
     let snap = sim.verifier().local_snapshot();
     let as_json = |r: &Option<DeadlockReport>| serde_json::to_string(r).expect("reports serialise");
     for choice in [ModelChoice::Auto, ModelChoice::FixedWfg, ModelChoice::FixedSg] {
@@ -310,7 +323,25 @@ fn lockstep(
     }
     follower
         .order_invariants()
-        .map_err(|e| fail(format!("maintained topological order broke its invariant: {e}")))
+        .map_err(|e| fail(format!("maintained topological order broke its invariant: {e}")))?;
+    for info in &snap.tasks {
+        let (choice, task) = (ModelChoice::Auto, info.task);
+        let demand_driven = lazy.check_task(task, choice, DEFAULT_SG_THRESHOLD).report;
+        let maintained = follower.check_task(task, choice, DEFAULT_SG_THRESHOLD).report;
+        let oracle = checker::check_task(&snap, task, choice, DEFAULT_SG_THRESHOLD).report;
+        if as_json(&demand_driven) != as_json(&maintained)
+            || as_json(&demand_driven) != as_json(&oracle)
+        {
+            return Err(fail(format!(
+                "lazy check_task diverged for {task:?}: demand-driven={demand_driven:?} vs \
+                 all-demanding={maintained:?} vs oracle={oracle:?}"
+            )));
+        }
+    }
+    if [GraphModel::Sg, GraphModel::Wfg].into_iter().any(|model| lazy.order_is_live(model)) {
+        return Err(fail("a check_task-only engine built a topological order".to_string()));
+    }
+    Ok(())
 }
 
 /// The PL rule a completed op corresponds to.
