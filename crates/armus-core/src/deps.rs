@@ -27,7 +27,7 @@
 //! its task's shard — plus one uncontended-by-design `fetch_add`;
 //! producers on different shards never serialise against each other.
 //! Consumers still see one totally ordered delta stream:
-//! [`Registry::deltas_since`] merges the stripes by sequence number, and
+//! a journal read merges the stripes by sequence number, and
 //! the stripe append happens under the same shard lock as the sequence
 //! allocation, so every sequence number below an observed head is already
 //! visible in its stripe by the time the reader acquires that shard's
@@ -35,6 +35,29 @@
 //! guaranteed retained while it is within `capacity` of the head, and a
 //! cursor that has fallen out of the window reads [`JournalRead::Behind`]
 //! and resyncs from [`Registry::snapshot_with_cursor`].
+//!
+//! **One record per block.** [`Registry::block`] moves the caller's
+//! [`BlockedInfo`] into a single `Arc`, and that record is the status for
+//! its whole life: the shard map holds it while the task is blocked, the
+//! journal stripe holds it while its `Block` entry is inside the retained
+//! window, and an [`crate::engine::IncrementalEngine`] that synced past
+//! the entry holds it until it applies the task's unblock (or re-block) —
+//! reference-count bumps, never copies. Whichever of the three lets go
+//! last frees it, so what the journal can pin is bounded by its window: a
+//! quiescent registry retains `journal_capacity` entries plus at most one
+//! straggler per other stripe (an out-of-window entry leaves with its
+//! stripe's next append or on the stripe's turn as an append's round-robin
+//! prune victim, at most `shards` appends later). The journal has **one
+//! read**, the crate-internal `Registry::read_journal`, which hands out
+//! the shared entries into a buffer the caller keeps; the engine and,
+//! through it, the detection monitor use it directly. Everything public is
+//! a copy-out view of the same records — [`Registry::deltas_since`]
+//! (defined in terms of `read_journal`), [`Registry::snapshot`],
+//! [`Registry::get`] — because their callers are outside this crate's
+//! control: a site publisher encodes and ships deltas, the canonical
+//! checker and tests keep and mutate snapshots, and an owned value can
+//! neither alias the registry's state nor extend a record's life past the
+//! bound above.
 //!
 //! The registry additionally maintains (when enabled — see
 //! [`Registry::with_options`]) a sharded per-resource waiter count and an
@@ -54,13 +77,14 @@
 //! a cycle — observes every other member's contribution and takes the
 //! slow path, whose journal sync in turn observes their deltas.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::ids::TaskId;
+use crate::ids::{IdMap, TaskId};
 use crate::resource::{Registration, Resource};
 
 /// The blocked status of one task, produced by the application layer when
@@ -203,6 +227,25 @@ pub enum JournalRead {
     Behind,
 }
 
+/// A journal entry as the registry stores it and as in-crate consumers
+/// read it: a [`Delta`] whose `Block` shares the registry's record instead
+/// of owning a copy.
+#[derive(Clone)]
+pub(crate) enum SharedDelta {
+    Block(Arc<BlockedInfo>),
+    Unblock(TaskId),
+}
+
+impl SharedDelta {
+    /// The owned view handed across the crate boundary.
+    fn to_delta(&self) -> Delta {
+        match self {
+            SharedDelta::Block(info) => Delta::Block(BlockedInfo::clone(info)),
+            SharedDelta::Unblock(task) => Delta::Unblock(*task),
+        }
+    }
+}
+
 /// Default length of the journal's retained sequence window: entries this
 /// close to the head are guaranteed readable; older cursors must resync.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
@@ -248,8 +291,8 @@ const WAIT_SHARDS: usize = 32;
 /// from the front always drops the stripe's oldest sequences first.
 #[derive(Default)]
 struct Shard {
-    tasks: HashMap<TaskId, BlockedInfo>,
-    stripe: VecDeque<(u64, Delta)>,
+    tasks: IdMap<TaskId, Arc<BlockedInfo>>,
+    stripe: VecDeque<(u64, SharedDelta)>,
 }
 
 /// Hint value announcing an append in progress (see [`ShardSlot::hint`]).
@@ -261,7 +304,7 @@ struct ShardSlot {
     state: Mutex<Shard>,
     /// One past the stripe's highest appended sequence number (0 when the
     /// stripe has never been appended to), or [`HINT_BUSY`] while an
-    /// append is in flight. Lets [`Registry::deltas_since`] skip shards
+    /// append is in flight. Lets a journal read skip shards
     /// that cannot contain entries at or past its cursor without taking
     /// their locks.
     ///
@@ -288,7 +331,7 @@ struct ShardSlot {
 pub struct Registry {
     shards: Vec<ShardSlot>,
     /// Per-resource waiter counts, sharded by resource hash.
-    waited: Vec<Mutex<HashMap<Resource, usize>>>,
+    waited: Vec<Mutex<IdMap<Resource, usize>>>,
     /// Distinct resources with at least one current waiter. `SeqCst`: the
     /// verifier's fast path relies on the total order of count updates and
     /// reads (see [`Registry::block`]).
@@ -354,7 +397,7 @@ impl Registry {
         assert!(cfg.shards > 0, "registry needs at least one shard");
         Registry {
             shards: (0..cfg.shards).map(|_| ShardSlot::default()).collect(),
-            waited: (0..WAIT_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            waited: (0..WAIT_SHARDS).map(|_| Mutex::new(IdMap::default())).collect(),
             distinct_waited: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
             next_epoch: AtomicU64::new(1),
@@ -370,7 +413,7 @@ impl Registry {
         &self.shards[(task.0 as usize) % self.shard_count]
     }
 
-    fn wait_shard(&self, r: Resource) -> &Mutex<HashMap<Resource, usize>> {
+    fn wait_shard(&self, r: Resource) -> &Mutex<IdMap<Resource, usize>> {
         // Cheap mix of phaser and phase; only distribution matters.
         let h = r.phaser.0.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(r.phase);
         &self.waited[(h as usize) % WAIT_SHARDS]
@@ -381,7 +424,7 @@ impl Registry {
     /// that have left the retained window. The slot's hint is parked at
     /// [`HINT_BUSY`] *before* the sequence allocation (see the soundness
     /// note on [`ShardSlot::hint`]).
-    fn journal_append(&self, slot: &ShardSlot, shard: &mut Shard, delta: Delta) {
+    fn journal_append(&self, slot: &ShardSlot, shard: &mut Shard, delta: SharedDelta) {
         slot.hint.store(HINT_BUSY, Ordering::SeqCst);
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
         shard.stripe.push_back((seq, delta));
@@ -494,11 +537,14 @@ impl Registry {
     pub fn block(&self, mut info: BlockedInfo) -> u64 {
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
         info.epoch = epoch;
+        // The status's one heap record: the shard map, the journal stripe
+        // and every in-crate consumer share it from here on.
+        let info = Arc::new(info);
         let prev = {
             let slot = self.shard(info.task);
             let mut shard = slot.state.lock();
-            let prev = shard.tasks.insert(info.task, info.clone());
-            self.journal_append(slot, &mut shard, Delta::Block(info.clone()));
+            let prev = shard.tasks.insert(info.task, Arc::clone(&info));
+            self.journal_append(slot, &mut shard, SharedDelta::Block(Arc::clone(&info)));
             prev
         };
         self.count_waits(&info.waits);
@@ -522,7 +568,7 @@ impl Registry {
             match shard.tasks.remove(&task) {
                 None => None,
                 Some(prev) => {
-                    self.journal_append(slot, &mut shard, Delta::Unblock(task));
+                    self.journal_append(slot, &mut shard, SharedDelta::Unblock(task));
                     Some(prev)
                 }
             }
@@ -536,28 +582,52 @@ impl Registry {
     /// The blocked status of `task`, if currently recorded. `O(1)`: one
     /// shard lookup, no full-registry copy.
     pub fn get(&self, task: TaskId) -> Option<BlockedInfo> {
-        self.shard(task).state.lock().tasks.get(&task).cloned()
+        self.shard(task).state.lock().tasks.get(&task).map(|info| BlockedInfo::clone(info))
     }
 
     /// The journal deltas appended since `cursor`, merged across the
     /// per-shard stripes into sequence order, or [`JournalRead::Behind`]
-    /// when `cursor` has left the retained window.
+    /// when `cursor` has left the retained window. The owned copy-out of
+    /// `Registry::read_journal`: a consumer outside this crate (a site
+    /// publisher encoding for the wire, a test) gets `Delta`s it may keep
+    /// and mutate, not handles into the registry.
+    pub fn deltas_since(&self, cursor: u64) -> JournalRead {
+        let mut entries = Vec::new();
+        match self.read_journal(cursor, &mut entries) {
+            Some(next) => JournalRead::Deltas(
+                entries.iter().map(|(_, delta)| delta.to_delta()).collect(),
+                next,
+            ),
+            None => JournalRead::Behind,
+        }
+    }
+
+    /// The journal's one read: replaces the contents of `out` with the
+    /// `(sequence, entry)` pairs from `cursor` up to the head, in sequence
+    /// order, and returns the cursor to resume from — or `None` (and an
+    /// empty `out`) when `cursor` has left the retained window. Entries
+    /// share the registry's records; a caller that keeps `out` between
+    /// reads allocates nothing here once it has grown.
     ///
     /// The head is read *first*: every sequence number below it was
     /// allocated — and appended to its stripe — under a shard lock this
     /// reader subsequently acquires, so the merged read has no gaps. A
     /// concurrent append can advance the window past `cursor` while the
     /// stripes are being read; the `dropped_head` re-check afterwards
-    /// turns that race into an explicit `Behind`.
-    pub fn deltas_since(&self, cursor: u64) -> JournalRead {
+    /// turns that race into an explicit `None`.
+    pub(crate) fn read_journal(
+        &self,
+        cursor: u64,
+        out: &mut Vec<(u64, SharedDelta)>,
+    ) -> Option<u64> {
+        out.clear();
         let head = self.next_seq.load(Ordering::SeqCst);
         if cursor >= head {
-            return JournalRead::Deltas(Vec::new(), head.max(cursor));
+            return Some(cursor);
         }
         if head - cursor > self.capacity {
-            return JournalRead::Behind;
+            return None;
         }
-        let mut merged: Vec<(u64, Delta)> = Vec::new();
         for slot in &self.shards {
             // Stripes whose highest sequence precedes the cursor cannot
             // contribute; skip them without locking (hint protocol — see
@@ -570,22 +640,19 @@ impl Registry {
             // Stripes are seq-sorted: binary-search to the cursor rather
             // than scanning the whole retained window.
             let start = guard.stripe.partition_point(|&(s, _)| s < cursor);
-            for &(s, ref delta) in guard.stripe.range(start..) {
-                if s >= head {
-                    break;
-                }
-                merged.push((s, delta.clone()));
-            }
+            out.extend(guard.stripe.range(start..).take_while(|&&(s, _)| s < head).cloned());
         }
         if self.dropped_head.load(Ordering::SeqCst) > cursor {
-            return JournalRead::Behind;
+            out.clear();
+            return None;
         }
-        merged.sort_by_key(|&(s, _)| s);
+        // Sequence numbers are unique, so the in-place sort is stable.
+        out.sort_unstable_by_key(|&(s, _)| s);
         debug_assert!(
-            merged.iter().map(|&(s, _)| s).eq(cursor..head),
+            out.iter().map(|&(s, _)| s).eq(cursor..head),
             "merged journal read must be gap-free"
         );
-        JournalRead::Deltas(merged.into_iter().map(|(_, d)| d).collect(), head)
+        Some(head)
     }
 
     /// The journal head: the cursor a consumer that is fully caught up
@@ -608,6 +675,23 @@ impl Registry {
         (self.snapshot(), cursor)
     }
 
+    /// [`Registry::snapshot_with_cursor`] without the copy: the shared
+    /// records themselves (in no particular order), for an in-crate
+    /// consumer's resync.
+    pub(crate) fn records_with_cursor(&self) -> (Vec<Arc<BlockedInfo>>, u64) {
+        let cursor = self.journal_cursor();
+        let mut records = Vec::with_capacity(self.len());
+        self.for_each_record(|info| records.push(Arc::clone(info)));
+        (records, cursor)
+    }
+
+    /// Visits every blocked status, shard by shard under its lock.
+    fn for_each_record(&self, mut visit: impl FnMut(&Arc<BlockedInfo>)) {
+        for slot in &self.shards {
+            slot.state.lock().tasks.values().for_each(&mut visit);
+        }
+    }
+
     /// Number of currently blocked tasks (racy but monotonic per shard;
     /// exact when quiescent).
     pub fn len(&self) -> usize {
@@ -625,10 +709,7 @@ impl Registry {
     /// (paper §2.2 point 2) — the confirmation pass handles sampling races.
     pub fn snapshot(&self) -> Snapshot {
         let mut tasks = Vec::with_capacity(self.len());
-        for slot in &self.shards {
-            let guard = slot.state.lock();
-            tasks.extend(guard.tasks.values().cloned());
-        }
+        self.for_each_record(|info| tasks.push(BlockedInfo::clone(info)));
         Snapshot::from_tasks(tasks)
     }
 
@@ -949,10 +1030,12 @@ mod tests {
     fn concurrent_publishers_yield_a_gap_free_merged_journal() {
         use std::sync::Arc;
         let reg = Arc::new(Registry::new());
+        let start = Arc::new(std::sync::Barrier::new(5));
         let mut handles = Vec::new();
         for base in 0..4u64 {
-            let reg = Arc::clone(&reg);
+            let (reg, start) = (Arc::clone(&reg), Arc::clone(&start));
             handles.push(std::thread::spawn(move || {
+                start.wait();
                 for i in 0..200 {
                     let id = base * 1000 + i;
                     reg.block(info(id));
@@ -962,17 +1045,89 @@ mod tests {
                 }
             }));
         }
+        // A second consumer follows the shared read while the publishers
+        // run (the window is never exceeded, so it never falls behind):
+        // every read continues exactly where the previous one stopped.
+        let total = 4 * 200 + 4 * 67;
+        let follower = {
+            let (reg, start) = (Arc::clone(&reg), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let (mut cursor, mut entries, mut blocks) = (0u64, Vec::new(), 0usize);
+                start.wait();
+                while cursor < total {
+                    let next = reg.read_journal(cursor, &mut entries).expect("within the window");
+                    let seqs = entries.iter().map(|&(seq, _)| seq);
+                    assert!(seqs.eq(cursor..next), "gap or duplicate in [{cursor}, {next})");
+                    blocks +=
+                        entries.iter().filter(|e| matches!(e.1, SharedDelta::Block(_))).count();
+                    cursor = next;
+                }
+                blocks
+            })
+        };
         for h in handles {
             h.join().unwrap();
         }
+        assert_eq!(follower.join().unwrap(), 4 * 200);
         match reg.deltas_since(0) {
             JournalRead::Deltas(deltas, cursor) => {
                 // 4 × 200 blocks + 4 × 67 unblocks, contiguous sequences.
                 assert_eq!(deltas.len() as u64, cursor);
-                assert_eq!(cursor, 4 * 200 + 4 * 67);
+                assert_eq!(cursor, total);
             }
             JournalRead::Behind => panic!("default window is large enough"),
         }
+    }
+
+    /// Entries and records the stripes retain right now.
+    fn retained(reg: &Registry) -> (usize, usize) {
+        let (mut entries, mut records) = (0, 0);
+        for slot in &reg.shards {
+            let shard = slot.state.lock();
+            entries += shard.stripe.len();
+            records += shard.stripe.iter().filter(|e| matches!(e.1, SharedDelta::Block(_))).count();
+        }
+        (entries, records)
+    }
+
+    #[test]
+    fn the_journal_pins_at_most_one_window_of_records() {
+        use std::sync::{Arc, Weak};
+        const CAPACITY: usize = 64;
+        const TASKS: u64 = 50 * CAPACITY as u64;
+        let reg = Registry::with_journal_capacity(CAPACITY);
+        let mut engine = crate::engine::IncrementalEngine::new();
+        let mut records: Vec<Weak<BlockedInfo>> = Vec::new();
+        let mut publish = |task: u64| {
+            reg.block(info(task));
+            records.push(Arc::downgrade(&reg.shard(t(task)).state.lock().tasks[&t(task)]));
+            engine.sync(&reg);
+            reg.unblock(t(task));
+            engine.sync(&reg);
+        };
+        // A stripe that publishes once and then goes quiet...
+        publish(1);
+        // ...while the other shards' tasks turn over many windows' worth,
+        // the engine following along (it shares every record while the
+        // task is blocked, and lets go with the unblock).
+        (0..TASKS).filter(|task| task % DEFAULT_SHARDS as u64 != 1).for_each(&mut publish);
+        assert_eq!(engine.blocked(), 0);
+        assert_eq!(engine.cursor(), reg.journal_cursor());
+
+        // What is left is the window, plus at most one straggler per other
+        // stripe: an out-of-window entry waits for its stripe's next append
+        // or for its turn as the round-robin victim, `shards` appends away
+        // at most.
+        let (entries, in_stripes) = retained(&reg);
+        assert!(entries >= CAPACITY, "the window itself is retained");
+        assert!(entries < CAPACITY + DEFAULT_SHARDS, "{entries} entries retained");
+        assert!(in_stripes <= CAPACITY, "{in_stripes} records in the stripes");
+        assert_eq!(reg.shard(t(1)).state.lock().stripe.len(), 0, "the quiet stripe was swept");
+        // Nothing but the stripes holds a record of an unblocked task.
+        let alive = records.iter().filter(|record| record.upgrade().is_some()).count();
+        assert_eq!(alive, in_stripes);
+        assert!(records[0].upgrade().is_none(), "the quiet stripe's early record is freed");
+        assert!(records[1].upgrade().is_none(), "an early record is freed");
     }
 
     #[test]
@@ -984,6 +1139,86 @@ mod tests {
                 assert!(matches!(&deltas[0], Delta::Block(b) if b.epoch == epoch));
             }
             JournalRead::Behind => panic!("retained"),
+        }
+    }
+
+    mod shared_read {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A block (of a status over a small universe, so tasks re-block
+        /// and stripes collide) or an unblock.
+        fn arb_delta() -> impl Strategy<Value = Delta> {
+            let block =
+                (0u64..8, 1u64..4, 1u64..4, proptest::collection::vec((1u64..4, 0u64..3), 0..3))
+                    .prop_map(|(task, phaser, phase, regs)| {
+                        let regs =
+                            regs.into_iter().map(|(q, m)| Registration::new(p(q), m)).collect();
+                        Delta::Block(BlockedInfo::new(
+                            t(task),
+                            vec![Resource::new(p(phaser), phase)],
+                            regs,
+                        ))
+                    });
+            prop_oneof![block.clone(), block, (0u64..8).prop_map(|task| Delta::Unblock(t(task)))]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// One read, two views: at every cursor after every step, the
+            /// public `deltas_since` is the copy-out of `read_journal`,
+            /// entry for entry, both equal the log a single-threaded model
+            /// keeps (epochs included), and both say `Behind` exactly when
+            /// the cursor has left the window.
+            #[test]
+            fn deltas_since_is_the_copy_out_of_the_shared_read(
+                stream in proptest::collection::vec(arb_delta(), 1..40)
+            ) {
+                let configs = [
+                    RegistryConfig::default(),
+                    RegistryConfig { journal_capacity: 3, ..RegistryConfig::default() },
+                    RegistryConfig { shards: 1, journal_capacity: 5, ..RegistryConfig::default() },
+                ];
+                for cfg in configs {
+                    let reg = Registry::with_config(cfg);
+                    let mut log: Vec<Delta> = Vec::new();
+                    let mut entries = Vec::new();
+                    for delta in &stream {
+                        match delta {
+                            Delta::Block(info) => {
+                                let epoch = reg.block(info.clone());
+                                log.push(Delta::Block(BlockedInfo { epoch, ..info.clone() }));
+                            }
+                            // Only the unblock of a blocked task is journaled.
+                            Delta::Unblock(task) => {
+                                if reg.get(*task).is_some() {
+                                    log.push(delta.clone());
+                                }
+                                reg.unblock(*task);
+                            }
+                        }
+                        let head = log.len() as u64;
+                        prop_assert_eq!(reg.journal_cursor(), head);
+                        for cursor in 0..=head + 1 {
+                            let shared = reg.read_journal(cursor, &mut entries);
+                            let public = reg.deltas_since(cursor);
+                            if head.saturating_sub(cursor) > cfg.journal_capacity as u64 {
+                                prop_assert_eq!(shared, None);
+                                prop_assert_eq!(public, JournalRead::Behind);
+                                continue;
+                            }
+                            let next = head.max(cursor);
+                            prop_assert_eq!(shared, Some(next));
+                            prop_assert!(entries.iter().map(|&(seq, _)| seq).eq(cursor..next));
+                            let copied: Vec<Delta> =
+                                entries.iter().map(|(_, shared)| shared.to_delta()).collect();
+                            prop_assert_eq!(&copied[..], &log[(cursor as usize).min(log.len())..]);
+                            prop_assert_eq!(public, JournalRead::Deltas(copied, next));
+                        }
+                    }
+                }
+            }
         }
     }
 }

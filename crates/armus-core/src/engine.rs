@@ -29,6 +29,24 @@
 //!   (`check_task` only) never builds an order; an SPMD program under
 //!   `Auto` never builds a WFG.
 //!
+//! **The steady state allocates nothing.** The engine does not copy what
+//! it syncs: [`IncrementalEngine::sync`] reads the journal's shared
+//! entries into a buffer it keeps between syncs, and the `tasks` index
+//! holds the registry's own record of each blocked status (one `Arc`,
+//! see [`crate::deps`]) from the `Block` entry until the task's unblock
+//! or re-block is applied — at which point the engine lets go, and the
+//! record is freed once the journal window has moved past it too.
+//! ([`IncrementalEngine::apply`] and [`IncrementalEngine::reset_to`], the
+//! entry points for deltas and snapshots that did not come from a local
+//! registry, wrap each status in a record of its own.) A task's entries in
+//! the per-phaser lists are removed in `O(1)` through positions remembered
+//! with the task; the lists, the per-phaser tables, the adjacency's
+//! successor maps and the `check_task` search's stack and visited set all
+//! keep their capacity when they empty, so a program that blocks and
+//! unblocks round after round re-uses them instead of freeing and
+//! re-allocating them every round. Every map is an [`IdMap`].
+//! `tests/alloc_budget.rs` pins the resulting budget as exact counts.
+//!
 //! **Retirement** is ski-rental, with no constant to tune. Work is counted
 //! in one unit — a task visit or an edge-refcount adjustment (for an order:
 //! an edge insertion or removal). Every structure remembers the maintenance
@@ -71,14 +89,15 @@
 //! and removes them on an unblock, so the structures drain back to empty —
 //! and a build enumerates every task's own contributions once.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use crate::adaptive::{auto_pick, GraphModel, ModelChoice};
 use crate::checker::{self, CheckOutcome, CheckStats};
-use crate::deps::{BlockedInfo, Delta, JournalRead, Registry, Snapshot};
+use crate::deps::{BlockedInfo, Delta, Registry, SharedDelta, Snapshot};
 use crate::graph::TopoOrder;
-use crate::ids::{Phase, PhaserId, TaskId};
+use crate::ids::{IdMap, IdSet, Phase, PhaserId, TaskId};
 use crate::resource::Resource;
 
 /// What one [`IncrementalEngine::sync`] did, for the stats counters.
@@ -120,13 +139,17 @@ pub struct EngineCounters {
 
 /// Refcounted adjacency: `adj[a][b]` is the number of live contributions
 /// to edge `a → b`; the edge exists while the count is positive.
-type RefCountedAdj<N> = HashMap<N, HashMap<N, usize>>;
+type RefCountedAdj<N> = IdMap<N, IdMap<N, usize>>;
 
 /// One graph model's derived structures: its refcounted adjacency and,
 /// while `check_full` keeps asking, the topological order of its distinct
 /// edges — each with the work spent on it since a query last read it.
 struct Maintained<N> {
     adj: RefCountedAdj<N>,
+    /// Emptied successor maps, kept for the next node that gains an edge:
+    /// the SG's vertices are `(phaser, phase)` events that never recur, so
+    /// without this every round would free and re-allocate its maps.
+    spare: Vec<IdMap<N, usize>>,
     /// Distinct edges — what rebuilding the order costs, in insertions.
     edges: usize,
     /// Live contributions (the sum of the refcounts) — the adjustments a
@@ -139,17 +162,57 @@ struct Maintained<N> {
     order: Option<TopoOrder<N>>,
     /// Edge insertions + removals since the order's last use.
     order_idle: usize,
+    /// Scratch of the `check_task` searches over `adj`.
+    search: Search<N>,
+}
+
+/// The stack and visited set of an existence-only depth-first search,
+/// kept between searches so a search allocates nothing once they have
+/// grown to the graphs it walks. (Clearing the set costs its capacity,
+/// so a search costs at most what the largest one before it visited —
+/// until the model is retired, and its scratch with it.)
+struct Search<N> {
+    stack: Vec<N>,
+    seen: IdSet<N>,
+}
+
+impl<N: Copy + Eq + Hash> Search<N> {
+    /// Is a node satisfying `goal` among `roots` or reachable from them
+    /// along `adj`'s live edges?
+    fn reaches(
+        &mut self,
+        adj: &RefCountedAdj<N>,
+        roots: impl IntoIterator<Item = N>,
+        goal: impl Fn(N) -> bool,
+    ) -> bool {
+        self.stack.clear();
+        self.seen.clear();
+        self.stack.extend(roots);
+        while let Some(n) = self.stack.pop() {
+            if self.seen.insert(n) {
+                if goal(n) {
+                    return true;
+                }
+                if let Some(next) = adj.get(&n) {
+                    self.stack.extend(next.keys().copied());
+                }
+            }
+        }
+        false
+    }
 }
 
 impl<N> Default for Maintained<N> {
     fn default() -> Self {
         Maintained {
-            adj: HashMap::new(),
+            adj: IdMap::default(),
+            spare: Vec::new(),
             edges: 0,
             contributions: 0,
             idle: 0,
             order: None,
             order_idle: 0,
+            search: Search { stack: Vec::new(), seen: IdSet::default() },
         }
     }
 }
@@ -158,7 +221,11 @@ impl<N: Copy + Eq + Hash + Ord> Maintained<N> {
     fn bump(&mut self, from: N, to: N) {
         self.contributions += 1;
         self.idle += 1;
-        let count = self.adj.entry(from).or_default().entry(to).or_insert(0);
+        let succs = match self.adj.entry(from) {
+            Entry::Occupied(succs) => succs.into_mut(),
+            Entry::Vacant(slot) => slot.insert(self.spare.pop().unwrap_or_default()),
+        };
+        let count = succs.entry(to).or_insert(0);
         *count += 1;
         if *count == 1 {
             self.edges += 1;
@@ -178,7 +245,7 @@ impl<N: Copy + Eq + Hash + Ord> Maintained<N> {
         if *count == 0 {
             succs.remove(&to);
             if succs.is_empty() {
-                self.adj.remove(&from);
+                self.spare.extend(self.adj.remove(&from));
             }
             self.edges -= 1;
             if let Some(order) = &mut self.order {
@@ -224,87 +291,189 @@ impl<N: Copy + Eq + Hash + Ord> Maintained<N> {
     }
 }
 
+/// One registration or wait occurrence in a phaser's list.
+#[derive(Clone, Copy)]
+struct Member {
+    task: TaskId,
+    /// The registration's local phase, resp. the awaited phase.
+    phase: Phase,
+    /// Which of the owner's [`Indexed::slots`] records this entry's
+    /// position, so that moving the entry can update it.
+    back: u32,
+}
+
+/// What the engine knows about one phaser.
+#[derive(Default)]
+struct PhaserIndex {
+    /// One entry per registration of a blocked task.
+    regs: Vec<Member>,
+    /// One entry per wait occurrence.
+    waiters: Vec<Member>,
+    /// The awaited phases and their waiter counts, sorted by phase (the
+    /// SG vertex multiset, indexed for `impedes` range queries).
+    awaited: Vec<(Phase, usize)>,
+}
+
+impl PhaserIndex {
+    fn is_idle(&self) -> bool {
+        self.regs.is_empty() && self.waiters.is_empty()
+    }
+
+    /// Waiters of `phase` (0 when it is not awaited).
+    fn waiters_of(&self, phase: Phase) -> usize {
+        let at = self.awaited.binary_search_by_key(&phase, |&(n, _)| n);
+        at.map_or(0, |at| self.awaited[at].1)
+    }
+
+    /// The awaited phases after `phase`.
+    fn awaited_after(&self, phase: Phase) -> impl Iterator<Item = Phase> + '_ {
+        let from = self.awaited.partition_point(|&(n, _)| n <= phase);
+        self.awaited[from..].iter().map(|&(n, _)| n)
+    }
+}
+
+/// A blocked task as the engine holds it: the registry's record, shared,
+/// plus where the task's entries sit in the per-phaser lists.
+struct Indexed {
+    info: Arc<BlockedInfo>,
+    /// One position per registration (into `regs`), then one per wait
+    /// occurrence (into `waiters`): what makes un-indexing `O(1)`.
+    slots: Vec<u32>,
+}
+
 /// The always-maintained state: the engine's view of the registry and the
 /// per-phaser indexes every derived structure is built and updated from.
 #[derive(Default)]
 struct Indexes {
     /// The blocked statuses (the WFG vertices).
-    tasks: HashMap<TaskId, BlockedInfo>,
-    /// Per phaser, the awaited phases and their waiter counts (the SG
-    /// vertex multiset, indexed for `impedes` range queries).
-    awaited: HashMap<PhaserId, BTreeMap<Phase, usize>>,
+    tasks: IdMap<TaskId, Indexed>,
+    /// Per phaser, its registrations, waiters and awaited phases. A
+    /// phaser whose last entry left keeps its (empty, grown) lists for
+    /// the program's next round; see [`Indexes::phaser_mut`] for when
+    /// they go.
+    phasers: IdMap<PhaserId, PhaserIndex>,
     /// Distinct awaited events (SG vertex count).
     sg_nodes: usize,
-    /// Per phaser, one `(task, local phase)` entry per registration.
-    regs_by_phaser: HashMap<PhaserId, Vec<(TaskId, Phase)>>,
-    /// Per phaser, one `(task, awaited phase)` entry per wait occurrence.
-    waiters_by_phaser: HashMap<PhaserId, Vec<(TaskId, Phase)>>,
+    /// Live list entries (registrations + wait occurrences), and the most
+    /// there have been at once since idle phasers were last dropped.
+    entries: usize,
+    peak_entries: usize,
+    /// `Indexed::slots` vectors of unblocked tasks, for the next block.
+    spare_slots: Vec<Vec<u32>>,
 }
 
-/// Removes one `entry` from `index[phaser]`, dropping the list with its
-/// last entry.
+/// Removes the entry at `at` from a phaser's list in `O(1)`, telling the
+/// owner of the entry that takes its place where it now sits. That owner
+/// is either the task being removed (`leaving`, whose slots the caller
+/// holds) or another indexed task.
 fn unindex(
-    index: &mut HashMap<PhaserId, Vec<(TaskId, Phase)>>,
-    phaser: PhaserId,
-    entry: (TaskId, Phase),
+    list: &mut Vec<Member>,
+    at: u32,
+    leaving: TaskId,
+    leaving_slots: &mut [u32],
+    tasks: &mut IdMap<TaskId, Indexed>,
 ) {
-    let list = index.get_mut(&phaser).expect("indexed phaser");
-    let at = list.iter().position(|&e| e == entry).expect("indexed entry");
-    list.swap_remove(at);
-    if list.is_empty() {
-        index.remove(&phaser);
+    list.swap_remove(at as usize);
+    if let Some(moved) = list.get(at as usize) {
+        let slots = if moved.task == leaving {
+            leaving_slots
+        } else {
+            &mut tasks.get_mut(&moved.task).expect("list entry of an indexed task").slots[..]
+        };
+        slots[moved.back as usize] = at;
     }
 }
 
 impl Indexes {
-    fn insert(&mut self, info: BlockedInfo) {
+    /// The index of `phaser`, created if this is the first entry on it.
+    /// A program may create phasers for ever, so a new phaser first drops
+    /// the idle ones if they have come to outnumber, twice over, the most
+    /// entries the lists ever held at once: the table stays proportional
+    /// to the engine's own peak size, and the phasers of a program that
+    /// reuses them round after round are never dropped.
+    fn phaser_mut(&mut self, phaser: PhaserId) -> &mut PhaserIndex {
+        if self.phasers.len() > 2 * self.peak_entries && !self.phasers.contains_key(&phaser) {
+            self.phasers.retain(|_, index| !index.is_idle());
+            self.peak_entries = self.entries;
+        }
+        self.phasers.entry(phaser).or_default()
+    }
+
+    /// Forgets every task, keeping the containers for the reload.
+    fn clear(&mut self) {
+        for (_, Indexed { mut slots, .. }) in self.tasks.drain() {
+            slots.clear();
+            self.spare_slots.push(slots);
+        }
+        for index in self.phasers.values_mut() {
+            index.regs.clear();
+            index.waiters.clear();
+            index.awaited.clear();
+        }
+        (self.sg_nodes, self.entries) = (0, 0);
+    }
+
+    fn insert(&mut self, info: Arc<BlockedInfo>) {
+        let task = info.task;
+        self.entries += info.registered.len() + info.waits.len();
+        self.peak_entries = self.peak_entries.max(self.entries);
+        let mut slots = self.spare_slots.pop().unwrap_or_default();
         for reg in &info.registered {
-            self.regs_by_phaser.entry(reg.phaser).or_default().push((info.task, reg.local_phase));
+            let regs = &mut self.phaser_mut(reg.phaser).regs;
+            slots.push(regs.len() as u32);
+            regs.push(Member { task, phase: reg.local_phase, back: slots.len() as u32 - 1 });
         }
         for w in &info.waits {
-            self.waiters_by_phaser.entry(w.phaser).or_default().push((info.task, w.phase));
-            let waiters = self.awaited.entry(w.phaser).or_default().entry(w.phase).or_insert(0);
-            *waiters += 1;
-            if *waiters == 1 {
-                self.sg_nodes += 1;
+            let index = self.phaser_mut(w.phaser);
+            slots.push(index.waiters.len() as u32);
+            index.waiters.push(Member { task, phase: w.phase, back: slots.len() as u32 - 1 });
+            match index.awaited.binary_search_by_key(&w.phase, |&(n, _)| n) {
+                Ok(at) => index.awaited[at].1 += 1,
+                Err(at) => {
+                    index.awaited.insert(at, (w.phase, 1));
+                    self.sg_nodes += 1;
+                }
             }
         }
-        self.tasks.insert(info.task, info);
+        self.tasks.insert(task, Indexed { info, slots });
     }
 
     fn remove(&mut self, task: TaskId) {
-        let Some(info) = self.tasks.remove(&task) else { return };
-        for reg in &info.registered {
-            unindex(&mut self.regs_by_phaser, reg.phaser, (task, reg.local_phase));
+        let Some(Indexed { info, mut slots }) = self.tasks.remove(&task) else { return };
+        self.entries -= slots.len();
+        for (i, reg) in info.registered.iter().enumerate() {
+            let index = self.phasers.get_mut(&reg.phaser).expect("indexed phaser");
+            unindex(&mut index.regs, slots[i], task, &mut slots, &mut self.tasks);
         }
-        for w in &info.waits {
-            unindex(&mut self.waiters_by_phaser, w.phaser, (task, w.phase));
-            let phases = self.awaited.get_mut(&w.phaser).expect("awaited entry for live wait");
-            let waiters = phases.get_mut(&w.phase).expect("waiter count for live wait");
-            *waiters -= 1;
-            if *waiters == 0 {
-                phases.remove(&w.phase);
-                if phases.is_empty() {
-                    self.awaited.remove(&w.phaser);
-                }
+        for (i, w) in info.waits.iter().enumerate() {
+            let index = self.phasers.get_mut(&w.phaser).expect("indexed phaser");
+            let slot = slots[info.registered.len() + i];
+            unindex(&mut index.waiters, slot, task, &mut slots, &mut self.tasks);
+            let at = index.awaited.binary_search_by_key(&w.phase, |&(n, _)| n);
+            let at = at.expect("waiter count for live wait");
+            index.awaited[at].1 -= 1;
+            if index.awaited[at].1 == 0 {
+                index.awaited.remove(at);
                 self.sg_nodes -= 1;
             }
         }
+        slots.clear();
+        self.spare_slots.push(slots);
     }
 
     /// The registrations on `r`'s phaser lagging behind `r` (its impeders),
     /// one per registration entry.
     fn laggards(&self, r: Resource) -> impl Iterator<Item = TaskId> + '_ {
-        let regs = self.regs_by_phaser.get(&r.phaser).into_iter().flatten();
-        regs.filter(move |&&(_, m)| m < r.phase).map(|&(u, _)| u)
+        let regs = self.phasers.get(&r.phaser).into_iter().flat_map(|index| &index.regs);
+        regs.filter(move |reg| reg.phase < r.phase).map(|reg| reg.task)
     }
 
     /// The SG contributions `u` itself makes: an edge from every awaited
     /// event one of its registrations lags behind to each of its waits.
     fn sg_own(&self, u: &BlockedInfo, mut edge: impl FnMut(Resource, Resource)) {
         for reg in &u.registered {
-            let Some(phases) = self.awaited.get(&reg.phaser) else { continue };
-            for &n in phases.range(reg.local_phase + 1..).map(|(n, _)| n) {
+            let Some(index) = self.phasers.get(&reg.phaser) else { continue };
+            for n in index.awaited_after(reg.local_phase) {
                 for &r2 in &u.waits {
                     edge(Resource::new(reg.phaser, n), r2);
                 }
@@ -320,12 +489,12 @@ impl Indexes {
         self.sg_own(u, &mut edge);
         for (i, &w) in u.waits.iter().enumerate() {
             let occurrences = u.waits.iter().filter(|&&x| x == w).count();
-            let sole_waiter = self.awaited[&w.phaser][&w.phase] == occurrences;
+            let sole_waiter = self.phasers[&w.phaser].waiters_of(w.phase) == occurrences;
             if !sole_waiter || u.waits[..i].contains(&w) {
                 continue;
             }
             for x in self.laggards(w).filter(|&x| x != u.task) {
-                for &r2 in &self.tasks[&x].waits {
+                for &r2 in &self.tasks[&x].info.waits {
                     edge(w, r2);
                 }
             }
@@ -349,10 +518,10 @@ impl Indexes {
     fn wfg_because_of(&self, u: &BlockedInfo, mut edge: impl FnMut(TaskId, TaskId)) {
         self.wfg_own(u, &mut edge);
         for reg in &u.registered {
-            let waiters = self.waiters_by_phaser.get(&reg.phaser).into_iter().flatten();
-            for &(x, n) in waiters {
-                if n > reg.local_phase && x != u.task {
-                    edge(x, u.task);
+            let Some(index) = self.phasers.get(&reg.phaser) else { continue };
+            for waiter in &index.waiters {
+                if waiter.phase > reg.local_phase && waiter.task != u.task {
+                    edge(waiter.task, u.task);
                 }
             }
         }
@@ -362,14 +531,14 @@ impl Indexes {
     /// contributions, once.
     fn fill_sg(&self, sg: &mut Maintained<Resource>) {
         for u in self.tasks.values() {
-            self.sg_own(u, |a, b| sg.bump(a, b));
+            self.sg_own(&u.info, |a, b| sg.bump(a, b));
         }
     }
 
     /// Builds the WFG adjacency into an empty `wfg`.
     fn fill_wfg(&self, wfg: &mut Maintained<TaskId>) {
         for u in self.tasks.values() {
-            self.wfg_own(u, |a, b| wfg.bump(a, b));
+            self.wfg_own(&u.info, |a, b| wfg.bump(a, b));
         }
     }
 }
@@ -427,6 +596,9 @@ pub struct IncrementalEngine {
     par_threshold: usize,
     /// Journal position: the next delta sequence number to consume.
     cursor: u64,
+    /// The journal entries of the sync in progress; kept (empty) between
+    /// syncs so that reading the journal allocates nothing.
+    inbox: Vec<(u64, SharedDelta)>,
     /// The always-maintained view and indexes.
     idx: Indexes,
     /// The SG's derived structures, while some query reads them.
@@ -441,6 +613,7 @@ impl Default for IncrementalEngine {
         IncrementalEngine {
             par_threshold: PAR_NODE_THRESHOLD,
             cursor: 0,
+            inbox: Vec::new(),
             idx: Indexes::default(),
             sg: None,
             wfg: None,
@@ -465,22 +638,25 @@ impl IncrementalEngine {
     /// journal deltas since the engine's cursor, or reloads from a full
     /// snapshot when the bounded journal has truncated past it.
     pub fn sync(&mut self, registry: &Registry) -> SyncOutcome {
-        match registry.deltas_since(self.cursor) {
-            JournalRead::Deltas(deltas, cursor) => {
-                let applied = deltas.len();
-                for delta in deltas {
-                    self.apply(delta);
+        let mut inbox = std::mem::take(&mut self.inbox);
+        let outcome = match registry.read_journal(self.cursor, &mut inbox) {
+            Some(cursor) => {
+                let applied = inbox.len();
+                for (_, delta) in inbox.drain(..) {
+                    self.apply_shared(delta);
                 }
                 self.cursor = cursor;
                 SyncOutcome { deltas_applied: applied, resynced: false }
             }
-            JournalRead::Behind => {
-                let (snapshot, cursor) = registry.snapshot_with_cursor();
-                self.reset_to(&snapshot);
+            None => {
+                let (records, cursor) = registry.records_with_cursor();
+                self.reload(records);
                 self.cursor = cursor;
                 SyncOutcome { deltas_applied: 0, resynced: true }
             }
-        }
+        };
+        self.inbox = inbox;
+        outcome
     }
 
     /// Applies one delta to the indexes and to whatever is live.
@@ -489,36 +665,41 @@ impl IncrementalEngine {
     /// is a no-op — required because a snapshot resync may already reflect
     /// deltas at or past the resync cursor.
     pub fn apply(&mut self, delta: Delta) {
+        self.apply_shared(match delta {
+            Delta::Block(info) => SharedDelta::Block(Arc::new(info)),
+            Delta::Unblock(task) => SharedDelta::Unblock(task),
+        });
+    }
+
+    fn apply_shared(&mut self, delta: SharedDelta) {
         // Decided before the delta's own work is spent: a structure read
         // since the previous delta is never dropped.
         let blocked = self.idx.tasks.len();
         Maintained::retire_idle(&mut self.sg, blocked, &mut self.counters);
         Maintained::retire_idle(&mut self.wfg, blocked, &mut self.counters);
         match delta {
-            Delta::Block(info) => {
+            SharedDelta::Block(info) => {
                 // Re-blocking replaces the previous record (registry
                 // semantics).
                 self.unblock(info.task);
-                let task = info.task;
-                self.idx.insert(info);
-                let info = &self.idx.tasks[&task];
+                self.idx.insert(Arc::clone(&info));
                 if let Some(sg) = &mut self.sg {
                     sg.idle += 1;
-                    self.idx.sg_because_of(info, |a, b| sg.bump(a, b));
+                    self.idx.sg_because_of(&info, |a, b| sg.bump(a, b));
                 }
                 if let Some(wfg) = &mut self.wfg {
                     wfg.idle += 1;
-                    self.idx.wfg_because_of(info, |a, b| wfg.bump(a, b));
+                    self.idx.wfg_because_of(&info, |a, b| wfg.bump(a, b));
                 }
             }
-            Delta::Unblock(task) => self.unblock(task),
+            SharedDelta::Unblock(task) => self.unblock(task),
         }
     }
 
     /// The exact mirror of a block: the same enumeration, evaluated while
     /// the task is still indexed, removes what its block added.
     fn unblock(&mut self, task: TaskId) {
-        let Some(info) = self.idx.tasks.get(&task) else { return };
+        let Some(Indexed { info, .. }) = self.idx.tasks.get(&task) else { return };
         if let Some(sg) = &mut self.sg {
             sg.idle += 1;
             self.idx.sg_because_of(info, |a, b| sg.drop_edge(a, b));
@@ -535,10 +716,14 @@ impl IncrementalEngine {
     /// the derived structures that are live. The journal cursor is
     /// preserved — [`IncrementalEngine::sync`] manages it.
     pub fn reset_to(&mut self, snapshot: &Snapshot) {
-        self.idx = Indexes::default();
-        for info in &snapshot.tasks {
+        self.reload(snapshot.tasks.iter().map(|info| Arc::new(info.clone())));
+    }
+
+    fn reload(&mut self, records: impl IntoIterator<Item = Arc<BlockedInfo>>) {
+        self.idx.clear();
+        for info in records {
             self.idx.remove(info.task);
-            self.idx.insert(info.clone());
+            self.idx.insert(info);
         }
         let idx = &self.idx;
         rebuild_in(&mut self.sg, &mut self.counters, |sg| idx.fill_sg(sg));
@@ -648,10 +833,7 @@ impl IncrementalEngine {
         threshold: usize,
     ) -> CheckOutcome {
         let model = self.model_for(choice, threshold);
-        let hit = match model {
-            GraphModel::Wfg => self.wfg_cycle_through(task),
-            GraphModel::Sg => self.sg_cycle_through(task),
-        };
+        let hit = self.cycle_through(task, model);
         let report = if hit {
             checker::check_task(&self.materialize(), task, choice, threshold).report
         } else {
@@ -746,46 +928,27 @@ impl IncrementalEngine {
     /// The maintained view as a sorted [`Snapshot`] (identical, entry for
     /// entry, to `Registry::snapshot` of a caught-up registry).
     pub fn materialize(&self) -> Snapshot {
-        Snapshot::from_tasks(self.idx.tasks.values().cloned().collect())
+        Snapshot::from_tasks(self.idx.tasks.values().map(|t| BlockedInfo::clone(&t.info)).collect())
     }
 
-    fn wfg_cycle_through(&self, start: TaskId) -> bool {
-        let adj = &live(&self.wfg).adj;
-        let Some(succs) = adj.get(&start) else { return false };
-        let mut stack: Vec<TaskId> = succs.keys().copied().collect();
-        let mut seen: HashSet<TaskId> = HashSet::new();
-        while let Some(u) = stack.pop() {
-            if u == start {
-                return true;
+    /// Is there a cycle through `task`'s contribution to the (live)
+    /// `model`? In the WFG, a path from `task` back to itself. In the SG
+    /// (as in [`checker::check_task`]), a path from one of the task's
+    /// awaited events back to an event it impedes, closed by the task's
+    /// own edge.
+    fn cycle_through(&mut self, task: TaskId, model: GraphModel) -> bool {
+        match model {
+            GraphModel::Wfg => {
+                let Maintained { adj, search, .. } = live_mut(&mut self.wfg);
+                let succs = adj.get(&task).into_iter().flat_map(|succs| succs.keys().copied());
+                search.reaches(adj, succs, |u| u == task)
             }
-            if seen.insert(u) {
-                if let Some(next) = adj.get(&u) {
-                    stack.extend(next.keys().copied());
-                }
-            }
-        }
-        false
-    }
-
-    /// SG avoidance rule (as in [`checker::check_task`]): a cycle through
-    /// the task's contribution is a path from one of its awaited events
-    /// back to an event it impedes, closed by the task's own edge.
-    fn sg_cycle_through(&self, task: TaskId) -> bool {
-        let adj = &live(&self.sg).adj;
-        let Some(info) = self.idx.tasks.get(&task) else { return false };
-        let mut stack: Vec<Resource> = info.waits.clone();
-        let mut seen: HashSet<Resource> = HashSet::new();
-        while let Some(r) = stack.pop() {
-            if seen.insert(r) {
-                if info.impedes(r) {
-                    return true;
-                }
-                if let Some(next) = adj.get(&r) {
-                    stack.extend(next.keys().copied());
-                }
+            GraphModel::Sg => {
+                let Some(Indexed { info, .. }) = self.idx.tasks.get(&task) else { return false };
+                let Maintained { adj, search, .. } = live_mut(&mut self.sg);
+                search.reaches(adj, info.waits.iter().copied(), |r| info.impedes(r))
             }
         }
-        false
     }
 
     // -- structural accessors (equivalence tests, benches) ------------------
@@ -808,9 +971,9 @@ impl IncrementalEngine {
     pub fn sg_vertex_list(&self) -> Vec<Resource> {
         let mut nodes: Vec<Resource> = self
             .idx
-            .awaited
+            .phasers
             .iter()
-            .flat_map(|(&p, phases)| phases.keys().map(move |&n| Resource::new(p, n)))
+            .flat_map(|(&p, index)| index.awaited.iter().map(move |&(n, _)| Resource::new(p, n)))
             .collect();
         nodes.sort();
         nodes
@@ -837,6 +1000,10 @@ impl IncrementalEngine {
 /// The structures a query demanded a moment ago.
 fn live<N>(slot: &Option<Maintained<N>>) -> &Maintained<N> {
     slot.as_ref().expect("model_for left the selected adjacency live")
+}
+
+fn live_mut<N>(slot: &mut Option<Maintained<N>>) -> &mut Maintained<N> {
+    slot.as_mut().expect("model_for left the selected adjacency live")
 }
 
 fn live_order<N>(slot: &mut Option<Maintained<N>>) -> &mut TopoOrder<N> {
@@ -878,7 +1045,7 @@ fn cycle_exists<N: Copy + Eq + Hash>(adj: &RefCountedAdj<N>, nodes: usize, par: 
 fn has_cycle<N: Copy + Eq + Hash>(adj: &RefCountedAdj<N>) -> bool {
     const GREY: u8 = 1;
     const BLACK: u8 = 2;
-    let mut colour: HashMap<N, u8> = HashMap::new();
+    let mut colour: IdMap<N, u8> = IdMap::default();
     let succs_of =
         |n: N| -> Vec<N> { adj.get(&n).map(|m| m.keys().copied().collect()).unwrap_or_default() };
     for &root in adj.keys() {
@@ -1017,8 +1184,34 @@ mod tests {
         assert_eq!(engine.sg_vertex_list(), Vec::<Resource>::new());
         assert!(engine.sg.as_ref().map_or(true, |sg| sg.adj.is_empty() && sg.contributions == 0));
         assert!(engine.wfg.as_ref().map_or(true, |wfg| wfg.adj.is_empty()));
-        assert!(engine.idx.awaited.is_empty() && engine.idx.sg_nodes == 0);
-        assert!(engine.idx.regs_by_phaser.is_empty() && engine.idx.waiters_by_phaser.is_empty());
+        assert_eq!((engine.idx.sg_nodes, engine.idx.entries), (0, 0));
+        assert!(engine.idx.phasers.values().all(|p| p.is_idle() && p.awaited.is_empty()));
+    }
+
+    #[test]
+    fn idle_phaser_indexes_outlive_a_round_but_do_not_pile_up() {
+        let on = |task: u64, phaser: u64, phase: u64| {
+            let regs = vec![Registration::new(p(phaser), phase)];
+            Delta::Block(BlockedInfo::new(t(task), vec![r(phaser, phase)], regs))
+        };
+        // A program that reuses its phasers finds their (emptied) indexes
+        // again on its next round...
+        let mut engine = IncrementalEngine::new();
+        for round in 1..=3 {
+            (0..8).for_each(|i| engine.apply(on(i, i, round)));
+            (0..8).for_each(|i| engine.apply(Delta::Unblock(t(i))));
+            assert_eq!((engine.idx.phasers.len(), engine.idx.entries), (8, 0));
+        }
+        // ...and one that keeps creating phasers does not keep them all:
+        // the table stays within twice the most entries ever indexed at
+        // once (8 tasks × a registration and a wait).
+        assert_eq!(engine.idx.peak_entries, 16);
+        for fresh in 100..1100 {
+            engine.apply(on(0, fresh, 1));
+            engine.apply(Delta::Unblock(t(0)));
+            assert!(engine.idx.phasers.len() <= 2 * 16 + 1, "{}", engine.idx.phasers.len());
+        }
+        assert_matches_oracle(&mut engine);
     }
 
     #[test]
@@ -1043,8 +1236,8 @@ mod tests {
             vec![Registration::new(p(1), 2)],
         )));
         assert_matches_oracle(&mut engine);
-        assert!(engine.wfg_cycle_through(t(1)));
-        assert!(engine.sg_cycle_through(t(1)));
+        assert!(engine.cycle_through(t(1), GraphModel::Wfg));
+        assert!(engine.cycle_through(t(1), GraphModel::Sg));
         assert!(engine.check_task(t(1), ModelChoice::Auto, DEFAULT_SG_THRESHOLD).report.is_some());
     }
 

@@ -17,8 +17,10 @@
 //! cycle *existence* is answered in `O(affected region)` per update
 //! instead of `O(V + E)` per check.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
+
+use crate::ids::{IdMap, IdSet};
 
 /// A directed graph over interned nodes of type `N`. Edges are simple
 /// (duplicates are ignored): the paper's edge counts (e.g. Table 3) are
@@ -503,11 +505,11 @@ impl<N: Copy + Eq + Hash> DiGraph<N> {
 #[derive(Clone, Debug)]
 pub struct TopoOrder<N> {
     /// Topological label per live node; unique, never reused.
-    ord: HashMap<N, i64>,
+    ord: IdMap<N, i64>,
     /// Committed (order-respecting) out-edges.
-    succs: HashMap<N, HashSet<N>>,
+    succs: IdMap<N, IdSet<N>>,
     /// Committed in-edges (for the backward half of the region search).
-    preds: HashMap<N, HashSet<N>>,
+    preds: IdMap<N, IdSet<N>>,
     /// Deferred edges whose insertion would close a cycle, in insertion
     /// order (deterministic retries).
     pending: Vec<(N, N)>,
@@ -527,9 +529,9 @@ impl<N: Copy + Eq + Hash> TopoOrder<N> {
     /// Creates an empty order.
     pub fn new() -> TopoOrder<N> {
         TopoOrder {
-            ord: HashMap::new(),
-            succs: HashMap::new(),
-            preds: HashMap::new(),
+            ord: IdMap::default(),
+            succs: IdMap::default(),
+            preds: IdMap::default(),
             pending: Vec::new(),
             next_high: 0,
             next_low: -1,
@@ -630,7 +632,7 @@ impl<N: Copy + Eq + Hash> TopoOrder<N> {
         // along committed edges, so any path from `b` back to `a` lies
         // entirely inside this window — reaching `a` proves a real cycle.
         let mut forward: Vec<N> = Vec::new();
-        let mut seen_f: HashSet<N> = HashSet::new();
+        let mut seen_f: IdSet<N> = IdSet::default();
         let mut stack = vec![b];
         seen_f.insert(b);
         while let Some(v) = stack.pop() {
@@ -648,7 +650,7 @@ impl<N: Copy + Eq + Hash> TopoOrder<N> {
         }
         // Backward region: everything reaching `a` within labels ≥ ob.
         let mut backward: Vec<N> = Vec::new();
-        let mut seen_b: HashSet<N> = HashSet::new();
+        let mut seen_b: IdSet<N> = IdSet::default();
         let mut stack = vec![a];
         seen_b.insert(a);
         while let Some(v) = stack.pop() {

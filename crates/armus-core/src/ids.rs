@@ -5,8 +5,12 @@
 //! phaser names `p ∈ P`. Fresh ids are drawn from process-wide atomic
 //! counters so that ids are unique across runtimes, sites and tests.
 
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -106,6 +110,87 @@ impl PhaserId {
     }
 }
 
+/// A hash map keyed by ids ([`TaskId`], [`PhaserId`], or a struct of
+/// them such as `Resource`) — the one map type of `armus-core`'s hot paths.
+pub type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;
+
+/// The set counterpart of [`IdMap`].
+pub type IdSet<K> = HashSet<K, IdBuildHasher>;
+
+/// Builds [`IdHasher`]s that all share one per-process random key.
+///
+/// Ids are 8-byte words, so SipHash's per-byte strength buys nothing the
+/// tables need, but ids also reach the distributed checker's engine from
+/// remote peers, so the hash must stay unpredictable: the key is derived
+/// once per process from the OS-seeded [`RandomState`] and copied into
+/// every map.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct IdBuildHasher {
+    seed: u64,
+    /// Odd, so multiplying by it permutes the 64-bit words.
+    multiplier: u64,
+}
+
+impl fmt::Debug for IdBuildHasher {
+    /// Like `RandomState`'s: the key stays out of logs.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IdBuildHasher").finish_non_exhaustive()
+    }
+}
+
+impl IdBuildHasher {
+    /// Derives a key from `random`: two words of its keyed SipHash.
+    fn keyed_by(random: &RandomState) -> IdBuildHasher {
+        IdBuildHasher { seed: random.hash_one(0u64), multiplier: random.hash_one(1u64) | 1 }
+    }
+}
+
+impl Default for IdBuildHasher {
+    /// The process's key, drawn on first use.
+    fn default() -> IdBuildHasher {
+        static KEY: OnceLock<IdBuildHasher> = OnceLock::new();
+        *KEY.get_or_init(|| IdBuildHasher::keyed_by(&RandomState::new()))
+    }
+}
+
+impl BuildHasher for IdBuildHasher {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher { state: self.seed, multiplier: self.multiplier }
+    }
+}
+
+/// One folded 64×64→128-bit multiply per word: every input bit reaches
+/// both the low bits (hashbrown's bucket index) and the top seven (its
+/// control-byte tag), which a plain multiply or an identity hash of
+/// sequential or high-bit-tagged ids does not give.
+pub struct IdHasher {
+    state: u64,
+    multiplier: u64,
+}
+
+impl Hasher for IdHasher {
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(self.multiplier);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    /// Ids hash through `write_u64`; anything else is folded in a word
+    /// at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
 impl fmt::Debug for TaskId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(self, f)
@@ -138,7 +223,7 @@ impl fmt::Display for PhaserId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::resource::Resource;
 
     #[test]
     fn fresh_task_ids_are_unique() {
@@ -204,6 +289,64 @@ mod tests {
     #[should_panic(expected = "cannot site-namespace")]
     fn renaming_an_already_namespaced_id_panics() {
         let _ = TaskId(7).with_site(1).with_site(2);
+    }
+
+    /// Worst bucket load of `hashes` over 128 buckets, relative to the
+    /// mean, for a 7-bit slice of the hash taken at `shift`.
+    fn worst_load(hashes: &[u64], shift: u32) -> f64 {
+        let mut buckets = [0usize; 128];
+        for h in hashes {
+            buckets[((h >> shift) & 127) as usize] += 1;
+        }
+        let mean = hashes.len() as f64 / 128.0;
+        *buckets.iter().max().unwrap() as f64 / mean
+    }
+
+    #[test]
+    fn id_hasher_spreads_ids_over_the_bits_hashbrown_reads() {
+        // hashbrown indexes buckets with the low bits of a hash and tags
+        // control bytes with its top seven; ids are sequential, or carry a
+        // site tag in their high bits, or are (phaser, phase) pairs whose
+        // phases advance in lockstep.
+        let key = IdBuildHasher::default();
+        let n = 1u64 << 14;
+        let families: [(&str, Vec<u64>); 4] = [
+            ("sequential", (0..n).map(|i| key.hash_one(TaskId(i))).collect()),
+            ("site-tagged", (0..n).map(|i| key.hash_one(TaskId(7).with_site(i as u32))).collect()),
+            (
+                "phases of one phaser",
+                (0..n).map(|i| key.hash_one(Resource::new(PhaserId(3), i))).collect(),
+            ),
+            (
+                "phasers at one phase",
+                (0..n).map(|i| key.hash_one(Resource::new(PhaserId(i), 1))).collect(),
+            ),
+        ];
+        for (name, hashes) in &families {
+            // 128 keys a bucket on average: a uniform spread stays within
+            // a few standard deviations (σ ≈ 11) of it.
+            for (bits, shift) in [("low", 0), ("top", 57)] {
+                let worst = worst_load(hashes, shift);
+                assert!(worst < 1.5, "{name}: {bits} 7 bits load a bucket {worst:.2}× the mean");
+            }
+            let distinct: HashSet<u64> = hashes.iter().copied().collect();
+            assert_eq!(distinct.len(), hashes.len(), "{name}: 64-bit collision");
+        }
+    }
+
+    #[test]
+    fn id_hasher_key_is_drawn_once_from_the_os_seeded_random_state() {
+        // One key per process: every map hashes alike...
+        assert_eq!(IdBuildHasher::default(), IdBuildHasher::default());
+        let there = std::thread::spawn(IdBuildHasher::default).join().unwrap();
+        assert_eq!(IdBuildHasher::default(), there);
+        // ...and it is a function of the `RandomState` it is drawn from,
+        // not a constant (each `RandomState::new()` is keyed differently).
+        assert_ne!(
+            IdBuildHasher::keyed_by(&RandomState::new()),
+            IdBuildHasher::keyed_by(&RandomState::new())
+        );
+        assert_eq!(IdBuildHasher::default().multiplier % 2, 1);
     }
 
     #[test]

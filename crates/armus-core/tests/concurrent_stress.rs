@@ -55,7 +55,9 @@ fn churn_info(id: u64, universe: u64) -> BlockedInfo {
 }
 
 /// N producers blocking/unblocking randomized tasks across every shard
-/// while one consumer engine follows the delta journal: at quiesce the
+/// while two consumer engines, each on its own thread, follow the delta
+/// journal (both through the registry's one shared read, which asserts
+/// gap-free sequence numbers itself in debug builds): at quiesce each
 /// merged journal view must equal a from-scratch snapshot, entry for
 /// entry — no delta lost, duplicated, or misordered.
 #[test]
@@ -65,10 +67,10 @@ fn merged_journal_view_equals_snapshot_at_quiesce() {
     // Small journal window: the follower is *expected* to fall behind
     // under full-speed producers and exercise the snapshot resync path.
     let registry = Arc::new(Registry::with_journal_capacity(64));
-    let mut follower = IncrementalEngine::new();
-    // Rendezvous: every producer and the consumer enter the contended
-    // region together, so the follower provably overlaps the churn.
-    let start = Barrier::new(PRODUCERS as usize + 1);
+    let (mut follower, mut second) = (IncrementalEngine::new(), IncrementalEngine::new());
+    // Rendezvous: every producer and both consumers enter the contended
+    // region together, so the followers provably overlap the churn.
+    let start = Barrier::new(PRODUCERS as usize + 2);
     let finished = std::sync::atomic::AtomicU64::new(0);
 
     std::thread::scope(|s| {
@@ -91,6 +93,13 @@ fn merged_journal_view_equals_snapshot_at_quiesce() {
                 finished.fetch_add(1, Ordering::Release);
             });
         }
+        // The second consumer only ever syncs: indexes, no model live.
+        s.spawn(|| {
+            start.wait();
+            while finished.load(Ordering::Acquire) < PRODUCERS {
+                second.sync(&registry);
+            }
+        });
         // The consumer follows the journal concurrently; every sync must
         // leave the engine internally consistent even mid-churn. Each
         // sync does real work (deltas or a resync), so the loop needs no
@@ -109,8 +118,10 @@ fn merged_journal_view_equals_snapshot_at_quiesce() {
     // Quiesce: one final sync, then compare the followed view against a
     // from-scratch snapshot of the registry.
     follower.sync(&registry);
+    second.sync(&registry);
     let snapshot = registry.snapshot();
     assert_eq!(follower.materialize(), snapshot, "journal-followed view diverged from snapshot");
+    assert_eq!(second.materialize(), snapshot, "the second consumer's view diverged");
 
     // A joiner that only ever saw the final snapshot agrees structurally.
     let mut joiner = IncrementalEngine::new();
