@@ -68,10 +68,7 @@
 //!   clone, no rebuild.
 //! * [`IncrementalEngine::check_full`] (detection) answers from the
 //!   selected model's maintained order: a cycle exists iff some edge could
-//!   not be ordered, so detection-time cycle existence is `O(1)`. The
-//!   full-adjacency existence pass survives as
-//!   [`IncrementalEngine::check_full_scan`] (the differential baseline,
-//!   and the parallel-peel path).
+//!   not be ordered, so detection-time cycle existence is `O(1)`.
 //! * Only on a **hit** (a cycle exists, i.e. the program is about to
 //!   deadlock) does the engine materialise its state into a sorted
 //!   [`Snapshot`] and delegate to the canonical [`checker`], so delivered
@@ -588,12 +585,8 @@ fn rebuild_in<N: Copy + Eq + Hash + Ord>(
 
 /// The long-lived maintained view. One per [`crate::Verifier`]; updates
 /// are applied by whichever thread holds the verifier's engine lock.
+#[derive(Default)]
 pub struct IncrementalEngine {
-    /// Node count above which [`IncrementalEngine::check_full_scan`]
-    /// parallelises its existence pass (defaults to
-    /// [`PAR_NODE_THRESHOLD`]; injectable so tests and the simulation
-    /// testkit can force the parallel branch on small graphs).
-    par_threshold: usize,
     /// Journal position: the next delta sequence number to consume.
     cursor: u64,
     /// The journal entries of the sync in progress; kept (empty) between
@@ -608,30 +601,10 @@ pub struct IncrementalEngine {
     counters: EngineCounters,
 }
 
-impl Default for IncrementalEngine {
-    fn default() -> Self {
-        IncrementalEngine {
-            par_threshold: PAR_NODE_THRESHOLD,
-            cursor: 0,
-            inbox: Vec::new(),
-            idx: Indexes::default(),
-            sg: None,
-            wfg: None,
-            counters: EngineCounters::default(),
-        }
-    }
-}
-
 impl IncrementalEngine {
     /// An empty engine at journal position 0, with nothing live.
     pub fn new() -> IncrementalEngine {
         IncrementalEngine::default()
-    }
-
-    /// An empty engine whose parallel-existence threshold is `threshold`
-    /// instead of [`PAR_NODE_THRESHOLD`].
-    pub fn with_par_threshold(threshold: usize) -> IncrementalEngine {
-        IncrementalEngine { par_threshold: threshold.max(1), ..IncrementalEngine::default() }
     }
 
     /// Brings the maintained view up to date with `registry`: applies the
@@ -871,31 +844,6 @@ impl IncrementalEngine {
         }
     }
 
-    /// Detection check by full scan of the selected model's maintained
-    /// adjacency — the pre-order-maintenance path, kept as the
-    /// differential baseline for [`IncrementalEngine::check_full`] and as
-    /// the parallel option for one-shot checks over merged state.
-    ///
-    /// Above [`PAR_NODE_THRESHOLD`] nodes the existence pass fans out over
-    /// [`crate::graph::DiGraph::has_cycle_par`] workers (when the host has
-    /// more than one core): the maintained adjacency is flattened into a
-    /// dense graph — `O(V + E)`, the same order as the scan itself — and
-    /// peeled in parallel.
-    pub fn check_full_scan(&mut self, choice: ModelChoice, threshold: usize) -> CheckOutcome {
-        let model = self.model_for(choice, threshold);
-        let hit = match model {
-            GraphModel::Wfg => {
-                cycle_exists(&live(&self.wfg).adj, self.idx.tasks.len(), self.par_threshold)
-            }
-            GraphModel::Sg => {
-                cycle_exists(&live(&self.sg).adj, self.idx.sg_nodes, self.par_threshold)
-            }
-        };
-        let report =
-            if hit { checker::check(&self.materialize(), choice, threshold).report } else { None };
-        CheckOutcome { report, stats: self.stats_for(choice, model) }
-    }
-
     /// Cycle existence for `model`, answered from its (demanded) order;
     /// deferred-edge retries run here.
     pub fn order_cycle_exists(&mut self, model: GraphModel) -> bool {
@@ -998,82 +946,12 @@ impl IncrementalEngine {
 }
 
 /// The structures a query demanded a moment ago.
-fn live<N>(slot: &Option<Maintained<N>>) -> &Maintained<N> {
-    slot.as_ref().expect("model_for left the selected adjacency live")
-}
-
 fn live_mut<N>(slot: &mut Option<Maintained<N>>) -> &mut Maintained<N> {
     slot.as_mut().expect("model_for left the selected adjacency live")
 }
 
 fn live_order<N>(slot: &mut Option<Maintained<N>>) -> &mut TopoOrder<N> {
     slot.as_mut().and_then(|m| m.order.as_mut()).expect("demand_order left the order live")
-}
-
-/// Node count above which [`IncrementalEngine::check_full_scan`]'s
-/// existence pass parallelises (when more than one core is available).
-/// Calibrated well above the paper's workloads: small graphs finish a
-/// sequential DFS faster than they can fan out.
-pub const PAR_NODE_THRESHOLD: usize = 4096;
-
-/// Worker count for the parallel existence pass: the host's available
-/// parallelism, capped — peeling is memory-bound, extra workers past a
-/// small count only contend on the frontier.
-pub fn par_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
-}
-
-/// Cycle existence over refcounted adjacency: sequential DFS below the
-/// engine's parallel threshold (or on single-core hosts), parallel peel
-/// above.
-fn cycle_exists<N: Copy + Eq + Hash>(adj: &RefCountedAdj<N>, nodes: usize, par: usize) -> bool {
-    let workers = par_workers();
-    if nodes >= par && workers > 1 {
-        let mut dense = crate::graph::DiGraph::with_capacity(nodes);
-        for (&a, succs) in adj.iter() {
-            for &b in succs.keys() {
-                dense.add_edge(a, b);
-            }
-        }
-        return dense.has_cycle_par(workers);
-    }
-    has_cycle(adj)
-}
-
-/// Existence-only three-colour DFS over refcounted adjacency (no witness:
-/// hits delegate to the canonical checker for that).
-fn has_cycle<N: Copy + Eq + Hash>(adj: &RefCountedAdj<N>) -> bool {
-    const GREY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut colour: IdMap<N, u8> = IdMap::default();
-    let succs_of =
-        |n: N| -> Vec<N> { adj.get(&n).map(|m| m.keys().copied().collect()).unwrap_or_default() };
-    for &root in adj.keys() {
-        if colour.contains_key(&root) {
-            continue;
-        }
-        let mut stack: Vec<(N, Vec<N>, usize)> = vec![(root, succs_of(root), 0)];
-        colour.insert(root, GREY);
-        while let Some((v, succs, next)) = stack.last_mut() {
-            if *next < succs.len() {
-                let s = succs[*next];
-                *next += 1;
-                match colour.get(&s) {
-                    None => {
-                        colour.insert(s, GREY);
-                        let s_succs = succs_of(s);
-                        stack.push((s, s_succs, 0));
-                    }
-                    Some(&GREY) => return true,
-                    _ => {}
-                }
-            } else {
-                colour.insert(*v, BLACK);
-                stack.pop();
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -1500,13 +1378,12 @@ mod tests {
     }
 
     #[test]
-    fn check_full_is_correct_above_the_parallel_threshold() {
-        // More blocked tasks than PAR_NODE_THRESHOLD, one barrier each in
-        // a long chain: task i (arrived on barrier i, lagging on barrier
-        // i-1) — acyclic. `check_full` must dispatch through the
-        // threshold branch and still agree with the oracle.
+    fn check_full_matches_the_oracle_on_a_long_chain() {
+        // 4k+ blocked tasks, one barrier each in a long chain: task i
+        // (arrived on barrier i, lagging on barrier i-1) — acyclic, with
+        // an order thousands of labels long.
         let mut engine = IncrementalEngine::new();
-        let n = (PAR_NODE_THRESHOLD + 128) as u64;
+        let n = 4096 + 128;
         for i in 0..n {
             let mut regs = vec![Registration::new(p(i), 1)];
             if i > 0 {
@@ -1514,11 +1391,8 @@ mod tests {
             }
             engine.apply(Delta::Block(BlockedInfo::new(t(i), vec![r(i, 1)], regs)));
         }
-        assert!(engine.blocked() >= PAR_NODE_THRESHOLD);
-        let scan = engine.check_full_scan(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-        assert!(scan.report.is_none(), "chain shape is deadlock-free");
         let out = engine.check_full(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-        assert!(out.report.is_none(), "order path must agree with the scan");
+        assert!(out.report.is_none(), "chain shape is deadlock-free");
         // Close the chain: task 0 re-blocks with an extra lagging
         // registration on the *last* barrier, adding the back edge
         // t(n-1) → t(0) — a cycle spanning the whole chain.
@@ -1527,13 +1401,14 @@ mod tests {
             vec![r(0, 1)],
             vec![Registration::new(p(0), 1), Registration::new(p(n - 1), 0)],
         )));
-        let scan = engine.check_full_scan(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-        assert!(scan.report.is_some(), "closed chain must be reported");
         let out = engine.check_full(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
+        let oracle =
+            checker::check(&engine.materialize(), ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
+        assert!(oracle.report.is_some(), "closed chain must be reported");
         assert_eq!(
             serde_json::to_string(&out.report).unwrap(),
-            serde_json::to_string(&scan.report).unwrap(),
-            "order path and scan must deliver the identical report"
+            serde_json::to_string(&oracle.report).unwrap(),
+            "order path and canonical checker must deliver the identical report"
         );
     }
 

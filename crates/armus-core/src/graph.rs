@@ -276,100 +276,6 @@ impl<N: Copy + Eq + Hash> DiGraph<N> {
         self.find_cycle_impl(None).is_some()
     }
 
-    /// Parallel cycle-existence test over `workers` scoped threads.
-    ///
-    /// DFS does not parallelise, so this uses *peeling* (parallel Kahn):
-    /// repeatedly delete every node whose in-degree has dropped to zero;
-    /// the graph is cyclic iff nodes survive — a non-empty finite digraph
-    /// with minimum in-degree ≥ 1 contains a cycle, and conversely no
-    /// node of a cycle is ever deleted (its cycle predecessor persists).
-    /// Both the in-degree accumulation and each round's frontier are
-    /// split across workers; rounds whose frontier is small are processed
-    /// inline, so deep thin graphs do not pay per-round spawn costs.
-    ///
-    /// Equivalent to [`DiGraph::has_cycle`] on every input (the graph
-    /// prop suite asserts this); intended for detection-mode full checks
-    /// over very large maintained graphs, where `O(V + E)` per pass is
-    /// worth fanning out.
-    pub fn has_cycle_par(&self, workers: usize) -> bool {
-        use std::sync::atomic::{AtomicU32, Ordering};
-
-        let n = self.nodes.len();
-        let workers = workers.clamp(1, n.max(1));
-        if workers == 1 || n < 2 {
-            return self.has_cycle();
-        }
-        // Frontiers below this size are peeled inline: spawning for a
-        // handful of nodes costs more than the scan it would split.
-        const MIN_PARALLEL_FRONTIER: usize = 1024;
-        let chunk = n.div_ceil(workers);
-        // Capture only the adjacency (not `self`) in worker closures, so
-        // `N` itself does not need to be `Sync`.
-        let adj: &[Vec<u32>] = &self.adj;
-
-        // In-degree accumulation, node-range-parallel.
-        let indeg: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        std::thread::scope(|s| {
-            for range in (0..n).step_by(chunk).map(|lo| lo..(lo + chunk).min(n)) {
-                let indeg = &indeg;
-                s.spawn(move || {
-                    for v in range {
-                        for &t in &adj[v] {
-                            indeg[t as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-
-        let mut frontier: Vec<u32> =
-            (0..n as u32).filter(|&v| indeg[v as usize].load(Ordering::Relaxed) == 0).collect();
-        let mut removed = frontier.len();
-        while !frontier.is_empty() {
-            let next: Vec<u32> = if frontier.len() < MIN_PARALLEL_FRONTIER {
-                let mut next = Vec::new();
-                for &v in &frontier {
-                    for &t in &adj[v as usize] {
-                        if indeg[t as usize].fetch_sub(1, Ordering::Relaxed) == 1 {
-                            next.push(t);
-                        }
-                    }
-                }
-                next
-            } else {
-                let fchunk = frontier.len().div_ceil(workers);
-                let mut parts: Vec<Vec<u32>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = frontier
-                        .chunks(fchunk)
-                        .map(|part| {
-                            let indeg = &indeg;
-                            s.spawn(move || {
-                                let mut local = Vec::new();
-                                for &v in part {
-                                    for &t in &adj[v as usize] {
-                                        if indeg[t as usize].fetch_sub(1, Ordering::Relaxed) == 1 {
-                                            local.push(t);
-                                        }
-                                    }
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("peel worker")).collect()
-                });
-                let mut next = parts.pop().unwrap_or_default();
-                for part in parts {
-                    next.extend(part);
-                }
-                next
-            };
-            removed += next.len();
-            frontier = next;
-        }
-        removed < n
-    }
-
     fn find_cycle_impl(&self, only_from: Option<u32>) -> Option<Vec<N>> {
         const WHITE: u8 = 0;
         const GREY: u8 = 1;
@@ -932,60 +838,6 @@ mod tests {
         // Source satisfying the target directly is a (length-1) witness.
         let path = g.path_from_sources(&[3], |n| n == 3).expect("trivial");
         assert_eq!(path, vec![3]);
-    }
-
-    #[test]
-    fn parallel_cycle_existence_agrees_on_small_graphs() {
-        let cases: Vec<(Vec<(u32, u32)>, bool)> = vec![
-            (vec![], false),
-            (vec![(1, 2), (2, 3), (3, 4)], false),
-            (vec![(1, 1)], true),
-            (vec![(1, 2), (2, 1)], true),
-            (vec![(1, 2), (2, 3), (1, 4), (4, 2)], false),
-            (vec![(1, 2), (10, 11), (11, 12), (12, 10)], true),
-            (vec![(1, 2), (2, 4), (1, 3), (3, 4), (4, 1)], true),
-        ];
-        for (edges, want) in cases {
-            let g = graph(&edges);
-            for workers in [1, 2, 4] {
-                assert_eq!(g.has_cycle_par(workers), want, "{edges:?} with {workers} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_cycle_existence_agrees_on_large_graphs() {
-        // Wide layered DAG (large frontiers exercise the parallel rounds).
-        let layers = 64u32;
-        let width = 64u32;
-        let mut g: DiGraph<u32> = DiGraph::new();
-        for l in 0..layers - 1 {
-            for i in 0..width {
-                for j in 0..4 {
-                    g.add_edge(l * width + i, (l + 1) * width + (i + j) % width);
-                }
-            }
-        }
-        assert!(!g.has_cycle_par(4));
-        assert!(!g.has_cycle());
-        // One closing edge makes it cyclic.
-        g.add_edge((layers - 1) * width, 0);
-        assert!(g.has_cycle_par(4));
-        assert!(g.has_cycle());
-    }
-
-    #[test]
-    fn parallel_cycle_existence_deep_path() {
-        // 100k-node path: frontiers of size 1 take the inline branch all
-        // the way down, so this also guards the no-spawn fast path.
-        let n = 100_000u32;
-        let mut g = DiGraph::with_capacity(n as usize);
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1);
-        }
-        assert!(!g.has_cycle_par(4));
-        g.add_edge(n - 1, n / 2);
-        assert!(g.has_cycle_par(4));
     }
 
     #[test]

@@ -83,9 +83,7 @@ pub use deps::{
     BlockedInfo, Delta, JournalRead, Registry, RegistryConfig, Snapshot, DEFAULT_JOURNAL_CAPACITY,
     DEFAULT_SHARDS,
 };
-pub use engine::{
-    DetectionOutcome, EngineCounters, IncrementalEngine, SyncOutcome, PAR_NODE_THRESHOLD,
-};
+pub use engine::{DetectionOutcome, EngineCounters, IncrementalEngine, SyncOutcome};
 pub use error::DeadlockError;
 pub use graph::TopoOrder;
 pub use ids::{Phase, PhaserId, TaskId, MAX_LOCAL_TASK, MAX_SITE_TAG, SITE_TAG_SHIFT};

@@ -115,10 +115,6 @@ pub struct VerifierConfig {
     /// single-resource block runs a full engine check like any other —
     /// used by the differential testkit to exercise both code paths.
     pub fastpath: bool,
-    /// Node count above which full checks parallelise their existence
-    /// pass (defaults to [`crate::engine::PAR_NODE_THRESHOLD`]; a small
-    /// value makes the parallel branch reachable on tiny graphs).
-    pub par_threshold: usize,
     /// Static-analysis verdict for the program this verifier will run
     /// (see [`StaticHint`]). `ProvedSafe` turns every avoidance check into
     /// a publish + counted skip.
@@ -134,7 +130,6 @@ impl VerifierConfig {
             journal_capacity: crate::deps::DEFAULT_JOURNAL_CAPACITY,
             shards: crate::deps::DEFAULT_SHARDS,
             fastpath: true,
-            par_threshold: crate::engine::PAR_NODE_THRESHOLD,
             static_hint: StaticHint::None,
         }
     }
@@ -192,12 +187,6 @@ impl VerifierConfig {
     /// Enables or disables the avoidance resource-cardinality fast path.
     pub fn with_fastpath(mut self, fastpath: bool) -> Self {
         self.fastpath = fastpath;
-        self
-    }
-
-    /// Overrides the parallel-existence node threshold of full checks.
-    pub fn with_par_threshold(mut self, threshold: usize) -> Self {
-        self.par_threshold = threshold;
         self
     }
 
@@ -306,7 +295,7 @@ impl Verifier {
                 shards: cfg.shards,
                 track_waited,
             }),
-            engine: Mutex::new(IncrementalEngine::with_par_threshold(cfg.par_threshold)),
+            engine: Mutex::new(IncrementalEngine::new()),
             pending: Mutex::new(Vec::new()),
             stats: StatsCollector::new(),
             reports: Mutex::new(Vec::new()),

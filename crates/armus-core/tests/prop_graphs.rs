@@ -177,16 +177,6 @@ proptest! {
         prop_assert_eq!(g.find_cycle().is_some(), has_cycle_kahn(&g));
     }
 
-    /// The parallel peel detector agrees with the sequential DFS on
-    /// random digraphs, at several worker counts.
-    #[test]
-    fn parallel_peel_agrees_with_dfs(g in arb_digraph(12, 30)) {
-        let want = g.has_cycle();
-        for workers in [1usize, 2, 3] {
-            prop_assert_eq!(g.has_cycle_par(workers), want, "workers = {}", workers);
-        }
-    }
-
     /// Any witness returned is a genuine cycle.
     #[test]
     fn witnesses_are_cycles(g in arb_digraph(12, 30)) {

@@ -19,11 +19,10 @@
 //!                          (default off)
 //! ```
 //!
-//! The server speaks wire protocol v1 (legacy ping-pong) and v2 (flat
-//! frames, pipelined with correlation ids), negotiated per frame:
-//! every connection can carry bursts of in-flight requests and is
-//! answered out of a per-connection reply queue, so one socket serves a
-//! whole multi-site client process.
+//! The server speaks one wire protocol version (flat frames, pipelined
+//! with correlation ids): every connection can carry bursts of in-flight
+//! requests and is answered out of a per-connection reply queue, so one
+//! socket serves a whole multi-site client process.
 //!
 //! On startup the server prints `armus-stored listening on ADDR` to
 //! stdout (parents scrape the ephemeral port from it) and logs to stderr.
@@ -89,7 +88,7 @@ fn main() {
     println!("armus-stored listening on {}", server.local_addr());
     let _ = std::io::stdout().flush();
     eprintln!(
-        "armus-stored: serving on {} (protocol v1+v2 pipelined, lease {:?}, read timeout {:?})",
+        "armus-stored: serving on {} (protocol v2 pipelined, lease {:?}, read timeout {:?})",
         server.local_addr(),
         cfg.lease,
         cfg.read_timeout

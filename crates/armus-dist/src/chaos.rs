@@ -148,10 +148,6 @@ impl<S: Store> ChaosStore<S> {
 }
 
 impl<S: Store> Store for ChaosStore<S> {
-    fn publish(&self, site: SiteId, partition: Snapshot) -> Result<(), StoreError> {
-        self.inner.publish(site, partition)
-    }
-
     fn publish_full(
         &self,
         site: SiteId,

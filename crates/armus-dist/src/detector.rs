@@ -64,9 +64,13 @@ pub struct DistCheck {
     pub stats: Option<CheckStats>,
 }
 
-/// Runs one check round against the store: fetch, analyse, and on a hit
-/// re-fetch to confirm. Store errors surface as `Err` — callers skip the
-/// round (resilience) rather than fail.
+/// One stateless check round against the store: fetch, merge, build the
+/// graph from scratch, analyse, and on a hit re-fetch to confirm. This is
+/// the **reference** the persistent [`IncrementalDistChecker`] — what
+/// sites and the `armus-stored` checker thread actually run — is compared
+/// against, byte for byte, by the tests and by
+/// `examples/distributed_detection.rs`; nothing in production calls it.
+/// Store errors surface as `Err`.
 pub fn check_store(
     store: &dyn Store,
     model: ModelChoice,
@@ -178,10 +182,10 @@ impl IncrementalDistChecker {
     /// Advances the engine to `merged` — by diffing against the previous
     /// round's view (both sorted by task id, so a two-pointer sweep), or
     /// by a full rebuild when continuity was lost.
-    fn advance_to(&mut self, merged: &Snapshot) {
+    fn advance_to(&mut self, merged: Snapshot) {
         match self.prev.take() {
             None => {
-                self.engine.reset_to(merged);
+                self.engine.reset_to(&merged);
                 self.stats.order_rebuilds += 1;
             }
             Some(prev) => {
@@ -218,8 +222,8 @@ impl IncrementalDistChecker {
                 }
             }
         }
-        self.prev = Some(merged.clone());
-        debug_assert_eq!(self.engine.materialize(), *merged, "diff replay must be exact");
+        debug_assert_eq!(self.engine.materialize(), merged, "diff replay must be exact");
+        self.prev = Some(merged);
     }
 
     /// Runs one check round against the store: fetch + merge, advance the
@@ -236,9 +240,10 @@ impl IncrementalDistChecker {
     ) -> Result<DistCheck, StoreError> {
         let view = store.fetch_all()?;
         let merged = merge(&view);
-        self.advance_to(&merged);
+        let empty = merged.is_empty();
+        self.advance_to(merged);
         self.stats.rounds += 1;
-        if merged.is_empty() {
+        if empty {
             return Ok(DistCheck { report: None, stats: None });
         }
         let det = self.engine.check_full_detailed(model, sg_threshold);
@@ -297,13 +302,13 @@ mod tests {
                 )
             })
             .collect();
-        store.publish(SiteId(0), Snapshot::from_tasks(workers)).unwrap();
+        store.publish_full(SiteId(0), Snapshot::from_tasks(workers), 1).unwrap();
         let driver = BlockedInfo::new(
             t(4),
             vec![r(2, 1)],
             vec![Registration::new(p(1), 0), Registration::new(p(2), 1)],
         );
-        store.publish(SiteId(1), Snapshot::from_tasks(vec![driver])).unwrap();
+        store.publish_full(SiteId(1), Snapshot::from_tasks(vec![driver]), 1).unwrap();
     }
 
     #[test]
@@ -341,8 +346,8 @@ mod tests {
                 vec![Registration::new(p(1), 0)],
             )])
         };
-        store.publish(SiteId(0), local(r(1, 1))).unwrap();
-        store.publish(SiteId(1), local(r(1, 2))).unwrap();
+        store.publish_full(SiteId(0), local(r(1, 1)), 1).unwrap();
+        store.publish_full(SiteId(1), local(r(1, 2)), 1).unwrap();
         let merged = merge(&store.fetch_all().unwrap());
         assert_eq!(merged.len(), 2, "both colliding tasks must survive the merge");
         let ids: Vec<_> = merged.tasks.iter().map(|b| b.task).collect();
@@ -364,7 +369,7 @@ mod tests {
             vec![r(1, 1)],
             vec![Registration::new(p(1), 0)],
         )]);
-        store.publish(SiteId(7), rogue).unwrap();
+        store.publish_full(SiteId(7), rogue, 1).unwrap();
         let merged = merge(&store.fetch_all().unwrap());
         assert_eq!(merged.len(), 4, "the rogue partition is skipped, the rest survive");
         // Detection still works on the healthy partitions.
@@ -373,13 +378,14 @@ mod tests {
         // An out-of-range *site id* is likewise skipped, not panicked on.
         let store2 = MemStore::new();
         store2
-            .publish(
+            .publish_full(
                 SiteId(armus_core::MAX_SITE_TAG + 1),
                 Snapshot::from_tasks(vec![BlockedInfo::new(
                     t(1),
                     vec![r(1, 1)],
                     vec![Registration::new(p(1), 0)],
                 )]),
+                1,
             )
             .unwrap();
         assert!(merge(&store2.fetch_all().unwrap()).is_empty());
@@ -414,7 +420,7 @@ mod tests {
                 )
             })
             .collect();
-        store.publish(SiteId(0), Snapshot::from_tasks(workers)).unwrap();
+        store.publish_full(SiteId(0), Snapshot::from_tasks(workers), 1).unwrap();
         let round = inc.check_round(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
         assert!(round.report.is_none());
         let stats = inc.stats();
@@ -431,7 +437,7 @@ mod tests {
             vec![r(2, 1)],
             vec![Registration::new(p(1), 0), Registration::new(p(2), 1)],
         );
-        store.publish(SiteId(1), Snapshot::from_tasks(vec![driver])).unwrap();
+        store.publish_full(SiteId(1), Snapshot::from_tasks(vec![driver]), 1).unwrap();
         let round = inc.check_round(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
         let baseline = check_store(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
         assert!(baseline.report.is_some());
@@ -488,8 +494,8 @@ mod tests {
             flips: std::sync::atomic::AtomicU32,
         }
         impl Store for TwoPhase {
-            fn publish(&self, s: SiteId, p: Snapshot) -> Result<(), StoreError> {
-                self.inner.publish(s, p)
+            fn publish_full(&self, s: SiteId, p: Snapshot, v: u64) -> Result<(), StoreError> {
+                self.inner.publish_full(s, p, v)
             }
             fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
                 let n = self.flips.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -525,8 +531,8 @@ mod tests {
             flips: std::sync::atomic::AtomicU32,
         }
         impl Store for TwoPhase {
-            fn publish(&self, s: SiteId, p: Snapshot) -> Result<(), StoreError> {
-                self.inner.publish(s, p)
+            fn publish_full(&self, s: SiteId, p: Snapshot, v: u64) -> Result<(), StoreError> {
+                self.inner.publish_full(s, p, v)
             }
             fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
                 let n = self.flips.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -552,7 +558,7 @@ mod tests {
         let workers = (1..=3)
             .map(|i| BlockedInfo::new(t(i), vec![r(1, 1)], vec![Registration::new(p(1), 1)]))
             .collect();
-        store.publish(SiteId(0), Snapshot::from_tasks(workers)).unwrap();
+        store.publish_full(SiteId(0), Snapshot::from_tasks(workers), 1).unwrap();
         let out = check_store(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
         assert!(out.report.is_none());
     }

@@ -13,12 +13,12 @@
 //!   [`store::FaultyStore`] or the message-chaos [`chaos::ChaosStore`];
 //! * **networked** — the `armus-stored` server ([`server::StoredServer`]
 //!   and the binary under `src/bin/`) speaking the length-prefixed binary
-//!   protocol of [`wire`] (flat v2 frames with correlation ids, pipelined
-//!   in bursts; legacy v1 negotiated per frame), with [`tcp::TcpStore`] as
-//!   the client-side [`store::Store`] — one multiplexed connection that
-//!   batches concurrent callers' frames per flush, so many [`site::Site`]s
-//!   can share a single `Arc<TcpStore>`; [`cluster::NetCluster`] wires a
-//!   true multi-process cluster (one spawned server + N site processes).
+//!   protocol of [`wire`] (flat frames with correlation ids, pipelined in
+//!   bursts), with [`tcp::TcpStore`] as the client-side [`store::Store`]
+//!   — one multiplexed connection that batches concurrent callers' frames
+//!   per flush, so many [`site::Site`]s can share a single
+//!   `Arc<TcpStore>`; [`cluster::NetCluster`] wires a true multi-process
+//!   cluster (one spawned server + N site processes).
 //!
 //! Fault tolerance, as claimed by the paper and tested here:
 //! * a site's checker can die — the other sites still detect;

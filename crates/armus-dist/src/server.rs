@@ -3,22 +3,22 @@
 //! `armus-stored` binary in `src/bin/`).
 //!
 //! The server is a thread-per-connection loop over the same [`MemStore`]
-//! core the in-process cluster uses, speaking the versioned frame protocol
-//! of [`crate::wire`]. Connections are **pipelined**: each `read(2)` may
+//! core the in-process cluster uses, speaking the frame protocol of
+//! [`crate::wire`]. Connections are **pipelined**: each `read(2)` may
 //! deliver a burst of frames (a [`wire::FrameBuffer`] reassembles them
 //! across reads), every frame is handled in arrival order, and the
-//! responses accumulate in a per-connection reply queue flushed with one
-//! write per burst — a multiplexing client ([`crate::tcp::TcpStore`])
-//! keeps dozens of requests in flight on one socket. Version negotiation
-//! is per-frame: a frame that arrived as v1 is answered as v1 (strict
-//! ping-pong peers keep working), a v2 frame is answered as v2 with its
-//! correlation id echoed. Per-connection read/write timeouts reap dead
-//! peers, partitions carry a lease TTL refreshed by every publish (crashed
-//! sites expire instead of ghosting the merged view), and shutdown is a
-//! graceful drain: a flag — set in-band by
-//! [`crate::wire::Request::Shutdown`], the SIGTERM equivalent — stops the
-//! accept loop, lets in-flight requests finish, and joins every
-//! connection thread.
+//! responses — each echoing its request's correlation id — accumulate in
+//! a per-connection reply queue flushed with one write per burst, so a
+//! multiplexing client ([`crate::tcp::TcpStore`]) keeps dozens of requests
+//! in flight on one socket. A checker thread runs the same
+//! [`IncrementalDistChecker`] the sites run, one per subscribed tenant,
+//! and streams the deadlocks it confirms to that tenant's subscribers.
+//! Per-connection read/write timeouts reap dead peers, partitions carry a
+//! lease TTL refreshed by every publish (crashed sites expire instead of
+//! ghosting the merged view), and shutdown is a graceful drain: a flag —
+//! set in-band by [`crate::wire::Request::Shutdown`], the SIGTERM
+//! equivalent — stops the accept loop, lets in-flight requests finish, and
+//! joins every connection thread.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
@@ -31,9 +31,9 @@ use std::time::{Duration, Instant};
 use armus_core::{DeadlockReport, ModelChoice, Snapshot, DEFAULT_SG_THRESHOLD};
 use parking_lot::Mutex;
 
-use crate::detector::{check_store, ReportDedup};
+use crate::detector::{IncrementalDistChecker, ReportDedup};
 use crate::store::{MemStore, SiteId, Store, StoreError, TenantId};
-use crate::wire::{self, Request, Response, ServerMetrics, TenantMetrics, WireError};
+use crate::wire::{self, Request, Response, ServerMetrics, TenantMetrics};
 
 /// Default partition lease: a site that has not published for this long is
 /// considered dead and its partition stops contributing to fetches. Must
@@ -90,13 +90,13 @@ pub struct StoredServer {
 }
 
 /// One connection's registration for streamed reports: which tenant it
-/// watches, the correlation id and wire version its report frames must
-/// carry, and a weak handle to the connection's push buffer (dropping the
-/// connection unregisters it implicitly).
+/// watches, the correlation id its report frames must carry, whether the
+/// checker has yet to see it, and a weak handle to the connection's push
+/// buffer (dropping the connection unregisters it implicitly).
 struct Subscriber {
     tenant: TenantId,
     corr: u64,
-    version: u8,
+    joined: bool,
     queue: Weak<Mutex<Vec<u8>>>,
 }
 
@@ -108,17 +108,24 @@ struct SubHub {
 }
 
 impl SubHub {
-    fn subscribe(&self, tenant: TenantId, corr: u64, version: u8, queue: &Arc<Mutex<Vec<u8>>>) {
-        self.subs.lock().push(Subscriber { tenant, corr, version, queue: Arc::downgrade(queue) });
+    fn subscribe(&self, tenant: TenantId, corr: u64, queue: &Arc<Mutex<Vec<u8>>>) {
+        self.subs.lock().push(Subscriber {
+            tenant,
+            corr,
+            joined: true,
+            queue: Arc::downgrade(queue),
+        });
     }
 
-    /// Tenants with at least one live subscriber (pruning dead ones).
-    fn tenants(&self) -> Vec<TenantId> {
+    /// Tenants with at least one live subscriber (pruning dead ones), each
+    /// with whether a subscriber joined it since the previous call.
+    fn tenants(&self) -> BTreeMap<TenantId, bool> {
         let mut subs = self.subs.lock();
         subs.retain(|s| s.queue.strong_count() > 0);
-        let mut tenants: Vec<TenantId> = subs.iter().map(|s| s.tenant).collect();
-        tenants.sort_unstable();
-        tenants.dedup();
+        let mut tenants = BTreeMap::new();
+        for s in subs.iter_mut() {
+            *tenants.entry(s.tenant).or_insert(false) |= std::mem::take(&mut s.joined);
+        }
         tenants
     }
 
@@ -134,8 +141,8 @@ impl SubHub {
     }
 
     /// Queues `report` for every live subscriber of `tenant`, each framed
-    /// in the version (and with the correlation id) its subscription
-    /// arrived in. Returns how many subscribers received it.
+    /// with the correlation id its subscription arrived under. Returns how
+    /// many subscribers received it.
     fn push(&self, tenant: TenantId, report: &DeadlockReport) -> u64 {
         let response = Response::Report(report.clone());
         let mut delivered = 0;
@@ -144,19 +151,7 @@ impl SubHub {
             if s.tenant != tenant {
                 return true;
             }
-            let mut q = queue.lock();
-            let ok = if s.version == wire::WIRE_V1 {
-                match wire::encode_frame(&response) {
-                    Ok(frame) => {
-                        q.extend_from_slice(&frame);
-                        true
-                    }
-                    Err(_) => false,
-                }
-            } else {
-                wire::encode_frame_v2_into(&mut q, s.corr, &response).is_ok()
-            };
-            if ok {
+            if wire::encode_frame_v2_into(&mut queue.lock(), s.corr, &response).is_ok() {
                 delivered += 1;
             }
             true
@@ -167,14 +162,15 @@ impl SubHub {
 
 /// A read-only [`Store`] view of one tenant's partitions, fed to the
 /// server-side checker: `fetch_all` is the only operation
-/// [`check_store`] uses, and it must see exactly the tenant's slice.
+/// [`IncrementalDistChecker::check_round`] uses, and it must see exactly
+/// the tenant's slice.
 struct TenantView<'a> {
     store: &'a MemStore,
     tenant: TenantId,
 }
 
 impl Store for TenantView<'_> {
-    fn publish(&self, _site: SiteId, _partition: Snapshot) -> Result<(), StoreError> {
+    fn publish_full(&self, _: SiteId, _: Snapshot, _: u64) -> Result<(), StoreError> {
         unreachable!("the server-side checker only fetches")
     }
 
@@ -204,7 +200,7 @@ struct Shared {
     protocol_errors: AtomicU64,
     /// Connections currently open (a gauge, not a counter).
     live_connections: AtomicU64,
-    /// Full-snapshot publish requests served (legacy + versioned).
+    /// Full-snapshot publish requests served.
     publishes: AtomicU64,
     /// Delta publish requests served.
     delta_publishes: AtomicU64,
@@ -253,15 +249,29 @@ impl Shared {
     }
 }
 
+/// What the server-side checker keeps per subscribed tenant: the
+/// persistent checker following the tenant's merged view, and the reports
+/// its current subscribers have already been sent.
+#[derive(Default)]
+struct TenantChecker {
+    checker: IncrementalDistChecker,
+    dedup: ReportDedup,
+}
+
 /// The server-side checker loop: every
-/// [`StoredConfig::check_period`], run the distributed check over each
-/// subscribed tenant's merged view and stream fresh reports to that
+/// [`StoredConfig::check_period`], run one round of each subscribed
+/// tenant's [`IncrementalDistChecker`] and stream fresh reports to that
 /// tenant's subscribers. Detection happens *at the store* — subscribers
 /// learn about deadlocks without a single `fetch_all` poll, and
 /// cross-tenant isolation holds because each check round sees exactly one
 /// tenant's partitions ([`TenantView`]).
+///
+/// A tenant's state lives exactly as long as it has a subscriber, and a
+/// subscriber joining resets the tenant's dedup: whoever subscribes while
+/// a deadlock stands hears about it (a subscriber that was already there
+/// hears it again, which [`crate::tcp::Subscription`] consumers tolerate).
 fn checker_loop(shared: Arc<Shared>) {
-    let mut dedups: HashMap<TenantId, ReportDedup> = HashMap::new();
+    let mut checkers: HashMap<TenantId, TenantChecker> = HashMap::new();
     let mut next_check = Instant::now();
     while !shared.shutdown.load(Ordering::SeqCst) {
         // Park in drain-observable slices until the next round is due.
@@ -271,13 +281,21 @@ fn checker_loop(shared: Arc<Shared>) {
             continue;
         }
         next_check = now + shared.cfg.check_period;
-        for tenant in shared.hub.tenants() {
+        let tenants = shared.hub.tenants();
+        checkers.retain(|tenant, _| tenants.contains_key(tenant));
+        for (tenant, joined) in tenants {
+            let state = checkers.entry(tenant).or_default();
+            if joined {
+                state.dedup = ReportDedup::new();
+            }
             let view = TenantView { store: &shared.store, tenant };
-            let Ok(check) = check_store(&view, ModelChoice::Auto, DEFAULT_SG_THRESHOLD) else {
+            let Ok(check) =
+                state.checker.check_round(&view, ModelChoice::Auto, DEFAULT_SG_THRESHOLD)
+            else {
                 continue; // MemStore cannot actually fail; stay total anyway
             };
             if let Some(report) = check.report {
-                if dedups.entry(tenant).or_default().is_new(&report) {
+                if state.dedup.is_new(&report) {
                     let delivered = shared.hub.push(tenant, &report);
                     shared.reports_streamed.fetch_add(delivered, Ordering::Relaxed);
                 }
@@ -453,8 +471,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// The loop reads in [`POLL_PERIOD`] slices (so the drain flag stays
 /// observed even mid-frame), extracts every complete frame the read
 /// delivered, handles them in order, and answers the whole burst with one
-/// flush of the reply queue — each reply in the version its request
-/// arrived in.
+/// flush of the reply queue.
 fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(POLL_PERIOD)).is_err() {
@@ -501,7 +518,9 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                                 shared.shutdown.store(true, Ordering::SeqCst);
                                 drain = true;
                             }
-                            if encode_reply(&mut replies, &frame, &response).is_err() {
+                            if wire::encode_frame_v2_into(&mut replies, frame.corr, &response)
+                                .is_err()
+                            {
                                 shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
                                 break 'conn;
                             }
@@ -543,22 +562,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     }
     let _ = stream.shutdown(Shutdown::Both);
     shared.live_connections.fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Appends the response frame for `request` to the reply queue, in the
-/// version the request arrived in (v1 → v1 tree frame, v2 → flat frame
-/// echoing the correlation id).
-fn encode_reply(
-    out: &mut Vec<u8>,
-    request: &wire::Frame<Request>,
-    response: &Response,
-) -> Result<(), WireError> {
-    if request.version == wire::WIRE_V1 {
-        out.extend_from_slice(&wire::encode_frame(response)?);
-        Ok(())
-    } else {
-        wire::encode_frame_v2_into(out, request.corr, response)
-    }
 }
 
 /// Writes the queued replies for one burst in a single `write_all` and
@@ -625,16 +628,6 @@ fn handle(
     let store = &shared.store;
     let request = &frame.msg;
     let response = match request {
-        Request::Publish { site, tenant, snapshot } => {
-            shared.publishes.fetch_add(1, Ordering::Relaxed);
-            match validate_publish(*site, snapshot.tasks.iter().map(|b| &b.task)) {
-                Some(rejection) => rejection,
-                None => match store.publish_in(*tenant, *site, snapshot.clone()) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => Response::Error(e.to_string()),
-                },
-            }
-        }
         Request::PublishFull { site, tenant, snapshot, version } => {
             shared.publishes.fetch_add(1, Ordering::Relaxed);
             match validate_publish(*site, snapshot.tasks.iter().map(|b| &b.task)) {
@@ -679,10 +672,10 @@ fn handle(
         Request::Metrics => Response::Metrics(shared.metrics()),
         Request::Subscribe { tenant } => {
             // Register this connection's push buffer under the request's
-            // correlation id and version: every future report frame for
-            // the tenant carries them, so the client's demultiplexer can
-            // route the stream beside its ordinary request traffic.
-            shared.hub.subscribe(*tenant, frame.corr, frame.version, pushes);
+            // correlation id: every future report frame for the tenant
+            // carries it, so the client's demultiplexer can route the
+            // stream beside its ordinary request traffic.
+            shared.hub.subscribe(*tenant, frame.corr, pushes);
             Response::Subscribed
         }
         Request::Shutdown => Response::Ok,
@@ -749,18 +742,7 @@ impl StoredProcess {
     /// waits for the child to exit; falls back to killing it when the
     /// drain cannot be delivered.
     pub fn stop(mut self) -> io::Result<()> {
-        let drained = TcpStream::connect(&self.addr).and_then(|mut s| {
-            s.set_write_timeout(Some(Duration::from_secs(2)))?;
-            s.set_read_timeout(Some(Duration::from_secs(2)))?;
-            let frame = wire::encode_frame(&Request::Shutdown)
-                .expect("Shutdown is a tiny fixed-size message");
-            s.write_all(&frame)?;
-            s.flush()?;
-            // Wait for the ack (or the server's close): closing our end
-            // immediately could RST the request away before it is read.
-            let _ = wire::read_message::<_, Response>(&mut s);
-            Ok(())
-        });
+        let drained = crate::tcp::TcpStore::new(self.addr.clone()).shutdown_server();
         if drained.is_err() {
             let _ = self.child.kill();
         }
@@ -789,10 +771,26 @@ mod tests {
         )])
     }
 
+    /// One request/response exchange on an open connection.
+    fn exchange(stream: &mut TcpStream, request: &Request) -> Response {
+        let mut frame = Vec::new();
+        wire::encode_frame_v2_into(&mut frame, 7, request).unwrap();
+        stream.write_all(&frame).unwrap();
+        let mut frames = wire::FrameBuffer::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(reply) = frames.next_frame::<Response>().unwrap() {
+                assert_eq!(reply.corr, 7, "a reply echoes its request's correlation id");
+                return reply.msg;
+            }
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "the server closed before answering");
+            frames.feed(&chunk[..n]);
+        }
+    }
+
     fn talk(addr: SocketAddr, request: &Request) -> Response {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        wire::write_message(&mut stream, request).unwrap();
-        wire::read_message(&mut stream).unwrap().expect("a response")
+        exchange(&mut TcpStream::connect(addr).unwrap(), request)
     }
 
     const T0: TenantId = TenantId::DEFAULT;
@@ -856,15 +854,13 @@ mod tests {
         let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         for task in 1..=5u64 {
-            wire::write_message(
-                &mut stream,
-                &Request::Publish { site: SiteId(task as u32), tenant: T0, snapshot: snap(task) },
-            )
-            .unwrap();
-            assert_eq!(
-                wire::read_message::<_, Response>(&mut stream).unwrap().unwrap(),
-                Response::Ok
-            );
+            let publish = Request::PublishFull {
+                site: SiteId(task as u32),
+                tenant: T0,
+                snapshot: snap(task),
+                version: 1,
+            };
+            assert_eq!(exchange(&mut stream, &publish), Response::Ok);
         }
         match talk(server.local_addr(), &Request::FetchAll { tenant: T0 }) {
             Response::View(view) => assert_eq!(view.len(), 5),
@@ -968,7 +964,10 @@ mod tests {
         let refused = TcpStream::connect(addr)
             .and_then(|mut s| {
                 s.set_read_timeout(Some(Duration::from_millis(200)))?;
-                s.write_all(&wire::encode_frame(&Request::FetchAll { tenant: T0 }).unwrap())?;
+                let mut frame = Vec::new();
+                wire::encode_frame_v2_into(&mut frame, 1, &Request::FetchAll { tenant: T0 })
+                    .unwrap();
+                s.write_all(&frame)?;
                 let mut byte = [0u8; 1];
                 match s.read(&mut byte) {
                     Ok(0) => Err(io::Error::new(io::ErrorKind::ConnectionReset, "closed")),
@@ -998,7 +997,15 @@ mod tests {
         assert_eq!(s.read(&mut buf).unwrap(), 0, "server must close on garbage");
         // The server survives and still serves valid peers.
         assert_eq!(
-            talk(addr, &Request::Publish { site: SiteId(0), tenant: T0, snapshot: snap(1) }),
+            talk(
+                addr,
+                &Request::PublishFull {
+                    site: SiteId(0),
+                    tenant: T0,
+                    snapshot: snap(1),
+                    version: 1
+                }
+            ),
             Response::Ok
         );
         assert!(server.protocol_errors() >= 2);
@@ -1027,10 +1034,11 @@ mod tests {
         assert!(matches!(
             talk(
                 addr,
-                &Request::Publish {
+                &Request::PublishFull {
                     site: SiteId(armus_core::MAX_SITE_TAG + 1),
                     tenant: T0,
-                    snapshot: snap(1)
+                    snapshot: snap(1),
+                    version: 1
                 }
             ),
             Response::Error(_)
@@ -1054,7 +1062,15 @@ mod tests {
             other => panic!("expected a view, got {other:?}"),
         }
         assert_eq!(
-            talk(addr, &Request::Publish { site: SiteId(0), tenant: T0, snapshot: snap(1) }),
+            talk(
+                addr,
+                &Request::PublishFull {
+                    site: SiteId(0),
+                    tenant: T0,
+                    snapshot: snap(1),
+                    version: 1
+                }
+            ),
             Response::Ok
         );
         server.shutdown();

@@ -567,7 +567,7 @@ mod tests {
     /// A store that is permanently down.
     struct DeadStore;
     impl Store for DeadStore {
-        fn publish(&self, _: SiteId, _: Snapshot) -> Result<(), StoreError> {
+        fn publish_full(&self, _: SiteId, _: Snapshot, _: u64) -> Result<(), StoreError> {
             Err(StoreError::Unavailable)
         }
         fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {

@@ -134,24 +134,16 @@ pub struct SiteStats {
 /// delta-based) and fetch-all. Tenant-agnostic by design — a handle is
 /// bound to one tenant namespace (see the module docs).
 pub trait Store: Send + Sync {
-    /// Replaces `site`'s partition of the global resource-dependency
-    /// (unversioned legacy path; a partition published this way always
-    /// NACKs subsequent delta publishes).
-    fn publish(&self, site: SiteId, partition: Snapshot) -> Result<(), StoreError>;
-
-    /// Replaces `site`'s partition and records `version` (the publisher's
-    /// journal cursor) so that subsequent [`Store::publish_deltas`] calls
-    /// can resume from it. The default forwards to [`Store::publish`],
-    /// discarding the version — correct for stores without delta support.
+    /// Replaces `site`'s partition of the global resource-dependency and
+    /// records `version` (the publisher's journal cursor) so that
+    /// subsequent [`Store::publish_deltas`] calls can resume from it. A
+    /// store without delta support may discard the version.
     fn publish_full(
         &self,
         site: SiteId,
         partition: Snapshot,
         version: u64,
-    ) -> Result<(), StoreError> {
-        let _ = version;
-        self.publish(site, partition)
-    }
+    ) -> Result<(), StoreError>;
 
     /// Applies the journal deltas covering versions `[base, next)` to
     /// `site`'s partition, provided the stored version equals `base`. The
@@ -185,16 +177,16 @@ pub trait Store: Send + Sync {
 }
 
 /// One site's stored partition: the blocked map, the journal version it is
-/// at (`None` for unversioned legacy publishes), and the instant of the
-/// last publish that touched it (the lease refresh time).
+/// at, and the instant of the last publish that touched it (the lease
+/// refresh time).
 struct Partition {
-    version: Option<u64>,
+    version: u64,
     tasks: HashMap<TaskId, BlockedInfo>,
     refreshed: Instant,
 }
 
 impl Partition {
-    fn from_snapshot(snapshot: Snapshot, version: Option<u64>) -> Partition {
+    fn from_snapshot(snapshot: Snapshot, version: u64) -> Partition {
         Partition {
             version,
             tasks: snapshot.tasks.into_iter().map(|b| (b.task, b)).collect(),
@@ -210,7 +202,7 @@ impl Partition {
 /// In-process store: the Redis stand-in.
 ///
 /// Optionally lease-based ([`MemStore::with_lease`]): every publish —
-/// full, legacy, or delta (empty heartbeat intervals included) — refreshes
+/// full or delta (empty heartbeat intervals included) — refreshes
 /// the publishing site's lease, and [`Store::fetch_all`] drops partitions
 /// whose lease has lapsed. A site that crashes (or is partitioned away)
 /// without removing its partition therefore stops contributing to the
@@ -287,17 +279,6 @@ impl MemStore {
         }
     }
 
-    /// Tenant-scoped [`Store::publish`].
-    pub fn publish_in(
-        &self,
-        tenant: TenantId,
-        site: SiteId,
-        partition: Snapshot,
-    ) -> Result<(), StoreError> {
-        self.partitions.lock().insert((tenant, site), Partition::from_snapshot(partition, None));
-        Ok(())
-    }
-
     /// Tenant-scoped [`Store::publish_full`].
     pub fn publish_full_in(
         &self,
@@ -306,9 +287,7 @@ impl MemStore {
         partition: Snapshot,
         version: u64,
     ) -> Result<(), StoreError> {
-        self.partitions
-            .lock()
-            .insert((tenant, site), Partition::from_snapshot(partition, Some(version)));
+        self.partitions.lock().insert((tenant, site), Partition::from_snapshot(partition, version));
         Ok(())
     }
 
@@ -325,7 +304,7 @@ impl MemStore {
         let Some(partition) = partitions.get_mut(&(tenant, site)) else {
             return Ok(DeltaAck::NeedSnapshot);
         };
-        if partition.version != Some(base) {
+        if partition.version != base {
             return Ok(DeltaAck::NeedSnapshot);
         }
         for delta in deltas {
@@ -338,7 +317,7 @@ impl MemStore {
                 }
             }
         }
-        partition.version = Some(next);
+        partition.version = next;
         partition.refreshed = Instant::now();
         Ok(DeltaAck::Applied)
     }
@@ -400,10 +379,6 @@ impl MemStore {
 }
 
 impl Store for MemStore {
-    fn publish(&self, site: SiteId, partition: Snapshot) -> Result<(), StoreError> {
-        self.publish_in(TenantId::DEFAULT, site, partition)
-    }
-
     fn publish_full(
         &self,
         site: SiteId,
@@ -507,12 +482,6 @@ impl<S: Store> FaultyStore<S> {
 }
 
 impl<S: Store> Store for FaultyStore<S> {
-    fn publish(&self, site: SiteId, partition: Snapshot) -> Result<(), StoreError> {
-        self.gate()?;
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        self.inner.publish(site, partition)
-    }
-
     fn publish_full(
         &self,
         site: SiteId,
@@ -571,9 +540,9 @@ mod tests {
     #[test]
     fn publish_replaces_partition() {
         let store = MemStore::new();
-        store.publish(SiteId(0), snap(1)).unwrap();
-        store.publish(SiteId(1), snap(2)).unwrap();
-        store.publish(SiteId(0), snap(3)).unwrap();
+        store.publish_full(SiteId(0), snap(1), 1).unwrap();
+        store.publish_full(SiteId(1), snap(2), 1).unwrap();
+        store.publish_full(SiteId(0), snap(3), 2).unwrap();
         let all = store.fetch_all().unwrap();
         assert_eq!(all.len(), 2);
         let s0 = &all.iter().find(|(s, _)| *s == SiteId(0)).unwrap().1;
@@ -583,7 +552,7 @@ mod tests {
     #[test]
     fn remove_drops_partition() {
         let store = MemStore::new();
-        store.publish(SiteId(0), snap(1)).unwrap();
+        store.publish_full(SiteId(0), snap(1), 1).unwrap();
         store.remove(SiteId(0)).unwrap();
         assert!(store.fetch_all().unwrap().is_empty());
     }
@@ -643,9 +612,9 @@ mod tests {
     #[test]
     fn faulty_store_rejects_during_outage() {
         let store = FaultyStore::new(MemStore::new());
-        store.publish(SiteId(0), snap(1)).unwrap();
+        store.publish_full(SiteId(0), snap(1), 1).unwrap();
         store.set_available(false);
-        assert_eq!(store.publish(SiteId(0), snap(2)), Err(StoreError::Unavailable));
+        assert_eq!(store.publish_full(SiteId(0), snap(2), 2), Err(StoreError::Unavailable));
         assert_eq!(store.fetch_all().unwrap_err(), StoreError::Unavailable);
         assert_eq!(store.rejected_count(), 2);
         store.set_available(true);
@@ -696,23 +665,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_publish_invalidates_the_delta_stream() {
-        let store = MemStore::new();
-        store.publish_full(SiteId(0), snap(1), 1).unwrap();
-        store.publish(SiteId(0), snap(2)).unwrap(); // unversioned replace
-        assert_eq!(
-            store.publish_deltas(SiteId(0), 1, &[Delta::Unblock(TaskId(2))], 2).unwrap(),
-            DeltaAck::NeedSnapshot
-        );
-    }
-
-    #[test]
     fn default_trait_impl_declines_deltas() {
         // A minimal store that only implements the required methods.
         struct SnapshotOnly(MemStore);
         impl Store for SnapshotOnly {
-            fn publish(&self, s: SiteId, p: Snapshot) -> Result<(), StoreError> {
-                self.0.publish(s, p)
+            fn publish_full(&self, s: SiteId, p: Snapshot, v: u64) -> Result<(), StoreError> {
+                self.0.publish_full(s, p, v)
             }
             fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
                 self.0.fetch_all()
@@ -771,8 +729,8 @@ mod tests {
     #[test]
     fn traffic_counters_count() {
         let store = FaultyStore::new(MemStore::new());
-        store.publish(SiteId(0), snap(1)).unwrap();
-        store.publish(SiteId(1), snap(2)).unwrap();
+        store.publish_full(SiteId(0), snap(1), 1).unwrap();
+        store.publish_full(SiteId(1), snap(2), 1).unwrap();
         store.fetch_all().unwrap();
         assert_eq!(store.publish_count(), 2);
         assert_eq!(store.fetch_count(), 1);

@@ -1,7 +1,7 @@
 //! [`TcpStore`]: the networked [`Store`] client — one multiplexed,
 //! pipelined connection shared by every site in the process.
 //!
-//! The client speaks the flat v2 [`crate::wire`] protocol. Three layers
+//! The client speaks the flat [`crate::wire`] protocol. Three layers
 //! close the gap to the in-process store:
 //!
 //! * **Batching** — operations append their encoded frame to a shared
@@ -19,15 +19,15 @@
 //!   [`crate::site::Site`]s concurrently; sharing the client via `Arc` is
 //!   the intended deployment shape, replacing connection-per-site.
 //!
-//! The failure model is unchanged from the ping-pong client: every
-//! transport failure — connect refusal, timeout, mid-frame hangup,
-//! protocol desync — maps onto [`StoreError::Unavailable`], the exact
-//! error the sites' publisher and checker loops already tolerate by
-//! skipping the round. When a connection dies, **every** in-flight and
-//! batched-but-unsent operation on it fails to `Unavailable`: the
-//! coalescer never drops a delta silently and never acknowledges one it
-//! cannot prove the server applied (the publisher's NACK/resync protocol
-//! recovers state, exercised by the chaos tests in `tests/net.rs`).
+//! The failure model is one error: every transport failure — connect
+//! refusal, timeout, mid-frame hangup, protocol desync — maps onto
+//! [`StoreError::Unavailable`], the exact error the sites' publisher and
+//! checker loops already tolerate by skipping the round. When a
+//! connection dies, **every** in-flight and batched-but-unsent operation
+//! on it fails to `Unavailable`: the coalescer never drops a delta
+//! silently and never acknowledges one it cannot prove the server applied
+//! (the publisher's NACK/resync protocol recovers state, exercised by the
+//! chaos tests in `tests/net.rs`).
 //! Reconnects are paced by a bounded exponential backoff: while the
 //! backoff window is open, operations fail fast instead of hammering a
 //! dead server with connect attempts every publish period.
@@ -739,14 +739,6 @@ impl Drop for TcpStore {
 }
 
 impl Store for TcpStore {
-    fn publish(&self, site: SiteId, partition: Snapshot) -> Result<(), StoreError> {
-        let request = Request::Publish { site, tenant: self.tenant, snapshot: partition };
-        match self.call(&request)? {
-            Response::Ok => Ok(()),
-            _ => Err(StoreError::Unavailable),
-        }
-    }
-
     fn publish_full(
         &self,
         site: SiteId,

@@ -1,66 +1,43 @@
 //! The store wire protocol: compact length-prefixed binary frames for the
 //! site ↔ `armus-stored` conversation.
 //!
-//! Every frame is `[u32 LE payload length][u8 version][…]`. Two payload
-//! versions coexist:
+//! Every frame is
+//! `[u32 LE payload length][u8 version = 2][u64 LE correlation id][u8 kind][flat body]`
+//! — a hand-rolled flat layout with fixed-width little-endian headers and
+//! contiguous arrays (no intermediate tree on either side, one pass each
+//! way). The correlation id lets many requests be in flight per
+//! connection: responses carry the id of the request they answer, so a
+//! demultiplexer ([`crate::tcp::TcpStore`]) can share one connection
+//! between many sites. Encoding appends into a caller-owned reused buffer
+//! ([`encode_frame_v2_into`]) so the hot publish path allocates nothing in
+//! steady state.
 //!
-//! * **v1** (legacy, strict ping-pong): the rest of the payload is a
-//!   binary encoding of the message's [`serde::Value`] tree — varint
-//!   (LEB128) integers and lengths, zigzag signed integers, raw IEEE
-//!   floats, length-prefixed strings. Framing through the serde tree
-//!   means every `Serialize`/`Deserialize` type ships unchanged.
-//! * **v2** (current, pipelined): the payload is
-//!   `[u8 version = 2][u64 LE correlation id][u8 kind][flat body]` — a
-//!   hand-rolled flat layout with fixed-width little-endian headers and
-//!   contiguous arrays (no intermediate `Value` tree on either side, one
-//!   pass each way). The correlation id lets many requests be in flight
-//!   per connection: responses carry the id of the request they answer,
-//!   so a demultiplexer ([`crate::tcp::TcpStore`]) can share one
-//!   connection between many sites. Encoding appends into a caller-owned
-//!   reused buffer ([`encode_frame_v2_into`]) so the hot publish path
-//!   allocates nothing in steady state.
-//!
-//! Version negotiation is per-frame: the server answers each frame in the
-//! version it arrived in, so v1 clients keep working against a v2 server
-//! (tested in `tests/wire_props.rs`).
-//!
-//! Decoding is **total** for both versions: truncated frames, oversized
-//! length prefixes ([`MAX_FRAME_LEN`]), unknown value tags/kinds, unknown
-//! message variants, hostile element counts and over-deep nesting all
-//! surface as [`WireError`]s — the server answers by closing the
-//! connection, never by panicking (see `tests/wire_props.rs`).
+//! Decoding is **total**: truncated frames, oversized length prefixes
+//! ([`MAX_FRAME_LEN`]), any other version byte, unknown kinds and tags,
+//! hostile element counts and trailing bytes all surface as
+//! [`WireError`]s — the server answers by closing the connection, never by
+//! panicking (see `tests/wire_props.rs`).
 
-use std::io::{self, Read, Write};
+use std::io;
 
 use armus_core::{
     BlockedInfo, CycleWitness, DeadlockReport, Delta, GraphModel, PhaserId, Resource, Snapshot,
     TaskId,
 };
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::store::{SiteId, SiteStats, TenantId};
 
-/// The legacy serde-Value-tree payload version (strict ping-pong, no
-/// correlation ids). Still accepted on decode; see the module docs.
-pub const WIRE_V1: u8 = 1;
-
-/// The flat pipelined payload version carrying correlation ids.
+/// The flat pipelined payload version carrying correlation ids — the one
+/// version this build speaks. A frame carrying any other version byte is
+/// rejected with [`WireError::Version`] (a new version changes the byte,
+/// so old peers fail cleanly instead of misparsing).
 pub const WIRE_V2: u8 = 2;
-
-/// Protocol version spoken by this build's clients. Frames carrying a
-/// version that is neither [`WIRE_V1`] nor [`WIRE_V2`] are rejected
-/// (forward compatibility: new versions change the byte, old peers fail
-/// cleanly instead of misparsing).
-pub const WIRE_VERSION: u8 = WIRE_V2;
 
 /// Upper bound on a frame's payload length. A length prefix beyond this is
 /// treated as malformed before any allocation happens, so a garbage or
 /// hostile peer cannot make the server reserve gigabytes.
 pub const MAX_FRAME_LEN: u32 = 32 * 1024 * 1024;
-
-/// Maximum [`Value`] nesting depth accepted by the decoder (the messages
-/// of this protocol are at most a handful of levels deep).
-const MAX_DEPTH: u32 = 64;
 
 /// Elements the decoder pre-reserves per container at most. Declared
 /// counts are peer-controlled; anything beyond this grows organically,
@@ -86,10 +63,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Io(e) => write!(f, "wire transport error: {e}"),
             WireError::Version(v) => {
-                write!(
-                    f,
-                    "unsupported wire version {v} (this build speaks v{WIRE_V1} and v{WIRE_V2})"
-                )
+                write!(f, "unsupported wire version {v} (this build speaks v{WIRE_V2})")
             }
             WireError::Malformed(m) => write!(f, "malformed wire frame: {m}"),
         }
@@ -113,17 +87,8 @@ fn malformed(msg: impl Into<String>) -> WireError {
 /// A client → server message: the [`crate::store::Store`] operations —
 /// every data-path op tagged with the caller's [`TenantId`] namespace —
 /// plus the observability ops and the administrative drain command.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// [`crate::store::Store::publish`] (legacy unversioned replace).
-    Publish {
-        /// Publishing site.
-        site: SiteId,
-        /// The caller's namespace.
-        tenant: TenantId,
-        /// Replacement partition.
-        snapshot: Snapshot,
-    },
     /// [`crate::store::Store::publish_full`].
     PublishFull {
         /// Publishing site.
@@ -192,7 +157,7 @@ pub enum Request {
 }
 
 /// A server → client message.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// The operation succeeded with nothing to return.
     Ok,
@@ -234,8 +199,7 @@ impl TenantMetrics {
     }
 }
 
-/// The server's observability snapshot, answered to [`Request::Metrics`]
-/// over either wire version.
+/// The server's observability snapshot, answered to [`Request::Metrics`].
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServerMetrics {
     /// Requests served since the server started.
@@ -246,7 +210,7 @@ pub struct ServerMetrics {
     pub live_connections: u64,
     /// Subscriptions currently live (across all tenants).
     pub subscribers: u64,
-    /// Full-snapshot publishes served (legacy + versioned).
+    /// Full-snapshot publishes served.
     pub publishes: u64,
     /// Delta publishes served.
     pub delta_publishes: u64,
@@ -265,253 +229,7 @@ pub struct ServerMetrics {
     pub sites: Vec<(TenantId, SiteId, SiteStats)>,
 }
 
-// --- varints ---------------------------------------------------------------
-
-fn put_varint(mut n: u64, out: &mut Vec<u8>) {
-    loop {
-        let byte = (n & 0x7f) as u8;
-        n >>= 7;
-        if n == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &mut &[u8]) -> Result<u64, WireError> {
-    let mut n: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        let (&byte, rest) = buf.split_first().ok_or_else(|| malformed("truncated varint"))?;
-        *buf = rest;
-        n |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            // Reject non-canonical overlong encodings at the top limb.
-            if shift == 63 && byte > 1 {
-                return Err(malformed("varint overflows u64"));
-            }
-            return Ok(n);
-        }
-    }
-    Err(malformed("varint longer than 10 bytes"))
-}
-
-fn zigzag(n: i64) -> u64 {
-    ((n << 1) ^ (n >> 63)) as u64
-}
-
-fn unzigzag(n: u64) -> i64 {
-    ((n >> 1) as i64) ^ -((n & 1) as i64)
-}
-
-// --- value codec -----------------------------------------------------------
-
-const TAG_NULL: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
-const TAG_UINT: u8 = 3;
-const TAG_INT: u8 = 4;
-const TAG_FLOAT: u8 = 5;
-const TAG_STR: u8 = 6;
-const TAG_SEQ: u8 = 7;
-const TAG_MAP: u8 = 8;
-
-fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::UInt(n) => {
-            out.push(TAG_UINT);
-            put_varint(*n, out);
-        }
-        Value::Int(n) => {
-            out.push(TAG_INT);
-            put_varint(zigzag(*n), out);
-        }
-        Value::Float(x) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            put_varint(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            put_varint(items.len() as u64, out);
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            put_varint(entries.len() as u64, out);
-            for (key, item) in entries {
-                put_varint(key.len() as u64, out);
-                out.extend_from_slice(key.as_bytes());
-                encode_value(item, out);
-            }
-        }
-    }
-}
-
-/// Reads a declared element count, rejecting counts that could not
-/// possibly fit in the remaining bytes (each element takes ≥ 1 byte), so
-/// a malicious count cannot drive a huge up-front allocation.
-fn get_count(buf: &mut &[u8], what: &str) -> Result<usize, WireError> {
-    let n = get_varint(buf)?;
-    if n > buf.len() as u64 {
-        return Err(malformed(format!("{what} count {n} exceeds remaining {} bytes", buf.len())));
-    }
-    Ok(n as usize)
-}
-
-fn get_str(buf: &mut &[u8], what: &str) -> Result<String, WireError> {
-    let len = get_count(buf, what)?;
-    let (bytes, rest) = buf.split_at(len);
-    *buf = rest;
-    String::from_utf8(bytes.to_vec()).map_err(|_| malformed(format!("{what} is not UTF-8")))
-}
-
-fn decode_value(buf: &mut &[u8], depth: u32) -> Result<Value, WireError> {
-    if depth > MAX_DEPTH {
-        return Err(malformed("value nesting exceeds the protocol depth limit"));
-    }
-    let (&tag, rest) = buf.split_first().ok_or_else(|| malformed("truncated value tag"))?;
-    *buf = rest;
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_UINT => Ok(Value::UInt(get_varint(buf)?)),
-        TAG_INT => Ok(Value::Int(unzigzag(get_varint(buf)?))),
-        TAG_FLOAT => {
-            if buf.len() < 8 {
-                return Err(malformed("truncated float"));
-            }
-            let (bytes, rest) = buf.split_at(8);
-            *buf = rest;
-            Ok(Value::Float(f64::from_bits(u64::from_le_bytes(bytes.try_into().unwrap()))))
-        }
-        TAG_STR => Ok(Value::Str(get_str(buf, "string")?)),
-        TAG_SEQ => {
-            let count = get_count(buf, "sequence")?;
-            // Pre-reserve only a bounded prefix: a declared count is
-            // attacker-controlled, and `count × size_of::<Value>()` can
-            // dwarf the frame itself. Growth past the cap is amortised.
-            let mut items = Vec::with_capacity(count.min(PREALLOC_CAP));
-            for _ in 0..count {
-                items.push(decode_value(buf, depth + 1)?);
-            }
-            Ok(Value::Seq(items))
-        }
-        TAG_MAP => {
-            let count = get_count(buf, "map")?;
-            let mut entries = Vec::with_capacity(count.min(PREALLOC_CAP));
-            for _ in 0..count {
-                let key = get_str(buf, "map key")?;
-                entries.push((key, decode_value(buf, depth + 1)?));
-            }
-            Ok(Value::Map(entries))
-        }
-        other => Err(malformed(format!("unknown value tag {other}"))),
-    }
-}
-
-// --- framing ---------------------------------------------------------------
-
-/// Encodes `message` into one complete **v1** frame (length prefix
-/// included). Fails with [`WireError::Malformed`] when the encoding
-/// exceeds [`MAX_FRAME_LEN`] — a frame no receiver would accept must not
-/// be sent (the sender would otherwise desync every peer, forever, in
-/// release builds too).
-pub fn encode_frame<T: Serialize>(message: &T) -> Result<Vec<u8>, WireError> {
-    let mut payload = vec![WIRE_V1];
-    encode_value(&message.to_value(), &mut payload);
-    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
-        return Err(malformed(format!(
-            "message encodes to {} bytes, over MAX_FRAME_LEN",
-            payload.len()
-        )));
-    }
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    Ok(frame)
-}
-
-/// Decodes a **v1** frame payload (version byte + body, the length prefix
-/// already stripped) into a message. This is the strict-v1 entry point
-/// used by legacy ping-pong peers; version-negotiating receivers go
-/// through [`decode_frame_payload`] instead.
-pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, WireError> {
-    let (&version, body) = payload.split_first().ok_or_else(|| malformed("empty frame payload"))?;
-    if version != WIRE_V1 {
-        return Err(WireError::Version(version));
-    }
-    let mut rest = body;
-    let value = decode_value(&mut rest, 0)?;
-    if !rest.is_empty() {
-        return Err(malformed(format!("{} trailing bytes after value", rest.len())));
-    }
-    T::from_value(&value).map_err(|e| malformed(e.to_string()))
-}
-
-/// Writes one frame to `w` and flushes it.
-pub fn write_message<W: Write, T: Serialize>(w: &mut W, message: &T) -> Result<(), WireError> {
-    w.write_all(&encode_frame(message)?)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads one frame from `r`. Returns `Ok(None)` on a clean end of stream
-/// (EOF at a frame boundary); EOF mid-frame is an [`WireError::Io`]
-/// error, an oversized length prefix a [`WireError::Malformed`] one.
-pub fn read_message<R: Read, T: Deserialize>(r: &mut R) -> Result<Option<T>, WireError> {
-    let mut len_bytes = [0u8; 4];
-    match read_exact_or_eof(r, &mut len_bytes)? {
-        ReadOutcome::Eof => return Ok(None),
-        ReadOutcome::Filled => {}
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(malformed(format!("length prefix {len} exceeds MAX_FRAME_LEN")));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    decode_payload(&payload).map(Some)
-}
-
-enum ReadOutcome {
-    Filled,
-    Eof,
-}
-
-/// `read_exact`, except an EOF *before the first byte* is reported as
-/// [`ReadOutcome::Eof`] (a peer hanging up between frames) rather than an
-/// error; EOF after a partial read stays an error (a truncated frame).
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<ReadOutcome, WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(ReadOutcome::Eof),
-            Ok(0) => {
-                return Err(WireError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside a frame",
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(ReadOutcome::Filled)
-}
-
-// --- flat v2 codec ---------------------------------------------------------
+// --- flat codec ------------------------------------------------------------
 
 /// Flat fixed-width byte size of a `Resource` / `Registration`: two
 /// little-endian `u64`s.
@@ -548,9 +266,8 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
 }
 
 /// Reads a flat element count, rejecting counts whose minimum encoding
-/// could not fit in the remaining bytes — the flat-layout analogue of
-/// [`get_count`], so a hostile count cannot drive a huge up-front
-/// allocation.
+/// could not fit in the remaining bytes, so a hostile count cannot drive a
+/// huge up-front allocation.
 fn take_flat_count(buf: &mut &[u8], min_element: usize, what: &str) -> Result<usize, WireError> {
     let n = take_u32(buf)?;
     if u64::from(n) * (min_element as u64) > buf.len() as u64 {
@@ -655,7 +372,8 @@ fn take_deltas(buf: &mut &[u8]) -> Result<Vec<Delta>, WireError> {
     Ok(deltas)
 }
 
-const REQ_PUBLISH: u8 = 0;
+// Request kind 0 was the unversioned publish: it stays reserved (and
+// decodes as malformed) so the other kinds keep their numbers.
 const REQ_PUBLISH_FULL: u8 = 1;
 const REQ_PUBLISH_DELTAS: u8 = 2;
 const REQ_FETCH_ALL: u8 = 3;
@@ -862,7 +580,7 @@ fn take_report(buf: &mut &[u8]) -> Result<DeadlockReport, WireError> {
     Ok(DeadlockReport { tasks, resources, model, witness, task_epochs })
 }
 
-/// A message with a hand-rolled flat v2 body: one kind byte followed by
+/// A message with a hand-rolled flat body: one kind byte followed by
 /// fixed-width little-endian fields and contiguous arrays. Implemented by
 /// [`Request`] and [`Response`]; see the module docs for the layout.
 pub trait FlatMessage: Sized {
@@ -875,12 +593,6 @@ pub trait FlatMessage: Sized {
 impl FlatMessage for Request {
     fn encode_flat(&self, out: &mut Vec<u8>) {
         match self {
-            Request::Publish { site, tenant, snapshot } => {
-                out.push(REQ_PUBLISH);
-                out.extend_from_slice(&site.0.to_le_bytes());
-                out.extend_from_slice(&tenant.0.to_le_bytes());
-                put_snapshot(snapshot, out);
-            }
             Request::PublishFull { site, tenant, snapshot, version } => {
                 out.push(REQ_PUBLISH_FULL);
                 out.extend_from_slice(&site.0.to_le_bytes());
@@ -922,11 +634,6 @@ impl FlatMessage for Request {
 
     fn decode_flat(buf: &mut &[u8]) -> Result<Request, WireError> {
         Ok(match take_u8(buf)? {
-            REQ_PUBLISH => {
-                let site = SiteId(take_u32(buf)?);
-                let tenant = TenantId(take_u32(buf)?);
-                Request::Publish { site, tenant, snapshot: take_snapshot(buf)? }
-            }
             REQ_PUBLISH_FULL => {
                 let site = SiteId(take_u32(buf)?);
                 let tenant = TenantId(take_u32(buf)?);
@@ -1014,20 +721,17 @@ impl FlatMessage for Response {
 
 // --- pipelined framing -----------------------------------------------------
 
-/// A decoded frame: the message plus the wire metadata a pipelining peer
-/// needs to answer it — the correlation id to echo and the version to
-/// answer in. v1 frames decode with `corr == 0`.
+/// A decoded frame: the message plus the correlation id a pipelining
+/// peer echoes when it answers.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Frame<T> {
-    /// Payload version the frame arrived in ([`WIRE_V1`] or [`WIRE_V2`]).
-    pub version: u8,
-    /// Correlation id (0 for v1 frames, which are strictly ping-pong).
+    /// Correlation id.
     pub corr: u64,
     /// The decoded message.
     pub msg: T,
 }
 
-/// Appends one complete **v2** frame (length prefix included) for `msg`
+/// Appends one complete frame (length prefix included) for `msg`
 /// to `out`, tagged with correlation id `corr`. Appending to a
 /// caller-owned buffer is what lets the write-side coalescer pack many
 /// frames into one flush without allocating per frame. On overflow the
@@ -1054,35 +758,20 @@ pub fn encode_frame_v2_into<T: FlatMessage>(
     Ok(())
 }
 
-/// Decodes a frame payload of **either** version (the length prefix
-/// already stripped): v2 payloads through the flat codec, v1 payloads
-/// through the serde-Value tree (with `corr = 0`). Any other version is a
-/// clean [`WireError::Version`].
-pub fn decode_frame_payload<T: FlatMessage + Deserialize>(
-    payload: &[u8],
-) -> Result<Frame<T>, WireError> {
-    let (&version, body) = payload.split_first().ok_or_else(|| malformed("empty frame payload"))?;
-    match version {
-        WIRE_V1 => {
-            let mut rest = body;
-            let value = decode_value(&mut rest, 0)?;
-            if !rest.is_empty() {
-                return Err(malformed(format!("{} trailing bytes after value", rest.len())));
-            }
-            let msg = T::from_value(&value).map_err(|e| malformed(e.to_string()))?;
-            Ok(Frame { version, corr: 0, msg })
-        }
-        WIRE_V2 => {
-            let mut rest = body;
-            let corr = take_u64(&mut rest)?;
-            let msg = T::decode_flat(&mut rest)?;
-            if !rest.is_empty() {
-                return Err(malformed(format!("{} trailing bytes after flat body", rest.len())));
-            }
-            Ok(Frame { version, corr, msg })
-        }
-        other => Err(WireError::Version(other)),
+/// Decodes a frame payload (the length prefix already stripped). Any
+/// version byte other than [`WIRE_V2`] is a clean [`WireError::Version`].
+pub fn decode_frame_payload<T: FlatMessage>(payload: &[u8]) -> Result<Frame<T>, WireError> {
+    let (&version, mut rest) =
+        payload.split_first().ok_or_else(|| malformed("empty frame payload"))?;
+    if version != WIRE_V2 {
+        return Err(WireError::Version(version));
     }
+    let corr = take_u64(&mut rest)?;
+    let msg = T::decode_flat(&mut rest)?;
+    if !rest.is_empty() {
+        return Err(malformed(format!("{} trailing bytes after flat body", rest.len())));
+    }
+    Ok(Frame { corr, msg })
 }
 
 /// Incremental frame extraction over a byte stream: feed raw reads in,
@@ -1121,9 +810,7 @@ impl FrameBuffer {
     /// needed. Errors (oversized prefix, undecodable payload) are
     /// unrecoverable for the connection — there is no resync point
     /// mid-stream.
-    pub fn next_frame<T: FlatMessage + Deserialize>(
-        &mut self,
-    ) -> Result<Option<Frame<T>>, WireError> {
+    pub fn next_frame<T: FlatMessage>(&mut self) -> Result<Option<Frame<T>>, WireError> {
         let avail = &self.buf[self.start..];
         if avail.len() < 4 {
             return Ok(None);
@@ -1209,142 +896,30 @@ mod tests {
         }
     }
 
-    fn roundtrip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(msg: &T) {
-        let frame = encode_frame(msg).expect("bounded test message");
-        let mut cursor = io::Cursor::new(frame);
-        let back: T = read_message(&mut cursor).unwrap().expect("one frame");
-        assert_eq!(&back, msg);
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        roundtrip(&Request::Publish { site: SiteId(0), tenant: TenantId(2), snapshot: snap() });
-        roundtrip(&Request::PublishFull {
-            site: SiteId(7),
-            tenant: TenantId::DEFAULT,
-            snapshot: snap(),
-            version: 42,
-        });
-        roundtrip(&Request::PublishDeltas {
-            site: SiteId(1),
-            tenant: TenantId(3),
-            base: 5,
-            deltas: vec![Delta::Block(snap().tasks[0].clone()), Delta::Unblock(TaskId(9))],
-            next: 7,
-        });
-        roundtrip(&Request::FetchAll { tenant: TenantId(4) });
-        roundtrip(&Request::Remove { site: SiteId(3), tenant: TenantId(1) });
-        roundtrip(&Request::Shutdown);
-        roundtrip(&Request::Metrics);
-        roundtrip(&Request::Subscribe { tenant: TenantId(5) });
-        roundtrip(&Request::PublishStats { site: SiteId(2), tenant: TenantId(1), stats: stats() });
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        roundtrip(&Response::Ok);
-        roundtrip(&Response::Applied);
-        roundtrip(&Response::NeedSnapshot);
-        roundtrip(&Response::View(vec![(SiteId(0), snap()), (SiteId(1), Snapshot::empty())]));
-        roundtrip(&Response::Error("partition store on fire".into()));
-        roundtrip(&Response::Metrics(metrics()));
-        roundtrip(&Response::Metrics(ServerMetrics::default()));
-        roundtrip(&Response::Subscribed);
-        roundtrip(&Response::Report(report(CycleWitness::Tasks(vec![
-            TaskId(1),
-            TaskId(2),
-            TaskId(1),
-        ]))));
-        roundtrip(&Response::Report(report(CycleWitness::Resources(vec![Resource::new(
-            PhaserId(1),
-            1,
-        )]))));
-    }
-
-    #[test]
-    fn varints_round_trip_at_the_edges() {
-        for n in [0u64, 1, 127, 128, 16383, 16384, u64::MAX - 1, u64::MAX] {
-            let mut out = Vec::new();
-            put_varint(n, &mut out);
-            let mut buf = out.as_slice();
-            assert_eq!(get_varint(&mut buf).unwrap(), n);
-            assert!(buf.is_empty());
-        }
-        for n in [0i64, 1, -1, i64::MIN, i64::MAX] {
-            assert_eq!(unzigzag(zigzag(n)), n);
-        }
-    }
-
-    #[test]
-    fn clean_eof_is_not_an_error() {
-        let mut empty = io::Cursor::new(Vec::<u8>::new());
-        assert!(matches!(read_message::<_, Request>(&mut empty), Ok(None)));
-    }
-
-    #[test]
-    fn truncated_frame_is_an_io_error() {
-        let mut frame = encode_frame(&Request::FetchAll { tenant: TenantId::DEFAULT }).unwrap();
-        frame.truncate(frame.len() - 1);
-        let mut cursor = io::Cursor::new(frame);
-        assert!(matches!(read_message::<_, Request>(&mut cursor), Err(WireError::Io(_))));
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_before_allocating() {
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        let mut cursor = io::Cursor::new(frame);
-        assert!(matches!(read_message::<_, Request>(&mut cursor), Err(WireError::Malformed(_))));
-    }
-
-    #[test]
-    fn future_versions_are_rejected_cleanly() {
-        let mut frame = encode_frame(&Request::FetchAll { tenant: TenantId::DEFAULT }).unwrap();
-        frame[4] = WIRE_VERSION + 1; // the version byte follows the length
-        let mut cursor = io::Cursor::new(frame);
-        assert!(matches!(
-            read_message::<_, Request>(&mut cursor),
-            Err(WireError::Version(v)) if v == WIRE_VERSION + 1
-        ));
-    }
-
-    #[test]
-    fn unknown_message_variants_are_malformed_not_panics() {
-        let rogue = Value::Map(vec![("LaunchMissiles".into(), Value::UInt(1))]);
-        let mut payload = vec![WIRE_V1];
-        encode_value(&rogue, &mut payload);
-        assert!(matches!(decode_payload::<Request>(&payload), Err(WireError::Malformed(_))));
-    }
-
-    #[test]
-    fn hostile_counts_do_not_allocate() {
-        // A sequence claiming u64::MAX elements in a 3-byte body.
-        let mut payload = vec![WIRE_V1, TAG_SEQ];
-        put_varint(u64::MAX, &mut payload);
-        assert!(matches!(decode_payload::<Request>(&payload), Err(WireError::Malformed(_))));
-    }
-
-    fn v2_roundtrip<T: FlatMessage + Deserialize + PartialEq + std::fmt::Debug>(
-        corr: u64,
-        msg: &T,
-    ) {
+    /// One frame through the streaming entry point: encode, feed, extract.
+    fn roundtrip<T: FlatMessage + Clone + PartialEq + std::fmt::Debug>(corr: u64, msg: &T) {
         let mut out = Vec::new();
         encode_frame_v2_into(&mut out, corr, msg).unwrap();
         let len = u32::from_le_bytes(out[..4].try_into().unwrap()) as usize;
         assert_eq!(len + 4, out.len(), "one exact frame");
-        let frame: Frame<T> = decode_frame_payload(&out[4..]).unwrap();
-        assert_eq!(frame.version, WIRE_V2);
-        assert_eq!(frame.corr, corr);
-        assert_eq!(&frame.msg, msg);
+        let mut fb = FrameBuffer::new();
+        fb.feed(&out);
+        assert_eq!(fb.next_frame::<T>().unwrap(), Some(Frame { corr, msg: msg.clone() }));
+        assert!(!fb.has_partial());
+    }
+
+    /// A payload (no length prefix) with the given version, correlation id
+    /// 0, and `body` as kind byte + flat body.
+    fn payload(version: u8, body: &[u8]) -> Vec<u8> {
+        let mut payload = vec![version];
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.extend_from_slice(body);
+        payload
     }
 
     #[test]
-    fn flat_frames_round_trip_with_correlation_ids() {
-        v2_roundtrip(
-            0,
-            &Request::Publish { site: SiteId(0), tenant: TenantId(6), snapshot: snap() },
-        );
-        v2_roundtrip(
+    fn requests_round_trip() {
+        roundtrip(
             1,
             &Request::PublishFull {
                 site: SiteId(7),
@@ -1353,45 +928,155 @@ mod tests {
                 version: 42,
             },
         );
-        v2_roundtrip(
-            u64::MAX,
+        roundtrip(
+            2,
             &Request::PublishDeltas {
                 site: SiteId(1),
-                tenant: TenantId(2),
+                tenant: TenantId(3),
                 base: 5,
                 deltas: vec![Delta::Block(snap().tasks[0].clone()), Delta::Unblock(TaskId(9))],
                 next: 7,
             },
         );
-        v2_roundtrip(3, &Request::FetchAll { tenant: TenantId(1) });
-        v2_roundtrip(4, &Request::Remove { site: SiteId(3), tenant: TenantId(8) });
-        v2_roundtrip(5, &Request::Shutdown);
-        v2_roundtrip(51, &Request::Metrics);
-        v2_roundtrip(52, &Request::Subscribe { tenant: TenantId(7) });
-        v2_roundtrip(
-            53,
-            &Request::PublishStats { site: SiteId(1), tenant: TenantId(7), stats: stats() },
+        roundtrip(3, &Request::FetchAll { tenant: TenantId(4) });
+        roundtrip(4, &Request::Remove { site: SiteId(3), tenant: TenantId(1) });
+        roundtrip(5, &Request::Shutdown);
+        roundtrip(6, &Request::Metrics);
+        roundtrip(7, &Request::Subscribe { tenant: TenantId(5) });
+        roundtrip(
+            8,
+            &Request::PublishStats { site: SiteId(2), tenant: TenantId(1), stats: stats() },
         );
-        v2_roundtrip(6, &Response::Ok);
-        v2_roundtrip(7, &Response::Applied);
-        v2_roundtrip(8, &Response::NeedSnapshot);
-        v2_roundtrip(9, &Response::View(vec![(SiteId(0), snap()), (SiteId(1), Snapshot::empty())]));
-        v2_roundtrip(10, &Response::Error("partition store on fire".into()));
-        v2_roundtrip(11, &Response::Metrics(metrics()));
-        v2_roundtrip(12, &Response::Metrics(ServerMetrics::default()));
-        v2_roundtrip(13, &Response::Subscribed);
-        v2_roundtrip(
-            14,
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        roundtrip(1, &Response::Ok);
+        roundtrip(2, &Response::Applied);
+        roundtrip(3, &Response::NeedSnapshot);
+        roundtrip(4, &Response::View(vec![(SiteId(0), snap()), (SiteId(1), Snapshot::empty())]));
+        roundtrip(5, &Response::Error("partition store on fire".into()));
+        roundtrip(6, &Response::Metrics(metrics()));
+        roundtrip(7, &Response::Metrics(ServerMetrics::default()));
+        roundtrip(8, &Response::Subscribed);
+        roundtrip(
+            9,
             &Response::Report(report(CycleWitness::Tasks(vec![TaskId(1), TaskId(2), TaskId(1)]))),
         );
-        v2_roundtrip(
-            15,
+        roundtrip(
+            10,
             &Response::Report(report(CycleWitness::Resources(vec![
                 Resource::new(PhaserId(1), 1),
                 Resource::new(PhaserId(2), 0),
                 Resource::new(PhaserId(1), 1),
             ]))),
         );
+    }
+
+    #[test]
+    fn flat_frames_round_trip_with_correlation_ids() {
+        // The id is opaque to the codec: every value, the extremes
+        // included, comes back on the frame it went out on.
+        for corr in [0, 1, 0x0102_0304_0506_0708, u64::MAX] {
+            let mut out = Vec::new();
+            encode_frame_v2_into(&mut out, corr, &Request::FetchAll { tenant: TenantId(1) })
+                .unwrap();
+            let request: Frame<Request> = decode_frame_payload(&out[4..]).unwrap();
+            assert_eq!(request, Frame { corr, msg: Request::FetchAll { tenant: TenantId(1) } });
+            out.clear();
+            encode_frame_v2_into(&mut out, corr, &Response::Applied).unwrap();
+            let response: Frame<Response> = decode_frame_payload(&out[4..]).unwrap();
+            assert_eq!(response, Frame { corr, msg: Response::Applied });
+        }
+    }
+
+    #[test]
+    fn oversized_length_prefix_is_rejected_before_allocating() {
+        let mut fb = FrameBuffer::new();
+        fb.feed(&u32::MAX.to_le_bytes());
+        assert!(matches!(fb.next_frame::<Request>(), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn future_versions_are_rejected_cleanly() {
+        let mut frame = Vec::new();
+        encode_frame_v2_into(&mut frame, 1, &Request::FetchAll { tenant: TenantId::DEFAULT })
+            .unwrap();
+        frame[4] = WIRE_V2 + 1; // the version byte follows the length
+        let mut fb = FrameBuffer::new();
+        fb.feed(&frame);
+        assert!(matches!(
+            fb.next_frame::<Request>(),
+            Err(WireError::Version(v)) if v == WIRE_V2 + 1
+        ));
+    }
+
+    #[test]
+    fn legacy_v1_frames_are_rejected_with_their_version() {
+        // A well-formed frame of the retired serde-tree protocol, written
+        // out by hand (its encoder is gone): version 1, then the unit
+        // variant `Request::Shutdown` as a tagged string — tag 6, varint
+        // length 8, "Shutdown". A peer still speaking it must be told so,
+        // not misparsed as a flat frame.
+        let mut frame = 11u32.to_le_bytes().to_vec();
+        frame.extend_from_slice(&[1, 6, 8]);
+        frame.extend_from_slice(b"Shutdown");
+        assert!(matches!(decode_frame_payload::<Request>(&frame[4..]), Err(WireError::Version(1))));
+        let mut fb = FrameBuffer::new();
+        fb.feed(&frame);
+        assert!(matches!(fb.next_frame::<Request>(), Err(WireError::Version(1))));
+    }
+
+    #[test]
+    fn unknown_message_variants_are_malformed_not_panics() {
+        // Every kind byte without a message behind it — 0, the retired
+        // unversioned publish, included — is malformed for that direction.
+        for kind in (0..=u8::MAX).filter(|k| !(REQ_PUBLISH_FULL..=REQ_PUBLISH_STATS).contains(k)) {
+            assert!(
+                matches!(
+                    decode_frame_payload::<Request>(&payload(WIRE_V2, &[kind])),
+                    Err(WireError::Malformed(_))
+                ),
+                "request kind {kind}"
+            );
+        }
+        for kind in RESP_REPORT + 1..=u8::MAX {
+            assert!(
+                matches!(
+                    decode_frame_payload::<Response>(&payload(WIRE_V2, &[kind])),
+                    Err(WireError::Malformed(_))
+                ),
+                "response kind {kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_counts_do_not_allocate() {
+        // Each declared count is peer-controlled; one claiming u32::MAX
+        // elements in a body that holds none must be refused up front.
+        let max = u32::MAX.to_le_bytes();
+        // A PublishFull whose snapshot claims u32::MAX tasks.
+        let mut publish = vec![REQ_PUBLISH_FULL];
+        publish.extend_from_slice(&[0; 4 + 4 + 8]); // site, tenant, version
+        publish.extend_from_slice(&max);
+        assert!(matches!(
+            decode_frame_payload::<Request>(&payload(WIRE_V2, &publish)),
+            Err(WireError::Malformed(_))
+        ));
+        // A View claiming u32::MAX partitions, an Error claiming a
+        // u32::MAX-byte message, a Report claiming u32::MAX tasks.
+        for kind in [RESP_VIEW, RESP_ERROR, RESP_REPORT] {
+            let mut body = vec![kind];
+            body.extend_from_slice(&max);
+            assert!(
+                matches!(
+                    decode_frame_payload::<Response>(&payload(WIRE_V2, &body)),
+                    Err(WireError::Malformed(_))
+                ),
+                "response kind {kind}"
+            );
+        }
     }
 
     #[test]
@@ -1461,8 +1146,7 @@ mod tests {
             &Request::Remove { site: SiteId(2), tenant: TenantId(4) },
         )
         .unwrap();
-        let mut tail = encode_frame(&Request::Shutdown).unwrap(); // a v1 straggler
-        wire_bytes.append(&mut tail);
+        encode_frame_v2_into(&mut wire_bytes, 13, &Request::Shutdown).unwrap();
 
         let mut fb = FrameBuffer::new();
         // Feed in awkward 7-byte chunks: frames must come out whole anyway.
@@ -1475,25 +1159,12 @@ mod tests {
         }
         assert!(!fb.has_partial());
         assert_eq!(got.len(), 3);
+        assert_eq!(got[0], Frame { corr: 11, msg: Request::FetchAll { tenant: TenantId(4) } });
         assert_eq!(
-            (got[0].version, got[0].corr, got[0].msg.clone()),
-            (WIRE_V2, 11, Request::FetchAll { tenant: TenantId(4) })
+            got[1],
+            Frame { corr: 12, msg: Request::Remove { site: SiteId(2), tenant: TenantId(4) } }
         );
-        assert_eq!(
-            (got[1].version, got[1].corr, got[1].msg.clone()),
-            (WIRE_V2, 12, Request::Remove { site: SiteId(2), tenant: TenantId(4) })
-        );
-        assert_eq!(
-            (got[2].version, got[2].corr, got[2].msg.clone()),
-            (WIRE_V1, 0, Request::Shutdown)
-        );
-    }
-
-    #[test]
-    fn v1_payloads_decode_through_the_negotiating_entry_point() {
-        let frame = encode_frame(&Response::Applied).unwrap();
-        let decoded: Frame<Response> = decode_frame_payload(&frame[4..]).unwrap();
-        assert_eq!(decoded, Frame { version: WIRE_V1, corr: 0, msg: Response::Applied });
+        assert_eq!(got[2], Frame { corr: 13, msg: Request::Shutdown });
     }
 
     #[test]
@@ -1532,25 +1203,21 @@ mod tests {
 
     #[test]
     fn unknown_versions_are_rejected_by_both_entry_points() {
-        let payload = [WIRE_V2 + 1, 0, 0, 0];
-        assert!(matches!(
-            decode_frame_payload::<Request>(&payload),
-            Err(WireError::Version(v)) if v == WIRE_V2 + 1
-        ));
-        assert!(matches!(
-            decode_payload::<Request>(&payload),
-            Err(WireError::Version(v)) if v == WIRE_V2 + 1
-        ));
-    }
-
-    #[test]
-    fn over_deep_nesting_is_rejected() {
-        let mut payload = vec![WIRE_V1];
-        for _ in 0..(MAX_DEPTH + 8) {
-            payload.push(TAG_SEQ);
-            payload.push(1); // one element each level
+        // `decode_frame_payload` on a bare payload, `FrameBuffer` on the
+        // framed stream: both name the offending version byte.
+        for version in [0, 0x7f, u8::MAX] {
+            let payload = payload(version, &[REQ_SHUTDOWN]);
+            assert!(matches!(
+                decode_frame_payload::<Request>(&payload),
+                Err(WireError::Version(v)) if v == version
+            ));
+            let mut fb = FrameBuffer::new();
+            fb.feed(&(payload.len() as u32).to_le_bytes());
+            fb.feed(&payload);
+            assert!(matches!(
+                fb.next_frame::<Request>(),
+                Err(WireError::Version(v)) if v == version
+            ));
         }
-        payload.push(TAG_NULL);
-        assert!(matches!(decode_payload::<Value>(&payload), Err(WireError::Malformed(_))));
     }
 }

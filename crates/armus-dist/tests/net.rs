@@ -283,39 +283,29 @@ fn multiplexed_sites_match_dedicated_connections_and_memstore() {
 }
 
 #[test]
-fn v1_client_against_v2_server_still_round_trips() {
-    // A legacy ping-pong client: raw v1 frames, one at a time, no
-    // correlation ids. The pipelined server must answer each in v1.
+fn legacy_v1_frames_close_the_connection_and_are_not_served() {
+    // A peer still speaking the retired serde-tree protocol: a well-formed
+    // v1 `Shutdown`, written out by hand (version 1, string tag 6, varint
+    // length 8, the variant name). The server must refuse it loudly —
+    // close, count a protocol error — and must not act on it: served, it
+    // would drain the server.
+    use std::io::{Read, Write};
     let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
+    let store = TcpStore::new(server.local_addr().to_string());
+    store.publish_full(SiteId(0), driver_snapshot(), 1).unwrap();
+    let served = server.served();
+    let mut frame = 11u32.to_le_bytes().to_vec();
+    frame.extend_from_slice(&[1, 6, 8]);
+    frame.extend_from_slice(b"Shutdown");
     let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    use std::io::Write;
-    let snapshot = Snapshot::from_tasks(vec![BlockedInfo::new(
-        TaskId(1),
-        vec![Resource::new(PhaserId(1), 1)],
-        vec![Registration::new(PhaserId(1), 1)],
-    )]);
-    let publish = armus_dist::wire::Request::PublishFull {
-        site: SiteId(0),
-        tenant: TenantId::DEFAULT,
-        snapshot,
-        version: 1,
-    };
-    conn.write_all(&armus_dist::wire::encode_frame(&publish).unwrap()).unwrap();
-    let ack: armus_dist::wire::Response = armus_dist::wire::read_message(&mut conn)
-        .expect("v1 response")
-        .expect("server must answer a v1 frame in v1");
-    assert_eq!(ack, armus_dist::wire::Response::Ok);
-    let fetch = armus_dist::wire::Request::FetchAll { tenant: TenantId::DEFAULT };
-    conn.write_all(&armus_dist::wire::encode_frame(&fetch).unwrap()).unwrap();
-    let view: armus_dist::wire::Response =
-        armus_dist::wire::read_message(&mut conn).expect("v1 response").expect("one frame");
-    match view {
-        armus_dist::wire::Response::View(view) => {
-            assert_eq!(view.len(), 1);
-            assert_eq!(view[0].0, SiteId(0));
-        }
-        other => panic!("expected a view, got {other:?}"),
-    }
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    conn.write_all(&frame).unwrap();
+    let mut byte = [0u8; 1];
+    assert_eq!(conn.read(&mut byte).unwrap(), 0, "closed without an answer");
+    assert_eq!(server.protocol_errors(), 1);
+    assert_eq!(server.served(), served, "the frame must not count as served");
+    assert!(!server.shutdown_requested(), "the v1 Shutdown must not have been obeyed");
+    assert_eq!(store.fetch_all().unwrap().len(), 1, "the store is untouched and still serving");
     server.shutdown();
 }
 
@@ -537,29 +527,44 @@ fn subscriptions_are_tenant_scoped() {
 }
 
 #[test]
-fn metrics_are_served_over_both_wire_versions() {
+fn resubscribing_hears_about_a_standing_deadlock() {
+    // A client that subscribes once the deadlock has already been pushed
+    // — here the same client again, as after a reconnect — must still
+    // hear about it, and the server must forget a tenant nobody watches.
+    let server = StoredServer::bind(
+        "127.0.0.1:0",
+        StoredConfig { check_period: Duration::from_millis(20), ..Default::default() },
+    )
+    .unwrap();
+    let store = TcpStore::new(server.local_addr().to_string()).for_tenant(TenantId(7));
+    let sub = store.subscribe().expect("subscribe");
+    store.publish_full(SiteId(0), workers_snapshot(), 1).unwrap();
+    store.publish_full(SiteId(1), driver_snapshot(), 1).unwrap();
+    let first = sub.recv(Duration::from_secs(10)).expect("a pushed report");
+    drop(sub);
+    let sub = store.subscribe().expect("subscribe again");
+    let again = sub.recv(Duration::from_secs(10)).expect("the standing deadlock, pushed again");
+    assert_eq!(again, first);
+    // A second client joining later hears it too.
+    let late = TcpStore::new(server.local_addr().to_string()).for_tenant(TenantId(7));
+    let late_sub = late.subscribe().expect("subscribe from a second client");
+    assert_eq!(late_sub.recv(Duration::from_secs(10)), Some(first));
+    assert_eq!(store.metrics().unwrap().fetches, 0, "a subscriber must never need to poll");
+    server.shutdown();
+}
+
+#[test]
+fn metrics_are_served_over_the_wire() {
     let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
     let store = TcpStore::new(server.local_addr().to_string());
     store.publish_full(SiteId(3), driver_snapshot(), 1).unwrap();
-    // v2: flat frames through the pipelined client.
-    let m2 = store.metrics().unwrap();
-    assert_eq!(m2.publishes, 1);
-    assert_eq!(m2.tenants.len(), 1);
-    assert_eq!(m2.tenants[0].partitions, 1);
-    // v1: the legacy ping-pong encoding over a raw socket.
-    let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    use std::io::Write;
-    conn.write_all(&armus_dist::wire::encode_frame(&armus_dist::wire::Request::Metrics).unwrap())
-        .unwrap();
-    let resp: armus_dist::wire::Response =
-        armus_dist::wire::read_message(&mut conn).expect("v1 response").expect("one frame");
-    match resp {
-        armus_dist::wire::Response::Metrics(m1) => {
-            assert_eq!(m1.publishes, 1);
-            assert!(m1.served > m2.served, "the v2 scrape itself was served in between");
-        }
-        other => panic!("expected metrics, got {other:?}"),
-    }
+    let first = store.metrics().unwrap();
+    assert_eq!(first.publishes, 1);
+    assert_eq!(first.tenants.len(), 1);
+    assert_eq!(first.tenants[0].partitions, 1);
+    assert_eq!(first, server.metrics(), "the wire carries the server's own snapshot");
+    let second = store.metrics().unwrap();
+    assert_eq!(second.served, first.served + 1, "the first scrape was itself served");
     server.shutdown();
 }
 

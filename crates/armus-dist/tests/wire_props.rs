@@ -1,8 +1,8 @@
 //! Property tests for the wire protocol: encode∘decode ≡ id on arbitrary
-//! snapshots, deltas and messages — on the legacy v1 tree layout and the
-//! flat v2 frame layout alike — plus totality on hostile bytes (the
-//! decoders error, they never panic or over-allocate) and v1↔v2
-//! negotiation through the version-dispatching entry point.
+//! snapshots, deltas and messages — through the bare payload decoder and
+//! through [`wire::FrameBuffer`] fed in arbitrary pieces — plus totality
+//! on hostile bytes (the decoders error, they never panic or
+//! over-allocate).
 
 use armus_core::{BlockedInfo, Delta, PhaserId, Registration, Resource, Snapshot, TaskId};
 use armus_dist::wire::{self, Request, Response, WireError};
@@ -44,21 +44,28 @@ fn arb_delta() -> impl Strategy<Value = Delta> {
     ]
 }
 
-fn frame_roundtrip<T>(msg: &T) -> T
-where
-    T: serde::Serialize + serde::Deserialize,
-{
-    let frame = wire::encode_frame(msg).expect("bounded test message");
-    let mut cursor = std::io::Cursor::new(frame);
-    wire::read_message(&mut cursor).expect("decode").expect("one frame")
+/// Encodes as one frame and pulls it back out of a [`wire::FrameBuffer`]
+/// fed `piece` bytes at a time — the way a peer's reads deliver it.
+fn frame_roundtrip<T: wire::FlatMessage>(msg: &T, piece: usize) -> T {
+    let mut out = Vec::new();
+    wire::encode_frame_v2_into(&mut out, 1, msg).expect("bounded test message");
+    let mut frames = wire::FrameBuffer::new();
+    let mut got = Vec::new();
+    for bytes in out.chunks(piece) {
+        assert!(got.is_empty(), "the frame completes on its last byte, not before");
+        frames.feed(bytes);
+        while let Some(frame) = frames.next_frame::<T>().expect("decode") {
+            got.push(frame.msg);
+        }
+    }
+    assert!(!frames.has_partial(), "nothing is left over");
+    assert_eq!(got.len(), 1, "one frame in, one frame out");
+    got.pop().expect("one frame")
 }
 
-/// Encodes as a flat v2 frame and decodes through the negotiating entry
-/// point, returning the whole frame (version, correlation id, message).
-fn flat_roundtrip<T>(msg: &T, corr: u64) -> wire::Frame<T>
-where
-    T: wire::FlatMessage + serde::Deserialize,
-{
+/// Encodes as one frame and decodes its bare payload, returning the whole
+/// frame (correlation id, message).
+fn flat_roundtrip<T: wire::FlatMessage>(msg: &T, corr: u64) -> wire::Frame<T> {
     let mut out = Vec::new();
     wire::encode_frame_v2_into(&mut out, corr, msg).expect("bounded test message");
     wire::decode_frame_payload(&out[4..]).expect("flat decode")
@@ -68,22 +75,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn snapshots_round_trip(snap in arb_snapshot(), tenant in 0u32..8) {
-        let back = frame_roundtrip(&Request::PublishFull {
+    fn snapshots_round_trip(snap in arb_snapshot(), tenant in 0u32..8, piece in 1usize..64) {
+        let msg = Request::PublishFull {
             site: SiteId(3),
             tenant: TenantId(tenant),
-            snapshot: snap.clone(),
+            snapshot: snap,
             version: 17,
-        });
-        prop_assert_eq!(
-            back,
-            Request::PublishFull {
-                site: SiteId(3),
-                tenant: TenantId(tenant),
-                snapshot: snap,
-                version: 17,
-            }
-        );
+        };
+        prop_assert_eq!(frame_roundtrip(&msg, piece), msg);
     }
 
     #[test]
@@ -92,6 +91,7 @@ proptest! {
         base in 0u64..1000,
         span in 0u64..50,
         tenant in 0u32..8,
+        piece in 1usize..64,
     ) {
         let msg = Request::PublishDeltas {
             site: SiteId(1),
@@ -100,43 +100,63 @@ proptest! {
             deltas,
             next: base + span,
         };
-        prop_assert_eq!(frame_roundtrip(&msg), msg);
+        prop_assert_eq!(frame_roundtrip(&msg, piece), msg);
     }
 
     #[test]
-    fn views_round_trip(parts in proptest::collection::vec((0u32..8, arb_snapshot()), 0..5)) {
+    fn views_round_trip(
+        parts in proptest::collection::vec((0u32..8, arb_snapshot()), 0..5),
+        piece in 1usize..64,
+    ) {
         let view: Vec<(SiteId, Snapshot)> =
             parts.into_iter().map(|(s, p)| (SiteId(s), p)).collect();
         let msg = Response::View(view);
-        prop_assert_eq!(frame_roundtrip(&msg), msg);
+        prop_assert_eq!(frame_roundtrip(&msg, piece), msg);
     }
 
-    /// Totality: any byte soup either decodes to some request or errors —
+    /// Totality of the streaming entry point: any byte soup, delivered in
+    /// any pieces, yields frames, a wait for more bytes, or an error —
     /// never a panic, and never a huge allocation (the input is tiny, so
-    /// the count guards must bound everything).
+    /// the length-prefix and count guards must bound everything).
     #[test]
-    fn arbitrary_bytes_never_panic_the_decoder(payload in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let _ = wire::decode_payload::<Request>(&payload);
+    fn arbitrary_bytes_never_panic_the_decoder(
+        stream in proptest::collection::vec(any::<u8>(), 0..96),
+        piece in 1usize..32,
+    ) {
+        let mut frames = wire::FrameBuffer::new();
+        'stream: for bytes in stream.chunks(piece) {
+            frames.feed(bytes);
+            loop {
+                match frames.next_frame::<Request>() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => break,
+                    Err(_) => break 'stream, // the connection would close here
+                }
+            }
+        }
     }
 
-    /// A truncated valid frame is always rejected, never misread: every
-    /// strict prefix of an encoded message fails to decode (the payload
-    /// is cut, so either the value or its trailing check breaks).
+    /// A frame whose length prefix covers only part of its message is
+    /// rejected by the streaming entry point, never misread and never
+    /// waited on: the prefix says the payload is complete, so every
+    /// strict prefix of an encoded message fails to decode.
     #[test]
     fn truncated_payloads_are_rejected(snap in arb_snapshot(), cut in 1usize..32) {
-        let frame = wire::encode_frame(&Request::Publish {
+        let msg = Request::PublishFull {
             site: SiteId(0),
             tenant: TenantId::DEFAULT,
             snapshot: snap,
-        })
-        .unwrap();
-        let payload = &frame[4..]; // strip the length prefix
-        if cut < payload.len() {
-            let truncated = &payload[..payload.len() - cut];
-            prop_assert!(matches!(
-                wire::decode_payload::<Request>(truncated),
-                Err(WireError::Malformed(_))
-            ));
+            version: 4,
+        };
+        let mut out = Vec::new();
+        wire::encode_frame_v2_into(&mut out, 9, &msg).unwrap();
+        let payload_len = out.len() - 4;
+        if cut < payload_len {
+            out.truncate(out.len() - cut);
+            out[..4].copy_from_slice(&((payload_len - cut) as u32).to_le_bytes());
+            let mut frames = wire::FrameBuffer::new();
+            frames.feed(&out);
+            prop_assert!(frames.next_frame::<Request>().is_err());
         }
     }
 
@@ -153,7 +173,6 @@ proptest! {
             version: 17,
         };
         let frame = flat_roundtrip(&msg, corr);
-        prop_assert_eq!(frame.version, wire::WIRE_V2);
         prop_assert_eq!(frame.corr, corr);
         prop_assert_eq!(frame.msg, msg);
     }
@@ -188,31 +207,13 @@ proptest! {
         prop_assert_eq!(frame.msg, msg);
     }
 
-    /// Totality of the negotiating entry point: any byte soup either
-    /// decodes (as v1 or v2) or errors — never a panic, never a huge
-    /// allocation, for requests and responses alike.
+    /// Totality of the payload decoder: any byte soup either decodes or
+    /// errors — never a panic, never a huge allocation, for requests and
+    /// responses alike.
     #[test]
     fn arbitrary_bytes_never_panic_the_flat_decoder(payload in proptest::collection::vec(any::<u8>(), 0..64)) {
         let _ = wire::decode_frame_payload::<Request>(&payload);
         let _ = wire::decode_frame_payload::<Response>(&payload);
-    }
-
-    /// Negotiation: a legacy v1 payload decodes through the same entry
-    /// point the pipelined client/server use, with the implicit
-    /// correlation id 0 — old clients keep working against new servers.
-    #[test]
-    fn v1_payloads_negotiate_with_corr_zero(snap in arb_snapshot()) {
-        let msg = Request::PublishFull {
-            site: SiteId(2),
-            tenant: TenantId(5),
-            snapshot: snap,
-            version: 9,
-        };
-        let framed = wire::encode_frame(&msg).unwrap();
-        let frame = wire::decode_frame_payload::<Request>(&framed[4..]).expect("v1 negotiates");
-        prop_assert_eq!(frame.version, wire::WIRE_V1);
-        prop_assert_eq!(frame.corr, 0);
-        prop_assert_eq!(frame.msg, msg);
     }
 
     /// Truncating a flat frame is always rejected, never misread — the
@@ -234,7 +235,7 @@ proptest! {
         }
     }
 
-    /// Appending bytes to a flat frame is also rejected: v2 decoding is
+    /// Appending bytes to a flat frame is also rejected: decoding is
     /// exact, so a desynchronised stream can never be misparsed.
     #[test]
     fn flat_trailing_garbage_is_rejected(snap in arb_snapshot(), junk in proptest::collection::vec(any::<u8>(), 1..8)) {

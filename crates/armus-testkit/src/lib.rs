@@ -23,13 +23,13 @@
 //!   depth-first bounded-exhaustive enumerator.
 //! * [`oracle`] — the differential oracle: avoidance (fast path on and
 //!   off) and detection-style sampling (default and tiny-journal/
-//!   single-shard/low-par-threshold tunings) versus the PL semantics in
-//!   lockstep; soundness, completeness, alignment, and model-agreement
-//!   invariants per step.
+//!   single-shard tunings) versus the PL semantics in lockstep;
+//!   soundness, completeness, alignment, and model-agreement invariants
+//!   per step.
 //! * [`replay`] — replays `armus_pl::analysis` deadlock witnesses through
 //!   a publish-only [`sim::Sim`] and demands the runtime checker report
 //!   the predicted deadlock (the `DefiniteDeadlock` soundness leg).
-//! * [`shrink`] — greedy failure minimisation plus the
+//! * [`mod@shrink`] — greedy failure minimisation plus the
 //!   `ARMUS_TESTKIT_SEED=… cargo test -p armus-testkit seeded` repro line.
 //!
 //! ## Seed-replay workflow

@@ -1,7 +1,7 @@
 //! The differential oracle: runs a scenario under the run-time
-//! [`Verifier`] (avoidance and detection, fast path on and off) and in
-//! lockstep through the `armus-pl` semantics, and cross-checks the two on
-//! every step:
+//! [`armus_core::Verifier`] (avoidance and detection, fast path on and
+//! off) and in lockstep through the `armus-pl` semantics, and cross-checks
+//! the two on every step:
 //!
 //! * **alignment** — every completed runtime op must be an enabled PL
 //!   transition (and a park must correspond to a disabled `await`);
@@ -18,15 +18,15 @@
 //! * **incremental-detection lockstep** — a follower
 //!   [`IncrementalEngine`] is synced against the verifier's registry on
 //!   *every* step of every config, and its Pearce–Kelly order answer
-//!   (`check_full`), the naive full-scan baseline (`check_full_scan`),
-//!   and the canonical from-scratch checker must produce byte-identical
-//!   reports in every graph model, with the maintained orders validating
-//!   against the distinct-edge lists. That follower demands every model
-//!   and both orders on every step; a second, *lazy* follower beside it is
-//!   only ever asked `check_task` under `Auto` — the avoidance verifier's
-//!   query — so it builds and retires its graphs on demand, never builds an
-//!   order, and must still agree with the first follower and the canonical
-//!   checker for every blocked task at every step.
+//!   (`check_full`) and the canonical from-scratch checker must produce
+//!   byte-identical reports in every graph model, with the maintained
+//!   orders validating against the distinct-edge lists. That follower
+//!   demands every model and both orders on every step; a second, *lazy*
+//!   follower beside it is only ever asked `check_task` under `Auto` — the
+//!   avoidance verifier's query — so it builds and retires its graphs on
+//!   demand, never builds an order, and must still agree with the first
+//!   follower and the canonical checker for every blocked task at every
+//!   step.
 //!
 //! Any violation surfaces as a [`Failure`] naming the config, the virtual
 //! time, and the broken invariant — the shrinker then minimises the
@@ -94,10 +94,7 @@ pub fn oracle_configs() -> Vec<OracleConfig> {
         },
         OracleConfig {
             name: "detection-tiny-journal",
-            verifier: VerifierConfig::publish_only()
-                .with_journal_capacity(2)
-                .with_shards(1)
-                .with_par_threshold(2),
+            verifier: VerifierConfig::publish_only().with_journal_capacity(2).with_shards(1),
             mode: OracleMode::Sampling { check_every_step: false },
         },
     ]
@@ -293,13 +290,12 @@ pub fn run_config_with_api(
 
 /// Per-step cross-check of the incremental detection path: syncs the
 /// follower engine with the verifier's registry, then requires the
-/// Pearce–Kelly order answer (`check_full`), the naive full-scan baseline
-/// (`check_full_scan`), and the canonical from-scratch checker to deliver
-/// byte-identical reports in every graph model. The maintained orders
-/// must also validate against the engine's distinct-edge lists. The `lazy`
-/// follower answers only `check_task` under `Auto`, for every blocked
-/// task: byte-identical to the all-demanding follower and the canonical
-/// checker, with no order ever built.
+/// Pearce–Kelly order answer (`check_full`) and the canonical from-scratch
+/// checker to deliver byte-identical reports in every graph model. The
+/// maintained orders must also validate against the engine's distinct-edge
+/// lists. The `lazy` follower answers only `check_task` under `Auto`, for
+/// every blocked task: byte-identical to the all-demanding follower and
+/// the canonical checker, with no order ever built.
 fn lockstep(
     follower: &mut IncrementalEngine,
     lazy: &mut IncrementalEngine,
@@ -312,12 +308,11 @@ fn lockstep(
     let as_json = |r: &Option<DeadlockReport>| serde_json::to_string(r).expect("reports serialise");
     for choice in [ModelChoice::Auto, ModelChoice::FixedWfg, ModelChoice::FixedSg] {
         let order = follower.check_full(choice, DEFAULT_SG_THRESHOLD).report;
-        let scan = follower.check_full_scan(choice, DEFAULT_SG_THRESHOLD).report;
         let oracle = checker::check(&snap, choice, DEFAULT_SG_THRESHOLD).report;
-        if as_json(&order) != as_json(&scan) || as_json(&order) != as_json(&oracle) {
+        if as_json(&order) != as_json(&oracle) {
             return Err(fail(format!(
                 "incremental check_full diverged under {choice:?}: \
-                 order-maintenance={order:?} vs full-scan={scan:?} vs oracle={oracle:?}"
+                 order-maintenance={order:?} vs oracle={oracle:?}"
             )));
         }
     }

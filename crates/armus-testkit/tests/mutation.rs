@@ -56,8 +56,10 @@ fn run_detection(
 fn lockstep_catches_the_planted_order_maintenance_bug() {
     // The crossed wait inserts the two WFG edges with label gap exactly 1
     // — the edge class whose forward search the mutation skips — so the
-    // order answers "no cycle" while the full scan and the canonical
-    // checker both see the 2-cycle. The per-step lockstep must notice.
+    // order answers "no cycle" while the canonical checker sees the
+    // 2-cycle. The lockstep is two-way (order vs the canonical checker on
+    // the verifier's own snapshot), and that comparison alone must notice:
+    // the canonical checker shares no state with the mutated order.
     let failure = run_detection(&crossed_wait(), 0)
         .expect_err("the mutated order maintenance hides the crossed-wait cycle");
     assert_eq!(failure.config, "detection", "{failure}");

@@ -11,16 +11,6 @@
 //! `O(churn)` per check. The paper's observation that status maintenance
 //! outnumbers checks (§5.1) is exactly why the delta arm's ops/sec should
 //! stay flat while the rebuild arm's falls off linearly in `N`.
-//!
-//! A second, **detection** axis measures the full check (`check_full`, the
-//! detection monitor's operation) rather than the per-task avoidance
-//! check: the **scan** arm walks the whole maintained adjacency per check
-//! (`check_full_scan`, `O(V + E)` even on a quiet graph), while the
-//! **order** arm answers cycle existence from the maintained Pearce–Kelly
-//! topological order (`check_full`, `O(churn since the last check)`). Both
-//! arms pay the same two journal deltas of probe churn per operation, so
-//! the axis isolates exactly what order maintenance buys: detection cost
-//! that scales with how much changed, not with how many tasks are blocked.
 
 use std::time::{Duration, Instant};
 
@@ -47,32 +37,16 @@ pub struct IncrementalCell {
     pub speedup: f64,
 }
 
-/// One measured size of the detection axis.
-#[derive(Clone, Debug, Serialize)]
-pub struct DetectionCell {
-    /// Background blocked tasks during the measurement.
-    pub blocked_tasks: usize,
-    /// block → sync → `check_full_scan` (full adjacency walk) → unblock,
-    /// checks/sec.
-    pub scan_checks_per_sec: f64,
-    /// block → sync → `check_full` (order-answered existence) → unblock,
-    /// checks/sec.
-    pub order_checks_per_sec: f64,
-    /// `order / scan`.
-    pub speedup: f64,
-}
-
 /// The whole experiment, for `--json` export (`BENCH_incremental.json`).
 #[derive(Clone, Debug, Serialize)]
 pub struct IncrementalResults {
     /// `std::thread::available_parallelism()` of the measuring host, so
-    /// readers can interpret the numbers (both axes are single-threaded
-    /// algorithmic comparisons, but the CI gate wants the provenance).
+    /// readers can interpret the numbers (the comparison is
+    /// single-threaded and algorithmic, but the CI gate wants the
+    /// provenance).
     pub host_cores: usize,
-    /// One cell per blocked-task count (avoidance axis).
+    /// One cell per blocked-task count.
     pub cells: Vec<IncrementalCell>,
-    /// One cell per blocked-task count (detection axis).
-    pub detection: Vec<DetectionCell>,
 }
 
 /// A background blocked task in the SPMD-ish shape: arrived (phase 1) on
@@ -156,51 +130,7 @@ pub fn run_cell(n: usize, budget: Duration) -> IncrementalCell {
     }
 }
 
-/// Measures one blocked-task count on the detection axis: both arms
-/// follow the registry through the same engine machinery and pay the same
-/// two-delta probe churn per check; only the cycle-existence answer
-/// differs — a full walk of the maintained adjacency vs the maintained
-/// topological order. `FixedWfg` pins the model so the axis compares the
-/// detection algorithms, not the adaptive model selection.
-pub fn run_detection_cell(n: usize, budget: Duration) -> DetectionCell {
-    let info = probe(n);
-    let task = info.task;
-
-    // Scan arm: the pre-order detection path, O(V + E) per check.
-    let registry = Registry::new();
-    populate(&registry, n);
-    let mut engine = IncrementalEngine::new();
-    engine.sync(&registry);
-    let scan_checks_per_sec = measure(budget, || {
-        registry.block(info.clone());
-        engine.sync(&registry);
-        let out = engine.check_full_scan(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-        assert!(out.report.is_none(), "the synthetic shape is deadlock-free");
-        registry.unblock(task);
-    });
-
-    // Order arm: cycle existence from the Pearce–Kelly order, O(churn).
-    let registry = Registry::new();
-    populate(&registry, n);
-    let mut engine = IncrementalEngine::new();
-    engine.sync(&registry);
-    let order_checks_per_sec = measure(budget, || {
-        registry.block(info.clone());
-        engine.sync(&registry);
-        let out = engine.check_full(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-        assert!(out.report.is_none(), "the synthetic shape is deadlock-free");
-        registry.unblock(task);
-    });
-
-    DetectionCell {
-        blocked_tasks: n,
-        scan_checks_per_sec,
-        order_checks_per_sec,
-        speedup: order_checks_per_sec / scan_checks_per_sec,
-    }
-}
-
-/// Runs the experiment — both axes — over the given sizes.
+/// Runs the experiment over the given sizes.
 pub fn run(sizes: &[usize], budget: Duration) -> IncrementalResults {
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let cells = sizes
@@ -210,14 +140,7 @@ pub fn run(sizes: &[usize], budget: Duration) -> IncrementalResults {
             run_cell(n, budget)
         })
         .collect();
-    let detection = sizes
-        .iter()
-        .map(|&n| {
-            eprintln!("  [detection] N = {n}");
-            run_detection_cell(n, budget)
-        })
-        .collect();
-    IncrementalResults { host_cores, cells, detection }
+    IncrementalResults { host_cores, cells }
 }
 
 /// Prints the results as a table.
@@ -230,17 +153,6 @@ pub fn print_table(results: &IncrementalResults) {
         println!(
             "  {:>8} {:>16.0} {:>16.0} {:>8.1}x",
             cell.blocked_tasks, cell.rebuild_ops_per_sec, cell.delta_ops_per_sec, cell.speedup
-        );
-    }
-    println!("\nDetection: full-check throughput, adjacency scan vs maintained topological order.");
-    println!(
-        "  {:>8} {:>16} {:>16} {:>9}",
-        "blocked", "scan checks/s", "order checks/s", "speedup"
-    );
-    for cell in &results.detection {
-        println!(
-            "  {:>8} {:>16.0} {:>16.0} {:>8.1}x",
-            cell.blocked_tasks, cell.scan_checks_per_sec, cell.order_checks_per_sec, cell.speedup
         );
     }
 }
@@ -259,34 +171,7 @@ mod tests {
             assert!(cell.speedup > 0.0);
         }
         assert!(results.host_cores >= 1);
-        assert_eq!(results.detection.len(), 2);
-        for cell in &results.detection {
-            assert!(cell.scan_checks_per_sec > 0.0);
-            assert!(cell.order_checks_per_sec > 0.0);
-            assert!(cell.speedup > 0.0);
-        }
         print_table(&results);
-    }
-
-    /// The detection arms answer identically on the synthetic shape, and
-    /// the maintained order stays valid through the probe churn.
-    #[test]
-    fn detection_arms_agree_on_verdicts() {
-        let registry = Registry::new();
-        populate(&registry, 128);
-        let mut engine = IncrementalEngine::new();
-        engine.sync(&registry);
-        for _ in 0..3 {
-            registry.block(probe(128));
-            engine.sync(&registry);
-            let scan = engine.check_full_scan(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-            let order = engine.check_full(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-            assert!(scan.report.is_none());
-            assert!(order.report.is_none());
-            assert!(engine.order_invariants().is_ok());
-            registry.unblock(probe(128).task);
-            engine.sync(&registry);
-        }
     }
 
     #[test]
