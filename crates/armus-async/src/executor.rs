@@ -397,11 +397,6 @@ impl Executor {
     pub fn peak_live_tasks(&self) -> usize {
         self.shared.peak_live.load(Ordering::Relaxed)
     }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
 }
 
 impl Drop for Executor {

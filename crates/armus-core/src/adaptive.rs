@@ -5,7 +5,7 @@
 //! if at any point there are more SG edges than `threshold ×` the number of
 //! blocked tasks processed so far, the SG is abandoned and a WFG is built
 //! instead. The paper fixes `threshold = 2`, "obtained based on experiments
-//! on the available benchmarks" — the `adaptive_threshold` bench ablates it.
+//! on the available benchmarks" — `armus-bench paper threshold` ablates it.
 
 use crate::deps::Snapshot;
 use crate::graph::DiGraph;

@@ -103,8 +103,6 @@ pub struct VerifierConfig {
     pub mode: VerifyMode,
     /// Graph-model selection.
     pub model: ModelChoice,
-    /// SG-abort multiplier for `Auto` (paper default: 2).
-    pub sg_threshold: usize,
     /// Journal window of the underlying registry. Small values force the
     /// engine's `Behind`/resync branch deterministically (testkit hook).
     pub journal_capacity: usize,
@@ -126,7 +124,6 @@ impl VerifierConfig {
         VerifierConfig {
             mode,
             model: ModelChoice::Auto,
-            sg_threshold: DEFAULT_SG_THRESHOLD,
             journal_capacity: crate::deps::DEFAULT_JOURNAL_CAPACITY,
             shards: crate::deps::DEFAULT_SHARDS,
             fastpath: true,
@@ -163,12 +160,6 @@ impl VerifierConfig {
     /// Overrides the graph model.
     pub fn with_model(mut self, model: ModelChoice) -> Self {
         self.model = model;
-        self
-    }
-
-    /// Overrides the SG-abort threshold.
-    pub fn with_sg_threshold(mut self, threshold: usize) -> Self {
-        self.sg_threshold = threshold;
         self
     }
 
@@ -455,7 +446,7 @@ impl Verifier {
     /// and checks for a cycle through `task`.
     fn run_check(&self, engine: &mut IncrementalEngine, task: TaskId) -> CheckOutcome {
         self.sync_engine(engine);
-        engine.check_task(task, self.cfg.model, self.cfg.sg_threshold)
+        engine.check_task(task, self.cfg.model, DEFAULT_SG_THRESHOLD)
     }
 
     /// Syncs the engine with the registry, recording the delta/resync
@@ -493,7 +484,7 @@ impl Verifier {
             }
             self.sync_engine(engine);
             for req in batch {
-                let outcome = engine.check_task(req.task, self.cfg.model, self.cfg.sg_threshold);
+                let outcome = engine.check_task(req.task, self.cfg.model, DEFAULT_SG_THRESHOLD);
                 self.stats.record_combined_check();
                 req.publish(outcome);
             }
@@ -543,7 +534,7 @@ impl Verifier {
             return None;
         }
         let outcome = self.synced_check(|engine| {
-            let det = engine.check_full_detailed(self.cfg.model, self.cfg.sg_threshold);
+            let det = engine.check_full_detailed(self.cfg.model, DEFAULT_SG_THRESHOLD);
             if det.incremental {
                 self.stats.record_incremental_detection();
             }
@@ -572,7 +563,7 @@ impl Verifier {
     /// for final "post-mortem" checks.
     pub fn probe(&self) -> Option<DeadlockReport> {
         let snapshot = self.registry.snapshot();
-        checker::check(&snapshot, self.cfg.model, self.cfg.sg_threshold).report
+        checker::check(&snapshot, self.cfg.model, DEFAULT_SG_THRESHOLD).report
     }
 
     /// A copy of the current blocked-task snapshot (used by distributed
@@ -1103,7 +1094,7 @@ mod tests {
         let sync = v.sync_follower(&mut follower);
         assert_eq!(sync.deltas_applied, 4);
         assert_eq!(follower.blocked(), 4);
-        assert!(follower.check_full(v.cfg.model, v.cfg.sg_threshold).report.is_some());
+        assert!(follower.check_full(v.cfg.model, DEFAULT_SG_THRESHOLD).report.is_some());
         let s = v.stats();
         assert_eq!(s.deltas_applied, 0, "follower syncs must not count as verifier syncs");
         assert_eq!(s.checks, 0);

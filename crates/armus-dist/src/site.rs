@@ -141,8 +141,6 @@ pub struct SiteConfig {
     pub check_period: Duration,
     /// Graph-model selection for the distributed check.
     pub model: ModelChoice,
-    /// SG-abort threshold.
-    pub sg_threshold: usize,
     /// Most deadlock reports retained locally; older ones are evicted
     /// (counted by [`Site::reports_dropped`]). Distinct reports only — a
     /// dedup filter runs in front of the ring.
@@ -155,7 +153,6 @@ impl Default for SiteConfig {
             publish_period: Duration::from_millis(50),
             check_period: Duration::from_millis(200),
             model: ModelChoice::Auto,
-            sg_threshold: DEFAULT_SG_THRESHOLD,
             report_capacity: 256,
         }
     }
@@ -349,7 +346,7 @@ impl Site {
                             break;
                         }
                         // Fetch failures are tolerated: skip the round.
-                        match checker.check_round(store.as_ref(), cfg.model, cfg.sg_threshold) {
+                        match checker.check_round(store.as_ref(), cfg.model, DEFAULT_SG_THRESHOLD) {
                             Ok(out) => {
                                 if let Some(report) = out.report {
                                     if dedup.is_new(&report) {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use armus_core::{
-    BlockedInfo, JournalRead, PhaserId, Registration, Resource, Snapshot, TaskId, Verifier,
+    BlockedInfo, Delta, JournalRead, PhaserId, Registration, Resource, Snapshot, TaskId, Verifier,
     VerifierConfig,
 };
 use armus_dist::server::{StoredConfig, StoredServer};
@@ -155,7 +155,13 @@ fn server_restart_forces_a_full_resync_not_corruption() {
         }),
         "the partition must be republished to the fresh server"
     );
-    assert!(site.publish_resyncs() > resyncs_before, "recovery must be a full resync");
+    // The publisher counts the resync once its `publish_full` returns,
+    // which can be after this thread's fetch has already seen the
+    // partition.
+    assert!(
+        eventually(Duration::from_secs(5), || site.publish_resyncs() > resyncs_before),
+        "recovery must be a full resync"
+    );
     site.stop();
     server.shutdown();
 }
@@ -280,6 +286,53 @@ fn multiplexed_sites_match_dedicated_connections_and_memstore() {
     // report is byte-identical across all three deployment shapes.
     assert_eq!(muxed, dedicated, "multiplexing must not change any report");
     assert_eq!(muxed, inproc, "the wire must not change any report");
+}
+
+#[test]
+fn concurrent_publishers_share_flushes_on_one_connection() {
+    // The batching claim as a structural property, not a throughput
+    // floor: threads publishing through one shared TcpStore coalesce
+    // their frames into shared write(2)s, and the server answers them in
+    // bursts. The barrier makes every round a simultaneous fan-in.
+    const SITES: usize = 16;
+    const ROUNDS: u64 = 100;
+    let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
+    let tcp = Arc::new(TcpStore::new(server.local_addr().to_string()));
+    let barrier = std::sync::Barrier::new(SITES);
+    std::thread::scope(|scope| {
+        for i in 0..SITES {
+            let (tcp, barrier) = (&tcp, &barrier);
+            scope.spawn(move || {
+                let site = SiteId(i as u32);
+                tcp.publish_full(site, workers_snapshot(), 0).unwrap();
+                let probe = BlockedInfo::new(
+                    TaskId(100 + i as u64),
+                    vec![Resource::new(PhaserId(9), 1)],
+                    vec![Registration::new(PhaserId(9), 1)],
+                );
+                for round in 0..ROUNDS {
+                    let deltas = [Delta::Block(probe.clone()), Delta::Unblock(probe.task)];
+                    barrier.wait();
+                    let ack = tcp.publish_deltas(site, 2 * round, &deltas, 2 * round + 2);
+                    assert_eq!(ack, Ok(DeltaAck::Applied), "site {i}, round {round}");
+                }
+            });
+        }
+    });
+    assert_eq!(tcp.failures(), 0);
+    assert_eq!(tcp.reconnects(), 1, "every publisher shares the one pooled connection");
+    assert_eq!(tcp.frames_sent(), SITES as u64 * (ROUNDS + 1));
+    assert!(
+        tcp.frames_sent() > tcp.flushes(),
+        "{} frames in {} flushes: none rode another caller's write",
+        tcp.frames_sent(),
+        tcp.flushes()
+    );
+    let metrics = server.metrics();
+    assert!(metrics.reply_queue_max > 1, "the server never answered two requests in one burst");
+    assert_eq!(metrics.protocol_errors, 0);
+    assert_eq!(metrics.delta_publishes, SITES as u64 * ROUNDS);
+    server.shutdown();
 }
 
 #[test]

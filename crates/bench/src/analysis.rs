@@ -60,15 +60,6 @@ pub struct AnalysisCell {
     pub max_us: f64,
 }
 
-/// The whole experiment, for `--json` export (`BENCH_analysis.json`).
-#[derive(Clone, Debug, Serialize)]
-pub struct AnalysisResults {
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub host_cores: usize,
-    /// One cell per corpus.
-    pub cells: Vec<AnalysisCell>,
-}
-
 /// Replays a witness schedule through the PL semantics and confirms the
 /// final state is a real deadlock — the bench-side re-validation that
 /// keeps `witnesses_confirmed` an independent count rather than an echo
@@ -123,9 +114,9 @@ pub fn run_corpus(corpus: &str, programs: usize, cfg: &ProgGenConfig) -> Analysi
     }
 }
 
-/// Runs the experiment over both corpora.
-pub fn run(programs: usize) -> AnalysisResults {
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+/// Runs the experiment over both corpora: one cell each, in the order
+/// `default`, `bug-heavy` (the `cells` of `BENCH_analysis.json`).
+pub fn run(programs: usize) -> Vec<AnalysisCell> {
     let corpora = [
         ("default", ProgGenConfig::default()),
         (
@@ -137,18 +128,17 @@ pub fn run(programs: usize) -> AnalysisResults {
             },
         ),
     ];
-    let cells = corpora
+    corpora
         .iter()
         .map(|(name, cfg)| {
             eprintln!("  [analysis] corpus = {name}");
             run_corpus(name, programs, cfg)
         })
-        .collect();
-    AnalysisResults { host_cores, cells }
+        .collect()
 }
 
 /// Prints the results as a table.
-pub fn print_table(results: &AnalysisResults) {
+pub fn print_table(cells: &[AnalysisCell]) {
     println!("\nStatic analysis: verdict precision and per-program cost.");
     println!(
         "  {:>10} {:>9} {:>8} {:>9} {:>8} {:>10} {:>9} {:>9} {:>9}",
@@ -162,7 +152,7 @@ pub fn print_table(results: &AnalysisResults) {
         "p95 µs",
         "max µs"
     );
-    for c in &results.cells {
+    for c in cells {
         println!(
             "  {:>10} {:>9} {:>7.1}% {:>8.1}% {:>7.1}% {:>10} {:>9.1} {:>9.1} {:>9.1}",
             c.corpus,
@@ -184,9 +174,9 @@ mod tests {
 
     #[test]
     fn small_corpora_split_the_lattice_and_confirm_every_witness() {
-        let results = run(120);
-        assert_eq!(results.cells.len(), 2);
-        for c in &results.cells {
+        let cells = run(120);
+        assert_eq!(cells.len(), 2);
+        for c in &cells {
             assert_eq!(c.proved_safe + c.definite_deadlock + c.unknown, c.programs);
             assert_eq!(
                 c.witnesses_confirmed, c.definite_deadlock,
@@ -197,8 +187,8 @@ mod tests {
             assert!(c.max_us >= c.p95_us && c.p95_us >= 0.0);
         }
         // The bug-heavy corpus must find strictly more deadlocks.
-        assert!(results.cells[1].definite_deadlock > results.cells[0].definite_deadlock);
-        print_table(&results);
+        assert!(cells[1].definite_deadlock > cells[0].definite_deadlock);
+        print_table(&cells);
     }
 
     #[test]

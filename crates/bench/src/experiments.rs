@@ -9,15 +9,18 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use armus_core::{ModelChoice, VerifierConfig};
+use armus_core::{adaptive, ModelChoice, VerifierConfig, DEFAULT_SG_THRESHOLD};
 use armus_dist::SiteConfig;
 use armus_sync::{Runtime, RuntimeConfig};
 use armus_workloads::course::{self, CourseBench};
+use armus_workloads::deadlocky;
 use armus_workloads::dist;
 use armus_workloads::harness::{overhead, percent, Measurement};
 use armus_workloads::kernels::{self, Kernel};
 use armus_workloads::Scale;
 use serde::Serialize;
+
+use crate::synth::{self, SynthShape};
 
 /// Verification mode under measurement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -28,16 +31,6 @@ pub enum Mode {
     Detection,
     /// Pre-block avoidance.
     Avoidance,
-}
-
-impl std::fmt::Display for Mode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Mode::Unchecked => write!(f, "unchecked"),
-            Mode::Detection => write!(f, "detection"),
-            Mode::Avoidance => write!(f, "avoidance"),
-        }
-    }
 }
 
 /// Harness configuration.
@@ -88,6 +81,34 @@ fn runtime_for(mode: Mode, model: ModelChoice, period: Duration) -> Arc<Runtime>
     }
     .with_model(model);
     Runtime::new(RuntimeConfig::unchecked().with_verifier(vc))
+}
+
+/// Demonstrates the tool end to end: the Figure 1 deadlock is detected
+/// and a crossed wait is avoided.
+pub fn sanity() {
+    fn await_report(rt: &Runtime) {
+        let t0 = Instant::now();
+        while !rt.verifier().found_deadlock() && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    println!("\nSanity: Figure 1 deadlock under detection…");
+    let rt = runtime_for(Mode::Detection, ModelChoice::Auto, Duration::from_millis(10));
+    deadlocky::figure1(&rt, 3);
+    await_report(&rt);
+    for report in rt.take_reports() {
+        println!("  detected: {report}");
+    }
+    rt.shutdown();
+
+    println!("Sanity: crossed waits under avoidance…");
+    let rt = Runtime::avoidance();
+    deadlocky::crossed_pair(&rt);
+    await_report(&rt);
+    for report in rt.take_reports() {
+        println!("  avoided: {report}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -442,15 +463,89 @@ pub fn print_table3(cells: &[CourseCell]) {
     }
 }
 
-/// Everything, for `--json` export.
-#[derive(Serialize)]
-pub struct AllResults {
-    /// Tables 1/2 + Figure 6 grid.
-    pub kernels: Vec<KernelCell>,
-    /// Figure 7 grid.
-    pub dist: Vec<DistCell>,
-    /// Figures 8/9 + Table 3 grid.
-    pub course: Vec<CourseCell>,
+// ---------------------------------------------------------------------------
+// §5.1: the adaptive SG-abort threshold.
+// ---------------------------------------------------------------------------
+
+/// Builds timed per sample: one build is microseconds, far below the
+/// clock's useful resolution for a single [`Measurement`] sample.
+const BUILDS_PER_SAMPLE: usize = 100;
+
+/// One (snapshot shape, build variant) cell of the threshold ablation.
+#[derive(Clone, Debug, Serialize)]
+pub struct ThresholdCell {
+    /// `sg-friendly` (many tasks, few phasers) or `wfg-friendly` (few
+    /// tasks, many phasers).
+    pub shape: String,
+    /// `auto-x<multiplier>`, `fixed-sg` or `fixed-wfg`.
+    pub variant: String,
+    /// The model the build ended with (an `Auto` build that crosses the
+    /// threshold abandons its SG for the WFG).
+    pub model: String,
+    /// Edges of the graph the build returned.
+    pub edges: usize,
+    /// Seconds per build.
+    pub build: Measurement,
+}
+
+/// The §5.1 ablation: the paper fixes the SG-abort multiplier at 2,
+/// "obtained based on experiments". Measures graph-build cost across
+/// multipliers on a shape that favours each model, against both fixed
+/// models.
+pub fn threshold_grid(cfg: &Config) -> Vec<ThresholdCell> {
+    use ModelChoice::{Auto, FixedSg, FixedWfg};
+    let shapes = [
+        ("sg-friendly", SynthShape { tasks: 256, phasers: 2, regs_per_task: 2 }),
+        ("wfg-friendly", SynthShape { tasks: 16, phasers: 256, regs_per_task: 8 }),
+    ];
+    let variants = [
+        ("auto-x1", Auto, 1),
+        ("auto-x2", Auto, 2),
+        ("auto-x4", Auto, 4),
+        ("auto-x8", Auto, 8),
+        ("fixed-wfg", FixedWfg, DEFAULT_SG_THRESHOLD),
+        ("fixed-sg", FixedSg, DEFAULT_SG_THRESHOLD),
+    ];
+    let mut out = Vec::new();
+    for (shape, synth) in shapes {
+        let snap = synth::acyclic(synth);
+        for (variant, choice, threshold) in variants {
+            let built = adaptive::build(&snap, choice, threshold);
+            let batches = Measurement::take(cfg.samples, || {
+                for _ in 0..BUILDS_PER_SAMPLE {
+                    std::hint::black_box(adaptive::build(&snap, choice, threshold).edge_count());
+                }
+            });
+            let per_build = batches.samples.iter().map(|s| s / BUILDS_PER_SAMPLE as f64).collect();
+            out.push(ThresholdCell {
+                shape: shape.to_string(),
+                variant: variant.to_string(),
+                model: built.model.to_string(),
+                edges: built.edge_count(),
+                build: Measurement::from_samples(per_build),
+            });
+        }
+    }
+    out
+}
+
+/// §5.1: graph-build cost per SG-abort multiplier, against the fixed models.
+pub fn print_threshold(cells: &[ThresholdCell]) {
+    println!("\nSection 5.1: graph-build cost per SG-abort multiplier (the paper fixes x2).");
+    println!(
+        "  {:<13} {:<10} {:>12} {:>6} {:>8}",
+        "shape", "variant", "us/build", "model", "edges"
+    );
+    for c in cells {
+        println!(
+            "  {:<13} {:<10} {:>12.1} {:>6} {:>8}",
+            c.shape,
+            c.variant,
+            c.build.mean() * 1e6,
+            c.model,
+            c.edges
+        );
+    }
 }
 
 #[cfg(test)]
@@ -494,5 +589,22 @@ mod tests {
         print_fig8(&cells);
         print_fig9(&cells);
         print_table3(&cells);
+    }
+
+    #[test]
+    fn threshold_grid_shows_auto_tracking_the_cheaper_model() {
+        let cells = threshold_grid(&tiny());
+        assert_eq!(cells.len(), 12);
+        let cell = |shape: &str, variant: &str| {
+            cells.iter().find(|c| c.shape == shape && c.variant == variant).unwrap()
+        };
+        // The paper's multiplier keeps the SG where it is small and
+        // abandons it for the WFG where it explodes.
+        assert_eq!(cell("sg-friendly", "auto-x2").model, "SG");
+        assert_eq!(cell("sg-friendly", "auto-x2").edges, cell("sg-friendly", "fixed-sg").edges);
+        assert_eq!(cell("wfg-friendly", "auto-x2").model, "WFG");
+        assert_eq!(cell("wfg-friendly", "auto-x2").edges, cell("wfg-friendly", "fixed-wfg").edges);
+        assert!(cells.iter().all(|c| c.build.samples.len() == 1 && c.build.mean() > 0.0));
+        print_threshold(&cells);
     }
 }

@@ -1,27 +1,24 @@
 //! # armus-bench
 //!
-//! The experiment harness that regenerates every table and figure of the
-//! Armus evaluation (§6). The `paper` binary drives the functions in
-//! [`experiments`]; the `incremental` binary measures the incremental
-//! dependency engine against rebuild-per-check; the `concurrent` binary
-//! measures multi-threaded block/unblock throughput across verifier
-//! modes and workload shapes; the `store_bench` binary measures
-//! publish/fetch round-trips against the global store, in-process vs
-//! over the `armus-stored` wire protocol; the criterion benches under `benches/`
-//! micro-measure the verification layer itself (graph construction,
-//! cycle detection, registry throughput, and the adaptive-threshold
-//! ablation); the `analysis_bench` binary measures the static deadlock
-//! analysis' precision and per-program cost over seeded corpora.
+//! The library behind the one `armus-bench` binary, which keeps only
+//! what reproduces the paper:
+//!
+//! * `armus-bench paper …` regenerates every table and figure of the
+//!   Armus evaluation (§6) and the §5.1 threshold ablation from
+//!   [`experiments`] (the ablation builds its snapshots with [`synth`]);
+//! * `armus-bench analysis …` measures the static deadlock analysis'
+//!   precision and per-program cost over seeded corpora ([`analysis`]);
+//! * `armus-bench analyze …` is the post-mortem tool: offline deadlock
+//!   analysis of a dumped `armus_core::Snapshot`.
+//!
+//! What verification costs a running program, end to end and layer by
+//! layer, is measured by `benchmark/` at the repository root, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod async_front;
-pub mod concurrent;
 pub mod experiments;
-pub mod incremental;
-pub mod store;
 pub mod synth;
 
-pub use experiments::{Config, Mode};
+pub use experiments::Config;
