@@ -3,9 +3,20 @@
 //!
 //! In `Auto` mode the verifier optimistically builds the SG incrementally;
 //! if at any point there are more SG edges than `threshold ×` the number of
-//! blocked tasks processed so far, the SG is abandoned and a WFG is built
-//! instead. The paper fixes `threshold = 2`, "obtained based on experiments
-//! on the available benchmarks" — `armus-bench paper threshold` ablates it.
+//! blocked tasks, the SG is abandoned and a WFG is built instead. The paper
+//! fixes `threshold = 2`, "obtained based on experiments on the available
+//! benchmarks" — `armus-bench paper threshold` ablates it.
+//!
+//! The paper counts the tasks "processed thus far"; this repo counts the
+//! whole snapshot. A count of the prefix makes the pick depend on the order
+//! the tasks are visited in, which the incremental engine — it maintains
+//! the SG delta by delta and has no construction to abort — cannot
+//! reproduce: the same state could be checked, and a deadlock in it
+//! reported, under either model depending on who asked. Against the
+//! snapshot's size the edge count only grows, so the mid-construction abort
+//! ([`build_indexed`]) and the rule applied to the finished graph
+//! ([`auto_pick`]) are one rule with the paper's multiplier, and a report
+//! always names the model its check's statistics do.
 
 use crate::deps::Snapshot;
 use crate::graph::DiGraph;
@@ -59,18 +70,13 @@ impl std::fmt::Display for ModelChoice {
 /// The paper's experimentally chosen SG-abort multiplier.
 pub const DEFAULT_SG_THRESHOLD: usize = 2;
 
-/// The final-state form of the adaptive rule, used by the incremental
-/// engine: keep the SG while its edge count is at most `threshold ×` the
-/// number of blocked tasks. The engine has no construction to abort — under
-/// `Auto` it keeps the SG adjacency maintained (every check reads its
-/// distinct-edge count for this rule) and builds and maintains a WFG only
-/// while the rule picks one; a WFG it stops picking is retired (see
-/// [`crate::engine`]).
-///
-/// The from-scratch builder's prefix-abort can differ on states where an
-/// early prefix exceeded the threshold but the final counts do not; both
-/// rules are calibrated by the same multiplier and, by Theorem 4.8, the
-/// verdict is model-independent either way.
+/// The adaptive rule on a finished SG, used by the incremental engine:
+/// keep the SG while its edge count is at most `threshold ×` the number of
+/// blocked tasks — what [`build_indexed`]'s abort answers on the same
+/// state. The engine has no construction to abort — under `Auto` it keeps
+/// the SG adjacency maintained (every check reads its distinct-edge count
+/// for this rule) and builds and maintains a WFG only while the rule picks
+/// one; a WFG it stops picking is retired (see [`crate::engine`]).
 pub fn auto_pick(sg_edges: usize, blocked_tasks: usize, threshold: usize) -> GraphModel {
     if sg_edges <= threshold * blocked_tasks {
         GraphModel::Sg
@@ -139,16 +145,15 @@ pub fn build_indexed(
         ModelChoice::Auto => {
             // Incremental SG build with the abort threshold: "the size
             // threshold is reached if at any time there are more SG-edges
-            // than twice the number of tasks processed thus far."
+            // than twice the number of tasks" — of the snapshot, see the
+            // module docs.
             let mut g = DiGraph::with_capacity(idx.wait_resources.len());
             for &r in &idx.wait_resources {
                 g.add_node(r);
             }
-            let mut processed = 0usize;
             for info in &snapshot.tasks {
                 add_task_edges(&mut g, idx, info);
-                processed += 1;
-                if g.edge_count() > threshold * processed {
+                if auto_pick(g.edge_count(), snapshot.len(), threshold) == GraphModel::Wfg {
                     let aborted = g.edge_count();
                     return BuiltGraph {
                         model: GraphModel::Wfg,

@@ -70,10 +70,14 @@
 //!   selected model's maintained order: a cycle exists iff some edge could
 //!   not be ordered, so detection-time cycle existence is `O(1)`.
 //! * Only on a **hit** (a cycle exists, i.e. the program is about to
-//!   deadlock) does the engine materialise its state into a sorted
-//!   [`Snapshot`] and delegate to the canonical [`checker`], so delivered
-//!   reports are byte-identical to the from-scratch oracle's — the
-//!   `prop_engine` equivalence suite asserts exactly that.
+//!   deadlock) does the engine copy blocked statuses into a sorted
+//!   [`Snapshot`] and delegate to the canonical [`checker`], the one report
+//!   builder, so delivered reports are byte-identical to the from-scratch
+//!   oracle's — the `prop_engine` equivalence suite asserts exactly that.
+//!   `check_task` hands it the whole state
+//!   ([`IncrementalEngine::materialize`]); `check_full` only the tasks that
+//!   decide the report, so its hit costs what reaches the cycle, not what
+//!   is blocked (see [`IncrementalEngine::check_full`]).
 //!
 //! Edge maintenance uses contribution counting. For the SG, the count of
 //! edge `r1 → r2` is the number of `(task u, registration g, wait
@@ -115,7 +119,7 @@ pub struct DetectionOutcome {
     /// The report (byte-identical to the canonical checker's) and stats.
     pub outcome: CheckOutcome,
     /// `true` when the check was answered from the order alone (no cycle,
-    /// so no snapshot materialisation and no canonical rebuild ran).
+    /// so no status was copied and no canonical check ran).
     pub incremental: bool,
 }
 
@@ -465,6 +469,12 @@ impl Indexes {
         regs.filter(move |reg| reg.phase < r.phase).map(|reg| reg.task)
     }
 
+    /// The tasks awaiting `r`, one per wait occurrence.
+    fn awaiting(&self, r: Resource) -> impl Iterator<Item = TaskId> + '_ {
+        let waiters = self.phasers.get(&r.phaser).into_iter().flat_map(|index| &index.waiters);
+        waiters.filter(move |w| w.phase == r.phase).map(|w| w.task)
+    }
+
     /// The SG contributions `u` itself makes: an edge from every awaited
     /// event one of its registrations lags behind to each of its waits.
     fn sg_own(&self, u: &BlockedInfo, mut edge: impl FnMut(Resource, Resource)) {
@@ -761,10 +771,9 @@ impl IncrementalEngine {
     }
 
     /// The model a check at the current state uses, with its adjacency
-    /// demanded. `Auto` applies the final-state form of the paper's
-    /// threshold rule (see [`auto_pick`]) to the live SG — order-free,
-    /// unlike the from-scratch builder's mid-construction abort, but
-    /// calibrated identically.
+    /// demanded. `Auto` applies the threshold rule (see [`auto_pick`]) to
+    /// the live SG's edge count — the from-scratch builder's answer on the
+    /// same state, exactly.
     pub fn model_for(&mut self, choice: ModelChoice, threshold: usize) -> GraphModel {
         let model = match choice {
             ModelChoice::FixedWfg => GraphModel::Wfg,
@@ -819,10 +828,11 @@ impl IncrementalEngine {
     /// Pearce–Kelly order: is there any cycle? Cycle existence is read off
     /// the order state — `O(1)` when no insertion was deferred,
     /// `O(affected region)` amortised over the deltas that built it —
-    /// instead of walking the whole refcounted adjacency. As with
-    /// [`IncrementalEngine::check_task`], only a hit materialises a
-    /// snapshot and delegates to the canonical [`checker`], so reports
-    /// stay byte-identical to the from-scratch oracle's.
+    /// instead of walking the whole refcounted adjacency. Only a hit
+    /// delegates to the canonical [`checker`], over the slice of the state
+    /// that decides its report (the tasks that reach a cycle — see
+    /// `cycle_slice`), so reports stay byte-identical to the from-scratch
+    /// oracle's at the cost of the cycle, not of the blocked population.
     pub fn check_full(&mut self, choice: ModelChoice, threshold: usize) -> CheckOutcome {
         self.check_full_detailed(choice, threshold).outcome
     }
@@ -836,8 +846,17 @@ impl IncrementalEngine {
     ) -> DetectionOutcome {
         let model = self.model_for(choice, threshold);
         let hit = self.order_cycle_exists(model);
-        let report =
-            if hit { checker::check(&self.materialize(), choice, threshold).report } else { None };
+        let report = if hit {
+            // The engine's own pick, fixed: the slice is a smaller state,
+            // on which `Auto` could pick the other model.
+            let fixed = match model {
+                GraphModel::Wfg => ModelChoice::FixedWfg,
+                GraphModel::Sg => ModelChoice::FixedSg,
+            };
+            checker::check(&self.cycle_slice(model), fixed, threshold).report
+        } else {
+            None
+        };
         DetectionOutcome {
             outcome: CheckOutcome { report, stats: self.stats_for(choice, model) },
             incremental: !hit,
@@ -852,6 +871,41 @@ impl IncrementalEngine {
             GraphModel::Wfg => live_order(&mut self.wfg).has_cycle(),
             GraphModel::Sg => live_order(&mut self.sg).has_cycle(),
         }
+    }
+
+    /// The part of the state that decides the canonical report of a cycle
+    /// in `model`, whose order [`IncrementalEngine::order_cycle_exists`]
+    /// has just queried: the tasks that reach a cycle in the WFG, resp.
+    /// every waiter of the events that reach one in the SG.
+    ///
+    /// The canonical checker builds the model's graph from a sorted
+    /// snapshot and reports the first back edge of a depth-first search
+    /// that takes roots in first-seen vertex order and successors in
+    /// first-contribution order. A vertex that reaches no cycle has only
+    /// such vertices below it, so searching it finds nothing and colours
+    /// nothing that matters: the search is decided by the vertices that
+    /// reach a cycle — its first grey vertex is the first of them, which
+    /// may be a bystander waiting on a cycle it is not part of — and by
+    /// the relative order of those vertices and of the edges among them.
+    /// The tasks that decide either are all in the slice: a WFG vertex is a
+    /// task, and an edge between two of them is theirs alone; an SG vertex
+    /// is first seen at one of its waiters, an edge into it is contributed
+    /// by one of its waiters, and the report's tasks are waiters of the
+    /// cycle's events. Sorting keeps their relative order, so the search
+    /// over the slice goes through the same motions and the report is the
+    /// same, byte for byte.
+    fn cycle_slice(&mut self, model: GraphModel) -> Snapshot {
+        let mut tasks: Vec<TaskId> = match model {
+            GraphModel::Wfg => live_order(&mut self.wfg).reaching_a_cycle(),
+            GraphModel::Sg => {
+                let events = live_order(&mut self.sg).reaching_a_cycle();
+                events.into_iter().flat_map(|r| self.idx.awaiting(r)).collect()
+            }
+        };
+        tasks.sort_unstable();
+        tasks.dedup();
+        let status = |task| BlockedInfo::clone(&self.idx.tasks[task].info);
+        Snapshot::from_tasks(tasks.iter().map(status).collect())
     }
 
     /// Checks every live order against its adjacency's distinct-edge list:
@@ -874,7 +928,9 @@ impl IncrementalEngine {
     }
 
     /// The maintained view as a sorted [`Snapshot`] (identical, entry for
-    /// entry, to `Registry::snapshot` of a caught-up registry).
+    /// entry, to `Registry::snapshot` of a caught-up registry): what a
+    /// `check_task` hit hands the canonical checker, and the oracle's view
+    /// of the engine in the equivalence suites.
     pub fn materialize(&self) -> Snapshot {
         Snapshot::from_tasks(self.idx.tasks.values().map(|t| BlockedInfo::clone(&t.info)).collect())
     }
@@ -1410,6 +1466,158 @@ mod tests {
             serde_json::to_string(&oracle.report).unwrap(),
             "order path and canonical checker must deliver the identical report"
         );
+    }
+
+    const CHOICES: [ModelChoice; 3] =
+        [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto];
+
+    /// `check_full` hits under every model choice, and each report is
+    /// byte-identical to the canonical checker's on the whole state.
+    fn assert_hits_match_the_oracle(engine: &mut IncrementalEngine) {
+        let snap = engine.materialize();
+        for choice in CHOICES {
+            let ours = engine.check_full(choice, DEFAULT_SG_THRESHOLD).report;
+            let oracle = checker::check(&snap, choice, DEFAULT_SG_THRESHOLD).report;
+            assert!(oracle.is_some(), "{choice}: the state holds a cycle");
+            assert_eq!(
+                serde_json::to_string(&ours).unwrap(),
+                serde_json::to_string(&oracle).unwrap(),
+                "{choice}"
+            );
+        }
+    }
+
+    /// The tasks `check_full` hands the canonical checker on a hit.
+    fn slice(engine: &mut IncrementalEngine, model: GraphModel) -> Vec<u64> {
+        assert!(engine.order_cycle_exists(model), "{model}: no cycle");
+        engine.cycle_slice(model).tasks.iter().map(|b| b.task.0).collect()
+    }
+
+    /// Task `i` of a ring: arrived at and awaiting barrier `i`, and the
+    /// member that has not arrived at barrier `next` — so `next`'s task
+    /// waits for it.
+    fn ring(i: u64, next: u64) -> BlockedInfo {
+        BlockedInfo::new(
+            t(i),
+            vec![r(i, 1)],
+            vec![Registration::new(p(i), 1), Registration::new(p(next), 0)],
+        )
+    }
+
+    /// A task alone on a barrier of its own.
+    fn loner(i: u64) -> BlockedInfo {
+        BlockedInfo::new(t(i), vec![r(i, 1)], vec![Registration::new(p(i), 1)])
+    }
+
+    /// A ring 5 → 7 → 6 → 5, a bystander `t1` that sorts before it and
+    /// waits (on barrier 7) for its `t6`, a task `t9` the ring waits for
+    /// that waits for nothing in it, and an unrelated `t20`.
+    fn ring_with_bystanders() -> IncrementalEngine {
+        let mut engine = IncrementalEngine::new();
+        for (i, next) in [(5, 6), (6, 7), (7, 5)] {
+            engine.apply(Delta::Block(ring(i, next)));
+        }
+        let arrived_at_7 = vec![Registration::new(p(7), 1)];
+        engine.apply(Delta::Block(BlockedInfo::new(t(1), vec![r(7, 1)], arrived_at_7)));
+        let late_for_5 = vec![Registration::new(p(5), 0), Registration::new(p(90), 1)];
+        engine.apply(Delta::Block(BlockedInfo::new(t(9), vec![r(90, 1)], late_for_5)));
+        engine.apply(Delta::Block(loner(20)));
+        engine
+    }
+
+    #[test]
+    #[cfg(not(feature = "verifier-mutation"))]
+    fn a_bystander_that_waits_on_the_cycle_is_in_the_slice_and_roots_the_search() {
+        let mut engine = ring_with_bystanders();
+        assert_hits_match_the_oracle(&mut engine);
+        // The slice is what reaches the cycle, not what the cycle reaches.
+        assert_eq!(slice(&mut engine, GraphModel::Wfg), vec![1, 5, 6, 7]);
+        assert_eq!(slice(&mut engine, GraphModel::Sg), vec![1, 5, 6, 7]);
+        // The canonical search starts at the bystander — t1, resp. the
+        // event p7@1 it is the first to await — and so enters the ring at
+        // t6, resp. p7@1: without it the witness would start at t5 / p5@1.
+        let wfg = engine.check_full(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD).report.unwrap();
+        assert_eq!(wfg.witness, checker::CycleWitness::Tasks(vec![t(6), t(5), t(7), t(6)]));
+        let sg = engine.check_full(ModelChoice::FixedSg, DEFAULT_SG_THRESHOLD).report.unwrap();
+        let events = vec![r(7, 1), r(6, 1), r(5, 1), r(7, 1)];
+        assert_eq!(sg.witness, checker::CycleWitness::Resources(events));
+        assert_eq!(sg.tasks, vec![t(5), t(6), t(7)], "a bystander is never reported");
+    }
+
+    #[test]
+    #[cfg(not(feature = "verifier-mutation"))]
+    fn the_slice_holds_every_cycle_and_the_report_is_the_canonical_first() {
+        // The ring that closes first (and is deferred first) sorts last.
+        let mut engine = IncrementalEngine::new();
+        for (i, next) in [(5, 6), (6, 5), (2, 3), (3, 2)] {
+            engine.apply(Delta::Block(ring(i, next)));
+        }
+        engine.apply(Delta::Block(loner(4)));
+        assert_hits_match_the_oracle(&mut engine);
+        assert_eq!(slice(&mut engine, GraphModel::Wfg), vec![2, 3, 5, 6]);
+        assert_eq!(slice(&mut engine, GraphModel::Sg), vec![2, 3, 5, 6]);
+        let report = engine.check_full(ModelChoice::Auto, DEFAULT_SG_THRESHOLD).report.unwrap();
+        assert_eq!(report.tasks, vec![t(2), t(3)]);
+    }
+
+    #[test]
+    fn a_self_wait_is_sliced_to_its_task() {
+        let mut engine = IncrementalEngine::new();
+        (10..20).for_each(|i| engine.apply(Delta::Block(loner(i))));
+        let late_for_itself = vec![Registration::new(p(1), 2)];
+        engine.apply(Delta::Block(BlockedInfo::new(t(1), vec![r(1, 5)], late_for_itself)));
+        assert_hits_match_the_oracle(&mut engine);
+        assert_eq!(slice(&mut engine, GraphModel::Wfg), vec![1]);
+        assert_eq!(slice(&mut engine, GraphModel::Sg), vec![1]);
+    }
+
+    #[test]
+    #[cfg(not(feature = "verifier-mutation"))]
+    fn an_sg_cycle_through_a_crowded_event_slices_every_waiter_of_it() {
+        // Example 4.1 with 64 workers on pc@1, beside 10 loners: the SG
+        // cycle has two events, and its report names all 65 tasks.
+        let mut engine = IncrementalEngine::new();
+        (100..110).for_each(|i| engine.apply(Delta::Block(loner(i))));
+        (5..=68).for_each(|i| engine.apply(Delta::Block(worker(i))));
+        engine.apply(Delta::Block(driver()));
+        assert_hits_match_the_oracle(&mut engine);
+        let everyone: Vec<u64> = (4..=68).collect();
+        assert_eq!(slice(&mut engine, GraphModel::Sg), everyone);
+        let report = engine.check_full(ModelChoice::FixedSg, DEFAULT_SG_THRESHOLD).report.unwrap();
+        assert_eq!(report.tasks.len(), 65);
+    }
+
+    #[test]
+    #[cfg(not(feature = "verifier-mutation"))]
+    fn a_standing_cycle_is_resliced_after_an_unblock_and_a_resync() {
+        let registry = Registry::with_journal_capacity(4);
+        for info in ring_with_bystanders().materialize().tasks {
+            registry.block(info);
+        }
+        let mut engine = IncrementalEngine::new();
+        assert!(engine.sync(&registry).resynced, "six blocks overran a window of four");
+        assert_hits_match_the_oracle(&mut engine);
+        assert_eq!(slice(&mut engine, GraphModel::Wfg), vec![1, 5, 6, 7]);
+
+        // The bystander leaves: the cycle stands, the search's root moves.
+        registry.unblock(t(1));
+        assert!(!engine.sync(&registry).resynced);
+        assert_hits_match_the_oracle(&mut engine);
+        assert_eq!(slice(&mut engine, GraphModel::Wfg), vec![5, 6, 7]);
+
+        // Five more deltas overrun the window: the live orders are rebuilt
+        // around the standing cycle, with a new bystander (t2, on t7).
+        for i in 30..34 {
+            registry.block(loner(i));
+        }
+        let arrived_at_5 = vec![Registration::new(p(5), 1)];
+        registry.block(BlockedInfo::new(t(2), vec![r(5, 1)], arrived_at_5));
+        assert!(engine.sync(&registry).resynced);
+        assert_eq!(engine.materialize(), registry.snapshot());
+        assert_hits_match_the_oracle(&mut engine);
+        assert_eq!(slice(&mut engine, GraphModel::Wfg), vec![2, 5, 6, 7]);
+        assert_eq!(slice(&mut engine, GraphModel::Sg), vec![2, 5, 6, 7]);
+        engine.order_invariants().expect("rebuilt orders are valid");
     }
 
     #[test]

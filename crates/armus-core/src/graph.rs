@@ -625,27 +625,43 @@ impl<N: Copy + Eq + Hash> TopoOrder<N> {
 
     /// Does the tracked graph (committed ∪ pending edges) contain a cycle?
     ///
-    /// Pending edges are retried through the insertion logic. If every one
-    /// commits, the whole graph respects a single topological order and is
-    /// acyclic; an edge that still cannot be committed has a committed
-    /// path from its target back to its source, i.e. a real cycle. The
-    /// answer is independent of retry order, because committing edges of
-    /// an acyclic graph can never manufacture a cycle and a cyclic graph
-    /// can never commit all its edges. `O(1)` when nothing is pending.
+    /// Every pending edge is retried through the insertion logic. If every
+    /// one commits, the whole graph respects a single topological order
+    /// and is acyclic; an edge that still cannot be committed has a
+    /// committed path from its target back to its source, i.e. a real
+    /// cycle — and stays deferred, so afterwards the pending set is exactly
+    /// the edges that close one (what [`TopoOrder::reaching_a_cycle`]
+    /// starts from). The answer is independent of retry order, because
+    /// committing edges of an acyclic graph can never manufacture a cycle
+    /// and a cyclic graph can never commit all its edges. `O(1)` when
+    /// nothing is pending.
     pub fn has_cycle(&mut self) -> bool {
-        if self.pending.is_empty() {
-            return false;
-        }
-        let retry = std::mem::take(&mut self.pending);
-        for (i, &(a, b)) in retry.iter().enumerate() {
+        for (a, b) in std::mem::take(&mut self.pending) {
             if !self.try_insert(a, b) {
-                // Still cyclic: keep this edge and the untried rest
-                // deferred (committed retries stay committed).
-                self.pending.extend_from_slice(&retry[i..]);
-                return true;
+                self.pending.push((a, b));
             }
         }
-        false
+        !self.pending.is_empty()
+    }
+
+    /// The nodes from which a cycle of the tracked graph can be reached
+    /// (those on one included), in no particular order. Exact straight
+    /// after a [`TopoOrder::has_cycle`], a superset otherwise.
+    ///
+    /// The committed edges respect one order, so every cycle holds a
+    /// deferred edge, and a walk from any node to a cycle and once around
+    /// it follows committed edges up to the first deferred edge it meets:
+    /// the answer is what reaches a deferred edge's source over committed
+    /// edges alone.
+    pub fn reaching_a_cycle(&self) -> Vec<N> {
+        let mut reached: IdSet<N> = IdSet::default();
+        let mut stack: Vec<N> = self.pending.iter().map(|&(a, _)| a).collect();
+        while let Some(n) = stack.pop() {
+            if reached.insert(n) {
+                stack.extend(self.preds.get(&n).into_iter().flatten().copied());
+            }
+        }
+        reached.into_iter().collect()
     }
 
     /// Test hook: checks the structure against the authoritative distinct
@@ -931,5 +947,55 @@ mod tests {
         order.insert_edge(2, 3);
         order.insert_edge(3, 1);
         assert!(order.has_cycle());
+    }
+
+    #[cfg(not(feature = "verifier-mutation"))]
+    #[test]
+    fn reaching_a_cycle_is_what_reaches_one_and_nothing_downstream() {
+        // Two cycles — 1→2→3→1 and 10→11→12→13→10, their edges arriving
+        // out of order — what leads to them (9→0→1, 8→12), what they lead
+        // to (3→4→5, 13→14), a self-loop on 6 below 5, and 20→21 apart
+        // from it all.
+        let edges = [
+            (11, 12),
+            (13, 10),
+            (12, 13),
+            (10, 11),
+            (3, 1),
+            (2, 3),
+            (1, 2),
+            (0, 1),
+            (9, 0),
+            (8, 12),
+            (3, 4),
+            (4, 5),
+            (13, 14),
+            (5, 6),
+            (6, 6),
+            (20, 21),
+        ];
+        let (mut order, edges) = order_of(&edges);
+        assert!(order.has_cycle());
+        order.validate(&edges).unwrap();
+        let g = graph(&edges);
+        let on_a_cycle = |n: u32| g.reaches(n, n);
+        let mut want: Vec<u32> = g.nodes().to_vec();
+        want.retain(|&n| g.nodes().iter().any(|&c| on_a_cycle(c) && (n == c || g.reaches(n, c))));
+        want.sort();
+        let mut got = order.reaching_a_cycle();
+        got.sort();
+        assert_eq!(got, want);
+        assert_eq!(got, vec![0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13]);
+
+        // Between retry passes the answer only ever errs on the large
+        // side: a broken cycle's deferred edge still counts until retried.
+        order.remove_edge(2, 3);
+        let mut stale = order.reaching_a_cycle();
+        stale.sort();
+        assert!(stale.contains(&1) && stale.contains(&0), "{stale:?}");
+        assert!(order.has_cycle());
+        let mut got = order.reaching_a_cycle();
+        got.sort();
+        assert_eq!(got, vec![3, 4, 5, 6, 8, 10, 11, 12, 13]);
     }
 }

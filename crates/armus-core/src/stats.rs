@@ -85,8 +85,8 @@ impl StatsCollector {
         }
     }
 
-    /// Records a from-scratch graph rebuild (the engine's slow path: a
-    /// maintained-graph hit being confirmed into a canonical report).
+    /// Records a canonical check (the engine's slow path: a maintained-graph
+    /// hit being confirmed into a canonical report).
     pub fn record_full_rebuild(&self) {
         self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
@@ -203,8 +203,11 @@ pub struct StatsSnapshot {
     pub unblocks: u64,
     /// Journal deltas applied to the incremental engine's maintained graph.
     pub deltas_applied: u64,
-    /// From-scratch graph rebuilds (maintained-graph hits confirmed into
-    /// canonical reports) — the counterpart of `deltas_applied`.
+    /// Canonical checks run on a hit (maintained-graph hits confirmed into
+    /// canonical reports) — the counterpart of `deltas_applied`. An
+    /// avoidance hit rebuilds the graph of the whole state from scratch; a
+    /// detection hit that of the slice that reaches the cycle (see
+    /// [`crate::engine::IncrementalEngine::check_full`]).
     pub full_rebuilds: u64,
     /// Engine reloads from a full snapshot after falling behind the
     /// bounded delta journal.

@@ -5,10 +5,12 @@
 //!   status and runs a check; if the block would complete a cycle the
 //!   operation is interrupted with a [`DeadlockError`] instead of blocking.
 //! * **Detection**: blocking operations only publish their status; a
-//!   dedicated monitor thread samples the registry periodically, runs the
-//!   check, and *confirms* any cycle against per-task blocking epochs
-//!   before reporting (sampling is racy; a task may have unblocked since
-//!   the snapshot was taken).
+//!   dedicated monitor thread runs the check — once a period while the
+//!   program keeps publishing, a quiet interval after it stops, not at all
+//!   while nothing new was published (see [`VerifyMode::Detection`]) — and
+//!   *confirms* any cycle against per-task blocking epochs before
+//!   reporting (sampling is racy; a task may have unblocked since the
+//!   check looked).
 //!
 //! Both modes check against the [`IncrementalEngine`]'s persistently
 //! maintained graph: a check consumes only the registry's journal deltas
@@ -45,7 +47,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -66,7 +68,13 @@ pub enum VerifyMode {
     /// Check before every block; raise [`DeadlockError`] instead of
     /// deadlocking.
     Avoidance,
-    /// Publish blocked status; a monitor thread checks every `period`.
+    /// Publish blocked status; a monitor thread checks. The monitor is
+    /// paced by what is published, with the paper's sampling period as the
+    /// bound: while blocks and unblocks keep flowing it checks once a
+    /// `period`, so that is the longest a standing cycle waits for its
+    /// report; once they stop — which is what a deadlock looks like — it
+    /// checks one *quiet interval* (`period / 16`) after the last of them;
+    /// and while nothing new has been published it does not check at all.
     Detection {
         /// Sampling period of the monitor thread (paper: 100 ms locally,
         /// 200 ms distributed).
@@ -146,7 +154,11 @@ impl VerifierConfig {
         Self::detection_every(Duration::from_millis(100))
     }
 
-    /// Detection with an explicit period.
+    /// Detection with an explicit period: the longest a standing cycle
+    /// waits for its report while the program keeps publishing. A cycle
+    /// that leaves the program quiescent is reported `period / 16` after
+    /// its last block, and an idle program is not checked (see
+    /// [`VerifyMode::Detection`]).
     pub fn detection_every(period: Duration) -> Self {
         Self::with_mode(VerifyMode::Detection { period })
     }
@@ -238,19 +250,128 @@ impl CheckRequest {
     }
 }
 
+/// What the monitor does next, decided by [`Pacer::decide`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pace {
+    /// Run a check now.
+    Check,
+    /// Something new is published but neither wait is over: look again
+    /// after this long.
+    Nap(Duration),
+    /// Nothing new: wait to be woken by the next block.
+    Park,
+}
+
+/// The monitor's pacing rule, as a function of the journal head and the
+/// clock so that it is tested without threads: check only when something
+/// was published since the last check, and then as soon as the head has
+/// stood still for one quiet interval — a burst that ends, as a closing
+/// block does — or a period has passed since the last check — a program
+/// that never pauses is checked once a period, never more often.
+struct Pacer {
+    period: Duration,
+    quiet: Duration,
+    /// The journal head the last check covered, and when that check ended.
+    checked: (u64, Instant),
+    /// The head at the previous look, and when it was first seen there.
+    seen: (u64, Instant),
+}
+
+impl Pacer {
+    /// The quiet interval as a share of the period. A sixteenth keeps a
+    /// busy program's monitor to sixteen cheap looks a period and reports
+    /// a quiescent deadlock an order of magnitude sooner than waiting out
+    /// the period does.
+    const QUIET_SHARE: u32 = 16;
+
+    fn new(period: Duration, quiet: Duration, now: Instant) -> Pacer {
+        Pacer { period, quiet, checked: (0, now), seen: (0, now) }
+    }
+
+    fn decide(&mut self, head: u64, now: Instant) -> Pace {
+        if head == self.checked.0 {
+            return Pace::Park;
+        }
+        if head != self.seen.0 {
+            self.seen = (head, now);
+        }
+        let still_for = now.saturating_duration_since(self.seen.1);
+        let unchecked_for = now.saturating_duration_since(self.checked.1);
+        let left = self.quiet.saturating_sub(still_for);
+        match left.min(self.period.saturating_sub(unchecked_for)) {
+            Duration::ZERO => Pace::Check,
+            left => Pace::Nap(left),
+        }
+    }
+
+    /// Records a check that ended at `now` and covered the journal up to
+    /// `head` — the head read *before* the check, so that what was
+    /// published while it ran is new at the next look.
+    fn checked(&mut self, head: u64, now: Instant) {
+        self.checked = (head, now);
+    }
+}
+
 /// Stop flag + wake-up for the monitor thread: shared separately from the
 /// `Verifier` so (a) `shutdown` can interrupt a sleeping monitor no matter
 /// how long its period is, and (b) the monitor holds no strong reference
 /// to the verifier while sleeping (dropping the last user `Arc` stops it).
+#[derive(Default)]
 struct MonitorSignal {
-    stop: Mutex<bool>,
+    state: Mutex<MonitorState>,
     wake: Condvar,
+    /// Set by the monitor before it waits for the next block; a publisher
+    /// that reads it set wakes the monitor. The handshake is the store of
+    /// this flag followed by a re-read of the journal head on the monitor's
+    /// side, and the journal append followed by the load of this flag on
+    /// the publisher's — all `SeqCst`, so at least one side sees the
+    /// other's write: the monitor finds the new head and does not wait, or
+    /// the publisher finds the flag and leaves a wake-up behind.
+    parked: AtomicBool,
+}
+
+#[derive(Default)]
+struct MonitorState {
+    stop: bool,
+    /// A publisher's wake-up, kept here until the monitor takes it so that
+    /// one sent between the monitor's re-read and its wait is not lost.
+    woken: bool,
 }
 
 impl MonitorSignal {
     fn stop_and_wake(&self) {
-        *self.stop.lock() = true;
+        self.state.lock().stop = true;
         self.wake.notify_all();
+    }
+
+    /// The publisher's half of the handshake, after its journal append:
+    /// one load unless the monitor is parked, and then one publisher of a
+    /// burst takes the lock.
+    fn wake_if_parked(&self) {
+        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
+            self.state.lock().woken = true;
+            self.wake.notify_all();
+        }
+    }
+
+    /// The monitor's half of the handshake: announce the wait, look at the
+    /// journal once more, and only then wait — for a publisher's wake-up,
+    /// a stop or `timeout`. Returns whether to stop.
+    fn park(&self, nothing_new: impl FnOnce() -> bool, timeout: Duration) -> bool {
+        self.parked.store(true, Ordering::SeqCst);
+        self.wait(if nothing_new() { timeout } else { Duration::ZERO })
+    }
+
+    /// Waits for `timeout`, a stop or (parked) a publisher's wake-up,
+    /// whichever comes first; returns whether to stop.
+    fn wait(&self, timeout: Duration) -> bool {
+        let mut state = self.state.lock();
+        if !state.stop && !state.woken && !timeout.is_zero() {
+            self.wake.wait_for(&mut state, timeout);
+        }
+        state.woken = false;
+        self.parked.store(false, Ordering::SeqCst);
+        state.stop
     }
 }
 
@@ -276,6 +397,17 @@ impl Verifier {
     /// thread, which stops when the last user `Arc` is dropped or
     /// [`Verifier::shutdown`] is called.
     pub fn new(cfg: VerifierConfig) -> Arc<Verifier> {
+        let quiet = match cfg.mode {
+            VerifyMode::Detection { period } => period / Pacer::QUIET_SHARE,
+            _ => Duration::ZERO,
+        };
+        Verifier::with_quiet_interval(cfg, quiet)
+    }
+
+    /// [`Verifier::new`] with the monitor's quiet interval given instead
+    /// of derived from the period: the handshake stress test parks the
+    /// monitor for an hour and cannot wait minutes for each verdict.
+    fn with_quiet_interval(cfg: VerifierConfig, quiet: Duration) -> Arc<Verifier> {
         // Only the avoidance fast path reads the distinct-awaited count;
         // other modes skip that bookkeeping on every block/unblock.
         let track_waited = cfg.mode == VerifyMode::Avoidance && cfg.fastpath;
@@ -292,15 +424,16 @@ impl Verifier {
             reports: Mutex::new(Vec::new()),
             reported: Mutex::new(ReportDedup::new()),
             subscribers: Mutex::new(Vec::new()),
-            signal: Arc::new(MonitorSignal { stop: Mutex::new(false), wake: Condvar::new() }),
+            signal: Arc::default(),
             monitor: Mutex::new(None),
         });
         if let VerifyMode::Detection { period } = cfg.mode {
             let weak: Weak<Verifier> = Arc::downgrade(&v);
             let signal = Arc::clone(&v.signal);
+            let pacer = Pacer::new(period, quiet, Instant::now());
             let handle = std::thread::Builder::new()
                 .name("armus-monitor".into())
-                .spawn(move || monitor_loop(weak, signal, period))
+                .spawn(move || monitor_loop(weak, signal, pacer))
                 .expect("spawn armus monitor");
             *v.monitor.lock() = Some(handle);
         }
@@ -334,6 +467,10 @@ impl Verifier {
             VerifyMode::Detection { .. } | VerifyMode::PublishOnly => {
                 self.stats.record_block();
                 self.registry.block(BlockedInfo::new(task, waits, registered));
+                // Only a block can close a cycle, so only a block wakes an
+                // idle monitor (publish-only verifiers have none, and the
+                // flag is never set).
+                self.signal.wake_if_parked();
                 Ok(())
             }
             VerifyMode::Avoidance => {
@@ -499,49 +636,33 @@ impl Verifier {
         }
     }
 
-    /// Syncs the engine with the registry (recording the delta/resync
-    /// stats) and runs `check` against the maintained graph. A returned
-    /// report means the slow path rebuilt a canonical graph — counted as a
-    /// full rebuild against the deltas applied on the fast path.
-    fn synced_check(
-        &self,
-        check: impl FnOnce(&mut IncrementalEngine) -> CheckOutcome,
-    ) -> CheckOutcome {
+    /// Runs a detection check right now (also used by the monitor thread).
+    /// Returns the confirmed report, if any. The check consumes only the
+    /// journal deltas since the previous one.
+    pub fn check_now(&self) -> Option<DeadlockReport> {
         let outcome = {
             let mut engine = self.engine.lock();
+            // Synced even when nothing is blocked: the engine's cursor
+            // keeps moving, so a burst after a long idle stretch does not
+            // force a resync.
             self.sync_engine(&mut engine);
-            let outcome = check(&mut engine);
+            // "Nothing blocked" by the engine's own, just-synced count:
+            // the registry's trails a publisher's journal append, and the
+            // monitor does not look again until something new is published.
+            let outcome = (engine.blocked() > 0).then(|| {
+                let det = engine.check_full_detailed(self.cfg.model, DEFAULT_SG_THRESHOLD);
+                if det.incremental {
+                    self.stats.record_incremental_detection();
+                }
+                det.outcome
+            });
             // Serve any avoidance blockers that queued behind this check.
             self.finish_locked(&mut engine);
             outcome
-        };
-        if outcome.report.is_some() {
-            self.stats.record_full_rebuild();
-        }
-        outcome
-    }
-
-    /// Runs a detection check right now (also used by the monitor thread).
-    /// Returns the confirmed report, if any. The check consumes only the
-    /// journal deltas since the previous sample.
-    pub fn check_now(&self) -> Option<DeadlockReport> {
-        if self.registry.is_empty() {
-            // Keep the engine's cursor moving even when quiescent so a
-            // burst after a long idle stretch does not force a resync.
-            let mut engine = self.engine.lock();
-            self.sync_engine(&mut engine);
-            self.finish_locked(&mut engine);
-            return None;
-        }
-        let outcome = self.synced_check(|engine| {
-            let det = engine.check_full_detailed(self.cfg.model, DEFAULT_SG_THRESHOLD);
-            if det.incremental {
-                self.stats.record_incremental_detection();
-            }
-            det.outcome
-        });
+        }?;
         self.stats.record_check(&outcome.stats);
         let report = outcome.report?;
+        self.stats.record_full_rebuild();
         // Confirmation pass: every task in the cycle must still be in the
         // blocking operation (same epoch) we observed. Tasks in a real
         // deadlock can never unblock, so re-reading is conclusive.
@@ -670,20 +791,28 @@ impl Drop for Verifier {
     }
 }
 
-fn monitor_loop(weak: Weak<Verifier>, signal: Arc<MonitorSignal>, period: Duration) {
-    loop {
-        // Interruptible sleep: shutdown/drop wakes us early.
-        {
-            let mut stop = signal.stop.lock();
-            if !*stop {
-                signal.wake.wait_for(&mut stop, period);
+fn monitor_loop(weak: Weak<Verifier>, signal: Arc<MonitorSignal>, mut pacer: Pacer) {
+    // The verifier is held only to look and to check, never across a wait:
+    // dropping the last user `Arc` must be able to wake and stop the monitor.
+    let journal_head = || weak.upgrade().map(|v| v.registry.journal_cursor());
+    while let Some(head) = journal_head() {
+        let stop = match pacer.decide(head, Instant::now()) {
+            Pace::Check => {
+                if let Some(v) = weak.upgrade() {
+                    let _ = v.check_now();
+                }
+                pacer.checked(head, Instant::now());
+                signal.wait(Duration::ZERO)
             }
-            if *stop {
-                break;
-            }
+            Pace::Nap(left) => signal.wait(left),
+            // The period bounds the wait: an unblock does not wake the
+            // monitor, but the engine should not fall a journal window
+            // behind while the program only unblocks.
+            Pace::Park => signal.park(|| journal_head() == Some(head), pacer.period),
+        };
+        if stop {
+            break;
         }
-        let Some(v) = weak.upgrade() else { break };
-        let _ = v.check_now();
     }
 }
 
@@ -767,6 +896,186 @@ mod tests {
         let reports = v.take_reports();
         assert_eq!(reports.len(), 1, "deduplicated to one report");
         assert_eq!(reports[0].tasks, vec![t(1), t(2), t(3), t(4)]);
+        v.shutdown();
+    }
+
+    const PERIOD: Duration = Duration::from_millis(160);
+    const QUIET: Duration = Duration::from_millis(10);
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    #[test]
+    fn pacer_parks_while_nothing_is_new() {
+        let t0 = Instant::now();
+        let mut pacer = Pacer::new(PERIOD, QUIET, t0);
+        assert_eq!(pacer.decide(0, t0), Pace::Park);
+        assert_eq!(pacer.decide(0, t0 + 10 * PERIOD), Pace::Park, "an idle program is not checked");
+        // Nor is one whose every event has been checked, however long ago.
+        pacer.checked(7, t0 + ms(1));
+        assert_eq!(pacer.decide(7, t0 + ms(2)), Pace::Park);
+        assert_eq!(pacer.decide(7, t0 + 100 * PERIOD), Pace::Park);
+    }
+
+    #[test]
+    fn pacer_checks_once_a_quiet_interval_after_a_burst_ends() {
+        let t0 = Instant::now();
+        let mut pacer = Pacer::new(PERIOD, QUIET, t0);
+        assert_eq!(pacer.decide(3, t0 + ms(20)), Pace::Nap(QUIET));
+        // A wake-up before the nap is over changes nothing.
+        assert_eq!(pacer.decide(3, t0 + ms(23)), Pace::Nap(ms(7)));
+        // The burst went on: the head has to stand still anew.
+        assert_eq!(pacer.decide(5, t0 + ms(30)), Pace::Nap(QUIET));
+        assert_eq!(pacer.decide(5, t0 + ms(40)), Pace::Check);
+        pacer.checked(5, t0 + ms(41));
+        assert_eq!(pacer.decide(5, t0 + ms(41)), Pace::Park, "exactly one check");
+        assert_eq!(pacer.decide(5, t0 + ms(41) + PERIOD), Pace::Park);
+    }
+
+    #[test]
+    fn pacer_checks_a_program_that_never_pauses_once_a_period() {
+        let t0 = Instant::now();
+        let mut pacer = Pacer::new(PERIOD, QUIET, t0);
+        // Something new at every look, each look as late as the pacer asks.
+        let (mut now, mut last_check, mut checks) = (t0, t0, 0);
+        for head in 1.. {
+            match pacer.decide(head, now) {
+                Pace::Nap(left) => {
+                    assert!(left <= QUIET, "{left:?}");
+                    now += left;
+                }
+                Pace::Check => {
+                    assert_eq!(now - last_check, PERIOD, "check {checks}");
+                    pacer.checked(head, now);
+                    (last_check, checks) = (now, checks + 1);
+                    if checks == 10 {
+                        break;
+                    }
+                }
+                Pace::Park => panic!("parked with head {head} unchecked"),
+            }
+        }
+        assert_eq!(now - t0, 10 * PERIOD);
+    }
+
+    #[test]
+    fn pacer_takes_what_arrives_during_a_check_for_new() {
+        let t0 = Instant::now();
+        let mut pacer = Pacer::new(PERIOD, QUIET, t0);
+        assert_eq!(pacer.decide(4, t0), Pace::Nap(QUIET));
+        assert_eq!(pacer.decide(4, t0 + QUIET), Pace::Check);
+        // The check was decided on head 4 and the head is 6 when it ends.
+        pacer.checked(4, t0 + ms(12));
+        assert_eq!(pacer.decide(6, t0 + ms(12)), Pace::Nap(QUIET));
+        assert_eq!(pacer.decide(6, t0 + ms(22)), Pace::Check);
+    }
+
+    #[test]
+    fn pacer_never_lets_a_quiet_wait_outlast_the_period() {
+        let t0 = Instant::now();
+        let mut pacer = Pacer::new(PERIOD, QUIET, t0);
+        assert_eq!(pacer.decide(1, t0 + ms(155)), Pace::Nap(ms(5)));
+        assert_eq!(pacer.decide(2, t0 + ms(160)), Pace::Check);
+    }
+
+    #[test]
+    fn pacer_with_an_hour_long_period_checks_within_no_tests_lifetime() {
+        let t0 = Instant::now();
+        let hour = Duration::from_secs(3600);
+        let mut pacer = Pacer::new(hour, hour / Pacer::QUIET_SHARE, t0);
+        assert_eq!(pacer.decide(1, t0), Pace::Nap(Duration::from_secs(225)));
+        assert_eq!(
+            pacer.decide(1, t0 + Duration::from_secs(60)),
+            Pace::Nap(Duration::from_secs(165))
+        );
+    }
+
+    #[test]
+    fn a_quiescent_deadlock_is_reported_long_before_the_period_ends() {
+        // A quiet interval is 625 ms of this period; the margin is for a
+        // loaded host, not for the mechanism.
+        let v = Verifier::new(VerifierConfig::detection_every(Duration::from_secs(10)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        v.subscribe(move |report| drop(tx.lock().send(report.tasks.clone())));
+        publish_example_deadlock(&v);
+        let tasks = rx.recv_timeout(Duration::from_secs(3)).expect("no report within 3 s");
+        assert_eq!(tasks, vec![t(1), t(2), t(3), t(4)]);
+        v.shutdown();
+    }
+
+    #[test]
+    fn monitor_handshake_keeps_a_wakeup_sent_inside_either_window_of_the_park() {
+        let hour = Duration::from_secs(3600);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let signal = MonitorSignal::default();
+            // A block lands between the announcement and the second look:
+            // the look finds it (and the publisher's wake-up is spare).
+            let stop = signal.park(
+                || {
+                    signal.wake_if_parked();
+                    false
+                },
+                hour,
+            );
+            assert!(!stop && !signal.state.lock().woken);
+            // A block lands after the second look, before the wait: the
+            // publisher found the flag, and its wake-up waits for the wait.
+            let stop = signal.park(
+                || {
+                    signal.wake_if_parked();
+                    true
+                },
+                hour,
+            );
+            assert!(!stop && !signal.parked.load(Ordering::SeqCst));
+            // A publisher that finds no flag takes no lock and leaves nothing.
+            signal.wake_if_parked();
+            assert!(!signal.state.lock().woken);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(30)).expect("the park waited: a wake-up was lost");
+    }
+
+    /// The parked-flag handshake between `Verifier::block` and the monitor,
+    /// under stress: the period is an hour, so a wake-up lost between the
+    /// monitor's last look at the journal and its wait shows as a time-out.
+    /// Each round publishes as soon as it sees the monitor park — when it
+    /// can, inside that very window.
+    #[test]
+    fn monitor_handshake_loses_no_wakeup() {
+        let hour = Duration::from_secs(3600);
+        let v = Verifier::with_quiet_interval(
+            VerifierConfig::detection_every(hour),
+            Duration::from_micros(100),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        v.subscribe(move |report| drop(tx.lock().send(report.tasks.clone())));
+        let limit = Duration::from_secs(2);
+        for round in 0..2000u64 {
+            let (a, b) = (2 * round + 1, 2 * round + 2);
+            let parking = Instant::now();
+            while !v.signal.parked.load(Ordering::SeqCst) {
+                assert!(parking.elapsed() < limit, "round {round}: the monitor never parked");
+                std::thread::yield_now();
+            }
+            // A crossed wait: each has arrived at its own barrier and is
+            // the member the other's barrier is missing.
+            for (me, other) in [(a, b), (b, a)] {
+                let regs = vec![Registration::new(p(me), 1), Registration::new(p(other), 0)];
+                v.block(t(me), vec![r(me, 1)], regs).unwrap();
+            }
+            let tasks = rx
+                .recv_timeout(limit)
+                .unwrap_or_else(|_| panic!("round {round}: no report, a wake-up was lost"));
+            assert_eq!(tasks, vec![t(a), t(b)], "round {round}");
+            v.unblock(t(a));
+            v.unblock(t(b));
+        }
+        assert_eq!(v.stats().deadlocks, 2000);
         v.shutdown();
     }
 

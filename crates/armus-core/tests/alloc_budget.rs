@@ -201,3 +201,40 @@ fn an_avoidance_block_unblock_cycle_allocates_only_its_record() {
     assert_eq!(blocked, BLOCKS, "Verifier::block: one shared record a block");
     assert_eq!(unblocked, 0, "Verifier::unblock");
 }
+
+#[test]
+fn a_check_full_hit_allocates_for_the_cycle_not_for_the_blocked_population() {
+    // The standing population of the stencil: every task of every group
+    // arrived at and awaiting its group's barrier, the groups chained by
+    // member 0's halo registration — 2048 blocked tasks, no cycle.
+    let mut engine = IncrementalEngine::new();
+    for group in 0..GROUPS {
+        for member in 0..MEMBERS {
+            let mut registered = vec![Registration::new(PhaserId(group), 1)];
+            if member == 0 && group + 1 < GROUPS {
+                registered.push(Registration::new(PhaserId(group + 1), 0));
+            }
+            let waits = vec![Resource::new(PhaserId(group), 1)];
+            engine.apply(Delta::Block(BlockedInfo::new(task(group, member), waits, registered)));
+        }
+    }
+    let auto =
+        |engine: &mut IncrementalEngine| engine.check_full(ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+    assert!(auto(&mut engine).report.is_none(), "the stencil is deadlock-free");
+
+    // Three fresh tasks on three fresh barriers: each has arrived at its
+    // own and is the member the next one's is missing.
+    let planted: Vec<TaskId> = (0..3).map(|i| TaskId(10_000 + i)).collect();
+    for i in 0..3 {
+        let (own, next) = (PhaserId(10_000 + i), PhaserId(10_000 + (i + 1) % 3));
+        let registered = vec![Registration::new(own, 1), Registration::new(next, 0)];
+        let waits = vec![Resource::new(own, 1)];
+        engine.apply(Delta::Block(BlockedInfo::new(planted[i as usize], waits, registered)));
+    }
+    let (n, outcome) = allocations(|| auto(&mut engine));
+    assert_eq!(outcome.report.expect("the planted cycle").tasks, planted);
+    assert_eq!(outcome.stats.blocked_tasks as u64, BLOCKS + 3);
+    // Copying the blocked population costs two vectors a status, 4096 and
+    // more; the canonical check of three tasks a few dozen.
+    assert!(n < 256, "IncrementalEngine::check_full: {n} allocations on a 3-cycle hit");
+}

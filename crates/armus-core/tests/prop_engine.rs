@@ -2,7 +2,7 @@
 //! block/unblock/check interleavings driven through the registry's delta
 //! journal, asserting after **every step** that the engine's maintained
 //! graphs equal the from-scratch `wfg`/`sg` oracle — vertex sets, edge
-//! sets, verdicts, and (for fixed models) byte-identical reports.
+//! sets, verdicts, and byte-identical reports under every model choice.
 //!
 //! The registry is given a tiny journal capacity so the interleavings also
 //! exercise the truncation → snapshot-resync path, and tasks re-block with
@@ -135,20 +135,18 @@ proptest! {
             prop_assert_eq!(engine.sg_edge_list(), sg_edges);
             prop_assert_eq!(engine.blocked(), snap.len());
 
-            // Report equivalence: byte-identical for the fixed models,
-            // verdict-identical for Auto (whose model selection is
-            // legitimately rule-variant, see `adaptive::auto_pick`).
-            for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg] {
-                let ours = engine.check_full(choice, 2).report;
-                let oracle = checker::check(&snap, choice, 2).report;
-                prop_assert_eq!(json(&ours), json(&oracle), "full check, {}", choice);
-                let ours = engine.check_task(touched, choice, 2).report;
-                let oracle = checker::check_task(&snap, touched, choice, 2).report;
-                prop_assert_eq!(json(&ours), json(&oracle), "task check, {}", choice);
+            // Report equivalence: byte-identical under every choice (the
+            // engine and the builder pick `Auto`'s model by one rule).
+            for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
+                let ours = engine.check_full(choice, 2);
+                let oracle = checker::check(&snap, choice, 2);
+                prop_assert_eq!(json(&ours.report), json(&oracle.report), "full check, {}", choice);
+                prop_assert_eq!(ours.stats, oracle.stats, "full check stats, {}", choice);
+                let ours = engine.check_task(touched, choice, 2);
+                let oracle = checker::check_task(&snap, touched, choice, 2);
+                prop_assert_eq!(json(&ours.report), json(&oracle.report), "task check, {}", choice);
+                prop_assert_eq!(ours.stats, oracle.stats, "task check stats, {}", choice);
             }
-            let ours = engine.check_full(ModelChoice::Auto, 2).report.is_some();
-            let oracle = checker::check(&snap, ModelChoice::Auto, 2).report.is_some();
-            prop_assert_eq!(ours, oracle, "auto verdict");
         }
 
         // Drain everything: the maintained structures must return to zero.
@@ -215,7 +213,7 @@ proptest! {
         let (sg_nodes, sg_edges) = graph_sets(&sg::sg(&snap));
         prop_assert_eq!(follower.sg_vertex_list(), sg_nodes);
         prop_assert_eq!(follower.sg_edge_list(), sg_edges);
-        for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg] {
+        for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
             let ours = follower.check_full(choice, 2).report;
             let oracle = checker::check(&snap, choice, 2).report;
             prop_assert_eq!(json(&ours), json(&oracle), "quiesce check, {}", choice);
