@@ -774,7 +774,7 @@ impl IncrementalEngine {
     /// demanded. `Auto` applies the threshold rule (see [`auto_pick`]) to
     /// the live SG's edge count — the from-scratch builder's answer on the
     /// same state, exactly.
-    pub fn model_for(&mut self, choice: ModelChoice, threshold: usize) -> GraphModel {
+    fn model_for(&mut self, choice: ModelChoice, threshold: usize) -> GraphModel {
         let model = match choice {
             ModelChoice::FixedWfg => GraphModel::Wfg,
             ModelChoice::FixedSg => GraphModel::Sg,
@@ -1233,19 +1233,11 @@ mod tests {
         for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg] {
             let ours = engine.check_full(choice, DEFAULT_SG_THRESHOLD).report.unwrap();
             let oracle = checker::check(&snap, choice, DEFAULT_SG_THRESHOLD).report.unwrap();
-            assert_eq!(
-                serde_json::to_string(&ours).unwrap(),
-                serde_json::to_string(&oracle).unwrap(),
-                "{choice}"
-            );
+            assert_eq!(ours, oracle, "{choice}");
             let ours = engine.check_task(t(4), choice, DEFAULT_SG_THRESHOLD).report.unwrap();
             let oracle =
                 checker::check_task(&snap, t(4), choice, DEFAULT_SG_THRESHOLD).report.unwrap();
-            assert_eq!(
-                serde_json::to_string(&ours).unwrap(),
-                serde_json::to_string(&oracle).unwrap(),
-                "{choice}"
-            );
+            assert_eq!(ours, oracle, "{choice}");
         }
     }
 
@@ -1462,8 +1454,7 @@ mod tests {
             checker::check(&engine.materialize(), ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
         assert!(oracle.report.is_some(), "closed chain must be reported");
         assert_eq!(
-            serde_json::to_string(&out.report).unwrap(),
-            serde_json::to_string(&oracle.report).unwrap(),
+            out.report, oracle.report,
             "order path and canonical checker must deliver the identical report"
         );
     }
@@ -1479,11 +1470,7 @@ mod tests {
             let ours = engine.check_full(choice, DEFAULT_SG_THRESHOLD).report;
             let oracle = checker::check(&snap, choice, DEFAULT_SG_THRESHOLD).report;
             assert!(oracle.is_some(), "{choice}: the state holds a cycle");
-            assert_eq!(
-                serde_json::to_string(&ours).unwrap(),
-                serde_json::to_string(&oracle).unwrap(),
-                "{choice}"
-            );
+            assert_eq!(ours, oracle, "{choice}");
         }
     }
 

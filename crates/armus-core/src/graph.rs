@@ -6,9 +6,9 @@
 //! that graphs with hundreds of thousands of nodes cannot overflow the call
 //! stack; it runs in `O(V + E)` as required by Proposition 4.2.
 //!
-//! The walk/cycle vocabulary of paper §4.2 (walks, `r`-cycles, in/out
-//! degree, reachability) is implemented directly so that tests can state
-//! the paper's lemmas verbatim.
+//! The walk/cycle vocabulary of paper §4.2 (walks, `r`-cycles,
+//! reachability) is implemented directly so that tests can state the
+//! paper's lemmas verbatim.
 //!
 //! [`TopoOrder`] is the order-maintenance substrate of the incremental
 //! detection pass (Pearce–Kelly, "A Dynamic Topological Sort Algorithm
@@ -128,19 +128,6 @@ impl<N: Copy + Eq + Hash> DiGraph<N> {
         match (self.index.get(&from), self.index.get(&to)) {
             (Some(&f), Some(&t)) => self.edge_set.contains(&(f, t)),
             _ => false,
-        }
-    }
-
-    /// Out-degree of `n` (0 if absent).
-    pub fn out_degree(&self, n: N) -> usize {
-        self.index.get(&n).map(|&i| self.adj[i as usize].len()).unwrap_or(0)
-    }
-
-    /// In-degree of `n` (0 if absent). `O(E)`; intended for tests.
-    pub fn in_degree(&self, n: N) -> usize {
-        match self.index.get(&n) {
-            None => 0,
-            Some(&i) => self.adj.iter().map(|succ| succ.iter().filter(|&&s| s == i).count()).sum(),
         }
     }
 
@@ -332,62 +319,6 @@ impl<N: Copy + Eq + Hash> DiGraph<N> {
             }
         }
         None
-    }
-
-    /// Strongly connected components (iterative Tarjan), returned as lists
-    /// of nodes. Components appear in reverse topological order.
-    pub fn sccs(&self) -> Vec<Vec<N>> {
-        let n = self.nodes.len();
-        let mut index_of = vec![u32::MAX; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut next_index = 0u32;
-        let mut out = Vec::new();
-
-        // Iterative Tarjan: frames of (node, next-successor).
-        for root in 0..n as u32 {
-            if index_of[root as usize] != u32::MAX {
-                continue;
-            }
-            let mut frames: Vec<(u32, usize)> = vec![(root, 0)];
-            while let Some(&mut (v, ref mut ni)) = frames.last_mut() {
-                if *ni == 0 {
-                    index_of[v as usize] = next_index;
-                    low[v as usize] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                }
-                if *ni < self.adj[v as usize].len() {
-                    let s = self.adj[v as usize][*ni];
-                    *ni += 1;
-                    if index_of[s as usize] == u32::MAX {
-                        frames.push((s, 0));
-                    } else if on_stack[s as usize] {
-                        low[v as usize] = low[v as usize].min(index_of[s as usize]);
-                    }
-                } else {
-                    if low[v as usize] == index_of[v as usize] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w as usize] = false;
-                            comp.push(self.node(w));
-                            if w == v {
-                                break;
-                            }
-                        }
-                        out.push(comp);
-                    }
-                    frames.pop();
-                    if let Some(&mut (p, _)) = frames.last_mut() {
-                        low[p as usize] = low[p as usize].min(low[v as usize]);
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -720,7 +651,6 @@ mod tests {
         let g: DiGraph<u32> = DiGraph::new();
         assert!(g.find_cycle().is_none());
         assert!(!g.has_cycle());
-        assert!(g.sccs().is_empty());
     }
 
     #[test]
@@ -816,33 +746,10 @@ mod tests {
     }
 
     #[test]
-    fn degrees() {
-        let g = graph(&[(1, 2), (1, 3), (2, 3)]);
-        assert_eq!(g.out_degree(1), 2);
-        assert_eq!(g.out_degree(3), 0);
-        assert_eq!(g.in_degree(3), 2);
-        assert_eq!(g.in_degree(1), 0);
-        assert_eq!(g.out_degree(99), 0);
-    }
-
-    #[test]
-    fn sccs_partition_nodes() {
-        let g = graph(&[(1, 2), (2, 1), (2, 3), (3, 4), (4, 3), (5, 5)]);
-        let sccs = g.sccs();
-        let total: usize = sccs.iter().map(|c| c.len()).sum();
-        assert_eq!(total, g.node_count());
-        let mut sizes: Vec<usize> = sccs.iter().map(|c| c.len()).collect();
-        sizes.sort();
-        assert_eq!(sizes, vec![1, 2, 2]);
-    }
-
-    #[test]
     fn duplicate_edges_are_ignored() {
         let g = graph(&[(1, 2), (1, 2), (1, 2)]);
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.node_count(), 2);
-        assert_eq!(g.out_degree(1), 1);
-        assert_eq!(g.in_degree(2), 1);
     }
 
     #[test]
@@ -868,7 +775,6 @@ mod tests {
         let c = g.find_cycle().expect("big cycle");
         assert_eq!(c.len() as u32, n + 1);
         assert!(g.is_cycle(&c));
-        assert_eq!(g.sccs().len(), 1);
     }
 
     // -- TopoOrder (Pearce–Kelly order maintenance) -------------------------

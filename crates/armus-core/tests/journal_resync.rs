@@ -189,11 +189,7 @@ fn resync_rebuilds_the_order_and_rereports_byte_identically() {
     for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg] {
         let ours = engine.check_full(choice, 2).report;
         let oracle = checker::check(&snap, choice, 2).report;
-        assert_eq!(
-            serde_json::to_string(&ours).unwrap(),
-            serde_json::to_string(&oracle).unwrap(),
-            "{choice:?} report must be byte-identical across the resync"
-        );
+        assert_eq!(ours, oracle, "{choice:?} report must be byte-identical across the resync");
         assert!(ours.is_some(), "{choice:?}: the cycle must survive the resync");
     }
     // The hit fell back to the canonical rebuild; the orders still hold.

@@ -101,13 +101,6 @@ fn graph_sets<N: Copy + Ord + std::hash::Hash>(
     (nodes, edges)
 }
 
-fn json<T: serde::Serialize>(value: &Option<T>) -> String {
-    match value {
-        None => "null".to_string(),
-        Some(v) => serde_json::to_string(v).expect("reports serialise"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -140,11 +133,11 @@ proptest! {
             for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
                 let ours = engine.check_full(choice, 2);
                 let oracle = checker::check(&snap, choice, 2);
-                prop_assert_eq!(json(&ours.report), json(&oracle.report), "full check, {}", choice);
+                prop_assert_eq!(ours.report, oracle.report, "full check, {}", choice);
                 prop_assert_eq!(ours.stats, oracle.stats, "full check stats, {}", choice);
                 let ours = engine.check_task(touched, choice, 2);
                 let oracle = checker::check_task(&snap, touched, choice, 2);
-                prop_assert_eq!(json(&ours.report), json(&oracle.report), "task check, {}", choice);
+                prop_assert_eq!(ours.report, oracle.report, "task check, {}", choice);
                 prop_assert_eq!(ours.stats, oracle.stats, "task check stats, {}", choice);
             }
         }
@@ -216,7 +209,7 @@ proptest! {
         for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
             let ours = follower.check_full(choice, 2).report;
             let oracle = checker::check(&snap, choice, 2).report;
-            prop_assert_eq!(json(&ours), json(&oracle), "quiesce check, {}", choice);
+            prop_assert_eq!(ours, oracle, "quiesce check, {}", choice);
         }
     }
 
@@ -324,7 +317,7 @@ proptest! {
                 engine.sync(&registry);
                 let ours = engine.check_task(touched, choice, 2);
                 let oracle = checker::check_task(&snap, touched, choice, 2).report;
-                prop_assert_eq!(json(&ours.report), json(&oracle), "task check, {}", choice);
+                prop_assert_eq!(ours.report, oracle, "task check, {}", choice);
                 prop_assert!(
                     !engine.order_is_live(GraphModel::Sg) && !engine.order_is_live(GraphModel::Wfg),
                     "{}: check_task never reads an order", choice
@@ -343,7 +336,7 @@ proptest! {
                 engine.sync(&registry);
                 let ours = engine.check_full(choice, 2).report;
                 let oracle = checker::check(&snap, choice, 2).report;
-                prop_assert_eq!(json(&ours), json(&oracle), "full check, {}", choice);
+                prop_assert_eq!(ours, oracle, "full check, {}", choice);
                 let inv = engine.order_invariants();
                 prop_assert!(inv.is_ok(), "{}: {:?}", choice, inv);
             }

@@ -1,36 +1,37 @@
-//! A test-bench cluster: N sites over one (fault-injectable) store, with
-//! helpers to run per-site workloads — the in-process equivalent of
-//! `finish for (p in CLUSTER) at (p) async example();` (paper §2.1) —
-//! plus [`NetCluster`], the **multi-process** equivalent: one spawned
-//! `armus-stored` server and N site *processes* talking to it over the
-//! wire protocol.
+//! The in-process `at (p) async` launcher: N [`Site`]s over one shared
+//! [`Store`], with helpers to run per-site workloads — the equivalent of
+//! `finish for (p in CLUSTER) at (p) async example();` (paper §2.1), and
+//! what the §6.2 distributed suite (`armus-workloads::dist`,
+//! `armus-bench paper dist`) runs on. The cluster adds no layer of its
+//! own: every site holds the very `Arc` it was started on, so a caller
+//! that wants faults underneath passes a fault-injecting store to
+//! [`Cluster::start_on`] and keeps its own handle to it.
 
-use std::io;
-use std::path::Path;
-use std::process::{Child, Command, Output};
 use std::sync::Arc;
-use std::time::Duration;
 
 use armus_core::DeadlockReport;
 use armus_sync::Runtime;
 
-use crate::server::StoredProcess;
 use crate::site::{Site, SiteConfig};
-use crate::store::{FaultyStore, MemStore, SiteId, Store};
+use crate::store::{MemStore, SiteId, Store};
 
 /// A running cluster.
 pub struct Cluster {
-    store: Arc<FaultyStore<MemStore>>,
+    store: Arc<dyn Store>,
     sites: Vec<Site>,
 }
 
 impl Cluster {
-    /// Starts `n` sites sharing a fresh store.
+    /// Starts `n` sites sharing a fresh [`MemStore`].
     pub fn start(n: usize, cfg: SiteConfig) -> Cluster {
-        let store = Arc::new(FaultyStore::new(MemStore::new()));
-        let sites = (0..n)
-            .map(|i| Site::start(SiteId(i as u32), Arc::clone(&store) as Arc<dyn Store>, cfg))
-            .collect();
+        Cluster::start_on(Arc::new(MemStore::new()), n, cfg)
+    }
+
+    /// Starts `n` sites sharing `store` — a leased [`MemStore`], a
+    /// [`crate::TcpStore`], or a test's fault-injecting wrapper.
+    pub fn start_on(store: Arc<dyn Store>, n: usize, cfg: SiteConfig) -> Cluster {
+        let sites =
+            (0..n).map(|i| Site::start(SiteId(i as u32), Arc::clone(&store), cfg)).collect();
         Cluster { store, sites }
     }
 
@@ -44,8 +45,8 @@ impl Cluster {
         self.sites.is_empty()
     }
 
-    /// The shared store (for outage injection and traffic counters).
-    pub fn store(&self) -> &Arc<FaultyStore<MemStore>> {
+    /// The shared store, exactly as every site holds it.
+    pub fn store(&self) -> &Arc<dyn Store> {
         &self.store
     }
 
@@ -95,86 +96,5 @@ impl Cluster {
         for site in self.sites {
             site.stop();
         }
-    }
-}
-
-/// A true multi-process cluster: one `armus-stored` child serving the
-/// wire protocol, plus N site child processes (built by the caller's
-/// command factory — typically the current executable re-invoked in a
-/// site role) publishing and checking through [`crate::TcpStore`].
-pub struct NetCluster {
-    stored: StoredProcess,
-    sites: Vec<Child>,
-}
-
-impl NetCluster {
-    /// Spawns the server from `stored_binary` (ephemeral loopback port,
-    /// stderr log to `server_log` when given), then spawns `n` site
-    /// processes: `site_cmd(i, addr)` builds each child's command, with
-    /// `addr` the server's listen address. Site stdout/stderr are
-    /// inherited unless the command says otherwise.
-    pub fn start(
-        stored_binary: &Path,
-        server_log: Option<&Path>,
-        lease: Option<Duration>,
-        n: usize,
-        mut site_cmd: impl FnMut(usize, &str) -> Command,
-    ) -> io::Result<NetCluster> {
-        let stored = StoredProcess::spawn(stored_binary, lease, server_log)?;
-        let mut sites = Vec::with_capacity(n);
-        for i in 0..n {
-            sites.push(site_cmd(i, stored.addr()).spawn()?);
-        }
-        Ok(NetCluster { stored, sites })
-    }
-
-    /// The server's listen address.
-    pub fn addr(&self) -> &str {
-        self.stored.addr()
-    }
-
-    /// Waits for every site process to exit, collecting their outputs
-    /// (in site order). Fails if any site exits unsuccessfully — but only
-    /// after reaping *all* of them, so no child is left running (or
-    /// unkillable: a drained handle leaves [`NetCluster::stop`] nothing
-    /// to terminate).
-    pub fn wait_sites(&mut self) -> io::Result<Vec<Output>> {
-        let mut outputs = Vec::with_capacity(self.sites.len());
-        for child in self.sites.drain(..) {
-            outputs.push(child.wait_with_output());
-        }
-        let mut failure = None;
-        for (i, output) in outputs.iter().enumerate() {
-            match output {
-                Ok(output) if output.status.success() => {}
-                Ok(output) => {
-                    failure.get_or_insert_with(|| {
-                        io::Error::other(format!(
-                            "site process {i} failed ({}): {}",
-                            output.status,
-                            String::from_utf8_lossy(&output.stderr)
-                        ))
-                    });
-                }
-                Err(e) => {
-                    failure
-                        .get_or_insert_with(|| io::Error::new(e.kind(), format!("site {i}: {e}")));
-                }
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => outputs.into_iter().collect(),
-        }
-    }
-
-    /// Drains the server (in-band shutdown, falling back to kill) after
-    /// terminating any still-running site processes.
-    pub fn stop(mut self) -> io::Result<()> {
-        for mut child in self.sites.drain(..) {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        self.stored.stop()
     }
 }

@@ -401,10 +401,6 @@ mod tests {
         assert!(out.stats.is_some());
     }
 
-    fn json(report: &Option<DeadlockReport>) -> String {
-        serde_json::to_string(report).expect("reports serialise")
-    }
-
     #[test]
     fn incremental_checker_matches_check_store_byte_identically() {
         let store = MemStore::new();
@@ -441,7 +437,7 @@ mod tests {
         let round = inc.check_round(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
         let baseline = check_store(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
         assert!(baseline.report.is_some());
-        assert_eq!(json(&round.report), json(&baseline.report), "hit round must match");
+        assert_eq!(round.report, baseline.report, "hit round must match");
         let stats = inc.stats();
         assert_eq!(stats.deltas_applied, 1, "one task joined: {stats:?}");
         assert_eq!(stats.order_rebuilds, 1, "the hit must not force a rebuild: {stats:?}");
@@ -449,7 +445,7 @@ mod tests {
 
         // Round 3 — quiescent store: zero deltas, same confirmed report.
         let round = inc.check_round(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
-        assert_eq!(json(&round.report), json(&baseline.report));
+        assert_eq!(round.report, baseline.report);
         assert_eq!(inc.stats().deltas_applied, 1, "nothing changed, nothing applied");
 
         // Round 4 — the driver's partition retires: one Unblock delta,
@@ -479,9 +475,9 @@ mod tests {
         let after = inc.check_round(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
         let stats = inc.stats();
         assert_eq!(stats.order_rebuilds, 2, "explicit resync rebuilds: {stats:?}");
-        assert_eq!(json(&after.report), json(&before.report), "byte-identical across resync");
+        assert_eq!(after.report, before.report, "byte-identical across resync");
         let baseline = check_store(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
-        assert_eq!(json(&after.report), json(&baseline.report), "and to the stateless check");
+        assert_eq!(after.report, baseline.report, "and to the stateless check");
     }
 
     #[test]

@@ -9,24 +9,37 @@
 //! the adapted one-phase algorithm with a confirmation pass.
 //!
 //! The store (the paper uses Redis) comes in two embeddings:
-//! * **in-process** — [`store::MemStore`], wrapped in the outage-injecting
-//!   [`store::FaultyStore`] or the message-chaos [`chaos::ChaosStore`];
+//! * **in-process** — [`store::MemStore`], which is what
+//!   [`cluster::Cluster::start`] puts under its sites;
 //! * **networked** — the `armus-stored` server ([`server::StoredServer`]
 //!   and the binary under `src/bin/`) speaking the length-prefixed binary
 //!   protocol of [`wire`] (flat frames with correlation ids, pipelined in
 //!   bursts), with [`tcp::TcpStore`] as the client-side [`store::Store`]
 //!   — one multiplexed connection that batches concurrent callers' frames
 //!   per flush, so many [`site::Site`]s can share a single
-//!   `Arc<TcpStore>`; [`cluster::NetCluster`] wires a true multi-process
-//!   cluster (one spawned server + N site processes).
+//!   `Arc<TcpStore>`.
 //!
-//! Fault tolerance, as claimed by the paper and tested here:
-//! * a site's checker can die — the other sites still detect;
+//! Fault tolerance, as claimed by the paper. This crate holds the
+//! mechanisms; the faults are injected from outside it, by
+//! `armus_testkit::dist` (`ChaosStore`, the one fault-injecting
+//! [`store::Store`] wrapper, and `StoredProcess`, the child-server glue),
+//! which `tests/distributed.rs`, `tests/net.rs` and the
+//! `distributed_detection` example put underneath a [`site::Site`] or a
+//! [`cluster::Cluster::start_on`]:
+//! * a site's checker can die ([`site::Site::kill_checker`]) — the other
+//!   sites still detect (`distributed.rs::detection_survives_checker_failures`);
 //! * the store can be unavailable for windows — rounds are skipped and
-//!   detection resumes after the outage;
+//!   detection resumes after the outage
+//!   (`distributed.rs::detection_survives_store_outage`; over a real
+//!   socket, `net.rs::chaos_over_tcp_survives_a_server_restart`);
 //! * a whole site can crash without cleanup — its partition's lease
 //!   ([`store::MemStore::with_lease`]) expires instead of its ghost
-//!   blocked statuses confirming deadlocks that no longer exist.
+//!   blocked statuses confirming deadlocks that no longer exist
+//!   (`distributed.rs::dead_sites_ghost_partition_cannot_confirm_a_false_deadlock`);
+//! * delta publishes can be dropped, duplicated or reordered — the
+//!   versioned delta protocol turns each into a resync, never into a
+//!   corrupt partition (`armus_testkit::dist`'s unit tests;
+//!   `net.rs::chaos_over_tcp_costs_resyncs_never_corruption`).
 //!
 //! ```no_run
 //! use armus_dist::{Cluster, SiteConfig};
@@ -47,8 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
-pub mod chaos;
 pub mod cluster;
 pub mod detector;
 pub mod server;
@@ -57,14 +68,13 @@ pub mod store;
 pub mod tcp;
 pub mod wire;
 
-pub use chaos::{ChaosConfig, ChaosStore};
-pub use cluster::{Cluster, NetCluster};
+pub use cluster::Cluster;
 pub use detector::{
     check_store, merge, DistCheck, DistCheckerStats, IncrementalDistChecker, ReportDedup,
     DEFAULT_DEDUP_CAPACITY,
 };
-pub use server::{StoredConfig, StoredProcess, StoredServer, DEFAULT_CHECK_PERIOD};
+pub use server::{StoredConfig, StoredServer, DEFAULT_CHECK_PERIOD};
 pub use site::{Site, SiteConfig};
-pub use store::{DeltaAck, FaultyStore, MemStore, SiteId, SiteStats, Store, StoreError, TenantId};
+pub use store::{DeltaAck, MemStore, SiteId, SiteStats, Store, StoreError, TenantId};
 pub use tcp::{Subscription, TcpStore, TcpStoreConfig};
 pub use wire::{ServerMetrics, TenantMetrics};

@@ -683,80 +683,6 @@ fn handle(
     (response, matches!(request, Request::Shutdown))
 }
 
-/// A child `armus-stored` process: spawn, address scraping, drain —
-/// the multi-process cluster's server-side glue (see
-/// [`crate::cluster::NetCluster`]).
-pub struct StoredProcess {
-    child: std::process::Child,
-    addr: String,
-}
-
-impl StoredProcess {
-    /// Spawns `binary` listening on an ephemeral loopback port, waits for
-    /// its `listening on <addr>` banner, and redirects its stderr log to
-    /// `log` (when given) for post-mortem upload.
-    pub fn spawn(
-        binary: &std::path::Path,
-        lease: Option<Duration>,
-        log: Option<&std::path::Path>,
-    ) -> io::Result<StoredProcess> {
-        let mut cmd = std::process::Command::new(binary);
-        cmd.arg("--listen").arg("127.0.0.1:0").stdout(std::process::Stdio::piped());
-        if let Some(ttl) = lease {
-            cmd.arg("--lease-ms").arg(ttl.as_millis().to_string());
-        }
-        match log {
-            Some(path) => {
-                cmd.stderr(std::fs::File::create(path)?);
-            }
-            None => {
-                cmd.stderr(std::process::Stdio::inherit());
-            }
-        }
-        let mut child = cmd.spawn()?;
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut banner = String::new();
-        io::BufRead::read_line(&mut io::BufReader::new(stdout), &mut banner)?;
-        let addr = banner
-            .trim()
-            .rsplit(' ')
-            .next()
-            .filter(|a| a.contains(':'))
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("no listen address in armus-stored banner {banner:?}"),
-                )
-            })?
-            .to_string();
-        Ok(StoredProcess { child, addr })
-    }
-
-    /// The child's listen address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Sends the in-band drain command, waits for the server's ack (so
-    /// the request is known delivered before the socket closes), then
-    /// waits for the child to exit; falls back to killing it when the
-    /// drain cannot be delivered.
-    pub fn stop(mut self) -> io::Result<()> {
-        let drained = crate::tcp::TcpStore::new(self.addr.clone()).shutdown_server();
-        if drained.is_err() {
-            let _ = self.child.kill();
-        }
-        self.child.wait().map(|_| ())
-    }
-}
-
-impl Drop for StoredProcess {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,11 +4,11 @@
 //! each Armus instance periodically updates a disjoint portion of the
 //! global resource-dependency with the contents of its local
 //! resource-dependencies (§5.2). [`MemStore`] reproduces that interaction
-//! surface in-process: per-site partitions, whole-view fetch. The
-//! [`FaultyStore`] wrapper injects the outage behaviour the algorithm must
-//! tolerate ("the algorithm resists (ii) because Redis itself is
-//! fault-tolerant" — here we instead *test* tolerance by making the store
-//! unavailable for windows of time).
+//! surface in-process: per-site partitions, whole-view fetch. Any call
+//! may fail with [`StoreError::Unavailable`] — "the algorithm resists (ii)
+//! because Redis itself is fault-tolerant"; here tolerance is *tested*
+//! instead, by `armus_testkit::dist::ChaosStore` making a store
+//! unavailable for windows of time.
 //!
 //! Partitions are updated **incrementally**: a site normally publishes only
 //! the journal [`Delta`]s since its previous publish
@@ -36,15 +36,13 @@
 //! shared flushes rather than serialising on a socket each.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use armus_core::{BlockedInfo, Delta, Snapshot, TaskId};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// A site (place) identifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub u32);
 
 impl std::fmt::Display for SiteId {
@@ -57,7 +55,7 @@ impl std::fmt::Display for SiteId {
 /// lets many independent applications share one store server. Partitions
 /// are keyed `(tenant, site)`, and fetches/subscriptions are scoped to one
 /// tenant, so colliding `SiteId`s across applications never alias.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub u32);
 
 impl TenantId {
@@ -108,7 +106,7 @@ pub enum DeltaAck {
 /// fixed-width observability record behind the server's metrics endpoint
 /// (`fastpath_skips`, `resyncs`, `async_waits`, `waker_wakes` and friends,
 /// aggregated per `(tenant, site)` by `armus-stored`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SiteStats {
     /// Blocked-status publications on the site's local verifier.
     pub blocks: u64,
@@ -411,119 +409,6 @@ impl Store for MemStore {
     }
 }
 
-/// A store wrapper that injects unavailability windows and counts traffic,
-/// for the fault-tolerance tests and the distributed benchmarks.
-pub struct FaultyStore<S> {
-    inner: S,
-    available: AtomicBool,
-    publishes: AtomicU64,
-    delta_publishes: AtomicU64,
-    fetches: AtomicU64,
-    rejected: AtomicU64,
-}
-
-impl<S: Store> FaultyStore<S> {
-    /// Wraps `inner`, initially available.
-    pub fn new(inner: S) -> FaultyStore<S> {
-        FaultyStore {
-            inner,
-            available: AtomicBool::new(true),
-            publishes: AtomicU64::new(0),
-            delta_publishes: AtomicU64::new(0),
-            fetches: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        }
-    }
-
-    /// Starts or ends an outage window.
-    pub fn set_available(&self, available: bool) {
-        self.available.store(available, Ordering::SeqCst);
-    }
-
-    /// The wrapped store, bypassing the outage gate — lets tests seed
-    /// state "written before the outage started".
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Is the store currently serving?
-    pub fn is_available(&self) -> bool {
-        self.available.load(Ordering::SeqCst)
-    }
-
-    /// Successful full (snapshot) publishes so far.
-    pub fn publish_count(&self) -> u64 {
-        self.publishes.load(Ordering::Relaxed)
-    }
-
-    /// Successful delta publishes so far.
-    pub fn delta_publish_count(&self) -> u64 {
-        self.delta_publishes.load(Ordering::Relaxed)
-    }
-
-    /// Successful fetches so far.
-    pub fn fetch_count(&self) -> u64 {
-        self.fetches.load(Ordering::Relaxed)
-    }
-
-    /// Operations rejected during outages.
-    pub fn rejected_count(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    fn gate(&self) -> Result<(), StoreError> {
-        if self.is_available() {
-            Ok(())
-        } else {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            Err(StoreError::Unavailable)
-        }
-    }
-}
-
-impl<S: Store> Store for FaultyStore<S> {
-    fn publish_full(
-        &self,
-        site: SiteId,
-        partition: Snapshot,
-        version: u64,
-    ) -> Result<(), StoreError> {
-        self.gate()?;
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        self.inner.publish_full(site, partition, version)
-    }
-
-    fn publish_deltas(
-        &self,
-        site: SiteId,
-        base: u64,
-        deltas: &[Delta],
-        next: u64,
-    ) -> Result<DeltaAck, StoreError> {
-        self.gate()?;
-        self.delta_publishes.fetch_add(1, Ordering::Relaxed);
-        self.inner.publish_deltas(site, base, deltas, next)
-    }
-
-    fn publish_stats(&self, site: SiteId, stats: SiteStats) -> Result<(), StoreError> {
-        // Observability bypasses the outage gate: stats are a best-effort
-        // side channel, and counting their rejections would skew the
-        // data-path outage counters the fault-tolerance tests assert on.
-        self.inner.publish_stats(site, stats)
-    }
-
-    fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
-        self.gate()?;
-        self.fetches.fetch_add(1, Ordering::Relaxed);
-        self.inner.fetch_all()
-    }
-
-    fn remove(&self, site: SiteId) -> Result<(), StoreError> {
-        self.gate()?;
-        self.inner.remove(site)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,30 +492,6 @@ mod tests {
         assert_eq!(store.site_stats(), vec![(TenantId(1), SiteId(4), stats)]);
         store.remove_in(TenantId(1), SiteId(4)).unwrap();
         assert!(store.site_stats().is_empty(), "removed sites take their stats along");
-    }
-
-    #[test]
-    fn faulty_store_rejects_during_outage() {
-        let store = FaultyStore::new(MemStore::new());
-        store.publish_full(SiteId(0), snap(1), 1).unwrap();
-        store.set_available(false);
-        assert_eq!(store.publish_full(SiteId(0), snap(2), 2), Err(StoreError::Unavailable));
-        assert_eq!(store.fetch_all().unwrap_err(), StoreError::Unavailable);
-        assert_eq!(store.rejected_count(), 2);
-        store.set_available(true);
-        // Data from before the outage survives (the paper's assumption:
-        // the store itself is fault-tolerant).
-        let all = store.fetch_all().unwrap();
-        assert_eq!(all.len(), 1);
-        assert_eq!(all[0].1.tasks[0].task, TaskId(1));
-    }
-
-    #[test]
-    fn stats_publishes_bypass_the_outage_gate() {
-        let store = FaultyStore::new(MemStore::new());
-        store.set_available(false);
-        store.publish_stats(SiteId(0), SiteStats::default()).unwrap();
-        assert_eq!(store.rejected_count(), 0, "observability must not skew outage counters");
     }
 
     #[test]
@@ -724,16 +585,5 @@ mod tests {
         store.publish_full(SiteId(0), snap(1), 1).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(store.fetch_all().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn traffic_counters_count() {
-        let store = FaultyStore::new(MemStore::new());
-        store.publish_full(SiteId(0), snap(1), 1).unwrap();
-        store.publish_full(SiteId(1), snap(2), 1).unwrap();
-        store.fetch_all().unwrap();
-        assert_eq!(store.publish_count(), 2);
-        assert_eq!(store.fetch_count(), 1);
-        assert_eq!(store.rejected_count(), 0);
     }
 }

@@ -24,7 +24,6 @@ use armus_core::{
     BlockedInfo, CycleWitness, DeadlockReport, Delta, GraphModel, PhaserId, Resource, Snapshot,
     TaskId,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::store::{SiteId, SiteStats, TenantId};
 
@@ -180,7 +179,7 @@ pub enum Response {
 }
 
 /// Per-tenant slice of the server's metrics surface.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TenantMetrics {
     /// The namespace.
     pub tenant: TenantId,
@@ -200,7 +199,7 @@ impl TenantMetrics {
 }
 
 /// The server's observability snapshot, answered to [`Request::Metrics`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerMetrics {
     /// Requests served since the server started.
     pub served: u64,

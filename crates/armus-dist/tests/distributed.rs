@@ -4,8 +4,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use armus_dist::{Cluster, SiteConfig, Store};
+use armus_dist::{Cluster, MemStore, SiteConfig, Store};
 use armus_sync::{Phaser, SyncError};
+use armus_testkit::dist::{ChaosConfig, ChaosStore};
 
 fn fast_cfg() -> SiteConfig {
     SiteConfig {
@@ -13,6 +14,14 @@ fn fast_cfg() -> SiteConfig {
         check_period: Duration::from_millis(20),
         ..Default::default()
     }
+}
+
+/// A cluster over a store whose outages the test switches: a
+/// [`ChaosStore`] with no message chaos underneath, and the handle to it.
+fn cluster_with_outages(n: usize) -> (Arc<ChaosStore<MemStore>>, Cluster) {
+    let store = Arc::new(ChaosStore::new(MemStore::new(), ChaosConfig::NONE, 0));
+    let cluster = Cluster::start_on(Arc::clone(&store) as Arc<dyn Store>, n, fast_cfg());
+    (store, cluster)
 }
 
 fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -117,15 +126,15 @@ fn detection_survives_checker_failures() {
 
 #[test]
 fn detection_survives_store_outage() {
-    let cluster = Cluster::start(2, fast_cfg());
+    let (store, cluster) = cluster_with_outages(2);
     // Outage from the very start: nothing can be published or fetched.
-    cluster.store().set_available(false);
+    store.set_available(false);
     plant_deadlock(cluster.sites()[0].runtime());
     std::thread::sleep(Duration::from_millis(200));
     assert!(!cluster.any_deadlock(), "nothing can be detected during the outage");
-    assert!(cluster.store().rejected_count() > 0, "rounds were attempted and skipped");
+    assert!(store.rejected() > 0, "rounds were attempted and skipped");
     // Outage ends: publishing resumes, detection follows.
-    cluster.store().set_available(true);
+    store.set_available(true);
     assert!(
         eventually(Duration::from_secs(10), || cluster.any_deadlock()),
         "detection must resume after the outage"
@@ -166,11 +175,32 @@ fn site_partitions_are_disjoint_and_replaced() {
 
 #[test]
 fn steady_state_publishes_deltas_not_snapshots() {
+    use armus_core::{PhaserId, Registration, Resource, TaskId};
+
     let cluster = Cluster::start(2, fast_cfg());
-    // Churn blocked statuses so the journal has deltas to ship.
+    // Let the join snapshots land, then churn blocked statuses so the
+    // journal has deltas to ship.
+    assert!(eventually(Duration::from_secs(5), || {
+        cluster.sites().iter().all(|site| site.publish_resyncs() == 1)
+    }));
     cluster.run_on_all(|_i, rt| clean_workload(rt).unwrap());
+    // One more status, after every join: it can only reach the store in a
+    // delta interval, unless a site resyncs again — which the count below
+    // rules out.
+    let blocked = TaskId(9001);
+    cluster.sites()[0]
+        .runtime()
+        .verifier()
+        .block(
+            blocked,
+            vec![Resource::new(PhaserId(1), 1)],
+            vec![Registration::new(PhaserId(1), 1)],
+        )
+        .unwrap();
     assert!(
-        eventually(Duration::from_secs(5), || cluster.store().delta_publish_count() > 0),
+        eventually(Duration::from_secs(5), || {
+            cluster.store().fetch_all().unwrap().iter().any(|(_, p)| p.get(blocked).is_some())
+        }),
         "steady-state publishing must use the delta path"
     );
     // Each site resynced exactly once: the join snapshot.
@@ -232,8 +262,7 @@ fn stop_against_a_dead_store_is_bounded_not_an_endless_retry() {
     // The store never recovers. Stop must give up on the remove within
     // its bounded budget instead of spinning forever — a service being
     // restarted can't wait on a dead backend.
-    let cluster = Cluster::start(1, fast_cfg());
-    let store = Arc::clone(cluster.store());
+    let (store, cluster) = cluster_with_outages(1);
     assert!(eventually(Duration::from_secs(5), || {
         store.fetch_all().map(|v| !v.is_empty()).unwrap_or(false)
     }));
@@ -252,8 +281,7 @@ fn stop_retries_the_remove_through_a_brief_outage() {
     // The store is down at the instant of stop; it recovers 40 ms later —
     // inside the bounded retry window — so the partition must still be
     // removed (no ghost left for other sites to merge).
-    let cluster = Cluster::start(1, fast_cfg());
-    let store = Arc::clone(cluster.store());
+    let (store, cluster) = cluster_with_outages(1);
     assert!(eventually(Duration::from_secs(5), || {
         store.fetch_all().map(|v| !v.is_empty()).unwrap_or(false)
     }));
@@ -280,7 +308,7 @@ fn stop_retries_the_remove_through_a_brief_outage() {
 #[test]
 fn dead_sites_ghost_partition_cannot_confirm_a_false_deadlock() {
     use armus_core::{BlockedInfo, PhaserId, Registration, Resource, Snapshot, TaskId};
-    use armus_dist::{MemStore, Site, SiteId};
+    use armus_dist::{Site, SiteId};
 
     // The would-be cross-site cycle: the ghost's task g1 waits on p2@1
     // while impeding p1@1; the live task a1 waits on p1@1 while impeding
@@ -307,7 +335,7 @@ fn dead_sites_ghost_partition_cannot_confirm_a_false_deadlock() {
             Some(ttl) => MemStore::with_lease(ttl),
             None => MemStore::new(),
         };
-        let store = Arc::new(armus_dist::FaultyStore::new(inner));
+        let store = Arc::new(ChaosStore::new(inner, ChaosConfig::NONE, 0));
         // Outage starts; the ghost's partition was written before it.
         store.set_available(false);
         store.inner().publish_full(SiteId(9), ghost_partition.clone(), 1).unwrap();

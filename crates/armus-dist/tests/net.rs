@@ -7,14 +7,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use armus_core::{
-    BlockedInfo, Delta, JournalRead, PhaserId, Registration, Resource, Snapshot, TaskId, Verifier,
-    VerifierConfig,
+    BlockedInfo, DeadlockReport, Delta, JournalRead, PhaserId, Registration, Resource, Snapshot,
+    TaskId, Verifier, VerifierConfig,
 };
 use armus_dist::server::{StoredConfig, StoredServer};
 use armus_dist::{
-    ChaosConfig, ChaosStore, DeltaAck, Site, SiteConfig, SiteId, Store, StoreError, TcpStore,
-    TcpStoreConfig, TenantId,
+    DeltaAck, Site, SiteConfig, SiteId, Store, StoreError, TcpStore, TcpStoreConfig, TenantId,
 };
+use armus_testkit::dist::{publisher_round, ChaosConfig, ChaosStore, StoredProcess};
 
 fn fast_cfg() -> SiteConfig {
     SiteConfig {
@@ -72,9 +72,8 @@ fn stored_binary() -> &'static Path {
 fn cross_process_deadlock_is_detected_over_the_wire() {
     // The store is a real child process; the two sites talk to it over
     // TCP through independent client connections.
-    let stored =
-        armus_dist::StoredProcess::spawn(stored_binary(), Some(Duration::from_secs(5)), None)
-            .expect("spawn armus-stored");
+    let stored = StoredProcess::spawn(stored_binary(), Some(Duration::from_secs(5)), None)
+        .expect("spawn armus-stored");
     let site0 = Site::start(
         SiteId(0),
         Arc::new(TcpStore::new(stored.addr())) as Arc<dyn Store>,
@@ -189,43 +188,10 @@ fn leases_expire_crashed_sites_over_the_wire() {
     server.shutdown();
 }
 
-/// One site publisher round against an arbitrary store, mirroring the
-/// sites' delta protocol (same shape as the `ChaosStore` unit suite —
-/// here the inner transport is a real TCP connection).
-fn publisher_round(
-    store: &dyn Store,
-    v: &Verifier,
-    cursor: &mut u64,
-    synced: &mut bool,
-    resyncs: &mut u64,
-) {
-    if *synced {
-        match v.deltas_since(*cursor) {
-            JournalRead::Deltas(deltas, next) => {
-                match store.publish_deltas(SiteId(0), *cursor, &deltas, next) {
-                    Ok(DeltaAck::Applied) => *cursor = next,
-                    Ok(DeltaAck::NeedSnapshot) => *synced = false,
-                    Err(_) => return,
-                }
-            }
-            JournalRead::Behind => *synced = false,
-        }
-    }
-    if !*synced {
-        let (snapshot, head) = v.snapshot_with_cursor();
-        if store.publish_full(SiteId(0), snapshot, head).is_ok() {
-            *cursor = head;
-            *synced = true;
-            *resyncs += 1;
-        }
-    }
-}
-
 /// Runs the three-site deadlock scenario (workers / driver / empty
 /// observer) against the given per-site stores and returns each site's
-/// first report, serialised — the byte-level artifact the transport must
-/// not perturb.
-fn scenario_reports(stores: Vec<Arc<dyn Store>>) -> Vec<String> {
+/// first report — the artifact the transport must not perturb.
+fn scenario_reports(stores: Vec<Arc<dyn Store>>) -> Vec<DeadlockReport> {
     assert_eq!(stores.len(), 3);
     let sites: Vec<Site> = stores
         .into_iter()
@@ -240,10 +206,7 @@ fn scenario_reports(stores: Vec<Arc<dyn Store>>) -> Vec<String> {
         eventually(Duration::from_secs(10), || sites.iter().all(|s| s.found_deadlock())),
         "all three sites must detect the cross-site cycle"
     );
-    let reports = sites
-        .iter()
-        .map(|s| serde_json::to_string(&s.reports()[0]).expect("serialise report"))
-        .collect();
+    let reports = sites.iter().map(|s| s.reports()[0].clone()).collect();
     for site in sites {
         site.stop();
     }
@@ -625,9 +588,8 @@ fn metrics_are_served_over_the_wire() {
 fn cross_process_tenants_are_isolated_and_streamed() {
     // The full service deployment: a real armus-stored child process,
     // two tenants with colliding site ids, one subscriber.
-    let stored =
-        armus_dist::StoredProcess::spawn(stored_binary(), Some(Duration::from_secs(5)), None)
-            .expect("spawn armus-stored");
+    let stored = StoredProcess::spawn(stored_binary(), Some(Duration::from_secs(5)), None)
+        .expect("spawn armus-stored");
     let a = TcpStore::new(stored.addr()).for_tenant(TenantId(1));
     let b = TcpStore::new(stored.addr()).for_tenant(TenantId(2));
     let sub = a.subscribe().expect("subscribe across the process boundary");

@@ -31,6 +31,14 @@
 //!   the predicted deadlock (the `DefiniteDeadlock` soundness leg).
 //! * [`mod@shrink`] — greedy failure minimisation plus the
 //!   `ARMUS_TESTKIT_SEED=… cargo test -p armus-testkit seeded` repro line.
+//! * [`dist`] — scaffolding for the distributed layer's tests, kept out
+//!   of the product crate: [`dist::ChaosStore`], the one fault-injecting
+//!   [`armus_dist::Store`] wrapper (seeded drop / duplicate / reorder of
+//!   delta publishes plus a switchable whole-store outage), and
+//!   [`dist::StoredProcess`], the `armus-stored` child-process glue.
+//!   `armus-dist`'s integration tests and the `distributed_detection`
+//!   example dev-depend on this crate for them; the scheduler above does
+//!   not drive them yet (ROADMAP item 8(c)).
 //!
 //! ## Seed-replay workflow
 //!
@@ -50,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod dist;
 pub mod lower;
 pub mod oracle;
 pub mod replay;

@@ -305,11 +305,10 @@ fn lockstep(
     sim.verifier().sync_follower(follower);
     sim.verifier().sync_follower(lazy);
     let snap = sim.verifier().local_snapshot();
-    let as_json = |r: &Option<DeadlockReport>| serde_json::to_string(r).expect("reports serialise");
     for choice in [ModelChoice::Auto, ModelChoice::FixedWfg, ModelChoice::FixedSg] {
         let order = follower.check_full(choice, DEFAULT_SG_THRESHOLD).report;
         let oracle = checker::check(&snap, choice, DEFAULT_SG_THRESHOLD).report;
-        if as_json(&order) != as_json(&oracle) {
+        if order != oracle {
             return Err(fail(format!(
                 "incremental check_full diverged under {choice:?}: \
                  order-maintenance={order:?} vs oracle={oracle:?}"
@@ -324,9 +323,7 @@ fn lockstep(
         let demand_driven = lazy.check_task(task, choice, DEFAULT_SG_THRESHOLD).report;
         let maintained = follower.check_task(task, choice, DEFAULT_SG_THRESHOLD).report;
         let oracle = checker::check_task(&snap, task, choice, DEFAULT_SG_THRESHOLD).report;
-        if as_json(&demand_driven) != as_json(&maintained)
-            || as_json(&demand_driven) != as_json(&oracle)
-        {
+        if demand_driven != maintained || demand_driven != oracle {
             return Err(fail(format!(
                 "lazy check_task diverged for {task:?}: demand-driven={demand_driven:?} vs \
                  all-demanding={maintained:?} vs oracle={oracle:?}"

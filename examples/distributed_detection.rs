@@ -9,11 +9,12 @@
 //! cargo run --example distributed_detection -- --net
 //! ```
 //!
-//! With `--simulated` the sites publish through the seeded fault-injecting
-//! [`ChaosStore`] (dropped, duplicated, and reordered delta publishes on
-//! the site↔store transport) instead of the outage-only [`FaultyStore`];
-//! the run asserts the detected report has exactly the same shape as the
-//! in-process path's — message-level chaos costs resyncs, never verdicts.
+//! The store underneath is the testkit's fault-injecting [`ChaosStore`]:
+//! by default with its message chaos off and only the outage switched;
+//! with `--simulated` a second run also drops, duplicates and reorders
+//! delta publishes on the site↔store transport (seeded), and asserts the
+//! detected report has exactly the same shape as the first run's —
+//! message-level chaos costs resyncs, never verdicts.
 //!
 //! With `--net` the run is **truly multi-process**: one spawned
 //! `armus-stored` server (build it first: `cargo build -p armus-dist
@@ -24,12 +25,9 @@
 //! byte-identical to the in-process `MemStore` path's, both in its
 //! site-namespaced form and after un-namespacing the ids.
 
-use armus::dist::{
-    chaos::{ChaosConfig, ChaosStore},
-    store::MemStore,
-    Cluster, NetCluster, Site, SiteConfig, SiteId, Store, TcpStore,
-};
+use armus::dist::{Cluster, MemStore, Site, SiteConfig, SiteId, Store, TcpStore};
 use armus::prelude::*;
+use armus_testkit::dist::{ChaosConfig, ChaosStore, StoredProcess};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,24 +56,36 @@ fn workload(site: usize, rt: &Arc<Runtime>) {
     }
 }
 
-/// The in-process path: a [`Cluster`] over the outage-injecting store.
-/// Returns the first report (tasks, resources) shape.
-fn run_in_process(cfg: SiteConfig) -> (usize, usize) {
-    let cluster = Cluster::start(3, cfg);
-    println!("started {} sites over one store", cluster.len());
+/// The in-process path: a [`Cluster`] over a [`ChaosStore`] with the given
+/// message chaos (seeded), which also suffers one 300 ms outage when
+/// `outage` is set. Returns the first report's (tasks, resources) shape.
+fn run_in_process(cfg: SiteConfig, chaos: ChaosConfig, seed: u64, outage: bool) -> (usize, usize) {
+    let store = Arc::new(ChaosStore::new(MemStore::new(), chaos, seed));
+    let cluster = Cluster::start_on(Arc::clone(&store) as Arc<dyn Store>, 3, cfg);
+    println!("started {} sites over one store (chaos seed {seed}: {chaos:?})", cluster.len());
     cluster.run_on_all(workload);
 
-    // Inject a store outage — detection must resume afterwards.
-    println!("store outage for 300 ms…");
-    cluster.store().set_available(false);
-    std::thread::sleep(Duration::from_millis(300));
-    cluster.store().set_available(true);
-    println!("store back; rounds rejected during the outage: {}", cluster.store().rejected_count());
+    if outage {
+        // Inject a store outage — detection must resume afterwards.
+        println!("store outage for 300 ms…");
+        store.set_available(false);
+        std::thread::sleep(Duration::from_millis(300));
+        store.set_available(true);
+        println!("store back; rounds rejected during the outage: {}", store.rejected());
+    }
 
     let deadline = Instant::now() + Duration::from_secs(10);
     while !cluster.any_deadlock() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
+    println!(
+        "transport chaos: {} dropped, {} duplicated, {} reordered, {} stale NACKs; {} resyncs",
+        store.dropped(),
+        store.duplicated(),
+        store.delayed(),
+        store.stale_nacks(),
+        cluster.sites().iter().map(Site::publish_resyncs).sum::<u64>(),
+    );
 
     for (i, site) in cluster.sites().iter().enumerate() {
         for report in site.reports() {
@@ -90,45 +100,6 @@ fn run_in_process(cfg: SiteConfig) -> (usize, usize) {
     let report = cluster.all_reports().into_iter().next().unwrap();
     let shape = (report.tasks.len(), report.resources.len());
     cluster.stop();
-    shape
-}
-
-/// The simulated-transport path: the same three sites over a
-/// [`ChaosStore`] dropping/duplicating/reordering delta publishes.
-fn run_simulated(cfg: SiteConfig, seed: u64) -> (usize, usize) {
-    let store = Arc::new(ChaosStore::new(MemStore::new(), ChaosConfig::default(), seed));
-    let sites: Vec<Site> =
-        (0..3).map(|i| Site::start(SiteId(i), Arc::clone(&store) as Arc<dyn Store>, cfg)).collect();
-    println!("started {} sites over the chaos store (seed {seed})", sites.len());
-    std::thread::scope(|scope| {
-        for (i, site) in sites.iter().enumerate() {
-            let rt = site.runtime();
-            scope.spawn(move || workload(i, rt));
-        }
-    });
-
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !sites.iter().any(|s| s.found_deadlock()) && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    println!(
-        "transport chaos: {} dropped, {} duplicated, {} reordered, {} stale NACKs; {} resyncs",
-        store.dropped(),
-        store.duplicated(),
-        store.delayed(),
-        store.stale_nacks(),
-        sites.iter().map(Site::publish_resyncs).sum::<u64>(),
-    );
-    let report = sites
-        .iter()
-        .flat_map(|s| s.reports())
-        .next()
-        .expect("the planted deadlock must be detected through the chaos");
-    println!("simulated path reported: {report}");
-    let shape = (report.tasks.len(), report.resources.len());
-    for site in sites {
-        site.stop();
-    }
     shape
 }
 
@@ -250,25 +221,33 @@ fn run_net() {
         stored_bin.display()
     );
     let log = target_dir.join("armus-stored.log");
-    let mut cluster = NetCluster::start(
-        &stored_bin,
-        Some(log.as_path()),
-        Some(Duration::from_secs(5)),
-        2,
-        |role, addr| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("--net-site")
+    let stored = StoredProcess::spawn(&stored_bin, Some(Duration::from_secs(5)), Some(&log))
+        .expect("spawn armus-stored");
+    let sites: Vec<std::process::Child> = (0..2)
+        .map(|role| {
+            std::process::Command::new(&exe)
+                .arg("--net-site")
                 .arg(role.to_string())
                 .arg("--store")
-                .arg(addr)
-                .stdout(std::process::Stdio::piped());
-            cmd
-        },
-    )
-    .expect("spawn the networked cluster");
-    println!("armus-stored on {} + 2 site processes (log: {})", cluster.addr(), log.display());
+                .arg(stored.addr())
+                .stdout(std::process::Stdio::piped())
+                .spawn()
+                .expect("spawn a site process")
+        })
+        .collect();
+    println!("armus-stored on {} + 2 site processes (log: {})", stored.addr(), log.display());
 
-    let outputs = cluster.wait_sites().expect("both site processes must detect and exit cleanly");
+    // Reap both sites before judging either, so none is left running.
+    let outputs: Vec<std::process::Output> =
+        sites.into_iter().map(|site| site.wait_with_output().expect("reap a site")).collect();
+    for (role, output) in outputs.iter().enumerate() {
+        assert!(
+            output.status.success(),
+            "site {role} must detect and exit cleanly ({}): {}",
+            output.status,
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
     let mut lines_per_site = Vec::new();
     for (role, output) in outputs.iter().enumerate() {
         let stdout = String::from_utf8_lossy(&output.stdout);
@@ -285,7 +264,7 @@ fn run_net() {
         println!("site {role} reported: {report}");
         lines_per_site.push((report, local));
     }
-    cluster.stop().expect("drain armus-stored");
+    stored.stop().expect("drain armus-stored");
 
     // Every site saw the *same* global deadlock (dedup across processes).
     assert_eq!(lines_per_site[0], lines_per_site[1], "site reports must agree byte for byte");
@@ -325,10 +304,10 @@ fn main() {
         check_period: Duration::from_millis(25),
         ..Default::default()
     };
-    let in_process = run_in_process(cfg);
+    let in_process = run_in_process(cfg, ChaosConfig::NONE, 0, true);
     println!("in-process report shape: {} tasks over {} events", in_process.0, in_process.1);
     if simulated {
-        let sim = run_simulated(cfg, 42);
+        let sim = run_in_process(cfg, ChaosConfig::default(), 42, false);
         assert_eq!(
             sim, in_process,
             "the chaos-store path must report the same deadlock shape as the in-process path"
