@@ -69,6 +69,7 @@ pub mod graph;
 pub mod grg;
 pub mod ids;
 pub mod index;
+pub mod pace;
 pub mod resource;
 pub mod sg;
 pub mod stats;
@@ -87,6 +88,7 @@ pub use engine::{DetectionOutcome, EngineCounters, IncrementalEngine, SyncOutcom
 pub use error::DeadlockError;
 pub use graph::TopoOrder;
 pub use ids::{Phase, PhaserId, TaskId, MAX_LOCAL_TASK, MAX_SITE_TAG, SITE_TAG_SHIFT};
+pub use pace::{Pace, Pacer, Signal};
 pub use resource::{Registration, Resource};
 pub use stats::{StatsCollector, StatsSnapshot};
 pub use verifier::{StaticHint, Verifier, VerifierConfig, VerifyMode};

@@ -57,6 +57,7 @@ use crate::deps::{BlockedInfo, JournalRead, Registry, Snapshot};
 use crate::engine::{IncrementalEngine, SyncOutcome};
 use crate::error::DeadlockError;
 use crate::ids::TaskId;
+use crate::pace::{Pace, Pacer, Signal};
 use crate::resource::{Registration, Resource};
 use crate::stats::{StatsCollector, StatsSnapshot};
 
@@ -250,131 +251,6 @@ impl CheckRequest {
     }
 }
 
-/// What the monitor does next, decided by [`Pacer::decide`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Pace {
-    /// Run a check now.
-    Check,
-    /// Something new is published but neither wait is over: look again
-    /// after this long.
-    Nap(Duration),
-    /// Nothing new: wait to be woken by the next block.
-    Park,
-}
-
-/// The monitor's pacing rule, as a function of the journal head and the
-/// clock so that it is tested without threads: check only when something
-/// was published since the last check, and then as soon as the head has
-/// stood still for one quiet interval — a burst that ends, as a closing
-/// block does — or a period has passed since the last check — a program
-/// that never pauses is checked once a period, never more often.
-struct Pacer {
-    period: Duration,
-    quiet: Duration,
-    /// The journal head the last check covered, and when that check ended.
-    checked: (u64, Instant),
-    /// The head at the previous look, and when it was first seen there.
-    seen: (u64, Instant),
-}
-
-impl Pacer {
-    /// The quiet interval as a share of the period. A sixteenth keeps a
-    /// busy program's monitor to sixteen cheap looks a period and reports
-    /// a quiescent deadlock an order of magnitude sooner than waiting out
-    /// the period does.
-    const QUIET_SHARE: u32 = 16;
-
-    fn new(period: Duration, quiet: Duration, now: Instant) -> Pacer {
-        Pacer { period, quiet, checked: (0, now), seen: (0, now) }
-    }
-
-    fn decide(&mut self, head: u64, now: Instant) -> Pace {
-        if head == self.checked.0 {
-            return Pace::Park;
-        }
-        if head != self.seen.0 {
-            self.seen = (head, now);
-        }
-        let still_for = now.saturating_duration_since(self.seen.1);
-        let unchecked_for = now.saturating_duration_since(self.checked.1);
-        let left = self.quiet.saturating_sub(still_for);
-        match left.min(self.period.saturating_sub(unchecked_for)) {
-            Duration::ZERO => Pace::Check,
-            left => Pace::Nap(left),
-        }
-    }
-
-    /// Records a check that ended at `now` and covered the journal up to
-    /// `head` — the head read *before* the check, so that what was
-    /// published while it ran is new at the next look.
-    fn checked(&mut self, head: u64, now: Instant) {
-        self.checked = (head, now);
-    }
-}
-
-/// Stop flag + wake-up for the monitor thread: shared separately from the
-/// `Verifier` so (a) `shutdown` can interrupt a sleeping monitor no matter
-/// how long its period is, and (b) the monitor holds no strong reference
-/// to the verifier while sleeping (dropping the last user `Arc` stops it).
-#[derive(Default)]
-struct MonitorSignal {
-    state: Mutex<MonitorState>,
-    wake: Condvar,
-    /// Set by the monitor before it waits for the next block; a publisher
-    /// that reads it set wakes the monitor. The handshake is the store of
-    /// this flag followed by a re-read of the journal head on the monitor's
-    /// side, and the journal append followed by the load of this flag on
-    /// the publisher's — all `SeqCst`, so at least one side sees the
-    /// other's write: the monitor finds the new head and does not wait, or
-    /// the publisher finds the flag and leaves a wake-up behind.
-    parked: AtomicBool,
-}
-
-#[derive(Default)]
-struct MonitorState {
-    stop: bool,
-    /// A publisher's wake-up, kept here until the monitor takes it so that
-    /// one sent between the monitor's re-read and its wait is not lost.
-    woken: bool,
-}
-
-impl MonitorSignal {
-    fn stop_and_wake(&self) {
-        self.state.lock().stop = true;
-        self.wake.notify_all();
-    }
-
-    /// The publisher's half of the handshake, after its journal append:
-    /// one load unless the monitor is parked, and then one publisher of a
-    /// burst takes the lock.
-    fn wake_if_parked(&self) {
-        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
-            self.state.lock().woken = true;
-            self.wake.notify_all();
-        }
-    }
-
-    /// The monitor's half of the handshake: announce the wait, look at the
-    /// journal once more, and only then wait — for a publisher's wake-up,
-    /// a stop or `timeout`. Returns whether to stop.
-    fn park(&self, nothing_new: impl FnOnce() -> bool, timeout: Duration) -> bool {
-        self.parked.store(true, Ordering::SeqCst);
-        self.wait(if nothing_new() { timeout } else { Duration::ZERO })
-    }
-
-    /// Waits for `timeout`, a stop or (parked) a publisher's wake-up,
-    /// whichever comes first; returns whether to stop.
-    fn wait(&self, timeout: Duration) -> bool {
-        let mut state = self.state.lock();
-        if !state.stop && !state.woken && !timeout.is_zero() {
-            self.wake.wait_for(&mut state, timeout);
-        }
-        state.woken = false;
-        self.parked.store(false, Ordering::SeqCst);
-        state.stop
-    }
-}
-
 /// The verification engine. Cheap to share (`Arc`); one per runtime or per
 /// distributed site.
 pub struct Verifier {
@@ -388,7 +264,7 @@ pub struct Verifier {
     reports: Mutex<Vec<DeadlockReport>>,
     reported: Mutex<ReportDedup>,
     subscribers: Mutex<Vec<Subscriber>>,
-    signal: Arc<MonitorSignal>,
+    signal: Arc<Signal>,
     monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -468,8 +344,8 @@ impl Verifier {
                 self.stats.record_block();
                 self.registry.block(BlockedInfo::new(task, waits, registered));
                 // Only a block can close a cycle, so only a block wakes an
-                // idle monitor (publish-only verifiers have none, and the
-                // flag is never set).
+                // idle follower: the monitor, or whoever parked on a
+                // publish-only verifier's [`Verifier::signal`].
                 self.signal.wake_if_parked();
                 Ok(())
             }
@@ -702,6 +578,24 @@ impl Verifier {
         engine.sync(&self.registry)
     }
 
+    /// The journal head: the cursor a consumer that has read every delta
+    /// would hold. With [`Verifier::signal`], what a follower of a
+    /// publish-only verifier paces itself by (a distributed site's
+    /// publisher does).
+    pub fn journal_head(&self) -> u64 {
+        self.registry.journal_cursor()
+    }
+
+    /// The signal every [`Verifier::block`] wakes (when someone is parked
+    /// on it) and [`Verifier::shutdown`] — or dropping the verifier —
+    /// stops. It carries one follower: in detection mode that is the
+    /// monitor; a publish-only verifier has none of its own, and the one
+    /// thread that follows it parks here between looks at
+    /// [`Verifier::journal_head`].
+    pub fn signal(&self) -> &Arc<Signal> {
+        &self.signal
+    }
+
     /// The registry's journal deltas since `cursor` (used by distributed
     /// sites to publish their partition incrementally).
     pub fn deltas_since(&self, cursor: u64) -> JournalRead {
@@ -752,10 +646,11 @@ impl Verifier {
         self.stats.record_waker_wakes(n);
     }
 
-    /// Stops the monitor thread (idempotent). Dropping every user `Arc`
-    /// has the same effect.
+    /// Stops the monitor thread — or whoever follows a publish-only
+    /// verifier through [`Verifier::signal`] (idempotent). Dropping every
+    /// user `Arc` has the same effect.
     pub fn shutdown(&self) {
-        self.signal.stop_and_wake();
+        self.signal.stop();
         if let Some(handle) = self.monitor.lock().take() {
             if std::thread::current().id() != handle.thread().id() {
                 let _ = handle.join();
@@ -787,14 +682,14 @@ impl Verifier {
 
 impl Drop for Verifier {
     fn drop(&mut self) {
-        self.signal.stop_and_wake();
+        self.signal.stop();
     }
 }
 
-fn monitor_loop(weak: Weak<Verifier>, signal: Arc<MonitorSignal>, mut pacer: Pacer) {
+fn monitor_loop(weak: Weak<Verifier>, signal: Arc<Signal>, mut pacer: Pacer) {
     // The verifier is held only to look and to check, never across a wait:
     // dropping the last user `Arc` must be able to wake and stop the monitor.
-    let journal_head = || weak.upgrade().map(|v| v.registry.journal_cursor());
+    let journal_head = || weak.upgrade().map(|v| v.journal_head());
     while let Some(head) = journal_head() {
         let stop = match pacer.decide(head, Instant::now()) {
             Pace::Check => {
@@ -808,7 +703,7 @@ fn monitor_loop(weak: Weak<Verifier>, signal: Arc<MonitorSignal>, mut pacer: Pac
             // The period bounds the wait: an unblock does not wake the
             // monitor, but the engine should not fall a journal window
             // behind while the program only unblocks.
-            Pace::Park => signal.park(|| journal_head() == Some(head), pacer.period),
+            Pace::Park => signal.park(|| journal_head() == Some(head), pacer.period()),
         };
         if stop {
             break;
@@ -899,6 +794,10 @@ mod tests {
         v.shutdown();
     }
 
+    // The tables of the pacing rule and the plays of the park/wake
+    // handshake, written against the monitor and kept beside it: the rule
+    // and the signal live in `crate::pace`, where the other loops that use
+    // them find them.
     const PERIOD: Duration = Duration::from_millis(160);
     const QUIET: Duration = Duration::from_millis(10);
 
@@ -1010,7 +909,7 @@ mod tests {
         let hour = Duration::from_secs(3600);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let signal = MonitorSignal::default();
+            let signal = Signal::default();
             // A block lands between the announcement and the second look:
             // the look finds it (and the publisher's wake-up is spare).
             let stop = signal.park(

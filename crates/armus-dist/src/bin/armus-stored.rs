@@ -13,8 +13,10 @@
 //!   --no-lease             disable partition expiry
 //!   --read-timeout-ms N    reap connections idle for N ms (default 30000)
 //!   --write-timeout-ms N   bound on writing one response (default 5000)
-//!   --check-period-ms N    server-side checker cadence for subscribers
-//!                          (default 100)
+//!   --check-period-ms N    the longest a subscribed tenant's changed view
+//!                          waits for the server-side checker (default
+//!                          100); sites that say when they went quiet are
+//!                          checked then, an idle store not at all
 //!   --metrics-period-ms N  log a metrics line to stderr every N ms
 //!                          (default off)
 //! ```

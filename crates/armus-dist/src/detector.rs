@@ -37,9 +37,16 @@ use crate::store::{SiteId, Store, StoreError};
 /// report (the site reads as absent), never fabricate one — and the
 /// `armus-stored` server additionally rejects such publishes up front.
 pub fn merge(partitions: &[(SiteId, Snapshot)]) -> Snapshot {
+    merge_owned(partitions.to_vec())
+}
+
+/// [`merge`] of a view the caller owns and is done with — what a check
+/// round fetched for itself: every blocked status moves into the merged
+/// snapshot instead of being cloned into it and dropped.
+pub fn merge_owned(partitions: Vec<(SiteId, Snapshot)>) -> Snapshot {
     let mut tasks = Vec::with_capacity(partitions.iter().map(|(_, s)| s.len()).sum());
     for (site, snap) in partitions {
-        match snap.clone().with_site_namespace(site.0) {
+        match snap.with_site_namespace(site.0) {
             Some(namespaced) => tasks.extend(namespaced.tasks),
             None => continue, // out-of-protocol partition: treat as absent
         }
@@ -54,6 +61,17 @@ pub fn merge(partitions: &[(SiteId, Snapshot)]) -> Snapshot {
         "merged view must have unique task ids"
     );
     merged
+}
+
+/// The confirmation pass both checkers end a hit with: in a view fetched
+/// *after* the one the cycle was found in, every participant must still be
+/// in the same blocking operation.
+fn confirmed(report: &DeadlockReport, view: Vec<(SiteId, Snapshot)>) -> bool {
+    let merged = merge_owned(view);
+    report
+        .task_epochs
+        .iter()
+        .all(|&(task, epoch)| merged.get(task).map(|info| info.epoch == epoch).unwrap_or(false))
 }
 
 /// Outcome of one distributed check round.
@@ -76,8 +94,7 @@ pub fn check_store(
     model: ModelChoice,
     sg_threshold: usize,
 ) -> Result<DistCheck, StoreError> {
-    let view = store.fetch_all()?;
-    let merged = merge(&view);
+    let merged = merge_owned(store.fetch_all()?);
     if merged.is_empty() {
         return Ok(DistCheck { report: None, stats: None });
     }
@@ -86,14 +103,8 @@ pub fn check_store(
     let Some(report) = outcome.report else {
         return Ok(DistCheck { report: None, stats });
     };
-    // Confirmation pass: one more fetch; every participant must still be
-    // in the same blocking operation.
-    let view2 = store.fetch_all()?;
-    let merged2 = merge(&view2);
-    let confirmed = report
-        .task_epochs
-        .iter()
-        .all(|&(task, epoch)| merged2.get(task).map(|info| info.epoch == epoch).unwrap_or(false));
+    // Confirmation pass: one more fetch.
+    let confirmed = confirmed(&report, store.fetch_all()?);
     Ok(DistCheck { report: confirmed.then_some(report), stats })
 }
 
@@ -238,8 +249,22 @@ impl IncrementalDistChecker {
         model: ModelChoice,
         sg_threshold: usize,
     ) -> Result<DistCheck, StoreError> {
-        let view = store.fetch_all()?;
-        let merged = merge(&view);
+        self.check_view(store.fetch_all()?, || store.fetch_all(), model, sg_threshold)
+    }
+
+    /// [`IncrementalDistChecker::check_round`] over a view the caller
+    /// fetched itself (and hands over: it is merged without a copy), with
+    /// `refetch` for the confirmation pass of a hit. A `refetch` error
+    /// surfaces as `Err` with the engine already advanced to `view` — the
+    /// next round diffs from there, which is sound.
+    pub fn check_view(
+        &mut self,
+        view: Vec<(SiteId, Snapshot)>,
+        refetch: impl FnOnce() -> Result<Vec<(SiteId, Snapshot)>, StoreError>,
+        model: ModelChoice,
+        sg_threshold: usize,
+    ) -> Result<DistCheck, StoreError> {
+        let merged = merge_owned(view);
         let empty = merged.is_empty();
         self.advance_to(merged);
         self.stats.rounds += 1;
@@ -254,16 +279,11 @@ impl IncrementalDistChecker {
         let Some(report) = det.outcome.report else {
             return Ok(DistCheck { report: None, stats });
         };
-        // Confirmation pass, identical to `check_store`: one more fetch;
-        // every participant must still be in the same blocking operation.
+        // Confirmation pass, identical to `check_store`: one more fetch.
         // The confirmation view is deliberately NOT fed to the engine —
         // the next round re-fetches and diffs from `merged`.
         self.stats.confirm_fetches += 1;
-        let view2 = store.fetch_all()?;
-        let merged2 = merge(&view2);
-        let confirmed = report.task_epochs.iter().all(|&(task, epoch)| {
-            merged2.get(task).map(|info| info.epoch == epoch).unwrap_or(false)
-        });
+        let confirmed = confirmed(&report, refetch()?);
         Ok(DistCheck { report: confirmed.then_some(report), stats })
     }
 }

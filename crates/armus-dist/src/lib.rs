@@ -70,11 +70,11 @@ pub mod wire;
 
 pub use cluster::Cluster;
 pub use detector::{
-    check_store, merge, DistCheck, DistCheckerStats, IncrementalDistChecker, ReportDedup,
-    DEFAULT_DEDUP_CAPACITY,
+    check_store, merge, merge_owned, DistCheck, DistCheckerStats, IncrementalDistChecker,
+    ReportDedup, DEFAULT_DEDUP_CAPACITY,
 };
 pub use server::{StoredConfig, StoredServer, DEFAULT_CHECK_PERIOD};
-pub use site::{Site, SiteConfig};
+pub use site::{Publisher, Shipped, Site, SiteConfig};
 pub use store::{DeltaAck, MemStore, SiteId, SiteStats, Store, StoreError, TenantId};
 pub use tcp::{Subscription, TcpStore, TcpStoreConfig};
 pub use wire::{ServerMetrics, TenantMetrics};

@@ -10,9 +10,21 @@
 //! responses — each echoing its request's correlation id — accumulate in
 //! a per-connection reply queue flushed with one write per burst, so a
 //! multiplexing client ([`crate::tcp::TcpStore`]) keeps dozens of requests
-//! in flight on one socket. A checker thread runs the same
-//! [`IncrementalDistChecker`] the sites run, one per subscribed tenant,
-//! and streams the deadlocks it confirms to that tenant's subscribers.
+//! in flight on one socket.
+//!
+//! A checker thread runs the same [`IncrementalDistChecker`] the sites
+//! run, one per subscribed tenant, and streams the deadlocks it confirms
+//! to that tenant's subscribers. It has **no clock of its own**: the
+//! connection threads tell it what happened (`Pacing`) — a publish that
+//! changed a partition makes the tenant *dirty*, the empty interval a site
+//! sends once its journal has stood still ([`crate::site`]) marks that
+//! site *settled*, a subscription wants the standing state reported — and
+//! it runs a tenant's round when the tenant is dirty and every site that
+//! wrote has settled, or [`StoredConfig::check_period`] after it became
+//! dirty or was last checked, and parks otherwise. A report is written to
+//! its subscribers' sockets as it is found, by a writer thread each
+//! subscribed connection parks for that purpose.
+//!
 //! Per-connection read/write timeouts reap dead peers, partitions carry a
 //! lease TTL refreshed by every publish (crashed sites expire instead of
 //! ghosting the merged view), and shutdown is a graceful drain: a flag —
@@ -20,7 +32,7 @@
 //! equivalent — stops the accept loop, lets in-flight requests finish, and
 //! joins every connection thread.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,11 +40,11 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use armus_core::{DeadlockReport, ModelChoice, Snapshot, DEFAULT_SG_THRESHOLD};
+use armus_core::{DeadlockReport, ModelChoice, Pace, Pacer, Signal, DEFAULT_SG_THRESHOLD};
 use parking_lot::Mutex;
 
 use crate::detector::{IncrementalDistChecker, ReportDedup};
-use crate::store::{MemStore, SiteId, Store, StoreError, TenantId};
+use crate::store::{DeltaAck, MemStore, SiteId, TenantId};
 use crate::wire::{self, Request, Response, ServerMetrics, TenantMetrics};
 
 /// Default partition lease: a site that has not published for this long is
@@ -46,9 +58,10 @@ pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// Default bound on writing one response back to a peer.
 pub const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Default cadence of the server-side checker that feeds subscribers
-/// (paper's 200 ms check period, halved so a push usually beats a
-/// client's own polling round).
+/// Default upper bound on how long a changed view waits for the
+/// server-side checker that feeds subscribers (paper's 200 ms check
+/// period, halved so a push usually beats a client's own polling round).
+/// A bound, not a cadence: see [`StoredConfig::check_period`].
 pub const DEFAULT_CHECK_PERIOD: Duration = Duration::from_millis(100);
 
 /// Granularity of the accept loop's shutdown poll and of a connection's
@@ -64,8 +77,12 @@ pub struct StoredConfig {
     pub read_timeout: Duration,
     /// Bound on writing one response.
     pub write_timeout: Duration,
-    /// How often the server-side checker scans subscribed tenants' merged
-    /// views for deadlocks to stream.
+    /// The longest a subscribed tenant's changed view waits for the
+    /// server-side checker — an upper bound, not a cadence: the checker
+    /// runs as soon as every site that wrote has said (by an empty
+    /// interval) that its journal stood still, once a `check_period` while
+    /// some site keeps writing or never says so, and not at all while
+    /// nothing is published.
     pub check_period: Duration,
 }
 
@@ -89,18 +106,25 @@ pub struct StoredServer {
     shared: Arc<Shared>,
 }
 
+/// Server-initiated frames (streamed reports) queued for one connection,
+/// and the signal its writer thread parks on between them.
+#[derive(Default)]
+struct PushQueue {
+    frames: Mutex<Vec<u8>>,
+    signal: Signal,
+}
+
 /// One connection's registration for streamed reports: which tenant it
-/// watches, the correlation id its report frames must carry, whether the
-/// checker has yet to see it, and a weak handle to the connection's push
-/// buffer (dropping the connection unregisters it implicitly).
+/// watches, the correlation id its report frames must carry, and a weak
+/// handle to the connection's push queue (dropping the connection
+/// unregisters it implicitly).
 struct Subscriber {
     tenant: TenantId,
     corr: u64,
-    joined: bool,
-    queue: Weak<Mutex<Vec<u8>>>,
+    queue: Weak<PushQueue>,
 }
 
-/// The subscription registry: connections register their push buffers,
+/// The subscription registry: connections register their push queues,
 /// the server-side checker fans fresh reports out to them.
 #[derive(Default)]
 struct SubHub {
@@ -108,25 +132,15 @@ struct SubHub {
 }
 
 impl SubHub {
-    fn subscribe(&self, tenant: TenantId, corr: u64, queue: &Arc<Mutex<Vec<u8>>>) {
-        self.subs.lock().push(Subscriber {
-            tenant,
-            corr,
-            joined: true,
-            queue: Arc::downgrade(queue),
-        });
+    fn subscribe(&self, tenant: TenantId, corr: u64, queue: &Arc<PushQueue>) {
+        self.subs.lock().push(Subscriber { tenant, corr, queue: Arc::downgrade(queue) });
     }
 
-    /// Tenants with at least one live subscriber (pruning dead ones), each
-    /// with whether a subscriber joined it since the previous call.
-    fn tenants(&self) -> BTreeMap<TenantId, bool> {
+    /// Tenants with at least one live subscriber (pruning dead ones).
+    fn tenants(&self) -> BTreeSet<TenantId> {
         let mut subs = self.subs.lock();
         subs.retain(|s| s.queue.strong_count() > 0);
-        let mut tenants = BTreeMap::new();
-        for s in subs.iter_mut() {
-            *tenants.entry(s.tenant).or_insert(false) |= std::mem::take(&mut s.joined);
-        }
-        tenants
+        subs.iter().map(|s| s.tenant).collect()
     }
 
     /// Live subscriptions: the total and the per-tenant breakdown.
@@ -141,8 +155,10 @@ impl SubHub {
     }
 
     /// Queues `report` for every live subscriber of `tenant`, each framed
-    /// with the correlation id its subscription arrived under. Returns how
-    /// many subscribers received it.
+    /// with the correlation id its subscription arrived under, and wakes
+    /// the connection's writer. Returns how many subscribers received it.
+    /// Only the queue's lock is taken here — the socket is the writer
+    /// thread's business — so a stalled subscriber cannot hold the checker.
     fn push(&self, tenant: TenantId, report: &DeadlockReport) -> u64 {
         let response = Response::Report(report.clone());
         let mut delivered = 0;
@@ -151,8 +167,9 @@ impl SubHub {
             if s.tenant != tenant {
                 return true;
             }
-            if wire::encode_frame_v2_into(&mut queue.lock(), s.corr, &response).is_ok() {
+            if wire::encode_frame_v2_into(&mut queue.frames.lock(), s.corr, &response).is_ok() {
                 delivered += 1;
+                queue.signal.wake_if_parked();
             }
             true
         });
@@ -160,26 +177,237 @@ impl SubHub {
     }
 }
 
-/// A read-only [`Store`] view of one tenant's partitions, fed to the
-/// server-side checker: `fetch_all` is the only operation
-/// [`IncrementalDistChecker::check_round`] uses, and it must see exactly
-/// the tenant's slice.
-struct TenantView<'a> {
-    store: &'a MemStore,
-    tenant: TenantId,
+/// What paces one subscribed tenant's rounds, as a function of what the
+/// connection threads saw and the clock, so that it is tested without
+/// threads: a round when the tenant is dirty and every site that wrote has
+/// settled, or a `check_period` after it became dirty or was last checked;
+/// nothing while it is clean — a clean view cannot have grown a cycle, and
+/// a lease that expires only removes edges.
+///
+/// Why a marker from the site and not a quiet interval measured here: the
+/// store sees flushes, not journals. Two busy sites flushing once a publish
+/// period arrive half a period apart, any quiet test shorter than that
+/// passes between them, and a tenant whose sites never pause would be
+/// checked several times a period instead of once. Only the site knows
+/// whether its journal stood still, and its empty interval says so. The
+/// marker is an optimisation and never load-bearing: lost, or never sent
+/// (a client that is not a [`crate::site::Site`]), the period clause is
+/// what runs the round.
+struct TenantPace {
+    /// Bumped by everything a round must answer to: a publish that changed
+    /// a partition, a subscription. The tenant is dirty while the pacer has
+    /// not covered it.
+    seq: u64,
+    /// Sites that wrote and have not said since that their journal stood
+    /// still.
+    unsettled: BTreeSet<SiteId>,
+    /// The period clause. No quiet interval: see above.
+    pacer: Pacer,
+    /// The checker's duty bound: a tenant's round never starts sooner
+    /// after its previous one ended than that one took.
+    not_before: Instant,
+    /// A subscriber joined since the last round: whoever subscribes while
+    /// a deadlock stands hears about it, so that round forgets what it
+    /// already reported.
+    joined: bool,
 }
 
-impl Store for TenantView<'_> {
-    fn publish_full(&self, _: SiteId, _: Snapshot, _: u64) -> Result<(), StoreError> {
-        unreachable!("the server-side checker only fetches")
+impl TenantPace {
+    fn new(check_period: Duration, now: Instant) -> TenantPace {
+        TenantPace {
+            seq: 0,
+            unsettled: BTreeSet::new(),
+            pacer: Pacer::new(check_period, Duration::MAX, now),
+            not_before: now,
+            joined: false,
+        }
     }
 
-    fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
-        self.store.fetch_all_in(self.tenant)
+    fn is_dirty(&self) -> bool {
+        self.pacer.is_new(self.seq)
     }
 
-    fn remove(&self, _site: SiteId) -> Result<(), StoreError> {
-        unreachable!("the server-side checker only fetches")
+    /// Returns whether the tenant was clean: only then does the checker
+    /// have a new deadline to learn of.
+    fn dirty(&mut self, now: Instant) -> bool {
+        let was_clean = !self.is_dirty();
+        if was_clean {
+            // Clean up to this moment is as good as checked at this moment:
+            // the period runs from here, not from a round long ago.
+            self.pacer.checked(self.seq, now);
+        }
+        self.seq += 1;
+        was_clean
+    }
+
+    /// `site` published something that changed its partition.
+    fn wrote(&mut self, site: SiteId, now: Instant) -> bool {
+        self.unsettled.insert(site);
+        self.dirty(now)
+    }
+
+    /// `site` said its journal stood still (or left). Returns whether that
+    /// made a round due.
+    fn settled(&mut self, site: SiteId) -> bool {
+        self.unsettled.remove(&site) && self.unsettled.is_empty() && self.is_dirty()
+    }
+
+    /// A subscriber joined.
+    fn subscribed(&mut self, now: Instant) {
+        self.joined = true;
+        self.dirty(now);
+    }
+
+    fn decide(&mut self, now: Instant) -> Pace {
+        let pace = if self.is_dirty() && self.unsettled.is_empty() {
+            Pace::Check
+        } else {
+            self.pacer.decide(self.seq, now)
+        };
+        match pace {
+            Pace::Check if now < self.not_before => Pace::Nap(self.not_before - now),
+            pace => pace,
+        }
+    }
+
+    /// Records a round that ran from `started` to `ended` over everything
+    /// up to `seq`.
+    fn ran(&mut self, seq: u64, started: Instant, ended: Instant) {
+        self.pacer.checked(seq, ended);
+        self.not_before = ended + ended.saturating_duration_since(started);
+    }
+}
+
+/// One round the checker is to run now.
+struct Due {
+    tenant: TenantId,
+    /// What the round covers ([`TenantPace::seq`] when it was planned).
+    seq: u64,
+    joined: bool,
+}
+
+/// The checker's next step, planned under the pacing lock.
+struct Plan {
+    /// Tenants with a live subscriber.
+    live: BTreeSet<TenantId>,
+    due: Vec<Due>,
+    /// How long until a tenant that is not due becomes so by the clock
+    /// alone; `None`: never.
+    wait: Option<Duration>,
+    /// [`PacingState::events`] as planned on: the park's second look.
+    events: u64,
+}
+
+#[derive(Default)]
+struct PacingState {
+    tenants: BTreeMap<TenantId, TenantPace>,
+    /// Counts what may give the checker something to do (or to forget)
+    /// that the plan it parked on did not know — the head it follows.
+    events: u64,
+}
+
+/// What the connection threads tell the checker, and the signal it parks
+/// on in between. Each method is one step of one actor: it takes the lock,
+/// changes the state, releases it, and (the connection's steps) wakes the
+/// checker if it is parked.
+struct Pacing {
+    state: Mutex<PacingState>,
+    signal: Signal,
+    check_period: Duration,
+}
+
+impl Pacing {
+    fn new(check_period: Duration) -> Pacing {
+        Pacing { state: Mutex::default(), signal: Signal::new(), check_period }
+    }
+
+    /// A connection's step: applies `event` to `tenant`'s pace, if the
+    /// tenant is subscribed, and wakes the checker when `event` says so.
+    fn tell(&self, tenant: TenantId, event: impl FnOnce(&mut TenantPace) -> bool) {
+        let wake = {
+            let mut state = self.state.lock();
+            let wake = state.tenants.get_mut(&tenant).is_some_and(event);
+            state.events += u64::from(wake);
+            wake
+        };
+        if wake {
+            self.signal.wake_if_parked();
+        }
+    }
+
+    /// A connection's step: `site` published something into `tenant` that
+    /// changed its partition.
+    fn wrote(&self, tenant: TenantId, site: SiteId, now: Instant) {
+        self.tell(tenant, |pace| pace.wrote(site, now));
+    }
+
+    /// A connection's step: `site` sent `tenant` an empty interval — its
+    /// journal stood still — or removed its partition.
+    fn settled(&self, tenant: TenantId, site: SiteId) {
+        self.tell(tenant, |pace| pace.settled(site));
+    }
+
+    /// A connection's step: a subscriber joined `tenant` (its ack is
+    /// already on the wire).
+    fn subscribed(&self, tenant: TenantId, now: Instant) {
+        {
+            let mut state = self.state.lock();
+            let check_period = self.check_period;
+            let pace =
+                state.tenants.entry(tenant).or_insert_with(|| TenantPace::new(check_period, now));
+            pace.subscribed(now);
+            state.events += 1;
+        }
+        self.signal.wake_if_parked();
+    }
+
+    /// A connection's step: a subscribed connection closed, and the
+    /// checker may have a tenant to forget.
+    fn unsubscribed(&self) {
+        self.state.lock().events += 1;
+        self.signal.wake_if_parked();
+    }
+
+    fn events(&self) -> u64 {
+        self.state.lock().events
+    }
+
+    /// The second look of a checker about to park on `plan`
+    /// ([`Signal::park`]): has no connection told it anything since?
+    fn nothing_told(&self, plan: &Plan) -> bool {
+        self.events() == plan.events
+    }
+
+    /// The checker's step: forgets tenants nobody watches any more and
+    /// decides every other one. The hub is read under the pacing lock, so a
+    /// subscription registered after this look also tells its tenant after
+    /// it.
+    fn plan(&self, hub: &SubHub, now: Instant) -> Plan {
+        let mut state = self.state.lock();
+        let live = hub.tenants();
+        state.tenants.retain(|tenant, _| live.contains(tenant));
+        let (mut due, mut wait) = (Vec::new(), None::<Duration>);
+        for (&tenant, pace) in state.tenants.iter_mut() {
+            match pace.decide(now) {
+                Pace::Check => {
+                    let joined = std::mem::take(&mut pace.joined);
+                    due.push(Due { tenant, seq: pace.seq, joined });
+                }
+                Pace::Nap(left) => wait = Some(wait.map_or(left, |w| w.min(left))),
+                Pace::Park => {}
+            }
+        }
+        Plan { live, due, wait, events: state.events }
+    }
+
+    /// The checker's step after a round: what it covered, how long it
+    /// took, and which sites' partitions it saw — one that is gone
+    /// (removed, or its lease expired) will not say that it settled.
+    fn ran(&self, due: &Due, present: &[SiteId], started: Instant, ended: Instant) {
+        if let Some(pace) = self.state.lock().tenants.get_mut(&due.tenant) {
+            pace.unsettled.retain(|site| present.contains(site));
+            pace.ran(due.seq, started, ended);
+        }
     }
 }
 
@@ -193,8 +421,12 @@ struct Shared {
     conns: Mutex<Vec<JoinHandle<()>>>,
     /// The subscription registry.
     hub: SubHub,
+    /// What the connection threads tell the checker.
+    pacing: Pacing,
     /// Served requests (all kinds), for observability and tests.
     served: AtomicU64,
+    /// Tenant rounds the checker has begun.
+    rounds: AtomicU64,
     /// Connections dropped for protocol violations (malformed frames,
     /// version mismatches) — never panics, always a clean close.
     protocol_errors: AtomicU64,
@@ -216,6 +448,13 @@ struct Shared {
 }
 
 impl Shared {
+    /// Begins the drain: every loop that polls the flag sees it within a
+    /// poll period, and the checker — which polls nothing — is stopped.
+    fn drain(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.pacing.signal.stop();
+    }
+
     /// Assembles the metrics snapshot answered to [`Request::Metrics`].
     fn metrics(&self) -> ServerMetrics {
         let (total_subs, per_tenant_subs) = self.hub.counts();
@@ -258,13 +497,22 @@ struct TenantChecker {
     dedup: ReportDedup,
 }
 
-/// The server-side checker loop: every
-/// [`StoredConfig::check_period`], run one round of each subscribed
-/// tenant's [`IncrementalDistChecker`] and stream fresh reports to that
-/// tenant's subscribers. Detection happens *at the store* — subscribers
-/// learn about deadlocks without a single `fetch_all` poll, and
-/// cross-tenant isolation holds because each check round sees exactly one
-/// tenant's partitions ([`TenantView`]).
+/// The server-side checker loop: plan ([`Pacing::plan`]), run the rounds
+/// that are due — one tenant's [`IncrementalDistChecker`] each, fresh
+/// reports streamed to that tenant's subscribers — and park until a
+/// connection thread has something to tell or the earliest period clause
+/// runs out. Detection happens *at the store* — subscribers learn about
+/// deadlocks without a single `fetch_all` poll, and cross-tenant isolation
+/// holds because each round fetches exactly one tenant's partitions.
+///
+/// An idle store runs no rounds, and a tenant whose sites never pause is
+/// checked once a `check_period`, as a fixed cadence would. What bounds
+/// the checker's duty in between — a tenant whose sites emit isolated
+/// bursts more often than one a period is checked once a burst, and a round
+/// is still O(blocked population): it fetches and merges the whole view
+/// before it diffs — is [`TenantPace::not_before`]: a tenant's round never
+/// starts sooner after its previous one than that one took, so no tenant
+/// holds the checker more than half the time.
 ///
 /// A tenant's state lives exactly as long as it has a subscriber, and a
 /// subscriber joining resets the tenant's dedup: whoever subscribes while
@@ -272,36 +520,44 @@ struct TenantChecker {
 /// hears it again, which [`crate::tcp::Subscription`] consumers tolerate).
 fn checker_loop(shared: Arc<Shared>) {
     let mut checkers: HashMap<TenantId, TenantChecker> = HashMap::new();
-    let mut next_check = Instant::now();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        // Park in drain-observable slices until the next round is due.
-        let now = Instant::now();
-        if now < next_check {
-            std::thread::sleep((next_check - now).min(POLL_PERIOD));
-            continue;
+    let pacing = &shared.pacing;
+    loop {
+        let plan = pacing.plan(&shared.hub, Instant::now());
+        checkers.retain(|tenant, _| plan.live.contains(tenant));
+        for due in &plan.due {
+            run_round(&shared, checkers.entry(due.tenant).or_default(), due);
         }
-        next_check = now + shared.cfg.check_period;
-        let tenants = shared.hub.tenants();
-        checkers.retain(|tenant, _| tenants.contains_key(tenant));
-        for (tenant, joined) in tenants {
-            let state = checkers.entry(tenant).or_default();
-            if joined {
-                state.dedup = ReportDedup::new();
-            }
-            let view = TenantView { store: &shared.store, tenant };
-            let Ok(check) =
-                state.checker.check_round(&view, ModelChoice::Auto, DEFAULT_SG_THRESHOLD)
-            else {
-                continue; // MemStore cannot actually fail; stay total anyway
-            };
-            if let Some(report) = check.report {
-                if state.dedup.is_new(&report) {
-                    let delivered = shared.hub.push(tenant, &report);
-                    shared.reports_streamed.fetch_add(delivered, Ordering::Relaxed);
-                }
-            }
+        let stop = if plan.due.is_empty() {
+            let timeout = plan.wait.unwrap_or(Duration::MAX);
+            pacing.signal.park(|| pacing.nothing_told(&plan), timeout)
+        } else {
+            pacing.signal.wait(Duration::ZERO)
+        };
+        if stop {
+            break;
         }
     }
+}
+
+/// One tenant's round: fetch its partitions, check, push what is new.
+fn run_round(shared: &Shared, state: &mut TenantChecker, due: &Due) {
+    let started = Instant::now();
+    shared.rounds.fetch_add(1, Ordering::Relaxed);
+    if due.joined {
+        state.dedup = ReportDedup::new();
+    }
+    let fetch = || shared.store.fetch_all_in(due.tenant);
+    // MemStore cannot actually fail; stay total anyway.
+    let view = fetch().unwrap_or_default();
+    let present: Vec<SiteId> = view.iter().map(|(site, _)| *site).collect();
+    let check = state.checker.check_view(view, fetch, ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+    if let Some(report) = check.ok().and_then(|check| check.report) {
+        if state.dedup.is_new(&report) {
+            let delivered = shared.hub.push(due.tenant, &report);
+            shared.reports_streamed.fetch_add(delivered, Ordering::Relaxed);
+        }
+    }
+    shared.pacing.ran(due, &present, started, Instant::now());
 }
 
 impl StoredServer {
@@ -322,7 +578,9 @@ impl StoredServer {
             shutdown: Arc::clone(&shutdown),
             conns: Mutex::new(Vec::new()),
             hub: SubHub::default(),
+            pacing: Pacing::new(cfg.check_period),
             served: AtomicU64::new(0),
+            rounds: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             live_connections: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
@@ -359,6 +617,13 @@ impl StoredServer {
         self.shared.served.load(Ordering::Relaxed)
     }
 
+    /// Tenant rounds the server-side checker has begun so far: none while
+    /// nothing is published, one a [`StoredConfig::check_period`] at most
+    /// for a tenant whose sites never pause.
+    pub fn rounds(&self) -> u64 {
+        self.shared.rounds.load(Ordering::Relaxed)
+    }
+
     /// Connections closed on protocol violations so far.
     pub fn protocol_errors(&self) -> u64 {
         self.shared.protocol_errors.load(Ordering::Relaxed)
@@ -386,7 +651,7 @@ impl StoredServer {
     /// Requests a graceful drain and blocks until the accept loop and all
     /// connection threads have exited.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.drain();
         self.join();
     }
 
@@ -416,7 +681,7 @@ impl StoredServer {
 
 impl Drop for StoredServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.drain();
         self.join();
     }
 }
@@ -472,50 +737,58 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// observed even mid-frame), extracts every complete frame the read
 /// delivered, handles them in order, and answers the whole burst with one
 /// flush of the reply queue.
+///
+/// Server-initiated frames (streamed reports) do not wait for any of that:
+/// once the connection subscribes, a writer thread of its own
+/// ([`push_writer`]) parks on the connection's [`PushQueue`] and writes
+/// what the checker queues there as it is queued. Both writers take the
+/// connection's write lock for a whole batch, so frames never interleave.
 fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(POLL_PERIOD)).is_err() {
+    if stream.set_read_timeout(Some(POLL_PERIOD)).is_err()
+        || stream.set_write_timeout(Some(shared.cfg.write_timeout)).is_err()
+    {
         return;
     }
     shared.live_connections.fetch_add(1, Ordering::Relaxed);
-    let mut stream = stream;
+    let stream = Arc::new(stream);
+    let write_lock = Arc::new(Mutex::new(()));
     let mut frames = wire::FrameBuffer::new();
     let mut replies: Vec<u8> = Vec::new();
-    // Server-initiated frames (streamed reports): the checker queues them
-    // here via the SubHub's weak handle; the loop drains them between
-    // reads, so pushes ride the same [`POLL_PERIOD`] cadence as the drain
-    // poll even on an otherwise idle connection.
-    let pushes: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+    let pushes: Arc<PushQueue> = Arc::default();
+    let mut writer: Option<JoinHandle<()>> = None;
     let mut chunk = vec![0u8; 64 * 1024];
     // Both the idle bound and the mid-frame stall bound: a peer that goes
     // quiet for the read timeout is reaped whether or not it left half a
     // frame behind. A subscribed peer is legitimately quiet forever, so
     // subscribing exempts the connection from idle reaping.
     let mut last_data = Instant::now();
-    let mut subscribed = false;
     'conn: loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match stream.read(&mut chunk) {
+        match (&*stream).read(&mut chunk) {
             Ok(0) => break, // peer hung up
             Ok(n) => {
                 last_data = Instant::now();
                 frames.feed(&chunk[..n]);
                 let mut drain = false;
                 let mut burst = 0u64;
+                let mut joined: Vec<TenantId> = Vec::new();
                 while !drain {
                     match frames.next_frame::<Request>() {
                         Ok(Some(frame)) => {
                             shared.served.fetch_add(1, Ordering::Relaxed);
                             let (response, drain_after) = handle(&frame, &shared, &pushes);
-                            subscribed |= matches!(frame.msg, Request::Subscribe { .. });
+                            if let Request::Subscribe { tenant } = frame.msg {
+                                joined.push(tenant);
+                            }
                             if drain_after {
                                 // Set the flag *before* answering: a drain
                                 // must not be lost to a failed response
                                 // write (the peer may fire-and-close), or
                                 // the server lives forever.
-                                shared.shutdown.store(true, Ordering::SeqCst);
+                                shared.drain();
                                 drain = true;
                             }
                             if wire::encode_frame_v2_into(&mut replies, frame.corr, &response)
@@ -533,26 +806,37 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                             // is no resync point mid-stream — the peer
                             // reconnects.
                             shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            let _ = flush_replies(&mut stream, &mut replies, &shared);
+                            let _ = flush_replies(&stream, &write_lock, &mut replies);
                             break 'conn;
                         }
                     }
                 }
                 shared.reply_queue_max.fetch_max(burst, Ordering::Relaxed);
-                if flush_replies(&mut stream, &mut replies, &shared).is_err() || drain {
+                if flush_replies(&stream, &write_lock, &mut replies).is_err() || drain {
                     break;
                 }
-                if flush_pushes(&mut stream, &pushes, &shared).is_err() {
-                    break;
+                // Only now that the `Subscribed` ack is on the wire may a
+                // report follow it: start the writer, then tell the
+                // checker that someone wants the standing state.
+                if !joined.is_empty() && writer.is_none() {
+                    let (stream, lock, queue) =
+                        (Arc::clone(&stream), Arc::clone(&write_lock), Arc::clone(&pushes));
+                    writer = std::thread::Builder::new()
+                        .name("armus-stored-push".into())
+                        .spawn(move || push_writer(&stream, &lock, &queue))
+                        .ok();
+                    if writer.is_none() {
+                        break; // no thread to write reports with: let the peer reconnect
+                    }
+                }
+                for tenant in joined {
+                    shared.pacing.subscribed(tenant, Instant::now());
                 }
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if flush_pushes(&mut stream, &pushes, &shared).is_err() {
-                    break;
-                }
-                if !subscribed && last_data.elapsed() >= shared.cfg.read_timeout {
+                if writer.is_none() && last_data.elapsed() >= shared.cfg.read_timeout {
                     break; // reap the idle (or mid-frame stalled) peer
                 }
             }
@@ -561,35 +845,55 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
+    if let Some(writer) = writer {
+        pushes.signal.stop();
+        let _ = writer.join();
+        drop(pushes);
+        shared.pacing.unsubscribed();
+    }
     shared.live_connections.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// Writes the queued replies for one burst in a single `write_all` and
 /// clears the queue.
-fn flush_replies(stream: &mut TcpStream, replies: &mut Vec<u8>, shared: &Shared) -> io::Result<()> {
+fn flush_replies(
+    stream: &TcpStream,
+    write_lock: &Mutex<()>,
+    replies: &mut Vec<u8>,
+) -> io::Result<()> {
     if replies.is_empty() {
         return Ok(());
     }
-    stream.set_write_timeout(Some(shared.cfg.write_timeout))?;
-    let result = stream.write_all(replies);
+    let _writing = write_lock.lock();
+    let result = (&*stream).write_all(replies);
     replies.clear();
     result
 }
 
-/// Writes any server-initiated frames the checker queued for this
-/// connection (streamed reports). The queue is swapped out under the lock
-/// and written outside it, so a slow peer never blocks the checker.
-fn flush_pushes(
-    stream: &mut TcpStream,
-    pushes: &Arc<Mutex<Vec<u8>>>,
-    shared: &Shared,
-) -> io::Result<()> {
-    let queued = std::mem::take(&mut *pushes.lock());
-    if queued.is_empty() {
-        return Ok(());
+/// A subscribed connection's writer: parks until the checker has queued
+/// report frames ([`SubHub::push`]) and writes them at once — no request
+/// from the peer and no read timeout in between. The queue is swapped out
+/// under its lock and written outside it, so a slow peer never blocks the
+/// checker; an idle connection costs a parked thread and no polling. A
+/// failed write closes the socket, which ends the connection's read loop.
+fn push_writer(stream: &TcpStream, write_lock: &Mutex<()>, queue: &PushQueue) {
+    loop {
+        let queued = std::mem::take(&mut *queue.frames.lock());
+        let stop = if queued.is_empty() {
+            queue.signal.park(|| queue.frames.lock().is_empty(), Duration::MAX)
+        } else {
+            let _writing = write_lock.lock();
+            let mut stream = stream;
+            if stream.write_all(&queued).is_err() {
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
+            }
+            queue.signal.is_stopped()
+        };
+        if stop {
+            return;
+        }
     }
-    stream.set_write_timeout(Some(shared.cfg.write_timeout))?;
-    stream.write_all(&queued)
 }
 
 /// Rejects a publish whose ids could not survive the checkers'
@@ -623,7 +927,7 @@ fn delta_tasks(deltas: &[armus_core::Delta]) -> impl Iterator<Item = &armus_core
 fn handle(
     frame: &wire::Frame<Request>,
     shared: &Shared,
-    pushes: &Arc<Mutex<Vec<u8>>>,
+    pushes: &Arc<PushQueue>,
 ) -> (Response, bool) {
     let store = &shared.store;
     let request = &frame.msg;
@@ -633,7 +937,10 @@ fn handle(
             match validate_publish(*site, snapshot.tasks.iter().map(|b| &b.task)) {
                 Some(rejection) => rejection,
                 None => match store.publish_full_in(*tenant, *site, snapshot.clone(), *version) {
-                    Ok(()) => Response::Ok,
+                    Ok(()) => {
+                        shared.pacing.wrote(*tenant, *site, Instant::now());
+                        Response::Ok
+                    }
                     Err(e) => Response::Error(e.to_string()),
                 },
             }
@@ -643,8 +950,17 @@ fn handle(
             match validate_publish(*site, delta_tasks(deltas)) {
                 Some(rejection) => rejection,
                 None => match store.publish_deltas_in(*tenant, *site, *base, deltas, *next) {
-                    Ok(crate::store::DeltaAck::Applied) => Response::Applied,
-                    Ok(crate::store::DeltaAck::NeedSnapshot) => Response::NeedSnapshot,
+                    Ok(DeltaAck::Applied) => {
+                        // An empty interval is the site saying that its
+                        // journal stood still.
+                        if deltas.is_empty() {
+                            shared.pacing.settled(*tenant, *site);
+                        } else {
+                            shared.pacing.wrote(*tenant, *site, Instant::now());
+                        }
+                        Response::Applied
+                    }
+                    Ok(DeltaAck::NeedSnapshot) => Response::NeedSnapshot,
                     Err(e) => Response::Error(e.to_string()),
                 },
             }
@@ -659,7 +975,11 @@ fn handle(
         Request::Remove { site, tenant } => {
             shared.removes.fetch_add(1, Ordering::Relaxed);
             match store.remove_in(*tenant, *site) {
-                Ok(()) => Response::Ok,
+                Ok(()) => {
+                    // A site that left will not say that it settled.
+                    shared.pacing.settled(*tenant, *site);
+                    Response::Ok
+                }
                 Err(e) => Response::Error(e.to_string()),
             }
         }
@@ -671,10 +991,11 @@ fn handle(
         }
         Request::Metrics => Response::Metrics(shared.metrics()),
         Request::Subscribe { tenant } => {
-            // Register this connection's push buffer under the request's
+            // Register this connection's push queue under the request's
             // correlation id: every future report frame for the tenant
             // carries it, so the client's demultiplexer can route the
-            // stream beside its ordinary request traffic.
+            // stream beside its ordinary request traffic. The checker
+            // hears of the subscription once this ack is flushed.
             shared.hub.subscribe(*tenant, frame.corr, pushes);
             Response::Subscribed
         }
@@ -1014,5 +1335,203 @@ mod tests {
         assert_eq!(s.read(&mut buf).unwrap(), 0, "idle peer must be reaped");
         assert!(start.elapsed() >= Duration::from_millis(100));
         server.shutdown();
+    }
+
+    const PERIOD: Duration = Duration::from_millis(160);
+    const A: SiteId = SiteId(0);
+    const B: SiteId = SiteId(1);
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// A tenant whose subscriber's own round has run: clean, as of `t0`.
+    fn watched(t0: Instant) -> TenantPace {
+        let mut pace = TenantPace::new(PERIOD, t0);
+        assert_eq!(pace.decide(t0), Pace::Park, "nobody has subscribed yet");
+        pace.subscribed(t0);
+        assert_eq!(pace.decide(t0), Pace::Check, "a subscriber wants the standing state");
+        assert!(std::mem::take(&mut pace.joined));
+        pace.ran(pace.seq, t0, t0);
+        pace
+    }
+
+    #[test]
+    fn tenant_pace_parks_while_clean_and_ignores_a_marker_without_dirt() {
+        let t0 = Instant::now();
+        let mut pace = watched(t0);
+        assert_eq!(pace.decide(t0), Pace::Park);
+        assert_eq!(pace.decide(t0 + 100 * PERIOD), Pace::Park, "an idle tenant is not checked");
+        assert!(!pace.settled(A), "a heartbeat from a site that wrote nothing");
+        assert_eq!(pace.decide(t0 + 100 * PERIOD), Pace::Park);
+        // Nor does the marker of a site whose writes a round already covered.
+        assert!(pace.wrote(A, t0 + 100 * PERIOD));
+        pace.ran(pace.seq, t0 + 101 * PERIOD, t0 + 101 * PERIOD);
+        assert!(!pace.settled(A));
+        assert_eq!(pace.decide(t0 + 102 * PERIOD), Pace::Park);
+    }
+
+    #[test]
+    fn tenant_pace_runs_a_round_when_every_site_that_wrote_has_settled() {
+        let t0 = Instant::now();
+        let mut pace = watched(t0);
+        // Long after the last round: the period runs from the write, not
+        // from there.
+        let t1 = t0 + 10 * PERIOD;
+        assert!(pace.wrote(A, t1), "the checker learns of its new deadline");
+        assert!(!pace.wrote(B, t1 + ms(1)), "which a second write does not move");
+        assert_eq!(pace.decide(t1 + ms(1)), Pace::Nap(PERIOD - ms(1)));
+        assert!(!pace.settled(A), "B has not settled");
+        assert_eq!(pace.decide(t1 + ms(2)), Pace::Nap(PERIOD - ms(2)));
+        assert!(pace.settled(B), "the last marker wakes the checker");
+        assert_eq!(pace.decide(t1 + ms(3)), Pace::Check);
+        pace.ran(pace.seq, t1 + ms(3), t1 + ms(4));
+        assert_eq!(pace.decide(t1 + ms(5)), Pace::Park, "exactly one round");
+    }
+
+    #[test]
+    fn tenant_pace_waits_out_the_period_for_a_site_that_does_not_settle() {
+        let t0 = Instant::now();
+        let mut pace = watched(t0);
+        pace.wrote(A, t0 + ms(20));
+        pace.wrote(B, t0 + ms(21));
+        assert!(!pace.settled(B));
+        // A keeps writing and never says that it stood still.
+        let (mut now, mut last_round, mut rounds) = (t0 + ms(21), t0 + ms(20), 0);
+        loop {
+            pace.wrote(A, now);
+            match pace.decide(now) {
+                Pace::Nap(left) => now += left.min(ms(5)),
+                Pace::Check => {
+                    assert_eq!(now - last_round, PERIOD, "round {rounds}: not before, not after");
+                    pace.ran(pace.seq, now, now);
+                    (last_round, rounds) = (now, rounds + 1);
+                    if rounds == 5 {
+                        break;
+                    }
+                }
+                Pace::Park => panic!("parked while dirty"),
+            }
+        }
+        // A site that left is not waited for.
+        pace.wrote(B, now);
+        assert!(!pace.settled(B));
+        assert!(pace.settled(A), "A's partition was removed");
+        assert_eq!(pace.decide(now + ms(1)), Pace::Check);
+    }
+
+    #[test]
+    fn tenant_pace_never_starts_a_round_sooner_after_the_last_than_that_one_took() {
+        let t0 = Instant::now();
+        let mut pace = watched(t0);
+        // Isolated bursts, each settled, arriving faster than rounds run:
+        // every round took 3 ms, so at least 3 ms lie between two of them.
+        let mut now = t0 + ms(10);
+        for burst in 0..5 {
+            pace.wrote(A, now);
+            assert!(pace.settled(A));
+            match pace.decide(now) {
+                Pace::Check => assert_eq!(burst, 0, "only the first finds the checker rested"),
+                Pace::Nap(left) => {
+                    assert_eq!(left, ms(2), "burst {burst}");
+                    now += left;
+                    assert_eq!(pace.decide(now), Pace::Check);
+                }
+                Pace::Park => panic!("burst {burst}: parked while dirty and settled"),
+            }
+            pace.ran(pace.seq, now, now + ms(3));
+            now += ms(4);
+        }
+    }
+
+    /// The handshake between a connection thread telling the checker that
+    /// a site settled and the checker parking on what it planned, played
+    /// by hand: the connection's step is `Pacing::settled`, the checker's
+    /// steps are `Pacing::plan` and the second look `Signal::park` takes.
+    /// The marker is placed in each window in turn; with an hour-long
+    /// period, a marker lost in any of them shows as a time-out.
+    #[test]
+    fn checker_handshake_keeps_a_marker_told_in_any_window_of_the_park() {
+        let hour = Duration::from_secs(3600);
+        let tenant = TenantId(7);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (hub, pacing) = (SubHub::default(), Pacing::new(hour));
+            let queue: Arc<PushQueue> = Arc::default();
+            hub.subscribe(tenant, 1, &queue);
+            pacing.subscribed(tenant, Instant::now());
+            // The checker's round for `due`, and a plan that finds nothing
+            // to run: some site wrote and has not settled.
+            let ran = |pacing: &Pacing, due: &Due| {
+                let now = Instant::now();
+                pacing.ran(due, &[A], now, now);
+            };
+            let parked_plan = |pacing: &Pacing| {
+                let plan = pacing.plan(&hub, Instant::now());
+                assert_eq!(plan.due.len(), 1, "the subscription, or the last window's marker");
+                ran(pacing, &plan.due[0]);
+                pacing.wrote(tenant, A, Instant::now());
+                let plan = pacing.plan(&hub, Instant::now());
+                assert!(plan.due.is_empty() && plan.wait.is_some(), "dirty, unsettled: the period");
+                plan
+            };
+            let second_look = |plan: &Plan| pacing.nothing_told(plan);
+            // After the plan, before the checker announces the wait:
+            // nobody is parked, so the marker leaves no wake-up — the
+            // second look finds it.
+            let plan = parked_plan(&pacing);
+            pacing.settled(tenant, A);
+            assert!(!pacing.signal.park(|| second_look(&plan), hour));
+            // Between the announcement and the second look: the look finds
+            // it (and the marker's wake-up is spare).
+            let plan = parked_plan(&pacing);
+            let stop = pacing.signal.park(
+                || {
+                    pacing.settled(tenant, A);
+                    second_look(&plan)
+                },
+                hour,
+            );
+            assert!(!stop);
+            // After the second look, before the wait: the marker found the
+            // flag, and its wake-up waits for the wait.
+            let plan = parked_plan(&pacing);
+            let stop = pacing.signal.park(
+                || {
+                    let nothing_new = second_look(&plan);
+                    pacing.settled(tenant, A);
+                    nothing_new
+                },
+                hour,
+            );
+            assert!(!stop);
+            assert_eq!(pacing.plan(&hub, Instant::now()).due.len(), 1, "and the round is due");
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(30)).expect("the park waited: a marker was lost");
+    }
+
+    #[test]
+    fn pacing_forgets_a_tenant_with_its_last_subscriber_and_tells_only_watched_ones() {
+        let (hub, pacing) = (SubHub::default(), Pacing::new(PERIOD));
+        let now = Instant::now();
+        // Nobody watches tenant 1: its publishes are nobody's business.
+        pacing.wrote(TenantId(1), A, now);
+        assert_eq!(pacing.events(), 0);
+        assert!(pacing.plan(&hub, now).live.is_empty());
+        let queue: Arc<PushQueue> = Arc::default();
+        hub.subscribe(TenantId(1), 1, &queue);
+        pacing.subscribed(TenantId(1), now);
+        let plan = pacing.plan(&hub, now);
+        assert_eq!(plan.live.len(), 1);
+        assert!(plan.due[0].joined, "the round a subscription asks for forgets the dedup");
+        // The connection goes: the checker is told, and its next plan
+        // drops the tenant.
+        drop(queue);
+        pacing.unsubscribed();
+        assert_eq!(pacing.events(), plan.events + 1);
+        let plan = pacing.plan(&hub, now);
+        assert!(plan.live.is_empty() && plan.due.is_empty() && plan.wait.is_none());
+        assert!(pacing.state.lock().tenants.is_empty());
     }
 }

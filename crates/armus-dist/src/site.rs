@@ -3,15 +3,27 @@
 //! sites check for deadlocks"; "the deadlock checker executes at each site
 //! and does not depend on the cooperation of other sites").
 //!
-//! The publisher speaks the store's delta protocol: it tracks a journal
+//! The publisher ([`Publisher`], stepped by the site's thread and by the
+//! tests alike) speaks the store's delta protocol: it tracks a journal
 //! cursor into its runtime's registry and normally ships only the deltas
-//! since its previous round — an empty interval when nothing changed,
-//! which doubles as a partition heartbeat. It falls back to a
-//! **full-snapshot resync** when it joins, when the bounded journal
-//! truncated past its cursor, or when the store NACKs the delta interval
-//! (partition lost, version mismatch, or a store without delta support) —
-//! so recovery never depends on delta continuity, and a lost partition is
-//! repaired within one round even from a fully quiescent site.
+//! since its previous round. It falls back to a **full-snapshot resync**
+//! when it joins, when the bounded journal truncated past its cursor, or
+//! when the store NACKs the delta interval (partition lost, version
+//! mismatch, or a store without delta support) — so recovery never depends
+//! on delta continuity, and a lost partition is repaired within one round
+//! even from a fully quiescent site.
+//!
+//! It has two duties, paced apart. The **delta flush** follows the
+//! journal, by the one rule of [`armus_core::pace`]: a burst that ends is
+//! shipped one quiet interval later ([`SiteConfig::publish_period`]` / 16`),
+//! a program that never pauses once a period. The **lease heartbeat** is
+//! an empty interval once a period while nothing changes — except that the
+//! *first* one follows at once when the publisher finds nothing new after
+//! a flush. That empty interval has two readers: it refreshes the
+//! partition's lease, and it tells the store that *this site's journal
+//! stood still* — the store's checker runs when every site that wrote has
+//! said so ([`crate::server`]), and the site's own checker takes the same
+//! moment to look at the global view.
 //!
 //! Sites take the store as `Arc<dyn Store>` and never assume exclusive
 //! ownership, so the intended networked deployment is **many sites
@@ -29,63 +41,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use armus_core::{
-    DeadlockReport, JournalRead, ModelChoice, Verifier, VerifierConfig, DEFAULT_SG_THRESHOLD,
+    DeadlockReport, JournalRead, ModelChoice, Pace, Pacer, Signal, Verifier, VerifierConfig,
+    DEFAULT_SG_THRESHOLD,
 };
 use armus_sync::{Runtime, RuntimeConfig};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::detector::{DistCheckerStats, IncrementalDistChecker, ReportDedup};
 use crate::store::{DeltaAck, SiteId, SiteStats, Store};
-
-/// An interruptible stop flag: loop threads park on it between rounds
-/// instead of `thread::sleep`ing, so [`Site::stop`] latency is bounded by
-/// the wake-up cost, not by the sum of the publish/check periods.
-pub(crate) struct StopSignal {
-    stopped: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl StopSignal {
-    pub(crate) fn new() -> StopSignal {
-        StopSignal { stopped: Mutex::new(false), cv: Condvar::new() }
-    }
-
-    /// Sets the flag and wakes every parked thread.
-    pub(crate) fn stop(&self) {
-        *self.stopped.lock() = true;
-        self.cv.notify_all();
-    }
-
-    pub(crate) fn is_stopped(&self) -> bool {
-        *self.stopped.lock()
-    }
-
-    /// Parks for up to `period` or until [`StopSignal::stop`]; returns
-    /// true when stopped. Loops on an absolute deadline: a spurious
-    /// condvar wakeup re-parks for the residual time instead of cutting
-    /// the round short (the publish cadence is a lease heartbeat — a
-    /// shortened round skews the timing leases are tuned against; a
-    /// lengthened one could let a lease lapse).
-    pub(crate) fn wait(&self, period: Duration) -> bool {
-        let deadline = Instant::now() + period;
-        let mut stopped = self.stopped.lock();
-        while !*stopped {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let _ = self.cv.wait_for(&mut stopped, deadline - now);
-        }
-        true
-    }
-
-    /// Test hook: a condvar notify *without* setting the flag — exactly
-    /// the spurious wakeup [`StopSignal::wait`] must absorb.
-    #[cfg(test)]
-    pub(crate) fn poke(&self) {
-        self.cv.notify_all();
-    }
-}
 
 /// The bounded store of a site's deadlock reports. The checker pushes
 /// behind a [`crate::detector::ReportDedup`], so entries are distinct
@@ -135,9 +98,19 @@ impl ReportRing {
 /// Per-site verification configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SiteConfig {
-    /// How often the local blocked set is pushed to the store.
+    /// The longest a change of the local blocked set waits to be pushed to
+    /// the store — an upper bound, not a cadence: a burst of blocks that
+    /// ends is shipped `publish_period / 16` after its last one, a program
+    /// that never pauses once a period. Also the period of the lease
+    /// heartbeat (an empty interval) while nothing changes.
     pub publish_period: Duration,
-    /// How often this site checks the global view (paper: 200 ms).
+    /// The longest this site goes without checking the global view (paper:
+    /// 200 ms) — an upper bound too. Every site checks and none is the
+    /// control site (§5.2), so the checker keeps this period
+    /// unconditionally: it cannot see what other sites write. It
+    /// *additionally* runs at once when the site's own publisher has gone
+    /// quiet after a flush — the site whose flush closes a cycle finds it
+    /// at the closing event, not a period later.
     pub check_period: Duration,
     /// Graph-model selection for the distributed check.
     pub model: ModelChoice,
@@ -162,9 +135,11 @@ impl Default for SiteConfig {
 pub struct Site {
     id: SiteId,
     runtime: Arc<Runtime>,
-    stop: Arc<StopSignal>,
-    checker_stop: Arc<StopSignal>,
-    cleanup_abort: Arc<StopSignal>,
+    /// Stops the checker; the publisher wakes it through the same signal.
+    /// (The publisher itself parks on — and is stopped through — its
+    /// verifier's [`Verifier::signal`].)
+    checker_signal: Arc<Signal>,
+    cleanup_abort: Arc<Signal>,
     reports: Arc<Mutex<ReportRing>>,
     resyncs: Arc<AtomicU64>,
     checker_stats: Arc<Mutex<DistCheckerStats>>,
@@ -187,7 +162,7 @@ const REMOVE_BACKOFF: Duration = Duration::from_millis(5);
 /// doubling backoff, interruptible through `abort` (fired when the owning
 /// [`Site`] is dropped without `stop`, so an abandoned site never sleeps
 /// out the backoff). Returns whether the remove landed.
-fn remove_with_retry(store: &dyn Store, id: SiteId, abort: &StopSignal) -> bool {
+fn remove_with_retry(store: &dyn Store, id: SiteId, abort: &Signal) -> bool {
     let deadline = Instant::now() + REMOVE_BUDGET;
     let mut backoff = REMOVE_BACKOFF;
     loop {
@@ -205,44 +180,160 @@ fn remove_with_retry(store: &dyn Store, id: SiteId, abort: &StopSignal) -> bool 
     }
 }
 
-/// One publisher round: ship the deltas since `cursor`, or a full
-/// versioned snapshot when not (or no longer) in sync. Returns the updated
-/// `(cursor, synced)` pair; store failures leave both untouched so the
-/// next round retries. Bumps `resyncs` per full-snapshot publish.
-fn publish_round(
-    store: &dyn Store,
-    verifier: &Verifier,
-    id: SiteId,
-    mut cursor: u64,
-    mut synced: bool,
-    resyncs: &AtomicU64,
-) -> (u64, bool) {
-    if synced {
-        match verifier.deltas_since(cursor) {
-            JournalRead::Deltas(deltas, next) => {
-                // Publish even when the interval is empty: it doubles as a
-                // partition heartbeat. A store that lost the partition
-                // NACKs it, triggering the resync below — crucial because
-                // a site whose tasks are all deadlocked is exactly
-                // quiescent, and its partition matters most then.
-                match store.publish_deltas(id, cursor, &deltas, next) {
-                    Ok(DeltaAck::Applied) => cursor = next,
-                    Ok(DeltaAck::NeedSnapshot) => synced = false,
-                    Err(_) => return (cursor, synced), // outage: retry later
+/// What one [`Publisher::publish`] put on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shipped {
+    /// Nothing the store acknowledged: cursor and sync state are as they
+    /// were, and the round is tried again a period later.
+    Nothing,
+    /// The journal deltas since the cursor (this many).
+    Deltas(usize),
+    /// A full versioned snapshot: the join, or a recovery resync.
+    Snapshot,
+    /// The first empty interval after [`Shipped::Deltas`] or
+    /// [`Shipped::Snapshot`]: the site telling the store that its journal
+    /// stood still.
+    Settled,
+    /// An empty interval with nothing shipped before it either: the lease
+    /// heartbeat.
+    Heartbeat,
+}
+
+/// A site's publisher, as a step machine without a thread or a clock of its
+/// own: *when* to run a round ([`Publisher::pace`], from the journal head
+/// and the time), the round's wire protocol ([`Publisher::publish`]), and
+/// the time it ended ([`Publisher::record`]). [`Site::start`] steps it from
+/// the site's publisher thread; tests step it by hand.
+pub struct Publisher {
+    site: SiteId,
+    cursor: u64,
+    synced: bool,
+    resyncs: u64,
+    /// A publish that changed the partition has not been followed by an
+    /// empty interval yet.
+    unsettled: bool,
+    /// Paces the delta flush by the journal head, and (stamped at every
+    /// acknowledged publish) the heartbeat by the clock.
+    pacer: Pacer,
+    /// After a failed round: no round before this.
+    retry_at: Option<Instant>,
+}
+
+impl Publisher {
+    /// A publisher for `site` that has shipped nothing yet: its first round
+    /// publishes the join snapshot.
+    pub fn new(site: SiteId, publish_period: Duration, now: Instant) -> Publisher {
+        Publisher {
+            site,
+            cursor: 0,
+            synced: false,
+            resyncs: 0,
+            unsettled: false,
+            pacer: Pacer::new(publish_period, publish_period / Pacer::QUIET_SHARE, now),
+            retry_at: None,
+        }
+    }
+
+    /// The journal cursor the store's copy of the partition stands at.
+    pub fn cursor(&self) -> u64 {
+        self.cursor
+    }
+
+    /// Whether the store holds a versioned copy deltas can resume from.
+    pub fn synced(&self) -> bool {
+        self.synced
+    }
+
+    /// Full-snapshot publishes so far (the join counts as one).
+    pub fn resyncs(&self) -> u64 {
+        self.resyncs
+    }
+
+    /// What to do with the journal head at `head` and the clock at `now`:
+    /// [`Pace::Check`] is "run a round now" — a flush, one quiet interval
+    /// after a burst ended or a period after the last one; the empty
+    /// interval owed right after a flush; a heartbeat, a period after the
+    /// last acknowledged publish; a retry, a period after a failure.
+    /// [`Pace::Park`] may last [`Publisher::park_for`].
+    pub fn pace(&mut self, head: u64, now: Instant) -> Pace {
+        match self.retry_at {
+            Some(at) if now < at => Pace::Nap(at - now),
+            // The join, a resync, or nothing new after a flush: no wait.
+            _ if !self.synced || (self.unsettled && head == self.cursor) => Pace::Check,
+            _ => self.pacer.decide_or_due(head, now),
+        }
+    }
+
+    /// How long a parked publisher may stay parked: until the heartbeat.
+    pub fn park_for(&self, now: Instant) -> Duration {
+        self.pacer.due_in(now)
+    }
+
+    /// One round of the wire protocol: ship the deltas since the cursor —
+    /// an empty interval when there are none — or a full versioned snapshot
+    /// when not (or no longer) in sync. A store failure leaves cursor and
+    /// sync state untouched, so the next round retries the same interval.
+    pub fn publish(&mut self, store: &dyn Store, verifier: &Verifier) -> Shipped {
+        let mut shipped = Shipped::Nothing;
+        if self.synced {
+            match verifier.deltas_since(self.cursor) {
+                JournalRead::Deltas(deltas, next) => {
+                    // Published even when the interval is empty: it is the
+                    // lease heartbeat, and a store that lost the partition
+                    // NACKs it, triggering the resync below — crucial
+                    // because a site whose tasks are all deadlocked is
+                    // exactly quiescent, and its partition matters most
+                    // then.
+                    match store.publish_deltas(self.site, self.cursor, &deltas, next) {
+                        Ok(DeltaAck::Applied) => {
+                            self.cursor = next;
+                            shipped = match deltas.len() {
+                                0 if self.unsettled => Shipped::Settled,
+                                0 => Shipped::Heartbeat,
+                                n => Shipped::Deltas(n),
+                            };
+                        }
+                        Ok(DeltaAck::NeedSnapshot) => self.synced = false,
+                        Err(_) => return Shipped::Nothing, // outage: retry later
+                    }
                 }
+                JournalRead::Behind => self.synced = false,
             }
-            JournalRead::Behind => synced = false,
         }
-    }
-    if !synced {
-        let (snapshot, head) = verifier.snapshot_with_cursor();
-        if store.publish_full(id, snapshot, head).is_ok() {
-            cursor = head;
-            synced = true;
-            resyncs.fetch_add(1, Ordering::Relaxed);
+        if !self.synced {
+            let (snapshot, head) = verifier.snapshot_with_cursor();
+            if store.publish_full(self.site, snapshot, head).is_ok() {
+                self.cursor = head;
+                self.synced = true;
+                self.resyncs += 1;
+                shipped = Shipped::Snapshot;
+            }
         }
+        if shipped != Shipped::Nothing {
+            self.unsettled = matches!(shipped, Shipped::Deltas(_) | Shipped::Snapshot);
+        }
+        shipped
     }
-    (cursor, synced)
+
+    /// Records that the round which `shipped` ended at `now`: an
+    /// acknowledged publish restarts both the flush period and the
+    /// heartbeat clock (every publish refreshes the lease); a failed one
+    /// is retried a period later.
+    pub fn record(&mut self, shipped: Shipped, now: Instant) {
+        self.retry_at = match shipped {
+            Shipped::Nothing => Some(now + self.pacer.period()),
+            _ => {
+                self.pacer.checked(self.cursor, now);
+                None
+            }
+        };
+    }
+}
+
+/// The second look of a publisher about to park ([`Signal::park`]): has
+/// nothing been journaled since it read `head`?
+fn nothing_published(verifier: &Verifier, head: u64) -> bool {
+    verifier.journal_head() == head
 }
 
 /// Assembles the site's current [`SiteStats`] record from its verifier
@@ -274,46 +365,64 @@ impl Site {
     pub fn start(id: SiteId, store: Arc<dyn Store>, cfg: SiteConfig) -> Site {
         let runtime =
             Runtime::new(RuntimeConfig::unchecked().with_verifier(VerifierConfig::publish_only()));
-        let stop = Arc::new(StopSignal::new());
-        let checker_stop = Arc::new(StopSignal::new());
-        let cleanup_abort = Arc::new(StopSignal::new());
+        let checker_signal = Arc::new(Signal::new());
+        let cleanup_abort = Arc::new(Signal::new());
         let reports = Arc::new(Mutex::new(ReportRing::new(cfg.report_capacity)));
         let resyncs = Arc::new(AtomicU64::new(0));
         let checker_stats = Arc::new(Mutex::new(DistCheckerStats::default()));
+        // How often the publisher has gone quiet after a flush: what the
+        // checker follows besides the clock.
+        let settles = Arc::new(AtomicU64::new(0));
 
         let publisher = {
             let runtime = Arc::clone(&runtime);
             let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
+            let checker_signal = Arc::clone(&checker_signal);
             let cleanup_abort = Arc::clone(&cleanup_abort);
             let resyncs = Arc::clone(&resyncs);
             let checker_stats = Arc::clone(&checker_stats);
             let reports = Arc::clone(&reports);
+            let settles = Arc::clone(&settles);
             std::thread::Builder::new()
                 .name(format!("{id}-publisher"))
                 .spawn(move || {
-                    let mut cursor = 0u64;
-                    let mut synced = false; // first round publishes the join snapshot
-                    while !stop.is_stopped() {
-                        (cursor, synced) = publish_round(
-                            store.as_ref(),
-                            runtime.verifier(),
-                            id,
-                            cursor,
-                            synced,
-                            &resyncs,
-                        );
-                        // Piggyback the observability counters on the
-                        // publish cadence (best-effort: a store without a
-                        // metrics surface discards them, an outage skips
-                        // the round).
-                        let _ = store.publish_stats(
-                            id,
-                            gather_stats(runtime.verifier(), &resyncs, &checker_stats, &reports),
-                        );
-                        // Interruptible: stop() wakes us immediately
-                        // instead of eating a whole publish period.
-                        if stop.wait(cfg.publish_period) {
+                    let verifier = runtime.verifier();
+                    // Woken by every block while parked, stopped by the
+                    // runtime's shutdown: stop latency is the wake-up, not
+                    // a publish period.
+                    let signal = verifier.signal();
+                    let mut publisher = Publisher::new(id, cfg.publish_period, Instant::now());
+                    loop {
+                        let head = verifier.journal_head();
+                        let now = Instant::now();
+                        let stop = match publisher.pace(head, now) {
+                            Pace::Check => {
+                                let shipped = publisher.publish(store.as_ref(), verifier);
+                                publisher.record(shipped, Instant::now());
+                                resyncs.store(publisher.resyncs(), Ordering::Relaxed);
+                                if shipped == Shipped::Settled {
+                                    settles.fetch_add(1, Ordering::SeqCst);
+                                    checker_signal.wake_if_parked();
+                                }
+                                if matches!(shipped, Shipped::Settled | Shipped::Heartbeat) {
+                                    // The observability counters ride the
+                                    // heartbeat (best-effort: a store
+                                    // without a metrics surface discards
+                                    // them, an outage skips them).
+                                    let _ = store.publish_stats(
+                                        id,
+                                        gather_stats(verifier, &resyncs, &checker_stats, &reports),
+                                    );
+                                }
+                                signal.wait(Duration::ZERO)
+                            }
+                            Pace::Nap(left) => signal.wait(left),
+                            Pace::Park => signal.park(
+                                || nothing_published(verifier, head),
+                                publisher.park_for(now),
+                            ),
+                        };
+                        if stop {
                             break;
                         }
                     }
@@ -328,8 +437,7 @@ impl Site {
 
         let checker = {
             let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            let checker_stop = Arc::clone(&checker_stop);
+            let signal = Arc::clone(&checker_signal);
             let reports = Arc::clone(&reports);
             let checker_stats = Arc::clone(&checker_stats);
             std::thread::Builder::new()
@@ -341,26 +449,47 @@ impl Site {
                     // answers cycle existence from the maintained order —
                     // O(churn between rounds), not O(cluster blocked set).
                     let mut checker = IncrementalDistChecker::new();
-                    while !stop.is_stopped() && !checker_stop.is_stopped() {
-                        if checker_stop.wait(cfg.check_period) || stop.is_stopped() {
+                    // No quiet interval: the publisher's count moves when it
+                    // has already waited one out.
+                    let mut pacer = Pacer::new(cfg.check_period, Duration::ZERO, Instant::now());
+                    loop {
+                        let settled = settles.load(Ordering::SeqCst);
+                        let now = Instant::now();
+                        let stop = match pacer.decide_or_due(settled, now) {
+                            Pace::Check => {
+                                // Fetch failures are tolerated: skip the round.
+                                match checker.check_round(
+                                    store.as_ref(),
+                                    cfg.model,
+                                    DEFAULT_SG_THRESHOLD,
+                                ) {
+                                    Ok(out) => {
+                                        if let Some(report) = out.report {
+                                            if dedup.is_new(&report) {
+                                                reports.lock().push(report);
+                                            }
+                                        }
+                                    }
+                                    // Conservative: after a store outage,
+                                    // rebuild from the next successful fetch
+                                    // rather than trust the diff path — delta
+                                    // continuity must never be load-bearing
+                                    // for correctness.
+                                    Err(_) => checker.resync(),
+                                }
+                                *checker_stats.lock() = checker.stats();
+                                pacer.checked(settled, Instant::now());
+                                signal.wait(Duration::ZERO)
+                            }
+                            Pace::Nap(left) => signal.wait(left),
+                            Pace::Park => signal.park(
+                                || settles.load(Ordering::SeqCst) == settled,
+                                pacer.due_in(now),
+                            ),
+                        };
+                        if stop {
                             break;
                         }
-                        // Fetch failures are tolerated: skip the round.
-                        match checker.check_round(store.as_ref(), cfg.model, DEFAULT_SG_THRESHOLD) {
-                            Ok(out) => {
-                                if let Some(report) = out.report {
-                                    if dedup.is_new(&report) {
-                                        reports.lock().push(report);
-                                    }
-                                }
-                            }
-                            // Conservative: after a store outage, rebuild
-                            // from the next successful fetch rather than
-                            // trust the diff path — delta continuity must
-                            // never be load-bearing for correctness.
-                            Err(_) => checker.resync(),
-                        }
-                        *checker_stats.lock() = checker.stats();
                     }
                 })
                 .expect("spawn checker")
@@ -369,8 +498,7 @@ impl Site {
         Site {
             id,
             runtime,
-            stop,
-            checker_stop,
+            checker_signal,
             cleanup_abort,
             reports,
             resyncs,
@@ -424,7 +552,8 @@ impl Site {
     }
 
     /// The site's current observability record — exactly what its
-    /// publisher pushes to the store's metrics surface every round.
+    /// publisher pushes to the store's metrics surface with every
+    /// heartbeat.
     pub fn stats(&self) -> SiteStats {
         gather_stats(self.runtime.verifier(), &self.resyncs, &self.checker_stats, &self.reports)
     }
@@ -439,7 +568,7 @@ impl Site {
     /// checker failures: there is no designated control site, so the
     /// remaining sites still find the deadlock.
     pub fn kill_checker(&mut self) {
-        self.checker_stop.stop();
+        self.checker_signal.stop();
         if let Some(h) = self.checker.take() {
             let _ = h.join();
         }
@@ -457,11 +586,11 @@ impl Site {
     }
 
     fn shutdown(&self) {
-        // Wake both loops out of their parked waits: stop latency is
-        // bounded by the wake-up (and the bounded remove retry), not by
-        // the publish/check periods.
-        self.stop.stop();
-        self.checker_stop.stop();
+        // Wake both loops out of their parked waits — the publisher's is
+        // on its verifier's signal, which the runtime's shutdown stops:
+        // stop latency is bounded by the wake-up (and the bounded remove
+        // retry), not by the publish/check periods.
+        self.checker_signal.stop();
         self.runtime.shutdown();
     }
 }
@@ -481,7 +610,7 @@ impl Drop for Site {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::StoreError;
+    use crate::store::{MemStore, StoreError};
     use armus_core::{CycleWitness, GraphModel, PhaserId, Resource, Snapshot, TaskId};
 
     fn report(n: u64) -> DeadlockReport {
@@ -518,35 +647,8 @@ mod tests {
     }
 
     #[test]
-    fn wait_absorbs_spurious_wakeups() {
-        let signal = Arc::new(StopSignal::new());
-        let period = Duration::from_millis(60);
-        // A poker that fires condvar notifies throughout the wait without
-        // ever setting the flag — forced spurious wakeups.
-        let poker = {
-            let signal = Arc::clone(&signal);
-            std::thread::spawn(move || {
-                for _ in 0..30 {
-                    signal.poke();
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            })
-        };
-        let begin = Instant::now();
-        let stopped = signal.wait(period);
-        let elapsed = begin.elapsed();
-        poker.join().unwrap();
-        assert!(!stopped, "no stop was requested");
-        assert!(
-            elapsed >= period,
-            "wait returned after {elapsed:?}, before the {period:?} deadline — \
-             a spurious wakeup cut the round short"
-        );
-    }
-
-    #[test]
     fn wait_still_interrupts_immediately_on_stop() {
-        let signal = Arc::new(StopSignal::new());
+        let signal = Arc::new(Signal::new());
         let waiter = {
             let signal = Arc::clone(&signal);
             std::thread::spawn(move || {
@@ -567,6 +669,15 @@ mod tests {
         fn publish_full(&self, _: SiteId, _: Snapshot, _: u64) -> Result<(), StoreError> {
             Err(StoreError::Unavailable)
         }
+        fn publish_deltas(
+            &self,
+            _: SiteId,
+            _: u64,
+            _: &[armus_core::Delta],
+            _: u64,
+        ) -> Result<DeltaAck, StoreError> {
+            Err(StoreError::Unavailable)
+        }
         fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
             Err(StoreError::Unavailable)
         }
@@ -577,7 +688,7 @@ mod tests {
 
     #[test]
     fn remove_retry_is_deadline_bounded_against_a_dead_store() {
-        let abort = StopSignal::new();
+        let abort = Signal::new();
         let begin = Instant::now();
         assert!(!remove_with_retry(&DeadStore, SiteId(0), &abort));
         let elapsed = begin.elapsed();
@@ -590,7 +701,7 @@ mod tests {
 
     #[test]
     fn remove_retry_aborts_immediately_when_signalled() {
-        let abort = StopSignal::new();
+        let abort = Signal::new();
         abort.stop();
         let begin = Instant::now();
         assert!(!remove_with_retry(&DeadStore, SiteId(0), &abort));
@@ -598,5 +709,191 @@ mod tests {
             begin.elapsed() < REMOVE_BUDGET,
             "an aborted cleanup must not sleep out the budget"
         );
+    }
+
+    const PERIOD: Duration = Duration::from_millis(160);
+    const QUIET: Duration = Duration::from_millis(10);
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    fn block(v: &Verifier, task: u64) {
+        let phaser = PhaserId(task);
+        v.block(
+            TaskId(task),
+            vec![Resource::new(phaser, 1)],
+            vec![armus_core::Registration::new(phaser, 1)],
+        )
+        .expect("publish-only blocks are never refused");
+    }
+
+    /// A publisher that has joined `store` and sent the empty interval the
+    /// join owes, at `t0`.
+    fn joined(store: &dyn Store, v: &Verifier, t0: Instant) -> Publisher {
+        let mut publisher = Publisher::new(SiteId(0), PERIOD, t0);
+        assert_eq!(publisher.pace(v.journal_head(), t0), Pace::Check, "the join does not wait");
+        assert_eq!(publisher.publish(store, v), Shipped::Snapshot);
+        publisher.record(Shipped::Snapshot, t0);
+        assert_eq!(publisher.pace(v.journal_head(), t0), Pace::Check, "nor does its marker");
+        assert_eq!(publisher.publish(store, v), Shipped::Settled);
+        publisher.record(Shipped::Settled, t0);
+        publisher
+    }
+
+    #[test]
+    fn publisher_ships_a_burst_that_ends_one_quiet_interval_later_then_says_so_at_once() {
+        let (store, v, t0) =
+            (MemStore::new(), Verifier::new(VerifierConfig::publish_only()), Instant::now());
+        let mut publisher = joined(&store, &v, t0);
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(20)), Pace::Park);
+        assert_eq!(publisher.park_for(t0 + ms(20)), ms(140), "parked until the heartbeat");
+        // A burst: the journal has to stand still for a quiet interval.
+        block(&v, 1);
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(30)), Pace::Nap(QUIET));
+        block(&v, 2);
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(35)), Pace::Nap(QUIET));
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(45)), Pace::Check);
+        assert_eq!(publisher.publish(&store, &v), Shipped::Deltas(2));
+        publisher.record(Shipped::Deltas(2), t0 + ms(46));
+        // Nothing new after the flush: one empty interval, immediately.
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(46)), Pace::Check);
+        assert_eq!(publisher.publish(&store, &v), Shipped::Settled);
+        publisher.record(Shipped::Settled, t0 + ms(47));
+        // And from there heartbeats, a period apart.
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(47)), Pace::Park);
+        assert_eq!(publisher.park_for(t0 + ms(47)), PERIOD, "the heartbeat clock restarted");
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(47) + PERIOD), Pace::Check);
+        assert_eq!(publisher.publish(&store, &v), Shipped::Heartbeat);
+        publisher.record(Shipped::Heartbeat, t0 + ms(48) + PERIOD);
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(48) + PERIOD), Pace::Park);
+        assert_eq!(store.fetch_all().unwrap()[0].1, v.local_snapshot());
+    }
+
+    #[test]
+    fn publisher_ships_a_journal_that_never_stands_still_once_a_period_and_no_empty_interval() {
+        let (store, v, t0) =
+            (MemStore::new(), Verifier::new(VerifierConfig::publish_only()), Instant::now());
+        let mut publisher = joined(&store, &v, t0);
+        // Something new at every look, each look as late as the pacer asks.
+        let (mut now, mut last_flush, mut flushes) = (t0, t0, 0);
+        for task in 1.. {
+            block(&v, task);
+            match publisher.pace(v.journal_head(), now) {
+                Pace::Nap(left) => {
+                    assert!(left <= QUIET, "{left:?}");
+                    now += left;
+                }
+                Pace::Check => {
+                    assert_eq!(now - last_flush, PERIOD, "flush {flushes}");
+                    let shipped = publisher.publish(&store, &v);
+                    assert!(matches!(shipped, Shipped::Deltas(_)), "flush {flushes}: {shipped:?}");
+                    publisher.record(shipped, now);
+                    (last_flush, flushes) = (now, flushes + 1);
+                    if flushes == 5 {
+                        break;
+                    }
+                }
+                Pace::Park => panic!("parked with task {task} unshipped"),
+            }
+        }
+        assert_eq!(now - t0, 5 * PERIOD);
+    }
+
+    #[test]
+    fn publisher_with_nothing_to_publish_sends_heartbeats_only() {
+        let (store, v, t0) =
+            (MemStore::new(), Verifier::new(VerifierConfig::publish_only()), Instant::now());
+        let mut publisher = joined(&store, &v, t0);
+        let mut now = t0;
+        for beat in 0..5 {
+            assert_eq!(publisher.pace(v.journal_head(), now), Pace::Park, "beat {beat}");
+            now += publisher.park_for(now);
+            assert_eq!(publisher.pace(v.journal_head(), now), Pace::Check, "beat {beat}");
+            assert_eq!(publisher.publish(&store, &v), Shipped::Heartbeat, "beat {beat}");
+            publisher.record(Shipped::Heartbeat, now);
+        }
+        assert_eq!(now - t0, 5 * PERIOD);
+        assert_eq!(publisher.resyncs(), 1, "the join, and nothing since");
+    }
+
+    #[test]
+    fn publisher_marks_nothing_shipped_on_a_store_error_and_retries_a_period_later() {
+        let (v, t0) = (Verifier::new(VerifierConfig::publish_only()), Instant::now());
+        let store = MemStore::new();
+        let mut publisher = joined(&store, &v, t0);
+        block(&v, 1);
+        let head = v.journal_head();
+        assert_eq!(publisher.pace(head, t0 + QUIET), Pace::Nap(QUIET));
+        assert_eq!(publisher.pace(head, t0 + 2 * QUIET), Pace::Check);
+        let before = (publisher.cursor(), publisher.synced(), publisher.resyncs());
+        assert_eq!(publisher.publish(&DeadStore, &v), Shipped::Nothing);
+        publisher.record(Shipped::Nothing, t0 + 2 * QUIET);
+        assert_eq!((publisher.cursor(), publisher.synced(), publisher.resyncs()), before);
+        // Not a hot loop against a dead store: one try a period.
+        assert_eq!(publisher.pace(head, t0 + 2 * QUIET), Pace::Nap(PERIOD));
+        assert_eq!(publisher.pace(head, t0 + 2 * QUIET + PERIOD), Pace::Check);
+        // The same interval goes out once the store is back, and is then
+        // said to have settled.
+        assert_eq!(publisher.publish(&store, &v), Shipped::Deltas(1));
+        publisher.record(Shipped::Deltas(1), t0 + 3 * QUIET + PERIOD);
+        assert_eq!(publisher.publish(&store, &v), Shipped::Settled);
+        // A store that lost the partition NACKs even a heartbeat: a full
+        // snapshot goes out instead, and it too is followed by a marker.
+        store.remove(SiteId(0)).unwrap();
+        assert_eq!(publisher.publish(&store, &v), Shipped::Snapshot);
+        assert_eq!(publisher.resyncs(), 2);
+        assert_eq!(publisher.publish(&store, &v), Shipped::Settled);
+    }
+
+    /// The handshake between `Verifier::block` and a publisher parked on
+    /// the verifier's signal, played by hand: the program's step is the
+    /// block, the publisher's steps are the head it read before deciding
+    /// to park and the second look `Signal::park` takes. A block is placed
+    /// in each window in turn; with an hour-long wait, a block lost in any
+    /// of them shows as a time-out.
+    #[test]
+    fn publisher_handshake_keeps_a_block_published_in_any_window_of_the_park() {
+        let hour = Duration::from_secs(3600);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let v = Verifier::new(VerifierConfig::publish_only());
+            let signal = Arc::clone(v.signal());
+            let second_look = |head: u64| nothing_published(&v, head);
+            // After the publisher read the head, before it announces the
+            // wait: nobody is parked, so the block leaves no wake-up — the
+            // second look finds it.
+            let head = v.journal_head();
+            block(&v, 1);
+            assert!(!signal.park(|| second_look(head), hour));
+            // Between the announcement and the second look: the look finds
+            // it (and the block's wake-up is spare).
+            let head = v.journal_head();
+            let stop = signal.park(
+                || {
+                    block(&v, 2);
+                    second_look(head)
+                },
+                hour,
+            );
+            assert!(!stop);
+            // After the second look, before the wait: the block found the
+            // flag, and its wake-up waits for the wait.
+            let head = v.journal_head();
+            let stop = signal.park(
+                || {
+                    let nothing_new = second_look(head);
+                    block(&v, 3);
+                    nothing_new
+                },
+                hour,
+            );
+            assert!(!stop);
+            // And a stop is never mistaken for a wake-up.
+            v.shutdown();
+            assert!(signal.park(|| second_look(v.journal_head()), hour));
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(30)).expect("the park waited: a block was lost");
     }
 }

@@ -7,14 +7,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use armus_core::{
-    BlockedInfo, DeadlockReport, Delta, JournalRead, PhaserId, Registration, Resource, Snapshot,
-    TaskId, Verifier, VerifierConfig,
+    BlockedInfo, DeadlockReport, Delta, PhaserId, Registration, Resource, Snapshot, TaskId,
+    Verifier, VerifierConfig,
 };
 use armus_dist::server::{StoredConfig, StoredServer};
 use armus_dist::{
-    DeltaAck, Site, SiteConfig, SiteId, Store, StoreError, TcpStore, TcpStoreConfig, TenantId,
+    DeltaAck, Publisher, Shipped, Site, SiteConfig, SiteId, Store, StoreError, TcpStore,
+    TcpStoreConfig, TenantId,
 };
-use armus_testkit::dist::{publisher_round, ChaosConfig, ChaosStore, StoredProcess};
+use armus_testkit::dist::{ChaosConfig, ChaosStore, StoredProcess};
 
 fn fast_cfg() -> SiteConfig {
     SiteConfig {
@@ -395,7 +396,7 @@ fn chaos_over_tcp_survives_a_server_restart() {
     );
     let store = ChaosStore::new(tcp, ChaosConfig::default(), 11);
     let v = Verifier::new(VerifierConfig::publish_only().with_journal_capacity(8));
-    let (mut cursor, mut synced, mut resyncs) = (0u64, false, 0u64);
+    let mut publisher = Publisher::new(SiteId(0), Duration::from_millis(5), Instant::now());
     let info = |task: u64| {
         BlockedInfo::new(
             TaskId(task),
@@ -415,15 +416,15 @@ fn chaos_over_tcp_survives_a_server_restart() {
             v.unblock(TaskId(i % 16));
         }
         if i % 3 == 0 {
-            publisher_round(&store, &v, &mut cursor, &mut synced, &mut resyncs);
+            publisher.publish(&store, &v);
         }
     }
     let _ = store.flush_delayed();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        publisher_round(&store, &v, &mut cursor, &mut synced, &mut resyncs);
-        let caught_up = synced
-            && matches!(v.deltas_since(cursor), JournalRead::Deltas(ref d, _) if d.is_empty());
+        // An acknowledged empty interval: in sync, nothing left.
+        let caught_up =
+            matches!(publisher.publish(&store, &v), Shipped::Settled | Shipped::Heartbeat);
         if caught_up || Instant::now() >= deadline {
             break;
         }
@@ -517,6 +518,112 @@ fn subscribers_get_streamed_reports_without_polling() {
         sub.recv(Duration::from_millis(200)).is_none(),
         "an unchanged deadlock must not be streamed twice"
     );
+    server.shutdown();
+}
+
+/// The planted cross-site cycle of [`workers_snapshot`] and
+/// [`driver_snapshot`], as the merged view names it.
+fn planted_tasks() -> Vec<TaskId> {
+    let mut tasks: Vec<TaskId> = (1..=3).map(|i| TaskId(i).with_site(0)).collect();
+    tasks.push(TaskId(1).with_site(1));
+    tasks
+}
+
+/// Publishes the two halves of the planted cycle by hand, each followed
+/// by the empty interval a site's publisher sends once its journal has
+/// stood still.
+fn plant_and_settle(store: &TcpStore) {
+    store.publish_full(SiteId(0), workers_snapshot(), 1).unwrap();
+    store.publish_full(SiteId(1), driver_snapshot(), 1).unwrap();
+    for site in [SiteId(0), SiteId(1)] {
+        assert_eq!(store.publish_deltas(site, 1, &[], 1), Ok(DeltaAck::Applied));
+    }
+}
+
+#[test]
+fn a_subscriber_only_connection_hears_a_report_when_it_is_found() {
+    // The period is an hour: whatever reaches the subscriber within
+    // seconds was woken by the events before it — the sites' markers woke
+    // the checker, and the checker's push woke the connection's writer,
+    // with no request from this peer and no read timeout in between (its
+    // connection carries the subscription and nothing else).
+    let hour = Duration::from_secs(3600);
+    let server = StoredServer::bind(
+        "127.0.0.1:0",
+        StoredConfig { check_period: hour, ..Default::default() },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let watcher = TcpStore::new(addr.clone()).for_tenant(TenantId(7));
+    let sub = watcher.subscribe().expect("subscribe");
+    plant_and_settle(&TcpStore::new(addr).for_tenant(TenantId(7)));
+    let report = sub.recv(Duration::from_secs(2)).expect("no report within 2 s of the markers");
+    assert_eq!(report.tasks, planted_tasks());
+    server.shutdown();
+}
+
+#[test]
+fn a_subscribed_idle_server_runs_no_rounds() {
+    let period = Duration::from_millis(10);
+    let server = StoredServer::bind(
+        "127.0.0.1:0",
+        StoredConfig { check_period: period, ..Default::default() },
+    )
+    .unwrap();
+    let store = TcpStore::new(server.local_addr().to_string()).for_tenant(TenantId(7));
+    plant_and_settle(&store);
+    assert_eq!(server.rounds(), 0, "nobody watches the tenant yet");
+    // The subscription's own round reports the standing deadlock; once it
+    // is here, that round has begun and nothing else is owed.
+    let sub = store.subscribe().expect("subscribe");
+    assert_eq!(
+        sub.recv(Duration::from_secs(2)).expect("the standing deadlock").tasks,
+        planted_tasks()
+    );
+    assert_eq!(server.rounds(), 1);
+    assert!(sub.recv(50 * period).is_none(), "nothing changed, nothing is reported");
+    assert_eq!(server.rounds(), 1, "a clean view is not checked again, however many periods pass");
+    server.shutdown();
+}
+
+#[test]
+fn sites_that_never_pause_are_checked_once_a_period() {
+    let period = Duration::from_millis(20);
+    let server = StoredServer::bind(
+        "127.0.0.1:0",
+        StoredConfig { check_period: period, ..Default::default() },
+    )
+    .unwrap();
+    let store = TcpStore::new(server.local_addr().to_string()).for_tenant(TenantId(7));
+    let sub = store.subscribe().expect("subscribe");
+    for site in [SiteId(0), SiteId(1)] {
+        store.publish_full(site, Snapshot::empty(), 0).unwrap();
+    }
+    // Two sites publishing non-empty intervals back to back, neither ever
+    // saying that its journal stood still.
+    let probe = |site: SiteId| {
+        BlockedInfo::new(
+            TaskId(100 + u64::from(site.0)),
+            vec![Resource::new(PhaserId(9), 1)],
+            vec![Registration::new(PhaserId(9), 1)],
+        )
+    };
+    let begin = Instant::now();
+    let mut version = 0u64;
+    while begin.elapsed() < 40 * period {
+        for site in [SiteId(0), SiteId(1)] {
+            let deltas = [Delta::Block(probe(site)), Delta::Unblock(probe(site).task)];
+            assert_eq!(
+                store.publish_deltas(site, version, &deltas, version + 2),
+                Ok(DeltaAck::Applied)
+            );
+        }
+        version += 2;
+    }
+    let rounds = server.rounds();
+    assert!(rounds <= 42, "{rounds} rounds in 40 periods: more often than once a period");
+    assert!(rounds >= 2, "{rounds} rounds in 40 periods: the period clause never ran");
+    assert!(sub.recv(Duration::ZERO).is_none(), "and there was no deadlock to report");
     server.shutdown();
 }
 
@@ -617,7 +724,7 @@ fn chaos_over_tcp_costs_resyncs_never_corruption() {
         let tcp = TcpStore::new(server.local_addr().to_string());
         let store = ChaosStore::new(tcp, ChaosConfig::default(), seed);
         let v = Verifier::new(VerifierConfig::publish_only().with_journal_capacity(8));
-        let (mut cursor, mut synced, mut resyncs) = (0u64, false, 0u64);
+        let mut publisher = Publisher::new(SiteId(0), Duration::from_millis(5), Instant::now());
         let info = |task: u64| {
             BlockedInfo::new(
                 TaskId(task),
@@ -632,15 +739,13 @@ fn chaos_over_tcp_costs_resyncs_never_corruption() {
                 v.unblock(TaskId(i % 16));
             }
             if i % 3 == 0 {
-                publisher_round(&store, &v, &mut cursor, &mut synced, &mut resyncs);
+                publisher.publish(&store, &v);
             }
         }
         store.flush_delayed().unwrap();
         for _ in 0..100 {
-            publisher_round(&store, &v, &mut cursor, &mut synced, &mut resyncs);
-            let caught_up = synced
-                && matches!(v.deltas_since(cursor), JournalRead::Deltas(ref d, _) if d.is_empty());
-            if caught_up {
+            // An acknowledged empty interval: in sync, nothing left.
+            if matches!(publisher.publish(&store, &v), Shipped::Settled | Shipped::Heartbeat) {
                 break;
             }
         }

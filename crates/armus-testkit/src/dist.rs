@@ -47,7 +47,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-use armus_core::{Delta, JournalRead, Snapshot, Verifier};
+use armus_core::{Delta, Snapshot};
 use armus_dist::{DeltaAck, SiteId, SiteStats, Store, StoreError, TcpStore};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -339,44 +339,13 @@ impl Drop for StoredProcess {
     }
 }
 
-/// One publisher round of site 0 against an arbitrary store, stepped by
-/// hand: `armus_dist`'s site publisher protocol — deltas since `cursor`
-/// while synced, a full snapshot to (re)join, a store error leaves both
-/// untouched for the next round — without its thread or its clock.
-pub fn publisher_round(
-    store: &dyn Store,
-    v: &Verifier,
-    cursor: &mut u64,
-    synced: &mut bool,
-    resyncs: &mut u64,
-) {
-    if *synced {
-        match v.deltas_since(*cursor) {
-            JournalRead::Deltas(deltas, next) => {
-                match store.publish_deltas(SiteId(0), *cursor, &deltas, next) {
-                    Ok(DeltaAck::Applied) => *cursor = next,
-                    Ok(DeltaAck::NeedSnapshot) => *synced = false,
-                    Err(_) => return,
-                }
-            }
-            JournalRead::Behind => *synced = false,
-        }
-    }
-    if !*synced {
-        let (snapshot, head) = v.snapshot_with_cursor();
-        if store.publish_full(SiteId(0), snapshot, head).is_ok() {
-            *cursor = head;
-            *synced = true;
-            *resyncs += 1;
-        }
-    }
-}
-
 #[cfg(all(test, not(feature = "verifier-mutation")))]
 mod tests {
     use super::*;
-    use armus_core::{BlockedInfo, PhaserId, Registration, Resource, TaskId, VerifierConfig};
-    use armus_dist::{Cluster, MemStore, SiteConfig};
+    use armus_core::{
+        BlockedInfo, PhaserId, Registration, Resource, TaskId, Verifier, VerifierConfig,
+    };
+    use armus_dist::{Cluster, MemStore, Publisher, Shipped, SiteConfig};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -393,7 +362,9 @@ mod tests {
         for seed in 0..20u64 {
             let store = ChaosStore::new(MemStore::new(), ChaosConfig::default(), seed);
             let v = Verifier::new(VerifierConfig::publish_only().with_journal_capacity(8));
-            let (mut cursor, mut synced, mut resyncs) = (0u64, false, 0u64);
+            // The product's publisher, stepped by hand: its protocol
+            // without its thread or its clock.
+            let mut publisher = Publisher::new(SiteId(0), Duration::from_millis(5), Instant::now());
             // Deterministic churn interleaved with publisher rounds.
             for i in 0..200u64 {
                 let b = info(i % 16);
@@ -402,7 +373,7 @@ mod tests {
                     v.unblock(TaskId(i % 16));
                 }
                 if i % 3 == 0 {
-                    publisher_round(&store, &v, &mut cursor, &mut synced, &mut resyncs);
+                    publisher.publish(&store, &v);
                 }
             }
             // Quiesce: flush delayed traffic, then run rounds until one
@@ -410,10 +381,8 @@ mod tests {
             // protocol retries — bounded here for determinism).
             store.flush_delayed().unwrap();
             for _ in 0..100 {
-                publisher_round(&store, &v, &mut cursor, &mut synced, &mut resyncs);
-                let caught_up = synced
-                    && matches!(v.deltas_since(cursor), JournalRead::Deltas(ref d, _) if d.is_empty());
-                if caught_up {
+                // An acknowledged empty interval: in sync, nothing left.
+                if matches!(publisher.publish(&store, &v), Shipped::Settled | Shipped::Heartbeat) {
                     break;
                 }
             }
@@ -425,11 +394,12 @@ mod tests {
                 partition,
                 &v.local_snapshot(),
                 "seed {seed}: chaos must never corrupt the partition \
-                 (dropped {} duplicated {} delayed {} stale-NACKs {}, {resyncs} resyncs)",
+                 (dropped {} duplicated {} delayed {} stale-NACKs {}, {} resyncs)",
                 store.dropped(),
                 store.duplicated(),
                 store.delayed(),
                 store.stale_nacks(),
+                publisher.resyncs(),
             );
         }
     }
