@@ -43,7 +43,7 @@ pub fn merge(partitions: &[(SiteId, Snapshot)]) -> Snapshot {
 /// [`merge`] of a view the caller owns and is done with — what a check
 /// round fetched for itself: every blocked status moves into the merged
 /// snapshot instead of being cloned into it and dropped.
-pub fn merge_owned(partitions: Vec<(SiteId, Snapshot)>) -> Snapshot {
+fn merge_owned(partitions: Vec<(SiteId, Snapshot)>) -> Snapshot {
     let mut tasks = Vec::with_capacity(partitions.iter().map(|(_, s)| s.len()).sum());
     for (site, snap) in partitions {
         match snap.with_site_namespace(site.0) {

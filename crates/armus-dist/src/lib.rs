@@ -70,8 +70,8 @@ pub mod wire;
 
 pub use cluster::Cluster;
 pub use detector::{
-    check_store, merge, merge_owned, DistCheck, DistCheckerStats, IncrementalDistChecker,
-    ReportDedup, DEFAULT_DEDUP_CAPACITY,
+    check_store, merge, DistCheck, DistCheckerStats, IncrementalDistChecker, ReportDedup,
+    DEFAULT_DEDUP_CAPACITY,
 };
 pub use server::{StoredConfig, StoredServer, DEFAULT_CHECK_PERIOD};
 pub use site::{Publisher, Shipped, Site, SiteConfig};

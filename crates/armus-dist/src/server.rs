@@ -348,7 +348,7 @@ impl Pacing {
     }
 
     /// A connection's step: a subscriber joined `tenant` (its ack is
-    /// already on the wire).
+    /// already on the wire, its queue already registered with the hub).
     fn subscribed(&self, tenant: TenantId, now: Instant) {
         {
             let mut state = self.state.lock();
@@ -774,14 +774,15 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                 frames.feed(&chunk[..n]);
                 let mut drain = false;
                 let mut burst = 0u64;
-                let mut joined: Vec<TenantId> = Vec::new();
+                // Subscriptions of this burst: (tenant, correlation id).
+                let mut joined: Vec<(TenantId, u64)> = Vec::new();
                 while !drain {
                     match frames.next_frame::<Request>() {
                         Ok(Some(frame)) => {
                             shared.served.fetch_add(1, Ordering::Relaxed);
-                            let (response, drain_after) = handle(&frame, &shared, &pushes);
+                            let (response, drain_after) = handle(&frame, &shared);
                             if let Request::Subscribe { tenant } = frame.msg {
-                                joined.push(tenant);
+                                joined.push((tenant, frame.corr));
                             }
                             if drain_after {
                                 // Set the flag *before* answering: a drain
@@ -816,8 +817,10 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                     break;
                 }
                 // Only now that the `Subscribed` ack is on the wire may a
-                // report follow it: start the writer, then tell the
-                // checker that someone wants the standing state.
+                // report follow it — the client takes a stream's first
+                // frame for its ack: start the writer, register with the
+                // hub, then tell the checker that someone wants the
+                // standing state.
                 if !joined.is_empty() && writer.is_none() {
                     let (stream, lock, queue) =
                         (Arc::clone(&stream), Arc::clone(&write_lock), Arc::clone(&pushes));
@@ -829,7 +832,12 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                         break; // no thread to write reports with: let the peer reconnect
                     }
                 }
-                for tenant in joined {
+                for (tenant, corr) in joined {
+                    // Every future report frame for the tenant carries the
+                    // subscription's correlation id, so the client's
+                    // demultiplexer can route the stream beside its
+                    // ordinary request traffic.
+                    shared.hub.subscribe(tenant, corr, &pushes);
                     shared.pacing.subscribed(tenant, Instant::now());
                 }
             }
@@ -924,11 +932,7 @@ fn delta_tasks(deltas: &[armus_core::Delta]) -> impl Iterator<Item = &armus_core
 /// Applies one request to the store, dispatching every data-path
 /// operation into the request's tenant namespace. The boolean asks the
 /// connection loop to begin the drain after responding.
-fn handle(
-    frame: &wire::Frame<Request>,
-    shared: &Shared,
-    pushes: &Arc<PushQueue>,
-) -> (Response, bool) {
+fn handle(frame: &wire::Frame<Request>, shared: &Shared) -> (Response, bool) {
     let store = &shared.store;
     let request = &frame.msg;
     let response = match request {
@@ -990,15 +994,9 @@ fn handle(
             }
         }
         Request::Metrics => Response::Metrics(shared.metrics()),
-        Request::Subscribe { tenant } => {
-            // Register this connection's push queue under the request's
-            // correlation id: every future report frame for the tenant
-            // carries it, so the client's demultiplexer can route the
-            // stream beside its ordinary request traffic. The checker
-            // hears of the subscription once this ack is flushed.
-            shared.hub.subscribe(*tenant, frame.corr, pushes);
-            Response::Subscribed
-        }
+        // Acknowledged here, registered by the connection loop once the
+        // ack is flushed: no report may reach the socket before it.
+        Request::Subscribe { .. } => Response::Subscribed,
         Request::Shutdown => Response::Ok,
     };
     (response, matches!(request, Request::Shutdown))
@@ -1334,6 +1332,27 @@ mod tests {
         let mut buf = [0u8; 1];
         assert_eq!(s.read(&mut buf).unwrap(), 0, "idle peer must be reaped");
         assert!(start.elapsed() >= Duration::from_millis(100));
+        server.shutdown();
+    }
+
+    /// A subscription's ack must be the first frame of its stream (the
+    /// client kills the connection otherwise), so nothing may be able to
+    /// push a report under its correlation id while the ack still sits in
+    /// the reply queue: answering the request registers nothing — the
+    /// connection loop does, after the flush.
+    #[test]
+    fn answering_a_subscribe_registers_nothing_before_its_ack_is_flushed() {
+        let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
+        let frame = wire::Frame { corr: 9, msg: Request::Subscribe { tenant: T0 } };
+        assert_eq!(handle(&frame, &server.shared), (Response::Subscribed, false));
+        assert_eq!(server.shared.hub.counts().0, 0, "a report could overtake the ack");
+        // Through a connection, the same request does subscribe.
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        assert_eq!(exchange(&mut stream, &Request::Subscribe { tenant: T0 }), Response::Subscribed);
+        let Response::Metrics(m) = talk(server.local_addr(), &Request::Metrics) else {
+            panic!("expected metrics");
+        };
+        assert_eq!(m.subscribers, 1);
         server.shutdown();
     }
 

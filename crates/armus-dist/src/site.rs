@@ -22,8 +22,13 @@
 //! a flush. That empty interval has two readers: it refreshes the
 //! partition's lease, and it tells the store that *this site's journal
 //! stood still* — the store's checker runs when every site that wrote has
-//! said so ([`crate::server`]), and the site's own checker takes the same
-//! moment to look at the global view.
+//! said so ([`crate::server`]). The marker is a hint: a store that NACKs
+//! it (one without delta support NACKs every interval) is from then on
+//! sent one snapshot a round, as ever, and no marker after it.
+//!
+//! The checker looks at the global view once a
+//! [`SiteConfig::check_period`], unconditionally: it cannot see what other
+//! sites write.
 //!
 //! Sites take the store as `Arc<dyn Store>` and never assume exclusive
 //! ownership, so the intended networked deployment is **many sites
@@ -105,12 +110,12 @@ pub struct SiteConfig {
     /// heartbeat (an empty interval) while nothing changes.
     pub publish_period: Duration,
     /// The longest this site goes without checking the global view (paper:
-    /// 200 ms) — an upper bound too. Every site checks and none is the
-    /// control site (§5.2), so the checker keeps this period
-    /// unconditionally: it cannot see what other sites write. It
-    /// *additionally* runs at once when the site's own publisher has gone
-    /// quiet after a flush — the site whose flush closes a cycle finds it
-    /// at the closing event, not a period later.
+    /// 200 ms) — an upper bound on how long a deadlock stands unseen by
+    /// it. Every site checks and none is the control site (§5.2), so the
+    /// checker keeps this period unconditionally, clean view or not: it
+    /// cannot see what other sites write. (A verdict at the closing event
+    /// is what the store's checker and a subscription to it are for —
+    /// [`crate::server`].)
     pub check_period: Duration,
     /// Graph-model selection for the distributed check.
     pub model: ModelChoice,
@@ -135,10 +140,9 @@ impl Default for SiteConfig {
 pub struct Site {
     id: SiteId,
     runtime: Arc<Runtime>,
-    /// Stops the checker; the publisher wakes it through the same signal.
-    /// (The publisher itself parks on — and is stopped through — its
-    /// verifier's [`Verifier::signal`].)
-    checker_signal: Arc<Signal>,
+    /// Stops the checker. (The publisher parks on — and is stopped
+    /// through — its verifier's [`Verifier::signal`].)
+    checker_stop: Arc<Signal>,
     cleanup_abort: Arc<Signal>,
     reports: Arc<Mutex<ReportRing>>,
     resyncs: Arc<AtomicU64>,
@@ -212,6 +216,11 @@ pub struct Publisher {
     /// A publish that changed the partition has not been followed by an
     /// empty interval yet.
     unsettled: bool,
+    /// The store NACKed such an empty interval: it holds no version to
+    /// apply intervals to (a store without delta support answers every one
+    /// that way), so the snapshots it is sent are not followed by another
+    /// — until it applies an interval.
+    markers_refused: bool,
     /// Paces the delta flush by the journal head, and (stamped at every
     /// acknowledged publish) the heartbeat by the clock.
     pacer: Pacer,
@@ -229,6 +238,7 @@ impl Publisher {
             synced: false,
             resyncs: 0,
             unsettled: false,
+            markers_refused: false,
             pacer: Pacer::new(publish_period, publish_period / Pacer::QUIET_SHARE, now),
             retry_at: None,
         }
@@ -287,13 +297,17 @@ impl Publisher {
                     match store.publish_deltas(self.site, self.cursor, &deltas, next) {
                         Ok(DeltaAck::Applied) => {
                             self.cursor = next;
+                            self.markers_refused = false;
                             shipped = match deltas.len() {
                                 0 if self.unsettled => Shipped::Settled,
                                 0 => Shipped::Heartbeat,
                                 n => Shipped::Deltas(n),
                             };
                         }
-                        Ok(DeltaAck::NeedSnapshot) => self.synced = false,
+                        Ok(DeltaAck::NeedSnapshot) => {
+                            self.synced = false;
+                            self.markers_refused |= self.unsettled && deltas.is_empty();
+                        }
                         Err(_) => return Shipped::Nothing, // outage: retry later
                     }
                 }
@@ -309,9 +323,15 @@ impl Publisher {
                 shipped = Shipped::Snapshot;
             }
         }
-        if shipped != Shipped::Nothing {
-            self.unsettled = matches!(shipped, Shipped::Deltas(_) | Shipped::Snapshot);
-        }
+        self.unsettled = match shipped {
+            Shipped::Nothing => self.unsettled,
+            Shipped::Deltas(_) => true,
+            // One marker attempt a snapshot, not a snapshot a marker
+            // attempt: against a store that NACKs them all that would be
+            // full snapshots back to back.
+            Shipped::Snapshot => !self.markers_refused,
+            Shipped::Settled | Shipped::Heartbeat => false,
+        };
         shipped
     }
 
@@ -365,24 +385,19 @@ impl Site {
     pub fn start(id: SiteId, store: Arc<dyn Store>, cfg: SiteConfig) -> Site {
         let runtime =
             Runtime::new(RuntimeConfig::unchecked().with_verifier(VerifierConfig::publish_only()));
-        let checker_signal = Arc::new(Signal::new());
+        let checker_stop = Arc::new(Signal::new());
         let cleanup_abort = Arc::new(Signal::new());
         let reports = Arc::new(Mutex::new(ReportRing::new(cfg.report_capacity)));
         let resyncs = Arc::new(AtomicU64::new(0));
         let checker_stats = Arc::new(Mutex::new(DistCheckerStats::default()));
-        // How often the publisher has gone quiet after a flush: what the
-        // checker follows besides the clock.
-        let settles = Arc::new(AtomicU64::new(0));
 
         let publisher = {
             let runtime = Arc::clone(&runtime);
             let store = Arc::clone(&store);
-            let checker_signal = Arc::clone(&checker_signal);
             let cleanup_abort = Arc::clone(&cleanup_abort);
             let resyncs = Arc::clone(&resyncs);
             let checker_stats = Arc::clone(&checker_stats);
             let reports = Arc::clone(&reports);
-            let settles = Arc::clone(&settles);
             std::thread::Builder::new()
                 .name(format!("{id}-publisher"))
                 .spawn(move || {
@@ -400,10 +415,6 @@ impl Site {
                                 let shipped = publisher.publish(store.as_ref(), verifier);
                                 publisher.record(shipped, Instant::now());
                                 resyncs.store(publisher.resyncs(), Ordering::Relaxed);
-                                if shipped == Shipped::Settled {
-                                    settles.fetch_add(1, Ordering::SeqCst);
-                                    checker_signal.wake_if_parked();
-                                }
                                 if matches!(shipped, Shipped::Settled | Shipped::Heartbeat) {
                                     // The observability counters ride the
                                     // heartbeat (best-effort: a store
@@ -437,7 +448,7 @@ impl Site {
 
         let checker = {
             let store = Arc::clone(&store);
-            let signal = Arc::clone(&checker_signal);
+            let stop = Arc::clone(&checker_stop);
             let reports = Arc::clone(&reports);
             let checker_stats = Arc::clone(&checker_stats);
             std::thread::Builder::new()
@@ -449,47 +460,23 @@ impl Site {
                     // answers cycle existence from the maintained order —
                     // O(churn between rounds), not O(cluster blocked set).
                     let mut checker = IncrementalDistChecker::new();
-                    // No quiet interval: the publisher's count moves when it
-                    // has already waited one out.
-                    let mut pacer = Pacer::new(cfg.check_period, Duration::ZERO, Instant::now());
-                    loop {
-                        let settled = settles.load(Ordering::SeqCst);
-                        let now = Instant::now();
-                        let stop = match pacer.decide_or_due(settled, now) {
-                            Pace::Check => {
-                                // Fetch failures are tolerated: skip the round.
-                                match checker.check_round(
-                                    store.as_ref(),
-                                    cfg.model,
-                                    DEFAULT_SG_THRESHOLD,
-                                ) {
-                                    Ok(out) => {
-                                        if let Some(report) = out.report {
-                                            if dedup.is_new(&report) {
-                                                reports.lock().push(report);
-                                            }
-                                        }
+                    while !stop.wait(cfg.check_period) {
+                        // Fetch failures are tolerated: skip the round.
+                        match checker.check_round(store.as_ref(), cfg.model, DEFAULT_SG_THRESHOLD) {
+                            Ok(out) => {
+                                if let Some(report) = out.report {
+                                    if dedup.is_new(&report) {
+                                        reports.lock().push(report);
                                     }
-                                    // Conservative: after a store outage,
-                                    // rebuild from the next successful fetch
-                                    // rather than trust the diff path — delta
-                                    // continuity must never be load-bearing
-                                    // for correctness.
-                                    Err(_) => checker.resync(),
                                 }
-                                *checker_stats.lock() = checker.stats();
-                                pacer.checked(settled, Instant::now());
-                                signal.wait(Duration::ZERO)
                             }
-                            Pace::Nap(left) => signal.wait(left),
-                            Pace::Park => signal.park(
-                                || settles.load(Ordering::SeqCst) == settled,
-                                pacer.due_in(now),
-                            ),
-                        };
-                        if stop {
-                            break;
+                            // Conservative: after a store outage, rebuild
+                            // from the next successful fetch rather than
+                            // trust the diff path — delta continuity must
+                            // never be load-bearing for correctness.
+                            Err(_) => checker.resync(),
                         }
+                        *checker_stats.lock() = checker.stats();
                     }
                 })
                 .expect("spawn checker")
@@ -498,7 +485,7 @@ impl Site {
         Site {
             id,
             runtime,
-            checker_signal,
+            checker_stop,
             cleanup_abort,
             reports,
             resyncs,
@@ -568,7 +555,7 @@ impl Site {
     /// checker failures: there is no designated control site, so the
     /// remaining sites still find the deadlock.
     pub fn kill_checker(&mut self) {
-        self.checker_signal.stop();
+        self.checker_stop.stop();
         if let Some(h) = self.checker.take() {
             let _ = h.join();
         }
@@ -590,7 +577,7 @@ impl Site {
         // on its verifier's signal, which the runtime's shutdown stops:
         // stop latency is bounded by the wake-up (and the bounded remove
         // retry), not by the publish/check periods.
-        self.checker_signal.stop();
+        self.checker_stop.stop();
         self.runtime.shutdown();
     }
 }
@@ -844,6 +831,56 @@ mod tests {
         assert_eq!(publisher.publish(&store, &v), Shipped::Snapshot);
         assert_eq!(publisher.resyncs(), 2);
         assert_eq!(publisher.publish(&store, &v), Shipped::Settled);
+    }
+
+    /// A store without delta support: `publish_deltas` is the trait's
+    /// default, which NACKs every interval.
+    struct SnapshotOnly(MemStore);
+    impl Store for SnapshotOnly {
+        fn publish_full(&self, s: SiteId, p: Snapshot, v: u64) -> Result<(), StoreError> {
+            self.0.publish_full(s, p, v)
+        }
+        fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
+            self.0.fetch_all()
+        }
+        fn remove(&self, s: SiteId) -> Result<(), StoreError> {
+            self.0.remove(s)
+        }
+    }
+
+    #[test]
+    fn publisher_sends_a_store_without_delta_support_one_snapshot_a_period() {
+        let (v, t0) = (Verifier::new(VerifierConfig::publish_only()), Instant::now());
+        let store = SnapshotOnly(MemStore::new());
+        let mut publisher = Publisher::new(SiteId(0), PERIOD, t0);
+        // The join, and the one marker attempt it is owed: NACKed, so a
+        // second snapshot goes out — and the publisher has learnt.
+        for snapshot in 1..=2 {
+            assert_eq!(publisher.pace(v.journal_head(), t0), Pace::Check);
+            assert_eq!(publisher.publish(&store, &v), Shipped::Snapshot);
+            publisher.record(Shipped::Snapshot, t0);
+            assert_eq!(publisher.resyncs(), snapshot);
+        }
+        // From here on: a snapshot where a store with delta support gets
+        // an interval, and nothing after it. Idle, that is one a period.
+        let mut now = t0;
+        for beat in 0..3 {
+            assert_eq!(publisher.pace(v.journal_head(), now), Pace::Park, "beat {beat}");
+            now += publisher.park_for(now);
+            assert_eq!(publisher.pace(v.journal_head(), now), Pace::Check, "beat {beat}");
+            assert_eq!(publisher.publish(&store, &v), Shipped::Snapshot, "beat {beat}");
+            publisher.record(Shipped::Snapshot, now);
+        }
+        assert_eq!((now - t0, publisher.resyncs()), (3 * PERIOD, 5));
+        // A burst: one snapshot a quiet interval after it ends, then parked.
+        block(&v, 1);
+        assert_eq!(publisher.pace(v.journal_head(), now), Pace::Nap(QUIET));
+        assert_eq!(publisher.pace(v.journal_head(), now + QUIET), Pace::Check);
+        assert_eq!(publisher.publish(&store, &v), Shipped::Snapshot);
+        publisher.record(Shipped::Snapshot, now + QUIET);
+        assert_eq!(publisher.pace(v.journal_head(), now + QUIET), Pace::Park);
+        assert_eq!(publisher.resyncs(), 6);
+        assert_eq!(store.fetch_all().unwrap()[0].1, v.local_snapshot());
     }
 
     /// The handshake between `Verifier::block` and a publisher parked on

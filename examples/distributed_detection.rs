@@ -74,10 +74,8 @@ fn run_in_process(cfg: SiteConfig, chaos: ChaosConfig, seed: u64, outage: bool) 
         println!("store back; rounds rejected during the outage: {}", store.rejected());
     }
 
-    // The site whose flush closed the cycle reports at that event, every
-    // other one at its next periodic look: wait for them all.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while cluster.reporting_sites().len() < cluster.len() && Instant::now() < deadline {
+    while !cluster.any_deadlock() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
     println!(
@@ -165,13 +163,12 @@ fn render_unnamespaced(report: &DeadlockReport) -> String {
 /// Child role: one site process publishing to `armus-stored` over TCP.
 /// Prints the detected report on stdout for the parent to compare.
 fn run_net_site(role: usize, addr: &str) -> ! {
-    let check_period = Duration::from_millis(25);
     let site = Site::start(
         SiteId(role as u32),
         Arc::new(TcpStore::new(addr)) as Arc<dyn Store>,
         SiteConfig {
             publish_period: Duration::from_millis(10),
-            check_period,
+            check_period: Duration::from_millis(25),
             ..Default::default()
         },
     );
@@ -186,11 +183,6 @@ fn run_net_site(role: usize, addr: &str) -> ! {
     };
     println!("NET-REPORT {}", render_report(&report));
     println!("NET-REPORT-LOCAL {}", render_unnamespaced(&report));
-    // The site whose flush closed the cycle finds it at that event; the
-    // other learns of it at its next periodic look, up to a check period
-    // later. A deadlocked site does not leave — this one stays that long
-    // before it retires its partition.
-    std::thread::sleep(2 * check_period);
     site.stop();
     std::process::exit(0);
 }
