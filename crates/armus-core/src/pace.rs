@@ -1,8 +1,8 @@
 //! Pacing of periodic work by what is published, not by the clock: the one
 //! rule ([`Pacer`]) and the one park/wake primitive ([`Signal`]) behind
 //! every loop of this repository that used to sleep out a period — the
-//! detection monitor ([`crate::verifier`]), a distributed site's publisher
-//! and checker, and the store server's checker and report writers
+//! detection monitor ([`crate::verifier`]), a distributed site's
+//! publisher, and the store server's checker and report writers
 //! (`armus-dist`).
 //!
 //! Each loop has the same shape: read the head of what it follows, ask the
@@ -87,10 +87,9 @@ impl Pacer {
     }
 
     /// [`Pacer::decide`] for a loop that also acts on the clock alone — a
-    /// lease heartbeat, a site's look at what *other* sites wrote: with
-    /// nothing new it is [`Pace::Check`] once a period has passed since the
-    /// last act, and until then a [`Pace::Park`] that may last
-    /// [`Pacer::due_in`].
+    /// lease heartbeat: with nothing new it is [`Pace::Check`] once a
+    /// period has passed since the last act, and until then a
+    /// [`Pace::Park`] that may last [`Pacer::due_in`].
     pub fn decide_or_due(&mut self, head: u64, now: Instant) -> Pace {
         match self.decide(head, now) {
             Pace::Park if self.due_in(now).is_zero() => Pace::Check,
