@@ -5,10 +5,19 @@
 //! no designated control site (fault tolerance), and thanks to the
 //! event-based representation the partitions need no cross-site
 //! consistency: each blocked task's status is internally consistent, and
-//! phases only grow. A found cycle is *confirmed* by re-fetching the view
-//! and requiring every `(task, epoch)` pair of the cycle to still be
+//! phases only grow. A found cycle is *confirmed* by looking at the store
+//! again and requiring every `(task, epoch)` pair of the cycle to still be
 //! present — deadlocked tasks can never unblock, so confirmation is
 //! conclusive, while in-flight unblockings disappear.
+//!
+//! Two checkers run this. A site sees the store through the [`Store`]
+//! trait, the paper's passive store: it fetches the whole view, diffs it
+//! against the one before, and confirms against a second fetch
+//! ([`IncrementalDistChecker::check_round`]; the wire has no versioned
+//! fetch). The `armus-stored` checker lives in the store's process: the
+//! store hands it the tasks its writers touched, and a hit is confirmed by
+//! looking those few tasks up (`IncrementalDistChecker::check_fed`) — the
+//! same engine, analysis and reports, at the cost of what changed.
 
 #[cfg(test)]
 use armus_core::TaskId;
@@ -16,7 +25,7 @@ use armus_core::{
     checker, CheckStats, DeadlockReport, Delta, IncrementalEngine, ModelChoice, Snapshot,
 };
 
-use crate::store::{SiteId, Store, StoreError};
+use crate::store::{Feed, SiteId, Store, StoreError};
 
 /// Merges per-site partitions into one global snapshot, **site-namespacing
 /// every task id** ([`armus_core::TaskId::with_site`]): the injective
@@ -111,7 +120,8 @@ pub fn check_store(
 /// Per-checker counters of the incremental distributed detection path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DistCheckerStats {
-    /// Block/unblock deltas derived by diffing successive merged views.
+    /// Block/unblock deltas applied to the engine: derived by diffing
+    /// successive merged views, or fed by the store that applied them.
     pub deltas_applied: u64,
     /// Rounds whose detection was answered entirely from the maintained
     /// topological order (no full graph walk).
@@ -130,29 +140,55 @@ pub struct DistCheckerStats {
     /// Check rounds completed (the fetch and the analysis both
     /// succeeded).
     pub rounds: u64,
-    /// Confirmation re-fetches (a cycle was found and had to be verified
-    /// against a second view before reporting).
+    /// Confirmation passes (a cycle was found and had to be verified
+    /// against what the store held afterwards before reporting): a second
+    /// fetch for a polling checker, a look-up of the cycle's tasks for a
+    /// fed one.
     pub confirm_fetches: u64,
+}
+
+/// What an [`IncrementalDistChecker`]'s engine reflects, which is what its
+/// next round may take for granted.
+enum Follows {
+    /// Nothing it can name: the next round rebuilds from a whole view
+    /// (join and resync).
+    Nothing,
+    /// This merged view, which the next [`check_round`] diffs against.
+    ///
+    /// [`check_round`]: IncrementalDistChecker::check_round
+    View(Snapshot),
+    /// Everything the store has fed it so far
+    /// ([`IncrementalDistChecker::check_fed`]): no second copy of the view
+    /// is held.
+    Feed,
 }
 
 /// A *persistent* distributed checker: the stateful counterpart of
 /// [`check_store`]. It keeps an [`IncrementalEngine`] alive across rounds
-/// and feeds it the **difference between successive merged views** as
-/// block/unblock deltas, so cycle existence is answered from the
-/// maintained Pearce–Kelly order in O(round-over-round churn) instead of
-/// rebuilding the dependency graphs from the full global view every 200 ms
-/// — the distributed analogue of the local verifier's journal-following
-/// detection. The first round (and every explicit
-/// [`IncrementalDistChecker::resync`]) rebuilds the engine from the merged
-/// snapshot, mirroring the local `Behind` → snapshot-resync fallback;
-/// reports stay byte-identical to [`check_store`]'s because a hit falls
-/// back to the same canonical `checker::check` extraction and the same
-/// confirmation re-fetch.
+/// and feeds it what changed between them as block/unblock deltas, so
+/// cycle existence is answered from the maintained Pearce–Kelly order in
+/// O(round-over-round churn) instead of rebuilding the dependency graphs
+/// from the full global view every check period — the distributed analogue
+/// of the local verifier's journal-following detection.
+///
+/// The deltas come from one of two places. A site sees the store through
+/// the [`Store`] trait, which can only be polled:
+/// [`IncrementalDistChecker::check_round`] fetches the whole view and
+/// derives them as the **difference between successive merged views**.
+/// The `armus-stored` checker shares a process with its store, which
+/// applies those very changes: it is fed them
+/// (`IncrementalDistChecker::check_fed`, from `MemStore::take_in`) and
+/// never fetches after its join.
+///
+/// The first round (and every explicit [`IncrementalDistChecker::resync`])
+/// rebuilds the engine from a whole merged snapshot, mirroring the local
+/// `Behind` → snapshot-resync fallback; reports stay byte-identical to
+/// [`check_store`]'s because a hit falls back to the same canonical
+/// `checker::check` extraction and is confirmed against what the store
+/// holds after the analysis.
 pub struct IncrementalDistChecker {
     engine: IncrementalEngine,
-    /// The merged view the engine currently reflects; `None` forces a
-    /// from-snapshot rebuild on the next round (join and resync).
-    prev: Option<Snapshot>,
+    follows: Follows,
     stats: DistCheckerStats,
 }
 
@@ -167,7 +203,7 @@ impl IncrementalDistChecker {
     pub fn new() -> IncrementalDistChecker {
         IncrementalDistChecker {
             engine: IncrementalEngine::new(),
-            prev: None,
+            follows: Follows::Nothing,
             stats: DistCheckerStats::default(),
         }
     }
@@ -177,7 +213,7 @@ impl IncrementalDistChecker {
     /// after any suspicion of a missed view — the incremental path must
     /// never be load-bearing for correctness.
     pub fn resync(&mut self) {
-        self.prev = None;
+        self.follows = Follows::Nothing;
     }
 
     /// Counters accumulated so far.
@@ -190,16 +226,30 @@ impl IncrementalDistChecker {
         }
     }
 
+    /// The view the engine holds, for comparison with the store's.
+    #[cfg(test)]
+    pub(crate) fn materialize(&self) -> Snapshot {
+        self.engine.materialize()
+    }
+
+    /// Reloads the engine from `merged`: the join, and every resync.
+    fn rebuild_from(&mut self, merged: &Snapshot) {
+        self.engine.reset_to(merged);
+        self.stats.order_rebuilds += 1;
+    }
+
+    fn apply(&mut self, delta: Delta) {
+        self.engine.apply(delta);
+        self.stats.deltas_applied += 1;
+    }
+
     /// Advances the engine to `merged` — by diffing against the previous
     /// round's view (both sorted by task id, so a two-pointer sweep), or
     /// by a full rebuild when continuity was lost.
     fn advance_to(&mut self, merged: Snapshot) {
-        match self.prev.take() {
-            None => {
-                self.engine.reset_to(&merged);
-                self.stats.order_rebuilds += 1;
-            }
-            Some(prev) => {
+        match std::mem::replace(&mut self.follows, Follows::Nothing) {
+            Follows::Nothing | Follows::Feed => self.rebuild_from(&merged),
+            Follows::View(prev) => {
                 let (old, new) = (&prev.tasks, &merged.tasks);
                 let (mut i, mut j) = (0, 0);
                 while i < old.len() || j < new.len() {
@@ -228,63 +278,89 @@ impl IncrementalDistChecker {
                         }
                         (None, None) => unreachable!("loop condition"),
                     };
-                    self.engine.apply(delta);
-                    self.stats.deltas_applied += 1;
+                    self.apply(delta);
                 }
             }
         }
         debug_assert_eq!(self.engine.materialize(), merged, "diff replay must be exact");
-        self.prev = Some(merged);
+        self.follows = Follows::View(merged);
     }
 
     /// Runs one check round against the store: fetch + merge, advance the
     /// engine by the diff, answer cycle existence from the maintained
     /// order, and on a hit extract the canonical report and confirm it
     /// with a re-fetch — the exact semantics of [`check_store`], minus the
-    /// per-round graph rebuild. Store errors surface as `Err` and leave
-    /// the engine untouched, so the next round's diff stays sound.
+    /// per-round graph rebuild. Store errors surface as `Err`: a failed
+    /// fetch leaves the engine untouched, a failed confirmation fetch
+    /// leaves it advanced to the fetched view, and the next round diffs
+    /// from there either way.
     pub fn check_round(
         &mut self,
         store: &dyn Store,
         model: ModelChoice,
         sg_threshold: usize,
     ) -> Result<DistCheck, StoreError> {
-        self.check_view(store.fetch_all()?, || store.fetch_all(), model, sg_threshold)
-    }
-
-    /// [`IncrementalDistChecker::check_round`] over a view the caller
-    /// fetched itself (and hands over: it is merged without a copy), with
-    /// `refetch` for the confirmation pass of a hit. A `refetch` error
-    /// surfaces as `Err` with the engine already advanced to `view` — the
-    /// next round diffs from there, which is sound.
-    pub fn check_view(
-        &mut self,
-        view: Vec<(SiteId, Snapshot)>,
-        refetch: impl FnOnce() -> Result<Vec<(SiteId, Snapshot)>, StoreError>,
-        model: ModelChoice,
-        sg_threshold: usize,
-    ) -> Result<DistCheck, StoreError> {
-        let merged = merge_owned(view);
-        let empty = merged.is_empty();
-        self.advance_to(merged);
-        self.stats.rounds += 1;
-        if empty {
-            return Ok(DistCheck { report: None, stats: None });
-        }
-        let det = self.engine.check_full_detailed(model, sg_threshold);
-        if det.incremental {
-            self.stats.incremental_detections += 1;
-        }
-        let stats = Some(det.outcome.stats);
-        let Some(report) = det.outcome.report else {
-            return Ok(DistCheck { report: None, stats });
-        };
+        self.advance_to(merge_owned(store.fetch_all()?));
+        let (hit, stats) = self.analyse(model, sg_threshold);
         // Confirmation pass, identical to `check_store`: one more fetch.
         // The confirmation view is deliberately NOT fed to the engine —
-        // the next round re-fetches and diffs from `merged`.
-        self.stats.confirm_fetches += 1;
-        let confirmed = confirmed(&report, refetch()?);
-        Ok(DistCheck { report: confirmed.then_some(report), stats })
+        // the next round re-fetches and diffs from the analysis view.
+        let report = match hit {
+            Some(report) if confirmed(&report, store.fetch_all()?) => Some(report),
+            _ => None,
+        };
+        Ok(DistCheck { report, stats })
+    }
+
+    /// Must the next [`IncrementalDistChecker::check_fed`] be given a
+    /// whole view — is this a fresh checker, one that was
+    /// [`IncrementalDistChecker::resync`]ed, or one last advanced by a
+    /// fetch?
+    pub(crate) fn needs_join(&self) -> bool {
+        !matches!(self.follows, Follows::Feed)
+    }
+
+    /// [`IncrementalDistChecker::check_round`] for a checker that is told
+    /// what the store applied instead of fetching it: `feed` (the whole
+    /// view, if [`IncrementalDistChecker::needs_join`]) brings the engine
+    /// up to date, and a hit is reported if `confirm` — a look at what the
+    /// store holds *now* — finds every `(task, epoch)` pair of the cycle
+    /// still there.
+    pub(crate) fn check_fed(
+        &mut self,
+        feed: Feed,
+        confirm: impl FnOnce(&DeadlockReport) -> bool,
+        model: ModelChoice,
+        sg_threshold: usize,
+    ) -> DistCheck {
+        match feed {
+            Feed::Join(view) => self.rebuild_from(&merge_owned(view)),
+            Feed::Deltas(deltas) => {
+                debug_assert!(!self.needs_join(), "deltas continue a feed");
+                deltas.into_iter().for_each(|delta| self.apply(delta));
+            }
+        }
+        self.follows = Follows::Feed;
+        let (hit, stats) = self.analyse(model, sg_threshold);
+        DistCheck { report: hit.filter(confirm), stats }
+    }
+
+    /// The round once the engine is up to date: cycle existence from the
+    /// maintained order and, on a hit, the canonical report — which the
+    /// caller has yet to confirm.
+    fn analyse(
+        &mut self,
+        model: ModelChoice,
+        sg_threshold: usize,
+    ) -> (Option<DeadlockReport>, Option<CheckStats>) {
+        self.stats.rounds += 1;
+        if self.engine.blocked() == 0 {
+            return (None, None);
+        }
+        let det = self.engine.check_full_detailed(model, sg_threshold);
+        self.stats.incremental_detections += u64::from(det.incremental);
+        self.stats.confirm_fetches += u64::from(det.outcome.report.is_some());
+        (det.outcome.report, Some(det.outcome.stats))
     }
 }
 

@@ -6,7 +6,10 @@
 //! site's partition to a shared fault-tolerant store; and every site
 //! independently pulls the merged view — task ids injectively
 //! site-namespaced by [`detector::merge`] — and runs the graph analysis:
-//! the adapted one-phase algorithm with a confirmation pass.
+//! the adapted one-phase algorithm with a confirmation pass. The store
+//! server runs the same analysis for its subscribers without pulling
+//! anything: its store tells its checker which tasks each write touched,
+//! so a round there costs what changed, not what is stored.
 //!
 //! The store (the paper uses Redis) comes in two embeddings:
 //! * **in-process** — [`store::MemStore`], which is what

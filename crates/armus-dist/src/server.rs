@@ -14,7 +14,13 @@
 //!
 //! A checker thread runs the same [`IncrementalDistChecker`] the sites
 //! run, one per subscribed tenant, and streams the deadlocks it confirms
-//! to that tenant's subscribers. It has **no clock of its own**: the
+//! to that tenant's subscribers. It shares a process with its store, so it
+//! does **not poll** it as the sites must: the store notes which tasks
+//! each write touched (`MemStore::take_in`), a round applies those to
+//! the engine and nothing else — its cost is that of what changed, not of
+//! what is stored — and a hit is confirmed by looking the cycle's tasks up
+//! in their partitions. Only a tenant's first round fetches its view. The
+//! checker has **no clock of its own** either: the
 //! connection threads tell it what happened (`Pacing`) — a publish that
 //! changed a partition makes the tenant *dirty*, the empty interval a site
 //! sends once its journal has stood still ([`crate::site`]) marks that
@@ -44,7 +50,7 @@ use armus_core::{DeadlockReport, ModelChoice, Pace, Pacer, Signal, DEFAULT_SG_TH
 use parking_lot::Mutex;
 
 use crate::detector::{IncrementalDistChecker, ReportDedup};
-use crate::store::{DeltaAck, MemStore, SiteId, TenantId};
+use crate::store::{delta_task, DeltaAck, MemStore, SiteId, TenantId};
 use crate::wire::{self, Request, Response, ServerMetrics, TenantMetrics};
 
 /// Default partition lease: a site that has not published for this long is
@@ -204,7 +210,10 @@ struct TenantPace {
     /// The period clause. No quiet interval: see above.
     pacer: Pacer,
     /// The checker's duty bound: a tenant's round never starts sooner
-    /// after its previous one ended than that one took.
+    /// after its previous one ended than that one took. A round costs the
+    /// tasks written since the one before, so this spaces the rounds of a
+    /// tenant whose bursts are large, and is nothing to one whose rounds
+    /// are a few look-ups.
     not_before: Instant,
     /// A subscriber joined since the last round: whoever subscribes while
     /// a deadlock stands hears about it, so that round forgets what it
@@ -489,8 +498,10 @@ impl Shared {
 }
 
 /// What the server-side checker keeps per subscribed tenant: the
-/// persistent checker following the tenant's merged view, and the reports
-/// its current subscribers have already been sent.
+/// persistent checker following the tenant's partitions — watching them
+/// ([`MemStore::take_in`]) from its first round until the tenant is
+/// forgotten — and the reports its current subscribers have already been
+/// sent.
 #[derive(Default)]
 struct TenantChecker {
     checker: IncrementalDistChecker,
@@ -498,21 +509,23 @@ struct TenantChecker {
 }
 
 /// The server-side checker loop: plan ([`Pacing::plan`]), run the rounds
-/// that are due — one tenant's [`IncrementalDistChecker`] each, fresh
-/// reports streamed to that tenant's subscribers — and park until a
-/// connection thread has something to tell or the earliest period clause
-/// runs out. Detection happens *at the store* — subscribers learn about
-/// deadlocks without a single `fetch_all` poll, and cross-tenant isolation
-/// holds because each round fetches exactly one tenant's partitions.
+/// that are due — one tenant's [`round`] each, fresh reports streamed to
+/// that tenant's subscribers — and park until a connection thread has
+/// something to tell or the earliest period clause runs out. Detection
+/// happens *at the store* — subscribers learn about deadlocks without a
+/// single `fetch_all` poll, and cross-tenant isolation holds because each
+/// round takes exactly one tenant's changes.
 ///
 /// An idle store runs no rounds, and a tenant whose sites never pause is
-/// checked once a `check_period`, as a fixed cadence would. What bounds
-/// the checker's duty in between — a tenant whose sites emit isolated
-/// bursts more often than one a period is checked once a burst, and a round
-/// is still O(blocked population): it fetches and merges the whole view
-/// before it diffs — is [`TenantPace::not_before`]: a tenant's round never
-/// starts sooner after its previous one than that one took, so no tenant
-/// holds the checker more than half the time.
+/// checked once a `check_period`, as a fixed cadence would. In between, a
+/// tenant whose sites emit isolated bursts more often than one a period is
+/// checked once a burst, and a round costs what the burst changed: the
+/// distinct tasks written since the tenant's previous round, each looked
+/// up and applied once, whatever stands blocked beside them. What bounds
+/// the checker's duty when the bursts are large is
+/// [`TenantPace::not_before`]: a tenant's round never starts sooner after
+/// its previous one than that one took, so no tenant holds the checker
+/// more than half the time.
 ///
 /// A tenant's state lives exactly as long as it has a subscriber, and a
 /// subscriber joining resets the tenant's dedup: whoever subscribes while
@@ -523,7 +536,13 @@ fn checker_loop(shared: Arc<Shared>) {
     let pacing = &shared.pacing;
     loop {
         let plan = pacing.plan(&shared.hub, Instant::now());
-        checkers.retain(|tenant, _| plan.live.contains(tenant));
+        checkers.retain(|tenant, _| {
+            let live = plan.live.contains(tenant);
+            if !live {
+                shared.store.unwatch_in(*tenant);
+            }
+            live
+        });
         for due in &plan.due {
             run_round(&shared, checkers.entry(due.tenant).or_default(), due);
         }
@@ -539,23 +558,40 @@ fn checker_loop(shared: Arc<Shared>) {
     }
 }
 
-/// One tenant's round: fetch its partitions, check, push what is new.
+/// One tenant's round, as a step: take from the store what its writers
+/// noted since the previous round (the whole view on the join, which is
+/// the one time the checker fetches), bring the engine up to date, and
+/// confirm a hit by looking its tasks up in their partitions. Returns the
+/// report the tenant's subscribers have not been sent yet — all of them
+/// being new to it if one `joined` — and the sites present.
+fn round(
+    store: &MemStore,
+    tenant: TenantId,
+    state: &mut TenantChecker,
+    joined: bool,
+) -> (Option<DeadlockReport>, Vec<SiteId>) {
+    if joined {
+        state.dedup = ReportDedup::new();
+    }
+    let taken = store.take_in(tenant, state.checker.needs_join());
+    let check = state.checker.check_fed(
+        taken.feed,
+        |report| store.holds_in(tenant, &report.task_epochs),
+        ModelChoice::Auto,
+        DEFAULT_SG_THRESHOLD,
+    );
+    (check.report.filter(|report| state.dedup.is_new(report)), taken.present)
+}
+
+/// Runs one tenant's [`round`], pushes what it found, and tells the pacing
+/// what it covered.
 fn run_round(shared: &Shared, state: &mut TenantChecker, due: &Due) {
     let started = Instant::now();
     shared.rounds.fetch_add(1, Ordering::Relaxed);
-    if due.joined {
-        state.dedup = ReportDedup::new();
-    }
-    let fetch = || shared.store.fetch_all_in(due.tenant);
-    // MemStore cannot actually fail; stay total anyway.
-    let view = fetch().unwrap_or_default();
-    let present: Vec<SiteId> = view.iter().map(|(site, _)| *site).collect();
-    let check = state.checker.check_view(view, fetch, ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
-    if let Some(report) = check.ok().and_then(|check| check.report) {
-        if state.dedup.is_new(&report) {
-            let delivered = shared.hub.push(due.tenant, &report);
-            shared.reports_streamed.fetch_add(delivered, Ordering::Relaxed);
-        }
+    let (fresh, present) = round(&shared.store, due.tenant, state, due.joined);
+    if let Some(report) = fresh {
+        let delivered = shared.hub.push(due.tenant, &report);
+        shared.reports_streamed.fetch_add(delivered, Ordering::Relaxed);
     }
     shared.pacing.ran(due, &present, started, Instant::now());
 }
@@ -909,9 +945,9 @@ fn push_writer(stream: &TcpStream, write_lock: &Mutex<()>, queue: &PushQueue) {
 /// task id must be un-namespaced (≤ [`armus_core::MAX_LOCAL_TASK`]).
 /// Catching this at the boundary gives the out-of-protocol peer an
 /// explicit error instead of a silently skipped partition.
-fn validate_publish<'a>(
-    site: crate::store::SiteId,
-    mut tasks: impl Iterator<Item = &'a armus_core::TaskId>,
+fn validate_publish(
+    site: SiteId,
+    mut tasks: impl Iterator<Item = armus_core::TaskId>,
 ) -> Option<Response> {
     if site.0 > armus_core::MAX_SITE_TAG {
         return Some(Response::Error(format!("site {} beyond the namespace tag range", site.0)));
@@ -919,14 +955,6 @@ fn validate_publish<'a>(
     tasks
         .find(|t| t.checked_with_site(site.0).is_none())
         .map(|task| Response::Error(format!("task id {:#x} cannot be site-namespaced", task.0)))
-}
-
-/// Task ids a delta interval touches.
-fn delta_tasks(deltas: &[armus_core::Delta]) -> impl Iterator<Item = &armus_core::TaskId> {
-    deltas.iter().map(|d| match d {
-        armus_core::Delta::Block(info) => &info.task,
-        armus_core::Delta::Unblock(task) => task,
-    })
 }
 
 /// Applies one request to the store, dispatching every data-path
@@ -938,7 +966,7 @@ fn handle(frame: &wire::Frame<Request>, shared: &Shared) -> (Response, bool) {
     let response = match request {
         Request::PublishFull { site, tenant, snapshot, version } => {
             shared.publishes.fetch_add(1, Ordering::Relaxed);
-            match validate_publish(*site, snapshot.tasks.iter().map(|b| &b.task)) {
+            match validate_publish(*site, snapshot.tasks.iter().map(|b| b.task)) {
                 Some(rejection) => rejection,
                 None => match store.publish_full_in(*tenant, *site, snapshot.clone(), *version) {
                     Ok(()) => {
@@ -951,7 +979,7 @@ fn handle(frame: &wire::Frame<Request>, shared: &Shared) -> (Response, bool) {
         }
         Request::PublishDeltas { site, tenant, base, deltas, next } => {
             shared.delta_publishes.fetch_add(1, Ordering::Relaxed);
-            match validate_publish(*site, delta_tasks(deltas)) {
+            match validate_publish(*site, deltas.iter().map(delta_task)) {
                 Some(rejection) => rejection,
                 None => match store.publish_deltas_in(*tenant, *site, *base, deltas, *next) {
                     Ok(DeltaAck::Applied) => {
@@ -1001,6 +1029,9 @@ fn handle(frame: &wire::Frame<Request>, shared: &Shared) -> (Response, bool) {
     };
     (response, matches!(request, Request::Shutdown))
 }
+
+#[cfg(test)]
+mod round_tests;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,338 @@
+//! The server's round ([`super::round`]) without sockets: against the
+//! stateless reference ([`check_store`]) over random write streams, by the
+//! counts that pin its cost to what was written, and at the two points
+//! where a hit goes stale between its analysis and its confirmation.
+
+use super::{round, TenantChecker};
+use crate::detector::{check_store, merge, IncrementalDistChecker, ReportDedup};
+use crate::store::{DeltaAck, MemStore, SiteId, TenantId};
+use armus_core::{
+    BlockedInfo, DeadlockReport, Delta, ModelChoice, PhaserId, Registration, Resource, Snapshot,
+    TaskId, DEFAULT_SG_THRESHOLD,
+};
+use armus_workloads::util::XorShift;
+use std::collections::BTreeMap;
+use std::time::Duration;
+
+/// The watched tenant: the one [`MemStore`]'s plain `Store` impl — and so
+/// [`check_store`] — reads.
+const T: TenantId = TenantId::DEFAULT;
+/// A tenant nobody watches, written with the same site and task ids.
+const OTHER: TenantId = TenantId(9);
+/// Longer than a test, shorter than any uptime (`MemStore::lapse_in`).
+const LEASE: Duration = Duration::from_secs(5);
+
+/// `task` arrived on and awaiting `own`, a phase behind on `next`: it
+/// impedes whoever awaits `next`, so two of these with the phasers swapped
+/// are a cycle.
+fn crossed(task: u64, own: u64, next: u64, epoch: u64) -> BlockedInfo {
+    let (own, next) = (PhaserId(own), PhaserId(next));
+    BlockedInfo {
+        epoch,
+        ..BlockedInfo::new(
+            TaskId(task),
+            vec![Resource::new(own, 1)],
+            vec![Registration::new(own, 1), Registration::new(next, 0)],
+        )
+    }
+}
+
+/// `task` awaiting a phaser of its own: an edge to nobody.
+fn parked(task: u64) -> BlockedInfo {
+    let gate = PhaserId(1_000_000 + task);
+    BlockedInfo::new(TaskId(task), vec![Resource::new(gate, 1)], vec![Registration::new(gate, 1)])
+}
+
+fn reference(store: &MemStore) -> Option<DeadlockReport> {
+    check_store(store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).expect("a MemStore").report
+}
+
+/// The engine holds what a fetch of the tenant would merge to, and the
+/// round left nothing noted.
+fn assert_in_step(store: &MemStore, state: &TenantChecker, present: &[SiteId], at: &str) {
+    let view = store.fetch_all_in(T).expect("a MemStore");
+    assert_eq!(present, view.iter().map(|(site, _)| *site).collect::<Vec<_>>(), "{at}");
+    assert_eq!(state.checker.materialize(), merge(&view), "{at}");
+    assert_eq!(store.marks_in(T), Some(0), "{at}: a round takes everything noted");
+}
+
+const SITES: usize = 3;
+const TASKS: u64 = 4;
+const PHASERS: usize = 5;
+
+fn random_status(rng: &mut XorShift) -> BlockedInfo {
+    let own = rng.next_below(PHASERS);
+    let next = (own + 1 + rng.next_below(PHASERS - 1)) % PHASERS;
+    let epoch = 1 + rng.next_below(3) as u64;
+    crossed(1 + rng.next_below(TASKS as usize) as u64, own as u64, next as u64, epoch)
+}
+
+/// One write of the stream, applied to the store and to `versions` (what
+/// the publishers know their partitions to be at).
+fn random_write(
+    rng: &mut XorShift,
+    store: &MemStore,
+    versions: &mut BTreeMap<(TenantId, SiteId), u64>,
+) -> String {
+    let tenant = if rng.next_below(4) == 0 { OTHER } else { T };
+    let site = SiteId(rng.next_below(SITES) as u32);
+    let key = (tenant, site);
+    match rng.next_below(12) {
+        0..=2 => {
+            let mut tasks: Vec<BlockedInfo> = Vec::new();
+            for task in 1..=TASKS {
+                if rng.next_below(2) == 0 {
+                    tasks.push(BlockedInfo { task: TaskId(task), ..random_status(rng) });
+                }
+            }
+            let version = 1 + rng.next_below(100) as u64;
+            store.publish_full_in(tenant, site, Snapshot::from_tasks(tasks), version).unwrap();
+            versions.insert(key, version);
+            format!("{tenant}/{site}: snapshot at {version}")
+        }
+        3..=8 => {
+            // Up to four deltas, tasks repeating: re-blocks of one task and
+            // a block and its unblock inside one interval both occur; none
+            // at all is the heartbeat.
+            let deltas: Vec<Delta> = (0..rng.next_below(5))
+                .map(|_| match random_status(rng) {
+                    status if rng.next_below(3) == 0 => Delta::Unblock(status.task),
+                    status => Delta::Block(status),
+                })
+                .collect();
+            let base = versions.get(&key).copied();
+            let next = base.unwrap_or(0) + deltas.len() as u64;
+            let ack =
+                store.publish_deltas_in(tenant, site, base.unwrap_or(0), &deltas, next).unwrap();
+            match base {
+                Some(_) => {
+                    assert_eq!(ack, DeltaAck::Applied);
+                    versions.insert(key, next);
+                }
+                None => assert_eq!(ack, DeltaAck::NeedSnapshot, "no partition to apply to"),
+            }
+            format!("{tenant}/{site}: {deltas:?} -> {ack:?}")
+        }
+        9 => {
+            let base = versions.get(&key).map_or(7, |version| version + 1);
+            let ack =
+                store.publish_deltas_in(tenant, site, base, &[Delta::Unblock(TaskId(1))], base + 1);
+            assert_eq!(ack, Ok(DeltaAck::NeedSnapshot), "a base the store is not at");
+            format!("{tenant}/{site}: base mismatch")
+        }
+        10 => {
+            store.remove_in(tenant, site).unwrap();
+            versions.remove(&key);
+            format!("{tenant}/{site}: removed")
+        }
+        _ => {
+            store.lapse_in(tenant, site);
+            versions.remove(&key);
+            format!("{tenant}/{site}: lease lapsed")
+        }
+    }
+}
+
+#[test]
+fn the_round_matches_check_store_after_every_write() {
+    let (mut hits, mut clean, mut rounds, mut joins) = (0u32, 0u32, 0u64, 0u64);
+    for seed in 1..=40u64 {
+        let mut rng = XorShift::new(seed);
+        let store = MemStore::with_lease(LEASE);
+        let mut versions = BTreeMap::new();
+        let mut state = TenantChecker::default();
+        let mut told = ReportDedup::new();
+        for step in 0..300 {
+            let wrote = match rng.next_below(45) {
+                // The tenant lost its last subscriber and found a new one.
+                0 => {
+                    store.unwatch_in(T);
+                    joins += state.checker.stats().order_rebuilds;
+                    rounds += state.checker.stats().rounds;
+                    state = TenantChecker::default();
+                    told = ReportDedup::new();
+                    "unwatched, watched again".to_string()
+                }
+                // Either side alone doubts the continuity.
+                1 => {
+                    store.unwatch_in(T);
+                    "the store forgot the watch".to_string()
+                }
+                2 => {
+                    state.checker.resync();
+                    "the checker resynced".to_string()
+                }
+                _ => random_write(&mut rng, &store, &mut versions),
+            };
+            let at = format!("seed {seed}, step {step} ({wrote})");
+            let joined = rng.next_below(8) == 0;
+            if joined {
+                told = ReportDedup::new();
+            }
+            let (fresh, present) = round(&store, T, &mut state, joined);
+            let standing = reference(&store);
+            match &standing {
+                Some(_) => hits += 1,
+                None => clean += 1,
+            }
+            assert_eq!(fresh, standing.filter(|report| told.is_new(report)), "{at}");
+            assert_in_step(&store, &state, &present, &at);
+            assert_eq!(store.marks_in(OTHER), None, "{at}: nobody watches the other tenant");
+        }
+        joins += state.checker.stats().order_rebuilds;
+        rounds += state.checker.stats().rounds;
+    }
+    assert!(hits > 1_000 && clean > 1_000, "{hits} rounds with a cycle, {clean} without");
+    assert!(
+        joins * 10 < rounds,
+        "{joins} of {rounds} rounds fetched: the feed must carry the rest"
+    );
+}
+
+/// 2 048 statuses stand in the store, 1 024 a site.
+fn standing_population(store: &MemStore) {
+    for site in [SiteId(0), SiteId(1)] {
+        let tasks = (1..=1024).map(parked).collect();
+        store.publish_full_in(T, site, Snapshot::from_tasks(tasks), 1).unwrap();
+    }
+}
+
+#[test]
+fn a_round_costs_what_was_written_not_what_is_stored() {
+    let store = MemStore::new();
+    standing_population(&store);
+    let mut state = TenantChecker::default();
+    let applied = |state: &TenantChecker| state.checker.stats().deltas_applied;
+
+    let (fresh, present) = round(&store, T, &mut state, true);
+    assert_eq!(fresh, None);
+    assert_eq!(state.checker.stats().order_rebuilds, 1, "the join fetches");
+    assert_in_step(&store, &state, &present, "join");
+    // A clean round takes nothing.
+    assert_eq!(round(&store, T, &mut state, false).0, None);
+    assert_eq!(applied(&state), 0);
+
+    // A crossed wait of three, over both sites.
+    let (a, b, c) = (crossed(2001, 1, 2, 1), crossed(2001, 2, 3, 1), crossed(2002, 3, 1, 1));
+    let on_site0 = [Delta::Block(a), Delta::Block(c)];
+    assert_eq!(store.publish_deltas_in(T, SiteId(0), 1, &on_site0, 3), Ok(DeltaAck::Applied));
+    assert_eq!(
+        store.publish_deltas_in(T, SiteId(1), 1, &[Delta::Block(b)], 2),
+        Ok(DeltaAck::Applied)
+    );
+    assert_eq!(store.marks_in(T), Some(3));
+    let (fresh, present) = round(&store, T, &mut state, false);
+    let report = fresh.expect("the crossed wait");
+    let planted = [TaskId(2001).with_site(0), TaskId(2002).with_site(0), TaskId(2001).with_site(1)];
+    assert_eq!(report.tasks, planted);
+    assert_eq!(Some(&report), reference(&store).as_ref());
+    assert_eq!(applied(&state), 3, "three tasks blocked beside 2 048");
+    assert_eq!(state.checker.stats().confirm_fetches, 1);
+    assert_in_step(&store, &state, &present, "hit");
+    // Heartbeats note nothing, and the standing cycle is told once.
+    assert_eq!(store.publish_deltas_in(T, SiteId(0), 3, &[], 3), Ok(DeltaAck::Applied));
+    assert_eq!(store.marks_in(T), Some(0));
+    assert_eq!(round(&store, T, &mut state, false).0, None);
+    assert_eq!(applied(&state), 3);
+
+    // A snapshot equal to the partition it replaces: every id of it is
+    // noted — leaving and arriving — and taken once, and nothing changes.
+    let before = state.checker.materialize();
+    let (_, same) = store.fetch_all_in(T).unwrap().swap_remove(1);
+    let stored = same.len();
+    store.publish_full_in(T, SiteId(1), same, 2).unwrap();
+    assert_eq!(store.marks_in(T), Some(2 * stored));
+    let (again, _) = round(&store, T, &mut state, true);
+    assert_eq!(again, Some(report), "told again only because a subscriber joined");
+    assert_eq!(applied(&state), 3 + stored as u64);
+    assert_eq!(state.checker.materialize(), before);
+    assert_eq!(state.checker.stats().order_rebuilds, 1, "one fetch in all");
+}
+
+#[test]
+fn writes_to_a_tenant_nobody_watches_note_nothing() {
+    let store = MemStore::new();
+    store.publish_full_in(T, SiteId(0), Snapshot::empty(), 0).unwrap();
+    store.publish_full_in(OTHER, SiteId(0), Snapshot::empty(), 0).unwrap();
+    let mut state = TenantChecker::default();
+    round(&store, T, &mut state, true);
+    for version in 0..10_000u64 {
+        let interval = [Delta::Block(parked(version)), Delta::Unblock(TaskId(version))];
+        let ack = store.publish_deltas_in(OTHER, SiteId(0), version, &interval, version + 1);
+        assert_eq!(ack, Ok(DeltaAck::Applied));
+    }
+    assert_eq!(store.marks_in(OTHER), None);
+    assert_eq!(store.marks_in(T), Some(0));
+    // Nor, once the tenant is forgotten, do writes to it.
+    store.unwatch_in(T);
+    store.publish_deltas_in(T, SiteId(0), 0, &[Delta::Block(parked(1))], 1).unwrap();
+    assert_eq!(store.marks_in(T), None);
+}
+
+/// What happens in the store between a hit's analysis and its
+/// confirmation, and whether the hit still stands after it.
+type Between = (&'static str, fn(&MemStore), bool);
+
+const BETWEEN: [Between; 7] = [
+    ("nothing", |_| {}, true),
+    (
+        "another task blocks",
+        |store| {
+            store.publish_deltas_in(T, SiteId(1), 1, &[Delta::Block(parked(7))], 2).unwrap();
+        },
+        true,
+    ),
+    (
+        "a member unblocks",
+        |store| {
+            store.publish_deltas_in(T, SiteId(1), 1, &[Delta::Unblock(TaskId(1))], 2).unwrap();
+        },
+        false,
+    ),
+    (
+        "a member blocks anew",
+        |store| {
+            let anew = Delta::Block(crossed(1, 2, 1, 2));
+            store.publish_deltas_in(T, SiteId(1), 1, &[anew], 2).unwrap();
+        },
+        false,
+    ),
+    (
+        "a snapshot without a member replaces its partition",
+        |store| {
+            store.publish_full_in(T, SiteId(1), Snapshot::from_tasks(vec![parked(7)]), 2).unwrap()
+        },
+        false,
+    ),
+    ("a member's site leaves", |store| store.remove_in(T, SiteId(1)).unwrap(), false),
+    ("a member's lease lapses", |store| store.lapse_in(T, SiteId(1)), false),
+];
+
+#[test]
+fn a_hit_is_reported_only_if_it_stands_at_its_confirmation() {
+    for (what, between, stands) in BETWEEN {
+        let store = MemStore::with_lease(LEASE);
+        // Colliding local ids: task 1 of site 0 and task 1 of site 1.
+        let half = |own, next| Snapshot::from_tasks(vec![crossed(1, own, next, 1)]);
+        store.publish_full_in(T, SiteId(0), half(1, 2), 1).unwrap();
+        store.publish_full_in(T, SiteId(1), half(2, 1), 1).unwrap();
+        let mut checker = IncrementalDistChecker::new();
+        let taken = store.take_in(T, checker.needs_join());
+        let check = checker.check_fed(
+            taken.feed,
+            |report| {
+                between(&store);
+                store.holds_in(T, &report.task_epochs)
+            },
+            ModelChoice::Auto,
+            DEFAULT_SG_THRESHOLD,
+        );
+        assert_eq!(check.report.is_some(), stands, "{what}");
+        assert_eq!(checker.stats().confirm_fetches, 1, "{what}");
+        // The next round is fed what happened and agrees with the store.
+        let mut state = TenantChecker { checker, dedup: ReportDedup::new() };
+        let (fresh, present) = round(&store, T, &mut state, false);
+        assert_eq!(fresh, reference(&store), "{what}");
+        assert_in_step(&store, &state, &present, what);
+    }
+}

@@ -10,6 +10,18 @@
 //! instead, by `armus_testkit::dist::ChaosStore` making a store
 //! unavailable for windows of time.
 //!
+//! The paper's store is passive and must be polled; that is what the
+//! [`Store`] trait keeps for the sites. A [`MemStore`] is **not only
+//! polled**, though: the `armus-stored` checker lives in the store's own
+//! process, and the store applies exactly the changes that checker would
+//! otherwise rediscover by fetching and diffing the whole view. For a
+//! tenant the checker *watches*, every write therefore notes — under the
+//! partitions lock it holds anyway — the site-namespaced ids of the tasks
+//! whose stored status it may have changed, and a round takes those as
+//! block/unblock deltas: work proportional to what changed
+//! since the previous round, not to what is stored. A hit is confirmed by
+//! looking the cycle's `(task, epoch)` pairs up in their partitions.
+//!
 //! Partitions are updated **incrementally**: a site normally publishes only
 //! the journal [`Delta`]s since its previous publish
 //! ([`Store::publish_deltas`]), tagged with the journal interval they
@@ -197,6 +209,86 @@ impl Partition {
     }
 }
 
+/// Per watched tenant: the site-namespaced ids of the tasks whose stored
+/// status may differ from what the watcher last took, one entry a write.
+/// A write pays a push and the take sorts out the repeats: a set costs
+/// the connection threads ≈ 45 ns a delta, which is more than the
+/// watcher's rounds save. What stands noted between two takes therefore
+/// grows with the writes between them, which the watcher's period bounds.
+type Watches = BTreeMap<TenantId, Vec<TaskId>>;
+
+/// Everything the partitions lock guards: the partitions, and what their
+/// writers note for the watchers.
+#[derive(Default)]
+struct Stored {
+    partitions: BTreeMap<(TenantId, SiteId), Partition>,
+    watches: Watches,
+}
+
+/// Notes that `site`'s stored status of each of `tasks` may have changed,
+/// if somebody watches `tenant`. An id that cannot be namespaced is noted
+/// for nobody: a merged view never holds it either ([`crate::merge`]), and
+/// `armus-stored` — the one watcher — refuses it at the boundary.
+fn mark(
+    watches: &mut Watches,
+    tenant: TenantId,
+    site: SiteId,
+    tasks: impl Iterator<Item = TaskId>,
+) {
+    if let Some(marks) = watches.get_mut(&tenant) {
+        marks.extend(tasks.filter_map(|task| task.checked_with_site(site.0)));
+    }
+}
+
+/// The task a delta is about.
+pub(crate) fn delta_task(delta: &Delta) -> TaskId {
+    match delta {
+        Delta::Block(info) => info.task,
+        Delta::Unblock(task) => *task,
+    }
+}
+
+/// The stored status of the site-namespaced `task`, in its partition.
+fn stored_status(
+    partitions: &BTreeMap<(TenantId, SiteId), Partition>,
+    tenant: TenantId,
+    task: TaskId,
+) -> Option<&BlockedInfo> {
+    let site = SiteId(task.site_tag()?);
+    partitions.get(&(tenant, site))?.tasks.get(&task.local())
+}
+
+fn sites_of(tenant: TenantId) -> std::ops::RangeInclusive<(TenantId, SiteId)> {
+    (tenant, SiteId(0))..=(tenant, SiteId(u32::MAX))
+}
+
+/// `tenant`'s partitions, each materialised.
+fn view_of(
+    partitions: &BTreeMap<(TenantId, SiteId), Partition>,
+    tenant: TenantId,
+) -> Vec<(SiteId, Snapshot)> {
+    partitions.range(sites_of(tenant)).map(|(&(_, site), p)| (site, p.materialize())).collect()
+}
+
+/// What a watcher takes from the store to bring its engine up to date.
+pub(crate) enum Feed {
+    /// The tenant's whole view: the watch begins here.
+    Join(Vec<(SiteId, Snapshot)>),
+    /// The tasks written since the previous take, each as the
+    /// site-namespaced delta that leads to its stored status: a `Block`
+    /// with it, or an `Unblock` if it has none. Applying them is an
+    /// idempotent per-task upsert, so a task written many times between two
+    /// takes costs one delta.
+    Deltas(Vec<Delta>),
+}
+
+/// One [`MemStore::take_in`].
+pub(crate) struct Taken {
+    pub(crate) feed: Feed,
+    /// The sites whose partitions are live, from the partition keys.
+    pub(crate) present: Vec<SiteId>,
+}
+
 /// In-process store: the Redis stand-in.
 ///
 /// Optionally lease-based ([`MemStore::with_lease`]): every publish —
@@ -212,7 +304,7 @@ impl Partition {
 /// tenant — that is what `armus-stored` dispatches per-request tenants
 /// through.
 pub struct MemStore {
-    partitions: Mutex<BTreeMap<(TenantId, SiteId), Partition>>,
+    stored: Mutex<Stored>,
     /// Latest published observability counters per `(tenant, site)`.
     stats: Mutex<BTreeMap<(TenantId, SiteId), SiteStats>>,
     /// Partitions dropped by lease expiry, per tenant.
@@ -241,7 +333,7 @@ impl MemStore {
 
     fn with_optional_lease(lease: Option<Duration>) -> MemStore {
         MemStore {
-            partitions: Mutex::new(BTreeMap::new()),
+            stored: Mutex::default(),
             stats: Mutex::new(BTreeMap::new()),
             expiries: Mutex::new(BTreeMap::new()),
             lease,
@@ -256,13 +348,15 @@ impl MemStore {
     /// Purges partitions whose lease has lapsed (no-op without a lease),
     /// counting the drops per tenant, and drops the stale stats records of
     /// the expired sites.
-    fn expire(&self, partitions: &mut BTreeMap<(TenantId, SiteId), Partition>) {
+    fn expire(&self, stored: &mut Stored) {
         let Some(ttl) = self.lease else { return };
+        let Stored { partitions, watches } = stored;
         let mut expired: Vec<(TenantId, SiteId)> = Vec::new();
-        partitions.retain(|&key, p| {
+        partitions.retain(|&(tenant, site), p| {
             let live = p.refreshed.elapsed() <= ttl;
             if !live {
-                expired.push(key);
+                mark(watches, tenant, site, p.tasks.keys().copied());
+                expired.push((tenant, site));
             }
             live
         });
@@ -277,6 +371,28 @@ impl MemStore {
         }
     }
 
+    /// Installs `new` — or nothing — as `site`'s partition, noting every id
+    /// of the partition that goes and of the one that comes. The lock is
+    /// held for the swap and the marks: the caller built `new` before it,
+    /// and the partition that goes is dropped after it.
+    fn replace(&self, tenant: TenantId, site: SiteId, new: Option<Partition>) {
+        let _old = {
+            let mut stored = self.stored.lock();
+            let Stored { partitions, watches } = &mut *stored;
+            let old = match new {
+                Some(new) => {
+                    mark(watches, tenant, site, new.tasks.keys().copied());
+                    partitions.insert((tenant, site), new)
+                }
+                None => partitions.remove(&(tenant, site)),
+            };
+            if let Some(old) = &old {
+                mark(watches, tenant, site, old.tasks.keys().copied());
+            }
+            old
+        };
+    }
+
     /// Tenant-scoped [`Store::publish_full`].
     pub fn publish_full_in(
         &self,
@@ -285,7 +401,7 @@ impl MemStore {
         partition: Snapshot,
         version: u64,
     ) -> Result<(), StoreError> {
-        self.partitions.lock().insert((tenant, site), Partition::from_snapshot(partition, version));
+        self.replace(tenant, site, Some(Partition::from_snapshot(partition, version)));
         Ok(())
     }
 
@@ -298,7 +414,8 @@ impl MemStore {
         deltas: &[Delta],
         next: u64,
     ) -> Result<DeltaAck, StoreError> {
-        let mut partitions = self.partitions.lock();
+        let mut stored = self.stored.lock();
+        let Stored { partitions, watches } = &mut *stored;
         let Some(partition) = partitions.get_mut(&(tenant, site)) else {
             return Ok(DeltaAck::NeedSnapshot);
         };
@@ -317,6 +434,7 @@ impl MemStore {
         }
         partition.version = next;
         partition.refreshed = Instant::now();
+        mark(watches, tenant, site, deltas.iter().map(delta_task));
         Ok(DeltaAck::Applied)
     }
 
@@ -333,28 +451,78 @@ impl MemStore {
 
     /// Tenant-scoped [`Store::fetch_all`]: only `tenant`'s live partitions.
     pub fn fetch_all_in(&self, tenant: TenantId) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
-        let mut partitions = self.partitions.lock();
-        self.expire(&mut partitions);
-        Ok(partitions
-            .range((tenant, SiteId(0))..=(tenant, SiteId(u32::MAX)))
-            .map(|(&(_, s), p)| (s, p.materialize()))
-            .collect())
+        let mut stored = self.stored.lock();
+        self.expire(&mut stored);
+        Ok(view_of(&stored.partitions, tenant))
     }
 
     /// Tenant-scoped [`Store::remove`].
     pub fn remove_in(&self, tenant: TenantId, site: SiteId) -> Result<(), StoreError> {
-        self.partitions.lock().remove(&(tenant, site));
+        self.replace(tenant, site, None);
         self.stats.lock().remove(&(tenant, site));
         Ok(())
+    }
+
+    /// A watcher's step: what brings whoever watches `tenant` up to date
+    /// with its live partitions (after an expiry sweep). The first take —
+    /// and any with `rejoin`, for a watcher that no longer trusts what it
+    /// holds — begins the watch and is the whole view, both under one hold
+    /// of the partitions lock, so no write falls between them. Every later
+    /// one is the tasks written since the take before it.
+    pub(crate) fn take_in(&self, tenant: TenantId, rejoin: bool) -> Taken {
+        let mut stored = self.stored.lock();
+        self.expire(&mut stored);
+        let Stored { partitions, watches } = &mut *stored;
+        let present = partitions.range(sites_of(tenant)).map(|(&(_, site), _)| site).collect();
+        let feed = match watches.get_mut(&tenant) {
+            Some(marks) if !rejoin => {
+                // Sorted, so the take is deterministic and walks one
+                // partition after the other.
+                let mut marks = std::mem::take(marks);
+                marks.sort_unstable();
+                marks.dedup();
+                Feed::Deltas(
+                    marks
+                        .into_iter()
+                        .map(|task| match stored_status(partitions, tenant, task) {
+                            Some(info) => Delta::Block(BlockedInfo { task, ..info.clone() }),
+                            None => Delta::Unblock(task),
+                        })
+                        .collect(),
+                )
+            }
+            _ => {
+                watches.insert(tenant, Vec::new());
+                Feed::Join(view_of(partitions, tenant))
+            }
+        };
+        Taken { feed, present }
+    }
+
+    /// Ends the watch on `tenant`: its writes are noted for nobody.
+    pub(crate) fn unwatch_in(&self, tenant: TenantId) {
+        self.stored.lock().watches.remove(&tenant);
+    }
+
+    /// Is every site-namespaced `(task, epoch)` pair still what `tenant`'s
+    /// live partitions (after an expiry sweep) hold — every task still in
+    /// the same blocking operation? The confirmation pass of a hit found
+    /// in what [`MemStore::take_in`] fed.
+    pub(crate) fn holds_in(&self, tenant: TenantId, task_epochs: &[(TaskId, u64)]) -> bool {
+        let mut stored = self.stored.lock();
+        self.expire(&mut stored);
+        task_epochs.iter().all(|&(task, epoch)| {
+            stored_status(&stored.partitions, tenant, task).is_some_and(|info| info.epoch == epoch)
+        })
     }
 
     /// Live partition counts per tenant (after an expiry sweep) — the
     /// per-tenant gauge of the metrics endpoint.
     pub fn tenant_partitions(&self) -> Vec<(TenantId, u64)> {
-        let mut partitions = self.partitions.lock();
-        self.expire(&mut partitions);
+        let mut stored = self.stored.lock();
+        self.expire(&mut stored);
         let mut counts: BTreeMap<TenantId, u64> = BTreeMap::new();
-        for &(tenant, _) in partitions.keys() {
+        for &(tenant, _) in stored.partitions.keys() {
             *counts.entry(tenant).or_insert(0) += 1;
         }
         counts.into_iter().collect()
@@ -373,6 +541,24 @@ impl MemStore {
     /// The latest observability counters each site published, per tenant.
     pub fn site_stats(&self) -> Vec<(TenantId, SiteId, SiteStats)> {
         self.stats.lock().iter().map(|(&(t, s), &stats)| (t, s, stats)).collect()
+    }
+}
+
+#[cfg(test)]
+impl MemStore {
+    /// `site`'s lease has lapsed: its partition goes with the next sweep.
+    pub(crate) fn lapse_in(&self, tenant: TenantId, site: SiteId) {
+        let past = self.lease.expect("a leased store") + Duration::from_millis(1);
+        if let Some(partition) = self.stored.lock().partitions.get_mut(&(tenant, site)) {
+            partition.refreshed =
+                Instant::now().checked_sub(past).expect("a lease shorter than the uptime");
+        }
+    }
+
+    /// How many writes stand noted for `tenant`'s watcher; `None`: nobody
+    /// watches it.
+    pub(crate) fn marks_in(&self, tenant: TenantId) -> Option<usize> {
+        self.stored.lock().watches.get(&tenant).map(Vec::len)
     }
 }
 

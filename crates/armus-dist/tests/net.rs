@@ -12,8 +12,8 @@ use armus_core::{
 };
 use armus_dist::server::{StoredConfig, StoredServer};
 use armus_dist::{
-    DeltaAck, Publisher, Shipped, Site, SiteConfig, SiteId, Store, StoreError, TcpStore,
-    TcpStoreConfig, TenantId,
+    DeltaAck, Publisher, Shipped, Site, SiteConfig, SiteId, Store, StoreError, Subscription,
+    TcpStore, TcpStoreConfig, TenantId,
 };
 use armus_testkit::dist::{ChaosConfig, ChaosStore, StoredProcess};
 
@@ -673,6 +673,65 @@ fn resubscribing_hears_about_a_standing_deadlock() {
     let late_sub = late.subscribe().expect("subscribe from a second client");
     assert_eq!(late_sub.recv(Duration::from_secs(10)), Some(first));
     assert_eq!(store.metrics().unwrap().fetches, 0, "a subscriber must never need to poll");
+    server.shutdown();
+}
+
+/// A server whose checker runs on the sites' markers alone, a subscriber
+/// of tenant 7 that has heard the planted cycle: the server's checker
+/// follows the tenant by now.
+fn watched_standing_cycle() -> (StoredServer, TcpStore, Subscription) {
+    let hour = Duration::from_secs(3600);
+    let server = StoredServer::bind(
+        "127.0.0.1:0",
+        StoredConfig { check_period: hour, ..Default::default() },
+    )
+    .unwrap();
+    let store = TcpStore::new(server.local_addr().to_string()).for_tenant(TenantId(7));
+    let sub = store.subscribe().expect("subscribe");
+    plant_and_settle(&store);
+    let heard = sub.recv(Duration::from_secs(2)).expect("the planted cycle");
+    assert_eq!(heard.tasks, planted_tasks());
+    (server, store, sub)
+}
+
+/// A snapshot of one task replaces site 1's live partition, followed by
+/// the site's marker.
+fn replace_site1_and_settle(store: &TcpStore, only: BlockedInfo) {
+    store.publish_full(SiteId(1), Snapshot::from_tasks(vec![only]), 2).unwrap();
+    assert_eq!(store.publish_deltas(SiteId(1), 2, &[], 2), Ok(DeltaAck::Applied));
+}
+
+#[test]
+fn a_snapshot_replacing_a_live_partition_closes_a_cycle_the_subscriber_hears() {
+    let (server, store, sub) = watched_standing_cycle();
+    // The driver's place is taken by another task in the same wait: the
+    // cycle the subscriber hears of next runs through it and no longer
+    // through the task the snapshot dropped.
+    let driver = driver_snapshot().tasks.remove(0);
+    replace_site1_and_settle(&store, BlockedInfo { task: TaskId(2), ..driver });
+    let report = sub.recv(Duration::from_secs(2)).expect("the cycle the snapshot closed");
+    let mut through_the_new_task = planted_tasks();
+    through_the_new_task[3] = TaskId(2).with_site(1);
+    assert_eq!(report.tasks, through_the_new_task);
+    assert_eq!(store.metrics().unwrap().fetches, 0, "nobody fetched: the writes were noted");
+    server.shutdown();
+}
+
+#[test]
+fn a_snapshot_that_drops_the_cycles_member_leaves_nothing_to_hear() {
+    let (server, store, sub) = watched_standing_cycle();
+    let bystander = BlockedInfo::new(
+        TaskId(1),
+        vec![Resource::new(PhaserId(9), 1)],
+        vec![Registration::new(PhaserId(9), 1)],
+    );
+    replace_site1_and_settle(&store, bystander);
+    // Whoever subscribes while a deadlock stands hears of it (see
+    // `resubscribing_hears_about_a_standing_deadlock`): none stands.
+    let late = TcpStore::new(server.local_addr().to_string()).for_tenant(TenantId(7));
+    let late_sub = late.subscribe().expect("subscribe from a second client");
+    assert_eq!(late_sub.recv(Duration::from_millis(500)), None);
+    assert_eq!(sub.recv(Duration::ZERO), None);
     server.shutdown();
 }
 

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use armus_core::{adaptive, ModelChoice, VerifierConfig, DEFAULT_SG_THRESHOLD};
+use armus_core::{adaptive, DeadlockReport, ModelChoice, VerifierConfig, DEFAULT_SG_THRESHOLD};
 use armus_dist::SiteConfig;
 use armus_sync::{Runtime, RuntimeConfig};
 use armus_workloads::course::{self, CourseBench};
@@ -86,18 +86,27 @@ fn runtime_for(mode: Mode, model: ModelChoice, period: Duration) -> Arc<Runtime>
 /// Demonstrates the tool end to end: the Figure 1 deadlock is detected
 /// and a crossed wait is avoided.
 pub fn sanity() {
-    fn await_report(rt: &Runtime) {
+    /// The report that names `tasks` tasks, once it is there.
+    fn await_report(rt: &Runtime, tasks: usize) -> Option<DeadlockReport> {
         let t0 = Instant::now();
-        while !rt.verifier().found_deadlock() && t0.elapsed() < Duration::from_secs(10) {
+        while t0.elapsed() < Duration::from_secs(10) {
+            if let Some(whole) = rt.take_reports().into_iter().find(|r| r.tasks.len() == tasks) {
+                return Some(whole);
+            }
             std::thread::sleep(Duration::from_millis(10));
         }
+        None
     }
 
     println!("\nSanity: Figure 1 deadlock under detection…");
     let rt = runtime_for(Mode::Detection, ModelChoice::Auto, Duration::from_millis(10));
-    deadlocky::figure1(&rt, 3);
-    await_report(&rt);
-    for report in rt.take_reports() {
+    const WORKERS: usize = 3;
+    deadlocky::figure1(&rt, WORKERS);
+    // The monitor reports at the event that closes a cycle, and the parent
+    // is deadlocked with the first worker that blocks: on a slow host it
+    // tells of the parent and the workers blocked so far before it tells
+    // of them all. Figure 1's deadlock is the report that names them all.
+    if let Some(report) = await_report(&rt, WORKERS + 1) {
         println!("  detected: {report}");
     }
     rt.shutdown();
@@ -105,8 +114,7 @@ pub fn sanity() {
     println!("Sanity: crossed waits under avoidance…");
     let rt = Runtime::avoidance();
     deadlocky::crossed_pair(&rt);
-    await_report(&rt);
-    for report in rt.take_reports() {
+    if let Some(report) = await_report(&rt, 2) {
         println!("  avoided: {report}");
     }
 }

@@ -62,7 +62,12 @@ fn paper_sanity_detects_and_avoids() {
     let out = run(&["paper", "sanity"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let text = stdout(&out);
-    assert_eq!(text.matches("detected:").count(), 1, "{text}");
+    // Figure 1 whole — the parent and its three workers — and once,
+    // however many of them the monitor found blocked on its way there.
+    let detected: Vec<&str> = text.lines().filter(|line| line.contains("detected:")).collect();
+    assert_eq!(detected.len(), 1, "{text}");
+    let among = detected[0].split("among ").nth(1).and_then(|rest| rest.split(" on ").next());
+    assert_eq!(among.map(|tasks| tasks.split(", ").count()), Some(4), "{text}");
     assert_eq!(text.matches("avoided:").count(), 1, "{text}");
 }
 
