@@ -1,7 +1,9 @@
 //! The wait futures: `Future`-returning counterparts of the sync blocking
-//! ops, driven through the `begin_await` / `poll_await` seam.
+//! ops, driven through the `begin_await` / `poll_await_with_waker` seam —
+//! the same wait machine a blocking `await_phase` runs, with the task's
+//! waker parked where a blocked thread parks its own.
 //!
-//! Both futures follow the same protocol:
+//! [`AwaitPhase`] is the one wait state machine:
 //!
 //! 1. **First poll** captures the current task context (installed by the
 //!    executor's [`crate::Scoped`] wrapper) and pins it into the future —
@@ -14,6 +16,9 @@
 //! 3. **Drop while pending** cancels the wait: the waker is unparked and
 //!    the published blocked status withdrawn, leaving verifier state as if
 //!    the await had never begun.
+//!
+//! [`Advance`] arrives on its first poll and then drives an owned
+//! [`AwaitPhase`] for the arrived phase.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -22,19 +27,6 @@ use std::task::{Context, Poll};
 
 use armus_sync::ctx::{self, TaskCtx};
 use armus_sync::{Phase, Phaser, SyncError, WaitStep};
-
-/// Polls the seam as `task`, parking the waker if still pending.
-fn poll_seam(
-    phaser: &Phaser,
-    task: &Arc<TaskCtx>,
-    cx: &mut Context<'_>,
-) -> Poll<Result<(), SyncError>> {
-    match ctx::scoped(task, || phaser.poll_await_with_waker(cx.waker())) {
-        Ok(WaitStep::Ready) => Poll::Ready(Ok(())),
-        Ok(WaitStep::Pending) => Poll::Pending,
-        Err(err) => Poll::Ready(Err(err)),
-    }
-}
 
 enum WaitState {
     Unstarted,
@@ -68,37 +60,25 @@ impl Future for AwaitPhase {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        match &this.state {
+        let task = match &this.state {
             WaitState::Done => panic!("AwaitPhase polled after completion"),
-            WaitState::Unstarted => {
-                let task = ctx::current();
-                match ctx::scoped(&task, || this.phaser.begin_await(this.phase)) {
-                    Ok(WaitStep::Ready) => {
-                        this.state = WaitState::Done;
-                        Poll::Ready(Ok(()))
-                    }
-                    Ok(WaitStep::Pending) => {
-                        let polled = poll_seam(&this.phaser, &task, cx);
-                        this.state = if polled.is_pending() {
-                            WaitState::Pending(task)
-                        } else {
-                            WaitState::Done
-                        };
-                        polled
-                    }
-                    Err(err) => {
-                        this.state = WaitState::Done;
-                        Poll::Ready(Err(err))
-                    }
-                }
-            }
-            WaitState::Pending(task) => {
-                let task = Arc::clone(task);
-                let polled = poll_seam(&this.phaser, &task, cx);
-                if !polled.is_pending() {
+            WaitState::Pending(task) => Arc::clone(task),
+            WaitState::Unstarted => match this.phaser.begin_await(this.phase) {
+                Ok(WaitStep::Pending) => ctx::current(),
+                begun => {
                     this.state = WaitState::Done;
+                    return Poll::Ready(begun.map(|_| ()));
                 }
-                polled
+            },
+        };
+        match ctx::scoped(&task, || this.phaser.poll_await_with_waker(cx.waker())) {
+            Ok(WaitStep::Pending) => {
+                this.state = WaitState::Pending(task);
+                Poll::Pending
+            }
+            stepped => {
+                this.state = WaitState::Done;
+                Poll::Ready(stepped.map(|_| ()))
             }
         }
     }
@@ -113,24 +93,23 @@ impl Drop for AwaitPhase {
 }
 
 enum AdvanceState {
-    Unstarted,
-    Pending { task: Arc<TaskCtx>, phase: Phase },
+    Unstarted(Phaser),
+    Waiting { phase: Phase, wait: AwaitPhase },
     Done,
 }
 
 /// Future form of [`Phaser::arrive_and_await`]: arrives on first poll,
 /// then resolves with the arrived phase once it is observed. Dropping the
-/// future while pending cancels the *await* only — the arrival, like on
-/// the sync path, has already been signalled to the other members and is
-/// not rolled back.
+/// future while pending cancels the *await* only (the owned
+/// [`AwaitPhase`]'s drop) — the arrival, like on the sync path, has
+/// already been signalled to the other members and is not rolled back.
 pub struct Advance {
-    phaser: Phaser,
     state: AdvanceState,
 }
 
 impl Advance {
     pub(crate) fn new(phaser: Phaser) -> Advance {
-        Advance { phaser, state: AdvanceState::Unstarted }
+        Advance { state: AdvanceState::Unstarted(phaser) }
     }
 }
 
@@ -139,56 +118,21 @@ impl Future for Advance {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        match &this.state {
-            AdvanceState::Done => panic!("Advance polled after completion"),
-            AdvanceState::Unstarted => {
-                let task = ctx::current();
-                // Arrive + begin the wait for the arrived phase — the body
-                // of `begin_arrive_and_await`, kept inline because the
-                // resolved future must yield the phase.
-                let begun = ctx::scoped(&task, || {
-                    let phase = this.phaser.arrive()?;
-                    Ok::<_, SyncError>((phase, this.phaser.begin_await(phase)?))
-                });
-                match begun {
-                    Ok((phase, WaitStep::Ready)) => {
-                        this.state = AdvanceState::Done;
-                        Poll::Ready(Ok(phase))
-                    }
-                    Ok((phase, WaitStep::Pending)) => match poll_seam(&this.phaser, &task, cx) {
-                        Poll::Pending => {
-                            this.state = AdvanceState::Pending { task, phase };
-                            Poll::Pending
-                        }
-                        Poll::Ready(done) => {
-                            this.state = AdvanceState::Done;
-                            Poll::Ready(done.map(|()| phase))
-                        }
-                    },
-                    Err(err) => {
-                        this.state = AdvanceState::Done;
-                        Poll::Ready(Err(err))
-                    }
-                }
-            }
-            AdvanceState::Pending { task, phase } => {
-                let (task, phase) = (Arc::clone(task), *phase);
-                match poll_seam(&this.phaser, &task, cx) {
-                    Poll::Pending => Poll::Pending,
-                    Poll::Ready(done) => {
-                        this.state = AdvanceState::Done;
-                        Poll::Ready(done.map(|()| phase))
-                    }
-                }
-            }
+        this.state = match std::mem::replace(&mut this.state, AdvanceState::Done) {
+            AdvanceState::Unstarted(phaser) => match phaser.arrive() {
+                Ok(phase) => AdvanceState::Waiting { phase, wait: AwaitPhase::new(phaser, phase) },
+                Err(err) => return Poll::Ready(Err(err)),
+            },
+            state => state,
+        };
+        let AdvanceState::Waiting { phase, wait } = &mut this.state else {
+            panic!("Advance polled after completion");
+        };
+        let phase = *phase;
+        let polled = Pin::new(wait).poll(cx);
+        if polled.is_ready() {
+            this.state = AdvanceState::Done;
         }
-    }
-}
-
-impl Drop for Advance {
-    fn drop(&mut self) {
-        if let AdvanceState::Pending { task, .. } = &self.state {
-            ctx::scoped(task, || self.phaser.cancel_await());
-        }
+        polled.map(|done| done.map(|()| phase))
     }
 }

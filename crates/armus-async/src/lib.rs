@@ -2,12 +2,13 @@
 //!
 //! The async front-end of the Armus reproduction: `Future`-returning
 //! phaser / barrier / latch / clock ops over the sync crate's
-//! `begin_await` / `poll_await` wait machine, plus a minimal executor
-//! that threads task identity through spawn points. A blocked task parks
-//! a **waker** with the phaser (woken exactly once when its wait's fate
-//! resolves) instead of an OS thread — so a bounded worker pool verifies
-//! millions of in-flight tasks where the thread-per-task front-end tops
-//! out at the OS thread limit.
+//! `begin_await` / `poll_await_with_waker` wait machine, plus a minimal
+//! executor that threads task identity through spawn points. The sync
+//! crate's blocking waits step the same machine and park their OS thread;
+//! a future parks only its task's **waker** (woken exactly once when its
+//! wait's fate resolves) — so a bounded worker pool verifies millions of
+//! in-flight tasks where the thread-per-task front-end tops out at the OS
+//! thread limit.
 //!
 //! The avoidance check runs inline at `begin_await` exactly as on the
 //! sync path; verifier decisions and deadlock reports are identical

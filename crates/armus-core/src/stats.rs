@@ -132,13 +132,13 @@ impl StatsCollector {
         self.model_retires.store(counters.model_retires, Ordering::Relaxed);
     }
 
-    /// Records an async-front-end wait going pending: a waker was parked
-    /// with the wait machine instead of an OS thread.
+    /// Records a wait going pending with a waker parked on the phaser's
+    /// wait machine — a future's, or a blocked thread's.
     pub fn record_async_wait(&self) {
         self.async_waits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` parked wakers being woken by a fate-resolving event
+    /// Records `n` parked waits being woken by a fate-resolving event
     /// (arrival, poison, interrupt, deregistration).
     pub fn record_waker_wakes(&self, n: u64) {
         if n > 0 {
@@ -244,13 +244,15 @@ pub struct StatsSnapshot {
     /// break-even point (e.g. a program oscillating around the `Auto`
     /// threshold).
     pub model_retires: u64,
-    /// Async-front-end waits that went pending: each parked a waker with
-    /// the wait machine instead of an OS thread (the async counterpart of
-    /// a condvar park).
+    /// Waits parked on the phaser's wait machine, from either front-end:
+    /// a future parks its task's waker, a blocked thread a waker that
+    /// unparks it. (The name predates the blocking front-end's use of the
+    /// same machine; it is kept for the wire and the readers.)
     pub async_waits: u64,
-    /// Parked wakers woken by fate-resolving events. Each waker is woken
-    /// exactly once per pending wait, so this stays close to
-    /// `async_waits` — a large gap means spurious executor polls.
+    /// Parked waits woken, each by an event that resolved it. A parked
+    /// waiter is woken exactly once, so this stays close to
+    /// `async_waits`; a wait that parks again after its wake (its phaser
+    /// gained a laggard in between) counts twice in both.
     pub waker_wakes: u64,
 }
 

@@ -633,15 +633,14 @@ impl Verifier {
         self.stats.snapshot()
     }
 
-    /// Records an async-front-end wait parking a waker with the wait
-    /// machine (the async counterpart of an OS-thread park). Counted by
-    /// the runtime front-end, not by `block`, so disabled verifiers still
-    /// observe async traffic.
+    /// Records a wait parking a waker with a phaser's wait machine — a
+    /// future's or a blocked thread's. Counted by the phaser, not by
+    /// `block`, so disabled verifiers still observe parked waits.
     pub fn note_async_wait(&self) {
         self.stats.record_async_wait();
     }
 
-    /// Records `n` parked wakers woken by a fate-resolving event.
+    /// Records `n` parked waits woken by a fate-resolving event.
     pub fn note_waker_wakes(&self, n: u64) {
         self.stats.record_waker_wakes(n);
     }

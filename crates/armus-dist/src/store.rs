@@ -128,9 +128,9 @@ pub struct SiteStats {
     pub fastpath_skips: u64,
     /// Full-snapshot publishes by the site's publisher (join + recovery).
     pub publish_resyncs: u64,
-    /// Async-front-end waits that parked a waker instead of a thread.
+    /// Waits parked on the site's phasers, from either front-end.
     pub async_waits: u64,
-    /// Parked wakers woken by fate-resolving events.
+    /// Parked waits woken, each by an event that resolved it.
     pub waker_wakes: u64,
     /// Check rounds completed by the site's distributed checker.
     pub checker_rounds: u64,

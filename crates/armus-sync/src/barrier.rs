@@ -11,7 +11,7 @@ use std::sync::Arc;
 use armus_core::{Phase, PhaserId};
 
 use crate::error::SyncError;
-use crate::phaser::{Phaser, WaitStep};
+use crate::phaser::Phaser;
 use crate::runtime::Runtime;
 
 /// A cyclic barrier for a fixed number of parties.
@@ -79,23 +79,6 @@ impl CyclicBarrier {
     /// `await()`: arrive and wait for all registered parties.
     pub fn wait(&self) -> Result<Phase, SyncError> {
         self.phaser.arrive_and_await()
-    }
-
-    /// Poll-seam form of [`CyclicBarrier::wait`] for cooperative
-    /// schedulers: arrive, then begin the wait without blocking.
-    pub fn begin_wait(&self) -> Result<WaitStep, SyncError> {
-        self.phaser.begin_arrive_and_await()
-    }
-
-    /// Poll-seam step: resolves the current task's pending barrier wait
-    /// if it can. See [`CyclicBarrier::begin_wait`].
-    pub fn poll_wait(&self) -> Result<WaitStep, SyncError> {
-        self.phaser.poll_await()
-    }
-
-    /// Would [`CyclicBarrier::poll_wait`] resolve right now? (Pure peek.)
-    pub fn wait_would_resolve(&self) -> bool {
-        self.phaser.await_would_resolve()
     }
 
     /// Number of currently registered parties.

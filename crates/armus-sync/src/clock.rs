@@ -42,18 +42,6 @@ impl Clock {
         self.phaser.arrive_and_await()
     }
 
-    /// Poll-seam form of [`Clock::advance`] for cooperative schedulers:
-    /// arrive, then begin the wait without blocking.
-    pub fn begin_advance(&self) -> Result<crate::phaser::WaitStep, SyncError> {
-        self.phaser.begin_arrive_and_await()
-    }
-
-    /// Poll-seam step: resolves the current task's pending advance if it
-    /// can. See [`Clock::begin_advance`].
-    pub fn poll_advance(&self) -> Result<crate::phaser::WaitStep, SyncError> {
-        self.phaser.poll_await()
-    }
-
     /// `resume()`: split-phase arrival — signal this task's step without
     /// waiting; a later [`Clock::advance`] only waits.
     pub fn resume(&self) -> Result<Phase, SyncError> {

@@ -101,18 +101,6 @@ impl<T: Clone + Send + 'static> ClockedVar<T> {
         self.phaser.arrive_and_await()
     }
 
-    /// Poll-seam form of [`ClockedVar::advance`] for cooperative
-    /// schedulers: arrive, then begin the wait without blocking.
-    pub fn begin_advance(&self) -> Result<crate::phaser::WaitStep, SyncError> {
-        self.phaser.begin_arrive_and_await()
-    }
-
-    /// Poll-seam step: resolves the current task's pending advance if it
-    /// can. See [`ClockedVar::begin_advance`].
-    pub fn poll_advance(&self) -> Result<crate::phaser::WaitStep, SyncError> {
-        self.phaser.poll_await()
-    }
-
     /// Split-phase arrival on the variable's clock.
     pub fn resume(&self) -> Result<Phase, SyncError> {
         self.phaser.resume()

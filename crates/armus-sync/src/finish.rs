@@ -70,20 +70,9 @@ impl Finish {
         self.phaser.deregister()
     }
 
-    /// Poll-seam begin of the join for cooperative schedulers: arrive and
-    /// begin the wait without blocking. Drive with [`Finish::poll_wait`];
-    /// once `Ready`, close the block with [`Finish::conclude`].
-    pub fn begin_wait(&self) -> Result<crate::phaser::WaitStep, SyncError> {
-        self.phaser.begin_arrive_and_await()
-    }
-
-    /// Poll-seam step of the join. See [`Finish::begin_wait`].
-    pub fn poll_wait(&self) -> Result<crate::phaser::WaitStep, SyncError> {
-        self.phaser.poll_await()
-    }
-
-    /// Closes a poll-driven finish after its join wait resolved `Ready`:
-    /// deregisters the parent, consuming the block.
+    /// Closes a poll-driven finish after its join wait — begun with
+    /// [`Phaser::begin_arrive_and_await`] on [`Finish::phaser`] — resolved
+    /// `Ready`: deregisters the parent, consuming the block.
     pub fn conclude(self) -> Result<(), SyncError> {
         self.phaser.deregister()
     }

@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 
 use crate::ctx;
 use crate::error::SyncError;
-use crate::phaser::{Phaser, WaitStep};
+use crate::phaser::Phaser;
 use crate::runtime::Runtime;
 
 /// A count-down latch.
@@ -104,23 +104,6 @@ impl CountDownLatch {
     /// Waits until the count reaches zero. The awaiter is *not* a member.
     pub fn wait(&self) -> Result<(), SyncError> {
         self.phaser.await_phase(1)
-    }
-
-    /// Poll-seam form of [`CountDownLatch::wait`] for cooperative
-    /// schedulers: begin the (non-member) wait without blocking.
-    pub fn begin_wait(&self) -> Result<WaitStep, SyncError> {
-        self.phaser.begin_await(1)
-    }
-
-    /// Poll-seam step: resolves the current task's pending latch wait if
-    /// the count has reached zero. See [`CountDownLatch::begin_wait`].
-    pub fn poll_wait(&self) -> Result<WaitStep, SyncError> {
-        self.phaser.poll_await()
-    }
-
-    /// Would [`CountDownLatch::poll_wait`] resolve right now? (Pure peek.)
-    pub fn wait_would_resolve(&self) -> bool {
-        self.phaser.await_would_resolve()
     }
 
     /// Remaining count.

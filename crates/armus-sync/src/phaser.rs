@@ -15,13 +15,21 @@
 //! published to the verifier. In avoidance mode a wait that would complete
 //! a deadlock cycle returns [`SyncError::WouldDeadlock`] instead of
 //! blocking, and the task is deregistered from this phaser.
+//!
+//! A wait is one machine whichever front-end drives it: `begin` publishes
+//! it, and a step ([`Phaser::poll_await_with_waker`]) parks the caller's
+//! waker and reads the wait's fate under the phaser lock. An async future
+//! parks its task's waker; a blocking [`Phaser::await_phase`] parks a
+//! waker that unparks its OS thread, then calls `std::thread::park`. An
+//! event wakes only the waits it resolves.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::task::Waker;
+use std::task::{Wake, Waker};
+use std::thread::Thread;
 
 use armus_core::{DeadlockReport, Phase, PhaserId, Resource, TaskId, Verifier};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::ctx::{self, TaskCtx};
 use crate::error::SyncError;
@@ -63,23 +71,11 @@ pub enum WaitStep {
     Pending,
 }
 
-/// A wait that has been begun through the poll seam and not yet resolved.
-#[derive(Clone, Copy)]
-struct PendingWait {
-    phase: Phase,
-    /// Whether the blocked status was published to the verifier (and so
-    /// must be withdrawn when the wait resolves).
-    published: bool,
-}
-
-/// How a pending wait resolved (still under the state lock; the
-/// verifier/deregistration side effects run outside it, in
-/// [`PhaserCore::settle_wait`]).
-enum WaitFate {
+/// How a pending wait resolved, as [`PhState::fate`] decides it.
+enum Fate {
+    Poisoned,
+    Interrupted,
     Observed,
-    Poisoned(Box<DeadlockReport>),
-    Interrupted(Box<DeadlockReport>),
-    Pending,
 }
 
 struct PhState {
@@ -90,29 +86,68 @@ struct PhState {
     /// (paper §2.1: "an exception is raised in Lines 8 and 11"), keyed here
     /// by the victim's task id on the phaser it waits on.
     interrupts: HashMap<TaskId, Box<DeadlockReport>>,
-    /// Waits begun (blocked status published) but not yet resolved, for
-    /// the poll-driven seam. The OS-blocking [`PhaserCore::await_phase`]
-    /// and an external scheduler polling [`PhaserCore::poll_wait`] share
-    /// this state, so the wait machine has exactly one implementation.
-    pending: HashMap<TaskId, PendingWait>,
-    /// Async wakers parked behind pending waits, keyed by the waiting
-    /// task (the wait-handle). An entry is woken **exactly once**: it is
+    /// Waits begun (blocked status published, when the verifier is
+    /// enabled) but not yet resolved, with the phase each awaits. Every
+    /// driver — a blocking thread, a future, a cooperative scheduler —
+    /// steps these through [`PhaserCore::poll_wait`], so the wait machine
+    /// has exactly one implementation.
+    pending: HashMap<TaskId, Phase>,
+    /// Wakers parked behind pending waits, keyed by the waiting task: a
+    /// future's, or a blocked thread's [`ThreadWake`]. A waker is parked
+    /// only beside its pending wait, and woken **exactly once**: it is
     /// removed as it is woken by a fate-resolving event, and only the
-    /// future's next poll may park it again (re-reading the fate under
+    /// driver's next step may park it again (re-reading the fate under
     /// the same lock, so no wake is ever lost).
     wakers: HashMap<TaskId, Waker>,
 }
 
 impl PhState {
-    /// `await(P, n)` over the *signalling* members only: wait-only
-    /// registrations gate nobody.
+    /// The observed phase: the minimum local phase over the *signalling*
+    /// members (wait-only registrations gate nobody).
+    fn floor(&self) -> Option<Phase> {
+        self.members.values().filter(|m| m.mode != RegMode::Wait).map(|m| m.arrived).min()
+    }
+
+    /// `await(P, n)` over the signalling members; the same as
+    /// `floor() ≥ n` (or no signaller), but it stops at the first laggard.
     fn observed(&self, n: Phase) -> bool {
         self.members.values().filter(|m| m.mode != RegMode::Wait).all(|m| m.arrived >= n)
     }
 
-    fn floor(&self) -> Option<Phase> {
-        self.members.values().filter(|m| m.mode != RegMode::Wait).map(|m| m.arrived).min()
+    /// The fate rule: how `task`'s wait stands, `None` while it is
+    /// pending. The step, the peek and [`PhaserCore::notify_waiters`] all
+    /// read it. `observed` answers `await(P, n)` for the wait, asked only
+    /// when neither poison nor an interrupt decides; a caller deciding
+    /// many waits answers it from one [`PhState::floor`]. The priority
+    /// order is load-bearing: poisoning beats interrupts beats a racing
+    /// normal release — an interrupt is an epoch-confirmed avoidance
+    /// verdict for exactly this blocking operation, so *every* task of the
+    /// cycle observes the exception (paper §2.1), deterministically.
+    fn fate(&self, task: TaskId, observed: impl FnOnce() -> bool) -> Option<Fate> {
+        if self.poisoned.is_some() {
+            Some(Fate::Poisoned)
+        } else if self.interrupts.contains_key(&task) {
+            Some(Fate::Interrupted)
+        } else if observed() {
+            Some(Fate::Observed)
+        } else {
+            None
+        }
     }
+}
+
+/// The park primitive of a blocking wait: a waker that unparks the OS
+/// thread it was built on.
+struct ThreadWake(Thread);
+
+impl Wake for ThreadWake {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+thread_local! {
+    static THREAD_WAKER: Waker = Waker::from(Arc::new(ThreadWake(std::thread::current())));
 }
 
 /// Shared phaser state; `Phaser` handles are cheap clones of an `Arc` of
@@ -121,7 +156,6 @@ pub(crate) struct PhaserCore {
     id: PhaserId,
     runtime: Arc<Runtime>,
     state: Mutex<PhState>,
-    cond: Condvar,
 }
 
 impl PhaserCore {
@@ -198,34 +232,28 @@ impl PhaserCore {
         Ok(())
     }
 
-    /// Wakes the condvar waiters, then wakes (and unparks) every async
-    /// waker whose wait has now resolved — by release, poison, or a
-    /// targeted interrupt. Resolution is decided under the state lock but
-    /// the wakes run outside it, so a woken future may poll (and re-lock)
-    /// immediately without deadlocking against us.
-    fn notify_waiters(&self) {
-        self.cond.notify_all();
+    /// Wakes (and unparks) every parked waker whose wait has now resolved
+    /// — by release, poison, or a targeted interrupt — and no other.
+    /// Resolution is decided under the state lock but the wakes run
+    /// outside it, so a woken driver may step (and re-lock) immediately
+    /// without deadlocking against us.
+    pub(crate) fn notify_waiters(&self) {
         let woken: Vec<Waker> = {
             let mut st = self.state.lock();
             if st.wakers.is_empty() {
                 return;
             }
-            let poisoned = st.poisoned.is_some();
             let floor = st.floor();
             let resolved: Vec<TaskId> = st
                 .wakers
                 .keys()
                 .copied()
                 .filter(|task| {
-                    poisoned
-                        || st.interrupts.contains_key(task)
-                        || match st.pending.get(task) {
-                            Some(w) => floor.map_or(true, |f| f >= w.phase),
-                            // The wait behind this waker was settled by
-                            // another driver: wake so the future re-polls
-                            // straight to Ready.
-                            None => true,
-                        }
+                    let wait = st.pending.get(task);
+                    debug_assert!(wait.is_some(), "a waker is parked only beside its pending wait");
+                    wait.is_some_and(|&n| {
+                        st.fate(*task, || floor.map_or(true, |f| f >= n)).is_some()
+                    })
                 })
                 .collect();
             resolved.iter().filter_map(|task| st.wakers.remove(task)).collect()
@@ -303,15 +331,15 @@ impl PhaserCore {
     /// this phaser so the remaining members can progress, paper §2.1) and
     /// the wait is recorded as pending.
     pub(crate) fn begin_wait(&self, ctx: &TaskCtx, n: Phase) -> Result<WaitStep, SyncError> {
-        if self.mode_of(ctx.id()) == Some(RegMode::Sig) {
-            return Err(SyncError::InvalidMode {
-                phaser: self.id,
-                task: ctx.id(),
-                operation: "await",
-            });
-        }
         {
             let mut st = self.state.lock();
+            if st.members.get(&ctx.id()).is_some_and(|m| m.mode == RegMode::Sig) {
+                return Err(SyncError::InvalidMode {
+                    phaser: self.id,
+                    task: ctx.id(),
+                    operation: "await",
+                });
+            }
             if let Some(report) = &st.poisoned {
                 return Err(SyncError::Poisoned(report.clone()));
             }
@@ -322,8 +350,7 @@ impl PhaserCore {
             }
         }
         let verifier = self.verifier();
-        let published = verifier.is_enabled();
-        if published {
+        if verifier.is_enabled() {
             let waits = vec![Resource::new(self.id, n)];
             let registered = ctx.registration_vector(verifier);
             if let Err(err) = verifier.block(ctx.id(), waits, registered) {
@@ -331,119 +358,58 @@ impl PhaserCore {
                 return Err(SyncError::WouldDeadlock(Box::new(err.report)));
             }
         }
-        self.state.lock().pending.insert(ctx.id(), PendingWait { phase: n, published });
+        self.state.lock().pending.insert(ctx.id(), n);
         Ok(WaitStep::Pending)
     }
 
-    /// How `task`'s pending wait stands right now. Checked under the state
-    /// lock; the caller performs the side effects via
-    /// [`PhaserCore::settle_wait`] *outside* it. The priority order is
-    /// load-bearing: poisoning beats interrupts beats a racing normal
-    /// release — an interrupt is an epoch-confirmed avoidance verdict for
-    /// exactly this blocking operation, so *every* task of the cycle
-    /// observes the exception (paper §2.1), deterministically.
-    fn wait_fate_locked(&self, st: &mut PhState, task: TaskId, n: Phase) -> WaitFate {
-        if let Some(report) = &st.poisoned {
-            let report = report.clone();
-            st.interrupts.remove(&task);
-            return WaitFate::Poisoned(report);
-        }
-        if let Some(report) = st.interrupts.remove(&task) {
-            return WaitFate::Interrupted(report);
-        }
-        if st.observed(n) {
-            WaitFate::Observed
-        } else {
-            WaitFate::Pending
-        }
-    }
-
-    /// Applies a resolved fate's side effects (verifier withdrawal; for
-    /// interrupts also the paper's deregistration from the awaited
-    /// phaser) and maps it to the caller-visible result.
-    fn settle_wait(
+    /// The step of a wait begun with [`PhaserCore::begin_wait`], for every
+    /// driver. Resolves the wait if [`PhState::fate`] allows, withdrawing
+    /// the published status (an interrupted task is also deregistered from
+    /// this phaser, as the paper prescribes); otherwise leaves it pending,
+    /// with `waker` — if given — parked to be woken exactly once when the
+    /// fate resolves. The order is register-before-check: the waker is
+    /// parked *first* and the fate read under the same lock, so an event
+    /// racing the step either resolved the fate before we locked (we read
+    /// it here) or runs after us (it finds the parked waker) — a pending
+    /// wait can never be stranded. A task with no pending wait reads
+    /// [`WaitStep::Ready`].
+    pub(crate) fn poll_wait(
         &self,
         ctx: &TaskCtx,
-        fate: WaitFate,
-        published: bool,
+        waker: Option<&Waker>,
     ) -> Result<WaitStep, SyncError> {
-        match fate {
-            WaitFate::Pending => Ok(WaitStep::Pending),
-            WaitFate::Observed => {
-                if published {
-                    self.verifier().unblock(ctx.id());
-                }
-                Ok(WaitStep::Ready)
-            }
-            WaitFate::Poisoned(report) => {
-                if published {
-                    self.verifier().unblock(ctx.id());
-                }
-                Err(SyncError::Poisoned(report))
-            }
-            WaitFate::Interrupted(report) => {
-                if published {
-                    self.verifier().unblock(ctx.id());
-                }
-                // Paper: the interrupted tasks become deregistered from
-                // the phaser they were waiting on.
-                let _ = self.deregister(ctx);
-                Err(SyncError::WouldDeadlock(report))
-            }
-        }
-    }
-
-    /// Polls a wait begun with [`PhaserCore::begin_wait`]: resolves it if
-    /// poisoning, an interrupt, or the awaited phase allows, withdrawing
-    /// the published status; otherwise leaves it pending. A task with no
-    /// pending wait reads [`WaitStep::Ready`].
-    pub(crate) fn poll_wait(&self, ctx: &TaskCtx) -> Result<WaitStep, SyncError> {
-        let (fate, published) = {
+        let task = ctx.id();
+        let outcome = {
             let mut st = self.state.lock();
-            let Some(w) = st.pending.get(&ctx.id()).copied() else {
+            let Some(&n) = st.pending.get(&task) else {
+                debug_assert!(!st.wakers.contains_key(&task), "a waker outlived its wait");
                 return Ok(WaitStep::Ready);
             };
-            let fate = self.wait_fate_locked(&mut st, ctx.id(), w.phase);
-            if !matches!(fate, WaitFate::Pending) {
-                st.pending.remove(&ctx.id());
-                st.wakers.remove(&ctx.id());
-            }
-            (fate, w.published)
-        };
-        self.settle_wait(ctx, fate, published)
-    }
-
-    /// [`PhaserCore::poll_wait`] for async drivers: on a still-pending
-    /// wait, parks `waker` to be woken exactly once when the fate
-    /// resolves — no polling loops. The order is register-before-check:
-    /// the waker is parked *first* and the fate re-read under the same
-    /// lock, so a settle racing a first poll either resolved the fate
-    /// before we locked (we read it here) or runs after us (it finds the
-    /// parked waker) — a pending future can never be stranded.
-    pub(crate) fn poll_wait_with_waker(
-        &self,
-        ctx: &TaskCtx,
-        waker: &Waker,
-    ) -> Result<WaitStep, SyncError> {
-        let (fate, published) = {
-            let mut st = self.state.lock();
-            let Some(w) = st.pending.get(&ctx.id()).copied() else {
-                st.wakers.remove(&ctx.id());
-                return Ok(WaitStep::Ready);
-            };
-            let parked_fresh = st.wakers.insert(ctx.id(), waker.clone()).is_none();
-            let fate = self.wait_fate_locked(&mut st, ctx.id(), w.phase);
-            if matches!(fate, WaitFate::Pending) {
+            let parked_fresh = waker.is_some_and(|w| st.wakers.insert(task, w.clone()).is_none());
+            let Some(fate) = st.fate(task, || st.observed(n)) else {
                 if parked_fresh {
                     self.verifier().note_async_wait();
                 }
                 return Ok(WaitStep::Pending);
+            };
+            st.pending.remove(&task);
+            st.wakers.remove(&task);
+            let interrupt = st.interrupts.remove(&task);
+            match fate {
+                Fate::Observed => Ok(WaitStep::Ready),
+                Fate::Poisoned => {
+                    Err(SyncError::Poisoned(st.poisoned.clone().expect("fate read it")))
+                }
+                Fate::Interrupted => {
+                    Err(SyncError::WouldDeadlock(interrupt.expect("fate read it")))
+                }
             }
-            st.pending.remove(&ctx.id());
-            st.wakers.remove(&ctx.id());
-            (fate, w.published)
         };
-        self.settle_wait(ctx, fate, published)
+        self.verifier().unblock(task);
+        if let Err(SyncError::WouldDeadlock(_)) = &outcome {
+            let _ = self.deregister(ctx);
+        }
+        outcome
     }
 
     /// Cancels `ctx`'s pending wait, if any: unparks its waker, drops any
@@ -453,18 +419,16 @@ impl PhaserCore {
     /// and phaser state exactly as if the wait had never begun. The
     /// drop-safety hook for async futures.
     pub(crate) fn cancel_wait(&self, ctx: &TaskCtx) {
-        let published = {
+        let was_pending = {
             let mut st = self.state.lock();
             st.wakers.remove(&ctx.id());
-            match st.pending.remove(&ctx.id()) {
-                Some(w) => {
-                    st.interrupts.remove(&ctx.id());
-                    w.published
-                }
-                None => false,
+            let was_pending = st.pending.remove(&ctx.id()).is_some();
+            if was_pending {
+                st.interrupts.remove(&ctx.id());
             }
+            was_pending
         };
-        if published {
+        if was_pending {
             self.verifier().unblock(ctx.id());
         }
     }
@@ -475,40 +439,26 @@ impl PhaserCore {
     /// committing. A task with no pending wait reads `true`.
     pub(crate) fn wait_would_resolve(&self, task: TaskId) -> bool {
         let st = self.state.lock();
-        match st.pending.get(&task) {
-            None => true,
-            Some(w) => {
-                st.poisoned.is_some() || st.interrupts.contains_key(&task) || st.observed(w.phase)
-            }
-        }
+        st.pending.get(&task).map_or(true, |&n| st.fate(task, || st.observed(n)).is_some())
     }
 
     /// Blocks until phase `n` is observed (every signalling member arrived
     /// at `≥ n`). Non-members may wait: the predicate ranges over members
     /// only. Signal-only members may not wait (HJ mode discipline).
     ///
-    /// This is the OS-thread driver of the begin/poll wait machine: begin,
-    /// then park on the condvar until the fate resolves.
+    /// This is the OS-thread driver of the wait machine: begin, then step
+    /// with the thread's waker parked and park the thread until a step
+    /// resolves the wait.
     pub(crate) fn await_phase(&self, ctx: &TaskCtx, n: Phase) -> Result<(), SyncError> {
-        if let WaitStep::Ready = self.begin_wait(ctx, n)? {
+        if self.begin_wait(ctx, n)? == WaitStep::Ready {
             return Ok(());
         }
-        let (fate, published) = {
-            let mut st = self.state.lock();
-            let w =
-                st.pending.get(&ctx.id()).copied().expect("begin_wait recorded the pending wait");
-            loop {
-                match self.wait_fate_locked(&mut st, ctx.id(), n) {
-                    WaitFate::Pending => self.cond.wait(&mut st),
-                    fate => {
-                        st.pending.remove(&ctx.id());
-                        st.wakers.remove(&ctx.id());
-                        break (fate, w.published);
-                    }
-                }
+        THREAD_WAKER.with(|waker| {
+            while self.poll_wait(ctx, Some(waker))? == WaitStep::Pending {
+                std::thread::park();
             }
-        };
-        self.settle_wait(ctx, fate, published).map(|_| ())
+            Ok(())
+        })
     }
 
     /// Delivers an avoidance verdict to a blocked victim: wakes `task`'s
@@ -524,19 +474,14 @@ impl PhaserCore {
     /// Marks the phaser deadlocked (recovery extension) *without waking
     /// waiters*: all current and future waits fail with
     /// [`SyncError::Poisoned`]. The runtime poisons every phaser of a
-    /// cycle first and only then wakes ([`PhaserCore::wake_all`]), so that
-    /// no victim's exit-deregistration can release another victim with a
-    /// normal (non-poisoned) completion in between.
+    /// cycle first and only then wakes ([`PhaserCore::notify_waiters`]), so
+    /// that no victim's exit-deregistration can release another victim
+    /// with a normal (non-poisoned) completion in between.
     pub(crate) fn poison_quiet(&self, report: &DeadlockReport) {
         let mut st = self.state.lock();
         if st.poisoned.is_none() {
             st.poisoned = Some(Box::new(report.clone()));
         }
-    }
-
-    /// Wakes every waiter (used after a poisoning pass).
-    pub(crate) fn wake_all(&self) {
-        self.notify_waiters();
     }
 
     /// Registers a synthetic member at phase 0 (used by
@@ -600,7 +545,6 @@ impl PhaserCore {
                 pending: HashMap::new(),
                 wakers: HashMap::new(),
             }),
-            cond: Condvar::new(),
         });
         runtime.track_phaser(&core);
         core
@@ -694,7 +638,7 @@ impl Phaser {
     /// (release, poison, or avoidance interrupt), otherwise leaves it
     /// pending. See [`Phaser::begin_await`].
     pub fn poll_await(&self) -> Result<WaitStep, SyncError> {
-        self.core.poll_wait(&ctx::current())
+        self.core.poll_wait(&ctx::current(), None)
     }
 
     /// Async-seam step: like [`Phaser::poll_await`], but a wait that
@@ -704,9 +648,10 @@ impl Phaser {
     /// parked before the fate is re-read under the same lock, so a settle
     /// racing a first poll can never strand the future. `Future`
     /// implementations over the seam (the `armus-async` crate) call this
-    /// from `poll`.
+    /// from `poll`; [`Phaser::await_phase`] runs the same step with a
+    /// waker that unparks its thread.
     pub fn poll_await_with_waker(&self, waker: &Waker) -> Result<WaitStep, SyncError> {
-        self.core.poll_wait_with_waker(&ctx::current(), waker)
+        self.core.poll_wait(&ctx::current(), Some(waker))
     }
 
     /// Cancels the current task's pending wait, if any: unparks its
@@ -718,15 +663,9 @@ impl Phaser {
         self.core.cancel_wait(&ctx::current());
     }
 
-    /// Would [`Phaser::poll_await`] resolve the current task's pending
-    /// wait right now? Pure peek; lets a scheduler enumerate runnable
-    /// steps without committing them.
-    pub fn await_would_resolve(&self) -> bool {
-        self.await_would_resolve_of(ctx::current().id())
-    }
-
-    /// Task-explicit form of [`Phaser::await_would_resolve`], for
-    /// schedulers peeking at waits other than the current task's.
+    /// Would [`Phaser::poll_await`] resolve `task`'s pending wait right
+    /// now? Pure peek; lets a scheduler enumerate runnable steps without
+    /// committing them. A task with no pending wait reads `true`.
     pub fn await_would_resolve_of(&self, task: TaskId) -> bool {
         self.core.wait_would_resolve(task)
     }

@@ -37,39 +37,22 @@ pub struct RuntimeConfig {
     pub verifier: VerifierConfig,
     /// Reaction to detected deadlocks.
     pub on_deadlock: OnDeadlock,
-    /// Deregister tasks from all phasers when they terminate (X10/HJ
-    /// behaviour, paper §7: "tasks deregister from all barriers upon
-    /// termination; this mitigates deadlocks that arise from missing
-    /// participants").
-    pub auto_deregister_on_exit: bool,
 }
 
 impl RuntimeConfig {
     /// No verification.
     pub fn unchecked() -> Self {
-        RuntimeConfig {
-            verifier: VerifierConfig::disabled(),
-            on_deadlock: OnDeadlock::Report,
-            auto_deregister_on_exit: true,
-        }
+        RuntimeConfig { verifier: VerifierConfig::disabled(), on_deadlock: OnDeadlock::Report }
     }
 
     /// Deadlock avoidance (adaptive model).
     pub fn avoidance() -> Self {
-        RuntimeConfig {
-            verifier: VerifierConfig::avoidance(),
-            on_deadlock: OnDeadlock::Report,
-            auto_deregister_on_exit: true,
-        }
+        RuntimeConfig { verifier: VerifierConfig::avoidance(), on_deadlock: OnDeadlock::Report }
     }
 
     /// Deadlock detection with the paper's default 100 ms period.
     pub fn detection() -> Self {
-        RuntimeConfig {
-            verifier: VerifierConfig::detection(),
-            on_deadlock: OnDeadlock::Report,
-            auto_deregister_on_exit: true,
-        }
+        RuntimeConfig { verifier: VerifierConfig::detection(), on_deadlock: OnDeadlock::Report }
     }
 
     /// Sets the verifier configuration.
@@ -81,12 +64,6 @@ impl RuntimeConfig {
     /// Sets the deadlock reaction.
     pub fn with_on_deadlock(mut self, on_deadlock: OnDeadlock) -> Self {
         self.on_deadlock = on_deadlock;
-        self
-    }
-
-    /// Sets exit-time auto-deregistration.
-    pub fn with_auto_deregister(mut self, auto: bool) -> Self {
-        self.auto_deregister_on_exit = auto;
         self
     }
 }
@@ -240,12 +217,11 @@ impl Runtime {
             }
         }
         let id = child.id();
-        let auto = self.cfg.auto_deregister_on_exit;
         let inner = thread::Builder::new()
             .name(format!("task-{}", id.raw()))
             .spawn(move || {
                 ctx::install(Arc::clone(&child));
-                let _guard = TaskGuard { ctx: child, _cores: cores, auto };
+                let _guard = TaskGuard { ctx: child, _cores: cores };
                 f()
             })
             .expect("failed to spawn task thread");
@@ -272,7 +248,7 @@ impl Runtime {
             core.poison_quiet(report);
         }
         for core in &cores {
-            core.wake_all();
+            core.notify_waiters();
         }
     }
 }
@@ -280,18 +256,17 @@ impl Runtime {
 /// Deregisters the task from every phaser it is still registered with when
 /// the task terminates — normally *or by panic/error propagation*, which is
 /// what makes avoidance errors recoverable: the failed task leaves, and the
-/// survivors' barriers observe its departure.
+/// survivors' barriers observe its departure. This is X10/HJ behaviour
+/// (paper §7: "tasks deregister from all barriers upon termination"), and
+/// a [`crate::Finish`] depends on it: its children "arrive" by leaving.
 struct TaskGuard {
     ctx: Arc<TaskCtx>,
     _cores: Vec<Arc<PhaserCore>>,
-    auto: bool,
 }
 
 impl Drop for TaskGuard {
     fn drop(&mut self) {
-        if self.auto {
-            self.ctx.deregister_all();
-        }
+        self.ctx.deregister_all();
     }
 }
 

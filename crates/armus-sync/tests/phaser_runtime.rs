@@ -3,26 +3,14 @@
 //! running example (Figures 1 and 2).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use armus_core::VerifierConfig;
 use armus_sync::{
     Clock, CountDownLatch, CyclicBarrier, Finish, OnDeadlock, Phaser, Runtime, RuntimeConfig,
     SyncError,
 };
-
-/// Polls `cond` until it holds or the deadline passes.
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
-}
 
 #[test]
 fn lock_step_barrier_orders_phases() {
@@ -147,6 +135,10 @@ fn figure1_deadlock_is_detected() {
     // The whole Figure-1 program runs inside a task (the "parent"), so the
     // test thread stays free to poll the verifier while everyone — parent
     // included — is blocked.
+    let (found, reports) = mpsc::channel();
+    rt.verifier().subscribe(move |report| {
+        let _ = found.send(report.clone());
+    });
     let rt2 = Arc::clone(&rt);
     let clock_id = Arc::new(std::sync::OnceLock::new());
     let clock_id2 = Arc::clone(&clock_id);
@@ -166,11 +158,9 @@ fn figure1_deadlock_is_detected() {
         // BUG: straight to the join barrier without dropping `c`.
         let _ = finish.wait(); // blocks forever; detection only reports
     });
-    let found = eventually(Duration::from_secs(10), || rt.verifier().found_deadlock());
-    assert!(found, "detector must flag the Figure 1 deadlock");
-    let reports = rt.take_reports();
-    assert!(!reports.is_empty());
-    let report = &reports[0];
+    let report = reports
+        .recv_timeout(Duration::from_secs(10))
+        .expect("detector must flag the Figure 1 deadlock");
     let cid = *clock_id.get().expect("clock created");
     assert!(
         report.resources.iter().any(|r| r.phaser == cid),
@@ -341,29 +331,28 @@ fn latch_registered_counters_are_visible_to_detection() {
     );
     let latch = CountDownLatch::new(&rt, 1);
     let gate = Phaser::new(&rt); // parent registered; lags forever
-    {
+    let counter = {
         let latch = latch.clone();
         let gate2 = gate.clone();
         rt.spawn_clocked(&[&gate], move || {
             latch.register_counter().unwrap();
             // Blocks on the gate before counting down.
             let _ = gate2.arrive_and_await();
-        });
-    }
+        })
+    };
     // Parent waits the latch while lagging on the gate.
-    // (Blocked forever — run it in a task we do not join.)
-    {
+    let waiter = {
         let latch = latch.clone();
-        rt.spawn(move || {
-            let _ = latch.wait();
-        });
-    }
+        rt.spawn(move || latch.wait())
+    };
     // Wait: parent (this thread) is the gate laggard, but it is NOT
     // blocked, so there is no cycle among blocked tasks yet. Make the
     // deadlock real: the latch waiter must be the gate laggard. Deregister
     // the parent and let the cycle be between the two spawned tasks? The
     // waiter is not a gate member. Instead assert the detector does NOT
     // report while the laggard runs free, which is the sound behaviour.
+    // A negative window has no event to rendezvous on: the claim is that
+    // nothing is reported, so the test can only give the monitor time.
     std::thread::sleep(Duration::from_millis(100));
     assert!(
         !rt.verifier().found_deadlock(),
@@ -373,7 +362,10 @@ fn latch_registered_counters_are_visible_to_detection() {
     // Simplest: the parent arrives, releasing the counter, which then
     // counts down and releases the latch waiter: everything drains.
     gate.arrive_and_deregister().unwrap();
-    assert!(eventually(Duration::from_secs(5), || latch.count() == 0));
+    // The counter's exit deregisters its claimed slot; that opens the latch.
+    counter.join().unwrap();
+    waiter.join().unwrap().unwrap();
+    assert_eq!(latch.count(), 0);
     rt.shutdown();
 }
 

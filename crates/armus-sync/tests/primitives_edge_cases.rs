@@ -2,21 +2,11 @@
 //! self-deadlocks, clocked-variable visibility, latch registration
 //! corners, and verification-mode interactions.
 
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use armus_core::VerifierConfig;
 use armus_sync::{Clock, ClockedVar, CountDownLatch, Phaser, Runtime, RuntimeConfig, SyncError};
-
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
-}
 
 #[test]
 fn awaiting_own_future_phase_is_a_self_deadlock_refused_by_avoidance() {
@@ -45,6 +35,10 @@ fn awaiting_own_future_phase_is_detected() {
         RuntimeConfig::detection()
             .with_verifier(VerifierConfig::detection_every(Duration::from_millis(10))),
     );
+    let (found, reports) = mpsc::channel();
+    rt.verifier().subscribe(move |report| {
+        let _ = found.send(report.clone());
+    });
     let ph = Phaser::new(&rt);
     let p2 = ph.clone();
     rt.spawn_clocked(&[&ph], move || {
@@ -52,8 +46,7 @@ fn awaiting_own_future_phase_is_detected() {
         let _ = p2.await_phase(9); // never
     });
     ph.deregister().unwrap(); // parent steps out
-    assert!(eventually(Duration::from_secs(10), || rt.verifier().found_deadlock()));
-    let report = rt.take_reports().remove(0);
+    let report = reports.recv_timeout(Duration::from_secs(10)).expect("the self-wait is detected");
     assert_eq!(report.tasks.len(), 1, "a one-task cycle: {report}");
     rt.shutdown();
 }
@@ -129,9 +122,9 @@ fn latch_register_counter_caps_at_count() {
     let l3 = latch.clone();
     let third = rt.spawn(move || l3.register_counter()).join().unwrap();
     assert!(matches!(third, Err(SyncError::TooManyParties { .. })));
-    // Unclaimed-by-me count_down still consumes: the claimed slots belong
-    // to exited tasks whose auto-deregistration already released them.
-    assert!(eventually(Duration::from_secs(5), || latch.count() == 0));
+    // The claimed slots belong to tasks joined above, whose exit
+    // deregistration released them before their joins returned.
+    assert_eq!(latch.count(), 0);
     latch.wait().unwrap();
 }
 

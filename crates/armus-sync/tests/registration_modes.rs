@@ -2,21 +2,11 @@
 //! synchronisation on phasers, and its verification-layer consequences —
 //! wait-only members gate nobody and therefore impede nothing.
 
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use armus_core::VerifierConfig;
 use armus_sync::{Phaser, RegMode, Runtime, RuntimeConfig, SyncError};
-
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
-}
 
 #[test]
 fn mode_discipline_is_enforced() {
@@ -73,6 +63,10 @@ fn sig_only_producers_impede_and_are_reported() {
     );
     let p = Phaser::new_unregistered(&rt);
     let q = Phaser::new(&rt);
+    let (found, reports) = mpsc::channel();
+    rt.verifier().subscribe(move |report| {
+        let _ = found.send(report.clone());
+    });
     // Rendezvous: the consumer may only await p@1 once the producer's Sig
     // registration exists. Without a signaller p@1 impedes nobody, the
     // await returns at once and the cycle never forms.
@@ -95,11 +89,9 @@ fn sig_only_producers_impede_and_are_reported() {
         let _ = q3.arrive_and_await();
     });
     q.deregister().unwrap(); // planter leaves q
-    assert!(
-        eventually(Duration::from_secs(10), || rt.verifier().found_deadlock()),
-        "the Sig-producer cycle must be detected"
-    );
-    let report = rt.take_reports().remove(0);
+    let report = reports
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the Sig-producer cycle must be detected");
     assert_eq!(report.tasks.len(), 2, "{report}");
     rt.shutdown();
 }
@@ -118,6 +110,8 @@ fn wait_only_members_impede_nothing_no_false_positive() {
     let rt = Runtime::avoidance();
     let p = Phaser::new_unregistered(&rt);
     let q = Phaser::new(&rt);
+    // t2 awaits p@1 only once t3 signals on p, so that its wait blocks.
+    let (sig_registered, released) = mpsc::channel::<()>();
     let t1 = {
         let (p2, q2) = (p.clone(), q.clone());
         rt.spawn_clocked(&[&q], move || {
@@ -131,6 +125,7 @@ fn wait_only_members_impede_nothing_no_false_positive() {
         let (p2, q2) = (p.clone(), q.clone());
         rt.spawn_clocked(&[&q], move || {
             p2.register_with_mode(RegMode::Wait).unwrap();
+            released.recv().unwrap();
             let r = p2.await_phase(1); // impeded only by the Sig member t3
             p2.deregister().unwrap();
             q2.arrive_and_deregister().unwrap();
@@ -138,10 +133,16 @@ fn wait_only_members_impede_nothing_no_false_positive() {
         })
     };
     let t3 = {
-        let p2 = p.clone();
+        let (p2, rt2) = (p.clone(), Arc::clone(&rt));
         rt.spawn(move || {
             p2.register_with_mode(RegMode::Sig).unwrap();
-            std::thread::sleep(Duration::from_millis(20)); // let waits pile up
+            sig_registered.send(()).unwrap();
+            // Let the waits pile up: t1, t2 and the parent all parked.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while rt2.stats().async_waits < 3 {
+                assert!(Instant::now() < deadline, "three waits must park: {:?}", rt2.stats());
+                std::thread::yield_now();
+            }
             p2.arrive().unwrap();
             p2.deregister().unwrap();
         })

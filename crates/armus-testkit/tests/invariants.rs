@@ -34,11 +34,17 @@ fn cyclic_barrier_through_the_poll_seam() {
     ctx::scoped(&a, || barrier.register()).unwrap();
     ctx::scoped(&b, || barrier.register()).unwrap();
     // a arrives and parks; b's arrival releases it — all polled, no threads.
-    assert_eq!(ctx::scoped(&a, || barrier.begin_wait()).unwrap(), WaitStep::Pending);
-    assert!(!ctx::scoped(&a, || barrier.wait_would_resolve()));
-    assert_eq!(ctx::scoped(&b, || barrier.begin_wait()).unwrap(), WaitStep::Ready);
-    assert!(ctx::scoped(&a, || barrier.wait_would_resolve()));
-    assert_eq!(ctx::scoped(&a, || barrier.poll_wait()).unwrap(), WaitStep::Ready);
+    assert_eq!(
+        ctx::scoped(&a, || barrier.phaser().begin_arrive_and_await()).unwrap(),
+        WaitStep::Pending
+    );
+    assert!(!barrier.phaser().await_would_resolve_of(a.id()));
+    assert_eq!(
+        ctx::scoped(&b, || barrier.phaser().begin_arrive_and_await()).unwrap(),
+        WaitStep::Ready
+    );
+    assert!(barrier.phaser().await_would_resolve_of(a.id()));
+    assert_eq!(ctx::scoped(&a, || barrier.phaser().poll_await()).unwrap(), WaitStep::Ready);
     let stats = rt.stats();
     assert_eq!(stats.blocks, 1, "only the parked wait published");
     assert_eq!(stats.unblocks, 1);
@@ -49,11 +55,11 @@ fn count_down_latch_through_the_poll_seam() {
     let rt = sim_runtime(VerifierConfig::avoidance());
     let latch = CountDownLatch::new(&rt, 2);
     let (waiter, counter) = (TaskCtx::fresh(), TaskCtx::fresh());
-    assert_eq!(ctx::scoped(&waiter, || latch.begin_wait()).unwrap(), WaitStep::Pending);
+    assert_eq!(ctx::scoped(&waiter, || latch.phaser().begin_await(1)).unwrap(), WaitStep::Pending);
     ctx::scoped(&counter, || latch.count_down()).unwrap();
-    assert!(!ctx::scoped(&waiter, || latch.wait_would_resolve()), "one count left");
+    assert!(!latch.phaser().await_would_resolve_of(waiter.id()), "one count left");
     ctx::scoped(&counter, || latch.count_down()).unwrap();
-    assert_eq!(ctx::scoped(&waiter, || latch.poll_wait()).unwrap(), WaitStep::Ready);
+    assert_eq!(ctx::scoped(&waiter, || latch.phaser().poll_await()).unwrap(), WaitStep::Ready);
     assert_eq!(latch.count(), 0);
 }
 
@@ -66,10 +72,13 @@ fn finish_join_through_the_poll_seam() {
     // "Spawn": register the child on the join phaser without a thread.
     ctx::scoped(&parent, || finish.phaser().register_child(&child)).unwrap();
     assert_eq!(finish.pending(), 2);
-    assert_eq!(ctx::scoped(&parent, || finish.begin_wait()).unwrap(), WaitStep::Pending);
+    assert_eq!(
+        ctx::scoped(&parent, || finish.phaser().begin_arrive_and_await()).unwrap(),
+        WaitStep::Pending
+    );
     // Child terminates: its exit-deregistration is the join arrival.
     ctx::scoped(&child, || finish.phaser().deregister()).unwrap();
-    assert_eq!(ctx::scoped(&parent, || finish.poll_wait()).unwrap(), WaitStep::Ready);
+    assert_eq!(ctx::scoped(&parent, || finish.phaser().poll_await()).unwrap(), WaitStep::Ready);
     ctx::scoped(&parent, || finish.conclude()).unwrap();
 }
 
@@ -80,17 +89,29 @@ fn clock_and_clocked_var_through_the_poll_seam() {
     let clock = ctx::scoped(&owner, || Clock::make(&rt));
     let member = TaskCtx::fresh();
     ctx::scoped(&member, || clock.register()).unwrap();
-    assert_eq!(ctx::scoped(&owner, || clock.begin_advance()).unwrap(), WaitStep::Pending);
-    assert_eq!(ctx::scoped(&member, || clock.begin_advance()).unwrap(), WaitStep::Ready);
-    assert_eq!(ctx::scoped(&owner, || clock.poll_advance()).unwrap(), WaitStep::Ready);
+    assert_eq!(
+        ctx::scoped(&owner, || clock.phaser().begin_arrive_and_await()).unwrap(),
+        WaitStep::Pending
+    );
+    assert_eq!(
+        ctx::scoped(&member, || clock.phaser().begin_arrive_and_await()).unwrap(),
+        WaitStep::Ready
+    );
+    assert_eq!(ctx::scoped(&owner, || clock.phaser().poll_await()).unwrap(), WaitStep::Ready);
 
     let var = ctx::scoped(&owner, || ClockedVar::new(&rt, 1));
     ctx::scoped(&member, || var.register()).unwrap();
     ctx::scoped(&owner, || var.set(2)).unwrap();
     assert_eq!(ctx::scoped(&member, || var.get()).unwrap(), 1, "write not visible this phase");
-    assert_eq!(ctx::scoped(&owner, || var.begin_advance()).unwrap(), WaitStep::Pending);
-    assert_eq!(ctx::scoped(&member, || var.begin_advance()).unwrap(), WaitStep::Ready);
-    assert_eq!(ctx::scoped(&owner, || var.poll_advance()).unwrap(), WaitStep::Ready);
+    assert_eq!(
+        ctx::scoped(&owner, || var.phaser().begin_arrive_and_await()).unwrap(),
+        WaitStep::Pending
+    );
+    assert_eq!(
+        ctx::scoped(&member, || var.phaser().begin_arrive_and_await()).unwrap(),
+        WaitStep::Ready
+    );
+    assert_eq!(ctx::scoped(&owner, || var.phaser().poll_await()).unwrap(), WaitStep::Ready);
     assert_eq!(ctx::scoped(&member, || var.get()).unwrap(), 2, "visible after the advance");
 }
 
@@ -104,12 +125,16 @@ fn crossed_clocks_raise_would_deadlock_through_the_seam() {
     let cb = ctx::scoped(&b, || Clock::make(&rt));
     ctx::scoped(&a, || cb.register()).unwrap();
     ctx::scoped(&b, || ca.register()).unwrap();
-    assert_eq!(ctx::scoped(&a, || ca.begin_advance()).unwrap(), WaitStep::Pending);
-    let err = ctx::scoped(&b, || cb.begin_advance()).expect_err("closing advance");
+    assert_eq!(
+        ctx::scoped(&a, || ca.phaser().begin_arrive_and_await()).unwrap(),
+        WaitStep::Pending
+    );
+    let err =
+        ctx::scoped(&b, || cb.phaser().begin_arrive_and_await()).expect_err("closing advance");
     assert!(matches!(err, SyncError::WouldDeadlock(_)));
     // The parked victim is woken with the same verdict.
-    assert!(ctx::scoped(&a, || ca.phaser().await_would_resolve()));
-    let err = ctx::scoped(&a, || ca.poll_advance()).expect_err("interrupted victim");
+    assert!(ca.phaser().await_would_resolve_of(a.id()));
+    let err = ctx::scoped(&a, || ca.phaser().poll_await()).expect_err("interrupted victim");
     assert!(matches!(err, SyncError::WouldDeadlock(_)));
     assert!(rt.verifier().found_deadlock());
 }
