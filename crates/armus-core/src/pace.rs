@@ -10,8 +10,9 @@
 //! a nap ([`Pace::Nap`], [`Signal::wait`]) or wait to be woken by the next
 //! event ([`Pace::Park`], [`Signal::park`]). The period every such loop is
 //! configured with is therefore an *upper bound* on how long something new
-//! waits, not a cadence: a burst that ends is acted on one quiet interval
-//! later, and nothing new costs nothing.
+//! waits, not a cadence: an event that finds the follower idle is acted on
+//! at once, the rest of a burst one quiet interval after it ends, and
+//! nothing new costs nothing.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -32,16 +33,32 @@ pub enum Pace {
 
 /// The pacing rule, as a function of the followed head and the clock so
 /// that it is tested without threads: act only when something was
-/// published since the last act, and then as soon as the head has stood
-/// still for one quiet interval — a burst that ends, as a closing block
-/// does — or a period has passed since the last act — a program that never
-/// pauses is acted on once a period, never more often.
+/// published since the last act, and then
+///
+/// * at once, on the leading edge, when the follower was idle — its
+///   previous look found nothing new and its last act is at least a quiet
+///   interval old — so the block that wakes an idle monitor is checked
+///   when it wakes it, as the block that closes a cycle in a program gone
+///   still is;
+/// * as soon as the head has stood still for one quiet interval — the end
+///   of a burst whose first event did not find the follower idle;
+/// * or when a period has passed since the last act — a program that never
+///   pauses is acted on once a period, never more often.
+///
+/// Both early clauses need a quiet interval — since the last act, or since
+/// the last event — so a burst shorter than a period is acted on at most
+/// twice, at its first event and a quiet interval after its last, and a
+/// program that blocks just often enough to find the follower idle every
+/// time is acted on at most once a quiet interval, the trailing clause's
+/// bound.
 pub struct Pacer {
     period: Duration,
     quiet: Duration,
     /// The head the last act covered, and when that act ended.
     checked: (u64, Instant),
-    /// The head at the previous look, and when it was first seen there.
+    /// The head at the previous look, and when it was first seen there. A
+    /// look at a head the last act covered updates it too, so "the previous
+    /// look found nothing new" is `seen.0 == checked.0`.
     seen: (u64, Instant),
 }
 
@@ -72,11 +89,16 @@ impl Pacer {
 
     /// What to do with the head at `head` and the clock at `now`.
     pub fn decide(&mut self, head: u64, now: Instant) -> Pace {
+        if head != self.seen.0 {
+            let idle = !self.is_new(self.seen.0)
+                && now.saturating_duration_since(self.checked.1) >= self.quiet;
+            self.seen = (head, now);
+            if idle && self.is_new(head) {
+                return Pace::Check;
+            }
+        }
         if !self.is_new(head) {
             return Pace::Park;
-        }
-        if head != self.seen.0 {
-            self.seen = (head, now);
         }
         let still_for = now.saturating_duration_since(self.seen.1);
         let left = self.quiet.saturating_sub(still_for);
@@ -245,9 +267,10 @@ mod tests {
         assert_eq!(pacer.decide_or_due(0, t0 + period), Pace::Check, "but the clock alone is due");
         pacer.checked(0, t0 + period);
         assert_eq!(pacer.due_in(t0 + period + Duration::from_millis(60)), period * 5 / 8);
-        // Something new is paced as ever: the clock is no reason to hurry it.
+        // Something new is paced as ever — a burst that did not find the
+        // pacer idle waits for its end: the clock is no reason to hurry it.
         assert_eq!(
-            pacer.decide_or_due(1, t0 + period + Duration::from_millis(60)),
+            pacer.decide_or_due(1, t0 + period + Duration::from_millis(5)),
             Pace::Nap(Duration::from_millis(10))
         );
     }
@@ -257,6 +280,8 @@ mod tests {
         let t0 = Instant::now();
         let period = Duration::from_millis(160);
         let mut pacer = Pacer::new(period, Duration::MAX, t0);
+        // Idle for a quarter period is not idle for a quiet interval: no
+        // leading edge either.
         assert_eq!(pacer.decide(1, t0 + period / 4), Pace::Nap(period * 3 / 4));
         // Standing still for ever so long is not going quiet.
         assert_eq!(pacer.decide(1, t0 + period / 2), Pace::Nap(period / 2));

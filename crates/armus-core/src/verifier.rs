@@ -5,9 +5,10 @@
 //!   status and runs a check; if the block would complete a cycle the
 //!   operation is interrupted with a [`DeadlockError`] instead of blocking.
 //! * **Detection**: blocking operations only publish their status; a
-//!   dedicated monitor thread runs the check — once a period while the
-//!   program keeps publishing, a quiet interval after it stops, not at all
-//!   while nothing new was published (see [`VerifyMode::Detection`]) — and
+//!   dedicated monitor thread runs the check — at once for a block that
+//!   finds it idle, once a period while the program keeps publishing, a
+//!   quiet interval after it stops, not at all while nothing new was
+//!   published (see [`VerifyMode::Detection`]) — and
 //!   *confirms* any cycle against per-task blocking epochs before
 //!   reporting (sampling is racy; a task may have unblocked since the
 //!   check looked).
@@ -75,7 +76,10 @@ pub enum VerifyMode {
     /// `period`, so that is the longest a standing cycle waits for its
     /// report; once they stop — which is what a deadlock looks like — it
     /// checks one *quiet interval* (`period / 16`) after the last of them;
-    /// and while nothing new has been published it does not check at all.
+    /// a block that finds it idle — nothing new since its last check, a
+    /// quiet interval or more ago — it checks at once, so the block that
+    /// closes a cycle in a program gone still is reported as it lands; and
+    /// while nothing new has been published it does not check at all.
     Detection {
         /// Sampling period of the monitor thread (paper: 100 ms locally,
         /// 200 ms distributed).
@@ -781,12 +785,13 @@ mod tests {
     #[test]
     fn detection_finds_and_confirms() {
         let v = Verifier::new(VerifierConfig::detection_every(Duration::from_millis(5)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        v.subscribe(move |_| {
+            let _ = tx.lock().send(());
+        });
         publish_example_deadlock(&v);
-        // Wait for the monitor to fire.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !v.found_deadlock() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        rx.recv_timeout(Duration::from_secs(5)).expect("the monitor never reported");
         let reports = v.take_reports();
         assert_eq!(reports.len(), 1, "deduplicated to one report");
         assert_eq!(reports[0].tasks, vec![t(1), t(2), t(3), t(4)]);
@@ -820,15 +825,65 @@ mod tests {
     fn pacer_checks_once_a_quiet_interval_after_a_burst_ends() {
         let t0 = Instant::now();
         let mut pacer = Pacer::new(PERIOD, QUIET, t0);
-        assert_eq!(pacer.decide(3, t0 + ms(20)), Pace::Nap(QUIET));
+        // The burst begins before the pacer has been idle a quiet interval.
+        assert_eq!(pacer.decide(3, t0 + ms(5)), Pace::Nap(QUIET));
         // A wake-up before the nap is over changes nothing.
-        assert_eq!(pacer.decide(3, t0 + ms(23)), Pace::Nap(ms(7)));
+        assert_eq!(pacer.decide(3, t0 + ms(8)), Pace::Nap(ms(7)));
         // The burst went on: the head has to stand still anew.
-        assert_eq!(pacer.decide(5, t0 + ms(30)), Pace::Nap(QUIET));
-        assert_eq!(pacer.decide(5, t0 + ms(40)), Pace::Check);
-        pacer.checked(5, t0 + ms(41));
-        assert_eq!(pacer.decide(5, t0 + ms(41)), Pace::Park, "exactly one check");
-        assert_eq!(pacer.decide(5, t0 + ms(41) + PERIOD), Pace::Park);
+        assert_eq!(pacer.decide(5, t0 + ms(15)), Pace::Nap(QUIET));
+        assert_eq!(pacer.decide(5, t0 + ms(25)), Pace::Check);
+        pacer.checked(5, t0 + ms(26));
+        assert_eq!(pacer.decide(5, t0 + ms(26)), Pace::Park, "exactly one check");
+        assert_eq!(pacer.decide(5, t0 + ms(26) + PERIOD), Pace::Park);
+    }
+
+    #[test]
+    fn pacer_checks_the_block_that_finds_it_idle_at_once() {
+        let t0 = Instant::now();
+        let mut pacer = Pacer::new(PERIOD, QUIET, t0);
+        assert_eq!(pacer.decide(0, t0 + ms(3)), Pace::Park);
+        // Idle for a quiet interval: the block that wakes it is checked at
+        // once — the leading edge.
+        assert_eq!(pacer.decide(1, t0 + QUIET), Pace::Check);
+        pacer.checked(1, t0 + ms(11));
+        // The rest of the burst is the trailing edge: it waits for the head
+        // to stand still, as ever.
+        assert_eq!(pacer.decide(3, t0 + ms(12)), Pace::Nap(QUIET));
+        assert_eq!(pacer.decide(3, t0 + ms(22)), Pace::Check);
+        pacer.checked(3, t0 + ms(23));
+        assert_eq!(pacer.decide(3, t0 + ms(24)), Pace::Park);
+        // Not yet idle a quiet interval since that check: a trailing wait.
+        assert_eq!(pacer.decide(4, t0 + ms(32)), Pace::Nap(QUIET));
+        assert_eq!(pacer.decide(4, t0 + ms(42)), Pace::Check);
+        pacer.checked(4, t0 + ms(42));
+        // However long the pacer has been parked, one block is one check.
+        assert_eq!(pacer.decide(4, t0 + ms(42) + 10 * PERIOD), Pace::Park);
+        assert_eq!(pacer.decide(5, t0 + ms(43) + 10 * PERIOD), Pace::Check);
+    }
+
+    #[test]
+    fn pacer_leads_at_most_once_a_quiet_interval() {
+        // Blocks a little further apart than a quiet interval each find
+        // the pacer idle and are checked as they come; a little closer and
+        // none does, and they are checked once a period (the program does
+        // not pause). The pacer looks at each block, as a parked monitor
+        // woken by it would.
+        for (gap, checks) in [(QUIET + ms(2), 25), (QUIET - ms(2), 1)] {
+            let t0 = Instant::now();
+            let mut pacer = Pacer::new(PERIOD, QUIET, t0);
+            let (mut checked, mut last) = (0, None);
+            for head in 1..=25u64 {
+                let now = t0 + gap * head as u32;
+                if pacer.decide(head, now) == Pace::Check {
+                    if let Some(last) = last {
+                        assert!(now - last >= QUIET, "checked {:?} apart", now - last);
+                    }
+                    pacer.checked(head, now);
+                    (checked, last) = (checked + 1, Some(now));
+                }
+            }
+            assert_eq!(checked, checks, "blocks {gap:?} apart");
+        }
     }
 
     #[test]
@@ -873,8 +928,11 @@ mod tests {
     fn pacer_never_lets_a_quiet_wait_outlast_the_period() {
         let t0 = Instant::now();
         let mut pacer = Pacer::new(PERIOD, QUIET, t0);
-        assert_eq!(pacer.decide(1, t0 + ms(155)), Pace::Nap(ms(5)));
-        assert_eq!(pacer.decide(2, t0 + ms(160)), Pace::Check);
+        // A burst under way since just after the last act, its head still
+        // moving 5 ms before the period is out.
+        assert_eq!(pacer.decide(1, t0 + ms(5)), Pace::Nap(QUIET));
+        assert_eq!(pacer.decide(2, t0 + ms(155)), Pace::Nap(ms(5)));
+        assert_eq!(pacer.decide(3, t0 + ms(160)), Pace::Check);
     }
 
     #[test]
@@ -900,6 +958,44 @@ mod tests {
         publish_example_deadlock(&v);
         let tasks = rx.recv_timeout(Duration::from_secs(3)).expect("no report within 3 s");
         assert_eq!(tasks, vec![t(1), t(2), t(3), t(4)]);
+        v.shutdown();
+    }
+
+    /// The leading edge, end to end. The monitor's quiet interval is as
+    /// long as the report is given, so a closing block that waited for the
+    /// head to stand still would miss it: only a check of the block at the
+    /// moment it wakes the idle monitor delivers the report in time.
+    #[test]
+    fn an_idle_monitor_checks_the_block_that_wakes_it() {
+        const QUIET: Duration = Duration::from_millis(500);
+        let v = Verifier::with_quiet_interval(
+            VerifierConfig::detection_every(Duration::from_secs(3600)),
+            QUIET,
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        v.subscribe(move |report| drop(tx.lock().send(report.tasks.clone())));
+        // The workers block, the monitor checks them (no cycle yet) a
+        // quiet interval later and parks.
+        for i in 1..=3 {
+            let regs = vec![Registration::new(p(1), 1), Registration::new(p(2), 0)];
+            v.block(t(i), vec![r(1, 1)], regs).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while v.stats().checks < 1 || !v.signal.parked.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "the monitor never checked the workers");
+            std::thread::yield_now();
+        }
+        // Idle for a quiet interval since that check: nothing to wait for
+        // but the clock.
+        std::thread::sleep(QUIET);
+        let regs = vec![Registration::new(p(1), 0), Registration::new(p(2), 1)];
+        v.block(t(4), vec![r(2, 1)], regs).unwrap();
+        let tasks = rx
+            .recv_timeout(QUIET)
+            .expect("the closing block waited for the head to stand still a quiet interval");
+        assert_eq!(tasks, vec![t(1), t(2), t(3), t(4)]);
+        assert_eq!(v.stats().checks, 2, "the closing block is checked once");
         v.shutdown();
     }
 

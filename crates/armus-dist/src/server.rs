@@ -36,11 +36,13 @@
 //! ghosting the merged view), and shutdown is a graceful drain: a flag —
 //! set in-band by [`crate::wire::Request::Shutdown`], the SIGTERM
 //! equivalent — stops the accept loop, lets in-flight requests finish, and
-//! joins every connection thread.
+//! joins every connection thread. The accept loop blocks in `accept`, so a
+//! connection is served as it arrives; the drain wakes it with a
+//! connection of its own.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -70,8 +72,9 @@ pub const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// A bound, not a cadence: see [`StoredConfig::check_period`].
 pub const DEFAULT_CHECK_PERIOD: Duration = Duration::from_millis(100);
 
-/// Granularity of the accept loop's shutdown poll and of a connection's
-/// first-byte wait (bounds drain latency without burning CPU).
+/// Granularity of a connection's first-byte wait (bounds drain latency
+/// without burning CPU), and the accept loop's back-off after a failed
+/// `accept`.
 const POLL_PERIOD: Duration = Duration::from_millis(25);
 
 /// Tuning of a [`StoredServer`].
@@ -426,6 +429,9 @@ struct Shared {
     store: MemStore,
     cfg: StoredConfig,
     shutdown: Arc<AtomicBool>,
+    /// Where the drain dials to wake the accept loop: the bound address,
+    /// with a wildcard IP replaced by loopback.
+    wake_addr: SocketAddr,
     /// Finished-or-running connection threads, joined on drain.
     conns: Mutex<Vec<JoinHandle<()>>>,
     /// The subscription registry.
@@ -457,11 +463,16 @@ struct Shared {
 }
 
 impl Shared {
-    /// Begins the drain: every loop that polls the flag sees it within a
-    /// poll period, and the checker — which polls nothing — is stopped.
+    /// Begins the drain: every connection loop sees the flag within a poll
+    /// period, and the checker and the accept loop — which poll nothing —
+    /// are stopped and woken.
     fn drain(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.pacing.signal.stop();
+        // The accept loop blocks in `accept`: a connection of our own wakes
+        // it to read the flag. Refused once the listener is gone, and then
+        // there is nothing left to wake.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, POLL_PERIOD);
     }
 
     /// Assembles the metrics snapshot answered to [`Request::Metrics`].
@@ -601,8 +612,14 @@ impl StoredServer {
     /// the accept loop.
     pub fn bind(addr: impl ToSocketAddrs, cfg: StoredConfig) -> io::Result<StoredServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shutdown = Arc::new(AtomicBool::new(false));
         let store = match cfg.lease {
             Some(ttl) => MemStore::with_lease(ttl),
@@ -612,6 +629,7 @@ impl StoredServer {
             store,
             cfg,
             shutdown: Arc::clone(&shutdown),
+            wake_addr,
             conns: Mutex::new(Vec::new()),
             hub: SubHub::default(),
             pacing: Pacing::new(cfg.check_period),
@@ -744,8 +762,12 @@ impl MetricsHandle {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let shared2 = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
@@ -758,9 +780,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 conns.retain(|h| !h.is_finished());
                 conns.push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_PERIOD);
-            }
+            // Out of descriptors and the like: back off, do not spin.
             Err(_) => std::thread::sleep(POLL_PERIOD),
         }
     }
@@ -1143,6 +1163,25 @@ mod tests {
             other => panic!("expected a view, got {other:?}"),
         }
         server.shutdown();
+    }
+
+    /// The accept loop blocks in `accept`, and the drain wakes it by
+    /// dialling the bound address — loopback in place of a wildcard IP. A
+    /// wake that went nowhere would leave `shutdown` joining it for ever.
+    #[test]
+    fn a_server_bound_to_every_interface_drains() {
+        let server = StoredServer::bind("0.0.0.0:0", StoredConfig::default()).unwrap();
+        let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, server.local_addr().port()));
+        match talk(addr, &Request::FetchAll { tenant: T0 }) {
+            Response::View(view) => assert!(view.is_empty()),
+            other => panic!("expected a view, got {other:?}"),
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(10)).expect("the drain never woke the accept loop");
     }
 
     #[test]

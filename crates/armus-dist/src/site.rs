@@ -14,9 +14,10 @@
 //! even from a fully quiescent site.
 //!
 //! It has two duties, paced apart. The **delta flush** follows the
-//! journal, by the one rule of [`armus_core::pace`]: a burst that ends is
-//! shipped one quiet interval later ([`SiteConfig::publish_period`]` / 16`),
-//! a program that never pauses once a period. The **lease heartbeat** is
+//! journal, by the one rule of [`armus_core::pace`]: a block that finds the
+//! publisher idle is shipped at once, the rest of a burst one quiet
+//! interval after it ends ([`SiteConfig::publish_period`]` / 16`), a
+//! program that never pauses once a period. The **lease heartbeat** is
 //! an empty interval once a period while nothing changes — except that the
 //! *first* one follows at once when the publisher finds nothing new after
 //! a flush. That empty interval has two readers: it refreshes the
@@ -260,8 +261,9 @@ impl Publisher {
     }
 
     /// What to do with the journal head at `head` and the clock at `now`:
-    /// [`Pace::Check`] is "run a round now" — a flush, one quiet interval
-    /// after a burst ended or a period after the last one; the empty
+    /// [`Pace::Check`] is "run a round now" — a flush, at once for a block
+    /// that found the publisher idle, one quiet interval after a burst
+    /// ended or a period after the last one; the empty
     /// interval owed right after a flush; a heartbeat, a period after the
     /// last acknowledged publish; a retry, a period after a failure.
     /// [`Pace::Park`] may last [`Publisher::park_for`].
@@ -735,10 +737,20 @@ mod tests {
         let mut publisher = joined(&store, &v, t0);
         assert_eq!(publisher.pace(v.journal_head(), t0 + ms(20)), Pace::Park);
         assert_eq!(publisher.park_for(t0 + ms(20)), ms(140), "parked until the heartbeat");
-        // A burst: the journal has to stand still for a quiet interval.
+        // The block that finds the publisher idle is shipped at once, and
+        // the empty interval follows it at once too.
         block(&v, 1);
-        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(30)), Pace::Nap(QUIET));
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(30)), Pace::Check);
+        assert_eq!(publisher.publish(&store, &v), Shipped::Deltas(1));
+        publisher.record(Shipped::Deltas(1), t0 + ms(30));
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(30)), Pace::Check);
+        assert_eq!(publisher.publish(&store, &v), Shipped::Settled);
+        publisher.record(Shipped::Settled, t0 + ms(31));
+        // The rest of its burst: the journal has to stand still for a
+        // quiet interval.
         block(&v, 2);
+        assert_eq!(publisher.pace(v.journal_head(), t0 + ms(32)), Pace::Nap(QUIET));
+        block(&v, 3);
         assert_eq!(publisher.pace(v.journal_head(), t0 + ms(35)), Pace::Nap(QUIET));
         assert_eq!(publisher.pace(v.journal_head(), t0 + ms(45)), Pace::Check);
         assert_eq!(publisher.publish(&store, &v), Shipped::Deltas(2));
@@ -809,21 +821,22 @@ mod tests {
         let (v, t0) = (Verifier::new(VerifierConfig::publish_only()), Instant::now());
         let store = MemStore::new();
         let mut publisher = joined(&store, &v, t0);
+        // A block within a quiet interval of the join's marker.
         block(&v, 1);
         let head = v.journal_head();
-        assert_eq!(publisher.pace(head, t0 + QUIET), Pace::Nap(QUIET));
-        assert_eq!(publisher.pace(head, t0 + 2 * QUIET), Pace::Check);
+        assert_eq!(publisher.pace(head, t0 + ms(5)), Pace::Nap(QUIET));
+        assert_eq!(publisher.pace(head, t0 + ms(15)), Pace::Check);
         let before = (publisher.cursor(), publisher.synced(), publisher.resyncs());
         assert_eq!(publisher.publish(&DeadStore, &v), Shipped::Nothing);
-        publisher.record(Shipped::Nothing, t0 + 2 * QUIET);
+        publisher.record(Shipped::Nothing, t0 + ms(15));
         assert_eq!((publisher.cursor(), publisher.synced(), publisher.resyncs()), before);
         // Not a hot loop against a dead store: one try a period.
-        assert_eq!(publisher.pace(head, t0 + 2 * QUIET), Pace::Nap(PERIOD));
-        assert_eq!(publisher.pace(head, t0 + 2 * QUIET + PERIOD), Pace::Check);
+        assert_eq!(publisher.pace(head, t0 + ms(15)), Pace::Nap(PERIOD));
+        assert_eq!(publisher.pace(head, t0 + ms(15) + PERIOD), Pace::Check);
         // The same interval goes out once the store is back, and is then
         // said to have settled.
         assert_eq!(publisher.publish(&store, &v), Shipped::Deltas(1));
-        publisher.record(Shipped::Deltas(1), t0 + 3 * QUIET + PERIOD);
+        publisher.record(Shipped::Deltas(1), t0 + ms(16) + PERIOD);
         assert_eq!(publisher.publish(&store, &v), Shipped::Settled);
         // A store that lost the partition NACKs even a heartbeat: a full
         // snapshot goes out instead, and it too is followed by a marker.

@@ -85,9 +85,11 @@ pub fn ring(runtime: &Arc<Runtime>) -> Vec<PhaserId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armus_core::VerifierConfig;
+    use armus_core::{DeadlockReport, VerifierConfig};
     use armus_sync::RuntimeConfig;
-    use std::time::{Duration, Instant};
+    use std::sync::mpsc::Receiver;
+    use std::sync::Mutex;
+    use std::time::Duration;
 
     fn detecting_runtime() -> Arc<Runtime> {
         Runtime::new(
@@ -96,23 +98,26 @@ mod tests {
         )
     }
 
-    fn wait_for_deadlock(rt: &Arc<Runtime>) -> bool {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while Instant::now() < deadline {
-            if rt.verifier().found_deadlock() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        false
+    /// Every report `rt` delivers from now on, in order.
+    fn reports(rt: &Arc<Runtime>) -> Receiver<DeadlockReport> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        rt.verifier().subscribe(move |report| {
+            let _ = tx.lock().unwrap().send(report.clone());
+        });
+        rx
+    }
+
+    fn first(reports: &Receiver<DeadlockReport>) -> DeadlockReport {
+        reports.recv_timeout(Duration::from_secs(10)).expect("no deadlock reported within 10 s")
     }
 
     #[test]
     fn figure1_is_detected() {
         let rt = detecting_runtime();
+        let reports = reports(&rt);
         let clock = figure1(&rt, 3);
-        assert!(wait_for_deadlock(&rt));
-        let report = &rt.take_reports()[0];
+        let report = first(&reports);
         assert!(report.resources.iter().any(|r| r.phaser == clock));
         rt.shutdown();
     }
@@ -120,9 +125,9 @@ mod tests {
     #[test]
     fn crossed_pair_is_detected() {
         let rt = detecting_runtime();
+        let reports = reports(&rt);
         let (p, q) = crossed_pair(&rt);
-        assert!(wait_for_deadlock(&rt));
-        let report = &rt.take_reports()[0];
+        let report = first(&reports);
         let ids: Vec<_> = report.resources.iter().map(|r| r.phaser).collect();
         assert!(ids.contains(&p) && ids.contains(&q), "{report}");
         rt.shutdown();
@@ -131,9 +136,9 @@ mod tests {
     #[test]
     fn ring_of_three_is_detected() {
         let rt = detecting_runtime();
+        let reports = reports(&rt);
         let ids = ring(&rt);
-        assert!(wait_for_deadlock(&rt));
-        let report = &rt.take_reports()[0];
+        let report = first(&reports);
         assert_eq!(report.tasks.len(), 3, "{report}");
         for id in ids {
             assert!(report.resources.iter().any(|r| r.phaser == id), "{report}");
@@ -146,11 +151,9 @@ mod tests {
         // Under avoidance at least one member of the would-be ring gets a
         // verdict; with victim interruption all blocked members do.
         let rt = Runtime::avoidance();
+        let reports = reports(&rt);
         let _ = ring(&rt);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !rt.verifier().found_deadlock() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        first(&reports);
         assert!(rt.verifier().found_deadlock());
     }
 }

@@ -72,8 +72,13 @@ fn detection_report_names_the_right_phasers() {
         RuntimeConfig::detection()
             .with_verifier(VerifierConfig::detection_every(Duration::from_millis(10))),
     );
+    let (tx, rx) = std::sync::mpsc::channel();
+    let tx = std::sync::Mutex::new(tx);
+    rt.verifier().subscribe(move |_| {
+        let _ = tx.lock().unwrap().send(());
+    });
     let (p, q) = armus::workloads::deadlocky::crossed_pair(&rt);
-    assert!(eventually(Duration::from_secs(10), || rt.verifier().found_deadlock()));
+    rx.recv_timeout(Duration::from_secs(10)).expect("the monitor never reported");
     let report = rt.take_reports().remove(0);
     let mut ids: Vec<_> = report.resources.iter().map(|r| r.phaser).collect();
     ids.sort();
