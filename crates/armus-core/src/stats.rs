@@ -31,7 +31,6 @@ pub struct StatsCollector {
     fastpath_skips: AtomicU64,
     static_skips: AtomicU64,
     engine_lock_waits: AtomicU64,
-    combined_checks: AtomicU64,
     incremental_detections: AtomicU64,
     order_rebuilds: AtomicU64,
     model_builds: AtomicU64,
@@ -104,16 +103,10 @@ impl StatsCollector {
         self.static_skips.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a blocker finding the engine lock held (it enqueued its
-    /// check with the combiner instead of convoying on the lock).
+    /// Records an avoidance check finding the engine lock held (it then
+    /// waits on the lock).
     pub fn record_engine_lock_wait(&self) {
         self.engine_lock_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a check the engine-lock holder applied on behalf of a
-    /// waiting blocker (flat combining).
-    pub fn record_combined_check(&self) {
-        self.combined_checks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a detection check answered entirely from the maintained
@@ -165,7 +158,7 @@ impl StatsCollector {
             fastpath_skips: self.fastpath_skips.load(Ordering::Relaxed),
             static_skips: self.static_skips.load(Ordering::Relaxed),
             engine_lock_waits: self.engine_lock_waits.load(Ordering::Relaxed),
-            combined_checks: self.combined_checks.load(Ordering::Relaxed),
+            combined_checks: 0,
             incremental_detections: self.incremental_detections.load(Ordering::Relaxed),
             order_rebuilds: self.order_rebuilds.load(Ordering::Relaxed),
             model_builds: self.model_builds.load(Ordering::Relaxed),
@@ -221,11 +214,14 @@ pub struct StatsSnapshot {
     /// block is still published and visible to peers, but no graph walk —
     /// not even the cardinality fast path — runs for it.
     pub static_skips: u64,
-    /// Blockers that found the engine lock contended and enqueued their
-    /// check with the combiner instead of convoying.
+    /// Avoidance checks that found the engine lock held and waited on it
+    /// (the lock's release wakes them). Only concurrent blockers that
+    /// miss the fast path can wait; a single-threaded program reads 0.
     pub engine_lock_waits: u64,
-    /// Checks the engine-lock holder applied on behalf of waiting
-    /// blockers (flat combining).
+    /// Always 0. It counted checks a lock holder ran for queued blockers
+    /// (flat combining), which the verifier no longer does; the field
+    /// stays only because the benchmark still reads it, and goes with the
+    /// next change to the benchmark.
     pub combined_checks: u64,
     /// Detection checks answered entirely from the maintained topological
     /// order (no cycle found, no canonical rebuild): `O(churn)` instead of
@@ -361,12 +357,11 @@ mod tests {
         c.record_fastpath_skip();
         c.record_static_skip();
         c.record_engine_lock_wait();
-        c.record_combined_check();
         let s = c.snapshot();
         assert_eq!(s.fastpath_skips, 2);
         assert_eq!(s.static_skips, 1);
         assert_eq!(s.engine_lock_waits, 1);
-        assert_eq!(s.combined_checks, 1);
+        assert_eq!(s.combined_checks, 0, "nothing combines checks any more");
     }
 
     #[test]

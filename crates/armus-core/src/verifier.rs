@@ -23,7 +23,8 @@
 //! per-delta work under the engine lock is bounded by the selected model,
 //! not by the larger one.
 //!
-//! The avoidance hot path scales across cores through two mechanisms:
+//! The avoidance hot path scales across cores by the fast path plus a
+//! plain lock:
 //!
 //! * **Resource-cardinality fast path.** A deadlock cycle among tasks
 //!   that do not impede their own waits spans at least two distinct
@@ -34,11 +35,19 @@
 //!   cycle possible" without ever touching the engine lock. The common
 //!   SPMD case (every task blocked on the *same* barrier event) never
 //!   serialises.
-//! * **Flat combining on the engine lock.** A blocker that finds the
-//!   engine lock held does not convoy on it: it enqueues its check
-//!   request and spins politely; the current lock holder drains the queue
-//!   before releasing — one journal sync amortised over the whole batch —
-//!   and publishes each outcome to its waiter.
+//! * **One engine lock, held for one check.** Every other blocker takes
+//!   the engine lock for its own journal sync and cycle query and nothing
+//!   more; one that finds the lock held counts the wait
+//!   ([`StatsSnapshot::engine_lock_waits`]) and waits on the lock itself,
+//!   woken by the holder's release — no queue, no spin, no clock. A flat
+//!   combiner, in which the holder also served the checks queued behind
+//!   it, measured no better on a 2-core host: at one worker no check
+//!   found the lock held on any avoidance workload, and at two workers
+//!   the benchmark's checked throughput with this plain lock was level
+//!   with it (medians over ten alternating 12 s pairs: `stencil-avoid`
+//!   161 k against 156 k op/s, `fanin-avoid` 99 k against 105 k; each
+//!   gap smaller than the distance between the combiner's own quartiles,
+//!   and neither side ahead in nine pairs of ten).
 //!
 //! Reports are retained for inspection and forwarded to subscribers (the
 //! runtime layer uses a subscriber to implement deadlock *recovery*).
@@ -46,11 +55,10 @@
 //! the list lock, so a callback may itself subscribe, probe, or otherwise
 //! re-enter the verifier without self-deadlocking.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::adaptive::{ModelChoice, DEFAULT_SG_THRESHOLD};
 use crate::checker::{self, CheckOutcome, DeadlockReport, ReportDedup};
@@ -207,63 +215,12 @@ impl VerifierConfig {
 
 type Subscriber = Arc<dyn Fn(&DeadlockReport) + Send + Sync>;
 
-/// One enqueued avoidance check, waiting for the engine-lock holder (or
-/// its own thread, whichever gets the lock first) to apply it.
-struct CheckRequest {
-    task: TaskId,
-    /// Set (release) after `outcome` is written; the waiter acquires it.
-    done: AtomicBool,
-    outcome: Mutex<Option<CheckOutcome>>,
-    /// Signalled by [`CheckRequest::publish`]; lets a waiter park instead
-    /// of burning a core while the combiner works through its batch.
-    served: Condvar,
-}
-
-impl CheckRequest {
-    fn new(task: TaskId) -> Arc<CheckRequest> {
-        Arc::new(CheckRequest {
-            task,
-            done: AtomicBool::new(false),
-            outcome: Mutex::new(None),
-            served: Condvar::new(),
-        })
-    }
-
-    fn publish(&self, outcome: CheckOutcome) {
-        *self.outcome.lock() = Some(outcome);
-        self.done.store(true, Ordering::Release);
-        self.served.notify_all();
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// Parks until published or `timeout` elapses. The timed wake-up is
-    /// load-bearing for liveness, not just latency: a combiner bounds its
-    /// drain rounds, so an unserved waiter must come back to `try_lock`
-    /// and serve itself.
-    fn park(&self, timeout: Duration) {
-        let mut slot = self.outcome.lock();
-        if slot.is_none() {
-            let _ = self.served.wait_for(&mut slot, timeout);
-        }
-    }
-
-    fn take(&self) -> CheckOutcome {
-        self.outcome.lock().take().expect("combiner published an outcome before setting done")
-    }
-}
-
 /// The verification engine. Cheap to share (`Arc`); one per runtime or per
 /// distributed site.
 pub struct Verifier {
     cfg: VerifierConfig,
     registry: Registry,
     engine: Mutex<IncrementalEngine>,
-    /// Check requests from blockers that found the engine lock held,
-    /// served by the current holder before it releases (flat combining).
-    pending: Mutex<Vec<Arc<CheckRequest>>>,
     stats: StatsCollector,
     reports: Mutex<Vec<DeadlockReport>>,
     reported: Mutex<ReportDedup>,
@@ -299,7 +256,6 @@ impl Verifier {
                 track_waited,
             }),
             engine: Mutex::new(IncrementalEngine::new()),
-            pending: Mutex::new(Vec::new()),
             stats: StatsCollector::new(),
             reports: Mutex::new(Vec::new()),
             reported: Mutex::new(ReportDedup::new()),
@@ -388,10 +344,9 @@ impl Verifier {
                     self.stats.record_fastpath_skip();
                     return Ok(());
                 }
-                // Slow path: check through the maintained graph, combining
-                // with other blockers when the engine lock is contended —
-                // no registry clone, no from-scratch rebuild either way.
-                let outcome = self.combined_check(task);
+                // Slow path: check through the maintained graph — no
+                // registry clone, no from-scratch rebuild.
+                let outcome = self.locked_check(task);
                 self.stats.record_check(&outcome.stats);
                 if outcome.report.is_some() {
                     self.stats.record_full_rebuild();
@@ -408,62 +363,19 @@ impl Verifier {
         }
     }
 
-    /// Runs the avoidance check for `task`, flat-combining under
-    /// contention: the thread that holds the engine lock serves every
-    /// queued request (one journal sync amortised over the batch) instead
-    /// of each blocker convoying on the lock in turn.
-    fn combined_check(&self, task: TaskId) -> CheckOutcome {
-        // Uncontended: do the work ourselves — this is the single-thread
-        // hot path, one `try_lock` away from the old behaviour.
-        if let Some(mut engine) = self.engine.try_lock() {
-            let outcome = self.run_check(&mut engine, task);
-            self.finish_locked(&mut engine);
-            return outcome;
-        }
-        self.stats.record_engine_lock_wait();
-        let req = CheckRequest::new(task);
-        self.pending.lock().push(Arc::clone(&req));
-        // Spin briefly (the combiner's batch may be a few microseconds
-        // away from serving us), then park on the request's condvar
-        // instead of burning a core. The park is *timed*: a combiner
-        // bounds its drain rounds, so an unserved waiter must keep
-        // coming back to `try_lock` to guarantee its own progress.
-        let mut spins = 0u32;
-        loop {
-            if req.is_done() {
-                return req.take();
-            }
-            if let Some(mut engine) = self.engine.try_lock() {
-                if req.is_done() {
-                    // The previous holder served us while we raced for
-                    // the lock; just help drain and go.
-                    self.finish_locked(&mut engine);
-                    return req.take();
-                }
-                // We hold the lock and are unserved: our request is still
-                // queued (any combiner that took it would have published
-                // before releasing the lock we now hold, or left it in
-                // `pending` after its bounded rounds) — withdraw it and
-                // check ourselves, then serve everyone else.
-                self.pending.lock().retain(|r| !Arc::ptr_eq(r, &req));
-                let outcome = self.run_check(&mut engine, task);
-                self.finish_locked(&mut engine);
-                return outcome;
-            }
-            spins += 1;
-            if spins < 32 {
-                std::thread::yield_now();
-            } else {
-                req.park(Duration::from_micros(200));
-            }
-        }
-    }
-
-    /// Syncs the engine with the registry (recording delta/resync stats)
-    /// and checks for a cycle through `task`.
-    fn run_check(&self, engine: &mut IncrementalEngine, task: TaskId) -> CheckOutcome {
-        self.sync_engine(engine);
-        engine.check_task(task, self.cfg.model, DEFAULT_SG_THRESHOLD)
+    /// Runs the avoidance check for `task` under the engine lock: one
+    /// journal sync, one cycle query through `task`. A blocker that finds
+    /// the lock held counts the wait and queues on the lock itself; the
+    /// holder's release is what wakes it.
+    fn locked_check(&self, task: TaskId) -> CheckOutcome {
+        let mut engine = self.engine.try_lock().unwrap_or_else(|| {
+            self.stats.record_engine_lock_wait();
+            self.engine.lock()
+        });
+        self.sync_engine(&mut engine);
+        let outcome = engine.check_task(task, self.cfg.model, DEFAULT_SG_THRESHOLD);
+        self.stats.mirror_engine(engine.counters());
+        outcome
     }
 
     /// Syncs the engine with the registry, recording the delta/resync
@@ -471,41 +383,6 @@ impl Verifier {
     fn sync_engine(&self, engine: &mut IncrementalEngine) {
         let sync = engine.sync(&self.registry);
         self.stats.record_sync(sync.deltas_applied, sync.resynced);
-    }
-
-    /// Ends an engine-locked section: serves the blockers that queued
-    /// behind it, then publishes what the section's syncs and checks built,
-    /// retired and rebuilt (`model_builds` / `model_retires` /
-    /// `order_rebuilds`).
-    fn finish_locked(&self, engine: &mut IncrementalEngine) {
-        self.drain_pending(engine);
-        self.stats.mirror_engine(engine.counters());
-    }
-
-    /// Rounds a combiner serves before releasing the lock even if the
-    /// queue keeps refilling. Unbounded draining would hold the lock
-    /// holder captive under sustained contention (every served requester
-    /// can re-enqueue while the batch runs); anything left after the last
-    /// round is picked up by its own thread's timed-wake `try_lock` loop,
-    /// whose winner becomes the next combiner.
-    const MAX_DRAIN_ROUNDS: usize = 4;
-
-    /// Serves queued check requests in batches — one journal sync
-    /// amortised over each batch — for at most
-    /// [`Verifier::MAX_DRAIN_ROUNDS`] rounds.
-    fn drain_pending(&self, engine: &mut IncrementalEngine) {
-        for _ in 0..Self::MAX_DRAIN_ROUNDS {
-            let batch: Vec<Arc<CheckRequest>> = std::mem::take(&mut *self.pending.lock());
-            if batch.is_empty() {
-                return;
-            }
-            self.sync_engine(engine);
-            for req in batch {
-                let outcome = engine.check_task(req.task, self.cfg.model, DEFAULT_SG_THRESHOLD);
-                self.stats.record_combined_check();
-                req.publish(outcome);
-            }
-        }
     }
 
     /// Withdraws the blocked status of `task` (it resumed or aborted).
@@ -536,8 +413,10 @@ impl Verifier {
                 }
                 det.outcome
             });
-            // Serve any avoidance blockers that queued behind this check.
-            self.finish_locked(&mut engine);
+            // Publish what the section's sync and check built, retired
+            // and rebuilt (`model_builds` / `model_retires` /
+            // `order_rebuilds`).
+            self.stats.mirror_engine(engine.counters());
             outcome
         }?;
         self.stats.record_check(&outcome.stats);
@@ -718,6 +597,7 @@ fn monitor_loop(weak: Weak<Verifier>, signal: Arc<Signal>, mut pacer: Pacer) {
 mod tests {
     use super::*;
     use crate::ids::PhaserId;
+    use std::sync::atomic::Ordering;
 
     fn t(n: u64) -> TaskId {
         TaskId(n)

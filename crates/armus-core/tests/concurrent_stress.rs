@@ -13,7 +13,7 @@
 //! `armus-testkit/tests/invariants.rs`.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use armus_core::engine::IncrementalEngine;
@@ -209,7 +209,7 @@ fn detection_under_churn_loses_and_duplicates_nothing() {
 
 /// Concurrent avoidance blockers over distinct resources drive the slow
 /// path from many threads at once: every admitted block really is
-/// deadlock-free, the combiner accounts every check, and the engine ends
+/// deadlock-free, every check is accounted for, and the engine ends
 /// the run in sync with the registry.
 #[test]
 fn concurrent_avoidance_accounts_every_block() {
@@ -248,4 +248,104 @@ fn concurrent_avoidance_accounts_every_block() {
         s.fastpath_skips
     );
     assert!(!v.found_deadlock());
+}
+
+/// A two-task cycle closed while four threads drive the slow path as in
+/// `concurrent_avoidance_accounts_every_block`: the closing checks wait
+/// on the engine lock behind the churn's, and still refuse the cycle.
+/// Every round all six threads leave one start rendezvous together and
+/// meet again at its end. The first closer then reads the round's
+/// verdicts, `probe()` and the accounting while an admitted closer is
+/// still blocked and the churn waits at the next start; only after that
+/// do the admitted closers withdraw. The assertions run after the join,
+/// since a failed one inside the rounds would strand the others at a
+/// barrier.
+#[test]
+fn contended_avoidance_refuses_the_closing_block() {
+    const CHURNERS: u64 = 4;
+    const ROUNDS: u64 = 200;
+    const OPS: u64 = 10;
+    let v = Verifier::new(VerifierConfig::avoidance());
+    let (start, end) = (Barrier::new(CHURNERS as usize + 2), Barrier::new(CHURNERS as usize + 2));
+    let read = Barrier::new(2);
+    // t1 waits on p1 and is registered (lagging) at p2; t2 the reverse.
+    let closers = [(t(1_000_001), 9001, 9002), (t(1_000_002), 9002, 9001)];
+    let verdicts: [Mutex<Option<Verdict>>; 2] = Default::default();
+    let mut rounds = Vec::new();
+    std::thread::scope(|s| {
+        for worker in 0..CHURNERS {
+            let (v, start, end) = (&v, &start, &end);
+            s.spawn(move || {
+                let mut rng = Lcg(42 ^ worker);
+                for round in 0..ROUNDS {
+                    start.wait();
+                    for i in 0..OPS {
+                        let id = worker * 10_000 + round * OPS + i;
+                        let ph = 10 + worker * 100 + rng.next() % 8;
+                        v.block(t(id), vec![r(ph, 1)], vec![Registration::new(p(ph), 1)])
+                            .expect("independent per-thread events cannot deadlock");
+                        v.unblock(t(id));
+                    }
+                    end.wait();
+                }
+            });
+        }
+        let second = closers[1];
+        let (v1, start1, end1, read1, verdict1) = (&v, &start, &end, &read, &verdicts[1]);
+        s.spawn(move || {
+            for _ in 0..ROUNDS {
+                start1.wait();
+                let verdict = close(v1, second);
+                *verdict1.lock().unwrap() = Some(verdict.clone());
+                end1.wait();
+                read1.wait();
+                if verdict.is_ok() {
+                    v1.unblock(second.0);
+                }
+            }
+        });
+        for _ in 0..ROUNDS {
+            start.wait();
+            let verdict = close(&v, closers[0]);
+            *verdicts[0].lock().unwrap() = Some(verdict.clone());
+            end.wait();
+            let round: Vec<_> = verdicts.iter().map(|slot| slot.lock().unwrap().take()).collect();
+            rounds.push((round, v.probe(), v.stats()));
+            read.wait();
+            if verdict.is_ok() {
+                v.unblock(closers[0].0);
+            }
+        }
+    });
+    let cycle = vec![closers[0].0, closers[1].0];
+    for (n, (round, probe, st)) in rounds.into_iter().enumerate() {
+        let round: Vec<_> = round.into_iter().map(|v| v.expect("both closers ran")).collect();
+        assert!(round.iter().any(Result::is_err), "round {n}: both closing blocks were admitted");
+        for mut tasks in round.into_iter().filter_map(Result::err) {
+            tasks.sort();
+            assert_eq!(tasks, cycle, "round {n}: a report named the wrong tasks");
+        }
+        assert_eq!(probe, None, "round {n}: a cycle outlived its refusal");
+        assert_eq!(
+            st.checks + st.fastpath_skips + st.static_skips,
+            st.blocks,
+            "round {n}: a block went unanswered or was answered twice"
+        );
+    }
+    assert_eq!(v.stats().blocks, CHURNERS * ROUNDS * OPS + 2 * ROUNDS);
+}
+
+/// A closer's verdict: admitted, or refused with its report's tasks.
+type Verdict = Result<(), Vec<TaskId>>;
+
+/// One closer's block: `task` waits on phase 1 of `waits` and lags at
+/// phase 0 of `lags`. A refused block was already withdrawn by the
+/// verifier; an admitted one stays blocked.
+fn close(v: &Verifier, (task, waits, lags): (TaskId, u64, u64)) -> Verdict {
+    v.block(
+        task,
+        vec![r(waits, 1)],
+        vec![Registration::new(p(waits), 1), Registration::new(p(lags), 0)],
+    )
+    .map_err(|e| e.report.tasks)
 }

@@ -70,84 +70,35 @@ impl Default for TcpStoreConfig {
     }
 }
 
-/// Where a caller's response lands: filled by the demux reader, failed en
-/// masse when the connection dies.
+/// Where the responses on one correlation id land: the demux reader
+/// appends, the caller drains in order, and a connection death fails it.
+/// A one-shot call registers it in `pending` and reads it once; a
+/// [`Subscription`] registers it in `streams` and reads it for as long as
+/// the server pushes.
 #[derive(Default)]
-struct ResponseSlot {
+struct Slot {
     state: Mutex<SlotState>,
     cv: Condvar,
 }
 
 #[derive(Default)]
-enum SlotState {
-    #[default]
-    Waiting,
-    Done(Response),
-    Failed,
-}
-
-impl ResponseSlot {
-    /// Stores the response without waking the waiter — the demux reader
-    /// fills every slot of a burst first and notifies afterwards, so the
-    /// woken callers' next frames coalesce into one flush instead of the
-    /// first waker preempting the burst.
-    fn fill(&self, response: Response) {
-        *self.state.lock() = SlotState::Done(response);
-    }
-
-    /// Wakes the waiter of a previously [`ResponseSlot::fill`]ed slot.
-    /// Safe to call without the lock: a waiter that races in between sees
-    /// the filled state and never parks.
-    fn notify(&self) {
-        self.cv.notify_all();
-    }
-
-    fn fail(&self) {
-        *self.state.lock() = SlotState::Failed;
-        self.cv.notify_all();
-    }
-
-    /// Blocks until the slot is filled or `timeout` elapses; `None` on
-    /// timeout or connection death.
-    fn wait(&self, timeout: Duration) -> Option<Response> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        loop {
-            match std::mem::take(&mut *state) {
-                SlotState::Done(response) => return Some(response),
-                SlotState::Failed => return None,
-                SlotState::Waiting => {}
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.cv.wait_for(&mut state, deadline - now);
-        }
-    }
-}
-
-/// Where pushed frames of one long-lived stream (a [`Subscription`])
-/// land: the demux reader appends, the subscriber drains in order. Unlike
-/// a [`ResponseSlot`] the entry stays registered across any number of
-/// frames — a push channel, not a one-shot exchange.
-#[derive(Default)]
-struct StreamSlot {
-    state: Mutex<StreamState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct StreamState {
+struct SlotState {
     queue: VecDeque<Response>,
     dead: bool,
 }
 
-impl StreamSlot {
+impl Slot {
+    /// Stores the response without waking the reader — the demux reader
+    /// fills every call's slot of a burst first and notifies afterwards,
+    /// so the woken callers' next frames coalesce into one flush instead
+    /// of the first waker preempting the burst.
     fn push(&self, response: Response) {
         self.state.lock().queue.push_back(response);
     }
 
+    /// Wakes the reader of a previously [`Slot::push`]ed slot. Safe to
+    /// call without the lock: a reader that races in between sees the
+    /// queued response and never parks.
     fn notify(&self) {
         self.cv.notify_all();
     }
@@ -157,8 +108,8 @@ impl StreamSlot {
         self.cv.notify_all();
     }
 
-    /// Next pushed frame, in arrival order; `None` on timeout or
-    /// connection death (queued frames drain before death surfaces).
+    /// Next response, in arrival order; `None` on timeout or connection
+    /// death (queued responses drain before death surfaces).
     fn recv(&self, timeout: Duration) -> Option<Response> {
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock();
@@ -200,11 +151,12 @@ struct WireStats {
 struct MuxShared {
     stream: TcpStream,
     outbox: Mutex<Outbox>,
-    pending: Mutex<HashMap<u64, Arc<ResponseSlot>>>,
+    /// One-shot demux routes: a call's slot, removed before it is filled.
+    pending: Mutex<HashMap<u64, Arc<Slot>>>,
     /// Long-lived demux routes: correlation ids claimed by subscriptions.
     /// Checked before `pending` so a pushed frame can never complete a
     /// one-shot slot.
-    streams: Mutex<HashMap<u64, Arc<StreamSlot>>>,
+    streams: Mutex<HashMap<u64, Arc<Slot>>>,
     next_corr: AtomicU64,
     dead: AtomicBool,
     stats: Arc<WireStats>,
@@ -223,7 +175,7 @@ impl MuxShared {
             return Err(StoreError::Unavailable);
         }
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(ResponseSlot::default());
+        let slot = Arc::new(Slot::default());
         self.pending.lock().insert(corr, Arc::clone(&slot));
         if self.is_dead() {
             // The reader may have drained `pending` before our insert
@@ -236,7 +188,7 @@ impl MuxShared {
             self.pending.lock().remove(&corr);
             return Err(StoreError::Unavailable);
         }
-        match slot.wait(io_timeout) {
+        match slot.recv(io_timeout) {
             Some(response) => Ok(response),
             None => {
                 self.pending.lock().remove(&corr);
@@ -245,7 +197,7 @@ impl MuxShared {
         }
     }
 
-    /// Opens a long-lived push stream: registers a [`StreamSlot`] route
+    /// Opens a long-lived push stream: registers a [`Slot`] route
     /// **before** the request goes out (so no pushed frame can race past
     /// the registration and be dropped), then requires the first frame on
     /// the route to be the server's [`Response::Subscribed`] ack.
@@ -253,12 +205,12 @@ impl MuxShared {
         &self,
         request: &Request,
         io_timeout: Duration,
-    ) -> Result<(u64, Arc<StreamSlot>), StoreError> {
+    ) -> Result<(u64, Arc<Slot>), StoreError> {
         if self.is_dead() {
             return Err(StoreError::Unavailable);
         }
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(StreamSlot::default());
+        let slot = Arc::new(Slot::default());
         self.streams.lock().insert(corr, Arc::clone(&slot));
         if self.is_dead() {
             self.streams.lock().remove(&corr);
@@ -330,14 +282,13 @@ impl MuxShared {
     /// [`StoreError::Unavailable`], never as a silent drop or a false ack.
     fn fail_all(&self) {
         self.dead.store(true, Ordering::Release);
-        let drained: Vec<Arc<ResponseSlot>> =
-            self.pending.lock().drain().map(|(_, slot)| slot).collect();
+        let drained: Vec<Arc<Slot>> = self.pending.lock().drain().map(|(_, slot)| slot).collect();
         for slot in drained {
             slot.fail();
         }
         // Streams are failed but not drained: subscribers consume any
         // frames queued before the death, then observe `None`.
-        let streams: Vec<Arc<StreamSlot>> = self.streams.lock().values().map(Arc::clone).collect();
+        let streams: Vec<Arc<Slot>> = self.streams.lock().values().map(Arc::clone).collect();
         for stream in streams {
             stream.fail();
         }
@@ -381,7 +332,7 @@ fn demux_loop(shared: Arc<MuxShared>) {
                                 stream.push(frame.msg);
                                 stream.notify();
                             } else if let Some(slot) = shared.pending.lock().remove(&frame.corr) {
-                                slot.fill(frame.msg);
+                                slot.push(frame.msg);
                                 woken.push(slot);
                             }
                             // An unmatched id is a caller that timed out
@@ -463,7 +414,7 @@ impl Drop for MuxConn {
 pub struct Subscription {
     conn: Arc<MuxConn>,
     corr: u64,
-    slot: Arc<StreamSlot>,
+    slot: Arc<Slot>,
 }
 
 impl Subscription {
