@@ -10,14 +10,12 @@
 //! present — deadlocked tasks can never unblock, so confirmation is
 //! conclusive, while in-flight unblockings disappear.
 //!
-//! Two checkers run this. A site sees the store through the [`Store`]
-//! trait, the paper's passive store: it fetches the whole view, diffs it
-//! against the one before, and confirms against a second fetch
-//! ([`IncrementalDistChecker::check_round`]; the wire has no versioned
-//! fetch). The `armus-stored` checker lives in the store's process: the
-//! store hands it the tasks its writers touched, and a hit is confirmed by
-//! looking those few tasks up (`IncrementalDistChecker::check_fed`) — the
-//! same engine, analysis and reports, at the cost of what changed.
+//! Every checker — a site's, and the `armus-stored` one for its
+//! subscribers — runs one round ([`IncrementalDistChecker::check_round`]):
+//! it reads the store's change log from its cursor
+//! ([`Store::changes_since`]), applies what changed, analyses, and
+//! confirms a hit with a second read. A round costs what changed, not what
+//! is stored; only a join reads the whole view.
 
 #[cfg(test)]
 use armus_core::TaskId;
@@ -25,7 +23,7 @@ use armus_core::{
     checker, CheckStats, DeadlockReport, Delta, IncrementalEngine, ModelChoice, Snapshot,
 };
 
-use crate::store::{Feed, SiteId, Store, StoreError};
+use crate::store::{delta_task, Feed, SiteId, Store, StoreError};
 
 /// Merges per-site partitions into one global snapshot, **site-namespacing
 /// every task id** ([`armus_core::TaskId::with_site`]): the injective
@@ -72,15 +70,26 @@ fn merge_owned(partitions: Vec<(SiteId, Snapshot)>) -> Snapshot {
     merged
 }
 
-/// The confirmation pass both checkers end a hit with: in a view fetched
-/// *after* the one the cycle was found in, every participant must still be
-/// in the same blocking operation.
-fn confirmed(report: &DeadlockReport, view: Vec<(SiteId, Snapshot)>) -> bool {
-    let merged = merge_owned(view);
-    report
-        .task_epochs
-        .iter()
-        .all(|&(task, epoch)| merged.get(task).map(|info| info.epoch == epoch).unwrap_or(false))
+/// The confirmation pass every check ends a hit with: in what the store
+/// holds *after* the view the cycle was found in, every participant must
+/// still be in the same blocking operation. `feed` is that store: a whole
+/// view, or what changed since the analysed one — a participant nobody
+/// wrote since stands as analysed.
+fn confirmed(report: &DeadlockReport, feed: Feed) -> bool {
+    let mut pairs = report.task_epochs.iter();
+    match feed {
+        Feed::Join(view) => {
+            let merged = merge_owned(view);
+            pairs.all(|&(task, epoch)| merged.get(task).is_some_and(|info| info.epoch == epoch))
+        }
+        Feed::Deltas(deltas) => pairs.all(|&(task, epoch)| {
+            match deltas.iter().find(|delta| delta_task(delta) == task) {
+                Some(Delta::Block(info)) => info.epoch == epoch,
+                Some(Delta::Unblock(_)) => false,
+                None => true,
+            }
+        }),
+    }
 }
 
 /// Outcome of one distributed check round.
@@ -113,22 +122,25 @@ pub fn check_store(
         return Ok(DistCheck { report: None, stats });
     };
     // Confirmation pass: one more fetch.
-    let confirmed = confirmed(&report, store.fetch_all()?);
+    let confirmed = confirmed(&report, Feed::Join(store.fetch_all()?));
     Ok(DistCheck { report: confirmed.then_some(report), stats })
 }
 
 /// Per-checker counters of the incremental distributed detection path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DistCheckerStats {
-    /// Block/unblock deltas applied to the engine: derived by diffing
-    /// successive merged views, or fed by the store that applied them.
+    /// Block/unblock deltas applied to the engine, as the store's change
+    /// log answered them.
     pub deltas_applied: u64,
     /// Rounds whose detection was answered entirely from the maintained
     /// topological order (no full graph walk).
     pub incremental_detections: u64,
     /// From-scratch reloads of the engine from a merged snapshot — with
-    /// whatever graph and order it keeps live rebuilt from it: the first
-    /// round and every explicit [`IncrementalDistChecker::resync`].
+    /// whatever graph and order it keeps live rebuilt from it: every join.
+    /// The first round joins, and so does one after an explicit
+    /// [`IncrementalDistChecker::resync`], after the store's log dropped
+    /// the checker's cursor, or against a restarted store; a passive store
+    /// answers every round with a join.
     pub order_rebuilds: u64,
     /// Graph structures (a model's adjacency or its order) the engine built
     /// because a round demanded one that was not live — see
@@ -137,30 +149,11 @@ pub struct DistCheckerStats {
     /// Graph structures the engine dropped because no round had read them
     /// for longer than rebuilding them costs.
     pub model_retires: u64,
-    /// Check rounds completed (the fetch and the analysis both
-    /// succeeded).
+    /// Check rounds completed (the read and the analysis both succeeded).
     pub rounds: u64,
-    /// Confirmation passes (a cycle was found and had to be verified
-    /// against what the store held afterwards before reporting): a second
-    /// fetch for a polling checker, a look-up of the cycle's tasks for a
-    /// fed one.
+    /// Confirmation reads: a cycle was found and had to be verified
+    /// against a second read of the store before it was reported.
     pub confirm_fetches: u64,
-}
-
-/// What an [`IncrementalDistChecker`]'s engine reflects, which is what its
-/// next round may take for granted.
-enum Follows {
-    /// Nothing it can name: the next round rebuilds from a whole view
-    /// (join and resync).
-    Nothing,
-    /// This merged view, which the next [`check_round`] diffs against.
-    ///
-    /// [`check_round`]: IncrementalDistChecker::check_round
-    View(Snapshot),
-    /// Everything the store has fed it so far
-    /// ([`IncrementalDistChecker::check_fed`]): no second copy of the view
-    /// is held.
-    Feed,
 }
 
 /// A *persistent* distributed checker: the stateful counterpart of
@@ -171,24 +164,18 @@ enum Follows {
 /// from the full global view every check period — the distributed analogue
 /// of the local verifier's journal-following detection.
 ///
-/// The deltas come from one of two places. A site sees the store through
-/// the [`Store`] trait, which can only be polled:
-/// [`IncrementalDistChecker::check_round`] fetches the whole view and
-/// derives them as the **difference between successive merged views**.
-/// The `armus-stored` checker shares a process with its store, which
-/// applies those very changes: it is fed them
-/// (`IncrementalDistChecker::check_fed`, from `MemStore::take_in`) and
-/// never fetches after its join.
-///
-/// The first round (and every explicit [`IncrementalDistChecker::resync`])
-/// rebuilds the engine from a whole merged snapshot, mirroring the local
-/// `Behind` → snapshot-resync fallback; reports stay byte-identical to
-/// [`check_store`]'s because a hit falls back to the same canonical
-/// `checker::check` extraction and is confirmed against what the store
-/// holds after the analysis.
+/// The deltas are the store's: its change log, read from the checker's
+/// cursor ([`Store::changes_since`]). A join — the first round, and any
+/// whose cursor the store does not honour — rebuilds the engine from a
+/// whole merged snapshot, mirroring the local `Behind` → snapshot-resync
+/// fallback; reports stay byte-identical to [`check_store`]'s because a
+/// hit falls back to the same canonical `checker::check` extraction and is
+/// confirmed against what the store holds after the analysis.
 pub struct IncrementalDistChecker {
     engine: IncrementalEngine,
-    follows: Follows,
+    /// Where the engine stands in the store's change log; `None`: nowhere
+    /// it can name, and the next read joins.
+    cursor: Option<u64>,
     stats: DistCheckerStats,
 }
 
@@ -203,17 +190,15 @@ impl IncrementalDistChecker {
     pub fn new() -> IncrementalDistChecker {
         IncrementalDistChecker {
             engine: IncrementalEngine::new(),
-            follows: Follows::Nothing,
+            cursor: None,
             stats: DistCheckerStats::default(),
         }
     }
 
-    /// Drops the delta continuity: the next round rebuilds the engine from
-    /// the merged snapshot (counted as an order rebuild). Callers use this
-    /// after any suspicion of a missed view — the incremental path must
-    /// never be load-bearing for correctness.
+    /// Drops the cursor: the next round rebuilds the engine from the
+    /// merged snapshot (counted as an order rebuild).
     pub fn resync(&mut self) {
-        self.follows = Follows::Nothing;
+        self.cursor = None;
     }
 
     /// Counters accumulated so far.
@@ -232,117 +217,51 @@ impl IncrementalDistChecker {
         self.engine.materialize()
     }
 
-    /// Reloads the engine from `merged`: the join, and every resync.
-    fn rebuild_from(&mut self, merged: &Snapshot) {
-        self.engine.reset_to(merged);
-        self.stats.order_rebuilds += 1;
-    }
-
-    fn apply(&mut self, delta: Delta) {
-        self.engine.apply(delta);
-        self.stats.deltas_applied += 1;
-    }
-
-    /// Advances the engine to `merged` — by diffing against the previous
-    /// round's view (both sorted by task id, so a two-pointer sweep), or
-    /// by a full rebuild when continuity was lost.
-    fn advance_to(&mut self, merged: Snapshot) {
-        match std::mem::replace(&mut self.follows, Follows::Nothing) {
-            Follows::Nothing | Follows::Feed => self.rebuild_from(&merged),
-            Follows::View(prev) => {
-                let (old, new) = (&prev.tasks, &merged.tasks);
-                let (mut i, mut j) = (0, 0);
-                while i < old.len() || j < new.len() {
-                    let delta = match (old.get(i), new.get(j)) {
-                        (Some(o), Some(n)) if o.task == n.task => {
-                            i += 1;
-                            j += 1;
-                            if o == n {
-                                continue; // unchanged: the common case
-                            }
-                            // Same task, new status (epoch or waits moved):
-                            // a Block replaces the previous contribution.
-                            Delta::Block(n.clone())
-                        }
-                        (Some(o), Some(n)) if o.task < n.task => {
-                            i += 1;
-                            Delta::Unblock(o.task)
-                        }
-                        (Some(_) | None, Some(n)) => {
-                            j += 1;
-                            Delta::Block(n.clone())
-                        }
-                        (Some(o), None) => {
-                            i += 1;
-                            Delta::Unblock(o.task)
-                        }
-                        (None, None) => unreachable!("loop condition"),
-                    };
-                    self.apply(delta);
-                }
-            }
-        }
-        debug_assert_eq!(self.engine.materialize(), merged, "diff replay must be exact");
-        self.follows = Follows::View(merged);
-    }
-
-    /// Runs one check round against the store: fetch + merge, advance the
-    /// engine by the diff, answer cycle existence from the maintained
-    /// order, and on a hit extract the canonical report and confirm it
-    /// with a re-fetch — the exact semantics of [`check_store`], minus the
-    /// per-round graph rebuild. Store errors surface as `Err`: a failed
-    /// fetch leaves the engine untouched, a failed confirmation fetch
-    /// leaves it advanced to the fetched view, and the next round diffs
-    /// from there either way.
+    /// Runs one check round against the store: read what changed since
+    /// the cursor, bring the engine up to date, answer cycle existence from
+    /// the maintained order, and on a hit extract the canonical report and
+    /// confirm it with a second read — the exact semantics of
+    /// [`check_store`], minus the per-round graph rebuild. Store errors
+    /// surface as `Err`; a read is not destructive, so a failed one leaves
+    /// the cursor where it was.
     pub fn check_round(
         &mut self,
         store: &dyn Store,
         model: ModelChoice,
         sg_threshold: usize,
     ) -> Result<DistCheck, StoreError> {
-        self.advance_to(merge_owned(store.fetch_all()?));
+        self.follow(|cursor| store.changes_since(cursor), model, sg_threshold)
+    }
+
+    /// [`IncrementalDistChecker::check_round`] over any reader of one
+    /// tenant's change log: the `armus-stored` checker reads its own
+    /// store's in-process.
+    pub(crate) fn follow(
+        &mut self,
+        mut read: impl FnMut(Option<u64>) -> Result<(u64, Feed), StoreError>,
+        model: ModelChoice,
+        sg_threshold: usize,
+    ) -> Result<DistCheck, StoreError> {
+        let (cursor, feed) = read(self.cursor)?;
+        match feed {
+            Feed::Join(view) => {
+                self.engine.reset_to(&merge_owned(view));
+                self.stats.order_rebuilds += 1;
+            }
+            Feed::Deltas(deltas) => {
+                self.stats.deltas_applied += deltas.len() as u64;
+                deltas.into_iter().for_each(|delta| self.engine.apply(delta));
+            }
+        }
+        self.cursor = Some(cursor);
         let (hit, stats) = self.analyse(model, sg_threshold);
-        // Confirmation pass, identical to `check_store`: one more fetch.
-        // The confirmation view is deliberately NOT fed to the engine —
-        // the next round re-fetches and diffs from the analysis view.
+        // The confirmation read is not applied: the next round reads it
+        // again from the cursor the analysis stands at.
         let report = match hit {
-            Some(report) if confirmed(&report, store.fetch_all()?) => Some(report),
+            Some(report) if confirmed(&report, read(Some(cursor))?.1) => Some(report),
             _ => None,
         };
         Ok(DistCheck { report, stats })
-    }
-
-    /// Must the next [`IncrementalDistChecker::check_fed`] be given a
-    /// whole view — is this a fresh checker, one that was
-    /// [`IncrementalDistChecker::resync`]ed, or one last advanced by a
-    /// fetch?
-    pub(crate) fn needs_join(&self) -> bool {
-        !matches!(self.follows, Follows::Feed)
-    }
-
-    /// [`IncrementalDistChecker::check_round`] for a checker that is told
-    /// what the store applied instead of fetching it: `feed` (the whole
-    /// view, if [`IncrementalDistChecker::needs_join`]) brings the engine
-    /// up to date, and a hit is reported if `confirm` — a look at what the
-    /// store holds *now* — finds every `(task, epoch)` pair of the cycle
-    /// still there.
-    pub(crate) fn check_fed(
-        &mut self,
-        feed: Feed,
-        confirm: impl FnOnce(&DeadlockReport) -> bool,
-        model: ModelChoice,
-        sg_threshold: usize,
-    ) -> DistCheck {
-        match feed {
-            Feed::Join(view) => self.rebuild_from(&merge_owned(view)),
-            Feed::Deltas(deltas) => {
-                debug_assert!(!self.needs_join(), "deltas continue a feed");
-                deltas.into_iter().for_each(|delta| self.apply(delta));
-            }
-        }
-        self.follows = Follows::Feed;
-        let (hit, stats) = self.analyse(model, sg_threshold);
-        DistCheck { report: hit.filter(confirm), stats }
     }
 
     /// The round once the engine is up to date: cycle existence from the
@@ -580,7 +499,7 @@ mod tests {
     fn incremental_checker_discards_unconfirmed_cycles() {
         // Same staleness protocol as `check_store`: the confirmation
         // re-fetch sees the driver gone, so no report — and the *next*
-        // round diffs from the analysis view, staying exact.
+        // round, against a store that keeps no change log, joins afresh.
         struct TwoPhase {
             inner: MemStore,
             flips: std::sync::atomic::AtomicU32,
@@ -605,11 +524,15 @@ mod tests {
         let mut inc = IncrementalDistChecker::new();
         let out = inc.check_round(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
         assert!(out.report.is_none(), "stale cycle must not be reported");
-        // Next round: the engine diffs the driver's departure and settles
-        // on the cycle-free view.
+        // Next round: the engine reloads the cycle-free view.
         let out = inc.check_round(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
         assert!(out.report.is_none());
-        assert_eq!(inc.stats().deltas_applied, 1, "the driver's departure, as a diffed Unblock");
+        let stats = inc.stats();
+        assert_eq!(
+            (stats.order_rebuilds, stats.deltas_applied),
+            (2, 0),
+            "a passive store's round joins"
+        );
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! §5.2): each *site* (place) runs its workload on a local runtime whose
 //! verifier only maintains blocked statuses; a publisher thread pushes the
 //! site's partition to a shared fault-tolerant store; and every site
-//! independently pulls the merged view — task ids injectively
+//! independently follows the merged view — task ids injectively
 //! site-namespaced by [`detector::merge`] — and runs the graph analysis:
 //! the adapted one-phase algorithm with a confirmation pass. The store
-//! server runs the same analysis for its subscribers without pulling
-//! anything: its store tells its checker which tasks each write touched,
-//! so a round there costs what changed, not what is stored.
+//! server runs the same round for its subscribers. Every checker reads the
+//! store's change log by cursor ([`store::Store::changes_since`]), so a
+//! round costs what changed, not what is stored.
 //!
 //! The store (the paper uses Redis) comes in two embeddings:
 //! * **in-process** — [`store::MemStore`], which is what
@@ -78,6 +78,6 @@ pub use detector::{
 };
 pub use server::{StoredConfig, StoredServer, DEFAULT_CHECK_PERIOD};
 pub use site::{Publisher, Shipped, Site, SiteConfig};
-pub use store::{DeltaAck, MemStore, SiteId, SiteStats, Store, StoreError, TenantId};
+pub use store::{DeltaAck, Feed, MemStore, SiteId, SiteStats, Store, StoreError, TenantId};
 pub use tcp::{Subscription, TcpStore, TcpStoreConfig};
 pub use wire::{ServerMetrics, TenantMetrics};

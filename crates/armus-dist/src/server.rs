@@ -12,15 +12,14 @@
 //! multiplexing client ([`crate::tcp::TcpStore`]) keeps dozens of requests
 //! in flight on one socket.
 //!
-//! A checker thread runs the same [`IncrementalDistChecker`] the sites
-//! run, one per subscribed tenant, and streams the deadlocks it confirms
-//! to that tenant's subscribers. It shares a process with its store, so it
-//! does **not poll** it as the sites must: the store notes which tasks
-//! each write touched (`MemStore::take_in`), a round applies those to
-//! the engine and nothing else — its cost is that of what changed, not of
-//! what is stored — and a hit is confirmed by looking the cycle's tasks up
-//! in their partitions. Only a tenant's first round fetches its view. The
-//! checker has **no clock of its own** either: the
+//! A checker thread runs the same [`IncrementalDistChecker`] round the
+//! sites run, one per subscribed tenant, and streams the deadlocks it
+//! confirms to that tenant's subscribers. It reads its own store's change
+//! log in-process (`MemStore::changes_since_in`), as the sites read it
+//! over the wire: a round applies what changed and nothing else — its cost
+//! is that of what changed, not of what is stored — and a hit is
+//! confirmed by a second read. Only a tenant's first round reads its whole
+//! view. The checker has **no clock of its own** either: the
 //! connection threads tell it what happened (`Pacing`) — a publish that
 //! changed a partition makes the tenant *dirty*, the empty interval a site
 //! sends once its journal has stood still ([`crate::site`]) marks that
@@ -52,7 +51,7 @@ use armus_core::{DeadlockReport, ModelChoice, Pace, Pacer, Signal, DEFAULT_SG_TH
 use parking_lot::Mutex;
 
 use crate::detector::{IncrementalDistChecker, ReportDedup};
-use crate::store::{delta_task, DeltaAck, MemStore, SiteId, TenantId};
+use crate::store::{delta_task, DeltaAck, Feed, MemStore, SiteId, TenantId};
 use crate::wire::{self, Request, Response, ServerMetrics, TenantMetrics};
 
 /// Default partition lease: a site that has not published for this long is
@@ -451,7 +450,7 @@ struct Shared {
     publishes: AtomicU64,
     /// Delta publish requests served.
     delta_publishes: AtomicU64,
-    /// `FetchAll` requests served.
+    /// Whole views served: `ChangesSince` reads answered with a join.
     fetches: AtomicU64,
     /// `Remove` requests served.
     removes: AtomicU64,
@@ -509,10 +508,8 @@ impl Shared {
 }
 
 /// What the server-side checker keeps per subscribed tenant: the
-/// persistent checker following the tenant's partitions — watching them
-/// ([`MemStore::take_in`]) from its first round until the tenant is
-/// forgotten — and the reports its current subscribers have already been
-/// sent.
+/// persistent checker following the tenant's change log, and the reports
+/// its current subscribers have already been sent.
 #[derive(Default)]
 struct TenantChecker {
     checker: IncrementalDistChecker,
@@ -524,8 +521,8 @@ struct TenantChecker {
 /// that tenant's subscribers — and park until a connection thread has
 /// something to tell or the earliest period clause runs out. Detection
 /// happens *at the store* — subscribers learn about deadlocks without a
-/// single `fetch_all` poll, and cross-tenant isolation holds because each
-/// round takes exactly one tenant's changes.
+/// single read of their own, and cross-tenant isolation holds because each
+/// round reads exactly one tenant's log.
 ///
 /// An idle store runs no rounds, and a tenant whose sites never pause is
 /// checked once a `check_period`, as a fixed cadence would. In between, a
@@ -547,13 +544,7 @@ fn checker_loop(shared: Arc<Shared>) {
     let pacing = &shared.pacing;
     loop {
         let plan = pacing.plan(&shared.hub, Instant::now());
-        checkers.retain(|tenant, _| {
-            let live = plan.live.contains(tenant);
-            if !live {
-                shared.store.unwatch_in(*tenant);
-            }
-            live
-        });
+        checkers.retain(|tenant, _| plan.live.contains(tenant));
         for due in &plan.due {
             run_round(&shared, checkers.entry(due.tenant).or_default(), due);
         }
@@ -569,12 +560,11 @@ fn checker_loop(shared: Arc<Shared>) {
     }
 }
 
-/// One tenant's round, as a step: take from the store what its writers
-/// noted since the previous round (the whole view on the join, which is
-/// the one time the checker fetches), bring the engine up to date, and
-/// confirm a hit by looking its tasks up in their partitions. Returns the
-/// report the tenant's subscribers have not been sent yet — all of them
-/// being new to it if one `joined` — and the sites present.
+/// One tenant's round, as a step: the checker's round over the tenant's
+/// change log (the whole view on the join, which is the one time the
+/// checker reads it). Returns the report the tenant's subscribers have not
+/// been sent yet — all of them being new to it if one `joined` — and the
+/// sites present.
 fn round(
     store: &MemStore,
     tenant: TenantId,
@@ -584,14 +574,10 @@ fn round(
     if joined {
         state.dedup = ReportDedup::new();
     }
-    let taken = store.take_in(tenant, state.checker.needs_join());
-    let check = state.checker.check_fed(
-        taken.feed,
-        |report| store.holds_in(tenant, &report.task_epochs),
-        ModelChoice::Auto,
-        DEFAULT_SG_THRESHOLD,
-    );
-    (check.report.filter(|report| state.dedup.is_new(report)), taken.present)
+    let read = |cursor| store.changes_since_in(tenant, cursor);
+    let check = state.checker.follow(read, ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+    let report = check.ok().and_then(|check| check.report);
+    (report.filter(|report| state.dedup.is_new(report)), store.sites_in(tenant))
 }
 
 /// Runs one tenant's [`round`], pushes what it found, and tells the pacing
@@ -1017,10 +1003,14 @@ fn handle(frame: &wire::Frame<Request>, shared: &Shared) -> (Response, bool) {
                 },
             }
         }
-        Request::FetchAll { tenant } => {
-            shared.fetches.fetch_add(1, Ordering::Relaxed);
-            match store.fetch_all_in(*tenant) {
-                Ok(view) => Response::View(view),
+        Request::ChangesSince { tenant, cursor } => {
+            match store.changes_since_in(*tenant, *cursor) {
+                Ok((cursor, feed)) => {
+                    if matches!(feed, Feed::Join(_)) {
+                        shared.fetches.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Response::Changes { cursor, feed }
+                }
                 Err(e) => Response::Error(e.to_string()),
             }
         }
@@ -1091,6 +1081,11 @@ mod tests {
 
     const T0: TenantId = TenantId::DEFAULT;
 
+    /// A read without a cursor: the tenant's whole view.
+    fn fetch(tenant: TenantId) -> Request {
+        Request::ChangesSince { tenant, cursor: None }
+    }
+
     #[test]
     fn serves_the_store_protocol() {
         let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
@@ -1133,8 +1128,8 @@ mod tests {
             ),
             Response::NeedSnapshot
         );
-        match talk(addr, &Request::FetchAll { tenant: T0 }) {
-            Response::View(view) => {
+        match talk(addr, &fetch(T0)) {
+            Response::Changes { feed: Feed::Join(view), .. } => {
                 assert_eq!(view.len(), 1);
                 assert!(view[0].1.is_empty(), "the unblock delta applied");
             }
@@ -1158,8 +1153,8 @@ mod tests {
             };
             assert_eq!(exchange(&mut stream, &publish), Response::Ok);
         }
-        match talk(server.local_addr(), &Request::FetchAll { tenant: T0 }) {
-            Response::View(view) => assert_eq!(view.len(), 5),
+        match talk(server.local_addr(), &fetch(T0)) {
+            Response::Changes { feed: Feed::Join(view), .. } => assert_eq!(view.len(), 5),
             other => panic!("expected a view, got {other:?}"),
         }
         server.shutdown();
@@ -1172,8 +1167,8 @@ mod tests {
     fn a_server_bound_to_every_interface_drains() {
         let server = StoredServer::bind("0.0.0.0:0", StoredConfig::default()).unwrap();
         let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, server.local_addr().port()));
-        match talk(addr, &Request::FetchAll { tenant: T0 }) {
-            Response::View(view) => assert!(view.is_empty()),
+        match talk(addr, &fetch(T0)) {
+            Response::Changes { feed: Feed::Join(view), .. } => assert!(view.is_empty()),
             other => panic!("expected a view, got {other:?}"),
         }
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1251,8 +1246,8 @@ mod tests {
             );
         }
         for (tenant, task) in [(a, 1u64), (b, 2)] {
-            match talk(addr, &Request::FetchAll { tenant }) {
-                Response::View(view) => {
+            match talk(addr, &fetch(tenant)) {
+                Response::Changes { feed: Feed::Join(view), .. } => {
                     assert_eq!(view.len(), 1, "exactly the tenant's own partition");
                     assert_eq!(view[0].1.tasks[0].task, TaskId(task));
                 }
@@ -1261,8 +1256,8 @@ mod tests {
         }
         // Removing tenant a's partition leaves tenant b's untouched.
         assert_eq!(talk(addr, &Request::Remove { site: SiteId(0), tenant: a }), Response::Ok);
-        match talk(addr, &Request::FetchAll { tenant: b }) {
-            Response::View(view) => assert_eq!(view.len(), 1),
+        match talk(addr, &fetch(b)) {
+            Response::Changes { feed: Feed::Join(view), .. } => assert_eq!(view.len(), 1),
             other => panic!("expected a view, got {other:?}"),
         }
         server.shutdown();
@@ -1280,8 +1275,7 @@ mod tests {
             .and_then(|mut s| {
                 s.set_read_timeout(Some(Duration::from_millis(200)))?;
                 let mut frame = Vec::new();
-                wire::encode_frame_v2_into(&mut frame, 1, &Request::FetchAll { tenant: T0 })
-                    .unwrap();
+                wire::encode_frame_v2_into(&mut frame, 1, &fetch(T0)).unwrap();
                 s.write_all(&frame)?;
                 let mut byte = [0u8; 1];
                 match s.read(&mut byte) {
@@ -1372,8 +1366,8 @@ mod tests {
             Response::Error(_)
         ));
         // Nothing landed; well-formed traffic still works.
-        match talk(addr, &Request::FetchAll { tenant: T0 }) {
-            Response::View(view) => assert!(view.is_empty()),
+        match talk(addr, &fetch(T0)) {
+            Response::Changes { feed: Feed::Join(view), .. } => assert!(view.is_empty()),
             other => panic!("expected a view, got {other:?}"),
         }
         assert_eq!(

@@ -1,11 +1,13 @@
-//! The server's round ([`super::round`]) without sockets: against the
-//! stateless reference ([`check_store`]) over random write streams, by the
-//! counts that pin its cost to what was written, and at the two points
-//! where a hit goes stale between its analysis and its confirmation.
+//! The server's round ([`super::round`]) and the store's change log
+//! without sockets: against the stateless reference ([`check_store`]) over
+//! random write streams, beside a second reader of the log, by the counts
+//! that pin a round's cost to what was written, at the points where a hit
+//! goes stale between its analysis and its confirmation, and at the
+//! cursors the log does not honour.
 
 use super::{round, TenantChecker};
 use crate::detector::{check_store, merge, IncrementalDistChecker, ReportDedup};
-use crate::store::{DeltaAck, MemStore, SiteId, TenantId};
+use crate::store::{DeltaAck, Feed, MemStore, SiteId, StoreError, TenantId, LOG_CAPACITY};
 use armus_core::{
     BlockedInfo, DeadlockReport, Delta, ModelChoice, PhaserId, Registration, Resource, Snapshot,
     TaskId, DEFAULT_SG_THRESHOLD,
@@ -14,10 +16,10 @@ use armus_workloads::util::XorShift;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// The watched tenant: the one [`MemStore`]'s plain `Store` impl — and so
-/// [`check_store`] — reads.
+/// The tenant the checkers read: the one [`MemStore`]'s plain `Store` impl
+/// — and so [`check_store`] — reads.
 const T: TenantId = TenantId::DEFAULT;
-/// A tenant nobody watches, written with the same site and task ids.
+/// A tenant nobody reads, written with the same site and task ids.
 const OTHER: TenantId = TenantId(9);
 /// Longer than a test, shorter than any uptime (`MemStore::lapse_in`).
 const LEASE: Duration = Duration::from_secs(5);
@@ -47,13 +49,11 @@ fn reference(store: &MemStore) -> Option<DeadlockReport> {
     check_store(store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).expect("a MemStore").report
 }
 
-/// The engine holds what a fetch of the tenant would merge to, and the
-/// round left nothing noted.
+/// The engine holds what a fetch of the tenant would merge to.
 fn assert_in_step(store: &MemStore, state: &TenantChecker, present: &[SiteId], at: &str) {
     let view = store.fetch_all_in(T).expect("a MemStore");
     assert_eq!(present, view.iter().map(|(site, _)| *site).collect::<Vec<_>>(), "{at}");
     assert_eq!(state.checker.materialize(), merge(&view), "{at}");
-    assert_eq!(store.marks_in(T), Some(0), "{at}: a round takes everything noted");
 }
 
 const SITES: usize = 3;
@@ -146,18 +146,13 @@ fn the_round_matches_check_store_after_every_write() {
             let wrote = match rng.next_below(45) {
                 // The tenant lost its last subscriber and found a new one.
                 0 => {
-                    store.unwatch_in(T);
                     joins += state.checker.stats().order_rebuilds;
                     rounds += state.checker.stats().rounds;
                     state = TenantChecker::default();
                     told = ReportDedup::new();
-                    "unwatched, watched again".to_string()
+                    "a new checker".to_string()
                 }
-                // Either side alone doubts the continuity.
-                1 => {
-                    store.unwatch_in(T);
-                    "the store forgot the watch".to_string()
-                }
+                // The checker doubts the continuity.
                 2 => {
                     state.checker.resync();
                     "the checker resynced".to_string()
@@ -177,7 +172,6 @@ fn the_round_matches_check_store_after_every_write() {
             }
             assert_eq!(fresh, standing.filter(|report| told.is_new(report)), "{at}");
             assert_in_step(&store, &state, &present, &at);
-            assert_eq!(store.marks_in(OTHER), None, "{at}: nobody watches the other tenant");
         }
         joins += state.checker.stats().order_rebuilds;
         rounds += state.checker.stats().rounds;
@@ -220,7 +214,6 @@ fn a_round_costs_what_was_written_not_what_is_stored() {
         store.publish_deltas_in(T, SiteId(1), 1, &[Delta::Block(b)], 2),
         Ok(DeltaAck::Applied)
     );
-    assert_eq!(store.marks_in(T), Some(3));
     let (fresh, present) = round(&store, T, &mut state, false);
     let report = fresh.expect("the crossed wait");
     let planted = [TaskId(2001).with_site(0), TaskId(2002).with_site(0), TaskId(2001).with_site(1)];
@@ -229,19 +222,17 @@ fn a_round_costs_what_was_written_not_what_is_stored() {
     assert_eq!(applied(&state), 3, "three tasks blocked beside 2 048");
     assert_eq!(state.checker.stats().confirm_fetches, 1);
     assert_in_step(&store, &state, &present, "hit");
-    // Heartbeats note nothing, and the standing cycle is told once.
+    // Heartbeats log nothing, and the standing cycle is told once.
     assert_eq!(store.publish_deltas_in(T, SiteId(0), 3, &[], 3), Ok(DeltaAck::Applied));
-    assert_eq!(store.marks_in(T), Some(0));
     assert_eq!(round(&store, T, &mut state, false).0, None);
     assert_eq!(applied(&state), 3);
 
     // A snapshot equal to the partition it replaces: every id of it is
-    // noted — leaving and arriving — and taken once, and nothing changes.
+    // logged — leaving and arriving — and applied once, and nothing changes.
     let before = state.checker.materialize();
     let (_, same) = store.fetch_all_in(T).unwrap().swap_remove(1);
     let stored = same.len();
     store.publish_full_in(T, SiteId(1), same, 2).unwrap();
-    assert_eq!(store.marks_in(T), Some(2 * stored));
     let (again, _) = round(&store, T, &mut state, true);
     assert_eq!(again, Some(report), "told again only because a subscriber joined");
     assert_eq!(applied(&state), 3 + stored as u64);
@@ -250,23 +241,160 @@ fn a_round_costs_what_was_written_not_what_is_stored() {
 }
 
 #[test]
-fn writes_to_a_tenant_nobody_watches_note_nothing() {
+fn every_tenants_log_is_bounded_whoever_reads_it() {
     let store = MemStore::new();
     store.publish_full_in(T, SiteId(0), Snapshot::empty(), 0).unwrap();
     store.publish_full_in(OTHER, SiteId(0), Snapshot::empty(), 0).unwrap();
     let mut state = TenantChecker::default();
     round(&store, T, &mut state, true);
-    for version in 0..10_000u64 {
+    // Nobody reads the other tenant: its writes are logged all the same,
+    // two entries an interval, and the oldest dropped past the capacity.
+    for version in 0..LOG_CAPACITY as u64 {
         let interval = [Delta::Block(parked(version)), Delta::Unblock(TaskId(version))];
         let ack = store.publish_deltas_in(OTHER, SiteId(0), version, &interval, version + 1);
         assert_eq!(ack, Ok(DeltaAck::Applied));
     }
-    assert_eq!(store.marks_in(OTHER), None);
-    assert_eq!(store.marks_in(T), Some(0));
-    // Nor, once the tenant is forgotten, do writes to it.
-    store.unwatch_in(T);
-    store.publish_deltas_in(T, SiteId(0), 0, &[Delta::Block(parked(1))], 1).unwrap();
-    assert_eq!(store.marks_in(T), None);
+    assert_eq!(store.log_len_in(OTHER), LOG_CAPACITY);
+    assert_eq!(store.log_len_in(T), 0);
+    // The reader of the first tenant is fed nothing and joins no more.
+    assert_eq!(round(&store, T, &mut state, false).0, None);
+    let stats = state.checker.stats();
+    assert_eq!((stats.order_rebuilds, stats.deltas_applied), (1, 0));
+}
+
+#[test]
+fn a_tenant_nobody_wrote_reads_as_an_empty_log() {
+    let store = MemStore::new();
+    let (cursor, feed) = store.changes_since_in(OTHER, None).unwrap();
+    assert_eq!(feed, Feed::Join(Vec::new()));
+    assert_eq!(
+        store.changes_since_in(OTHER, Some(cursor)).unwrap(),
+        (cursor, Feed::Deltas(vec![]))
+    );
+    // The first write's log continues from the cursor the empty one gave.
+    store.publish_full_in(OTHER, SiteId(0), Snapshot::from_tasks(vec![parked(1)]), 1).unwrap();
+    let (next, feed) = store.changes_since_in(OTHER, Some(cursor)).unwrap();
+    let stored = BlockedInfo { task: TaskId(1).with_site(0), ..parked(1) };
+    assert_eq!((next.wrapping_sub(cursor), feed), (1, Feed::Deltas(vec![Delta::Block(stored)])));
+}
+
+#[test]
+fn two_readers_at_different_cursors_both_match_check_store() {
+    let (mut reads, mut writes) = (0u32, 0u32);
+    for seed in 1..=20u64 {
+        let mut rng = XorShift::new(seed);
+        let store = MemStore::with_lease(LEASE);
+        let mut versions = BTreeMap::new();
+        let mut state = TenantChecker::default();
+        // The second reader follows the log through `Store::changes_since`.
+        let mut second = IncrementalDistChecker::new();
+        for step in 0..300 {
+            let wrote = random_write(&mut rng, &store, &mut versions);
+            let at = format!("seed {seed}, step {step} ({wrote})");
+            let standing = reference(&store);
+            // A subscriber joins every round, so the round tells what stands.
+            let (fresh, present) = round(&store, T, &mut state, true);
+            assert_eq!(fresh, standing, "{at}: the server's round");
+            assert_in_step(&store, &state, &present, &at);
+            // The second reader reads after a random third of the writes:
+            // its cursor lags, and a read takes several writes at once.
+            writes += 1;
+            if rng.next_below(3) == 0 {
+                reads += 1;
+                let check = second.check_round(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+                assert_eq!(check.unwrap().report, standing, "{at}: the second reader");
+                assert_eq!(second.materialize(), state.checker.materialize(), "{at}");
+            }
+        }
+        let joins = (state.checker.stats().order_rebuilds, second.stats().order_rebuilds);
+        assert_eq!(joins, (1, 1), "seed {seed}: one join each, every later read fed");
+    }
+    assert!(reads * 4 > writes && reads * 2 < writes, "{reads} reads of {writes} writes");
+}
+
+#[test]
+fn a_read_repeated_at_its_cursor_answers_the_same() {
+    for seed in 1..=10u64 {
+        let mut rng = XorShift::new(seed);
+        let store = MemStore::with_lease(LEASE);
+        let mut versions = BTreeMap::new();
+        let mut cursor = None;
+        let mut checker = IncrementalDistChecker::new();
+        for step in 0..200 {
+            let wrote = random_write(&mut rng, &store, &mut versions);
+            let at = format!("seed {seed}, step {step} ({wrote})");
+            let answer = store.changes_since_in(T, cursor).unwrap();
+            assert_eq!(store.changes_since_in(T, cursor).unwrap(), answer, "{at}");
+            // Half the answers are lost on their way: the cursor stays.
+            if rng.next_below(2) == 0 {
+                cursor = Some(answer.0);
+            }
+            // A checker whose first read of the round is answered and then
+            // lost reads it again, and is in step with the store.
+            let mut lose = rng.next_below(2) == 0;
+            let check = loop {
+                let read = |cursor| match std::mem::take(&mut lose) {
+                    true => store.changes_since_in(T, cursor).and(Err(StoreError::Unavailable)),
+                    false => store.changes_since_in(T, cursor),
+                };
+                if let Ok(check) = checker.follow(read, ModelChoice::Auto, DEFAULT_SG_THRESHOLD) {
+                    break check;
+                }
+            };
+            assert_eq!(check.report, reference(&store), "{at}");
+            assert_eq!(checker.materialize(), merge(&store.fetch_all_in(T).unwrap()), "{at}");
+        }
+        assert_eq!(checker.stats().order_rebuilds, 1, "seed {seed}: a lost answer costs no join");
+    }
+}
+
+#[test]
+fn a_cursor_the_log_dropped_or_another_store_issued_joins() {
+    let store = MemStore::new();
+    let half = |own, next| Snapshot::from_tasks(vec![crossed(1, own, next, 1), parked(2)]);
+    store.publish_full_in(T, SiteId(0), half(1, 2), 1).unwrap();
+    store.publish_full_in(T, SiteId(1), half(2, 1), 1).unwrap();
+    let standing = reference(&store);
+    assert!(standing.is_some());
+    let mut version = 1;
+    // `n` more entries in the log: a standing task of site 0 re-published.
+    let mut churn = |n: usize| {
+        for _ in 0..n {
+            let interval = [Delta::Block(parked(2))];
+            let ack = store.publish_deltas_in(T, SiteId(0), version, &interval, version + 1);
+            assert_eq!(ack, Ok(DeltaAck::Applied));
+            version += 1;
+        }
+    };
+    let round = |checker: &mut IncrementalDistChecker, store: &MemStore| {
+        checker.check_round(store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap().report
+    };
+    let mut checker = IncrementalDistChecker::new();
+    assert_eq!(round(&mut checker, &store), standing);
+
+    // A cursor exactly a log's length behind is still fed; one entry more
+    // and the log has dropped it.
+    let (cursor, _) = store.changes_since_in(T, None).unwrap();
+    churn(LOG_CAPACITY);
+    let deltas = |feed| matches!(feed, Feed::Deltas(deltas) if deltas.len() == 1);
+    assert!(deltas(store.changes_since_in(T, Some(cursor)).unwrap().1));
+    churn(1);
+    assert!(matches!(store.changes_since_in(T, Some(cursor)).unwrap().1, Feed::Join(_)));
+    assert_eq!(round(&mut checker, &store), standing, "the checker's cursor was dropped too");
+    let stats = checker.stats();
+    assert_eq!((stats.order_rebuilds, stats.deltas_applied), (2, 0), "it joined: {stats:?}");
+
+    // A cursor another store issued, holding the same partitions.
+    let other = MemStore::new();
+    for (site, partition) in store.fetch_all_in(T).unwrap() {
+        other.publish_full_in(T, site, partition, 1).unwrap();
+    }
+    let mut foreign = IncrementalDistChecker::new();
+    assert_eq!(round(&mut foreign, &other), standing);
+    let (cursor, _) = other.changes_since_in(T, None).unwrap();
+    assert!(matches!(store.changes_since_in(T, Some(cursor)).unwrap().1, Feed::Join(_)));
+    assert_eq!(round(&mut foreign, &store), standing);
+    assert_eq!(foreign.stats().order_rebuilds, 2, "the other store's cursor joins");
 }
 
 /// What happens in the store between a hit's analysis and its
@@ -317,16 +445,16 @@ fn a_hit_is_reported_only_if_it_stands_at_its_confirmation() {
         store.publish_full_in(T, SiteId(0), half(1, 2), 1).unwrap();
         store.publish_full_in(T, SiteId(1), half(2, 1), 1).unwrap();
         let mut checker = IncrementalDistChecker::new();
-        let taken = store.take_in(T, checker.needs_join());
-        let check = checker.check_fed(
-            taken.feed,
-            |report| {
+        let mut reads = 0;
+        let read = |cursor| {
+            reads += 1;
+            // The second read is the confirmation.
+            if reads == 2 {
                 between(&store);
-                store.holds_in(T, &report.task_epochs)
-            },
-            ModelChoice::Auto,
-            DEFAULT_SG_THRESHOLD,
-        );
+            }
+            store.changes_since_in(T, cursor)
+        };
+        let check = checker.follow(read, ModelChoice::Auto, DEFAULT_SG_THRESHOLD).unwrap();
         assert_eq!(check.report.is_some(), stands, "{what}");
         assert_eq!(checker.stats().confirm_fetches, 1, "{what}");
         // The next round is fed what happened and agrees with the store.

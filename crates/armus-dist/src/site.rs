@@ -27,9 +27,10 @@
 //! it (one without delta support NACKs every interval) is from then on
 //! sent one snapshot a round, as ever, and no marker after it.
 //!
-//! The checker looks at the global view once a
+//! The checker reads what changed in the global view once a
 //! [`SiteConfig::check_period`], unconditionally: it cannot see what other
-//! sites write.
+//! sites write. A read costs what changed since the one before
+//! ([`crate::store::Store::changes_since`]), not what stands blocked.
 //!
 //! Sites take the store as `Arc<dyn Store>` and never assume exclusive
 //! ownership, so the intended networked deployment is **many sites
@@ -114,7 +115,8 @@ pub struct SiteConfig {
     /// 200 ms) — an upper bound on how long a deadlock stands unseen by
     /// it. Every site checks and none is the control site (§5.2), so the
     /// checker keeps this period unconditionally, clean view or not: it
-    /// cannot see what other sites write. (A verdict at the closing event
+    /// cannot see what other sites write. Each check reads only what
+    /// changed since the one before. (A verdict at the closing event
     /// is what the store's checker and a subscription to it are for —
     /// [`crate::server`].)
     pub check_period: Duration,
@@ -458,25 +460,19 @@ impl Site {
                 .spawn(move || {
                     let mut dedup = ReportDedup::new();
                     // The checker engine persists across rounds: each round
-                    // diffs the merged view against the previous one and
+                    // reads the store's change log from its cursor and
                     // answers cycle existence from the maintained order —
                     // O(churn between rounds), not O(cluster blocked set).
                     let mut checker = IncrementalDistChecker::new();
                     while !stop.wait(cfg.check_period) {
-                        // Fetch failures are tolerated: skip the round.
-                        match checker.check_round(store.as_ref(), cfg.model, DEFAULT_SG_THRESHOLD) {
-                            Ok(out) => {
-                                if let Some(report) = out.report {
-                                    if dedup.is_new(&report) {
-                                        reports.lock().push(report);
-                                    }
-                                }
+                        // A failed read skips the round and leaves the
+                        // cursor where it was.
+                        let round =
+                            checker.check_round(store.as_ref(), cfg.model, DEFAULT_SG_THRESHOLD);
+                        if let Some(report) = round.ok().and_then(|out| out.report) {
+                            if dedup.is_new(&report) {
+                                reports.lock().push(report);
                             }
-                            // Conservative: after a store outage, rebuild
-                            // from the next successful fetch rather than
-                            // trust the diff path — delta continuity must
-                            // never be load-bearing for correctness.
-                            Err(_) => checker.resync(),
                         }
                         *checker_stats.lock() = checker.stats();
                     }
@@ -509,7 +505,7 @@ impl Site {
     }
 
     /// Counters of this site's checker thread as of its latest round:
-    /// rounds run, confirmation re-fetches, deltas diffed in, and how
+    /// rounds run, joins, confirmation reads, deltas applied, and how
     /// often detection stayed on the incremental path — the observability
     /// needed to see that a multiplexed store still serves every site's
     /// check cadence.

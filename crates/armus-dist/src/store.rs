@@ -10,17 +10,17 @@
 //! instead, by `armus_testkit::dist::ChaosStore` making a store
 //! unavailable for windows of time.
 //!
-//! The paper's store is passive and must be polled; that is what the
-//! [`Store`] trait keeps for the sites. A [`MemStore`] is **not only
-//! polled**, though: the `armus-stored` checker lives in the store's own
-//! process, and the store applies exactly the changes that checker would
-//! otherwise rediscover by fetching and diffing the whole view. For a
-//! tenant the checker *watches*, every write therefore notes — under the
-//! partitions lock it holds anyway — the site-namespaced ids of the tasks
-//! whose stored status it may have changed, and a round takes those as
-//! block/unblock deltas: work proportional to what changed
-//! since the previous round, not to what is stored. A hit is confirmed by
-//! looking the cycle's `(task, epoch)` pairs up in their partitions.
+//! The paper's store is passive and must be polled. A [`MemStore`] also
+//! keeps one bounded **change log** a tenant: every write appends — under
+//! the partitions lock it holds anyway — the site-namespaced ids of the
+//! tasks whose stored status it may have changed, whoever reads them.
+//! Every checker, a site's and the `armus-stored` one, follows that log by
+//! cursor ([`Store::changes_since`]): a read answers the tasks written
+//! since the reader's cursor as block/unblock deltas, work proportional to
+//! what changed, not to what is stored. A reader without a cursor this
+//! store instance issued, or one the log's window has passed, gets the
+//! whole view instead — the local journal's `Behind` → snapshot resync,
+//! one level up. The log keeps no per-reader state.
 //!
 //! Partitions are updated **incrementally**: a site normally publishes only
 //! the journal [`Delta`]s since its previous publish
@@ -47,7 +47,9 @@
 //! pipelined connection, so concurrent calls from many sites batch into
 //! shared flushes rather than serialising on a socket each.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::BuildHasher;
 use std::time::{Duration, Instant};
 
 use armus_core::{BlockedInfo, Delta, Snapshot, TaskId};
@@ -141,8 +143,9 @@ pub struct SiteStats {
 }
 
 /// The store interface used by sites: publish-partition (full or
-/// delta-based) and fetch-all. Tenant-agnostic by design — a handle is
-/// bound to one tenant namespace (see the module docs).
+/// delta-based), fetch-all and the change-log read. Tenant-agnostic by
+/// design — a handle is bound to one tenant namespace (see the module
+/// docs).
 pub trait Store: Send + Sync {
     /// Replaces `site`'s partition of the global resource-dependency and
     /// records `version` (the publisher's journal cursor) so that
@@ -182,6 +185,15 @@ pub trait Store: Send + Sync {
     /// Fetches every partition (the checker's global view).
     fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError>;
 
+    /// What changed since `cursor`, a cursor an earlier read returned, and
+    /// the cursor to read from next. A read changes nothing, so a lost
+    /// answer is read again. The default, for a passive store that keeps
+    /// no log, answers the whole view and cursor 0, which it never honours.
+    fn changes_since(&self, cursor: Option<u64>) -> Result<(u64, Feed), StoreError> {
+        let _ = cursor;
+        Ok((0, Feed::Join(self.fetch_all()?)))
+    }
+
     /// Drops `site`'s partition (site shutdown or failure cleanup).
     fn remove(&self, site: SiteId) -> Result<(), StoreError>;
 }
@@ -209,35 +221,56 @@ impl Partition {
     }
 }
 
-/// Per watched tenant: the site-namespaced ids of the tasks whose stored
-/// status may differ from what the watcher last took, one entry a write.
-/// A write pays a push and the take sorts out the repeats: a set costs
-/// the connection threads ≈ 45 ns a delta, which is more than the
-/// watcher's rounds save. What stands noted between two takes therefore
-/// grows with the writes between them, which the watcher's period bounds.
-type Watches = BTreeMap<TenantId, Vec<TaskId>>;
+/// Entries a tenant's change log keeps — 8 B each, so 0.5 MB a tenant at
+/// most. A reader further behind than this joins afresh.
+pub(crate) const LOG_CAPACITY: usize = 1 << 16;
 
-/// Everything the partitions lock guards: the partitions, and what their
-/// writers note for the watchers.
+/// One tenant's change log: the site-namespaced id of each task a write
+/// may have changed the stored status of, one entry a write and task. A
+/// write pays a push and a read sorts out the repeats: a set costs the
+/// connection threads ≈ 45 ns a delta.
+#[derive(Default)]
+struct Log {
+    /// The position of `ids[0]`, counted (wrapping) from the first entry.
+    tail: u64,
+    ids: VecDeque<TaskId>,
+}
+
+static EMPTY_LOG: Log = Log { tail: 0, ids: VecDeque::new() };
+
+impl Log {
+    fn head(&self) -> u64 {
+        self.tail.wrapping_add(self.ids.len() as u64)
+    }
+
+    /// Logs `site`'s ids of `tasks`, dropping the oldest entries past
+    /// [`LOG_CAPACITY`]. An id that cannot be namespaced is logged for
+    /// nobody: a merged view never holds it either ([`crate::merge`]), and
+    /// `armus-stored` refuses it at the boundary.
+    fn note(&mut self, site: SiteId, tasks: impl Iterator<Item = TaskId>) {
+        for task in tasks.filter_map(|task| task.checked_with_site(site.0)) {
+            if self.ids.len() == LOG_CAPACITY {
+                self.ids.pop_front();
+                self.tail = self.tail.wrapping_add(1);
+            }
+            self.ids.push_back(task);
+        }
+    }
+
+    /// The ids logged since `position`, if the log still holds it.
+    fn since(&self, position: u64) -> Option<impl Iterator<Item = &TaskId>> {
+        let behind = usize::try_from(self.head().wrapping_sub(position)).ok()?;
+        let first = self.ids.len().checked_sub(behind)?;
+        Some(self.ids.range(first..))
+    }
+}
+
+/// Everything the partitions lock guards: the partitions, and the log of
+/// what their writers changed.
 #[derive(Default)]
 struct Stored {
     partitions: BTreeMap<(TenantId, SiteId), Partition>,
-    watches: Watches,
-}
-
-/// Notes that `site`'s stored status of each of `tasks` may have changed,
-/// if somebody watches `tenant`. An id that cannot be namespaced is noted
-/// for nobody: a merged view never holds it either ([`crate::merge`]), and
-/// `armus-stored` — the one watcher — refuses it at the boundary.
-fn mark(
-    watches: &mut Watches,
-    tenant: TenantId,
-    site: SiteId,
-    tasks: impl Iterator<Item = TaskId>,
-) {
-    if let Some(marks) = watches.get_mut(&tenant) {
-        marks.extend(tasks.filter_map(|task| task.checked_with_site(site.0)));
-    }
+    logs: BTreeMap<TenantId, Log>,
 }
 
 /// The task a delta is about.
@@ -270,23 +303,17 @@ fn view_of(
     partitions.range(sites_of(tenant)).map(|(&(_, site), p)| (site, p.materialize())).collect()
 }
 
-/// What a watcher takes from the store to bring its engine up to date.
-pub(crate) enum Feed {
-    /// The tenant's whole view: the watch begins here.
+/// What a read of the change log answers ([`Store::changes_since`]).
+#[derive(Clone, Debug, PartialEq)]
+pub enum Feed {
+    /// The tenant's whole view: the reader begins here.
     Join(Vec<(SiteId, Snapshot)>),
-    /// The tasks written since the previous take, each as the
-    /// site-namespaced delta that leads to its stored status: a `Block`
-    /// with it, or an `Unblock` if it has none. Applying them is an
-    /// idempotent per-task upsert, so a task written many times between two
-    /// takes costs one delta.
+    /// The tasks written since the cursor, each as the site-namespaced
+    /// delta that leads to its stored status: a `Block` with it, or an
+    /// `Unblock` if it has none. Applying them is an idempotent per-task
+    /// upsert, so a task written many times between two reads costs one
+    /// delta.
     Deltas(Vec<Delta>),
-}
-
-/// One [`MemStore::take_in`].
-pub(crate) struct Taken {
-    pub(crate) feed: Feed,
-    /// The sites whose partitions are live, from the partition keys.
-    pub(crate) present: Vec<SiteId>,
 }
 
 /// In-process store: the Redis stand-in.
@@ -310,6 +337,10 @@ pub struct MemStore {
     /// Partitions dropped by lease expiry, per tenant.
     expiries: Mutex<BTreeMap<TenantId, u64>>,
     lease: Option<Duration>,
+    /// What a cursor this instance issues adds to a log position: random,
+    /// so another instance's cursor falls in no log window of this one's
+    /// but by a 2⁻⁴⁸ chance.
+    origin: u64,
 }
 
 impl Default for MemStore {
@@ -337,6 +368,9 @@ impl MemStore {
             stats: Mutex::new(BTreeMap::new()),
             expiries: Mutex::new(BTreeMap::new()),
             lease,
+            // A hash keyed by the process's random seed and a per-instance
+            // counter.
+            origin: RandomState::new().hash_one(Instant::now()),
         }
     }
 
@@ -350,12 +384,12 @@ impl MemStore {
     /// the expired sites.
     fn expire(&self, stored: &mut Stored) {
         let Some(ttl) = self.lease else { return };
-        let Stored { partitions, watches } = stored;
+        let Stored { partitions, logs } = stored;
         let mut expired: Vec<(TenantId, SiteId)> = Vec::new();
         partitions.retain(|&(tenant, site), p| {
             let live = p.refreshed.elapsed() <= ttl;
             if !live {
-                mark(watches, tenant, site, p.tasks.keys().copied());
+                logs.entry(tenant).or_default().note(site, p.tasks.keys().copied());
                 expired.push((tenant, site));
             }
             live
@@ -371,23 +405,24 @@ impl MemStore {
         }
     }
 
-    /// Installs `new` — or nothing — as `site`'s partition, noting every id
-    /// of the partition that goes and of the one that comes. The lock is
-    /// held for the swap and the marks: the caller built `new` before it,
-    /// and the partition that goes is dropped after it.
+    /// Installs `new` — or nothing — as `site`'s partition, logging every
+    /// id of the partition that goes and of the one that comes. The lock is
+    /// held for the swap and the log: the caller built `new` before it, and
+    /// the partition that goes is dropped after it.
     fn replace(&self, tenant: TenantId, site: SiteId, new: Option<Partition>) {
         let _old = {
             let mut stored = self.stored.lock();
-            let Stored { partitions, watches } = &mut *stored;
+            let Stored { partitions, logs } = &mut *stored;
+            let log = logs.entry(tenant).or_default();
             let old = match new {
                 Some(new) => {
-                    mark(watches, tenant, site, new.tasks.keys().copied());
+                    log.note(site, new.tasks.keys().copied());
                     partitions.insert((tenant, site), new)
                 }
                 None => partitions.remove(&(tenant, site)),
             };
             if let Some(old) = &old {
-                mark(watches, tenant, site, old.tasks.keys().copied());
+                log.note(site, old.tasks.keys().copied());
             }
             old
         };
@@ -415,7 +450,7 @@ impl MemStore {
         next: u64,
     ) -> Result<DeltaAck, StoreError> {
         let mut stored = self.stored.lock();
-        let Stored { partitions, watches } = &mut *stored;
+        let Stored { partitions, logs } = &mut *stored;
         let Some(partition) = partitions.get_mut(&(tenant, site)) else {
             return Ok(DeltaAck::NeedSnapshot);
         };
@@ -434,7 +469,7 @@ impl MemStore {
         }
         partition.version = next;
         partition.refreshed = Instant::now();
-        mark(watches, tenant, site, deltas.iter().map(delta_task));
+        logs.entry(tenant).or_default().note(site, deltas.iter().map(delta_task));
         Ok(DeltaAck::Applied)
     }
 
@@ -463,27 +498,29 @@ impl MemStore {
         Ok(())
     }
 
-    /// A watcher's step: what brings whoever watches `tenant` up to date
-    /// with its live partitions (after an expiry sweep). The first take —
-    /// and any with `rejoin`, for a watcher that no longer trusts what it
-    /// holds — begins the watch and is the whole view, both under one hold
-    /// of the partitions lock, so no write falls between them. Every later
-    /// one is the tasks written since the take before it.
-    pub(crate) fn take_in(&self, tenant: TenantId, rejoin: bool) -> Taken {
+    /// Tenant-scoped [`Store::changes_since`] (after an expiry sweep): the
+    /// tasks logged since `cursor`, or — for a cursor this store did not
+    /// issue, or one its log has dropped — the whole view, taken under the
+    /// same hold of the partitions lock as the head cursor returned with it.
+    pub(crate) fn changes_since_in(
+        &self,
+        tenant: TenantId,
+        cursor: Option<u64>,
+    ) -> Result<(u64, Feed), StoreError> {
         let mut stored = self.stored.lock();
         self.expire(&mut stored);
-        let Stored { partitions, watches } = &mut *stored;
-        let present = partitions.range(sites_of(tenant)).map(|(&(_, site), _)| site).collect();
-        let feed = match watches.get_mut(&tenant) {
-            Some(marks) if !rejoin => {
-                // Sorted, so the take is deterministic and walks one
+        let Stored { partitions, logs } = &*stored;
+        // A read creates nothing: a tenant nobody wrote reads as empty.
+        let log = logs.get(&tenant).unwrap_or(&EMPTY_LOG);
+        let feed = match cursor.and_then(|cursor| log.since(cursor.wrapping_sub(self.origin))) {
+            Some(ids) => {
+                // Sorted, so the read is deterministic and walks one
                 // partition after the other.
-                let mut marks = std::mem::take(marks);
-                marks.sort_unstable();
-                marks.dedup();
+                let mut ids: Vec<TaskId> = ids.copied().collect();
+                ids.sort_unstable();
+                ids.dedup();
                 Feed::Deltas(
-                    marks
-                        .into_iter()
+                    ids.into_iter()
                         .map(|task| match stored_status(partitions, tenant, task) {
                             Some(info) => Delta::Block(BlockedInfo { task, ..info.clone() }),
                             None => Delta::Unblock(task),
@@ -491,29 +528,17 @@ impl MemStore {
                         .collect(),
                 )
             }
-            _ => {
-                watches.insert(tenant, Vec::new());
-                Feed::Join(view_of(partitions, tenant))
-            }
+            None => Feed::Join(view_of(partitions, tenant)),
         };
-        Taken { feed, present }
+        Ok((log.head().wrapping_add(self.origin), feed))
     }
 
-    /// Ends the watch on `tenant`: its writes are noted for nobody.
-    pub(crate) fn unwatch_in(&self, tenant: TenantId) {
-        self.stored.lock().watches.remove(&tenant);
-    }
-
-    /// Is every site-namespaced `(task, epoch)` pair still what `tenant`'s
-    /// live partitions (after an expiry sweep) hold — every task still in
-    /// the same blocking operation? The confirmation pass of a hit found
-    /// in what [`MemStore::take_in`] fed.
-    pub(crate) fn holds_in(&self, tenant: TenantId, task_epochs: &[(TaskId, u64)]) -> bool {
+    /// The sites whose partitions of `tenant` are live (after an expiry
+    /// sweep).
+    pub(crate) fn sites_in(&self, tenant: TenantId) -> Vec<SiteId> {
         let mut stored = self.stored.lock();
         self.expire(&mut stored);
-        task_epochs.iter().all(|&(task, epoch)| {
-            stored_status(&stored.partitions, tenant, task).is_some_and(|info| info.epoch == epoch)
-        })
+        stored.partitions.range(sites_of(tenant)).map(|(&(_, site), _)| site).collect()
     }
 
     /// Live partition counts per tenant (after an expiry sweep) — the
@@ -555,10 +580,9 @@ impl MemStore {
         }
     }
 
-    /// How many writes stand noted for `tenant`'s watcher; `None`: nobody
-    /// watches it.
-    pub(crate) fn marks_in(&self, tenant: TenantId) -> Option<usize> {
-        self.stored.lock().watches.get(&tenant).map(Vec::len)
+    /// How many entries `tenant`'s change log holds.
+    pub(crate) fn log_len_in(&self, tenant: TenantId) -> usize {
+        self.stored.lock().logs.get(&tenant).map_or(0, |log| log.ids.len())
     }
 }
 
@@ -588,6 +612,10 @@ impl Store for MemStore {
 
     fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
         self.fetch_all_in(TenantId::DEFAULT)
+    }
+
+    fn changes_since(&self, cursor: Option<u64>) -> Result<(u64, Feed), StoreError> {
+        self.changes_since_in(TenantId::DEFAULT, cursor)
     }
 
     fn remove(&self, site: SiteId) -> Result<(), StoreError> {

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use armus_core::{DeadlockReport, Delta, Snapshot};
 use parking_lot::{Condvar, Mutex};
 
-use crate::store::{DeltaAck, SiteId, SiteStats, Store, StoreError, TenantId};
+use crate::store::{DeltaAck, Feed, SiteId, SiteStats, Store, StoreError, TenantId};
 use crate::wire::{self, Request, Response, ServerMetrics};
 
 /// Tuning of a [`TcpStore`].
@@ -733,8 +733,15 @@ impl Store for TcpStore {
     }
 
     fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
-        match self.call(&Request::FetchAll { tenant: self.tenant })? {
-            Response::View(view) => Ok(view),
+        match self.changes_since(None)? {
+            (_, Feed::Join(view)) => Ok(view),
+            _ => Err(StoreError::Unavailable),
+        }
+    }
+
+    fn changes_since(&self, cursor: Option<u64>) -> Result<(u64, Feed), StoreError> {
+        match self.call(&Request::ChangesSince { tenant: self.tenant, cursor })? {
+            Response::Changes { cursor, feed } => Ok((cursor, feed)),
             _ => Err(StoreError::Unavailable),
         }
     }

@@ -25,7 +25,7 @@ use armus_core::{
     TaskId,
 };
 
-use crate::store::{SiteId, SiteStats, TenantId};
+use crate::store::{Feed, SiteId, SiteStats, TenantId};
 
 /// The flat pipelined payload version carrying correlation ids — the one
 /// version this build speaks. A frame carrying any other version byte is
@@ -112,11 +112,14 @@ pub enum Request {
         /// Journal version after the interval.
         next: u64,
     },
-    /// [`crate::store::Store::fetch_all`], scoped to one tenant's
-    /// partitions.
-    FetchAll {
+    /// [`crate::store::Store::changes_since`], scoped to one tenant's
+    /// change log; [`crate::store::Store::fetch_all`] is the read without
+    /// a cursor.
+    ChangesSince {
         /// The caller's namespace.
         tenant: TenantId,
+        /// Where the reader stands in the log, if anywhere.
+        cursor: Option<u64>,
     },
     /// [`crate::store::Store::remove`].
     Remove {
@@ -165,8 +168,14 @@ pub enum Response {
     /// A delta publish was declined: the site must resync with a full
     /// snapshot.
     NeedSnapshot,
-    /// The global view, one partition per live site.
-    View(Vec<(SiteId, Snapshot)>),
+    /// What changed since the read's cursor, and the cursor to read from
+    /// next.
+    Changes {
+        /// The log's head, as the feed reflects it.
+        cursor: u64,
+        /// The tasks written since the cursor, or the whole view.
+        feed: Feed,
+    },
     /// The server could not serve the request.
     Error(String),
     /// The metrics scrape answering [`Request::Metrics`].
@@ -213,7 +222,7 @@ pub struct ServerMetrics {
     pub publishes: u64,
     /// Delta publishes served.
     pub delta_publishes: u64,
-    /// `FetchAll` requests served.
+    /// Whole views served: `ChangesSince` reads answered with a join.
     pub fetches: u64,
     /// `Remove` requests served.
     pub removes: u64,
@@ -237,7 +246,7 @@ const FLAT_PAIR: usize = 16;
 const FLAT_INFO_HEADER: usize = 8 + 8 + 4 + 4;
 /// Minimum flat size of a [`Delta`]: tag byte + an Unblock task id.
 const FLAT_DELTA_MIN: usize = 1 + 8;
-/// Minimum flat size of a `View` entry: site id + empty snapshot count.
+/// Minimum flat size of a view entry: site id + empty snapshot count.
 const FLAT_VIEW_ENTRY_MIN: usize = 4 + 4;
 
 fn take_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
@@ -358,6 +367,24 @@ fn put_deltas(deltas: &[Delta], out: &mut Vec<u8>) {
     }
 }
 
+fn put_view(view: &[(SiteId, Snapshot)], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(view.len() as u32).to_le_bytes());
+    for (site, snapshot) in view {
+        out.extend_from_slice(&site.0.to_le_bytes());
+        put_snapshot(snapshot, out);
+    }
+}
+
+fn take_view(buf: &mut &[u8]) -> Result<Vec<(SiteId, Snapshot)>, WireError> {
+    let count = take_flat_count(buf, FLAT_VIEW_ENTRY_MIN, "view")?;
+    let mut view = Vec::with_capacity(count.min(PREALLOC_CAP));
+    for _ in 0..count {
+        let site = SiteId(take_u32(buf)?);
+        view.push((site, take_snapshot(buf)?));
+    }
+    Ok(view)
+}
+
 fn take_deltas(buf: &mut &[u8]) -> Result<Vec<Delta>, WireError> {
     let count = take_flat_count(buf, FLAT_DELTA_MIN, "deltas")?;
     let mut deltas = Vec::with_capacity(count.min(PREALLOC_CAP));
@@ -371,25 +398,30 @@ fn take_deltas(buf: &mut &[u8]) -> Result<Vec<Delta>, WireError> {
     Ok(deltas)
 }
 
-// Request kind 0 was the unversioned publish: it stays reserved (and
-// decodes as malformed) so the other kinds keep their numbers.
+// Request kind 0 was the unversioned publish and kind 3 the cursorless
+// fetch, response kind 3 the view that answered it: they stay reserved
+// (and decode as malformed) so the other kinds keep their numbers.
 const REQ_PUBLISH_FULL: u8 = 1;
 const REQ_PUBLISH_DELTAS: u8 = 2;
-const REQ_FETCH_ALL: u8 = 3;
 const REQ_REMOVE: u8 = 4;
 const REQ_SHUTDOWN: u8 = 5;
 const REQ_METRICS: u8 = 6;
 const REQ_SUBSCRIBE: u8 = 7;
 const REQ_PUBLISH_STATS: u8 = 8;
+const REQ_CHANGES_SINCE: u8 = 9;
 
 const RESP_OK: u8 = 0;
 const RESP_APPLIED: u8 = 1;
 const RESP_NEED_SNAPSHOT: u8 = 2;
-const RESP_VIEW: u8 = 3;
 const RESP_ERROR: u8 = 4;
 const RESP_METRICS: u8 = 5;
 const RESP_SUBSCRIBED: u8 = 6;
 const RESP_REPORT: u8 = 7;
+const RESP_CHANGES: u8 = 8;
+
+/// Feed tags of a `Changes` response.
+const FEED_JOIN: u8 = 0;
+const FEED_DELTAS: u8 = 1;
 
 /// Flat size of a [`SiteStats`] record: nine `u64` counters.
 const FLAT_SITE_STATS: usize = 9 * 8;
@@ -607,9 +639,16 @@ impl FlatMessage for Request {
                 out.extend_from_slice(&next.to_le_bytes());
                 put_deltas(deltas, out);
             }
-            Request::FetchAll { tenant } => {
-                out.push(REQ_FETCH_ALL);
+            Request::ChangesSince { tenant, cursor } => {
+                out.push(REQ_CHANGES_SINCE);
                 out.extend_from_slice(&tenant.0.to_le_bytes());
+                match cursor {
+                    Some(cursor) => {
+                        out.push(1);
+                        out.extend_from_slice(&cursor.to_le_bytes());
+                    }
+                    None => out.push(0),
+                }
             }
             Request::Remove { site, tenant } => {
                 out.push(REQ_REMOVE);
@@ -646,7 +685,15 @@ impl FlatMessage for Request {
                 let next = take_u64(buf)?;
                 Request::PublishDeltas { site, tenant, base, deltas: take_deltas(buf)?, next }
             }
-            REQ_FETCH_ALL => Request::FetchAll { tenant: TenantId(take_u32(buf)?) },
+            REQ_CHANGES_SINCE => {
+                let tenant = TenantId(take_u32(buf)?);
+                let cursor = match take_u8(buf)? {
+                    0 => None,
+                    1 => Some(take_u64(buf)?),
+                    other => return Err(malformed(format!("unknown cursor tag {other}"))),
+                };
+                Request::ChangesSince { tenant, cursor }
+            }
             REQ_REMOVE => {
                 let site = SiteId(take_u32(buf)?);
                 let tenant = TenantId(take_u32(buf)?);
@@ -671,12 +718,18 @@ impl FlatMessage for Response {
             Response::Ok => out.push(RESP_OK),
             Response::Applied => out.push(RESP_APPLIED),
             Response::NeedSnapshot => out.push(RESP_NEED_SNAPSHOT),
-            Response::View(view) => {
-                out.push(RESP_VIEW);
-                out.extend_from_slice(&(view.len() as u32).to_le_bytes());
-                for (site, snapshot) in view {
-                    out.extend_from_slice(&site.0.to_le_bytes());
-                    put_snapshot(snapshot, out);
+            Response::Changes { cursor, feed } => {
+                out.push(RESP_CHANGES);
+                out.extend_from_slice(&cursor.to_le_bytes());
+                match feed {
+                    Feed::Join(view) => {
+                        out.push(FEED_JOIN);
+                        put_view(view, out);
+                    }
+                    Feed::Deltas(deltas) => {
+                        out.push(FEED_DELTAS);
+                        put_deltas(deltas, out);
+                    }
                 }
             }
             Response::Error(message) => {
@@ -700,14 +753,14 @@ impl FlatMessage for Response {
             RESP_OK => Response::Ok,
             RESP_APPLIED => Response::Applied,
             RESP_NEED_SNAPSHOT => Response::NeedSnapshot,
-            RESP_VIEW => {
-                let count = take_flat_count(buf, FLAT_VIEW_ENTRY_MIN, "view")?;
-                let mut view = Vec::with_capacity(count.min(PREALLOC_CAP));
-                for _ in 0..count {
-                    let site = SiteId(take_u32(buf)?);
-                    view.push((site, take_snapshot(buf)?));
-                }
-                Response::View(view)
+            RESP_CHANGES => {
+                let cursor = take_u64(buf)?;
+                let feed = match take_u8(buf)? {
+                    FEED_JOIN => Feed::Join(take_view(buf)?),
+                    FEED_DELTAS => Feed::Deltas(take_deltas(buf)?),
+                    other => return Err(malformed(format!("unknown feed tag {other}"))),
+                };
+                Response::Changes { cursor, feed }
             }
             RESP_ERROR => Response::Error(take_flat_str(buf, "error message")?),
             RESP_METRICS => Response::Metrics(take_metrics(buf)?),
@@ -937,7 +990,8 @@ mod tests {
                 next: 7,
             },
         );
-        roundtrip(3, &Request::FetchAll { tenant: TenantId(4) });
+        roundtrip(3, &Request::ChangesSince { tenant: TenantId(4), cursor: None });
+        roundtrip(9, &Request::ChangesSince { tenant: TenantId(4), cursor: Some(u64::MAX) });
         roundtrip(4, &Request::Remove { site: SiteId(3), tenant: TenantId(1) });
         roundtrip(5, &Request::Shutdown);
         roundtrip(6, &Request::Metrics);
@@ -953,7 +1007,10 @@ mod tests {
         roundtrip(1, &Response::Ok);
         roundtrip(2, &Response::Applied);
         roundtrip(3, &Response::NeedSnapshot);
-        roundtrip(4, &Response::View(vec![(SiteId(0), snap()), (SiteId(1), Snapshot::empty())]));
+        let view = vec![(SiteId(0), snap()), (SiteId(1), Snapshot::empty())];
+        roundtrip(4, &Response::Changes { cursor: 3, feed: Feed::Join(view) });
+        let deltas = vec![Delta::Block(snap().tasks[0].clone()), Delta::Unblock(TaskId(9))];
+        roundtrip(11, &Response::Changes { cursor: u64::MAX, feed: Feed::Deltas(deltas) });
         roundtrip(5, &Response::Error("partition store on fire".into()));
         roundtrip(6, &Response::Metrics(metrics()));
         roundtrip(7, &Response::Metrics(ServerMetrics::default()));
@@ -978,10 +1035,10 @@ mod tests {
         // included, comes back on the frame it went out on.
         for corr in [0, 1, 0x0102_0304_0506_0708, u64::MAX] {
             let mut out = Vec::new();
-            encode_frame_v2_into(&mut out, corr, &Request::FetchAll { tenant: TenantId(1) })
-                .unwrap();
+            let msg = Request::ChangesSince { tenant: TenantId(1), cursor: None };
+            encode_frame_v2_into(&mut out, corr, &msg).unwrap();
             let request: Frame<Request> = decode_frame_payload(&out[4..]).unwrap();
-            assert_eq!(request, Frame { corr, msg: Request::FetchAll { tenant: TenantId(1) } });
+            assert_eq!(request, Frame { corr, msg });
             out.clear();
             encode_frame_v2_into(&mut out, corr, &Response::Applied).unwrap();
             let response: Frame<Response> = decode_frame_payload(&out[4..]).unwrap();
@@ -999,8 +1056,8 @@ mod tests {
     #[test]
     fn future_versions_are_rejected_cleanly() {
         let mut frame = Vec::new();
-        encode_frame_v2_into(&mut frame, 1, &Request::FetchAll { tenant: TenantId::DEFAULT })
-            .unwrap();
+        let fetch = Request::ChangesSince { tenant: TenantId::DEFAULT, cursor: None };
+        encode_frame_v2_into(&mut frame, 1, &fetch).unwrap();
         frame[4] = WIRE_V2 + 1; // the version byte follows the length
         let mut fb = FrameBuffer::new();
         fb.feed(&frame);
@@ -1029,8 +1086,9 @@ mod tests {
     #[test]
     fn unknown_message_variants_are_malformed_not_panics() {
         // Every kind byte without a message behind it — 0, the retired
-        // unversioned publish, included — is malformed for that direction.
-        for kind in (0..=u8::MAX).filter(|k| !(REQ_PUBLISH_FULL..=REQ_PUBLISH_STATS).contains(k)) {
+        // unversioned publish, and 3, the retired fetch and its view,
+        // included — is malformed for that direction.
+        for kind in (0..=u8::MAX).filter(|k| ![1, 2, 4, 5, 6, 7, 8, 9].contains(k)) {
             assert!(
                 matches!(
                     decode_frame_payload::<Request>(&payload(WIRE_V2, &[kind])),
@@ -1039,7 +1097,7 @@ mod tests {
                 "request kind {kind}"
             );
         }
-        for kind in RESP_REPORT + 1..=u8::MAX {
+        for kind in (0..=u8::MAX).filter(|k| ![0, 1, 2, 4, 5, 6, 7, 8].contains(k)) {
             assert!(
                 matches!(
                     decode_frame_payload::<Response>(&payload(WIRE_V2, &[kind])),
@@ -1063,17 +1121,18 @@ mod tests {
             decode_frame_payload::<Request>(&payload(WIRE_V2, &publish)),
             Err(WireError::Malformed(_))
         ));
-        // A View claiming u32::MAX partitions, an Error claiming a
-        // u32::MAX-byte message, a Report claiming u32::MAX tasks.
-        for kind in [RESP_VIEW, RESP_ERROR, RESP_REPORT] {
-            let mut body = vec![kind];
-            body.extend_from_slice(&max);
+        // A joining and a delta feed claiming u32::MAX entries, an Error
+        // claiming a u32::MAX-byte message, a Report claiming u32::MAX
+        // tasks.
+        let feed = |tag| [&[RESP_CHANGES][..], &[0; 8], &[tag]].concat();
+        for head in [feed(FEED_JOIN), feed(FEED_DELTAS), vec![RESP_ERROR], vec![RESP_REPORT]] {
+            let body = [head, max.to_vec()].concat();
             assert!(
                 matches!(
                     decode_frame_payload::<Response>(&payload(WIRE_V2, &body)),
                     Err(WireError::Malformed(_))
                 ),
-                "response kind {kind}"
+                "response {body:?}"
             );
         }
     }
@@ -1117,8 +1176,8 @@ mod tests {
     fn flat_encoding_appends_and_restores_on_overflow() {
         // Appending leaves earlier frames in the buffer intact…
         let mut out = Vec::new();
-        encode_frame_v2_into(&mut out, 1, &Request::FetchAll { tenant: TenantId::DEFAULT })
-            .unwrap();
+        let fetch = Request::ChangesSince { tenant: TenantId::DEFAULT, cursor: None };
+        encode_frame_v2_into(&mut out, 1, &fetch).unwrap();
         let first = out.clone();
         encode_frame_v2_into(
             &mut out,
@@ -1137,8 +1196,8 @@ mod tests {
     #[test]
     fn frame_buffer_extracts_bursts_and_waits_on_partials() {
         let mut wire_bytes = Vec::new();
-        encode_frame_v2_into(&mut wire_bytes, 11, &Request::FetchAll { tenant: TenantId(4) })
-            .unwrap();
+        let fetch = Request::ChangesSince { tenant: TenantId(4), cursor: None };
+        encode_frame_v2_into(&mut wire_bytes, 11, &fetch).unwrap();
         encode_frame_v2_into(
             &mut wire_bytes,
             12,
@@ -1158,7 +1217,7 @@ mod tests {
         }
         assert!(!fb.has_partial());
         assert_eq!(got.len(), 3);
-        assert_eq!(got[0], Frame { corr: 11, msg: Request::FetchAll { tenant: TenantId(4) } });
+        assert_eq!(got[0], Frame { corr: 11, msg: fetch });
         assert_eq!(
             got[1],
             Frame { corr: 12, msg: Request::Remove { site: SiteId(2), tenant: TenantId(4) } }
@@ -1169,8 +1228,8 @@ mod tests {
     #[test]
     fn flat_trailing_bytes_are_rejected() {
         let mut out = Vec::new();
-        encode_frame_v2_into(&mut out, 1, &Request::FetchAll { tenant: TenantId::DEFAULT })
-            .unwrap();
+        let fetch = Request::ChangesSince { tenant: TenantId::DEFAULT, cursor: None };
+        encode_frame_v2_into(&mut out, 1, &fetch).unwrap();
         out.push(0xEE); // a trailing byte inside the *payload* …
         let len = (out.len() - 4) as u32;
         out[..4].copy_from_slice(&len.to_le_bytes()); // … the prefix covers

@@ -820,3 +820,82 @@ fn chaos_over_tcp_costs_resyncs_never_corruption() {
     }
     server.shutdown();
 }
+
+/// `n` tasks on `site`, each blocked on a phaser of its own: a standing
+/// population with no edge between any two of them.
+fn plant_parked(site: &Site, n: u64) {
+    for task in 100..100 + n {
+        let gate = PhaserId(1_000 + task);
+        site.runtime()
+            .verifier()
+            .block(TaskId(task), vec![Resource::new(gate, 1)], vec![Registration::new(gate, 1)])
+            .unwrap();
+    }
+}
+
+#[test]
+fn site_checkers_read_the_whole_view_only_when_they_join() {
+    let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
+    let sites: Vec<Site> = (0..2)
+        .map(|i| {
+            let store = Arc::new(TcpStore::new(server.local_addr().to_string()));
+            Site::start(SiteId(i), store as Arc<dyn Store>, fast_cfg())
+        })
+        .collect();
+    for site in &sites {
+        plant_parked(site, 200);
+    }
+    assert!(
+        eventually(Duration::from_secs(20), || {
+            sites.iter().all(|site| site.checker_stats().rounds >= 25)
+        }),
+        "every site checks once a period"
+    );
+    let joins = || sites.iter().map(|site| site.checker_stats().order_rebuilds).sum::<u64>();
+    let (before, fetches, after) = (joins(), server.metrics().fetches, joins());
+    assert_eq!((before, after), (2, 2), "one join a site, every later round fed");
+    assert_eq!(fetches, before, "whole views served: the sites' joins, and nothing else");
+    assert!(sites.iter().all(|site| !site.found_deadlock()));
+    for site in sites {
+        site.stop();
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_site_rejoins_a_restarted_server_and_reports_like_check_store() {
+    let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let store = Arc::new(TcpStore::with_config(
+        addr.to_string(),
+        TcpStoreConfig {
+            backoff_initial: Duration::from_millis(5),
+            backoff_max: Duration::from_millis(20),
+            ..Default::default()
+        },
+    ));
+    let site = Site::start(SiteId(0), Arc::clone(&store) as Arc<dyn Store>, fast_cfg());
+    plant_parked(&site, 50);
+    assert!(eventually(Duration::from_secs(5), || site.checker_stats().rounds >= 3));
+    assert_eq!(site.checker_stats().order_rebuilds, 1);
+    server.shutdown();
+    let server = StoredServer::bind(addr, StoredConfig::default()).unwrap();
+    assert!(
+        eventually(Duration::from_secs(10), || site.checker_stats().order_rebuilds == 2),
+        "the old server's cursor means nothing to the new one: the checker rejoins"
+    );
+    // A crossed wait of two, planted once the checker follows the new log.
+    let verifier = site.runtime().verifier();
+    for (task, own, next) in [(1, 1, 2), (2, 2, 1)] {
+        let (own, next) = (PhaserId(own), PhaserId(next));
+        let registered = vec![Registration::new(own, 1), Registration::new(next, 0)];
+        verifier.block(TaskId(task), vec![Resource::new(own, 1)], registered).unwrap();
+    }
+    assert!(eventually(Duration::from_secs(10), || site.found_deadlock()));
+    let (model, threshold) = (armus_core::ModelChoice::Auto, armus_core::DEFAULT_SG_THRESHOLD);
+    let reference = armus_dist::check_store(store.as_ref(), model, threshold).unwrap();
+    assert_eq!(site.reports(), vec![reference.report.expect("the planted cycle")]);
+    assert_eq!(site.checker_stats().order_rebuilds, 2, "one rejoin, no more");
+    site.stop();
+    server.shutdown();
+}

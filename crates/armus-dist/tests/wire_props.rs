@@ -6,7 +6,7 @@
 
 use armus_core::{BlockedInfo, Delta, PhaserId, Registration, Resource, Snapshot, TaskId};
 use armus_dist::wire::{self, Request, Response, WireError};
-use armus_dist::{SiteId, TenantId};
+use armus_dist::{Feed, SiteId, TenantId};
 use proptest::prelude::*;
 
 fn arb_blocked() -> impl Strategy<Value = BlockedInfo> {
@@ -42,6 +42,30 @@ fn arb_delta() -> impl Strategy<Value = Delta> {
         arb_blocked().prop_map(Delta::Block),
         (0u64..500).prop_map(|t| Delta::Unblock(TaskId(t))),
     ]
+}
+
+fn arb_feed() -> impl Strategy<Value = Feed> {
+    prop_oneof![
+        proptest::collection::vec((0u32..8, arb_snapshot()), 0..4)
+            .prop_map(|parts| Feed::Join(parts.into_iter().map(|(s, p)| (SiteId(s), p)).collect())),
+        proptest::collection::vec(arb_delta(), 0..10).prop_map(Feed::Deltas),
+    ]
+}
+
+/// A read of the change log and its answer.
+fn arb_changes() -> impl Strategy<Value = (Request, Response)> {
+    (any::<u32>(), any::<bool>(), any::<u64>(), any::<u64>(), arb_feed()).prop_map(
+        |(tenant, has_since, since, cursor, feed)| {
+            let since = has_since.then_some(since);
+            let read = Request::ChangesSince { tenant: TenantId(tenant), cursor: since };
+            (read, Response::Changes { cursor, feed })
+        },
+    )
+}
+
+/// A bare payload: version, correlation id 0, then `body`.
+fn payload(body: &[u8]) -> Vec<u8> {
+    [&[wire::WIRE_V2][..], &0u64.to_le_bytes(), body].concat()
 }
 
 /// Encodes as one frame and pulls it back out of a [`wire::FrameBuffer`]
@@ -110,7 +134,7 @@ proptest! {
     ) {
         let view: Vec<(SiteId, Snapshot)> =
             parts.into_iter().map(|(s, p)| (SiteId(s), p)).collect();
-        let msg = Response::View(view);
+        let msg = Response::Changes { cursor: 0, feed: Feed::Join(view) };
         prop_assert_eq!(frame_roundtrip(&msg, piece), msg);
     }
 
@@ -201,10 +225,33 @@ proptest! {
     ) {
         let view: Vec<(SiteId, Snapshot)> =
             parts.into_iter().map(|(s, p)| (SiteId(s), p)).collect();
-        let msg = Response::View(view);
+        let msg = Response::Changes { cursor: corr, feed: Feed::Join(view) };
         let frame = flat_roundtrip(&msg, corr);
         prop_assert_eq!(frame.corr, corr);
         prop_assert_eq!(frame.msg, msg);
+    }
+
+    #[test]
+    fn changes_round_trip((read, answer) in arb_changes(), corr in any::<u64>(), piece in 1usize..64) {
+        prop_assert_eq!(frame_roundtrip(&read, piece), read.clone());
+        prop_assert_eq!(frame_roundtrip(&answer, piece), answer.clone());
+        prop_assert_eq!(flat_roundtrip(&read, corr).msg, read);
+        prop_assert_eq!(flat_roundtrip(&answer, corr).msg, answer);
+    }
+
+    /// Every strict prefix of a change-log read or its answer is rejected.
+    #[test]
+    fn truncated_changes_are_rejected((read, answer) in arb_changes(), cut in 1usize..32) {
+        for (out, is_read) in [(encode(&read), true), (encode(&answer), false)] {
+            let payload = &out[4..];
+            if cut < payload.len() {
+                let truncated = &payload[..payload.len() - cut];
+                prop_assert!(match is_read {
+                    true => wire::decode_frame_payload::<Request>(truncated).is_err(),
+                    false => wire::decode_frame_payload::<Response>(truncated).is_err(),
+                });
+            }
+        }
     }
 
     /// Totality of the payload decoder: any byte soup either decodes or
@@ -253,4 +300,51 @@ proptest! {
             Err(WireError::Malformed(_))
         ));
     }
+}
+
+fn encode<T: wire::FlatMessage>(msg: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    wire::encode_frame_v2_into(&mut out, 5, msg).expect("bounded test message");
+    out
+}
+
+#[test]
+fn hostile_changes_are_malformed_not_allocated() {
+    // Response kind 8, a cursor, then a feed tag: a join claiming u32::MAX
+    // partitions, deltas claiming u32::MAX entries, and a tag that names
+    // no feed.
+    let max = u32::MAX.to_le_bytes();
+    for (tag, rest) in [(0u8, &max[..]), (1, &max[..]), (2, &[][..]), (0xFF, &[0; 4][..])] {
+        let body = [&[8u8][..], &7u64.to_le_bytes(), &[tag], rest].concat();
+        assert!(
+            matches!(
+                wire::decode_frame_payload::<Response>(&payload(&body)),
+                Err(WireError::Malformed(_))
+            ),
+            "feed tag {tag}"
+        );
+    }
+    // Request kind 9, a tenant, then a cursor tag that is neither absent
+    // (0) nor present (1).
+    let read = [&[9u8][..], &0u32.to_le_bytes(), &[2], &7u64.to_le_bytes()].concat();
+    assert!(matches!(
+        wire::decode_frame_payload::<Request>(&payload(&read)),
+        Err(WireError::Malformed(_))
+    ));
+}
+
+#[test]
+fn kind_3_stays_reserved_in_both_directions() {
+    // The retired fetch (request kind 3) and view (response kind 3), with
+    // the bodies they used to carry: a tenant, and an empty view.
+    let fetch = [&[3u8][..], &0u32.to_le_bytes()].concat();
+    assert!(matches!(
+        wire::decode_frame_payload::<Request>(&payload(&fetch)),
+        Err(WireError::Malformed(_))
+    ));
+    let view = [&[3u8][..], &0u32.to_le_bytes()].concat();
+    assert!(matches!(
+        wire::decode_frame_payload::<Response>(&payload(&view)),
+        Err(WireError::Malformed(_))
+    ));
 }

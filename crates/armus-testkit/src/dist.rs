@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use armus_core::{Delta, Snapshot};
-use armus_dist::{DeltaAck, SiteId, SiteStats, Store, StoreError, TcpStore};
+use armus_dist::{DeltaAck, Feed, SiteId, SiteStats, Store, StoreError, TcpStore};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -88,7 +88,7 @@ struct Delayed {
 
 /// A store wrapper injecting seeded drop/duplicate/reorder faults on the
 /// delta-publish path, and outage windows on every data-path operation.
-/// Outside an outage, full publishes and fetches pass through: they are
+/// Outside an outage, full publishes and reads pass through: they are
 /// the recovery mechanism under test, not the fault surface.
 pub struct ChaosStore<S> {
     inner: S,
@@ -257,6 +257,11 @@ impl<S: Store> Store for ChaosStore<S> {
     fn fetch_all(&self) -> Result<Vec<(SiteId, Snapshot)>, StoreError> {
         self.gate()?;
         self.inner.fetch_all()
+    }
+
+    fn changes_since(&self, cursor: Option<u64>) -> Result<(u64, Feed), StoreError> {
+        self.gate()?;
+        self.inner.changes_since(cursor)
     }
 
     fn remove(&self, site: SiteId) -> Result<(), StoreError> {
