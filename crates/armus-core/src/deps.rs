@@ -21,61 +21,46 @@
 //! consumer that falls behind the bounded journal resyncs from a full
 //! point-in-time copy ([`Registry::snapshot_with_cursor`]).
 //!
-//! The journal is **striped per shard**: every shard keeps its own stripe
-//! of `(sequence, delta)` entries, and sequence numbers come from one
-//! global atomic counter. A publish therefore touches exactly one lock —
-//! its task's shard — plus one uncontended-by-design `fetch_add`;
-//! producers on different shards never serialise against each other.
-//! Consumers still see one totally ordered delta stream:
-//! a journal read merges the stripes by sequence number, and
-//! the stripe append happens under the same shard lock as the sequence
-//! allocation, so every sequence number below an observed head is already
-//! visible in its stripe by the time the reader acquires that shard's
-//! lock (no gaps). Retention is a *sequence window*: an entry is
-//! guaranteed retained while it is within `capacity` of the head, and a
-//! cursor that has fallen out of the window reads [`JournalRead::Behind`]
-//! and resyncs from [`Registry::snapshot_with_cursor`].
+//! The journal is **one bounded ring behind one lock**. A block or unblock
+//! writes its task's shard map first and then, still holding the shard
+//! lock, appends under the journal lock; the lock order is always shard →
+//! journal. An entry's sequence number is its position (the ring's base
+//! plus its index), so the log has no gaps by construction, and a read
+//! copies the entries past its cursor in one lock hold. The ring keeps
+//! exactly the last `capacity` entries: a cursor older than that reads
+//! [`JournalRead::Behind`] and resyncs from
+//! [`Registry::snapshot_with_cursor`].
 //!
 //! **One record per block.** [`Registry::block`] moves the caller's
 //! [`BlockedInfo`] into a single `Arc`, and that record is the status for
 //! its whole life: the shard map holds it while the task is blocked, the
-//! journal stripe holds it while its `Block` entry is inside the retained
+//! journal holds it while its `Block` entry is inside the retained
 //! window, and an [`crate::engine::IncrementalEngine`] that synced past
 //! the entry holds it until it applies the task's unblock (or re-block) —
 //! reference-count bumps, never copies. Whichever of the three lets go
-//! last frees it, so what the journal can pin is bounded by its window: a
-//! quiescent registry retains `journal_capacity` entries plus at most one
-//! straggler per other stripe (an out-of-window entry leaves with its
-//! stripe's next append or on the stripe's turn as an append's round-robin
-//! prune victim, at most `shards` appends later). The journal has **one
-//! read**, the crate-internal `Registry::read_journal`, which hands out
-//! the shared entries into a buffer the caller keeps; the engine and,
-//! through it, the detection monitor use it directly. Everything public is
-//! a copy-out view of the same records — [`Registry::deltas_since`]
-//! (defined in terms of `read_journal`), [`Registry::snapshot`],
-//! [`Registry::get`] — because their callers are outside this crate's
-//! control: a site publisher encodes and ships deltas, the canonical
-//! checker and tests keep and mutate snapshots, and an owned value can
-//! neither alias the registry's state nor extend a record's life past the
-//! bound above.
+//! last frees it, so the journal pins at most `journal_capacity` records.
+//! The journal has **one read**, the crate-internal
+//! `Registry::read_journal`, which hands out the shared entries into a
+//! buffer the caller keeps; the engine and, through it, the detection
+//! monitor use it directly. Everything public is a copy-out view of the
+//! same records — [`Registry::deltas_since`] (defined in terms of
+//! `read_journal`), [`Registry::snapshot`], [`Registry::get`] — because
+//! their callers are outside this crate's control: a site publisher
+//! encodes and ships deltas, the canonical checker and tests keep and
+//! mutate snapshots, and an owned value can neither alias the registry's
+//! state nor extend a record's life past the bound above.
 //!
-//! The registry additionally maintains (when enabled — see
-//! [`Registry::with_options`]) a sharded per-resource waiter count and an
-//! atomic count of **distinct currently-awaited resources**
+//! The registry additionally maintains (when
+//! [`RegistryConfig::track_waited`] is set) a per-resource waiter count
+//! and a count of **distinct currently-awaited resources**
 //! ([`Registry::distinct_waited`]). This powers the verifier's
 //! resource-cardinality fast path: a deadlock cycle over tasks that do
 //! not impede their own waits spans at least two distinct awaited
 //! resources, so an avoidance check that observes fewer than two can
-//! return "no cycle" without touching the engine lock. Publishers of the
-//! *same* resource do serialise briefly on its count entry — that exact
-//! shared count is what the fast path's soundness argument needs — but
-//! the critical section is a hash-map increment, orders of magnitude
-//! shorter than the engine lock (journal sync + graph search) it spares. The ordering
-//! argument lives on [`Registry::block`]: every blocker journals, then
-//! counts its waits, then (in the verifier) reads the distinct count, so
-//! the member whose read is latest — in particular the one that completes
-//! a cycle — observes every other member's contribution and takes the
-//! slow path, whose journal sync in turn observes their deltas.
+//! return "no cycle" without touching the engine lock. The counts live
+//! under the journal lock and change in the same critical section as the
+//! entry that changes them, which is the whole ordering argument (see
+//! [`Registry::block`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -246,8 +231,8 @@ impl SharedDelta {
     }
 }
 
-/// Default length of the journal's retained sequence window: entries this
-/// close to the head are guaranteed readable; older cursors must resync.
+/// Default length of the journal's retained window: entries this close to
+/// the head are readable; older cursors must resync.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 
 /// Default number of task shards. A modest power of two: enough to keep
@@ -259,13 +244,13 @@ pub const DEFAULT_SHARDS: usize = 32;
 
 /// Construction-time tuning of a [`Registry`]. Everything here exists so
 /// tests and the deterministic simulation testkit can force otherwise
-/// probabilistic branches (journal truncation, cross-shard merges) to
+/// probabilistic branches (journal truncation, shard collisions) to
 /// happen on demand; the defaults reproduce production behaviour.
 #[derive(Clone, Copy, Debug)]
 pub struct RegistryConfig {
-    /// Length of the journal's retained sequence window.
+    /// Length of the journal's retained window.
     pub journal_capacity: usize,
-    /// Number of task shards (and journal stripes). Must be positive.
+    /// Number of task-map shards. Must be positive.
     pub shards: usize,
     /// Whether per-resource waiter counts (the avoidance fast path's
     /// input) are maintained.
@@ -282,72 +267,41 @@ impl Default for RegistryConfig {
     }
 }
 
-/// Number of resource-count shards for the distinct-awaited tracking.
-const WAIT_SHARDS: usize = 32;
-
-/// One task shard: its slice of the blocked-task map plus its stripe of
-/// the delta journal. Sequence numbers within a stripe are strictly
-/// increasing (they are allocated under this shard's lock), so pruning
-/// from the front always drops the stripe's oldest sequences first.
+/// The delta journal and the wait counts that move with it, all behind
+/// [`Registry::journal`].
 #[derive(Default)]
-struct Shard {
-    tasks: IdMap<TaskId, Arc<BlockedInfo>>,
-    stripe: VecDeque<(u64, SharedDelta)>,
-}
-
-/// Hint value announcing an append in progress (see [`ShardSlot::hint`]).
-const HINT_BUSY: u64 = u64::MAX;
-
-/// A shard and its lock-free journal hint.
-#[derive(Default)]
-struct ShardSlot {
-    state: Mutex<Shard>,
-    /// One past the stripe's highest appended sequence number (0 when the
-    /// stripe has never been appended to), or [`HINT_BUSY`] while an
-    /// append is in flight. Lets a journal read skip shards
-    /// that cannot contain entries at or past its cursor without taking
-    /// their locks.
-    ///
-    /// Soundness of the skip (`hint <= cursor` ⇒ no stripe entry with
-    /// sequence ≥ cursor): a writer stores `HINT_BUSY` *before*
-    /// allocating its sequence number and stores `seq + 1` after
-    /// appending — all `SeqCst`, as are the allocation and the reader's
-    /// head load. A stripe entry `seq' ∈ [cursor, head)` implies its
-    /// allocation precedes the reader's head load in the `SeqCst` order,
-    /// so the writer's `HINT_BUSY` store precedes the reader's hint load;
-    /// every hint store from then on is either `HINT_BUSY` or ≥ seq' + 1
-    /// (stripe maxima are monotone; pruning never lowers the hint), so
-    /// the reader cannot read a value ≤ cursor and skip the entry.
-    hint: AtomicU64,
+struct Journal {
+    /// Sequence number of `entries[0]`: one past the last dropped entry.
+    base: u64,
+    /// The retained window, oldest first; the head is
+    /// `base + entries.len()`.
+    entries: VecDeque<SharedDelta>,
+    /// Waiter count per awaited resource (multiset semantics: a status
+    /// that lists a wait twice counts it twice). Empty unless tracked.
+    waited: IdMap<Resource, usize>,
 }
 
 /// Sharded registry of blocked tasks: the run-time materialisation of the
 /// resource-dependency state.
 ///
-/// Updates (`block`/`unblock`) touch exactly one shard lock (map mutation
-/// and journal-stripe append together) plus per-resource count shards; the
-/// incremental engine and other consumers pull merged journal deltas
-/// instead of copying all shards.
+/// Updates (`block`/`unblock`) take their task's shard lock and, inside
+/// it, the journal lock; the incremental engine and other consumers pull
+/// journal deltas instead of copying all shards.
 pub struct Registry {
-    shards: Vec<ShardSlot>,
-    /// Per-resource waiter counts, sharded by resource hash.
-    waited: Vec<Mutex<IdMap<Resource, usize>>>,
-    /// Distinct resources with at least one current waiter. `SeqCst`: the
-    /// verifier's fast path relies on the total order of count updates and
-    /// reads (see [`Registry::block`]).
+    shards: Vec<Mutex<IdMap<TaskId, Arc<BlockedInfo>>>>,
+    journal: Mutex<Journal>,
+    /// The journal head, stored under the journal lock after every
+    /// append and loaded without it. `SeqCst`: [`crate::pace::Signal`]'s
+    /// park handshake pairs this load with its own.
+    head: AtomicU64,
+    /// Distinct resources with at least one current waiter: the size of
+    /// [`Journal::waited`], stored under the journal lock. `SeqCst`, as
+    /// the verifier's fast path reads it (see [`Registry::block`]).
     distinct_waited: AtomicUsize,
     len: AtomicUsize,
     next_epoch: AtomicU64,
-    /// Global journal sequence: the next sequence number to allocate, and
-    /// therefore also the journal head.
-    next_seq: AtomicU64,
-    /// One past the highest sequence number any stripe has pruned — the
-    /// minimum safe consumer cursor.
-    dropped_head: AtomicU64,
-    /// Length of the retained sequence window.
-    capacity: u64,
-    /// Number of task shards (`shards.len()`, cached as the modulus).
-    shard_count: usize,
+    /// Length of the retained window.
+    capacity: usize,
     /// Whether per-resource waiter counts are maintained. Only the
     /// avoidance fast path reads them; a detection/publish-only registry
     /// skips the bookkeeping entirely.
@@ -364,29 +318,18 @@ impl Registry {
     /// Creates an empty registry with the default journal capacity and
     /// no distinct-awaited tracking (the avoidance verifier — the one
     /// consumer of [`Registry::distinct_waited`] — opts in explicitly
-    /// via [`Registry::with_options`]; everyone else should not pay the
-    /// per-wait bookkeeping).
+    /// via [`RegistryConfig::track_waited`]; everyone else should not pay
+    /// the per-wait bookkeeping).
     pub fn new() -> Registry {
         Registry::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
     }
 
     /// Creates an empty registry whose journal window spans `capacity`
-    /// sequence numbers (tests use small capacities to exercise the
-    /// resync path). Distinct-awaited tracking is off, as in
-    /// [`Registry::new`].
+    /// entries (tests use small capacities to exercise the resync path).
+    /// Distinct-awaited tracking is off, as in [`Registry::new`].
     pub fn with_journal_capacity(capacity: usize) -> Registry {
-        Registry::with_options(capacity, false)
-    }
-
-    /// Creates an empty registry, additionally controlling whether the
-    /// distinct-awaited resource counts are maintained. A consumer that
-    /// never reads [`Registry::distinct_waited`] (detection and
-    /// publish-only verifiers) passes `false` and skips the per-resource
-    /// bookkeeping on every block/unblock.
-    pub fn with_options(capacity: usize, track_waited: bool) -> Registry {
         Registry::with_config(RegistryConfig {
             journal_capacity: capacity,
-            track_waited,
             ..RegistryConfig::default()
         })
     }
@@ -396,113 +339,57 @@ impl Registry {
     pub fn with_config(cfg: RegistryConfig) -> Registry {
         assert!(cfg.shards > 0, "registry needs at least one shard");
         Registry {
-            shards: (0..cfg.shards).map(|_| ShardSlot::default()).collect(),
-            waited: (0..WAIT_SHARDS).map(|_| Mutex::new(IdMap::default())).collect(),
+            shards: (0..cfg.shards).map(|_| Mutex::new(IdMap::default())).collect(),
+            journal: Mutex::new(Journal::default()),
+            head: AtomicU64::new(0),
             distinct_waited: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
             next_epoch: AtomicU64::new(1),
-            next_seq: AtomicU64::new(0),
-            dropped_head: AtomicU64::new(0),
-            capacity: cfg.journal_capacity as u64,
-            shard_count: cfg.shards,
+            capacity: cfg.journal_capacity,
             track_waited: cfg.track_waited,
         }
     }
 
-    fn shard(&self, task: TaskId) -> &ShardSlot {
-        &self.shards[(task.0 as usize) % self.shard_count]
+    fn shard(&self, task: TaskId) -> &Mutex<IdMap<TaskId, Arc<BlockedInfo>>> {
+        &self.shards[(task.0 as usize) % self.shards.len()]
     }
 
-    fn wait_shard(&self, r: Resource) -> &Mutex<IdMap<Resource, usize>> {
-        // Cheap mix of phaser and phase; only distribution matters.
-        let h = r.phaser.0.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(r.phase);
-        &self.waited[(h as usize) % WAIT_SHARDS]
-    }
-
-    /// Appends `delta` to the slot's journal stripe under the shard lock,
-    /// allocating its global sequence number, and prunes stripe entries
-    /// that have left the retained window. The slot's hint is parked at
-    /// [`HINT_BUSY`] *before* the sequence allocation (see the soundness
-    /// note on [`ShardSlot::hint`]).
-    fn journal_append(&self, slot: &ShardSlot, shard: &mut Shard, delta: SharedDelta) {
-        slot.hint.store(HINT_BUSY, Ordering::SeqCst);
-        let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        shard.stripe.push_back((seq, delta));
-        // Retained window: sequences >= head - capacity, head = seq + 1.
-        let floor = (seq + 1).saturating_sub(self.capacity);
-        self.prune_stripe(shard, floor);
-        slot.hint.store(seq + 1, Ordering::SeqCst);
-        // A stripe is otherwise only pruned by its own appends, so a
-        // shard that goes quiet would retain its out-of-window entries
-        // forever (bounding memory at SHARDS × window instead of one
-        // window). Opportunistically sweep one round-robin victim per
-        // append; `try_lock` keeps writers from ever blocking on (or
-        // deadlocking with) each other's shards.
-        let victim = &self.shards[(seq as usize) % self.shard_count];
-        if !std::ptr::eq(victim, slot) {
-            if let Some(mut guard) = victim.state.try_lock() {
-                self.prune_stripe(&mut guard, floor);
+    /// Appends `delta` under the journal lock; the caller holds the
+    /// task's shard lock and has already written the map. In one
+    /// critical section: count the waits of a `Block`'s status and
+    /// discount those of the status it `replaced`, push the entry, drop
+    /// the one that left the window, and store the new head last.
+    fn append(&self, delta: SharedDelta, replaced: Option<&BlockedInfo>) {
+        let mut journal = self.journal.lock();
+        let Journal { base, entries, waited } = &mut *journal;
+        if self.track_waited {
+            if let SharedDelta::Block(info) = &delta {
+                info.waits.iter().for_each(|&w| *waited.entry(w).or_insert(0) += 1);
             }
-        }
-    }
-
-    /// Drops stripe entries that have left the retained window,
-    /// advancing `dropped_head` past them. Never touches in-window
-    /// entries, so the stripe's max sequence (the hint) is unaffected.
-    fn prune_stripe(&self, shard: &mut Shard, floor: u64) {
-        while shard.stripe.front().map(|&(s, _)| s < floor).unwrap_or(false) {
-            let (dropped, _) = shard.stripe.pop_front().expect("front checked");
-            self.dropped_head.fetch_max(dropped + 1, Ordering::SeqCst);
-        }
-    }
-
-    /// Bumps the waiter count of every wait occurrence in `waits`
-    /// (multiset semantics: duplicates count twice and are balanced by
-    /// [`Registry::discount_waits`]). Same-resource publishers serialise
-    /// briefly on the resource's count entry — that exact shared count is
-    /// what the fast path's ordering argument needs, and the critical
-    /// section is a hash-map increment, orders of magnitude shorter than
-    /// the engine lock it spares.
-    fn count_waits(&self, waits: &[Resource]) {
-        if !self.track_waited {
-            return;
-        }
-        for &w in waits {
-            let mut counts = self.wait_shard(w).lock();
-            let c = counts.entry(w).or_insert(0);
-            *c += 1;
-            if *c == 1 {
-                self.distinct_waited.fetch_add(1, Ordering::SeqCst);
+            for w in replaced.into_iter().flat_map(|prev| &prev.waits) {
+                let c = waited.get_mut(w).expect("discounting a wait that was never counted");
+                *c -= 1;
+                if *c == 0 {
+                    waited.remove(w);
+                }
             }
+            self.distinct_waited.store(waited.len(), Ordering::SeqCst);
         }
-    }
-
-    /// Exact mirror of [`Registry::count_waits`].
-    fn discount_waits(&self, waits: &[Resource]) {
-        if !self.track_waited {
-            return;
+        entries.push_back(delta);
+        if entries.len() > self.capacity {
+            entries.pop_front();
+            *base += 1;
         }
-        for &w in waits {
-            let mut counts = self.wait_shard(w).lock();
-            let c = counts.get_mut(&w).expect("discounting a wait that was never counted");
-            *c -= 1;
-            if *c == 0 {
-                counts.remove(&w);
-                self.distinct_waited.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
+        self.head.store(*base + entries.len() as u64, Ordering::SeqCst);
     }
 
     /// Distinct resources currently awaited by at least one blocked task.
-    ///
-    /// The count is eventually consistent but *ordered*: a blocker's own
-    /// waits are counted before `block` returns, so a reader that blocks
-    /// first and reads afterwards sees its own contribution, and the
-    /// member whose read is latest in the `SeqCst` order sees every
-    /// already-blocked member's contribution. That is exactly the
+    /// A blocker's own waits are counted before `block` returns, so a
+    /// reader that blocks first and reads afterwards sees its own
+    /// contribution and every contribution journaled before it — the
     /// guarantee the verifier's resource-cardinality fast path needs.
     ///
-    /// When tracking is disabled ([`Registry::with_options`]) this
+    /// When tracking is disabled ([`RegistryConfig::track_waited`]) this
     /// returns `usize::MAX`, so a caller that consults it anyway can
     /// never conclude "no cycle possible" from an unmaintained count.
     pub fn distinct_waited(&self) -> usize {
@@ -515,161 +402,94 @@ impl Registry {
     /// Records `info.task` as blocked, assigning a fresh epoch which is
     /// returned (and stored in the registry copy).
     ///
-    /// Ordering (load-bearing for the lock-free consumers):
-    /// 1. *Under the task's shard lock*: sequence allocation, map upsert,
-    ///    journal-stripe append. Journal order therefore matches
-    ///    shard-application order per task, and any sequence number below
-    ///    an observed head is visible in its stripe by the time a reader
-    ///    acquires the shard lock.
-    /// 2. *After releasing the shard lock*: the new status's waits are
-    ///    counted, then (for a re-block) the replaced status's waits are
-    ///    discounted — in that order, so a resource shared by both stays
-    ///    continuously counted.
-    ///
-    /// A fast-path reader reads [`Registry::distinct_waited`] only after
-    /// its own `block` returned, i.e. after its own journal append *and*
-    /// count. Members of any deadlock cycle never unblock, so the member
-    /// whose read is latest observes every member's count (each precedes
-    /// its owner's earlier-or-equal read) — at least two distinct
-    /// resources for any cycle among non-self-impeding tasks — and takes
-    /// the slow path, whose journal sync then also observes every
-    /// member's append.
+    /// Under the task's shard lock: the map upsert, then the journal
+    /// append with its wait counts, in one journal-lock hold. That hold
+    /// is the fast path's ordering argument: a verifier reads
+    /// [`Registry::distinct_waited`] only after its own `block` returned,
+    /// and members of a deadlock cycle never unblock, so the member whose
+    /// append is last reads a count that includes every member's waits —
+    /// at least two distinct resources for any cycle among
+    /// non-self-impeding tasks — and takes the slow path, whose journal
+    /// sync sees every member's entry.
     pub fn block(&self, mut info: BlockedInfo) -> u64 {
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
         info.epoch = epoch;
-        // The status's one heap record: the shard map, the journal stripe
-        // and every in-crate consumer share it from here on.
+        // The status's one heap record: the shard map, the journal and
+        // every in-crate consumer share it from here on.
         let info = Arc::new(info);
-        let prev = {
-            let slot = self.shard(info.task);
-            let mut shard = slot.state.lock();
-            let prev = shard.tasks.insert(info.task, Arc::clone(&info));
-            self.journal_append(slot, &mut shard, SharedDelta::Block(Arc::clone(&info)));
-            prev
-        };
-        self.count_waits(&info.waits);
-        match prev {
-            None => {
-                self.len.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(prev) => self.discount_waits(&prev.waits),
+        let mut tasks = self.shard(info.task).lock();
+        let prev = tasks.insert(info.task, Arc::clone(&info));
+        self.append(SharedDelta::Block(info), prev.as_deref());
+        if prev.is_none() {
+            self.len.fetch_add(1, Ordering::Relaxed);
         }
         epoch
     }
 
     /// Removes the blocked record of `task` (the task resumed, was
-    /// deregistered, or its avoidance check failed). The withdrawn waits
-    /// are discounted only *after* the record is gone from the shard, so
-    /// the distinct-awaited count never under-approximates live waiters.
+    /// deregistered, or its avoidance check failed). An unknown task is
+    /// not journaled.
     pub fn unblock(&self, task: TaskId) {
-        let removed = {
-            let slot = self.shard(task);
-            let mut shard = slot.state.lock();
-            match shard.tasks.remove(&task) {
-                None => None,
-                Some(prev) => {
-                    self.journal_append(slot, &mut shard, SharedDelta::Unblock(task));
-                    Some(prev)
-                }
-            }
-        };
-        if let Some(prev) = removed {
+        let mut tasks = self.shard(task).lock();
+        if let Some(prev) = tasks.remove(&task) {
+            self.append(SharedDelta::Unblock(task), Some(&prev));
             self.len.fetch_sub(1, Ordering::Relaxed);
-            self.discount_waits(&prev.waits);
         }
     }
 
     /// The blocked status of `task`, if currently recorded. `O(1)`: one
     /// shard lookup, no full-registry copy.
     pub fn get(&self, task: TaskId) -> Option<BlockedInfo> {
-        self.shard(task).state.lock().tasks.get(&task).map(|info| BlockedInfo::clone(info))
+        self.shard(task).lock().get(&task).map(|info| BlockedInfo::clone(info))
     }
 
-    /// The journal deltas appended since `cursor`, merged across the
-    /// per-shard stripes into sequence order, or [`JournalRead::Behind`]
-    /// when `cursor` has left the retained window. The owned copy-out of
-    /// `Registry::read_journal`: a consumer outside this crate (a site
-    /// publisher encoding for the wire, a test) gets `Delta`s it may keep
-    /// and mutate, not handles into the registry.
+    /// The journal deltas appended since `cursor`, in order, or
+    /// [`JournalRead::Behind`] when `cursor` has left the retained window.
+    /// The owned copy-out of `Registry::read_journal`: a consumer outside
+    /// this crate (a site publisher encoding for the wire, a test) gets
+    /// `Delta`s it may keep and mutate, not handles into the registry.
     pub fn deltas_since(&self, cursor: u64) -> JournalRead {
         let mut entries = Vec::new();
         match self.read_journal(cursor, &mut entries) {
-            Some(next) => JournalRead::Deltas(
-                entries.iter().map(|(_, delta)| delta.to_delta()).collect(),
-                next,
-            ),
+            Some(next) => {
+                JournalRead::Deltas(entries.iter().map(SharedDelta::to_delta).collect(), next)
+            }
             None => JournalRead::Behind,
         }
     }
 
     /// The journal's one read: replaces the contents of `out` with the
-    /// `(sequence, entry)` pairs from `cursor` up to the head, in sequence
-    /// order, and returns the cursor to resume from — or `None` (and an
-    /// empty `out`) when `cursor` has left the retained window. Entries
-    /// share the registry's records; a caller that keeps `out` between
-    /// reads allocates nothing here once it has grown.
-    ///
-    /// The head is read *first*: every sequence number below it was
-    /// allocated — and appended to its stripe — under a shard lock this
-    /// reader subsequently acquires, so the merged read has no gaps. A
-    /// concurrent append can advance the window past `cursor` while the
-    /// stripes are being read; the `dropped_head` re-check afterwards
-    /// turns that race into an explicit `None`.
-    pub(crate) fn read_journal(
-        &self,
-        cursor: u64,
-        out: &mut Vec<(u64, SharedDelta)>,
-    ) -> Option<u64> {
+    /// entries from `cursor` up to the head, in order, and returns the
+    /// cursor to resume from — or `None` (and an empty `out`) when
+    /// `cursor` has left the retained window. One journal-lock hold;
+    /// entries share the registry's records, so a caller that keeps `out`
+    /// between reads allocates nothing here once it has grown.
+    pub(crate) fn read_journal(&self, cursor: u64, out: &mut Vec<SharedDelta>) -> Option<u64> {
         out.clear();
-        let head = self.next_seq.load(Ordering::SeqCst);
+        let journal = self.journal.lock();
+        let head = journal.base + journal.entries.len() as u64;
         if cursor >= head {
             return Some(cursor);
         }
-        if head - cursor > self.capacity {
-            return None;
-        }
-        for slot in &self.shards {
-            // Stripes whose highest sequence precedes the cursor cannot
-            // contribute; skip them without locking (hint protocol — see
-            // `ShardSlot::hint`). On a caught-up consumer this makes the
-            // merge touch only the shards that actually published.
-            if slot.hint.load(Ordering::SeqCst) <= cursor {
-                continue;
-            }
-            let guard = slot.state.lock();
-            // Stripes are seq-sorted: binary-search to the cursor rather
-            // than scanning the whole retained window.
-            let start = guard.stripe.partition_point(|&(s, _)| s < cursor);
-            out.extend(guard.stripe.range(start..).take_while(|&&(s, _)| s < head).cloned());
-        }
-        if self.dropped_head.load(Ordering::SeqCst) > cursor {
-            out.clear();
-            return None;
-        }
-        // Sequence numbers are unique, so the in-place sort is stable.
-        out.sort_unstable_by_key(|&(s, _)| s);
-        debug_assert!(
-            out.iter().map(|&(s, _)| s).eq(cursor..head),
-            "merged journal read must be gap-free"
-        );
+        let start = cursor.checked_sub(journal.base)?;
+        out.extend(journal.entries.range(start as usize..).cloned());
         Some(head)
     }
 
     /// The journal head: the cursor a consumer that is fully caught up
     /// would hold.
     pub fn journal_cursor(&self) -> u64 {
-        self.next_seq.load(Ordering::SeqCst)
+        self.head.load(Ordering::SeqCst)
     }
 
     /// A full copy paired with a journal cursor, for consumer resync.
     ///
-    /// The cursor is read *before* the shards are copied: every delta with
-    /// a sequence number below the cursor was applied to its shard map
-    /// under the same lock hold as its sequence allocation, so it is
-    /// reflected in the returned snapshot. Deltas at or past the cursor
-    /// may *also* already be reflected — consumers must apply deltas
-    /// idempotently (per-task upsert/remove), which
-    /// [`crate::engine::IncrementalEngine`] does.
+    /// The cursor is read *before* the shards are copied: a delta's head
+    /// store happens inside its shard-lock hold, after the map write, so
+    /// every delta below the cursor is reflected in the returned
+    /// snapshot. Deltas at or past the cursor may *also* already be
+    /// reflected — consumers must apply deltas idempotently (per-task
+    /// upsert/remove), which [`crate::engine::IncrementalEngine`] does.
     pub fn snapshot_with_cursor(&self) -> (Snapshot, u64) {
         let cursor = self.journal_cursor();
         (self.snapshot(), cursor)
@@ -687,8 +507,8 @@ impl Registry {
 
     /// Visits every blocked status, shard by shard under its lock.
     fn for_each_record(&self, mut visit: impl FnMut(&Arc<BlockedInfo>)) {
-        for slot in &self.shards {
-            slot.state.lock().tasks.values().for_each(&mut visit);
+        for shard in &self.shards {
+            shard.lock().values().for_each(&mut visit);
         }
     }
 
@@ -716,7 +536,7 @@ impl Registry {
     /// Is `task` still blocked in the same blocking operation (`epoch`) as
     /// when a snapshot observed it? Used to confirm detected cycles.
     pub fn confirm(&self, task: TaskId, epoch: u64) -> bool {
-        self.shard(task).state.lock().tasks.get(&task).map(|b| b.epoch == epoch).unwrap_or(false)
+        self.shard(task).lock().get(&task).map(|b| b.epoch == epoch).unwrap_or(false)
     }
 }
 
@@ -929,7 +749,7 @@ mod tests {
     /// A registry with distinct-awaited tracking on, as the avoidance
     /// verifier constructs it.
     fn tracking_registry() -> Registry {
-        Registry::with_options(DEFAULT_JOURNAL_CAPACITY, true)
+        Registry::with_config(RegistryConfig { track_waited: true, ..RegistryConfig::default() })
     }
 
     #[test]
@@ -966,27 +786,6 @@ mod tests {
         assert_eq!(reg.distinct_waited(), usize::MAX);
         reg.unblock(t(1));
         assert_eq!(reg.distinct_waited(), usize::MAX);
-    }
-
-    #[test]
-    fn dormant_stripes_are_swept_by_other_shards_appends() {
-        // Fill shard 1's stripe, then churn exclusively on another shard:
-        // the round-robin sweep must eventually prune shard 1's
-        // out-of-window entries even though it never publishes again.
-        let reg = Registry::with_journal_capacity(8);
-        for _ in 0..4 {
-            reg.block(info(1));
-            reg.unblock(t(1));
-        }
-        // 2 * DEFAULT_SHARDS appends on task 2's shard: every victim index
-        // is hit at least once, and all of shard 1's entries leave the
-        // window.
-        for _ in 0..DEFAULT_SHARDS {
-            reg.block(info(2));
-            reg.unblock(t(2));
-        }
-        let stripe_len = reg.shard(t(1)).state.lock().stripe.len();
-        assert_eq!(stripe_len, 0, "dormant stripe must have been swept");
     }
 
     #[test]
@@ -1056,10 +855,8 @@ mod tests {
                 start.wait();
                 while cursor < total {
                     let next = reg.read_journal(cursor, &mut entries).expect("within the window");
-                    let seqs = entries.iter().map(|&(seq, _)| seq);
-                    assert!(seqs.eq(cursor..next), "gap or duplicate in [{cursor}, {next})");
-                    blocks +=
-                        entries.iter().filter(|e| matches!(e.1, SharedDelta::Block(_))).count();
+                    assert_eq!(entries.len() as u64, next - cursor, "gap or duplicate");
+                    blocks += entries.iter().filter(|e| matches!(e, SharedDelta::Block(_))).count();
                     cursor = next;
                 }
                 blocks
@@ -1079,15 +876,11 @@ mod tests {
         }
     }
 
-    /// Entries and records the stripes retain right now.
+    /// Entries and records the journal retains right now.
     fn retained(reg: &Registry) -> (usize, usize) {
-        let (mut entries, mut records) = (0, 0);
-        for slot in &reg.shards {
-            let shard = slot.state.lock();
-            entries += shard.stripe.len();
-            records += shard.stripe.iter().filter(|e| matches!(e.1, SharedDelta::Block(_))).count();
-        }
-        (entries, records)
+        let journal = reg.journal.lock();
+        let records = journal.entries.iter().filter(|e| matches!(e, SharedDelta::Block(_))).count();
+        (journal.entries.len(), records)
     }
 
     #[test]
@@ -1100,33 +893,26 @@ mod tests {
         let mut records: Vec<Weak<BlockedInfo>> = Vec::new();
         let mut publish = |task: u64| {
             reg.block(info(task));
-            records.push(Arc::downgrade(&reg.shard(t(task)).state.lock().tasks[&t(task)]));
+            records.push(Arc::downgrade(&reg.shard(t(task)).lock()[&t(task)]));
             engine.sync(&reg);
             reg.unblock(t(task));
             engine.sync(&reg);
         };
-        // A stripe that publishes once and then goes quiet...
-        publish(1);
-        // ...while the other shards' tasks turn over many windows' worth,
-        // the engine following along (it shares every record while the
-        // task is blocked, and lets go with the unblock).
-        (0..TASKS).filter(|task| task % DEFAULT_SHARDS as u64 != 1).for_each(&mut publish);
+        // Tasks turn over many windows' worth, the engine following along
+        // (it shares every record while the task is blocked, and lets go
+        // with the unblock).
+        (0..TASKS).for_each(&mut publish);
         assert_eq!(engine.blocked(), 0);
         assert_eq!(engine.cursor(), reg.journal_cursor());
 
-        // What is left is the window, plus at most one straggler per other
-        // stripe: an out-of-window entry waits for its stripe's next append
-        // or for its turn as the round-robin victim, `shards` appends away
-        // at most.
-        let (entries, in_stripes) = retained(&reg);
-        assert!(entries >= CAPACITY, "the window itself is retained");
-        assert!(entries < CAPACITY + DEFAULT_SHARDS, "{entries} entries retained");
-        assert!(in_stripes <= CAPACITY, "{in_stripes} records in the stripes");
-        assert_eq!(reg.shard(t(1)).state.lock().stripe.len(), 0, "the quiet stripe was swept");
-        // Nothing but the stripes holds a record of an unblocked task.
+        // What is left is exactly the window.
+        let (entries, in_journal) = retained(&reg);
+        assert_eq!(entries, CAPACITY, "{entries} entries retained");
+        assert!(in_journal <= CAPACITY, "{in_journal} records in the journal");
+        // Nothing but the journal holds a record of an unblocked task.
         let alive = records.iter().filter(|record| record.upgrade().is_some()).count();
-        assert_eq!(alive, in_stripes);
-        assert!(records[0].upgrade().is_none(), "the quiet stripe's early record is freed");
+        assert_eq!(alive, in_journal);
+        assert!(records[0].upgrade().is_none(), "the first record is freed");
         assert!(records[1].upgrade().is_none(), "an early record is freed");
     }
 
@@ -1147,7 +933,7 @@ mod tests {
         use proptest::prelude::*;
 
         /// A block (of a status over a small universe, so tasks re-block
-        /// and stripes collide) or an unblock.
+        /// and shards collide) or an unblock.
         fn arb_delta() -> impl Strategy<Value = Delta> {
             let block =
                 (0u64..8, 1u64..4, 1u64..4, proptest::collection::vec((1u64..4, 0u64..3), 0..3))
@@ -1179,6 +965,7 @@ mod tests {
                     RegistryConfig::default(),
                     RegistryConfig { journal_capacity: 3, ..RegistryConfig::default() },
                     RegistryConfig { shards: 1, journal_capacity: 5, ..RegistryConfig::default() },
+                    RegistryConfig { track_waited: true, ..RegistryConfig::default() },
                 ];
                 for cfg in configs {
                     let reg = Registry::with_config(cfg);
@@ -1200,6 +987,10 @@ mod tests {
                         }
                         let head = log.len() as u64;
                         prop_assert_eq!(reg.journal_cursor(), head);
+                        let awaited: std::collections::BTreeSet<Resource> =
+                            reg.snapshot().tasks.iter().flat_map(|b| b.waits.clone()).collect();
+                        let expected = if cfg.track_waited { awaited.len() } else { usize::MAX };
+                        prop_assert_eq!(reg.distinct_waited(), expected);
                         for cursor in 0..=head + 1 {
                             let shared = reg.read_journal(cursor, &mut entries);
                             let public = reg.deltas_since(cursor);
@@ -1210,9 +1001,8 @@ mod tests {
                             }
                             let next = head.max(cursor);
                             prop_assert_eq!(shared, Some(next));
-                            prop_assert!(entries.iter().map(|&(seq, _)| seq).eq(cursor..next));
-                            let copied: Vec<Delta> =
-                                entries.iter().map(|(_, shared)| shared.to_delta()).collect();
+                            prop_assert_eq!(entries.len() as u64, next - cursor);
+                            let copied: Vec<Delta> = entries.iter().map(SharedDelta::to_delta).collect();
                             prop_assert_eq!(&copied[..], &log[(cursor as usize).min(log.len())..]);
                             prop_assert_eq!(public, JournalRead::Deltas(copied, next));
                         }

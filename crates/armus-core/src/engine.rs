@@ -601,7 +601,7 @@ pub struct IncrementalEngine {
     cursor: u64,
     /// The journal entries of the sync in progress; kept (empty) between
     /// syncs so that reading the journal allocates nothing.
-    inbox: Vec<(u64, SharedDelta)>,
+    inbox: Vec<SharedDelta>,
     /// The always-maintained view and indexes.
     idx: Indexes,
     /// The SG's derived structures, while some query reads them.
@@ -625,7 +625,7 @@ impl IncrementalEngine {
         let outcome = match registry.read_journal(self.cursor, &mut inbox) {
             Some(cursor) => {
                 let applied = inbox.len();
-                for (_, delta) in inbox.drain(..) {
+                for delta in inbox.drain(..) {
                     self.apply_shared(delta);
                 }
                 self.cursor = cursor;

@@ -127,8 +127,9 @@ pub struct VerifierConfig {
     /// Journal window of the underlying registry. Small values force the
     /// engine's `Behind`/resync branch deterministically (testkit hook).
     pub journal_capacity: usize,
-    /// Shard count of the underlying registry (testkit hook; the default
-    /// is [`crate::deps::DEFAULT_SHARDS`]).
+    /// Task-map shard count of the underlying registry (testkit hook;
+    /// the default is [`crate::deps::DEFAULT_SHARDS`]). The journal is
+    /// one ring whatever the count.
     pub shards: usize,
     /// Whether avoidance uses the resource-cardinality fast path. Off, a
     /// single-resource block runs a full engine check like any other —

@@ -1,7 +1,7 @@
 //! The allocation budget of the blocked-status path, asserted as exact
 //! counts: a blocked status has **one** heap record for its whole life
 //! (`Registry::block` wraps it in an `Arc` that the shard map, the journal
-//! stripe and the engine share), and once its containers have grown the
+//! and the engine share), and once its containers have grown the
 //! path from `Verifier::block` through the journal to the engine allocates
 //! nothing else. A reintroduced copy — of the status into the journal, of
 //! the journal into a fresh `Vec` per sync, of `waits` per check — fails
@@ -63,7 +63,7 @@ const MEMBERS: u64 = 32;
 /// releases them one by one.
 const CYCLE: u64 = 2 * MEMBERS;
 /// Rounds before anything is measured: 4 × 4096 deltas, twice the default
-/// journal window, so every stripe, map and scratch has seen its peak.
+/// journal window, so the journal, every map and scratch has seen its peak.
 const WARM_UP_ROUNDS: u64 = 4;
 
 fn task(group: u64, member: u64) -> TaskId {

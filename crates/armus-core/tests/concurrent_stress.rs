@@ -1,7 +1,7 @@
 //! Multi-threaded stress tests for the sharded registry journal and the
 //! verifier's concurrent check paths: N producer threads doing randomized
 //! block/unblock across shards while consumers read, asserting that
-//! nothing is lost, duplicated, or torn — the merged journal view equals
+//! nothing is lost, duplicated, or torn — the journal view equals
 //! a from-scratch snapshot at quiesce, and detection reports a concurrent
 //! deadlock exactly once.
 //!
@@ -56,9 +56,8 @@ fn churn_info(id: u64, universe: u64) -> BlockedInfo {
 
 /// N producers blocking/unblocking randomized tasks across every shard
 /// while two consumer engines, each on its own thread, follow the delta
-/// journal (both through the registry's one shared read, which asserts
-/// gap-free sequence numbers itself in debug builds): at quiesce each
-/// merged journal view must equal a from-scratch snapshot, entry for
+/// journal (both through the registry's one shared read): at quiesce
+/// each journal view must equal a from-scratch snapshot, entry for
 /// entry — no delta lost, duplicated, or misordered.
 #[test]
 fn merged_journal_view_equals_snapshot_at_quiesce() {

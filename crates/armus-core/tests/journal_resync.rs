@@ -1,5 +1,5 @@
 //! Deterministic coverage of the journal edge cases that used to be hit
-//! only probabilistically: stripe-merge `Behind` detection and the
+//! only probabilistically: cross-shard `Behind` detection and the
 //! versioned full-snapshot resync after journal overflow, driven through
 //! the injectable journal capacity and shard count
 //! ([`RegistryConfig`], `VerifierConfig::with_journal_capacity`/
@@ -27,9 +27,9 @@ fn info(task: u64, ph: u64) -> BlockedInfo {
     BlockedInfo::new(t(task), vec![r(ph, 1)], vec![Registration::new(p(ph), 1)])
 }
 
-/// Cross-shard stripe merge turns into an explicit `Behind` the moment
-/// the window slides past a cursor, even when the overflowing appends all
-/// land on *other* shards than the cursor's unread entries.
+/// A journal fed from several shards turns into an explicit `Behind` the
+/// moment the window slides past a cursor, even when the overflowing
+/// appends all land on *other* shards than the cursor's unread entries.
 #[test]
 fn stripe_merge_reports_behind_across_shards() {
     let reg = Registry::with_config(RegistryConfig {
@@ -37,7 +37,7 @@ fn stripe_merge_reports_behind_across_shards() {
         shards: 8,
         track_waited: false,
     });
-    // Tasks 1..=4 hash to four different shards: one entry per stripe.
+    // Tasks 1..=4 hash to four different shards: one entry from each.
     for task in 1..=4 {
         reg.block(info(task, task));
     }
@@ -55,7 +55,7 @@ fn stripe_merge_reports_behind_across_shards() {
 
 /// A single-shard registry (the deterministic-simulation configuration)
 /// behaves identically: the journal window is about sequence numbers,
-/// not stripes.
+/// not shards.
 #[test]
 fn single_shard_journal_window_matches_multi_shard() {
     for shards in [1usize, 32] {

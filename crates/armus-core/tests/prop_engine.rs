@@ -153,13 +153,12 @@ proptest! {
         prop_assert_eq!(engine.sg_vertex_list(), Vec::<Resource>::new());
     }
 
-    /// Concurrent interleavings over the sharded journal: the generated
+    /// Concurrent interleavings over the sharded registry: the generated
     /// op sequences run on separate producer threads (overlapping task
     /// ids — shard locks serialise per task) while a follower engine
-    /// syncs mid-churn. At quiesce the follower's merged-journal view
-    /// must equal the from-scratch oracle structurally, and its reports
-    /// must be byte-identical to the oracle's — the per-shard stripes are
-    /// observationally equivalent to the old single-journal semantics.
+    /// syncs mid-churn. At quiesce the follower's journal view must equal
+    /// the from-scratch oracle structurally, and its reports must be
+    /// byte-identical to the oracle's.
     #[test]
     fn concurrent_interleavings_converge_to_the_oracle(
         ops_a in arb_ops(12),

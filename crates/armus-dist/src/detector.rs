@@ -283,17 +283,13 @@ impl IncrementalDistChecker {
     }
 }
 
-// The deadlock-report LRU dedup now lives in armus-core (the local
-// verifier's detection monitor bounds its reported-set memory with the
-// same scheme); re-exported here for the cluster checker's historical
-// import path.
-pub use armus_core::checker::{ReportDedup, DEFAULT_DEDUP_CAPACITY};
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::MemStore;
-    use armus_core::{BlockedInfo, PhaserId, Registration, Resource, DEFAULT_SG_THRESHOLD};
+    use armus_core::{
+        BlockedInfo, PhaserId, Registration, ReportDedup, Resource, DEFAULT_SG_THRESHOLD,
+    };
 
     fn t(n: u64) -> TaskId {
         TaskId(n)
@@ -599,37 +595,6 @@ mod tests {
             witness: armus_core::CycleWitness::Tasks(tasks.clone()),
             task_epochs: tasks.into_iter().map(|t| (t, 1)).collect(),
         }
-    }
-
-    #[test]
-    fn dedup_is_bounded_with_lru_eviction() {
-        let mut dedup = ReportDedup::with_capacity(2);
-        let (a, b, c) = (report_over(vec![t(1)]), report_over(vec![t(2)]), report_over(vec![t(3)]));
-        assert!(dedup.is_new(&a));
-        assert!(dedup.is_new(&b));
-        // Re-seeing `a` refreshes it, so `b` is now least recent...
-        assert!(!dedup.is_new(&a));
-        assert!(dedup.is_new(&c)); // ...and gets evicted here.
-        assert_eq!(dedup.len(), 2);
-        assert!(dedup.is_new(&b), "evicted set is reported again");
-        assert!(!dedup.is_new(&c), "retained set still deduplicates");
-    }
-
-    #[test]
-    fn reexported_dedup_is_the_armus_core_type_with_identical_lru_order() {
-        // The distributed checker deduplicates with armus-core's type:
-        // the re-export must be the same type, and the eviction order a
-        // site checker observes must match the core semantics exactly.
-        let mut core: armus_core::ReportDedup = crate::ReportDedup::with_capacity(3);
-        for n in 1..=3 {
-            assert!(core.is_new(&report_over(vec![t(n)])));
-        }
-        // Refresh order 3, 1 → least-recent is now 2.
-        assert!(!core.is_new(&report_over(vec![t(3)])));
-        assert!(!core.is_new(&report_over(vec![t(1)])));
-        assert!(core.is_new(&report_over(vec![t(4)]))); // evicts 2
-        assert!(core.is_new(&report_over(vec![t(2)])), "2 was evicted first");
-        assert!(core.is_new(&report_over(vec![t(3)])), "3 was evicted next");
     }
 
     #[test]

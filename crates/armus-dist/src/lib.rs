@@ -72,10 +72,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use cluster::Cluster;
-pub use detector::{
-    check_store, merge, DistCheck, DistCheckerStats, IncrementalDistChecker, ReportDedup,
-    DEFAULT_DEDUP_CAPACITY,
-};
+pub use detector::{check_store, merge, DistCheck, DistCheckerStats, IncrementalDistChecker};
 pub use server::{StoredConfig, StoredServer, DEFAULT_CHECK_PERIOD};
 pub use site::{Publisher, Shipped, Site, SiteConfig};
 pub use store::{DeltaAck, Feed, MemStore, SiteId, SiteStats, Store, StoreError, TenantId};

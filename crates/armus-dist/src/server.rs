@@ -47,10 +47,12 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use armus_core::{DeadlockReport, ModelChoice, Pace, Pacer, Signal, DEFAULT_SG_THRESHOLD};
+use armus_core::{
+    DeadlockReport, ModelChoice, Pace, Pacer, ReportDedup, Signal, DEFAULT_SG_THRESHOLD,
+};
 use parking_lot::Mutex;
 
-use crate::detector::{IncrementalDistChecker, ReportDedup};
+use crate::detector::IncrementalDistChecker;
 use crate::store::{delta_task, DeltaAck, Feed, MemStore, SiteId, TenantId};
 use crate::wire::{self, Request, Response, ServerMetrics, TenantMetrics};
 

@@ -6,11 +6,11 @@
 //! cursors the log does not honour.
 
 use super::{round, TenantChecker};
-use crate::detector::{check_store, merge, IncrementalDistChecker, ReportDedup};
+use crate::detector::{check_store, merge, IncrementalDistChecker};
 use crate::store::{DeltaAck, Feed, MemStore, SiteId, StoreError, TenantId, LOG_CAPACITY};
 use armus_core::{
-    BlockedInfo, DeadlockReport, Delta, ModelChoice, PhaserId, Registration, Resource, Snapshot,
-    TaskId, DEFAULT_SG_THRESHOLD,
+    BlockedInfo, DeadlockReport, Delta, ModelChoice, PhaserId, Registration, ReportDedup, Resource,
+    Snapshot, TaskId, DEFAULT_SG_THRESHOLD,
 };
 use armus_workloads::util::XorShift;
 use std::collections::BTreeMap;

@@ -48,17 +48,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use armus_core::{
-    DeadlockReport, JournalRead, ModelChoice, Pace, Pacer, Signal, Verifier, VerifierConfig,
-    DEFAULT_SG_THRESHOLD,
+    DeadlockReport, JournalRead, ModelChoice, Pace, Pacer, ReportDedup, Signal, Verifier,
+    VerifierConfig, DEFAULT_SG_THRESHOLD,
 };
 use armus_sync::{Runtime, RuntimeConfig};
 use parking_lot::Mutex;
 
-use crate::detector::{DistCheckerStats, IncrementalDistChecker, ReportDedup};
+use crate::detector::{DistCheckerStats, IncrementalDistChecker};
 use crate::store::{DeltaAck, SiteId, SiteStats, Store};
 
 /// The bounded store of a site's deadlock reports. The checker pushes
-/// behind a [`crate::detector::ReportDedup`], so entries are distinct
+/// behind a [`ReportDedup`], so entries are distinct
 /// deadlocks — but a long-lived site in a deadlock-heavy workload still
 /// accretes them forever; the ring keeps the newest
 /// [`SiteConfig::report_capacity`] and counts evictions instead of
