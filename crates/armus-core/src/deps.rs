@@ -43,7 +43,8 @@
 //! `Registry::read_journal`, which hands out the shared entries into a
 //! buffer the caller keeps; the engine and, through it, the detection
 //! monitor use it directly. Everything public is a copy-out view of the
-//! same records — [`Registry::deltas_since`] (defined in terms of
+//! same records — [`Registry::deltas_since`] and its per-task netting
+//! [`Registry::net_deltas_since`] (both defined in terms of
 //! `read_journal`), [`Registry::snapshot`], [`Registry::get`] — because
 //! their callers are outside this crate's control: a site publisher
 //! encodes and ships deltas, the canonical checker and tests keep and
@@ -227,6 +228,14 @@ impl SharedDelta {
         match self {
             SharedDelta::Block(info) => Delta::Block(BlockedInfo::clone(info)),
             SharedDelta::Unblock(task) => Delta::Unblock(*task),
+        }
+    }
+
+    /// The task whose status this entry sets.
+    fn task(&self) -> TaskId {
+        match self {
+            SharedDelta::Block(info) => info.task,
+            SharedDelta::Unblock(task) => *task,
         }
     }
 }
@@ -456,6 +465,25 @@ impl Registry {
             }
             None => JournalRead::Behind,
         }
+    }
+
+    /// [`Registry::deltas_since`] netted per task: of each task's deltas
+    /// since `cursor`, only its last, in journal order. A consumer that
+    /// applies deltas as per-task upserts ends where the raw read leaves
+    /// it, and the read is empty exactly when the raw one is. The netting
+    /// runs on the shared records outside the journal lock, so only the
+    /// survivors are copied out.
+    pub fn net_deltas_since(&self, cursor: u64) -> JournalRead {
+        let mut entries = Vec::new();
+        let Some(next) = self.read_journal(cursor, &mut entries) else {
+            return JournalRead::Behind;
+        };
+        let mut last: IdMap<TaskId, usize> = IdMap::default();
+        for (i, entry) in entries.iter().enumerate() {
+            last.insert(entry.task(), i);
+        }
+        let net = entries.iter().enumerate().filter(|&(i, e)| last[&e.task()] == i);
+        JournalRead::Deltas(net.map(|(_, e)| e.to_delta()).collect(), next)
     }
 
     /// The journal's one read: replaces the contents of `out` with the
@@ -952,11 +980,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// One read, two views: at every cursor after every step, the
+            /// One read, three views: at every cursor after every step, the
             /// public `deltas_since` is the copy-out of `read_journal`,
             /// entry for entry, both equal the log a single-threaded model
-            /// keeps (epochs included), and both say `Behind` exactly when
-            /// the cursor has left the window.
+            /// keeps (epochs included), `net_deltas_since` is that log
+            /// netted to each task's last delta in journal order, and all
+            /// three say `Behind` exactly when the cursor has left the
+            /// window.
             #[test]
             fn deltas_since_is_the_copy_out_of_the_shared_read(
                 stream in proptest::collection::vec(arb_delta(), 1..40)
@@ -994,17 +1024,29 @@ mod tests {
                         for cursor in 0..=head + 1 {
                             let shared = reg.read_journal(cursor, &mut entries);
                             let public = reg.deltas_since(cursor);
+                            let net = reg.net_deltas_since(cursor);
                             if head.saturating_sub(cursor) > cfg.journal_capacity as u64 {
                                 prop_assert_eq!(shared, None);
                                 prop_assert_eq!(public, JournalRead::Behind);
+                                prop_assert_eq!(net, JournalRead::Behind);
                                 continue;
                             }
                             let next = head.max(cursor);
                             prop_assert_eq!(shared, Some(next));
                             prop_assert_eq!(entries.len() as u64, next - cursor);
                             let copied: Vec<Delta> = entries.iter().map(SharedDelta::to_delta).collect();
-                            prop_assert_eq!(&copied[..], &log[(cursor as usize).min(log.len())..]);
+                            let tail = &log[(cursor as usize).min(log.len())..];
+                            prop_assert_eq!(&copied[..], tail);
                             prop_assert_eq!(public, JournalRead::Deltas(copied, next));
+                            let task = |d: &Delta| match d {
+                                Delta::Block(info) => info.task,
+                                Delta::Unblock(task) => *task,
+                            };
+                            let netted: Vec<Delta> = (0..tail.len())
+                                .filter(|&i| tail[i + 1..].iter().all(|d| task(d) != task(&tail[i])))
+                                .map(|i| tail[i].clone())
+                                .collect();
+                            prop_assert_eq!(net, JournalRead::Deltas(netted, next));
                         }
                     }
                 }

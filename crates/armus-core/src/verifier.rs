@@ -486,6 +486,13 @@ impl Verifier {
         self.registry.deltas_since(cursor)
     }
 
+    /// The registry's journal deltas since `cursor`, netted to each task's
+    /// last (see [`Registry::net_deltas_since`]): what a distributed
+    /// site's publisher ships.
+    pub fn net_deltas_since(&self, cursor: u64) -> JournalRead {
+        self.registry.net_deltas_since(cursor)
+    }
+
     /// A full snapshot paired with a journal cursor, for delta consumers
     /// joining or recovering (see [`Registry::snapshot_with_cursor`]).
     pub fn snapshot_with_cursor(&self) -> (Snapshot, u64) {

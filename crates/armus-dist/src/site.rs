@@ -193,7 +193,8 @@ pub enum Shipped {
     /// Nothing the store acknowledged: cursor and sync state are as they
     /// were, and the round is tried again a period later.
     Nothing,
-    /// The journal deltas since the cursor (this many).
+    /// The journal deltas since the cursor, netted to each task's last
+    /// (this many net deltas).
     Deltas(usize),
     /// A full versioned snapshot: the join, or a recovery resync.
     Snapshot,
@@ -283,14 +284,17 @@ impl Publisher {
         self.pacer.due_in(now)
     }
 
-    /// One round of the wire protocol: ship the deltas since the cursor —
-    /// an empty interval when there are none — or a full versioned snapshot
-    /// when not (or no longer) in sync. A store failure leaves cursor and
-    /// sync state untouched, so the next round retries the same interval.
+    /// One round of the wire protocol: ship each task's last delta since
+    /// the cursor ([`Verifier::net_deltas_since`]; the store applies a
+    /// batch as per-task upserts, so the earlier ones change nothing it
+    /// holds) — an empty interval when there are none — or a full
+    /// versioned snapshot when not (or no longer) in sync. A store failure
+    /// leaves cursor and sync state untouched, so the next round retries
+    /// the same interval.
     pub fn publish(&mut self, store: &dyn Store, verifier: &Verifier) -> Shipped {
         let mut shipped = Shipped::Nothing;
         if self.synced {
-            match verifier.deltas_since(self.cursor) {
+            match verifier.net_deltas_since(self.cursor) {
                 JournalRead::Deltas(deltas, next) => {
                     // Published even when the interval is empty: it is the
                     // lease heartbeat, and a store that lost the partition
@@ -763,6 +767,24 @@ mod tests {
         publisher.record(Shipped::Heartbeat, t0 + ms(48) + PERIOD);
         assert_eq!(publisher.pace(v.journal_head(), t0 + ms(48) + PERIOD), Pace::Park);
         assert_eq!(store.fetch_all().unwrap()[0].1, v.local_snapshot());
+    }
+
+    #[test]
+    fn publisher_ships_each_tasks_last_delta_of_the_interval() {
+        let (store, v, t0) =
+            (MemStore::new(), Verifier::new(VerifierConfig::publish_only()), Instant::now());
+        let mut publisher = joined(&store, &v, t0);
+        // Five journal entries in one interval, for two tasks.
+        block(&v, 1);
+        v.unblock(TaskId(1));
+        block(&v, 1);
+        block(&v, 2);
+        v.unblock(TaskId(2));
+        // Task 1's last block and task 2's unblock.
+        assert_eq!(publisher.publish(&store, &v), Shipped::Deltas(2));
+        publisher.record(Shipped::Deltas(2), t0 + ms(1));
+        assert_eq!(store.fetch_all().unwrap()[0].1, v.local_snapshot());
+        assert_eq!(publisher.publish(&store, &v), Shipped::Settled);
     }
 
     #[test]

@@ -23,13 +23,15 @@
 //! one level up. The log keeps no per-reader state.
 //!
 //! Partitions are updated **incrementally**: a site normally publishes only
-//! the journal [`Delta`]s since its previous publish
-//! ([`Store::publish_deltas`]), tagged with the journal interval they
-//! cover; the store applies them only when its recorded version matches
-//! the interval's base, and answers [`DeltaAck::NeedSnapshot`] otherwise.
-//! The full-snapshot path ([`Store::publish_full`]) remains for joins and
-//! recovery — a fresh site, a store that lost the partition, or a
-//! publisher whose journal truncated past its cursor.
+//! each task's last journal [`Delta`] over the interval since its previous
+//! publish ([`Store::publish_deltas`]; a batch is applied as per-task
+//! upserts, so the earlier deltas would change nothing), tagged with the
+//! journal interval they cover; the store applies them only when its
+//! recorded version matches the interval's base, and answers
+//! [`DeltaAck::NeedSnapshot`] otherwise. The full-snapshot path
+//! ([`Store::publish_full`]) remains for joins and recovery — a fresh
+//! site, a store that lost the partition, or a publisher whose journal
+//! truncated past its cursor.
 //!
 //! A long-lived shared store serves many independent *applications*, not
 //! just many sites of one: partitions are keyed `(tenant, site)` — a

@@ -38,7 +38,7 @@
 //!   [`dist::StoredProcess`], the `armus-stored` child-process glue.
 //!   `armus-dist`'s integration tests and the `distributed_detection`
 //!   example dev-depend on this crate for them; the scheduler above does
-//!   not drive them yet (ROADMAP item 8(c)).
+//!   not drive them yet (ROADMAP item 9(c)).
 //!
 //! ## Seed-replay workflow
 //!
