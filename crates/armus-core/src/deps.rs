@@ -21,13 +21,13 @@
 //! consumer that falls behind the bounded journal resyncs from a full
 //! point-in-time copy ([`Registry::snapshot_with_cursor`]).
 //!
-//! The journal is **one bounded ring behind one lock**. A block or unblock
+//! The journal is **one [`Window`] behind one lock**. A block or unblock
 //! writes its task's shard map first and then, still holding the shard
-//! lock, appends under the journal lock; the lock order is always shard →
-//! journal. An entry's sequence number is its position (the ring's base
-//! plus its index), so the log has no gaps by construction, and a read
-//! copies the entries past its cursor in one lock hold. The ring keeps
-//! exactly the last `capacity` entries: a cursor older than that reads
+//! lock, pushes under the journal lock; the lock order is always shard →
+//! journal. An entry's sequence number is its window position, so the log
+//! has no gaps by construction, and a read copies the entries past its
+//! cursor in one lock hold. A cursor outside the window (older than its
+//! last `capacity` entries, or past the head) reads
 //! [`JournalRead::Behind`] and resyncs from
 //! [`Registry::snapshot_with_cursor`].
 //!
@@ -63,7 +63,6 @@
 //! entry that changes them, which is the whole ordering argument (see
 //! [`Registry::block`]).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -72,6 +71,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::{IdMap, TaskId};
 use crate::resource::{Registration, Resource};
+use crate::window::Window;
 
 /// The blocked status of one task, produced by the application layer when
 /// the task is about to block (paper §5.1: "whenever a task of the program
@@ -208,7 +208,7 @@ pub enum JournalRead {
     /// The deltas from the cursor up to the journal head, and the cursor
     /// to resume from next time.
     Deltas(Vec<Delta>, u64),
-    /// The cursor precedes the journal's retained window: the consumer
+    /// The cursor is outside the journal's retained window: the consumer
     /// must resync from [`Registry::snapshot_with_cursor`].
     Behind,
 }
@@ -278,13 +278,9 @@ impl Default for RegistryConfig {
 
 /// The delta journal and the wait counts that move with it, all behind
 /// [`Registry::journal`].
-#[derive(Default)]
 struct Journal {
-    /// Sequence number of `entries[0]`: one past the last dropped entry.
-    base: u64,
-    /// The retained window, oldest first; the head is
-    /// `base + entries.len()`.
-    entries: VecDeque<SharedDelta>,
+    /// The retained entries; an entry's sequence number is its position.
+    entries: Window<SharedDelta>,
     /// Waiter count per awaited resource (multiset semantics: a status
     /// that lists a wait twice counts it twice). Empty unless tracked.
     waited: IdMap<Resource, usize>,
@@ -309,8 +305,6 @@ pub struct Registry {
     distinct_waited: AtomicUsize,
     len: AtomicUsize,
     next_epoch: AtomicU64,
-    /// Length of the retained window.
-    capacity: usize,
     /// Whether per-resource waiter counts are maintained. Only the
     /// avoidance fast path reads them; a detection/publish-only registry
     /// skips the bookkeeping entirely.
@@ -349,12 +343,14 @@ impl Registry {
         assert!(cfg.shards > 0, "registry needs at least one shard");
         Registry {
             shards: (0..cfg.shards).map(|_| Mutex::new(IdMap::default())).collect(),
-            journal: Mutex::new(Journal::default()),
+            journal: Mutex::new(Journal {
+                entries: Window::new(cfg.journal_capacity),
+                waited: IdMap::default(),
+            }),
             head: AtomicU64::new(0),
             distinct_waited: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
             next_epoch: AtomicU64::new(1),
-            capacity: cfg.journal_capacity,
             track_waited: cfg.track_waited,
         }
     }
@@ -366,11 +362,11 @@ impl Registry {
     /// Appends `delta` under the journal lock; the caller holds the
     /// task's shard lock and has already written the map. In one
     /// critical section: count the waits of a `Block`'s status and
-    /// discount those of the status it `replaced`, push the entry, drop
-    /// the one that left the window, and store the new head last.
+    /// discount those of the status it `replaced`, push the entry (the
+    /// oldest leaves a full window), and store the new head last.
     fn append(&self, delta: SharedDelta, replaced: Option<&BlockedInfo>) {
         let mut journal = self.journal.lock();
-        let Journal { base, entries, waited } = &mut *journal;
+        let Journal { entries, waited } = &mut *journal;
         if self.track_waited {
             if let SharedDelta::Block(info) = &delta {
                 info.waits.iter().for_each(|&w| *waited.entry(w).or_insert(0) += 1);
@@ -384,12 +380,8 @@ impl Registry {
             }
             self.distinct_waited.store(waited.len(), Ordering::SeqCst);
         }
-        entries.push_back(delta);
-        if entries.len() > self.capacity {
-            entries.pop_front();
-            *base += 1;
-        }
-        self.head.store(*base + entries.len() as u64, Ordering::SeqCst);
+        entries.push(delta);
+        self.head.store(entries.head(), Ordering::SeqCst);
     }
 
     /// Distinct resources currently awaited by at least one blocked task.
@@ -453,7 +445,7 @@ impl Registry {
     }
 
     /// The journal deltas appended since `cursor`, in order, or
-    /// [`JournalRead::Behind`] when `cursor` has left the retained window.
+    /// [`JournalRead::Behind`] when `cursor` is outside the retained window.
     /// The owned copy-out of `Registry::read_journal`: a consumer outside
     /// this crate (a site publisher encoding for the wire, a test) gets
     /// `Delta`s it may keep and mutate, not handles into the registry.
@@ -489,19 +481,14 @@ impl Registry {
     /// The journal's one read: replaces the contents of `out` with the
     /// entries from `cursor` up to the head, in order, and returns the
     /// cursor to resume from — or `None` (and an empty `out`) when
-    /// `cursor` has left the retained window. One journal-lock hold;
+    /// `cursor` is outside the retained window. One journal-lock hold;
     /// entries share the registry's records, so a caller that keeps `out`
     /// between reads allocates nothing here once it has grown.
     pub(crate) fn read_journal(&self, cursor: u64, out: &mut Vec<SharedDelta>) -> Option<u64> {
         out.clear();
         let journal = self.journal.lock();
-        let head = journal.base + journal.entries.len() as u64;
-        if cursor >= head {
-            return Some(cursor);
-        }
-        let start = cursor.checked_sub(journal.base)?;
-        out.extend(journal.entries.range(start as usize..).cloned());
-        Some(head)
+        out.extend(journal.entries.since(cursor).ok()?.cloned());
+        Some(journal.entries.head())
     }
 
     /// The journal head: the cursor a consumer that is fully caught up
@@ -908,7 +895,7 @@ mod tests {
     fn retained(reg: &Registry) -> (usize, usize) {
         let journal = reg.journal.lock();
         let records = journal.entries.iter().filter(|e| matches!(e, SharedDelta::Block(_))).count();
-        (journal.entries.len(), records)
+        (journal.entries.iter().len(), records)
     }
 
     #[test]
@@ -1025,7 +1012,7 @@ mod tests {
                             let shared = reg.read_journal(cursor, &mut entries);
                             let public = reg.deltas_since(cursor);
                             let net = reg.net_deltas_since(cursor);
-                            if head.saturating_sub(cursor) > cfg.journal_capacity as u64 {
+                            if cursor > head || head - cursor > cfg.journal_capacity as u64 {
                                 prop_assert_eq!(shared, None);
                                 prop_assert_eq!(public, JournalRead::Behind);
                                 prop_assert_eq!(net, JournalRead::Behind);

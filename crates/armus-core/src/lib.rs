@@ -75,6 +75,7 @@ pub mod sg;
 pub mod stats;
 pub mod verifier;
 pub mod wfg;
+pub mod window;
 
 pub use adaptive::{GraphModel, ModelChoice, DEFAULT_SG_THRESHOLD};
 pub use checker::{
@@ -91,7 +92,8 @@ pub use ids::{Phase, PhaserId, TaskId, MAX_LOCAL_TASK, MAX_SITE_TAG, SITE_TAG_SH
 pub use pace::{Pace, Pacer, Signal};
 pub use resource::{Registration, Resource};
 pub use stats::{StatsCollector, StatsSnapshot};
-pub use verifier::{StaticHint, Verifier, VerifierConfig, VerifyMode};
+pub use verifier::{StaticHint, Verifier, VerifierConfig, VerifyMode, REPORT_CAPACITY};
+pub use window::Window;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {

@@ -69,6 +69,7 @@ use crate::ids::TaskId;
 use crate::pace::{Pace, Pacer, Signal};
 use crate::resource::{Registration, Resource};
 use crate::stats::{StatsCollector, StatsSnapshot};
+use crate::window::Window;
 
 /// Verification mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,6 +101,9 @@ pub enum VerifyMode {
     PublishOnly,
 }
 
+/// Most deadlock reports a verifier, or a distributed site, retains.
+pub const REPORT_CAPACITY: usize = 256;
+
 /// A static-analysis verdict handed to the verifier ahead of execution.
 ///
 /// Produced by a whole-program analysis (e.g. `armus_pl::analysis`) that
@@ -129,7 +133,7 @@ pub struct VerifierConfig {
     pub journal_capacity: usize,
     /// Task-map shard count of the underlying registry (testkit hook;
     /// the default is [`crate::deps::DEFAULT_SHARDS`]). The journal is
-    /// one ring whatever the count.
+    /// one window whatever the count.
     pub shards: usize,
     /// Whether avoidance uses the resource-cardinality fast path. Off, a
     /// single-resource block runs a full engine check like any other —
@@ -223,7 +227,7 @@ pub struct Verifier {
     registry: Registry,
     engine: Mutex<IncrementalEngine>,
     stats: StatsCollector,
-    reports: Mutex<Vec<DeadlockReport>>,
+    reports: Mutex<Window<DeadlockReport>>,
     reported: Mutex<ReportDedup>,
     subscribers: Mutex<Vec<Subscriber>>,
     signal: Arc<Signal>,
@@ -258,7 +262,7 @@ impl Verifier {
             }),
             engine: Mutex::new(IncrementalEngine::new()),
             stats: StatsCollector::new(),
-            reports: Mutex::new(Vec::new()),
+            reports: Mutex::new(Window::new(REPORT_CAPACITY)),
             reported: Mutex::new(ReportDedup::new()),
             subscribers: Mutex::new(Vec::new()),
             signal: Arc::default(),
@@ -509,12 +513,13 @@ impl Verifier {
         self.subscribers.lock().push(Arc::new(f));
     }
 
-    /// Drains the retained reports.
+    /// Drains the reports since the last `take_reports`: the newest
+    /// [`REPORT_CAPACITY`] at most (all count in [`StatsSnapshot::deadlocks`]).
     pub fn take_reports(&self) -> Vec<DeadlockReport> {
-        std::mem::take(&mut *self.reports.lock())
+        std::mem::replace(&mut *self.reports.lock(), Window::new(REPORT_CAPACITY)).into_vec()
     }
 
-    /// Has any deadlock been reported so far?
+    /// Has a deadlock been reported since the last `take_reports`?
     pub fn found_deadlock(&self) -> bool {
         !self.reports.lock().is_empty()
     }
@@ -668,6 +673,29 @@ mod tests {
         // The failed block was withdrawn from the registry.
         assert_eq!(v.local_snapshot().len(), 3);
         assert!(v.found_deadlock());
+    }
+
+    #[test]
+    fn refused_blocks_retain_at_most_the_report_capacity_newest_last() {
+        const REFUSED: u64 = REPORT_CAPACITY as u64 + 1_000;
+        let v = Verifier::new(VerifierConfig::avoidance());
+        v.block(t(1), vec![r(1, 1)], vec![Registration::new(p(1), 1), Registration::new(p(2), 0)])
+            .expect("one task alone does not deadlock");
+        // A program that handles every `DeadlockError` and carries on: the
+        // same two-task cycle, refused to a fresh task each time.
+        for i in 0..REFUSED {
+            v.block(
+                t(2 + i),
+                vec![r(2, 1)],
+                vec![Registration::new(p(1), 0), Registration::new(p(2), 1)],
+            )
+            .expect_err("the crossed wait closes the cycle");
+        }
+        assert_eq!(v.stats().deadlocks, REFUSED, "every refusal is counted");
+        let reports = v.take_reports();
+        assert!(reports.len() <= REPORT_CAPACITY, "{} reports retained", reports.len());
+        assert_eq!(reports.last().expect("the newest is kept").tasks, vec![t(1), t(1 + REFUSED)]);
+        assert!(!v.found_deadlock(), "nothing since the take");
     }
 
     #[test]

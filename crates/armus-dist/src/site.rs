@@ -41,7 +41,6 @@
 //! path produces reports byte-identical to connection-per-site and to
 //! the in-process [`crate::store::MemStore`].
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,58 +48,13 @@ use std::time::{Duration, Instant};
 
 use armus_core::{
     DeadlockReport, JournalRead, ModelChoice, Pace, Pacer, ReportDedup, Signal, Verifier,
-    VerifierConfig, DEFAULT_SG_THRESHOLD,
+    VerifierConfig, Window, DEFAULT_SG_THRESHOLD, REPORT_CAPACITY,
 };
 use armus_sync::{Runtime, RuntimeConfig};
 use parking_lot::Mutex;
 
 use crate::detector::{DistCheckerStats, IncrementalDistChecker};
 use crate::store::{DeltaAck, SiteId, SiteStats, Store};
-
-/// The bounded store of a site's deadlock reports. The checker pushes
-/// behind a [`ReportDedup`], so entries are distinct
-/// deadlocks — but a long-lived site in a deadlock-heavy workload still
-/// accretes them forever; the ring keeps the newest
-/// [`SiteConfig::report_capacity`] and counts evictions instead of
-/// growing without bound.
-pub(crate) struct ReportRing {
-    buf: VecDeque<DeadlockReport>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl ReportRing {
-    pub(crate) fn new(cap: usize) -> ReportRing {
-        ReportRing { buf: VecDeque::with_capacity(cap.min(64)), cap, dropped: 0 }
-    }
-
-    /// Appends, evicting the oldest entry when full. A zero-capacity ring
-    /// drops everything (reports still reach subscribers and logs via the
-    /// server; only the local backlog is bounded away).
-    pub(crate) fn push(&mut self, report: DeadlockReport) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(report);
-    }
-
-    pub(crate) fn to_vec(&self) -> Vec<DeadlockReport> {
-        self.buf.iter().cloned().collect()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
 
 /// Per-site verification configuration.
 #[derive(Clone, Copy, Debug)]
@@ -122,10 +76,6 @@ pub struct SiteConfig {
     pub check_period: Duration,
     /// Graph-model selection for the distributed check.
     pub model: ModelChoice,
-    /// Most deadlock reports retained locally; older ones are evicted
-    /// (counted by [`Site::reports_dropped`]). Distinct reports only — a
-    /// dedup filter runs in front of the ring.
-    pub report_capacity: usize,
 }
 
 impl Default for SiteConfig {
@@ -134,7 +84,6 @@ impl Default for SiteConfig {
             publish_period: Duration::from_millis(50),
             check_period: Duration::from_millis(200),
             model: ModelChoice::Auto,
-            report_capacity: 256,
         }
     }
 }
@@ -147,7 +96,7 @@ pub struct Site {
     /// through — its verifier's [`Verifier::signal`].)
     checker_stop: Arc<Signal>,
     cleanup_abort: Arc<Signal>,
-    reports: Arc<Mutex<ReportRing>>,
+    reports: Arc<Mutex<Window<DeadlockReport>>>,
     resyncs: Arc<AtomicU64>,
     checker_stats: Arc<Mutex<DistCheckerStats>>,
     publisher: Option<JoinHandle<()>>,
@@ -365,12 +314,12 @@ fn nothing_published(verifier: &Verifier, head: u64) -> bool {
 }
 
 /// Assembles the site's current [`SiteStats`] record from its verifier
-/// snapshot, publisher counter, checker counters, and report ring.
+/// snapshot, publisher counter, checker counters, and report window.
 fn gather_stats(
     verifier: &Verifier,
     resyncs: &AtomicU64,
     checker_stats: &Mutex<DistCheckerStats>,
-    reports: &Mutex<ReportRing>,
+    reports: &Mutex<Window<DeadlockReport>>,
 ) -> SiteStats {
     let v = verifier.stats();
     let c = *checker_stats.lock();
@@ -383,7 +332,7 @@ fn gather_stats(
         waker_wakes: v.waker_wakes,
         checker_rounds: c.rounds,
         incremental_detections: c.incremental_detections,
-        reports_dropped: reports.lock().dropped(),
+        reports_dropped: reports.lock().base(),
     }
 }
 
@@ -395,7 +344,7 @@ impl Site {
             Runtime::new(RuntimeConfig::unchecked().with_verifier(VerifierConfig::publish_only()));
         let checker_stop = Arc::new(Signal::new());
         let cleanup_abort = Arc::new(Signal::new());
-        let reports = Arc::new(Mutex::new(ReportRing::new(cfg.report_capacity)));
+        let reports = Arc::new(Mutex::new(Window::new(REPORT_CAPACITY)));
         let resyncs = Arc::new(AtomicU64::new(0));
         let checker_stats = Arc::new(Mutex::new(DistCheckerStats::default()));
 
@@ -529,15 +478,16 @@ impl Site {
         self.runtime.verifier().stats()
     }
 
-    /// Deadlocks this site's checker has reported, newest last (the
-    /// retained window of the bounded report ring).
+    /// The distinct deadlocks this site's checker has reported, newest
+    /// last: the newest [`REPORT_CAPACITY`] (older ones are counted by
+    /// [`Site::reports_dropped`]).
     pub fn reports(&self) -> Vec<DeadlockReport> {
-        self.reports.lock().to_vec()
+        self.reports.lock().iter().cloned().collect()
     }
 
-    /// Distinct reports evicted from the bounded report ring so far.
+    /// Distinct reports that have left [`Site::reports`] so far.
     pub fn reports_dropped(&self) -> u64 {
-        self.reports.lock().dropped()
+        self.reports.lock().base()
     }
 
     /// The site's current observability record — exactly what its
@@ -614,25 +564,25 @@ mod tests {
 
     #[test]
     fn report_ring_evicts_oldest_first_and_counts_drops() {
-        let mut ring = ReportRing::new(2);
+        let mut ring: Window<DeadlockReport> = Window::new(2);
         ring.push(report(1));
         ring.push(report(2));
-        assert_eq!(ring.dropped(), 0);
+        assert_eq!(ring.base(), 0);
         ring.push(report(3));
-        let kept: Vec<u64> = ring.to_vec().iter().map(|r| r.tasks[0].0).collect();
+        let kept: Vec<u64> = ring.iter().map(|r| r.tasks[0].0).collect();
         assert_eq!(kept, vec![2, 3], "oldest report evicted, newest kept in order");
-        assert_eq!(ring.dropped(), 1);
+        assert_eq!(ring.base(), 1);
         ring.push(report(4));
-        assert_eq!(ring.dropped(), 2);
+        assert_eq!(ring.base(), 2);
         assert!(!ring.is_empty());
     }
 
     #[test]
     fn zero_capacity_ring_drops_everything() {
-        let mut ring = ReportRing::new(0);
+        let mut ring: Window<DeadlockReport> = Window::new(0);
         ring.push(report(1));
         assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 1);
+        assert_eq!(ring.base(), 1);
     }
 
     #[test]

@@ -11,16 +11,17 @@
 //! unavailable for windows of time.
 //!
 //! The paper's store is passive and must be polled. A [`MemStore`] also
-//! keeps one bounded **change log** a tenant: every write appends — under
-//! the partitions lock it holds anyway — the site-namespaced ids of the
-//! tasks whose stored status it may have changed, whoever reads them.
-//! Every checker, a site's and the `armus-stored` one, follows that log by
-//! cursor ([`Store::changes_since`]): a read answers the tasks written
-//! since the reader's cursor as block/unblock deltas, work proportional to
-//! what changed, not to what is stored. A reader without a cursor this
-//! store instance issued, or one the log's window has passed, gets the
-//! whole view instead — the local journal's `Behind` → snapshot resync,
-//! one level up. The log keeps no per-reader state.
+//! keeps one **change log** a tenant, a bounded [`Window`]: every write
+//! appends — under the partitions lock it holds anyway — the
+//! site-namespaced ids of the tasks whose stored status it may have
+//! changed, whoever reads them. Every checker, a site's and the
+//! `armus-stored` one, follows that log by cursor
+//! ([`Store::changes_since`]): a read answers the tasks written since the
+//! reader's cursor as block/unblock deltas, work proportional to what
+//! changed, not to what is stored. A reader without a cursor this store
+//! instance issued, or one the log's window has passed, gets the whole
+//! view instead — the local journal's `Behind` → snapshot resync, one
+//! level up. The log keeps no per-reader state.
 //!
 //! Partitions are updated **incrementally**: a site normally publishes only
 //! each task's last journal [`Delta`] over the interval since its previous
@@ -50,11 +51,11 @@
 //! shared flushes rather than serialising on a socket each.
 
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
 use std::time::{Duration, Instant};
 
-use armus_core::{BlockedInfo, Delta, Snapshot, TaskId};
+use armus_core::{BlockedInfo, Delta, Snapshot, TaskId, Window};
 use parking_lot::Mutex;
 
 /// A site (place) identifier.
@@ -227,52 +228,25 @@ impl Partition {
 /// most. A reader further behind than this joins afresh.
 pub(crate) const LOG_CAPACITY: usize = 1 << 16;
 
-/// One tenant's change log: the site-namespaced id of each task a write
-/// may have changed the stored status of, one entry a write and task. A
-/// write pays a push and a read sorts out the repeats: a set costs the
-/// connection threads ≈ 45 ns a delta.
-#[derive(Default)]
-struct Log {
-    /// The position of `ids[0]`, counted (wrapping) from the first entry.
-    tail: u64,
-    ids: VecDeque<TaskId>,
+/// Logs `site`'s ids of `tasks` in `tenant`'s change log, one entry a
+/// write and task: a write pays a push and a read sorts out the repeats (a
+/// set costs the connection threads ≈ 45 ns a delta). An id that cannot be
+/// namespaced is logged for nobody: a merged view never holds it either
+/// ([`crate::merge`]), and `armus-stored` refuses it at the boundary.
+fn note(logs: &mut Logs, tenant: TenantId, site: SiteId, tasks: impl Iterator<Item = TaskId>) {
+    let log = logs.entry(tenant).or_insert_with(|| Window::new(LOG_CAPACITY));
+    tasks.filter_map(|task| task.checked_with_site(site.0)).for_each(|task| log.push(task));
 }
 
-static EMPTY_LOG: Log = Log { tail: 0, ids: VecDeque::new() };
-
-impl Log {
-    fn head(&self) -> u64 {
-        self.tail.wrapping_add(self.ids.len() as u64)
-    }
-
-    /// Logs `site`'s ids of `tasks`, dropping the oldest entries past
-    /// [`LOG_CAPACITY`]. An id that cannot be namespaced is logged for
-    /// nobody: a merged view never holds it either ([`crate::merge`]), and
-    /// `armus-stored` refuses it at the boundary.
-    fn note(&mut self, site: SiteId, tasks: impl Iterator<Item = TaskId>) {
-        for task in tasks.filter_map(|task| task.checked_with_site(site.0)) {
-            if self.ids.len() == LOG_CAPACITY {
-                self.ids.pop_front();
-                self.tail = self.tail.wrapping_add(1);
-            }
-            self.ids.push_back(task);
-        }
-    }
-
-    /// The ids logged since `position`, if the log still holds it.
-    fn since(&self, position: u64) -> Option<impl Iterator<Item = &TaskId>> {
-        let behind = usize::try_from(self.head().wrapping_sub(position)).ok()?;
-        let first = self.ids.len().checked_sub(behind)?;
-        Some(self.ids.range(first..))
-    }
-}
+/// Each tenant's change log, from its first write on.
+type Logs = BTreeMap<TenantId, Window<TaskId>>;
 
 /// Everything the partitions lock guards: the partitions, and the log of
 /// what their writers changed.
 #[derive(Default)]
 struct Stored {
     partitions: BTreeMap<(TenantId, SiteId), Partition>,
-    logs: BTreeMap<TenantId, Log>,
+    logs: Logs,
 }
 
 /// The task a delta is about.
@@ -391,7 +365,7 @@ impl MemStore {
         partitions.retain(|&(tenant, site), p| {
             let live = p.refreshed.elapsed() <= ttl;
             if !live {
-                logs.entry(tenant).or_default().note(site, p.tasks.keys().copied());
+                note(logs, tenant, site, p.tasks.keys().copied());
                 expired.push((tenant, site));
             }
             live
@@ -415,16 +389,15 @@ impl MemStore {
         let _old = {
             let mut stored = self.stored.lock();
             let Stored { partitions, logs } = &mut *stored;
-            let log = logs.entry(tenant).or_default();
             let old = match new {
                 Some(new) => {
-                    log.note(site, new.tasks.keys().copied());
+                    note(logs, tenant, site, new.tasks.keys().copied());
                     partitions.insert((tenant, site), new)
                 }
                 None => partitions.remove(&(tenant, site)),
             };
             if let Some(old) = &old {
-                log.note(site, old.tasks.keys().copied());
+                note(logs, tenant, site, old.tasks.keys().copied());
             }
             old
         };
@@ -471,7 +444,7 @@ impl MemStore {
         }
         partition.version = next;
         partition.refreshed = Instant::now();
-        logs.entry(tenant).or_default().note(site, deltas.iter().map(delta_task));
+        note(logs, tenant, site, deltas.iter().map(delta_task));
         Ok(DeltaAck::Applied)
     }
 
@@ -513,9 +486,10 @@ impl MemStore {
         self.expire(&mut stored);
         let Stored { partitions, logs } = &*stored;
         // A read creates nothing: a tenant nobody wrote reads as empty.
-        let log = logs.get(&tenant).unwrap_or(&EMPTY_LOG);
-        let feed = match cursor.and_then(|cursor| log.since(cursor.wrapping_sub(self.origin))) {
-            Some(ids) => {
+        let unwritten = Window::new(0);
+        let log = logs.get(&tenant).unwrap_or(&unwritten);
+        let feed = match cursor.map(|cursor| log.since(cursor.wrapping_sub(self.origin))) {
+            Some(Ok(ids)) => {
                 // Sorted, so the read is deterministic and walks one
                 // partition after the other.
                 let mut ids: Vec<TaskId> = ids.copied().collect();
@@ -530,7 +504,7 @@ impl MemStore {
                         .collect(),
                 )
             }
-            None => Feed::Join(view_of(partitions, tenant)),
+            _ => Feed::Join(view_of(partitions, tenant)),
         };
         Ok((log.head().wrapping_add(self.origin), feed))
     }
@@ -584,7 +558,7 @@ impl MemStore {
 
     /// How many entries `tenant`'s change log holds.
     pub(crate) fn log_len_in(&self, tenant: TenantId) -> usize {
-        self.stored.lock().logs.get(&tenant).map_or(0, |log| log.ids.len())
+        self.stored.lock().logs.get(&tenant).map_or(0, |log| log.iter().len())
     }
 }
 

@@ -151,7 +151,8 @@ impl Runtime {
         self.verifier.stats()
     }
 
-    /// Drains the deadlock reports gathered so far.
+    /// Drains the reports since the last `take_reports`: the newest
+    /// [`armus_core::REPORT_CAPACITY`] at most (all count in the stats).
     pub fn take_reports(&self) -> Vec<DeadlockReport> {
         self.verifier.take_reports()
     }
