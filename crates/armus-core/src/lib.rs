@@ -92,7 +92,7 @@ pub use ids::{Phase, PhaserId, TaskId, MAX_LOCAL_TASK, MAX_SITE_TAG, SITE_TAG_SH
 pub use pace::{Pace, Pacer, Signal};
 pub use resource::{Registration, Resource};
 pub use stats::{StatsCollector, StatsSnapshot};
-pub use verifier::{StaticHint, Verifier, VerifierConfig, VerifyMode, REPORT_CAPACITY};
+pub use verifier::{Verifier, VerifierConfig, VerifyMode, REPORT_CAPACITY};
 pub use window::Window;
 
 /// Convenient glob-import of the crate's main types.
@@ -103,5 +103,5 @@ pub mod prelude {
     pub use crate::error::DeadlockError;
     pub use crate::ids::{Phase, PhaserId, TaskId};
     pub use crate::resource::{Registration, Resource};
-    pub use crate::verifier::{StaticHint, Verifier, VerifierConfig, VerifyMode};
+    pub use crate::verifier::{Verifier, VerifierConfig, VerifyMode};
 }

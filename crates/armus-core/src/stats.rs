@@ -29,7 +29,6 @@ pub struct StatsCollector {
     full_rebuilds: AtomicU64,
     resyncs: AtomicU64,
     fastpath_skips: AtomicU64,
-    static_skips: AtomicU64,
     engine_lock_waits: AtomicU64,
     incremental_detections: AtomicU64,
     order_rebuilds: AtomicU64,
@@ -96,13 +95,6 @@ impl StatsCollector {
         self.fastpath_skips.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an avoidance check skipped because the program carries a
-    /// `ProvedSafe` static-analysis hint (see `VerifierConfig::static_hint`):
-    /// the block was published but no deadlock check ran at all.
-    pub fn record_static_skip(&self) {
-        self.static_skips.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records an avoidance check finding the engine lock held (it then
     /// waits on the lock).
     pub fn record_engine_lock_wait(&self) {
@@ -156,7 +148,7 @@ impl StatsCollector {
             full_rebuilds: self.full_rebuilds.load(Ordering::Relaxed),
             resyncs: self.resyncs.load(Ordering::Relaxed),
             fastpath_skips: self.fastpath_skips.load(Ordering::Relaxed),
-            static_skips: self.static_skips.load(Ordering::Relaxed),
+            static_skips: 0,
             engine_lock_waits: self.engine_lock_waits.load(Ordering::Relaxed),
             combined_checks: 0,
             incremental_detections: self.incremental_detections.load(Ordering::Relaxed),
@@ -209,10 +201,11 @@ pub struct StatsSnapshot {
     /// (fewer than two distinct awaited resources ⇒ no cycle possible)
     /// without touching the engine lock.
     pub fastpath_skips: u64,
-    /// Avoidance checks skipped because a static analysis proved the whole
-    /// program deadlock-free up front (`VerifierConfig::static_hint`): the
-    /// block is still published and visible to peers, but no graph walk —
-    /// not even the cardinality fast path — runs for it.
+    /// Always 0. It counted avoidance checks skipped on a whole-program
+    /// proof of deadlock-freedom; a proved-safe program now runs
+    /// publish-only instead, so every avoidance block is a check or a
+    /// fast-path skip. The field stays only because the benchmark still
+    /// reads it, and goes with the next change to the benchmark.
     pub static_skips: u64,
     /// Avoidance checks that found the engine lock held and waited on it
     /// (the lock's release wakes them). Only concurrent blockers that
@@ -355,12 +348,11 @@ mod tests {
         let c = StatsCollector::new();
         c.record_fastpath_skip();
         c.record_fastpath_skip();
-        c.record_static_skip();
         c.record_engine_lock_wait();
         let s = c.snapshot();
         assert_eq!(s.fastpath_skips, 2);
-        assert_eq!(s.static_skips, 1);
         assert_eq!(s.engine_lock_waits, 1);
+        assert_eq!(s.static_skips, 0, "nothing skips checks on a proof any more");
         assert_eq!(s.combined_checks, 0, "nothing combines checks any more");
     }
 

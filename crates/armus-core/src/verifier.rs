@@ -23,6 +23,14 @@
 //! per-delta work under the engine lock is bounded by the selected model,
 //! not by the larger one.
 //!
+//! A third mode, [`VerifyMode::PublishOnly`], publishes like detection and
+//! checks nothing: a distributed site's checker (§5.2) merges what it
+//! publishes, and a program proved deadlock-free before it ran (e.g. by
+//! `armus_pl::analysis`) needs no check of its own. A proof buys that
+//! mode; it is not a switch inside avoidance, so every avoidance block is
+//! answered one of two ways: a check or a fast-path skip
+//! (`checks + fastpath_skips == blocks`).
+//!
 //! The avoidance hot path scales across cores by the fast path plus a
 //! plain lock:
 //!
@@ -98,28 +106,18 @@ pub enum VerifyMode {
     /// distributed layer periodically pulls [`Verifier::local_snapshot`]
     /// as this site's partition of the global resource-dependency
     /// (paper §5.2) and checks the merged view itself.
+    ///
+    /// This is also the mode a whole-program proof of deadlock-freedom
+    /// buys (`armus_pl::analysis`'s `ProvedSafe`): peers and distributed
+    /// checkers still see every block, and no check runs. Nothing here
+    /// second-guesses the proof; a wrong one is caught only by a follower
+    /// — a distributed checker, or [`Verifier::check_now`]. A caller that
+    /// wants nothing published picks [`VerifyMode::Disabled`].
     PublishOnly,
 }
 
 /// Most deadlock reports a verifier, or a distributed site, retains.
 pub const REPORT_CAPACITY: usize = 256;
-
-/// A static-analysis verdict handed to the verifier ahead of execution.
-///
-/// Produced by a whole-program analysis (e.g. `armus_pl::analysis`) that
-/// ran *before* any task blocked. The verifier trusts the hint: a
-/// `ProvedSafe` program's avoidance blocks publish their status (peers and
-/// distributed checkers still see them) but skip the deadlock check
-/// entirely, counted in [`StatsSnapshot::static_skips`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StaticHint {
-    /// No static information: every check runs as usual.
-    #[default]
-    None,
-    /// The program was statically proved deadlock-free: avoidance checks
-    /// are pure overhead and are skipped.
-    ProvedSafe,
-}
 
 /// Verifier configuration.
 #[derive(Clone, Copy, Debug)]
@@ -139,10 +137,6 @@ pub struct VerifierConfig {
     /// single-resource block runs a full engine check like any other —
     /// used by the differential testkit to exercise both code paths.
     pub fastpath: bool,
-    /// Static-analysis verdict for the program this verifier will run
-    /// (see [`StaticHint`]). `ProvedSafe` turns every avoidance check into
-    /// a publish + counted skip.
-    pub static_hint: StaticHint,
 }
 
 impl VerifierConfig {
@@ -153,7 +147,6 @@ impl VerifierConfig {
             journal_capacity: crate::deps::DEFAULT_JOURNAL_CAPACITY,
             shards: crate::deps::DEFAULT_SHARDS,
             fastpath: true,
-            static_hint: StaticHint::None,
         }
     }
 
@@ -208,12 +201,6 @@ impl VerifierConfig {
     /// Enables or disables the avoidance resource-cardinality fast path.
     pub fn with_fastpath(mut self, fastpath: bool) -> Self {
         self.fastpath = fastpath;
-        self
-    }
-
-    /// Attaches a static-analysis verdict for the program about to run.
-    pub fn with_static_hint(mut self, hint: StaticHint) -> Self {
-        self.static_hint = hint;
         self
     }
 }
@@ -322,13 +309,6 @@ impl Verifier {
                 // distinct awaited resources to be in any cycle.
                 let self_impeding = info.waits.iter().any(|&w| info.impedes(w));
                 self.registry.block(info);
-                // A whole-program proof of deadlock-freedom makes every
-                // avoidance check pure overhead: publish (peers and
-                // distributed checkers still see the block) and return.
-                if self.cfg.static_hint == StaticHint::ProvedSafe {
-                    self.stats.record_static_skip();
-                    return Ok(());
-                }
                 // Resource-cardinality fast path: the distinct-awaited
                 // read happens *after* this task's own block (which
                 // counted its waits), so the member that completes a
@@ -1059,30 +1039,22 @@ mod tests {
         assert_eq!(s.blocks, 5);
         assert_eq!(s.fastpath_skips, 1);
         assert_eq!(s.checks, 4);
-        assert_eq!(
-            s.checks + s.fastpath_skips + s.static_skips,
-            s.blocks,
-            "every block is accounted"
-        );
+        assert_eq!(s.checks + s.fastpath_skips, s.blocks, "every block is accounted");
         v.shutdown();
     }
 
     #[test]
     fn proved_safe_hint_skips_every_avoidance_check() {
-        // The same distinct-phaser spread that forces engine checks above —
-        // but the program was statically proved safe, so every block is a
-        // publish + counted skip, even with the fast path disabled.
-        let v = Verifier::new(
-            VerifierConfig::avoidance()
-                .with_fastpath(false)
-                .with_static_hint(StaticHint::ProvedSafe),
-        );
+        // The same distinct-phaser spread that forces engine checks above,
+        // but the program was statically proved safe, so it runs in the
+        // mode a proof buys: publish-only. No block is checked, on the
+        // fast path or off it.
+        let v = Verifier::new(VerifierConfig::publish_only());
         for i in 0..5 {
             v.block(t(i), vec![r(i + 1, 1)], vec![Registration::new(p(i + 1), 1)]).unwrap();
         }
         let s = v.stats();
         assert_eq!(s.blocks, 5);
-        assert_eq!(s.static_skips, 5);
         assert_eq!(s.checks, 0);
         assert_eq!(s.fastpath_skips, 0);
         // The blocks are still published: peers see the full registry.

@@ -326,7 +326,7 @@ fn contended_avoidance_refuses_the_closing_block() {
         }
         assert_eq!(probe, None, "round {n}: a cycle outlived its refusal");
         assert_eq!(
-            st.checks + st.fastpath_skips + st.static_skips,
+            st.checks + st.fastpath_skips,
             st.blocks,
             "round {n}: a block went unanswered or was answered twice"
         );

@@ -1415,10 +1415,19 @@ mod tests {
         // Through a connection, the same request does subscribe.
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         assert_eq!(exchange(&mut stream, &Request::Subscribe { tenant: T0 }), Response::Subscribed);
-        let Response::Metrics(m) = talk(server.local_addr(), &Request::Metrics) else {
-            panic!("expected metrics");
-        };
-        assert_eq!(m.subscribers, 1);
+        // The connection registers after the flush, so a metrics read can
+        // overtake it: read until it lands.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let Response::Metrics(m) = talk(server.local_addr(), &Request::Metrics) else {
+                panic!("expected metrics");
+            };
+            if m.subscribers == 1 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{} subscribers after 5 s", m.subscribers);
+            std::thread::sleep(Duration::from_millis(1));
+        }
         server.shutdown();
     }
 

@@ -120,7 +120,8 @@ pub struct DeadlockWitness {
 #[derive(Clone, Debug)]
 pub enum StaticVerdict {
     /// No reachable state of the program is deadlocked (Definition 3.2) —
-    /// a dynamic verifier can skip avoidance checks for it.
+    /// a dynamic verifier can run it publish-only, with no check of its
+    /// own.
     ProvedSafe,
     /// A concrete, replay-validated deadlock.
     DefiniteDeadlock {

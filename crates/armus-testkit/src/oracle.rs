@@ -449,13 +449,12 @@ fn quiesce_checks(
                 )));
             }
             // Every avoidance block is answered exactly once: by an engine
-            // check, by the cardinality fast path, or by a static-hint skip.
+            // check or by the cardinality fast path.
             let stats = sim.verifier().stats();
-            if stats.checks + stats.fastpath_skips + stats.static_skips != stats.blocks {
+            if stats.checks + stats.fastpath_skips != stats.blocks {
                 return Err(fail(format!(
-                    "avoidance accounting broke: checks {} + fastpath skips {} + static skips \
-                     {} != blocks {}",
-                    stats.checks, stats.fastpath_skips, stats.static_skips, stats.blocks
+                    "avoidance accounting broke: checks {} + fastpath skips {} != blocks {}",
+                    stats.checks, stats.fastpath_skips, stats.blocks
                 )));
             }
         }

@@ -134,8 +134,11 @@ fn distributed_cluster_detects_a_cross_runtime_plant() {
 fn all_primitives_run_clean_under_avoidance() {
     // One pass over every primitive: phaser, clock (split-phase), cyclic
     // barrier, latch, finish, clocked var — all under avoidance, with no
-    // verdicts.
-    let rt = Runtime::avoidance();
+    // verdicts. The fast path is off, so every block runs the full engine
+    // check whatever the schedule.
+    let rt = Runtime::new(
+        RuntimeConfig::avoidance().with_verifier(VerifierConfig::avoidance().with_fastpath(false)),
+    );
 
     // Phaser + clock.
     let clock = Clock::make(&rt);
@@ -195,7 +198,9 @@ fn all_primitives_run_clean_under_avoidance() {
     finish.wait().unwrap();
 
     assert!(!rt.verifier().found_deadlock(), "no spurious verdicts");
-    assert!(rt.stats().checks > 0, "avoidance actually checked");
+    let stats = rt.stats();
+    assert!(stats.blocks > 0, "something blocked");
+    assert_eq!(stats.checks, stats.blocks, "avoidance checked every block");
 }
 
 #[test]
