@@ -10,30 +10,29 @@
 //! The paper notes that "maintaining the blocked status is more frequent
 //! than checking for deadlocks, so the resource-dependencies are rearranged
 //! per task to optimise updates" (§5.1). We follow that design: the
-//! registry is sharded by task id, so map mutation from different tasks
-//! touches distinct locks.
+//! registry is a map keyed by task id, so an update touches one entry.
 //!
-//! On top of the sharded map the registry keeps a **delta journal**: a
-//! bounded, monotonically versioned log of [`Delta`]s (block/unblock
-//! entries). Incremental consumers — the [`crate::engine`] maintained
-//! graph, a distributed site publisher — remember a cursor and pull only
-//! the deltas since their last read ([`Registry::deltas_since`]); a
-//! consumer that falls behind the bounded journal resyncs from a full
+//! Beside the map the registry keeps a **delta journal**: a bounded,
+//! monotonically versioned log of [`Delta`]s (block/unblock entries).
+//! Incremental consumers — the [`crate::engine`] maintained graph, a
+//! distributed site publisher — remember a cursor and pull only the
+//! deltas since their last read ([`Registry::deltas_since`]); a consumer
+//! that falls behind the bounded journal resyncs from a full
 //! point-in-time copy ([`Registry::snapshot_with_cursor`]).
 //!
-//! The journal is **one [`Window`] behind one lock**. A block or unblock
-//! writes its task's shard map first and then, still holding the shard
-//! lock, pushes under the journal lock; the lock order is always shard →
-//! journal. An entry's sequence number is its window position, so the log
-//! has no gaps by construction, and a read copies the entries past its
-//! cursor in one lock hold. A cursor outside the window (older than its
-//! last `capacity` entries, or past the head) reads
-//! [`JournalRead::Behind`] and resyncs from
-//! [`Registry::snapshot_with_cursor`].
+//! The registry is **one map and one [`Window`] behind one lock**. A
+//! block or unblock writes its task's map entry, its wait counts and its
+//! journal entry in one lock hold. An entry's sequence number is its
+//! window position, so the log has no gaps by construction; a read copies
+//! the entries past its cursor in one lock hold, and a resync copy reads
+//! the map and the head in one hold, so it is exactly the journal prefix
+//! below its cursor. A cursor outside the window (older than its last
+//! `capacity` entries, or past the head) reads [`JournalRead::Behind`]
+//! and resyncs from [`Registry::snapshot_with_cursor`].
 //!
 //! **One record per block.** [`Registry::block`] moves the caller's
 //! [`BlockedInfo`] into a single `Arc`, and that record is the status for
-//! its whole life: the shard map holds it while the task is blocked, the
+//! its whole life: the task map holds it while the task is blocked, the
 //! journal holds it while its `Block` entry is inside the retained
 //! window, and an [`crate::engine::IncrementalEngine`] that synced past
 //! the entry holds it until it applies the task's unblock (or re-block) —
@@ -49,7 +48,8 @@
 //! their callers are outside this crate's control: a site publisher
 //! encodes and ships deltas, the canonical checker and tests keep and
 //! mutate snapshots, and an owned value can neither alias the registry's
-//! state nor extend a record's life past the bound above.
+//! state nor extend a record's life past the bound above. The copies are
+//! made after the lock is released, from the shared records.
 //!
 //! The registry additionally maintains (when
 //! [`RegistryConfig::track_waited`] is set) a per-resource waiter count
@@ -59,8 +59,8 @@
 //! not impede their own waits spans at least two distinct awaited
 //! resources, so an avoidance check that observes fewer than two can
 //! return "no cycle" without touching the engine lock. The counts live
-//! under the journal lock and change in the same critical section as the
-//! entry that changes them, which is the whole ordering argument (see
+//! under the registry's lock and change in the same critical section as
+//! the entry that changes them, which is the whole ordering argument (see
 //! [`Registry::block`]).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -244,22 +244,22 @@ impl SharedDelta {
 /// the head are readable; older cursors must resync.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 
-/// Default number of task shards. A modest power of two: enough to keep
-/// unrelated tasks off each other's locks without bloating the snapshot
-/// pass. Injectable per registry via [`RegistryConfig::shards`] — the
-/// simulation testkit pins it to 1 so every interleaving is reachable
-/// deterministically.
+/// Ignored; the registry has one map under one lock; kept only because
+/// the benchmark builds [`RegistryConfig`] by literal; removed with the
+/// next benchmark change.
 pub const DEFAULT_SHARDS: usize = 32;
 
 /// Construction-time tuning of a [`Registry`]. Everything here exists so
 /// tests and the deterministic simulation testkit can force otherwise
-/// probabilistic branches (journal truncation, shard collisions) to
-/// happen on demand; the defaults reproduce production behaviour.
+/// probabilistic branches (journal truncation) to happen on demand; the
+/// defaults reproduce production behaviour.
 #[derive(Clone, Copy, Debug)]
 pub struct RegistryConfig {
     /// Length of the journal's retained window.
     pub journal_capacity: usize,
-    /// Number of task-map shards. Must be positive.
+    /// Ignored; the registry has one map under one lock; kept only
+    /// because the benchmark builds `RegistryConfig` by literal; removed
+    /// with the next benchmark change.
     pub shards: usize,
     /// Whether per-resource waiter counts (the avoidance fast path's
     /// input) are maintained.
@@ -276,9 +276,11 @@ impl Default for RegistryConfig {
     }
 }
 
-/// The delta journal and the wait counts that move with it, all behind
-/// [`Registry::journal`].
-struct Journal {
+/// The task map, the delta journal and the wait counts that move with
+/// them: everything behind [`Registry::state`], the registry's one lock.
+struct State {
+    /// The blocked status of every blocked task.
+    tasks: IdMap<TaskId, Arc<BlockedInfo>>,
     /// The retained entries; an entry's sequence number is its position.
     entries: Window<SharedDelta>,
     /// Waiter count per awaited resource (multiset semantics: a status
@@ -286,24 +288,22 @@ struct Journal {
     waited: IdMap<Resource, usize>,
 }
 
-/// Sharded registry of blocked tasks: the run-time materialisation of the
+/// The registry of blocked tasks: the run-time materialisation of the
 /// resource-dependency state.
 ///
-/// Updates (`block`/`unblock`) take their task's shard lock and, inside
-/// it, the journal lock; the incremental engine and other consumers pull
-/// journal deltas instead of copying all shards.
+/// One lock guards the task map and the journal. Updates (`block` /
+/// `unblock`) change both in one hold; the incremental engine and other
+/// consumers pull journal deltas instead of copying the map.
 pub struct Registry {
-    shards: Vec<Mutex<IdMap<TaskId, Arc<BlockedInfo>>>>,
-    journal: Mutex<Journal>,
-    /// The journal head, stored under the journal lock after every
-    /// append and loaded without it. `SeqCst`: [`crate::pace::Signal`]'s
-    /// park handshake pairs this load with its own.
+    state: Mutex<State>,
+    /// The journal head, stored under the lock after every append and
+    /// loaded without it. `SeqCst`: [`crate::pace::Signal`]'s park
+    /// handshake pairs this load with its own.
     head: AtomicU64,
     /// Distinct resources with at least one current waiter: the size of
-    /// [`Journal::waited`], stored under the journal lock. `SeqCst`, as
-    /// the verifier's fast path reads it (see [`Registry::block`]).
+    /// [`State::waited`], stored under the lock. `SeqCst`, as the
+    /// verifier's fast path reads it (see [`Registry::block`]).
     distinct_waited: AtomicUsize,
-    len: AtomicUsize,
     next_epoch: AtomicU64,
     /// Whether per-resource waiter counts are maintained. Only the
     /// avoidance fast path reads them; a detection/publish-only registry
@@ -337,36 +337,27 @@ impl Registry {
         })
     }
 
-    /// Creates an empty registry from an explicit [`RegistryConfig`]
-    /// (shard count included — the deterministic-simulation hook).
+    /// Creates an empty registry from an explicit [`RegistryConfig`].
     pub fn with_config(cfg: RegistryConfig) -> Registry {
-        assert!(cfg.shards > 0, "registry needs at least one shard");
         Registry {
-            shards: (0..cfg.shards).map(|_| Mutex::new(IdMap::default())).collect(),
-            journal: Mutex::new(Journal {
+            state: Mutex::new(State {
+                tasks: IdMap::default(),
                 entries: Window::new(cfg.journal_capacity),
                 waited: IdMap::default(),
             }),
             head: AtomicU64::new(0),
             distinct_waited: AtomicUsize::new(0),
-            len: AtomicUsize::new(0),
             next_epoch: AtomicU64::new(1),
             track_waited: cfg.track_waited,
         }
     }
 
-    fn shard(&self, task: TaskId) -> &Mutex<IdMap<TaskId, Arc<BlockedInfo>>> {
-        &self.shards[(task.0 as usize) % self.shards.len()]
-    }
-
-    /// Appends `delta` under the journal lock; the caller holds the
-    /// task's shard lock and has already written the map. In one
-    /// critical section: count the waits of a `Block`'s status and
+    /// Journals `delta` inside the caller's hold of the lock, after the
+    /// caller wrote the map: count the waits of a `Block`'s status and
     /// discount those of the status it `replaced`, push the entry (the
     /// oldest leaves a full window), and store the new head last.
-    fn append(&self, delta: SharedDelta, replaced: Option<&BlockedInfo>) {
-        let mut journal = self.journal.lock();
-        let Journal { entries, waited } = &mut *journal;
+    fn append(&self, state: &mut State, delta: SharedDelta, replaced: Option<&BlockedInfo>) {
+        let State { entries, waited, .. } = state;
         if self.track_waited {
             if let SharedDelta::Block(info) = &delta {
                 info.waits.iter().for_each(|&w| *waited.entry(w).or_insert(0) += 1);
@@ -403,9 +394,10 @@ impl Registry {
     /// Records `info.task` as blocked, assigning a fresh epoch which is
     /// returned (and stored in the registry copy).
     ///
-    /// Under the task's shard lock: the map upsert, then the journal
-    /// append with its wait counts, in one journal-lock hold. That hold
-    /// is the fast path's ordering argument: a verifier reads
+    /// The map upsert, the wait counts and the journal append share one
+    /// lock hold, and that is the fast path's ordering argument: the
+    /// block's count and its entry change in one hold of the registry's
+    /// one lock. A verifier reads
     /// [`Registry::distinct_waited`] only after its own `block` returned,
     /// and members of a deadlock cycle never unblock, so the member whose
     /// append is last reads a count that includes every member's waits —
@@ -415,15 +407,15 @@ impl Registry {
     pub fn block(&self, mut info: BlockedInfo) -> u64 {
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
         info.epoch = epoch;
-        // The status's one heap record: the shard map, the journal and
-        // every in-crate consumer share it from here on.
+        // The status's one heap record: the map, the journal and every
+        // in-crate consumer share it from here on.
         let info = Arc::new(info);
-        let mut tasks = self.shard(info.task).lock();
-        let prev = tasks.insert(info.task, Arc::clone(&info));
-        self.append(SharedDelta::Block(info), prev.as_deref());
-        if prev.is_none() {
-            self.len.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut state = self.state.lock();
+        let prev = state.tasks.insert(info.task, Arc::clone(&info));
+        self.append(&mut state, SharedDelta::Block(info), prev.as_deref());
+        // The replaced record, perhaps its last reference, goes after
+        // the lock.
+        drop(state);
         epoch
     }
 
@@ -431,17 +423,20 @@ impl Registry {
     /// deregistered, or its avoidance check failed). An unknown task is
     /// not journaled.
     pub fn unblock(&self, task: TaskId) {
-        let mut tasks = self.shard(task).lock();
-        if let Some(prev) = tasks.remove(&task) {
-            self.append(SharedDelta::Unblock(task), Some(&prev));
-            self.len.fetch_sub(1, Ordering::Relaxed);
+        let mut state = self.state.lock();
+        let prev = state.tasks.remove(&task);
+        if let Some(prev) = &prev {
+            self.append(&mut state, SharedDelta::Unblock(task), Some(prev));
         }
+        // As in `block`, the removed record goes after the lock.
+        drop(state);
     }
 
     /// The blocked status of `task`, if currently recorded. `O(1)`: one
-    /// shard lookup, no full-registry copy.
+    /// map lookup under the lock, the copy after it.
     pub fn get(&self, task: TaskId) -> Option<BlockedInfo> {
-        self.shard(task).lock().get(&task).map(|info| BlockedInfo::clone(info))
+        let record = self.state.lock().tasks.get(&task).cloned();
+        record.map(|info| BlockedInfo::clone(&info))
     }
 
     /// The journal deltas appended since `cursor`, in order, or
@@ -463,8 +458,8 @@ impl Registry {
     /// since `cursor`, only its last, in journal order. A consumer that
     /// applies deltas as per-task upserts ends where the raw read leaves
     /// it, and the read is empty exactly when the raw one is. The netting
-    /// runs on the shared records outside the journal lock, so only the
-    /// survivors are copied out.
+    /// runs on the shared records outside the lock, so only the survivors
+    /// are copied out.
     pub fn net_deltas_since(&self, cursor: u64) -> JournalRead {
         let mut entries = Vec::new();
         let Some(next) = self.read_journal(cursor, &mut entries) else {
@@ -481,14 +476,14 @@ impl Registry {
     /// The journal's one read: replaces the contents of `out` with the
     /// entries from `cursor` up to the head, in order, and returns the
     /// cursor to resume from — or `None` (and an empty `out`) when
-    /// `cursor` is outside the retained window. One journal-lock hold;
-    /// entries share the registry's records, so a caller that keeps `out`
-    /// between reads allocates nothing here once it has grown.
+    /// `cursor` is outside the retained window. One lock hold; entries
+    /// share the registry's records, so a caller that keeps `out` between
+    /// reads allocates nothing here once it has grown.
     pub(crate) fn read_journal(&self, cursor: u64, out: &mut Vec<SharedDelta>) -> Option<u64> {
         out.clear();
-        let journal = self.journal.lock();
-        out.extend(journal.entries.since(cursor).ok()?.cloned());
-        Some(journal.entries.head())
+        let state = self.state.lock();
+        out.extend(state.entries.since(cursor).ok()?.cloned());
+        Some(state.entries.head())
     }
 
     /// The journal head: the cursor a consumer that is fully caught up
@@ -499,38 +494,27 @@ impl Registry {
 
     /// A full copy paired with a journal cursor, for consumer resync.
     ///
-    /// The cursor is read *before* the shards are copied: a delta's head
-    /// store happens inside its shard-lock hold, after the map write, so
-    /// every delta below the cursor is reflected in the returned
-    /// snapshot. Deltas at or past the cursor may *also* already be
-    /// reflected — consumers must apply deltas idempotently (per-task
-    /// upsert/remove), which [`crate::engine::IncrementalEngine`] does.
+    /// The map and the head are read in one hold of the lock, so the
+    /// snapshot is exactly the journal prefix below the cursor: replaying
+    /// the entries before it, per task, yields this snapshot, and no
+    /// entry at or past it is reflected.
     pub fn snapshot_with_cursor(&self) -> (Snapshot, u64) {
-        let cursor = self.journal_cursor();
-        (self.snapshot(), cursor)
+        let (records, cursor) = self.records_with_cursor();
+        let tasks = records.iter().map(|info| BlockedInfo::clone(info)).collect();
+        (Snapshot::from_tasks(tasks), cursor)
     }
 
     /// [`Registry::snapshot_with_cursor`] without the copy: the shared
     /// records themselves (in no particular order), for an in-crate
-    /// consumer's resync.
+    /// consumer's resync. The lock is held only for the `Arc` copies.
     pub(crate) fn records_with_cursor(&self) -> (Vec<Arc<BlockedInfo>>, u64) {
-        let cursor = self.journal_cursor();
-        let mut records = Vec::with_capacity(self.len());
-        self.for_each_record(|info| records.push(Arc::clone(info)));
-        (records, cursor)
+        let state = self.state.lock();
+        (state.tasks.values().cloned().collect(), state.entries.head())
     }
 
-    /// Visits every blocked status, shard by shard under its lock.
-    fn for_each_record(&self, mut visit: impl FnMut(&Arc<BlockedInfo>)) {
-        for shard in &self.shards {
-            shard.lock().values().for_each(&mut visit);
-        }
-    }
-
-    /// Number of currently blocked tasks (racy but monotonic per shard;
-    /// exact when quiescent).
+    /// Number of currently blocked tasks.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.state.lock().tasks.len()
     }
 
     /// True when no task is recorded blocked.
@@ -538,20 +522,19 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Takes a point-in-time copy of every blocked status. Each status is
-    /// internally consistent (tasks publish their own status atomically);
-    /// cross-task consistency is not required by the event-based analysis
-    /// (paper §2.2 point 2) — the confirmation pass handles sampling races.
+    /// Takes a point-in-time copy of every blocked status: the records
+    /// are gathered under the lock and copied after it. Each status is
+    /// internally consistent (tasks publish their own status
+    /// atomically); the confirmation pass handles the statuses that
+    /// change after the copy (paper §2.2 point 2).
     pub fn snapshot(&self) -> Snapshot {
-        let mut tasks = Vec::with_capacity(self.len());
-        self.for_each_record(|info| tasks.push(BlockedInfo::clone(info)));
-        Snapshot::from_tasks(tasks)
+        self.snapshot_with_cursor().0
     }
 
     /// Is `task` still blocked in the same blocking operation (`epoch`) as
     /// when a snapshot observed it? Used to confirm detected cycles.
     pub fn confirm(&self, task: TaskId, epoch: u64) -> bool {
-        self.shard(task).lock().get(&task).map(|b| b.epoch == epoch).unwrap_or(false)
+        self.state.lock().tasks.get(&task).is_some_and(|b| b.epoch == epoch)
     }
 }
 
@@ -816,8 +799,7 @@ mod tests {
 
     #[test]
     fn merged_stripes_preserve_cross_shard_publish_order() {
-        // Tasks 1..=5 hash to five different shards; the merged read must
-        // still come back in global sequence (i.e. call) order.
+        // Five tasks, one re-blocked: the read comes back in call order.
         let reg = Registry::new();
         for task in 1..=5u64 {
             reg.block(info(task));
@@ -893,9 +875,9 @@ mod tests {
 
     /// Entries and records the journal retains right now.
     fn retained(reg: &Registry) -> (usize, usize) {
-        let journal = reg.journal.lock();
-        let records = journal.entries.iter().filter(|e| matches!(e, SharedDelta::Block(_))).count();
-        (journal.entries.iter().len(), records)
+        let state = reg.state.lock();
+        let records = state.entries.iter().filter(|e| matches!(e, SharedDelta::Block(_))).count();
+        (state.entries.iter().len(), records)
     }
 
     #[test]
@@ -908,7 +890,7 @@ mod tests {
         let mut records: Vec<Weak<BlockedInfo>> = Vec::new();
         let mut publish = |task: u64| {
             reg.block(info(task));
-            records.push(Arc::downgrade(&reg.shard(t(task)).lock()[&t(task)]));
+            records.push(Arc::downgrade(&reg.state.lock().tasks[&t(task)]));
             engine.sync(&reg);
             reg.unblock(t(task));
             engine.sync(&reg);
@@ -947,8 +929,8 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// A block (of a status over a small universe, so tasks re-block
-        /// and shards collide) or an unblock.
+        /// A block (of a status over a small universe, so tasks re-block)
+        /// or an unblock.
         fn arb_delta() -> impl Strategy<Value = Delta> {
             let block =
                 (0u64..8, 1u64..4, 1u64..4, proptest::collection::vec((1u64..4, 0u64..3), 0..3))
@@ -973,7 +955,8 @@ mod tests {
             /// keeps (epochs included), `net_deltas_since` is that log
             /// netted to each task's last delta in journal order, and all
             /// three say `Behind` exactly when the cursor has left the
-            /// window.
+            /// window; and `snapshot_with_cursor` is the model's per-task
+            /// state at the head.
             #[test]
             fn deltas_since_is_the_copy_out_of_the_shared_read(
                 stream in proptest::collection::vec(arb_delta(), 1..40)
@@ -981,22 +964,28 @@ mod tests {
                 let configs = [
                     RegistryConfig::default(),
                     RegistryConfig { journal_capacity: 3, ..RegistryConfig::default() },
-                    RegistryConfig { shards: 1, journal_capacity: 5, ..RegistryConfig::default() },
+                    RegistryConfig { journal_capacity: 5, ..RegistryConfig::default() },
                     RegistryConfig { track_waited: true, ..RegistryConfig::default() },
                 ];
                 for cfg in configs {
                     let reg = Registry::with_config(cfg);
                     let mut log: Vec<Delta> = Vec::new();
+                    let mut model: std::collections::BTreeMap<TaskId, BlockedInfo> =
+                        Default::default();
                     let mut entries = Vec::new();
                     for delta in &stream {
                         match delta {
                             Delta::Block(info) => {
                                 let epoch = reg.block(info.clone());
-                                log.push(Delta::Block(BlockedInfo { epoch, ..info.clone() }));
+                                let info = BlockedInfo { epoch, ..info.clone() };
+                                model.insert(info.task, info.clone());
+                                log.push(Delta::Block(info));
                             }
                             // Only the unblock of a blocked task is journaled.
                             Delta::Unblock(task) => {
-                                if reg.get(*task).is_some() {
+                                let removed = model.remove(task);
+                                prop_assert_eq!(reg.get(*task), removed.clone());
+                                if removed.is_some() {
                                     log.push(delta.clone());
                                 }
                                 reg.unblock(*task);
@@ -1004,6 +993,8 @@ mod tests {
                         }
                         let head = log.len() as u64;
                         prop_assert_eq!(reg.journal_cursor(), head);
+                        let state = Snapshot::from_tasks(model.values().cloned().collect());
+                        prop_assert_eq!(reg.snapshot_with_cursor(), (state, head));
                         let awaited: std::collections::BTreeSet<Resource> =
                             reg.snapshot().tasks.iter().flat_map(|b| b.waits.clone()).collect();
                         let expected = if cfg.track_waited { awaited.len() } else { usize::MAX };

@@ -645,8 +645,9 @@ impl IncrementalEngine {
     /// Applies one delta to the indexes and to whatever is live.
     /// Application is idempotent per task: a replayed `Block` replaces the
     /// task's previous contribution, and an `Unblock` of an unknown task
-    /// is a no-op — required because a snapshot resync may already reflect
-    /// deltas at or past the resync cursor.
+    /// is a no-op — required because a distributed checker following the
+    /// store's change log gets an `Unblock` for every id that changed and
+    /// is now absent, whether or not it ever saw the id blocked.
     pub fn apply(&mut self, delta: Delta) {
         self.apply_shared(match delta {
             Delta::Block(info) => SharedDelta::Block(Arc::new(info)),

@@ -129,10 +129,6 @@ pub struct VerifierConfig {
     /// Journal window of the underlying registry. Small values force the
     /// engine's `Behind`/resync branch deterministically (testkit hook).
     pub journal_capacity: usize,
-    /// Task-map shard count of the underlying registry (testkit hook;
-    /// the default is [`crate::deps::DEFAULT_SHARDS`]). The journal is
-    /// one window whatever the count.
-    pub shards: usize,
     /// Whether avoidance uses the resource-cardinality fast path. Off, a
     /// single-resource block runs a full engine check like any other —
     /// used by the differential testkit to exercise both code paths.
@@ -145,7 +141,6 @@ impl VerifierConfig {
             mode,
             model: ModelChoice::Auto,
             journal_capacity: crate::deps::DEFAULT_JOURNAL_CAPACITY,
-            shards: crate::deps::DEFAULT_SHARDS,
             fastpath: true,
         }
     }
@@ -189,12 +184,6 @@ impl VerifierConfig {
     /// Overrides the registry's journal window (deterministic-resync hook).
     pub fn with_journal_capacity(mut self, capacity: usize) -> Self {
         self.journal_capacity = capacity;
-        self
-    }
-
-    /// Overrides the registry's shard count (deterministic-sharding hook).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -244,8 +233,8 @@ impl Verifier {
             cfg,
             registry: Registry::with_config(crate::deps::RegistryConfig {
                 journal_capacity: cfg.journal_capacity,
-                shards: cfg.shards,
                 track_waited,
+                ..Default::default()
             }),
             engine: Mutex::new(IncrementalEngine::new()),
             stats: StatsCollector::new(),

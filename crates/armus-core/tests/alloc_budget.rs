@@ -1,6 +1,6 @@
 //! The allocation budget of the blocked-status path, asserted as exact
 //! counts: a blocked status has **one** heap record for its whole life
-//! (`Registry::block` wraps it in an `Arc` that the shard map, the journal
+//! (`Registry::block` wraps it in an `Arc` that the task map, the journal
 //! and the engine share), and once its containers have grown the
 //! path from `Verifier::block` through the journal to the engine allocates
 //! nothing else. A reintroduced copy — of the status into the journal, of

@@ -1,8 +1,9 @@
-//! Multi-threaded stress tests for the sharded registry journal and the
+//! Multi-threaded stress tests for the registry journal and the
 //! verifier's concurrent check paths: N producer threads doing randomized
-//! block/unblock across shards while consumers read, asserting that
-//! nothing is lost, duplicated, or torn — the journal view equals
-//! a from-scratch snapshot at quiesce, and detection reports a concurrent
+//! block/unblock over overlapping tasks while consumers read, asserting
+//! that nothing is lost, duplicated, or torn — the journal view equals
+//! a from-scratch snapshot at quiesce, every resync copy is exactly the
+//! journal prefix below its cursor, and detection reports a concurrent
 //! deadlock exactly once.
 //!
 //! Synchronisation is by explicit rendezvous only: a start barrier puts
@@ -18,8 +19,8 @@ use std::time::Duration;
 
 use armus_core::engine::IncrementalEngine;
 use armus_core::{
-    BlockedInfo, GraphModel, PhaserId, Registration, Registry, Resource, TaskId, Verifier,
-    VerifierConfig,
+    BlockedInfo, Delta, GraphModel, JournalRead, PhaserId, Registration, Registry, Resource,
+    Snapshot, TaskId, Verifier, VerifierConfig,
 };
 
 fn t(n: u64) -> TaskId {
@@ -54,8 +55,8 @@ fn churn_info(id: u64, universe: u64) -> BlockedInfo {
     BlockedInfo::new(t(id), vec![r(own, 1)], regs)
 }
 
-/// N producers blocking/unblocking randomized tasks across every shard
-/// while two consumer engines, each on its own thread, follow the delta
+/// N producers blocking/unblocking randomized, overlapping tasks while
+/// two consumer engines, each on its own thread, follow the delta
 /// journal (both through the registry's one shared read): at quiesce
 /// each journal view must equal a from-scratch snapshot, entry for
 /// entry — no delta lost, duplicated, or misordered.
@@ -80,8 +81,8 @@ fn merged_journal_view_equals_snapshot_at_quiesce() {
                 let mut rng = Lcg(0x9e3779b9 ^ producer);
                 start.wait();
                 for _ in 0..OPS {
-                    // Task ids overlap across producers (shard-lock
-                    // serialised) and span every shard.
+                    // Task ids overlap across producers (serialised by
+                    // the registry's lock).
                     let id = rng.next() % 96;
                     if rng.next() % 3 == 0 {
                         registry.unblock(t(id));
@@ -133,6 +134,63 @@ fn merged_journal_view_equals_snapshot_at_quiesce() {
     assert_eq!(follower.sg_edge_list(), joiner.sg_edge_list());
     assert_eq!(follower.wfg_vertex_list(), joiner.wfg_vertex_list());
     assert_eq!(follower.sg_vertex_list(), joiner.sg_vertex_list());
+}
+
+/// Producers block and unblock overlapping tasks while a reader takes
+/// resync copies: every `(snapshot, cursor)` must be exactly the per-task
+/// replay of the journal's first `cursor` entries — nothing below the
+/// cursor missing, nothing at or past it already in. The window holds the
+/// whole run, so the replay reads every entry from 0.
+#[test]
+fn snapshot_with_cursor_is_exactly_the_journal_prefix() {
+    const PRODUCERS: u64 = 4;
+    const OPS: u64 = 2000;
+    const SAMPLES: usize = 4096;
+    let registry = Registry::with_journal_capacity((PRODUCERS * OPS) as usize);
+    let start = Barrier::new(PRODUCERS as usize + 1);
+    let finished = std::sync::atomic::AtomicU64::new(0);
+    let mut samples = Vec::new();
+    std::thread::scope(|s| {
+        for producer in 0..PRODUCERS {
+            let (registry, start, finished) = (&registry, &start, &finished);
+            s.spawn(move || {
+                let mut rng = Lcg(0x5eed ^ producer);
+                start.wait();
+                for _ in 0..OPS {
+                    let id = rng.next() % 96;
+                    if rng.next() % 3 == 0 {
+                        registry.unblock(t(id));
+                    } else {
+                        registry.block(churn_info(id, 8));
+                    }
+                }
+                finished.fetch_add(1, Ordering::Release);
+            });
+        }
+        start.wait();
+        while finished.load(Ordering::Acquire) < PRODUCERS && samples.len() < SAMPLES {
+            samples.push(registry.snapshot_with_cursor());
+        }
+    });
+    let JournalRead::Deltas(log, head) = registry.deltas_since(0) else {
+        panic!("the window holds the whole run");
+    };
+    assert_eq!(log.len() as u64, head);
+    // The reader's cursors never go back, so one replay serves them all.
+    let mut state = std::collections::BTreeMap::new();
+    let mut replayed = 0;
+    for (n, (snap, cursor)) in samples.into_iter().enumerate() {
+        assert!(cursor >= replayed as u64 && cursor <= head, "sample {n}: cursor {cursor}");
+        for delta in &log[replayed..cursor as usize] {
+            match delta {
+                Delta::Block(info) => state.insert(info.task, info.clone()),
+                Delta::Unblock(task) => state.remove(task),
+            };
+        }
+        replayed = cursor as usize;
+        let prefix = Snapshot::from_tasks(state.values().cloned().collect());
+        assert_eq!(snap, prefix, "sample {n}: the copy at cursor {cursor} is not its prefix");
+    }
 }
 
 /// Producers churn benign tasks while a deadlocked task set exists and a

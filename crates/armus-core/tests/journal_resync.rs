@@ -1,9 +1,10 @@
 //! Deterministic coverage of the journal edge cases that used to be hit
-//! only probabilistically: cross-shard `Behind` detection and the
-//! versioned full-snapshot resync after journal overflow, driven through
-//! the injectable journal capacity and shard count
-//! ([`RegistryConfig`], `VerifierConfig::with_journal_capacity`/
-//! `with_shards`).
+//! only probabilistically: `Behind` detection and the versioned
+//! full-snapshot resync after journal overflow, driven through the
+//! injectable journal capacity ([`RegistryConfig`],
+//! `VerifierConfig::with_journal_capacity`). `RegistryConfig::shards` is
+//! ignored (the registry is one map under one lock); the tests that still
+//! set it show that no value of it changes the journal.
 
 use std::time::Duration;
 
@@ -27,9 +28,10 @@ fn info(task: u64, ph: u64) -> BlockedInfo {
     BlockedInfo::new(t(task), vec![r(ph, 1)], vec![Registration::new(p(ph), 1)])
 }
 
-/// A journal fed from several shards turns into an explicit `Behind` the
+/// A journal fed by several tasks turns into an explicit `Behind` the
 /// moment the window slides past a cursor, even when the overflowing
-/// appends all land on *other* shards than the cursor's unread entries.
+/// append comes from a task other than those of the cursor's unread
+/// entries.
 #[test]
 fn stripe_merge_reports_behind_across_shards() {
     let reg = Registry::with_config(RegistryConfig {
@@ -37,7 +39,7 @@ fn stripe_merge_reports_behind_across_shards() {
         shards: 8,
         track_waited: false,
     });
-    // Tasks 1..=4 hash to four different shards: one entry from each.
+    // Tasks 1..=4: one entry from each.
     for task in 1..=4 {
         reg.block(info(task, task));
     }
@@ -46,16 +48,15 @@ fn stripe_merge_reports_behind_across_shards() {
     };
     assert_eq!(deltas.len(), 4);
     assert_eq!(cursor, 4);
-    // A fifth append (on yet another shard) slides the window past 0.
+    // A fifth append (from yet another task) slides the window past 0.
     reg.block(info(5, 5));
     assert_eq!(reg.deltas_since(0), JournalRead::Behind, "cursor 0 left the window");
     // The caught-up cursor still reads deltas.
     assert!(matches!(reg.deltas_since(cursor), JournalRead::Deltas(d, 5) if d.len() == 1));
 }
 
-/// A single-shard registry (the deterministic-simulation configuration)
-/// behaves identically: the journal window is about sequence numbers,
-/// not shards.
+/// The ignored shard count changes nothing: the journal window is about
+/// sequence numbers, and the registry is one map whatever the count.
 #[test]
 fn single_shard_journal_window_matches_multi_shard() {
     for shards in [1usize, 32] {
@@ -110,9 +111,7 @@ fn engine_resyncs_after_overflow_and_stays_exact() {
 #[test]
 fn detection_verifier_resyncs_deterministically() {
     let v = Verifier::new(
-        VerifierConfig::detection_every(Duration::from_secs(3600))
-            .with_journal_capacity(2)
-            .with_shards(1),
+        VerifierConfig::detection_every(Duration::from_secs(3600)).with_journal_capacity(2),
     );
     // Benign burst: five independent blockers overflow the journal.
     for task in 1..=5 {

@@ -153,9 +153,9 @@ proptest! {
         prop_assert_eq!(engine.sg_vertex_list(), Vec::<Resource>::new());
     }
 
-    /// Concurrent interleavings over the sharded registry: the generated
-    /// op sequences run on separate producer threads (overlapping task
-    /// ids — shard locks serialise per task) while a follower engine
+    /// Concurrent interleavings over the registry: the generated op
+    /// sequences run on separate producer threads (overlapping task ids,
+    /// serialised by the registry's lock) while a follower engine
     /// syncs mid-churn. At quiesce the follower's journal view must equal
     /// the from-scratch oracle structurally, and its reports must be
     /// byte-identical to the oracle's.

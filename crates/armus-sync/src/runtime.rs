@@ -4,7 +4,7 @@
 //! Every blocking primitive funnels through [`armus_core::Verifier::block`]
 //! / `unblock`, which journal the status change and (in avoidance mode)
 //! check the incremental engine's maintained graph — so a block costs one
-//! shard insert, one journal append, and a delta-sized graph update rather
+//! map insert, one journal append, and a delta-sized graph update rather
 //! than a registry clone. The engine's `deltas_applied` / `full_rebuilds` /
 //! `resyncs` counters surface here via [`Runtime::stats`].
 
@@ -106,7 +106,7 @@ impl Runtime {
     /// Delivers an avoidance verdict to every still-blocked participant of
     /// the cycle (the initiating task was already withdrawn and errs via
     /// its own return value). Reads each participant's status directly
-    /// from its registry shard — no full-registry copy.
+    /// from the registry's task map — no full-registry copy.
     fn interrupt_victims(&self, report: &DeadlockReport) {
         for &(task, epoch) in &report.task_epochs {
             let Some(info) = self.verifier.blocked_info(task) else { continue };

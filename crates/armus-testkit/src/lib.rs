@@ -22,8 +22,8 @@
 //! * [`sched`] — choosers: seeded-random, scripted replay, and the
 //!   depth-first bounded-exhaustive enumerator.
 //! * [`oracle`] — the differential oracle: avoidance (fast path on and
-//!   off) and detection-style sampling (default and tiny-journal/
-//!   single-shard tunings) versus the PL semantics in lockstep;
+//!   off) and detection-style sampling (default and tiny-journal
+//!   tunings) versus the PL semantics in lockstep;
 //!   soundness, completeness, alignment, and model-agreement invariants
 //!   per step.
 //! * [`replay`] — replays `armus_pl::analysis` deadlock witnesses through

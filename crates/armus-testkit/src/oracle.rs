@@ -73,8 +73,8 @@ pub struct OracleConfig {
 
 /// The configurations every scenario is checked under: avoidance with the
 /// resource-cardinality fast path on and off, and detection-style
-/// sampling with default and adversarial (tiny-journal, single-shard,
-/// low parallel-threshold) tuning.
+/// sampling with default and adversarial (tiny-journal, low
+/// parallel-threshold) tuning.
 pub fn oracle_configs() -> Vec<OracleConfig> {
     vec![
         OracleConfig {
@@ -94,7 +94,7 @@ pub fn oracle_configs() -> Vec<OracleConfig> {
         },
         OracleConfig {
             name: "detection-tiny-journal",
-            verifier: VerifierConfig::publish_only().with_journal_capacity(2).with_shards(1),
+            verifier: VerifierConfig::publish_only().with_journal_capacity(2),
             mode: OracleMode::Sampling { check_every_step: false },
         },
     ]
