@@ -161,7 +161,10 @@ impl StatsCollector {
     }
 }
 
-/// Point-in-time statistics.
+/// Point-in-time statistics, read one counter at a time. A block is
+/// counted before its check, so `checks + fastpath_skips == blocks` holds
+/// only at rest: a read while blocks are in flight can show `blocks`
+/// ahead by the number in flight.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatsSnapshot {
     /// Total deadlock checks run.

@@ -116,7 +116,7 @@ pub enum VerifyMode {
     PublishOnly,
 }
 
-/// Most deadlock reports a verifier, or a distributed site, retains.
+/// Most deadlock reports a verifier, a site, or a watched tenant retains.
 pub const REPORT_CAPACITY: usize = 256;
 
 /// Verifier configuration.

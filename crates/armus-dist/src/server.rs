@@ -26,9 +26,9 @@
 //! site *settled*, a subscription wants the standing state reported — and
 //! it runs a tenant's round when the tenant is dirty and every site that
 //! wrote has settled, or [`StoredConfig::check_period`] after it became
-//! dirty or was last checked, and parks otherwise. A report is written to
-//! its subscribers' sockets as it is found, by a writer thread each
-//! subscribed connection parks for that purpose.
+//! dirty or was last checked, and parks otherwise. A report new to the
+//! tenant joins its report window, which a writer thread each subscribed
+//! connection parks reads by cursor and writes to the socket as it grows.
 //!
 //! Per-connection read/write timeouts reap dead peers, partitions carry a
 //! lease TTL refreshed by every publish (crashed sites expire instead of
@@ -47,8 +47,10 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use armus_core::window::Behind;
 use armus_core::{
-    DeadlockReport, ModelChoice, Pace, Pacer, ReportDedup, Signal, DEFAULT_SG_THRESHOLD,
+    DeadlockReport, ModelChoice, Pace, Pacer, ReportDedup, Signal, Window, DEFAULT_SG_THRESHOLD,
+    REPORT_CAPACITY,
 };
 use parking_lot::Mutex;
 
@@ -116,74 +118,104 @@ pub struct StoredServer {
     shared: Arc<Shared>,
 }
 
-/// Server-initiated frames (streamed reports) queued for one connection,
-/// and the signal its writer thread parks on between them.
-#[derive(Default)]
-struct PushQueue {
-    frames: Mutex<Vec<u8>>,
-    signal: Signal,
-}
-
-/// One connection's registration for streamed reports: which tenant it
-/// watches, the correlation id its report frames must carry, and a weak
-/// handle to the connection's push queue (dropping the connection
-/// unregisters it implicitly).
+/// One subscription: the correlation id its report frames carry, its
+/// connection's writer, and its cursor into the tenant's reports — `None`
+/// until a round of the tenant ends, which sets it to the head and leaves
+/// the report that round found standing to be sent first.
 struct Subscriber {
-    tenant: TenantId,
     corr: u64,
-    queue: Weak<PushQueue>,
+    writer: Weak<Signal>,
+    standing: Option<DeadlockReport>,
+    at: Option<u64>,
 }
 
-/// The subscription registry: connections register their push queues,
-/// the server-side checker fans fresh reports out to them.
+/// A watched tenant's reports — those its checker found new, by a dedup
+/// never reset while the tenant is watched — and its subscriptions.
+struct Watched {
+    reports: Window<DeadlockReport>,
+    dedup: ReportDedup,
+    subs: Vec<Subscriber>,
+}
+
+/// The subscription registry: each watched tenant's reports and the
+/// cursors its subscriptions read them by. A tenant's entry lives as long
+/// as a subscription of it does, and a subscription as long as its
+/// connection's writer.
 #[derive(Default)]
 struct SubHub {
-    subs: Mutex<Vec<Subscriber>>,
+    tenants: Mutex<BTreeMap<TenantId, Watched>>,
+    /// Report frames encoded for subscribers.
+    streamed: AtomicU64,
 }
 
 impl SubHub {
-    fn subscribe(&self, tenant: TenantId, corr: u64, queue: &Arc<PushQueue>) {
-        self.subs.lock().push(Subscriber { tenant, corr, queue: Arc::downgrade(queue) });
+    fn subscribe(&self, tenant: TenantId, corr: u64, writer: &Arc<Signal>) {
+        let sub = Subscriber { corr, writer: Arc::downgrade(writer), standing: None, at: None };
+        let new = || Watched {
+            reports: Window::new(REPORT_CAPACITY),
+            dedup: ReportDedup::new(),
+            subs: Vec::new(),
+        };
+        self.tenants.lock().entry(tenant).or_insert_with(new).subs.push(sub);
     }
 
-    /// Tenants with at least one live subscriber (pruning dead ones).
-    fn tenants(&self) -> BTreeSet<TenantId> {
-        let mut subs = self.subs.lock();
-        subs.retain(|s| s.queue.strong_count() > 0);
-        subs.iter().map(|s| s.tenant).collect()
-    }
-
-    /// Live subscriptions: the total and the per-tenant breakdown.
+    /// Live subscriptions (pruning dead ones, and the tenants left with
+    /// none): the total and the per-tenant breakdown.
     fn counts(&self) -> (u64, Vec<(TenantId, u64)>) {
-        let mut subs = self.subs.lock();
-        subs.retain(|s| s.queue.strong_count() > 0);
-        let mut per_tenant: BTreeMap<TenantId, u64> = BTreeMap::new();
-        for s in subs.iter() {
-            *per_tenant.entry(s.tenant).or_insert(0) += 1;
-        }
-        (subs.len() as u64, per_tenant.into_iter().collect())
+        let mut tenants = self.tenants.lock();
+        tenants.retain(|_, watched| {
+            watched.subs.retain(|sub| sub.writer.strong_count() > 0);
+            !watched.subs.is_empty()
+        });
+        let per_tenant: Vec<(TenantId, u64)> =
+            tenants.iter().map(|(&tenant, w)| (tenant, w.subs.len() as u64)).collect();
+        (per_tenant.iter().map(|&(_, subs)| subs).sum(), per_tenant)
     }
 
-    /// Queues `report` for every live subscriber of `tenant`, each framed
-    /// with the correlation id its subscription arrived under, and wakes
-    /// the connection's writer. Returns how many subscribers received it.
-    /// Only the queue's lock is taken here — the socket is the writer
-    /// thread's business — so a stalled subscriber cannot hold the checker.
-    fn push(&self, tenant: TenantId, report: &DeadlockReport) -> u64 {
-        let response = Response::Report(report.clone());
-        let mut delivered = 0;
-        self.subs.lock().retain(|s| {
-            let Some(queue) = s.queue.upgrade() else { return false };
-            if s.tenant != tenant {
-                return true;
+    /// The end of a round of `tenant` that found `standing`: a report new
+    /// to the tenant joins its window, and a subscription no round had
+    /// reached is to send `standing` once, then read from the head — no
+    /// other hears it again. Wakes the writers with something to read; the
+    /// encoding and the socket are theirs, so a stalled subscriber cannot
+    /// hold the checker.
+    fn publish(&self, tenant: TenantId, standing: Option<DeadlockReport>) {
+        let mut tenants = self.tenants.lock();
+        let Some(watched) = tenants.get_mut(&tenant) else { return };
+        let grew = standing.as_ref().filter(|report| watched.dedup.is_new(report));
+        if let Some(report) = grew {
+            watched.reports.push(report.clone());
+        }
+        for sub in &mut watched.subs {
+            if sub.at.is_none() {
+                (sub.standing, sub.at) = (standing.clone(), Some(watched.reports.head()));
             }
-            if wire::encode_frame_v2_into(&mut queue.frames.lock(), s.corr, &response).is_ok() {
-                delivered += 1;
-                queue.signal.wake_if_parked();
+            match sub.writer.upgrade() {
+                Some(writer) if grew.is_some() || sub.standing.is_some() => writer.wake_if_parked(),
+                _ => {}
             }
-            true
-        });
-        delivered
+        }
+    }
+
+    /// The writer's read step: for each subscription `writer` writes for,
+    /// its unsent standing report and every report past its cursor, each
+    /// encoded into `out` on its correlation id, and the cursor moved to
+    /// the head. [`Behind`]: a cursor fell a window behind; close.
+    fn read(&self, writer: &Arc<Signal>, out: &mut Vec<u8>) -> Result<(), Behind> {
+        for watched in self.tenants.lock().values_mut() {
+            let mine = |sub: &&mut Subscriber| sub.writer.as_ptr() == Arc::as_ptr(writer);
+            for sub in watched.subs.iter_mut().filter(mine) {
+                let Some(at) = &mut sub.at else { continue };
+                let new = watched.reports.since(*at)?;
+                for report in sub.standing.take().into_iter().chain(new.cloned()) {
+                    let response = Response::Report(report);
+                    if wire::encode_frame_v2_into(out, sub.corr, &response).is_ok() {
+                        self.streamed.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                *at = watched.reports.head();
+            }
+        }
+        Ok(())
     }
 }
 
@@ -219,10 +251,6 @@ struct TenantPace {
     /// tenant whose bursts are large, and is nothing to one whose rounds
     /// are a few look-ups.
     not_before: Instant,
-    /// A subscriber joined since the last round: whoever subscribes while
-    /// a deadlock stands hears about it, so that round forgets what it
-    /// already reported.
-    joined: bool,
 }
 
 impl TenantPace {
@@ -232,7 +260,6 @@ impl TenantPace {
             unsettled: BTreeSet::new(),
             pacer: Pacer::new(check_period, Duration::MAX, now),
             not_before: now,
-            joined: false,
         }
     }
 
@@ -265,12 +292,6 @@ impl TenantPace {
         self.unsettled.remove(&site) && self.unsettled.is_empty() && self.is_dirty()
     }
 
-    /// A subscriber joined.
-    fn subscribed(&mut self, now: Instant) {
-        self.joined = true;
-        self.dirty(now);
-    }
-
     fn decide(&mut self, now: Instant) -> Pace {
         let pace = if self.is_dirty() && self.unsettled.is_empty() {
             Pace::Check
@@ -296,7 +317,6 @@ struct Due {
     tenant: TenantId,
     /// What the round covers ([`TenantPace::seq`] when it was planned).
     seq: u64,
-    joined: bool,
 }
 
 /// The checker's next step, planned under the pacing lock.
@@ -361,14 +381,14 @@ impl Pacing {
     }
 
     /// A connection's step: a subscriber joined `tenant` (its ack is
-    /// already on the wire, its queue already registered with the hub).
+    /// already on the wire, its subscription in the hub).
     fn subscribed(&self, tenant: TenantId, now: Instant) {
         {
             let mut state = self.state.lock();
             let check_period = self.check_period;
             let pace =
                 state.tenants.entry(tenant).or_insert_with(|| TenantPace::new(check_period, now));
-            pace.subscribed(now);
+            pace.dirty(now);
             state.events += 1;
         }
         self.signal.wake_if_parked();
@@ -397,15 +417,12 @@ impl Pacing {
     /// it.
     fn plan(&self, hub: &SubHub, now: Instant) -> Plan {
         let mut state = self.state.lock();
-        let live = hub.tenants();
+        let live: BTreeSet<TenantId> = hub.counts().1.into_iter().map(|(t, _)| t).collect();
         state.tenants.retain(|tenant, _| live.contains(tenant));
         let (mut due, mut wait) = (Vec::new(), None::<Duration>);
         for (&tenant, pace) in state.tenants.iter_mut() {
             match pace.decide(now) {
-                Pace::Check => {
-                    let joined = std::mem::take(&mut pace.joined);
-                    due.push(Due { tenant, seq: pace.seq, joined });
-                }
+                Pace::Check => due.push(Due { tenant, seq: pace.seq }),
                 Pace::Nap(left) => wait = Some(wait.map_or(left, |w| w.min(left))),
                 Pace::Park => {}
             }
@@ -456,8 +473,6 @@ struct Shared {
     fetches: AtomicU64,
     /// `Remove` requests served.
     removes: AtomicU64,
-    /// Reports pushed to subscribers by the server-side checker.
-    reports_streamed: AtomicU64,
     /// High-water mark of replies queued within one burst on any
     /// connection.
     reply_queue_max: AtomicU64,
@@ -501,7 +516,7 @@ impl Shared {
             delta_publishes: self.delta_publishes.load(Ordering::Relaxed),
             fetches: self.fetches.load(Ordering::Relaxed),
             removes: self.removes.load(Ordering::Relaxed),
-            reports_streamed: self.reports_streamed.load(Ordering::Relaxed),
+            reports_streamed: self.hub.streamed.load(Ordering::Relaxed),
             reply_queue_max: self.reply_queue_max.load(Ordering::Relaxed),
             tenants: tenants.into_values().collect(),
             sites: self.store.site_stats(),
@@ -509,22 +524,13 @@ impl Shared {
     }
 }
 
-/// What the server-side checker keeps per subscribed tenant: the
-/// persistent checker following the tenant's change log, and the reports
-/// its current subscribers have already been sent.
-#[derive(Default)]
-struct TenantChecker {
-    checker: IncrementalDistChecker,
-    dedup: ReportDedup,
-}
-
 /// The server-side checker loop: plan ([`Pacing::plan`]), run the rounds
-/// that are due — one tenant's [`round`] each, fresh reports streamed to
-/// that tenant's subscribers — and park until a connection thread has
-/// something to tell or the earliest period clause runs out. Detection
-/// happens *at the store* — subscribers learn about deadlocks without a
-/// single read of their own, and cross-tenant isolation holds because each
-/// round reads exactly one tenant's log.
+/// that are due — one tenant's [`round`] each, its report published to
+/// that tenant's subscribers ([`SubHub::publish`]) — and park until a
+/// connection thread has something to tell or the earliest period clause
+/// runs out. Detection happens *at the store* — subscribers learn about
+/// deadlocks without a single read of their own, and cross-tenant
+/// isolation holds because each round reads exactly one tenant's log.
 ///
 /// An idle store runs no rounds, and a tenant whose sites never pause is
 /// checked once a `check_period`, as a fixed cadence would. In between, a
@@ -537,12 +543,11 @@ struct TenantChecker {
 /// its previous one than that one took, so no tenant holds the checker
 /// more than half the time.
 ///
-/// A tenant's state lives exactly as long as it has a subscriber, and a
-/// subscriber joining resets the tenant's dedup: whoever subscribes while
-/// a deadlock stands hears about it (a subscriber that was already there
-/// hears it again, which [`crate::tcp::Subscription`] consumers tolerate).
+/// A tenant's checker lives exactly as long as it has a subscriber, as do
+/// its report window and dedup, which each subscriber reads by its own
+/// cursor ([`SubHub::publish`]).
 fn checker_loop(shared: Arc<Shared>) {
-    let mut checkers: HashMap<TenantId, TenantChecker> = HashMap::new();
+    let mut checkers: HashMap<TenantId, IncrementalDistChecker> = HashMap::new();
     let pacing = &shared.pacing;
     loop {
         let plan = pacing.plan(&shared.hub, Instant::now());
@@ -564,34 +569,26 @@ fn checker_loop(shared: Arc<Shared>) {
 
 /// One tenant's round, as a step: the checker's round over the tenant's
 /// change log (the whole view on the join, which is the one time the
-/// checker reads it). Returns the report the tenant's subscribers have not
-/// been sent yet — all of them being new to it if one `joined` — and the
+/// checker reads it). Returns the report that stands — every round names
+/// it, new or not; the tenant's dedup decides who hears it — and the
 /// sites present.
 fn round(
     store: &MemStore,
     tenant: TenantId,
-    state: &mut TenantChecker,
-    joined: bool,
+    checker: &mut IncrementalDistChecker,
 ) -> (Option<DeadlockReport>, Vec<SiteId>) {
-    if joined {
-        state.dedup = ReportDedup::new();
-    }
     let read = |cursor| store.changes_since_in(tenant, cursor);
-    let check = state.checker.follow(read, ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
-    let report = check.ok().and_then(|check| check.report);
-    (report.filter(|report| state.dedup.is_new(report)), store.sites_in(tenant))
+    let check = checker.follow(read, ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+    (check.ok().and_then(|check| check.report), store.sites_in(tenant))
 }
 
-/// Runs one tenant's [`round`], pushes what it found, and tells the pacing
-/// what it covered.
-fn run_round(shared: &Shared, state: &mut TenantChecker, due: &Due) {
+/// Runs one tenant's [`round`], publishes what it found, and tells the
+/// pacing what it covered.
+fn run_round(shared: &Shared, checker: &mut IncrementalDistChecker, due: &Due) {
     let started = Instant::now();
     shared.rounds.fetch_add(1, Ordering::Relaxed);
-    let (fresh, present) = round(&shared.store, due.tenant, state, due.joined);
-    if let Some(report) = fresh {
-        let delivered = shared.hub.push(due.tenant, &report);
-        shared.reports_streamed.fetch_add(delivered, Ordering::Relaxed);
-    }
+    let (standing, present) = round(&shared.store, due.tenant, checker);
+    shared.hub.publish(due.tenant, standing);
     shared.pacing.ran(due, &present, started, Instant::now());
 }
 
@@ -629,7 +626,6 @@ impl StoredServer {
             delta_publishes: AtomicU64::new(0),
             fetches: AtomicU64::new(0),
             removes: AtomicU64::new(0),
-            reports_streamed: AtomicU64::new(0),
             reply_queue_max: AtomicU64::new(0),
         });
         let accept = {
@@ -784,8 +780,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 ///
 /// Server-initiated frames (streamed reports) do not wait for any of that:
 /// once the connection subscribes, a writer thread of its own
-/// ([`push_writer`]) parks on the connection's [`PushQueue`] and writes
-/// what the checker queues there as it is queued. Both writers take the
+/// ([`push_writer`]) parks on a [`Signal`] of the connection's and writes
+/// each report as a round publishes it. Both writers take the
 /// connection's write lock for a whole batch, so frames never interleave.
 fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
@@ -799,7 +795,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     let write_lock = Arc::new(Mutex::new(()));
     let mut frames = wire::FrameBuffer::new();
     let mut replies: Vec<u8> = Vec::new();
-    let pushes: Arc<PushQueue> = Arc::default();
+    let pushes: Arc<Signal> = Arc::default();
     let mut writer: Option<JoinHandle<()>> = None;
     let mut chunk = vec![0u8; 64 * 1024];
     // Both the idle bound and the mid-frame stall bound: a peer that goes
@@ -866,11 +862,11 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                 // hub, then tell the checker that someone wants the
                 // standing state.
                 if !joined.is_empty() && writer.is_none() {
-                    let (stream, lock, queue) =
-                        (Arc::clone(&stream), Arc::clone(&write_lock), Arc::clone(&pushes));
+                    let (shared, stream) = (Arc::clone(&shared), Arc::clone(&stream));
+                    let (lock, signal) = (Arc::clone(&write_lock), Arc::clone(&pushes));
                     writer = std::thread::Builder::new()
                         .name("armus-stored-push".into())
-                        .spawn(move || push_writer(&stream, &lock, &queue))
+                        .spawn(move || push_writer(&shared.hub, &stream, &lock, &signal))
                         .ok();
                     if writer.is_none() {
                         break; // no thread to write reports with: let the peer reconnect
@@ -898,7 +894,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     }
     let _ = stream.shutdown(Shutdown::Both);
     if let Some(writer) = writer {
-        pushes.signal.stop();
+        pushes.stop();
         let _ = writer.join();
         drop(pushes);
         shared.pacing.unsubscribed();
@@ -922,30 +918,39 @@ fn flush_replies(
     result
 }
 
-/// A subscribed connection's writer: parks until the checker has queued
-/// report frames ([`SubHub::push`]) and writes them at once — no request
-/// from the peer and no read timeout in between. The queue is swapped out
-/// under its lock and written outside it, so a slow peer never blocks the
-/// checker; an idle connection costs a parked thread and no polling. A
-/// failed write closes the socket, which ends the connection's read loop.
-fn push_writer(stream: &TcpStream, write_lock: &Mutex<()>, queue: &PushQueue) {
+/// A subscribed connection's writer: parks until a round has grown one of
+/// its tenants' report windows or ended a subscription's wait
+/// ([`SubHub::publish`]), then reads each subscription's reports past its
+/// cursor into a buffer of its own ([`SubHub::read`]) and writes it
+/// outside every lock but the socket's — no request from the peer and no
+/// read timeout in between. A slow peer holds nothing the checker needs
+/// and costs at most one window: a writer whose cursor the window dropped
+/// closes the connection, as does a failed write, which ends the
+/// connection's read loop. An idle connection costs a parked thread and
+/// no polling.
+fn push_writer(hub: &SubHub, stream: &TcpStream, write_lock: &Mutex<()>, signal: &Arc<Signal>) {
+    let mut frames = Vec::new();
     loop {
-        let queued = std::mem::take(&mut *queue.frames.lock());
-        let stop = if queued.is_empty() {
-            queue.signal.park(|| queue.frames.lock().is_empty(), Duration::MAX)
-        } else {
-            let _writing = write_lock.lock();
-            let mut stream = stream;
-            if stream.write_all(&queued).is_err() {
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
+        let stop = match hub.read(signal, &mut frames) {
+            Ok(()) if frames.is_empty() => {
+                let nothing_new = || hub.read(signal, &mut frames).is_ok() && frames.is_empty();
+                signal.park(nothing_new, Duration::MAX)
             }
-            queue.signal.is_stopped()
+            Ok(()) => {
+                let _writing = write_lock.lock();
+                if (&*stream).write_all(&frames).is_err() {
+                    break;
+                }
+                frames.clear();
+                signal.is_stopped()
+            }
+            Err(Behind) => break,
         };
         if stop {
             return;
         }
     }
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Rejects a publish whose ids could not survive the checkers'
@@ -1443,9 +1448,8 @@ mod tests {
     fn watched(t0: Instant) -> TenantPace {
         let mut pace = TenantPace::new(PERIOD, t0);
         assert_eq!(pace.decide(t0), Pace::Park, "nobody has subscribed yet");
-        pace.subscribed(t0);
+        pace.dirty(t0);
         assert_eq!(pace.decide(t0), Pace::Check, "a subscriber wants the standing state");
-        assert!(std::mem::take(&mut pace.joined));
         pace.ran(pace.seq, t0, t0);
         pace
     }
@@ -1551,8 +1555,8 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let (hub, pacing) = (SubHub::default(), Pacing::new(hour));
-            let queue: Arc<PushQueue> = Arc::default();
-            hub.subscribe(tenant, 1, &queue);
+            let writer: Arc<Signal> = Arc::default();
+            hub.subscribe(tenant, 1, &writer);
             pacing.subscribed(tenant, Instant::now());
             // The checker's round for `due`, and a plan that finds nothing
             // to run: some site wrote and has not settled.
@@ -1613,19 +1617,131 @@ mod tests {
         pacing.wrote(TenantId(1), A, now);
         assert_eq!(pacing.events(), 0);
         assert!(pacing.plan(&hub, now).live.is_empty());
-        let queue: Arc<PushQueue> = Arc::default();
-        hub.subscribe(TenantId(1), 1, &queue);
+        let writer: Arc<Signal> = Arc::default();
+        hub.subscribe(TenantId(1), 1, &writer);
         pacing.subscribed(TenantId(1), now);
         let plan = pacing.plan(&hub, now);
         assert_eq!(plan.live.len(), 1);
-        assert!(plan.due[0].joined, "the round a subscription asks for forgets the dedup");
+        assert_eq!(plan.due.len(), 1, "a subscriber wants the standing state");
         // The connection goes: the checker is told, and its next plan
         // drops the tenant.
-        drop(queue);
+        drop(writer);
         pacing.unsubscribed();
         assert_eq!(pacing.events(), plan.events + 1);
         let plan = pacing.plan(&hub, now);
         assert!(plan.live.is_empty() && plan.due.is_empty() && plan.wait.is_none());
         assert!(pacing.state.lock().tenants.is_empty());
+        assert!(hub.tenants.lock().is_empty(), "nor does the hub keep its reports");
+    }
+
+    /// A report naming `task` alone.
+    fn report(task: u64) -> DeadlockReport {
+        DeadlockReport {
+            tasks: vec![TaskId(task)],
+            resources: vec![Resource::new(PhaserId(task), 1)],
+            model: armus_core::GraphModel::Wfg,
+            witness: armus_core::CycleWitness::Tasks(vec![TaskId(task), TaskId(task)]),
+            task_epochs: vec![(TaskId(task), 1)],
+        }
+    }
+
+    /// What one read of `writer`'s subscriptions (on correlation id 1)
+    /// encodes: the writer's step, without its socket.
+    pub(super) fn heard(hub: &SubHub, writer: &Arc<Signal>) -> Vec<DeadlockReport> {
+        let (mut out, before) = (Vec::new(), hub.streamed.load(Ordering::Relaxed));
+        hub.read(writer, &mut out).expect("a cursor inside the window");
+        let mut frames = wire::FrameBuffer::new();
+        frames.feed(&out);
+        let heard: Vec<DeadlockReport> = std::iter::from_fn(|| frames.next_frame().unwrap())
+            .map(|frame| match frame {
+                wire::Frame { corr: 1, msg: Response::Report(report) } => report,
+                other => panic!("expected a report on correlation id 1, got {other:?}"),
+            })
+            .collect();
+        let streamed = hub.streamed.load(Ordering::Relaxed) - before;
+        assert_eq!(streamed, heard.len() as u64, "one count per frame");
+        heard
+    }
+
+    /// A hub whose tenant holds reports 1 to 6 at positions 0 to 5 in a
+    /// window of 4 — `[2, 6]` — and one subscription at cursor `at`, with
+    /// `standing` unsent.
+    fn reading_at(at: u64, standing: Option<DeadlockReport>) -> (SubHub, Arc<Signal>) {
+        let (hub, writer) = (SubHub::default(), Arc::default());
+        hub.subscribe(T0, 1, &writer);
+        let mut tenants = hub.tenants.lock();
+        let watched = tenants.get_mut(&T0).unwrap();
+        watched.reports = Window::new(4);
+        (1..=6).for_each(|task| watched.reports.push(report(task)));
+        (watched.subs[0].standing, watched.subs[0].at) = (standing, Some(at));
+        drop(tenants);
+        (hub, writer)
+    }
+
+    #[test]
+    fn a_read_sends_the_reports_past_its_cursor_and_moves_it_to_the_head() {
+        for at in 2..=6 {
+            let (hub, writer) = reading_at(at, None);
+            let past: Vec<DeadlockReport> = (at + 1..=6).map(report).collect();
+            assert_eq!(heard(&hub, &writer), past, "from {at}");
+            assert_eq!(hub.tenants.lock()[&T0].subs[0].at, Some(6), "from {at}: at the head");
+            assert_eq!(heard(&hub, &writer), [], "from {at}: caught up");
+        }
+        // The standing report goes first, once.
+        let (hub, writer) = reading_at(5, Some(report(9)));
+        assert_eq!(heard(&hub, &writer), [report(9), report(6)]);
+        assert_eq!(heard(&hub, &writer), []);
+    }
+
+    #[test]
+    fn a_cursor_outside_the_window_reads_behind_and_sends_nothing() {
+        // Cursors the window dropped, and past the head (another window's).
+        for at in [0, 1, 7, 8] {
+            let (hub, writer) = reading_at(at, Some(report(9)));
+            let mut out = Vec::new();
+            assert_eq!(hub.read(&writer, &mut out), Err(Behind), "at {at}: close");
+            assert!(out.is_empty(), "at {at}");
+        }
+        // A subscriber that read nothing while a window and one more grew.
+        let hub = SubHub::default();
+        let writer: Arc<Signal> = Arc::default();
+        hub.subscribe(T0, 1, &writer);
+        hub.publish(T0, None);
+        for task in 1..=REPORT_CAPACITY as u64 + 1 {
+            hub.publish(T0, Some(report(task)));
+        }
+        assert_eq!(hub.read(&writer, &mut Vec::new()), Err(Behind));
+    }
+
+    #[test]
+    fn a_joiner_hears_the_standing_report_once_then_only_what_the_window_gains() {
+        let hub = SubHub::default();
+        let (first, joiner): (Arc<Signal>, Arc<Signal>) = Default::default();
+        hub.subscribe(T0, 1, &first);
+        assert_eq!(heard(&hub, &first), [], "no round has ended since it subscribed");
+        hub.publish(T0, Some(report(1)));
+        assert_eq!(heard(&hub, &first), [report(1)]);
+        hub.subscribe(T0, 1, &joiner);
+        // The round the subscription asked for finds the same report.
+        hub.publish(T0, Some(report(1)));
+        assert_eq!(heard(&hub, &joiner), [report(1)], "the standing report, once");
+        assert_eq!(heard(&hub, &first), [], "the first hears nothing again");
+        for _ in 0..3 {
+            hub.publish(T0, Some(report(1)));
+            hub.publish(T0, None);
+        }
+        assert_eq!((heard(&hub, &joiner), heard(&hub, &first)), (vec![], vec![]));
+        // The window grows: both hear the new report, once.
+        hub.publish(T0, Some(report(2)));
+        assert_eq!((heard(&hub, &joiner), heard(&hub, &first)), (vec![report(2)], vec![report(2)]));
+        // Another tenant's rounds move neither.
+        hub.publish(TenantId(3), Some(report(3)));
+        assert_eq!((heard(&hub, &joiner), heard(&hub, &first)), (vec![], vec![]));
+        // A joiner whose first round finds nothing standing hears nothing.
+        let late: Arc<Signal> = Arc::default();
+        hub.subscribe(T0, 1, &late);
+        hub.publish(T0, None);
+        assert_eq!(heard(&hub, &late), []);
+        assert_eq!(hub.counts(), (3, vec![(T0, 3)]));
     }
 }

@@ -1,19 +1,22 @@
 //! The server's round ([`super::round`]) and the store's change log
 //! without sockets: against the stateless reference ([`check_store`]) over
-//! random write streams, beside a second reader of the log, by the counts
+//! random write streams — and what the round's subscribers hear of it
+//! through the hub — beside a second reader of the log, by the counts
 //! that pin a round's cost to what was written, at the points where a hit
 //! goes stale between its analysis and its confirmation, and at the
 //! cursors the log does not honour.
 
-use super::{round, TenantChecker};
+use super::tests::heard;
+use super::{round, SubHub};
 use crate::detector::{check_store, merge, IncrementalDistChecker};
 use crate::store::{DeltaAck, Feed, MemStore, SiteId, StoreError, TenantId, LOG_CAPACITY};
 use armus_core::{
     BlockedInfo, DeadlockReport, Delta, ModelChoice, PhaserId, Registration, ReportDedup, Resource,
-    Snapshot, TaskId, DEFAULT_SG_THRESHOLD,
+    Signal, Snapshot, TaskId, DEFAULT_SG_THRESHOLD,
 };
 use armus_workloads::util::XorShift;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The tenant the checkers read: the one [`MemStore`]'s plain `Store` impl
@@ -50,10 +53,23 @@ fn reference(store: &MemStore) -> Option<DeadlockReport> {
 }
 
 /// The engine holds what a fetch of the tenant would merge to.
-fn assert_in_step(store: &MemStore, state: &TenantChecker, present: &[SiteId], at: &str) {
+fn assert_in_step(
+    store: &MemStore,
+    checker: &IncrementalDistChecker,
+    present: &[SiteId],
+    at: &str,
+) {
     let view = store.fetch_all_in(T).expect("a MemStore");
     assert_eq!(present, view.iter().map(|(site, _)| *site).collect::<Vec<_>>(), "{at}");
-    assert_eq!(state.checker.materialize(), merge(&view), "{at}");
+    assert_eq!(checker.materialize(), merge(&view), "{at}");
+}
+
+/// The writer of a connection subscribed to [`T`] through `hub`, on
+/// correlation id 1.
+fn subscribe(hub: &SubHub) -> Arc<Signal> {
+    let writer: Arc<Signal> = Arc::default();
+    hub.subscribe(T, 1, &writer);
+    writer
 }
 
 const SITES: usize = 3;
@@ -140,41 +156,51 @@ fn the_round_matches_check_store_after_every_write() {
         let mut rng = XorShift::new(seed);
         let store = MemStore::with_lease(LEASE);
         let mut versions = BTreeMap::new();
-        let mut state = TenantChecker::default();
+        let mut checker = IncrementalDistChecker::new();
+        // A subscriber from the first round on, and what it has been told.
+        let mut hub = SubHub::default();
+        let mut watcher = subscribe(&hub);
         let mut told = ReportDedup::new();
         for step in 0..300 {
             let wrote = match rng.next_below(45) {
                 // The tenant lost its last subscriber and found a new one.
                 0 => {
-                    joins += state.checker.stats().order_rebuilds;
-                    rounds += state.checker.stats().rounds;
-                    state = TenantChecker::default();
+                    joins += checker.stats().order_rebuilds;
+                    rounds += checker.stats().rounds;
+                    checker = IncrementalDistChecker::new();
+                    hub = SubHub::default();
+                    watcher = subscribe(&hub);
                     told = ReportDedup::new();
                     "a new checker".to_string()
                 }
                 // The checker doubts the continuity.
                 2 => {
-                    state.checker.resync();
+                    checker.resync();
                     "the checker resynced".to_string()
                 }
                 _ => random_write(&mut rng, &store, &mut versions),
             };
             let at = format!("seed {seed}, step {step} ({wrote})");
-            let joined = rng.next_below(8) == 0;
-            if joined {
-                told = ReportDedup::new();
-            }
-            let (fresh, present) = round(&store, T, &mut state, joined);
-            let standing = reference(&store);
+            // Now and then a second subscriber joins before the round.
+            let joiner = (rng.next_below(8) == 0).then(|| subscribe(&hub));
+            let (standing, present) = round(&store, T, &mut checker);
+            assert_eq!(standing, reference(&store), "{at}");
             match &standing {
                 Some(_) => hits += 1,
                 None => clean += 1,
             }
-            assert_eq!(fresh, standing.filter(|report| told.is_new(report)), "{at}");
-            assert_in_step(&store, &state, &present, &at);
+            hub.publish(T, standing.clone());
+            // The subscriber hears what is new to it, whoever joins; the
+            // joiner hears what stands.
+            let fresh = standing.clone().filter(|report| told.is_new(report));
+            assert_eq!(heard(&hub, &watcher), Vec::from_iter(fresh), "{at}: the subscriber");
+            if let Some(joiner) = joiner {
+                assert_eq!(heard(&hub, &joiner), Vec::from_iter(standing), "{at}: the joiner");
+            }
+            assert_in_step(&store, &checker, &present, &at);
         }
-        joins += state.checker.stats().order_rebuilds;
-        rounds += state.checker.stats().rounds;
+        joins += checker.stats().order_rebuilds;
+        rounds += checker.stats().rounds;
     }
     assert!(hits > 1_000 && clean > 1_000, "{hits} rounds with a cycle, {clean} without");
     assert!(
@@ -195,16 +221,18 @@ fn standing_population(store: &MemStore) {
 fn a_round_costs_what_was_written_not_what_is_stored() {
     let store = MemStore::new();
     standing_population(&store);
-    let mut state = TenantChecker::default();
-    let applied = |state: &TenantChecker| state.checker.stats().deltas_applied;
+    let mut checker = IncrementalDistChecker::new();
+    let applied = |checker: &IncrementalDistChecker| checker.stats().deltas_applied;
+    let hub = SubHub::default();
+    let watcher = subscribe(&hub);
 
-    let (fresh, present) = round(&store, T, &mut state, true);
-    assert_eq!(fresh, None);
-    assert_eq!(state.checker.stats().order_rebuilds, 1, "the join fetches");
-    assert_in_step(&store, &state, &present, "join");
+    let (standing, present) = round(&store, T, &mut checker);
+    assert_eq!(standing, None);
+    assert_eq!(checker.stats().order_rebuilds, 1, "the join fetches");
+    assert_in_step(&store, &checker, &present, "join");
     // A clean round takes nothing.
-    assert_eq!(round(&store, T, &mut state, false).0, None);
-    assert_eq!(applied(&state), 0);
+    assert_eq!(round(&store, T, &mut checker).0, None);
+    assert_eq!(applied(&checker), 0);
 
     // A crossed wait of three, over both sites.
     let (a, b, c) = (crossed(2001, 1, 2, 1), crossed(2001, 2, 3, 1), crossed(2002, 3, 1, 1));
@@ -214,30 +242,38 @@ fn a_round_costs_what_was_written_not_what_is_stored() {
         store.publish_deltas_in(T, SiteId(1), 1, &[Delta::Block(b)], 2),
         Ok(DeltaAck::Applied)
     );
-    let (fresh, present) = round(&store, T, &mut state, false);
-    let report = fresh.expect("the crossed wait");
+    let (standing, present) = round(&store, T, &mut checker);
+    let report = standing.expect("the crossed wait");
     let planted = [TaskId(2001).with_site(0), TaskId(2002).with_site(0), TaskId(2001).with_site(1)];
     assert_eq!(report.tasks, planted);
     assert_eq!(Some(&report), reference(&store).as_ref());
-    assert_eq!(applied(&state), 3, "three tasks blocked beside 2 048");
-    assert_eq!(state.checker.stats().confirm_fetches, 1);
-    assert_in_step(&store, &state, &present, "hit");
+    assert_eq!(applied(&checker), 3, "three tasks blocked beside 2 048");
+    assert_eq!(checker.stats().confirm_fetches, 1);
+    assert_in_step(&store, &checker, &present, "hit");
+    hub.publish(T, Some(report.clone()));
+    assert_eq!(heard(&hub, &watcher), std::slice::from_ref(&report));
     // Heartbeats log nothing, and the standing cycle is told once.
     assert_eq!(store.publish_deltas_in(T, SiteId(0), 3, &[], 3), Ok(DeltaAck::Applied));
-    assert_eq!(round(&store, T, &mut state, false).0, None);
-    assert_eq!(applied(&state), 3);
+    let (standing, _) = round(&store, T, &mut checker);
+    assert_eq!(standing.as_ref(), Some(&report), "every round names what stands");
+    hub.publish(T, standing);
+    assert_eq!(heard(&hub, &watcher), []);
+    assert_eq!(applied(&checker), 3);
 
     // A snapshot equal to the partition it replaces: every id of it is
     // logged — leaving and arriving — and applied once, and nothing changes.
-    let before = state.checker.materialize();
+    let before = checker.materialize();
     let (_, same) = store.fetch_all_in(T).unwrap().swap_remove(1);
     let stored = same.len();
     store.publish_full_in(T, SiteId(1), same, 2).unwrap();
-    let (again, _) = round(&store, T, &mut state, true);
-    assert_eq!(again, Some(report), "told again only because a subscriber joined");
-    assert_eq!(applied(&state), 3 + stored as u64);
-    assert_eq!(state.checker.materialize(), before);
-    assert_eq!(state.checker.stats().order_rebuilds, 1, "one fetch in all");
+    let joiner = subscribe(&hub);
+    let (again, _) = round(&store, T, &mut checker);
+    hub.publish(T, again);
+    assert_eq!(heard(&hub, &joiner), [report], "told again only to the subscriber that joined");
+    assert_eq!(heard(&hub, &watcher), []);
+    assert_eq!(applied(&checker), 3 + stored as u64);
+    assert_eq!(checker.materialize(), before);
+    assert_eq!(checker.stats().order_rebuilds, 1, "one fetch in all");
 }
 
 #[test]
@@ -245,8 +281,8 @@ fn every_tenants_log_is_bounded_whoever_reads_it() {
     let store = MemStore::new();
     store.publish_full_in(T, SiteId(0), Snapshot::empty(), 0).unwrap();
     store.publish_full_in(OTHER, SiteId(0), Snapshot::empty(), 0).unwrap();
-    let mut state = TenantChecker::default();
-    round(&store, T, &mut state, true);
+    let mut checker = IncrementalDistChecker::new();
+    round(&store, T, &mut checker);
     // Nobody reads the other tenant: its writes are logged all the same,
     // two entries an interval, and the oldest dropped past the capacity.
     for version in 0..LOG_CAPACITY as u64 {
@@ -257,8 +293,8 @@ fn every_tenants_log_is_bounded_whoever_reads_it() {
     assert_eq!(store.log_len_in(OTHER), LOG_CAPACITY);
     assert_eq!(store.log_len_in(T), 0);
     // The reader of the first tenant is fed nothing and joins no more.
-    assert_eq!(round(&store, T, &mut state, false).0, None);
-    let stats = state.checker.stats();
+    assert_eq!(round(&store, T, &mut checker).0, None);
+    let stats = checker.stats();
     assert_eq!((stats.order_rebuilds, stats.deltas_applied), (1, 0));
 }
 
@@ -285,17 +321,17 @@ fn two_readers_at_different_cursors_both_match_check_store() {
         let mut rng = XorShift::new(seed);
         let store = MemStore::with_lease(LEASE);
         let mut versions = BTreeMap::new();
-        let mut state = TenantChecker::default();
+        let mut checker = IncrementalDistChecker::new();
         // The second reader follows the log through `Store::changes_since`.
         let mut second = IncrementalDistChecker::new();
         for step in 0..300 {
             let wrote = random_write(&mut rng, &store, &mut versions);
             let at = format!("seed {seed}, step {step} ({wrote})");
             let standing = reference(&store);
-            // A subscriber joins every round, so the round tells what stands.
-            let (fresh, present) = round(&store, T, &mut state, true);
-            assert_eq!(fresh, standing, "{at}: the server's round");
-            assert_in_step(&store, &state, &present, &at);
+            // Every round names what stands, new or not.
+            let (found, present) = round(&store, T, &mut checker);
+            assert_eq!(found, standing, "{at}: the server's round");
+            assert_in_step(&store, &checker, &present, &at);
             // The second reader reads after a random third of the writes:
             // its cursor lags, and a read takes several writes at once.
             writes += 1;
@@ -303,10 +339,10 @@ fn two_readers_at_different_cursors_both_match_check_store() {
                 reads += 1;
                 let check = second.check_round(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
                 assert_eq!(check.unwrap().report, standing, "{at}: the second reader");
-                assert_eq!(second.materialize(), state.checker.materialize(), "{at}");
+                assert_eq!(second.materialize(), checker.materialize(), "{at}");
             }
         }
-        let joins = (state.checker.stats().order_rebuilds, second.stats().order_rebuilds);
+        let joins = (checker.stats().order_rebuilds, second.stats().order_rebuilds);
         assert_eq!(joins, (1, 1), "seed {seed}: one join each, every later read fed");
     }
     assert!(reads * 4 > writes && reads * 2 < writes, "{reads} reads of {writes} writes");
@@ -458,9 +494,8 @@ fn a_hit_is_reported_only_if_it_stands_at_its_confirmation() {
         assert_eq!(check.report.is_some(), stands, "{what}");
         assert_eq!(checker.stats().confirm_fetches, 1, "{what}");
         // The next round is fed what happened and agrees with the store.
-        let mut state = TenantChecker { checker, dedup: ReportDedup::new() };
-        let (fresh, present) = round(&store, T, &mut state, false);
-        assert_eq!(fresh, reference(&store), "{what}");
-        assert_in_step(&store, &state, &present, what);
+        let (standing, present) = round(&store, T, &mut checker);
+        assert_eq!(standing, reference(&store), "{what}");
+        assert_in_step(&store, &checker, &present, what);
     }
 }

@@ -408,7 +408,8 @@ impl Drop for MuxConn {
 ///
 /// The handle pins its connection alive (it holds the `Arc<MuxConn>`),
 /// and dropping it unregisters the demux route. Subscriptions do **not**
-/// survive reconnects: when the connection dies, [`Subscription::recv`]
+/// survive reconnects, and the server disconnects a subscriber that falls
+/// a report window behind: when the connection dies, [`Subscription::recv`]
 /// drains any already-received reports and then returns `None` forever —
 /// re-subscribe via [`TcpStore::subscribe`] to resume.
 pub struct Subscription {

@@ -138,10 +138,10 @@ pub enum Request {
     Metrics,
     /// Turns this connection into a push channel for `tenant`'s deadlock
     /// reports: the server acks with [`Response::Subscribed`] (echoing this
-    /// request's correlation id), then streams a [`Response::Report`]
-    /// frame carrying the *same* correlation id for every fresh deadlock
-    /// its checker confirms in the tenant's merged view. The subscription
-    /// lives until the connection closes.
+    /// request's correlation id), then streams [`Response::Report`] frames
+    /// on the *same* correlation id: the deadlock that stands, then each
+    /// new one its checker confirms in the tenant's merged view. The
+    /// subscription lives until the connection closes.
     Subscribe {
         /// The namespace whose reports are streamed.
         tenant: TenantId,

@@ -736,6 +736,23 @@ fn a_snapshot_that_drops_the_cycles_member_leaves_nothing_to_hear() {
 }
 
 #[test]
+fn a_second_subscriber_does_not_replay_the_standing_report_to_the_first() {
+    let (server, store, first) = watched_standing_cycle();
+    let before = server.rounds();
+    let late = TcpStore::new(server.local_addr().to_string()).for_tenant(TenantId(7));
+    let second = late.subscribe().expect("subscribe from a second client");
+    assert!(
+        eventually(Duration::from_secs(5), || server.rounds() > before),
+        "the second subscription's round never began"
+    );
+    let heard = second.recv(Duration::from_secs(2)).expect("the standing cycle");
+    assert_eq!(heard.tasks, planted_tasks());
+    assert_eq!(first.recv(Duration::from_millis(300)), None, "the first subscriber heard it again");
+    assert_eq!(store.metrics().unwrap().reports_streamed, 2, "one report frame a subscriber");
+    server.shutdown();
+}
+
+#[test]
 fn metrics_are_served_over_the_wire() {
     let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
     let store = TcpStore::new(server.local_addr().to_string());

@@ -146,7 +146,10 @@ impl Runtime {
         &self.cfg
     }
 
-    /// Verification statistics (checks run, graph sizes, deadlocks found).
+    /// Verification statistics (checks run, graph sizes, deadlocks found),
+    /// read one counter at a time: `checks + fastpath_skips == blocks`
+    /// holds only at rest, and a read while blocks are in flight can show
+    /// `blocks` ahead by the number in flight.
     pub fn stats(&self) -> StatsSnapshot {
         self.verifier.stats()
     }
