@@ -401,7 +401,13 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set under the queue lock: a worker reads the flag under it and
+        // holds it until its wait begins, so the wake-up below cannot fall
+        // between a worker's look and its wait.
+        {
+            let _queue = self.shared.queue.lock();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();

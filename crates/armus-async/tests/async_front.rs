@@ -213,3 +213,22 @@ fn scoped_attributes_manual_polls_to_its_task() {
     ctx::scoped(&task, || ph.deregister()).unwrap();
     rt.verifier().shutdown();
 }
+
+/// Dropping an executor right after its last task completed: the worker
+/// that ran it may be between its look at the shutdown flag and its wait
+/// for work, and the drop's wake-up must still reach it, or the drop joins
+/// that worker forever.
+#[test]
+fn dropping_an_executor_as_its_last_task_finishes_stops_every_worker() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..2_000 {
+            let exec = Executor::new(2);
+            exec.spawn(async {}).join().unwrap();
+            drop(exec);
+        }
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .expect("an executor's drop waited forever for a worker");
+}

@@ -21,8 +21,8 @@
 //! point-in-time copy ([`Registry::snapshot_with_cursor`]).
 //!
 //! The registry is **one map and one [`Window`] behind one lock**. A
-//! block or unblock writes its task's map entry, its wait counts and its
-//! journal entry in one lock hold. An entry's sequence number is its
+//! block or unblock writes its task's map entry, its waiter-index entries
+//! and its journal entry in one lock hold. An entry's sequence number is its
 //! window position, so the log has no gaps by construction; a read copies
 //! the entries past its cursor in one lock hold, and a resync copy reads
 //! the map and the head in one hold, so it is exactly the journal prefix
@@ -51,25 +51,27 @@
 //! state nor extend a record's life past the bound above. The copies are
 //! made after the lock is released, from the shared records.
 //!
-//! The registry additionally maintains (when
-//! [`RegistryConfig::track_waited`] is set) a per-resource waiter count
-//! and a count of **distinct currently-awaited resources**
-//! ([`Registry::distinct_waited`]). This powers the verifier's
-//! resource-cardinality fast path: a deadlock cycle over tasks that do
-//! not impede their own waits spans at least two distinct awaited
-//! resources, so an avoidance check that observes fewer than two can
-//! return "no cycle" without touching the engine lock. The counts live
-//! under the registry's lock and change in the same critical section as
-//! the entry that changes them, which is the whole ordering argument (see
-//! [`Registry::block`]).
+//! An avoidance registry ([`RegistryConfig::track_waited`]) also keeps a
+//! **waiter index**: per awaited phaser, the largest awaited phase and the
+//! number of waits on it. It answers the verifier's in-edge test
+//! (`Registry::block_with_in_edge`) in the same hold as the block's
+//! publish: does any blocked task wait on an event the new status
+//! impedes? That is the new node's in-edge in the WFG (the closing-event
+//! view of *Sound Dynamic Deadlock Prediction in Linear Time*): a block
+//! without one is a source, contributes no SG edge, and so closes no
+//! cycle. In a barrier program the task that just blocked almost never
+//! has anybody waiting behind it, so most avoidance blocks are answered
+//! here and never reach the engine. The index changes in the same
+//! critical section as the entry that changes it, which is the whole
+//! ordering argument (see `Registry::block_with_in_edge`).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::ids::{IdMap, TaskId};
+use crate::ids::{IdMap, Phase, PhaserId, TaskId};
 use crate::resource::{Registration, Resource};
 use crate::window::Window;
 
@@ -261,8 +263,9 @@ pub struct RegistryConfig {
     /// because the benchmark builds `RegistryConfig` by literal; removed
     /// with the next benchmark change.
     pub shards: usize,
-    /// Whether per-resource waiter counts (the avoidance fast path's
-    /// input) are maintained.
+    /// Whether the waiter index (the avoidance in-edge test's input) is
+    /// maintained. Off, `Registry::block_with_in_edge` always answers
+    /// "maybe an in-edge", so nothing can skip a check on it.
     pub track_waited: bool,
 }
 
@@ -276,16 +279,75 @@ impl Default for RegistryConfig {
     }
 }
 
-/// The task map, the delta journal and the wait counts that move with
+/// Per awaited phaser, what the in-edge test reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Awaited {
+    /// The largest phase awaited on the phaser. A removal never lowers
+    /// it, so after one it may over-approximate; that is sound, as it only
+    /// sends a block down the checked path.
+    last: Phase,
+    /// Waits on the phaser (multiset semantics: a status that lists a
+    /// wait twice counts it twice).
+    waiters: usize,
+}
+
+/// The avoidance registry's waiter index: one entry per awaited phaser,
+/// removed when its last waiter leaves. Keyed by phaser, whose ids recur
+/// round after round, so it stops allocating once grown.
+#[derive(Default)]
+struct WaiterIndex(IdMap<PhaserId, Awaited>);
+
+/// `verifier-mutation` plants a deliberate soundness bug in the in-edge
+/// test: a wait exactly one phase past a registration does not count, which
+/// hides the in-edge of every barrier laggard. It proves the testkit's
+/// differential oracle catches real verifier defects; it must never be
+/// enabled in production builds.
+#[cfg(not(feature = "verifier-mutation"))]
+const IN_EDGE_SLACK: Phase = 0;
+#[cfg(feature = "verifier-mutation")]
+const IN_EDGE_SLACK: Phase = 1;
+
+impl WaiterIndex {
+    fn add(&mut self, info: &BlockedInfo) {
+        for w in &info.waits {
+            let entry = self.0.entry(w.phaser).or_insert(Awaited { last: w.phase, waiters: 0 });
+            entry.last = entry.last.max(w.phase);
+            entry.waiters += 1;
+        }
+    }
+
+    fn remove(&mut self, info: &BlockedInfo) {
+        for w in &info.waits {
+            let entry =
+                self.0.get_mut(&w.phaser).expect("discounting a wait that was never counted");
+            entry.waiters -= 1;
+            if entry.waiters == 0 {
+                self.0.remove(&w.phaser);
+            }
+        }
+    }
+
+    /// Is some counted wait `(q, n)` an event `info` impedes — is there a
+    /// registration `(q, k)` of `info` with `n > k`? Once `info`'s own
+    /// waits are counted this is its in-edge, a self-impeding wait
+    /// included.
+    fn in_edge(&self, info: &BlockedInfo) -> bool {
+        info.registered.iter().any(|reg| {
+            self.0.get(&reg.phaser).is_some_and(|a| a.last > reg.local_phase + IN_EDGE_SLACK)
+        })
+    }
+}
+
+/// The task map, the delta journal and the waiter index that moves with
 /// them: everything behind [`Registry::state`], the registry's one lock.
 struct State {
     /// The blocked status of every blocked task.
     tasks: IdMap<TaskId, Arc<BlockedInfo>>,
     /// The retained entries; an entry's sequence number is its position.
     entries: Window<SharedDelta>,
-    /// Waiter count per awaited resource (multiset semantics: a status
-    /// that lists a wait twice counts it twice). Empty unless tracked.
-    waited: IdMap<Resource, usize>,
+    /// The waiter index, kept only by an avoidance registry
+    /// ([`RegistryConfig::track_waited`]).
+    awaited: Option<WaiterIndex>,
 }
 
 /// The registry of blocked tasks: the run-time materialisation of the
@@ -300,15 +362,7 @@ pub struct Registry {
     /// loaded without it. `SeqCst`: [`crate::pace::Signal`]'s park
     /// handshake pairs this load with its own.
     head: AtomicU64,
-    /// Distinct resources with at least one current waiter: the size of
-    /// [`State::waited`], stored under the lock. `SeqCst`, as the
-    /// verifier's fast path reads it (see [`Registry::block`]).
-    distinct_waited: AtomicUsize,
     next_epoch: AtomicU64,
-    /// Whether per-resource waiter counts are maintained. Only the
-    /// avoidance fast path reads them; a detection/publish-only registry
-    /// skips the bookkeeping entirely.
-    track_waited: bool,
 }
 
 impl Default for Registry {
@@ -319,17 +373,16 @@ impl Default for Registry {
 
 impl Registry {
     /// Creates an empty registry with the default journal capacity and
-    /// no distinct-awaited tracking (the avoidance verifier — the one
-    /// consumer of [`Registry::distinct_waited`] — opts in explicitly
-    /// via [`RegistryConfig::track_waited`]; everyone else should not pay
-    /// the per-wait bookkeeping).
+    /// no waiter index (the avoidance verifier — the one reader of the
+    /// in-edge test — opts in via [`RegistryConfig::track_waited`];
+    /// everyone else should not pay the per-wait bookkeeping).
     pub fn new() -> Registry {
         Registry::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
     }
 
     /// Creates an empty registry whose journal window spans `capacity`
     /// entries (tests use small capacities to exercise the resync path).
-    /// Distinct-awaited tracking is off, as in [`Registry::new`].
+    /// No waiter index is kept, as in [`Registry::new`].
     pub fn with_journal_capacity(capacity: usize) -> Registry {
         Registry::with_config(RegistryConfig {
             journal_capacity: capacity,
@@ -343,68 +396,42 @@ impl Registry {
             state: Mutex::new(State {
                 tasks: IdMap::default(),
                 entries: Window::new(cfg.journal_capacity),
-                waited: IdMap::default(),
+                awaited: cfg.track_waited.then(WaiterIndex::default),
             }),
             head: AtomicU64::new(0),
-            distinct_waited: AtomicUsize::new(0),
             next_epoch: AtomicU64::new(1),
-            track_waited: cfg.track_waited,
         }
     }
 
     /// Journals `delta` inside the caller's hold of the lock, after the
-    /// caller wrote the map: count the waits of a `Block`'s status and
-    /// discount those of the status it `replaced`, push the entry (the
+    /// caller wrote the map and the waiter index: push the entry (the
     /// oldest leaves a full window), and store the new head last.
-    fn append(&self, state: &mut State, delta: SharedDelta, replaced: Option<&BlockedInfo>) {
-        let State { entries, waited, .. } = state;
-        if self.track_waited {
-            if let SharedDelta::Block(info) = &delta {
-                info.waits.iter().for_each(|&w| *waited.entry(w).or_insert(0) += 1);
-            }
-            for w in replaced.into_iter().flat_map(|prev| &prev.waits) {
-                let c = waited.get_mut(w).expect("discounting a wait that was never counted");
-                *c -= 1;
-                if *c == 0 {
-                    waited.remove(w);
-                }
-            }
-            self.distinct_waited.store(waited.len(), Ordering::SeqCst);
-        }
-        entries.push(delta);
-        self.head.store(entries.head(), Ordering::SeqCst);
-    }
-
-    /// Distinct resources currently awaited by at least one blocked task.
-    /// A blocker's own waits are counted before `block` returns, so a
-    /// reader that blocks first and reads afterwards sees its own
-    /// contribution and every contribution journaled before it — the
-    /// guarantee the verifier's resource-cardinality fast path needs.
-    ///
-    /// When tracking is disabled ([`RegistryConfig::track_waited`]) this
-    /// returns `usize::MAX`, so a caller that consults it anyway can
-    /// never conclude "no cycle possible" from an unmaintained count.
-    pub fn distinct_waited(&self) -> usize {
-        if !self.track_waited {
-            return usize::MAX;
-        }
-        self.distinct_waited.load(Ordering::SeqCst)
+    fn append(&self, state: &mut State, delta: SharedDelta) {
+        state.entries.push(delta);
+        self.head.store(state.entries.head(), Ordering::SeqCst);
     }
 
     /// Records `info.task` as blocked, assigning a fresh epoch which is
     /// returned (and stored in the registry copy).
+    pub fn block(&self, info: BlockedInfo) -> u64 {
+        self.block_with_in_edge(info).0
+    }
+
+    /// [`Registry::block`], answering in the same hold the avoidance
+    /// verifier's in-edge test: does any blocked task, this one included,
+    /// wait on an event the new status impedes? Without a waiter index
+    /// ([`RegistryConfig::track_waited`] off) the answer is always yes, so
+    /// a caller can never skip a check on an index nobody maintains.
     ///
-    /// The map upsert, the wait counts and the journal append share one
-    /// lock hold, and that is the fast path's ordering argument: the
-    /// block's count and its entry change in one hold of the registry's
-    /// one lock. A verifier reads
-    /// [`Registry::distinct_waited`] only after its own `block` returned,
-    /// and members of a deadlock cycle never unblock, so the member whose
-    /// append is last reads a count that includes every member's waits —
-    /// at least two distinct resources for any cycle among
-    /// non-self-impeding tasks — and takes the slow path, whose journal
-    /// sync sees every member's entry.
-    pub fn block(&self, mut info: BlockedInfo) -> u64 {
+    /// The map upsert, the index update, the test and the journal append
+    /// share one hold of the registry's one lock, and that is the ordering
+    /// argument. The members of a deadlock cycle never unblock, so the
+    /// member whose block is last finds its predecessor in the cycle —
+    /// a task that waits on an event it impedes — already counted, reads
+    /// "yes" and is checked; its check's journal sync sees every member's
+    /// entry. A "no" means the new node is a source of the WFG, so its
+    /// block closes no cycle.
+    pub(crate) fn block_with_in_edge(&self, mut info: BlockedInfo) -> (u64, bool) {
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
         info.epoch = epoch;
         // The status's one heap record: the map, the journal and every
@@ -412,11 +439,18 @@ impl Registry {
         let info = Arc::new(info);
         let mut state = self.state.lock();
         let prev = state.tasks.insert(info.task, Arc::clone(&info));
-        self.append(&mut state, SharedDelta::Block(info), prev.as_deref());
+        let in_edge = state.awaited.as_mut().map_or(true, |index| {
+            if let Some(prev) = &prev {
+                index.remove(prev);
+            }
+            index.add(&info);
+            index.in_edge(&info)
+        });
+        self.append(&mut state, SharedDelta::Block(info));
         // The replaced record, perhaps its last reference, goes after
         // the lock.
         drop(state);
-        epoch
+        (epoch, in_edge)
     }
 
     /// Removes the blocked record of `task` (the task resumed, was
@@ -426,7 +460,10 @@ impl Registry {
         let mut state = self.state.lock();
         let prev = state.tasks.remove(&task);
         if let Some(prev) = &prev {
-            self.append(&mut state, SharedDelta::Unblock(task), Some(prev));
+            if let Some(index) = &mut state.awaited {
+                index.remove(prev);
+            }
+            self.append(&mut state, SharedDelta::Unblock(task));
         }
         // As in `block`, the removed record goes after the lock.
         drop(state);
@@ -744,57 +781,104 @@ mod tests {
         assert!(matches!(reg.deltas_since(cursor), JournalRead::Deltas(d, 3) if d.is_empty()));
     }
 
-    /// A registry with distinct-awaited tracking on, as the avoidance
-    /// verifier constructs it.
+    /// A registry with the waiter index on, as the avoidance verifier
+    /// constructs it.
     fn tracking_registry() -> Registry {
         Registry::with_config(RegistryConfig { track_waited: true, ..RegistryConfig::default() })
     }
 
+    /// The waiter index as sorted `(phaser, largest awaited phase,
+    /// waiters)` rows.
+    fn index(reg: &Registry) -> Vec<(u64, Phase, usize)> {
+        let state = reg.state.lock();
+        let index = state.awaited.as_ref().expect("an avoidance registry keeps the index");
+        let mut rows: Vec<_> = index.0.iter().map(|(q, a)| (q.0, a.last, a.waiters)).collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// A status awaiting `(phaser, phase)`, registered at `(phaser,
+    /// local phase)` pairs.
+    fn status(task: u64, wait: (u64, Phase), regs: &[(u64, Phase)]) -> BlockedInfo {
+        let regs = regs.iter().map(|&(q, k)| Registration::new(p(q), k)).collect();
+        BlockedInfo::new(t(task), vec![Resource::new(p(wait.0), wait.1)], regs)
+    }
+
     #[test]
-    fn distinct_waited_tracks_block_unblock_and_reblock() {
+    fn waiter_index_tracks_block_unblock_and_reblock() {
         let reg = tracking_registry();
-        assert_eq!(reg.distinct_waited(), 0);
+        assert_eq!(index(&reg), vec![]);
         reg.block(info(1)); // waits p1@1
-        reg.block(info(2)); // same resource
-        assert_eq!(reg.distinct_waited(), 1);
-        let mut moved = info(3);
-        moved.waits = vec![Resource::new(p(2), 1)];
-        reg.block(moved);
-        assert_eq!(reg.distinct_waited(), 2);
-        // Re-block t1 onto a third resource: 1's old wait survives via t2.
-        let mut reblocked = info(1);
-        reblocked.waits = vec![Resource::new(p(3), 1)];
-        reg.block(reblocked);
-        assert_eq!(reg.distinct_waited(), 3);
-        reg.unblock(t(2)); // p1@1 loses its last waiter
-        assert_eq!(reg.distinct_waited(), 2);
+        reg.block(info(2)); // the same event
+        assert_eq!(index(&reg), vec![(1, 1, 2)]);
+        reg.block(status(3, (2, 1), &[]));
+        assert_eq!(index(&reg), vec![(1, 1, 2), (2, 1, 1)]);
+        // Re-block t1 onto a third phaser: p1 keeps t2's wait.
+        reg.block(status(1, (3, 4), &[]));
+        assert_eq!(index(&reg), vec![(1, 1, 1), (2, 1, 1), (3, 4, 1)]);
+        reg.unblock(t(2)); // p1 loses its last waiter, and its entry
+        assert_eq!(index(&reg), vec![(2, 1, 1), (3, 4, 1)]);
         reg.unblock(t(1));
         reg.unblock(t(3));
-        assert_eq!(reg.distinct_waited(), 0);
+        assert_eq!(index(&reg), vec![]);
     }
 
     #[test]
     fn disabled_wait_tracking_reads_as_saturated() {
-        // Tracking is off by default: a registry that skips the
-        // per-resource bookkeeping must never let a fast-path reader
-        // conclude "fewer than two resources".
+        // Tracking is off by default: a registry that keeps no waiter
+        // index answers every in-edge test "yes", so no reader can skip a
+        // check on it — not even for a lone task nobody waits behind.
         let reg = Registry::new();
-        assert_eq!(reg.distinct_waited(), usize::MAX);
-        reg.block(info(1));
-        assert_eq!(reg.distinct_waited(), usize::MAX);
+        assert!(reg.state.lock().awaited.is_none());
+        assert!(reg.block_with_in_edge(status(1, (1, 1), &[(1, 1)])).1);
+        assert!(reg.block_with_in_edge(status(2, (2, 1), &[(2, 1)])).1);
         reg.unblock(t(1));
-        assert_eq!(reg.distinct_waited(), usize::MAX);
+        assert!(reg.block_with_in_edge(status(1, (1, 1), &[(1, 1)])).1);
     }
 
     #[test]
-    fn distinct_waited_handles_duplicate_wait_occurrences() {
+    fn waiter_index_handles_duplicate_wait_occurrences() {
         let reg = tracking_registry();
         let mut odd = info(1);
         odd.waits = vec![Resource::new(p(1), 1), Resource::new(p(1), 1)];
         reg.block(odd);
-        assert_eq!(reg.distinct_waited(), 1);
+        assert_eq!(index(&reg), vec![(1, 1, 2)]);
         reg.unblock(t(1));
-        assert_eq!(reg.distinct_waited(), 0);
+        assert_eq!(index(&reg), vec![]);
+    }
+
+    #[test]
+    fn the_in_edge_test_finds_waits_on_what_the_new_status_impedes() {
+        let reg = tracking_registry();
+        // t1 arrived at p1 (local phase 1) and awaits p1@1: nobody waits
+        // behind it.
+        assert!(!reg.block_with_in_edge(status(1, (1, 1), &[(1, 1)])).1);
+        // t2 has not arrived at p1 (local phase 0), and t1 awaits p1@1.
+        assert!(reg.block_with_in_edge(status(2, (2, 1), &[(2, 1), (1, 0)])).1);
+        // A member that arrived at both phasers impedes nothing awaited.
+        assert!(!reg.block_with_in_edge(status(3, (2, 1), &[(2, 1), (1, 1)])).1);
+        // A self-impeding wait is its own in-edge.
+        assert!(reg.block_with_in_edge(status(4, (5, 3), &[(5, 2)])).1);
+    }
+
+    #[test]
+    fn dropping_the_largest_phase_waiter_keeps_blocks_between_the_phases_checked() {
+        let reg = tracking_registry();
+        reg.block(status(1, (1, 2), &[]));
+        reg.block(status(2, (1, 5), &[]));
+        reg.unblock(t(2));
+        // p1@2 is still awaited and the largest phase stays 5: the index
+        // over-approximates and never under-approximates.
+        assert_eq!(index(&reg), vec![(1, 5, 1)]);
+        // Registered at p1@3, t3 impedes only events past the one left
+        // awaited; the index cannot tell, so the block must be checked.
+        assert!(reg.block_with_in_edge(status(3, (2, 1), &[(1, 3), (2, 1)])).1);
+        // A registration at the largest phase is never an in-edge.
+        assert!(!reg.block_with_in_edge(status(4, (3, 1), &[(1, 5), (3, 1)])).1);
+        // Once the last waiter leaves, the entry and its stale phase go.
+        reg.unblock(t(1));
+        assert_eq!(index(&reg), vec![(2, 1, 1), (3, 1, 1)]);
+        assert!(!reg.block_with_in_edge(status(5, (4, 1), &[(1, 3), (4, 1)])).1);
     }
 
     #[test]
@@ -976,10 +1060,19 @@ mod tests {
                     for delta in &stream {
                         match delta {
                             Delta::Block(info) => {
-                                let epoch = reg.block(info.clone());
+                                let (epoch, in_edge) = reg.block_with_in_edge(info.clone());
                                 let info = BlockedInfo { epoch, ..info.clone() };
                                 model.insert(info.task, info.clone());
-                                log.push(Delta::Block(info));
+                                log.push(Delta::Block(info.clone()));
+                                // Sound: only an index answers "no", and
+                                // never to a status with an in-edge.
+                                let exact = model
+                                    .values()
+                                    .flat_map(|b| &b.waits)
+                                    .any(|&w| info.impedes(w));
+                                if !in_edge {
+                                    prop_assert!(cfg.track_waited && !exact);
+                                }
                             }
                             // Only the unblock of a blocked task is journaled.
                             Delta::Unblock(task) => {
@@ -995,10 +1088,22 @@ mod tests {
                         prop_assert_eq!(reg.journal_cursor(), head);
                         let state = Snapshot::from_tasks(model.values().cloned().collect());
                         prop_assert_eq!(reg.snapshot_with_cursor(), (state, head));
-                        let awaited: std::collections::BTreeSet<Resource> =
-                            reg.snapshot().tasks.iter().flat_map(|b| b.waits.clone()).collect();
-                        let expected = if cfg.track_waited { awaited.len() } else { usize::MAX };
-                        prop_assert_eq!(reg.distinct_waited(), expected);
+                        if cfg.track_waited {
+                            // One row per awaited phaser: its waits, and a
+                            // largest phase no lower than any of them.
+                            let mut awaited: std::collections::BTreeMap<u64, (Phase, usize)> =
+                                Default::default();
+                            for w in model.values().flat_map(|b| &b.waits) {
+                                let row = awaited.entry(w.phaser.0).or_default();
+                                *row = (row.0.max(w.phase), row.1 + 1);
+                            }
+                            let rows = index(&reg);
+                            prop_assert_eq!(rows.len(), awaited.len());
+                            for (q, last, waiters) in rows {
+                                let (max, count) = awaited[&q];
+                                prop_assert!(last >= max && waiters == count);
+                            }
+                        }
                         for cursor in 0..=head + 1 {
                             let shared = reg.read_journal(cursor, &mut entries);
                             let public = reg.deltas_since(cursor);

@@ -89,8 +89,8 @@ impl StatsCollector {
         self.full_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an avoidance check answered by the resource-cardinality
-    /// fast path, without taking the engine lock.
+    /// Records an avoidance block answered by the in-edge fast path: no
+    /// blocked task waits behind it, so it takes no check.
     pub fn record_fastpath_skip(&self) {
         self.fastpath_skips.fetch_add(1, Ordering::Relaxed);
     }
@@ -200,9 +200,10 @@ pub struct StatsSnapshot {
     /// Engine reloads from a full snapshot after falling behind the
     /// bounded delta journal.
     pub resyncs: u64,
-    /// Avoidance checks answered by the resource-cardinality fast path
-    /// (fewer than two distinct awaited resources ⇒ no cycle possible)
-    /// without touching the engine lock.
+    /// Avoidance blocks answered by the in-edge fast path: no blocked
+    /// task waits on an event the new status impedes, so the block closes
+    /// no cycle and runs no check. Such a block still syncs the engine
+    /// when it finds the engine lock free.
     pub fastpath_skips: u64,
     /// Always 0. It counted avoidance checks skipped on a whole-program
     /// proof of deadlock-freedom; a proved-safe program now runs

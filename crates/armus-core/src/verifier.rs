@@ -34,15 +34,18 @@
 //! The avoidance hot path scales across cores by the fast path plus a
 //! plain lock:
 //!
-//! * **Resource-cardinality fast path.** A deadlock cycle among tasks
-//!   that do not impede their own waits spans at least two distinct
-//!   awaited resources (every member of a one-resource WFG cycle both
-//!   waits on and impedes that resource). The registry maintains an
-//!   atomic count of distinct awaited resources; a blocker that counts
-//!   fewer than two — and does not impede its own waits — returns "no
-//!   cycle possible" without ever touching the engine lock. The common
-//!   SPMD case (every task blocked on the *same* barrier event) never
-//!   serialises.
+//! * **In-edge fast path.** A block can close a cycle only if some
+//!   blocked task waits on an event the new status impedes — the new
+//!   node's in-edge in the WFG (a self-impeding wait is its own). The
+//!   registry answers that test in the same hold as the block's publish
+//!   (`Registry::block_with_in_edge`, the ordering argument is there);
+//!   a block with no in-edge is a source, so it takes no check. In a
+//!   barrier program the task that just blocked almost never has anybody
+//!   waiting behind it, so nearly every avoidance block is answered here.
+//!   A skipped block still catches the engine up if the engine lock is
+//!   free (`try_lock`), and otherwise leaves its delta to the next sync:
+//!   the block that does close a cycle then pays for its own sync, not for
+//!   the journal backlog and adjacency rebuild of every skip before it.
 //! * **One engine lock, held for one check.** Every other blocker takes
 //!   the engine lock for its own journal sync and cycle query and nothing
 //!   more; one that finds the lock held counts the wait
@@ -129,9 +132,9 @@ pub struct VerifierConfig {
     /// Journal window of the underlying registry. Small values force the
     /// engine's `Behind`/resync branch deterministically (testkit hook).
     pub journal_capacity: usize,
-    /// Whether avoidance uses the resource-cardinality fast path. Off, a
-    /// single-resource block runs a full engine check like any other —
-    /// used by the differential testkit to exercise both code paths.
+    /// Whether avoidance uses the in-edge fast path. Off, a block with no
+    /// in-edge runs a full engine check like any other — used by the
+    /// differential testkit to exercise both code paths.
     pub fastpath: bool,
 }
 
@@ -187,7 +190,7 @@ impl VerifierConfig {
         self
     }
 
-    /// Enables or disables the avoidance resource-cardinality fast path.
+    /// Enables or disables the avoidance in-edge fast path.
     pub fn with_fastpath(mut self, fastpath: bool) -> Self {
         self.fastpath = fastpath;
         self
@@ -226,8 +229,8 @@ impl Verifier {
     /// of derived from the period: the handshake stress test parks the
     /// monitor for an hour and cannot wait minutes for each verdict.
     fn with_quiet_interval(cfg: VerifierConfig, quiet: Duration) -> Arc<Verifier> {
-        // Only the avoidance fast path reads the distinct-awaited count;
-        // other modes skip that bookkeeping on every block/unblock.
+        // Only the avoidance fast path reads the waiter index; other modes
+        // skip that bookkeeping on every block/unblock.
         let track_waited = cfg.mode == VerifyMode::Avoidance && cfg.fastpath;
         let v = Arc::new(Verifier {
             cfg,
@@ -293,29 +296,15 @@ impl Verifier {
             VerifyMode::Avoidance => {
                 self.stats.record_block();
                 let info = BlockedInfo::new(task, waits, registered);
-                // A task that impedes one of its own waits can close a
-                // cycle on a single resource; everyone else needs ≥ 2
-                // distinct awaited resources to be in any cycle.
-                let self_impeding = info.waits.iter().any(|&w| info.impedes(w));
-                self.registry.block(info);
-                // Resource-cardinality fast path: the distinct-awaited
-                // read happens *after* this task's own block (which
-                // counted its waits), so the member that completes a
-                // cycle always reads ≥ 2 and takes the slow path.
-                //
-                // `verifier-mutation` is a deliberately planted soundness
-                // bug (the bound reads 3 instead of 2) used to prove the
-                // testkit's differential oracle catches real verifier
-                // defects; it must never be enabled in production builds.
-                #[cfg(not(feature = "verifier-mutation"))]
-                const CARDINALITY_BOUND: usize = 2;
-                #[cfg(feature = "verifier-mutation")]
-                const CARDINALITY_BOUND: usize = 3;
-                if self.cfg.fastpath
-                    && !self_impeding
-                    && self.registry.distinct_waited() < CARDINALITY_BOUND
-                {
+                // In-edge fast path (module docs). Without the fast path the
+                // registry keeps no index and every block reads "in-edge".
+                let (_, in_edge) = self.registry.block_with_in_edge(info);
+                if !in_edge {
                     self.stats.record_fastpath_skip();
+                    if let Some(mut engine) = self.engine.try_lock() {
+                        self.sync_engine(&mut engine);
+                        self.stats.mirror_engine(engine.counters());
+                    }
                     return Ok(());
                 }
                 // Slow path: check through the maintained graph — no
@@ -1005,31 +994,79 @@ mod tests {
         v.shutdown();
     }
 
+    /// Blocks member `i` of a chain over phasers `p(i + 1)`: it awaits
+    /// its own phaser, at which it arrived, and is one phase behind on the
+    /// next, which member `i + 1` awaits. So member `i` waits behind
+    /// member `i + 1`, and nothing closes.
+    fn block_chain_member(v: &Verifier, i: u64) {
+        let regs = vec![Registration::new(p(i + 1), 1), Registration::new(p(i + 2), 0)];
+        v.block(t(i), vec![r(i + 1, 1)], regs).expect("a chain closes no cycle");
+    }
+
     #[test]
     fn avoidance_accounts_every_block_as_check_or_fastpath_skip() {
-        // All five tasks blocked on the same barrier event: one distinct
-        // awaited resource, so every check after the first is answered by
-        // the cardinality fast path — and so is the first.
+        // All five tasks arrived at and awaiting the same barrier event:
+        // nobody waits on an event another impedes, so every block is
+        // answered by the in-edge fast path.
         let v = Verifier::new(VerifierConfig::avoidance());
         for i in 0..5 {
             v.block(t(i), vec![r(1, 1)], vec![Registration::new(p(1), 1)]).unwrap();
         }
         let s = v.stats();
         assert_eq!(s.blocks, 5);
-        assert_eq!(s.fastpath_skips, 5, "single-resource blocks never take the engine lock");
+        assert_eq!(s.fastpath_skips, 5, "blocks nobody waits behind take no check");
         assert_eq!(s.checks, 0);
-        // Spread over distinct phasers instead: only the very first block
-        // (cardinality still 1) skips; the rest run engine checks.
+        // A chain blocked from its head: every member after the first
+        // finds its successor waiting on an event it impedes, and is
+        // checked.
         let v = Verifier::new(VerifierConfig::avoidance());
-        for i in 0..5 {
-            v.block(t(i), vec![r(i + 1, 1)], vec![Registration::new(p(i + 1), 1)]).unwrap();
-        }
+        (0..5).rev().for_each(|i| block_chain_member(&v, i));
         let s = v.stats();
         assert_eq!(s.blocks, 5);
         assert_eq!(s.fastpath_skips, 1);
         assert_eq!(s.checks, 4);
         assert_eq!(s.checks + s.fastpath_skips, s.blocks, "every block is accounted");
         v.shutdown();
+    }
+
+    /// Every order of a 2-cycle and of a 3-cycle: the closing block is
+    /// checked and refused, and an earlier block is checked exactly when
+    /// the member waiting on what it impedes is already blocked — a skip
+    /// otherwise. So in a 2-cycle only the closing block is checked.
+    #[test]
+    fn only_a_block_with_a_waiter_behind_it_is_checked_in_every_order_of_a_cycle() {
+        let twos: [[u64; 2]; 2] = [[0, 1], [1, 0]];
+        let threes: [[u64; 3]; 6] =
+            [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+        for order in twos.iter().map(|o| &o[..]).chain(threes.iter().map(|o| &o[..])) {
+            let len = order.len() as u64;
+            let v = Verifier::new(VerifierConfig::avoidance());
+            for (at, &i) in order.iter().enumerate() {
+                // Member i arrived at its own phaser and is one phase
+                // behind on the next, which member i + 1 awaits.
+                let next = (i + 1) % len;
+                let regs = vec![Registration::new(p(i), 1), Registration::new(p(next), 0)];
+                let before = v.stats();
+                let verdict = v.block(t(i), vec![r(i, 1)], regs);
+                let after = v.stats();
+                let checked = after.checks - before.checks;
+                assert_eq!(checked + after.fastpath_skips - before.fastpath_skips, 1);
+                if at + 1 == order.len() {
+                    let err = verdict.expect_err("the closing block is refused");
+                    assert_eq!(err.report.tasks.len() as u64, len, "{order:?}");
+                    assert_eq!(checked, 1, "{order:?}: the closing block is checked");
+                } else {
+                    verdict.expect("an open chain is admitted");
+                    let behind = order[..at].contains(&next);
+                    assert_eq!(checked == 1, behind, "{order:?}: member {i}");
+                }
+            }
+            let s = v.stats();
+            if len == 2 {
+                assert_eq!((s.checks, s.fastpath_skips), (1, 1), "{order:?}");
+            }
+            assert_eq!(s.checks + s.fastpath_skips, s.blocks);
+        }
     }
 
     #[test]
@@ -1086,13 +1123,12 @@ mod tests {
     #[test]
     fn avoidance_checks_consume_deltas_not_snapshots() {
         let v = Verifier::new(VerifierConfig::avoidance());
-        for i in 0..5 {
-            v.block(t(i), vec![r(i + 1, 1)], vec![Registration::new(p(i + 1), 1)]).unwrap();
-        }
+        (0..5).rev().for_each(|i| block_chain_member(&v, i));
         let s = v.stats();
-        // The first block fast-paths (cardinality 1, no sync); the second
-        // check applies that backlog delta plus its own; the rest apply
-        // exactly the one delta their block journaled: 0+2+1+1+1.
+        // The first block skips the check and, finding the engine lock
+        // free, catches the engine up; each of the four checks then
+        // applies exactly the one delta its block journaled: 1+1+1+1+1.
+        assert_eq!((s.checks, s.fastpath_skips), (4, 1));
         assert_eq!(s.deltas_applied, 5);
         assert_eq!(s.resyncs, 0);
         assert_eq!(s.full_rebuilds, 0, "no deadlock, so no canonical rebuild");
@@ -1102,11 +1138,11 @@ mod tests {
     #[test]
     fn fastpath_never_skips_a_self_impeding_wait() {
         // A task waiting on an event it impedes is a self-deadlock on ONE
-        // resource — the cardinality fast path must not claim it safe.
+        // resource: its wait is its own in-edge, so it is checked.
         let v = Verifier::new(VerifierConfig::avoidance());
         let err = v
             .block(t(1), vec![r(1, 5)], vec![Registration::new(p(1), 2)])
-            .expect_err("self-wait must raise despite cardinality 1");
+            .expect_err("self-wait must raise though nobody else is blocked");
         assert_eq!(err.report.tasks, vec![t(1)]);
         let s = v.stats();
         assert_eq!(s.fastpath_skips, 0);
@@ -1116,26 +1152,30 @@ mod tests {
     #[test]
     fn fastpath_engine_backlog_is_applied_by_the_next_slow_check() {
         let v = Verifier::new(VerifierConfig::avoidance());
-        // Three fast-path blocks on one event build journal backlog...
-        for i in 1..=3 {
-            v.block(
-                t(i),
-                vec![r(1, 1)],
-                vec![Registration::new(p(1), 1), Registration::new(p(2), 0)],
-            )
-            .unwrap();
+        // Three workers nobody waits behind skip their checks; finding
+        // the engine lock held, they leave their deltas as backlog...
+        {
+            let _held = v.engine.lock();
+            for i in 1..=3 {
+                v.block(
+                    t(i),
+                    vec![r(1, 1)],
+                    vec![Registration::new(p(1), 1), Registration::new(p(2), 0)],
+                )
+                .unwrap();
+            }
         }
         assert_eq!(v.stats().fastpath_skips, 3);
-        assert_eq!(v.stats().deltas_applied, 0, "fast path never syncs");
-        // ...and the driver's slow-path check (cardinality 2) consumes
-        // the whole backlog and still catches the cycle it closes.
+        assert_eq!(v.stats().deltas_applied, 0, "a skip that finds the lock held does not sync");
+        // ...and t4, whom the workers wait behind, is checked: its
+        // sync consumes the whole backlog and it catches the cycle it closes.
         let err = v
             .block(
                 t(4),
                 vec![r(2, 1)],
                 vec![Registration::new(p(1), 0), Registration::new(p(2), 1)],
             )
-            .expect_err("the closing block reads cardinality 2 and checks");
+            .expect_err("the closing block has the workers behind it and is checked");
         assert!(err.report.tasks.contains(&t(4)));
         assert_eq!(v.stats().deltas_applied, 4, "backlog of 3 + the driver's own block");
     }
@@ -1165,8 +1205,9 @@ mod tests {
     fn concurrent_crossed_blocks_raise_for_at_least_one_loser() {
         // Two threads repeatedly publish the two halves of a crossed wait
         // (a 2-cycle). Whatever the interleaving, they must never BOTH be
-        // told "no deadlock": the member whose cardinality read is latest
-        // is guaranteed to run a slow-path check that sees both blocks.
+        // told "no deadlock": the member whose block is published last
+        // finds the other waiting behind it and runs a check that sees
+        // both blocks.
         for round in 0..64 {
             let v = Verifier::new(VerifierConfig::avoidance());
             let barrier = Arc::new(std::sync::Barrier::new(2));
@@ -1253,11 +1294,19 @@ mod tests {
 
     #[test]
     fn avoidance_never_builds_an_order_and_its_resyncs_rebuild_none() {
-        // Three fast-path blocks overrun a window of 2, so the driver's
-        // slow-path check resyncs — with an engine that only ever answers
-        // `check_task`: one adjacency build, no order, nothing to rebuild.
+        // Three skipped blocks that find the engine lock held overrun a
+        // window of 2, so t4's closing check resyncs — with an engine that
+        // only ever answers `check_task`: one adjacency build, no order,
+        // nothing to rebuild.
         let v = Verifier::new(VerifierConfig::avoidance().with_journal_capacity(2));
-        publish_example_deadlock(&v);
+        let held = v.engine.lock();
+        for i in 1..=3 {
+            let regs = vec![Registration::new(p(1), 1), Registration::new(p(2), 0)];
+            v.block(t(i), vec![r(1, 1)], regs).unwrap();
+        }
+        drop(held);
+        let regs = vec![Registration::new(p(1), 0), Registration::new(p(2), 1)];
+        v.block(t(4), vec![r(2, 1)], regs).expect_err("t4 closes the cycle");
         let s = v.stats();
         assert_eq!(s.deadlocks, 1, "the driver's block was refused");
         assert_eq!(s.resyncs, 1);

@@ -76,8 +76,9 @@ fn task(group: u64, member: u64) -> TaskId {
 /// draining. A blocked task has arrived at its group's barrier and awaits
 /// it; member 0 is also registered, one phase behind, on the next group's
 /// phaser — the halo link that chains the groups' events into real SG
-/// edges (a chain, so no block ever deadlocks) and keeps more than one
-/// resource awaited (so no block is answered by the cardinality fast path).
+/// edges (a chain, so no block ever deadlocks) and, when the next group
+/// has waiters, puts somebody behind member 0's block (so both answers of
+/// the in-edge fast path, a check and a skip, are exercised).
 fn round(round: u64) -> impl Iterator<Item = Delta> {
     let steps = (round - 1) * CYCLE..round * CYCLE;
     steps.flat_map(|step| (0..GROUPS).map(move |group| delta_at(step, group)))
@@ -181,8 +182,8 @@ fn engine_sync_and_negative_check_task_allocate_nothing() {
 #[test]
 fn an_avoidance_block_unblock_cycle_allocates_only_its_record() {
     let verifier = Verifier::new(VerifierConfig::avoidance());
-    let [blocked, unblocked, fast_pathed] = steady(|r| {
-        let skips = verifier.stats().fastpath_skips;
+    let [blocked, unblocked, checked, fast_pathed] = steady(|r| {
+        let (checks, skips) = (verifier.stats().checks, verifier.stats().fastpath_skips);
         let (mut blocked, mut unblocked) = (0, 0);
         for delta in round(r) {
             match delta {
@@ -195,9 +196,11 @@ fn an_avoidance_block_unblock_cycle_allocates_only_its_record() {
                 Delta::Unblock(task) => unblocked += allocations(|| verifier.unblock(task)).0,
             }
         }
-        [blocked, unblocked, verifier.stats().fastpath_skips - skips]
+        let s = verifier.stats();
+        [blocked, unblocked, s.checks - checks, s.fastpath_skips - skips]
     });
-    assert_eq!(fast_pathed, 0, "every block took the engine-locked path");
+    assert!(checked > 0 && fast_pathed > 0, "{checked} checks, {fast_pathed} skips");
+    assert_eq!(checked + fast_pathed, BLOCKS, "every block is a check or a skip");
     assert_eq!(blocked, BLOCKS, "Verifier::block: one shared record a block");
     assert_eq!(unblocked, 0, "Verifier::unblock");
 }

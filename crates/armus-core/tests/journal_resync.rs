@@ -214,7 +214,7 @@ fn fastpath_toggle_changes_accounting_not_verdicts() {
         let stats = v.stats();
         assert_eq!(stats.blocks, 4);
         if fastpath {
-            assert_eq!(stats.fastpath_skips, 4, "single-resource blocks all skip");
+            assert_eq!(stats.fastpath_skips, 4, "nobody waits behind an arrived member");
             assert_eq!(stats.checks, 0);
         } else {
             assert_eq!(stats.fastpath_skips, 0, "toggle off: no skips");

@@ -681,7 +681,7 @@ impl StoredServer {
     }
 
     /// Has a drain been requested (locally or via
-    /// [`Request::Shutdown`][crate::wire::Request::Shutdown])?
+    /// [`Request::Shutdown`])?
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
@@ -694,7 +694,7 @@ impl StoredServer {
     }
 
     /// Blocks until the server drains (a peer sent
-    /// [`Request::Shutdown`][crate::wire::Request::Shutdown], or
+    /// [`Request::Shutdown`], or
     /// [`StoredServer::shutdown`] ran) — the standalone binary's main
     /// loop.
     pub fn wait(mut self) {

@@ -129,7 +129,7 @@ pub struct SiteStats {
     pub blocks: u64,
     /// Unblocks on the site's local verifier.
     pub unblocks: u64,
-    /// Avoidance checks answered by the resource-cardinality fast path.
+    /// Avoidance blocks answered by the in-edge fast path.
     pub fastpath_skips: u64,
     /// Full-snapshot publishes by the site's publisher (join + recovery).
     pub publish_resyncs: u64,

@@ -2,9 +2,9 @@
 //! registered with.
 //!
 //! This is the runtime's "task observer + resource mapper" (paper §5.3):
-//! when the task is about to block, [`TaskCtx::registration_vector`]
-//! assembles — from purely local information — the registrations that
-//! finitely describe every event the task impedes.
+//! when the task is about to block, it assembles — from purely local
+//! information — the registrations that finitely describe every event the
+//! task impedes.
 
 use std::cell::RefCell;
 use std::sync::{Arc, Weak};
@@ -66,10 +66,16 @@ impl TaskCtx {
     /// omitting wait-only memberships, which impede nothing. The verifier
     /// filter keeps tasks that touch several runtimes (tests, embedded
     /// scenarios) from leaking registrations across verifiers.
+    ///
+    /// Built straight from the weak list under the context's lock, each
+    /// phase read under its phaser's state lock. The order is context,
+    /// then phaser state, and no path takes them the other way round: a
+    /// phaser releases its state lock before it calls
+    /// [`TaskCtx::add_registration`] or [`TaskCtx::remove_registration`].
     pub(crate) fn registration_vector(&self, verifier: &Arc<Verifier>) -> Vec<Registration> {
-        let cores = self.registered_cores();
-        let mut out = Vec::with_capacity(cores.len());
-        for core in cores {
+        let registered = self.registered.lock();
+        let mut out = Vec::with_capacity(registered.len());
+        for core in registered.iter().filter_map(Weak::upgrade) {
             if !Arc::ptr_eq(core.verifier(), verifier) {
                 continue;
             }

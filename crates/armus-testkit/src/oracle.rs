@@ -72,7 +72,7 @@ pub struct OracleConfig {
 }
 
 /// The configurations every scenario is checked under: avoidance with the
-/// resource-cardinality fast path on and off, and detection-style
+/// in-edge fast path on and off, and detection-style
 /// sampling with default and adversarial (tiny-journal, low
 /// parallel-threshold) tuning.
 pub fn oracle_configs() -> Vec<OracleConfig> {
@@ -449,7 +449,7 @@ fn quiesce_checks(
                 )));
             }
             // Every avoidance block is answered exactly once: by an engine
-            // check or by the cardinality fast path.
+            // check or by the in-edge fast path.
             let stats = sim.verifier().stats();
             if stats.checks + stats.fastpath_skips != stats.blocks {
                 return Err(fail(format!(

@@ -208,7 +208,7 @@ fn detection_under_churn_reports_exactly_once() {
 }
 
 /// Stress-port (c): every avoidance block is answered exactly once — by
-/// an engine check or by the cardinality fast path — across interleaved
+/// an engine check or by the in-edge fast path — across interleaved
 /// independent blockers.
 #[test]
 fn avoidance_accounts_every_block() {

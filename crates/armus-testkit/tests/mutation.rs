@@ -1,8 +1,9 @@
 //! Proof that the differential oracle catches real verifier bugs: built
 //! with `--features verifier-mutation`, armus-core carries two deliberate
-//! defects. The avoidance fast path is off by one (cardinality bound 3
-//! instead of 2), which silently admits every two-resource deadlock
-//! cycle. And the Pearce–Kelly order maintenance skips the
+//! defects. The avoidance in-edge test is off by one (a wait exactly one
+//! phase past a registration is not counted as an in-edge), which lets a
+//! closing block whose waiters are all one phase ahead of it — the
+//! crossed wait, every barrier laggard — skip its check. And the Pearce–Kelly order maintenance skips the
 //! affected-region forward search on adjacent-label violations (label gap
 //! exactly 1), committing edges that close a cycle — which makes the
 //! incremental `check_full` answer "no cycle" on exactly the crossed-wait
@@ -22,7 +23,7 @@ use armus_testkit::{
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// The canonical two-resource cycle the mutation hides.
+/// The canonical cycle the in-edge mutation hides.
 fn crossed_wait() -> armus_testkit::Scenario {
     canonical_scenarios().into_iter().find(|(n, _)| *n == "crossed-wait").unwrap().1
 }
@@ -72,9 +73,9 @@ fn lockstep_catches_the_planted_order_maintenance_bug() {
 #[test]
 fn seed_scan_finds_the_order_bug_and_shrinks_below_six_steps() {
     // Scan generated scenarios under the detection config only: every
-    // failure there is the order-maintenance bug (the cardinality
-    // mutation lives in the avoidance fast path, which publish-only
-    // blocks never run).
+    // failure there is the order-maintenance bug (the in-edge mutation
+    // lives in the avoidance fast path, which publish-only blocks never
+    // run).
     let cfg = ProgGenConfig {
         missing_adv_prob: 0.8,
         missing_dereg_prob: 0.8,
@@ -138,8 +139,8 @@ fn seed_scan_finds_the_bug_and_shrinks_it_below_ten_steps() {
     let (shrunk, failure) =
         shrink(&scenario, failure, |candidate| run_seeded(candidate, seed).err());
 
-    // The minimal shape of a two-resource cycle: two tasks, two phasers,
-    // two ops each.
+    // The minimal shape of a cycle the in-edge mutation hides: two tasks,
+    // two phasers, two ops each.
     assert!(shrunk.tasks.len() <= 3, "shrunk to {} tasks", shrunk.tasks.len());
     assert!(shrunk.total_ops() <= 6, "shrunk to {} ops", shrunk.total_ops());
 

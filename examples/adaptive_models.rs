@@ -13,9 +13,11 @@ use armus::workloads::course;
 use armus::workloads::Scale;
 
 fn run_with(model: ModelChoice, bench: &course::CourseBench) -> (f64, u64) {
+    // Every block checked, as in the paper: the in-edge fast path would
+    // leave nearly every block of these programs unchecked.
     let rt = Runtime::new(
         armus::sync::RuntimeConfig::unchecked()
-            .with_verifier(VerifierConfig::avoidance().with_model(model)),
+            .with_verifier(VerifierConfig::avoidance().with_fastpath(false).with_model(model)),
     );
     let t0 = std::time::Instant::now();
     let got = (bench.run)(&rt, Scale::Quick);

@@ -86,31 +86,32 @@ fn incremental_engine_stats_surface() {
 }
 
 /// The contention-visibility counters are part of the stats surface: the
-/// resource-cardinality fast path answers single-event blocks without the
-/// engine lock, and the single-threaded path never records lock waits.
+/// in-edge fast path answers a block nobody waits behind without a check,
+/// and the single-threaded path never records lock waits.
 #[test]
 fn contention_stats_surface() {
     use armus::core::{Registration, Resource};
     let v = Verifier::new(VerifierConfig::avoidance());
     let p = |n: u64| PhaserId(n);
-    // Everyone blocked on the same barrier event: one distinct awaited
-    // resource, every check is a fast-path skip.
+    // Everyone arrived at and blocked on the same barrier event: nobody
+    // waits behind anybody, so every block is a fast-path skip.
     for i in 1..=4u64 {
         v.block(TaskId(i), vec![Resource::new(p(1), 1)], vec![Registration::new(p(1), 1)])
             .expect("single-event blocks cannot deadlock");
     }
     let s = v.stats();
     assert_eq!(s.fastpath_skips, 4);
-    assert_eq!(s.checks, 0, "fast path never reaches the engine");
-    assert_eq!(s.deltas_applied, 0, "fast path never syncs the engine");
-    // A second distinct event forces the slow path, which consumes the
-    // fast path's journal backlog in one sync.
-    v.block(TaskId(9), vec![Resource::new(p(2), 1)], vec![Registration::new(p(2), 1)])
+    assert_eq!(s.checks, 0, "a skip runs no check");
+    assert_eq!(s.deltas_applied, 4, "a skip that finds the engine lock free syncs it");
+    // A laggard of that barrier has all four waiting behind it: it is
+    // checked, and its sync applies its own delta alone.
+    let regs = vec![Registration::new(p(1), 0), Registration::new(p(2), 1)];
+    v.block(TaskId(9), vec![Resource::new(p(2), 1)], regs)
         .expect("independent event cannot deadlock");
     let s = v.stats();
     assert_eq!(s.fastpath_skips, 4);
     assert_eq!(s.checks, 1);
-    assert_eq!(s.deltas_applied, 5, "backlog of 4 + the slow block's own delta");
+    assert_eq!(s.deltas_applied, 5, "the skips' 4 + the checked block's own delta");
     assert_eq!(s.engine_lock_waits, 0, "single-threaded: the lock is never contended");
     assert_eq!(s.combined_checks, 0);
     assert_eq!(s.checks + s.fastpath_skips, s.blocks, "every avoidance block is accounted");

@@ -146,9 +146,10 @@ fn avoidance_checks_scale_with_blocks_detection_with_time() {
     let stats = rt.stats();
     let avoidance_checks = stats.checks;
     let avoidance_blocks = stats.blocks;
-    assert!(avoidance_checks > 0);
+    assert!(avoidance_blocks > 0, "avoidance publishes every blocking operation");
     // Every published block is answered exactly once: by an engine check
-    // or by the resource-cardinality fast path.
+    // or by the in-edge fast path. A block nobody waits behind is not
+    // checked, so a run may check no block at all.
     assert_eq!(
         avoidance_checks + stats.fastpath_skips,
         avoidance_blocks,
