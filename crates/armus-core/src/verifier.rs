@@ -1071,10 +1071,9 @@ mod tests {
 
     #[test]
     fn proved_safe_hint_skips_every_avoidance_check() {
-        // The same distinct-phaser spread that forces engine checks above,
-        // but the program was statically proved safe, so it runs in the
-        // mode a proof buys: publish-only. No block is checked, on the
-        // fast path or off it.
+        // Each task blocked on a phaser of its own: the program was
+        // statically proved safe, so it runs in the mode a proof buys,
+        // publish-only, which checks no block and counts no skip either.
         let v = Verifier::new(VerifierConfig::publish_only());
         for i in 0..5 {
             v.block(t(i), vec![r(i + 1, 1)], vec![Registration::new(p(i + 1), 1)]).unwrap();

@@ -11,12 +11,26 @@
 
 use armus::core::{
     adaptive, checker, grg, sg, wfg, BlockedInfo, GraphModel, ModelChoice, PhaserId, Registration,
-    Resource, Snapshot, TaskId, VerifierConfig, DEFAULT_SG_THRESHOLD,
+    Resource, Snapshot, StatsSnapshot, TaskId, VerifierConfig, DEFAULT_SG_THRESHOLD,
 };
 use armus::prelude::*;
 use armus::workloads::course;
 use armus::workloads::Scale;
 use std::time::{Duration, Instant};
+
+/// `rt`'s counters once every published block has been answered (by a
+/// check or a fast-path skip), or after 10 s. A callee's last block can
+/// still be in its check when a program's result is in (FR's callees are
+/// never joined), and the counters are read one at a time.
+fn answered(rt: &Runtime) -> StatsSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut stats = rt.stats();
+    while stats.checks + stats.fastpath_skips != stats.blocks && Instant::now() < deadline {
+        std::thread::yield_now();
+        stats = rt.stats();
+    }
+    stats
+}
 
 fn t(n: u64) -> TaskId {
     TaskId(n)
@@ -141,18 +155,24 @@ fn avoidance_checks_scale_with_blocks_detection_with_time() {
     // operation, detection per period.
     let bench = course::all().into_iter().find(|b| b.name == "PS").unwrap();
 
+    // The paper's Armus: the fast path off, so every block is checked.
+    let rt = Runtime::new(
+        RuntimeConfig::avoidance().with_verifier(VerifierConfig::avoidance().with_fastpath(false)),
+    );
+    (bench.run)(&rt, Scale::Quick);
+    let stats = answered(&rt);
+    assert!(stats.checks > 0, "avoidance checks blocking operations");
+    assert_eq!(stats.checks, stats.blocks, "avoidance checks every published block");
+
+    // The default runtime answers every published block exactly once: by
+    // an engine check or by the in-edge fast path.
     let rt = Runtime::avoidance();
     (bench.run)(&rt, Scale::Quick);
-    let stats = rt.stats();
-    let avoidance_checks = stats.checks;
-    let avoidance_blocks = stats.blocks;
-    assert!(avoidance_blocks > 0, "avoidance publishes every blocking operation");
-    // Every published block is answered exactly once: by an engine check
-    // or by the in-edge fast path. A block nobody waits behind is not
-    // checked, so a run may check no block at all.
+    let stats = answered(&rt);
+    assert!(stats.blocks > 0, "avoidance publishes every blocking operation");
     assert_eq!(
-        avoidance_checks + stats.fastpath_skips,
-        avoidance_blocks,
+        stats.checks + stats.fastpath_skips,
+        stats.blocks,
         "avoidance answers once per published block"
     );
 
@@ -180,15 +200,7 @@ fn course_benches_auto_analyses_no_more_than_the_worse_fixed_model() {
                 ));
             let got = (bench.run)(&rt, Scale::Quick);
             assert_eq!(got, (bench.expected)(Scale::Quick));
-            // A callee's last block can still be in its check when the
-            // program's result is in (FR's callees are never joined): wait
-            // until every published block has been answered.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let mut stats = rt.stats();
-            while stats.checks != stats.blocks && Instant::now() < deadline {
-                std::thread::yield_now();
-                stats = rt.stats();
-            }
+            let stats = answered(&rt);
             assert_eq!(stats.checks, stats.blocks, "{} {model:?}: every block checked", bench.name);
             let mean =
                 if stats.checks == 0 { 0.0 } else { stats.edges_sum as f64 / stats.checks as f64 };
