@@ -63,7 +63,7 @@
 //! Reports are retained for inspection and forwarded to subscribers (the
 //! runtime layer uses a subscriber to implement deadlock *recovery*).
 //! Subscriber callbacks run on a snapshot of the subscriber list, outside
-//! the list lock, so a callback may itself subscribe, probe, or otherwise
+//! the list lock, so a callback may itself subscribe, snapshot, or otherwise
 //! re-enter the verifier without self-deadlocking.
 
 use std::sync::{Arc, Weak};
@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::adaptive::{ModelChoice, DEFAULT_SG_THRESHOLD};
-use crate::checker::{self, CheckOutcome, DeadlockReport, ReportDedup};
+use crate::checker::{CheckOutcome, DeadlockReport, ReportDedup};
 use crate::deps::{BlockedInfo, JournalRead, Registry, Snapshot};
 use crate::engine::{IncrementalEngine, SyncOutcome};
 use crate::error::DeadlockError;
@@ -399,14 +399,6 @@ impl Verifier {
         } else {
             None
         }
-    }
-
-    /// Runs a full (non-avoidance) check over the current state regardless
-    /// of mode; does not record or deliver reports. Useful for tests and
-    /// for final "post-mortem" checks.
-    pub fn probe(&self) -> Option<DeadlockReport> {
-        let snapshot = self.registry.snapshot();
-        checker::check(&snapshot, self.cfg.model, DEFAULT_SG_THRESHOLD).report
     }
 
     /// A copy of the current blocked-task snapshot (used by distributed
@@ -1070,7 +1062,7 @@ mod tests {
     }
 
     #[test]
-    fn proved_safe_hint_skips_every_avoidance_check() {
+    fn publish_only_publishes_every_block_and_checks_none() {
         // Each task blocked on a phaser of its own: the program was
         // statically proved safe, so it runs in the mode a proof buys,
         // publish-only, which checks no block and counts no skip either.
@@ -1181,7 +1173,7 @@ mod tests {
 
     #[test]
     fn subscribers_may_reenter_the_verifier() {
-        // A subscriber that probes, reads stats, and subscribes again —
+        // A subscriber that snapshots, reads stats, and subscribes again —
         // all verifier re-entries — must not self-deadlock on the
         // subscriber list lock.
         let v = Verifier::new(VerifierConfig::detection_every(Duration::from_secs(3600)));
@@ -1189,7 +1181,7 @@ mod tests {
         let fired = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let f2 = Arc::clone(&fired);
         v.subscribe(move |_| {
-            let _ = v2.probe();
+            let _ = v2.local_snapshot();
             let _ = v2.stats();
             v2.subscribe(|_| {});
             f2.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -1336,14 +1328,5 @@ mod tests {
         let info = v.blocked_info(t(1)).expect("t1 is blocked");
         assert_eq!(info.waits, vec![r(1, 1)]);
         assert!(v.blocked_info(t(2)).is_none());
-    }
-
-    #[test]
-    fn probe_reports_without_recording() {
-        let v = Verifier::new(VerifierConfig::detection_every(Duration::from_secs(3600)));
-        publish_example_deadlock(&v);
-        assert!(v.probe().is_some());
-        assert!(!v.found_deadlock(), "probe must not record");
-        v.shutdown();
     }
 }

@@ -19,8 +19,8 @@ use std::time::Duration;
 
 use armus_core::engine::IncrementalEngine;
 use armus_core::{
-    BlockedInfo, Delta, GraphModel, JournalRead, PhaserId, Registration, Registry, Resource,
-    Snapshot, TaskId, Verifier, VerifierConfig,
+    checker, BlockedInfo, Delta, GraphModel, JournalRead, PhaserId, Registration, Registry,
+    Resource, Snapshot, TaskId, Verifier, VerifierConfig, DEFAULT_SG_THRESHOLD,
 };
 
 fn t(n: u64) -> TaskId {
@@ -312,11 +312,11 @@ fn concurrent_avoidance_accounts_every_block() {
 /// on the engine lock behind the churn's, and still refuse the cycle.
 /// Every round all six threads leave one start rendezvous together and
 /// meet again at its end. The first closer then reads the round's
-/// verdicts, `probe()` and the accounting while an admitted closer is
-/// still blocked and the churn waits at the next start; only after that
-/// do the admitted closers withdraw. The assertions run after the join,
-/// since a failed one inside the rounds would strand the others at a
-/// barrier.
+/// verdicts, a full check of the verifier's snapshot and the accounting
+/// while an admitted closer is still blocked and the churn waits at the
+/// next start; only after that do the admitted closers withdraw. The
+/// assertions run after the join, since a failed one inside the rounds
+/// would strand the others at a barrier.
 #[test]
 fn contended_avoidance_refuses_the_closing_block() {
     const CHURNERS: u64 = 4;
@@ -367,7 +367,8 @@ fn contended_avoidance_refuses_the_closing_block() {
             *verdicts[0].lock().unwrap() = Some(verdict.clone());
             end.wait();
             let round: Vec<_> = verdicts.iter().map(|slot| slot.lock().unwrap().take()).collect();
-            rounds.push((round, v.probe(), v.stats()));
+            let full = checker::check(&v.local_snapshot(), v.config().model, DEFAULT_SG_THRESHOLD);
+            rounds.push((round, full.report, v.stats()));
             read.wait();
             if verdict.is_ok() {
                 v.unblock(closers[0].0);

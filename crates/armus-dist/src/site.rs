@@ -471,13 +471,6 @@ impl Site {
         &self.runtime
     }
 
-    /// This site's local verifier counters (blocks, fast-path skips,
-    /// `async_waits`/`waker_wakes`, …) — the front-end-side observability
-    /// twin of [`Site::checker_stats`].
-    pub fn verifier_stats(&self) -> armus_core::StatsSnapshot {
-        self.runtime.verifier().stats()
-    }
-
     /// The distinct deadlocks this site's checker has reported, newest
     /// last: the newest [`REPORT_CAPACITY`] (older ones are counted by
     /// [`Site::reports_dropped`]).

@@ -140,11 +140,6 @@ impl StaticVerdict {
     pub fn is_proved_safe(&self) -> bool {
         matches!(self, StaticVerdict::ProvedSafe)
     }
-
-    /// Is this `DefiniteDeadlock`?
-    pub fn is_definite_deadlock(&self) -> bool {
-        matches!(self, StaticVerdict::DefiniteDeadlock { .. })
-    }
 }
 
 /// Analyses a whole program (as run by [`State::initial`]).

@@ -182,25 +182,21 @@ pub enum Outcome {
     Budget,
 }
 
+/// Probability (numerator / 100) that [`RandomScheduler`] prefers
+/// [`Rule::LoopExit`] over [`Rule::LoopUnfold`] when both are offered for
+/// the same loop.
+const EXIT_BIAS: u32 = 40;
+
 /// A random scheduler: repeatedly picks one enabled transition uniformly,
 /// with loop-exit bias to keep runs finite-ish.
 pub struct RandomScheduler {
     rng: SmallRng,
-    /// Probability (numerator / 100) of preferring [`Rule::LoopExit`] over
-    /// [`Rule::LoopUnfold`] when both are offered for the same loop.
-    exit_bias: u32,
 }
 
 impl RandomScheduler {
     /// A scheduler from a seed (deterministic).
     pub fn new(seed: u64) -> RandomScheduler {
-        RandomScheduler { rng: SmallRng::seed_from_u64(seed), exit_bias: 40 }
-    }
-
-    /// Sets the loop-exit bias percentage (0..=100).
-    pub fn with_exit_bias(mut self, pct: u32) -> RandomScheduler {
-        self.exit_bias = pct.min(100);
-        self
+        RandomScheduler { rng: SmallRng::seed_from_u64(seed) }
     }
 
     /// Picks one transition among the enabled ones, or `None` when stuck.
@@ -211,7 +207,7 @@ impl RandomScheduler {
         let choice = options.choose(&mut self.rng)?.clone();
         // Loop bias: when a loop was chosen, re-decide unfold vs exit.
         if matches!(choice.rule, Rule::LoopUnfold | Rule::LoopExit) {
-            let exit = self.rng.gen_range(0..100u32) < self.exit_bias;
+            let exit = self.rng.gen_range(0..100u32) < EXIT_BIAS;
             let rule = if exit { Rule::LoopExit } else { Rule::LoopUnfold };
             return Some(Transition { task: choice.task, rule });
         }

@@ -80,9 +80,4 @@ impl CyclicBarrier {
     pub fn wait(&self) -> Result<Phase, SyncError> {
         self.phaser.arrive_and_await()
     }
-
-    /// Number of currently registered parties.
-    pub fn registered_parties(&self) -> usize {
-        self.phaser.member_count()
-    }
 }

@@ -63,9 +63,4 @@ impl Clock {
     pub fn local_phase(&self) -> Option<Phase> {
         self.phaser.local_phase()
     }
-
-    /// Number of registered tasks.
-    pub fn registered_count(&self) -> usize {
-        self.phaser.member_count()
-    }
 }

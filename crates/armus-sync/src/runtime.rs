@@ -165,11 +165,6 @@ impl Runtime {
         self.verifier.shutdown();
     }
 
-    /// The current task's id (creating a context for foreign threads).
-    pub fn current_task() -> TaskId {
-        ctx::current().id()
-    }
-
     /// Spawns an unregistered task.
     pub fn spawn<T, F>(self: &Arc<Self>, f: F) -> TaskHandle<T>
     where

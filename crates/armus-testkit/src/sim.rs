@@ -418,7 +418,13 @@ mod tests {
         // Both tasks published their blocked status; the canonical checker
         // over the registry sees the cycle.
         assert_eq!(sim.verifier().local_snapshot().len(), 2);
-        assert!(sim.verifier().probe().is_some());
+        let v = sim.verifier();
+        let full = armus_core::checker::check(
+            &v.local_snapshot(),
+            v.config().model,
+            armus_core::DEFAULT_SG_THRESHOLD,
+        );
+        assert!(full.report.is_some());
     }
 
     #[test]

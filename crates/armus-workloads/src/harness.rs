@@ -3,7 +3,7 @@
 //! (warm-up), report the mean of the rest with a 95% confidence interval
 //! using the standard normal z-statistic.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -61,11 +61,6 @@ impl Measurement {
             return 0.0;
         }
         1.96 * self.std_dev() / (n as f64).sqrt()
-    }
-
-    /// Mean as a `Duration`.
-    pub fn mean_duration(&self) -> Duration {
-        Duration::from_secs_f64(self.mean())
     }
 
     /// Do the 95% intervals of `self` and `other` overlap? When they do,

@@ -3,12 +3,12 @@
 //! The build environment has no access to a crate registry, so the
 //! workspace vendors the interface its property tests rely on: the
 //! [`Strategy`](strategy::Strategy) trait with `prop_map` /
-//! `prop_recursive`, [`Just`](strategy::Just), tuple and integer-range
-//! strategies, [`collection::vec`], [`any`](arbitrary::any), and the
-//! `proptest!` / `prop_assert!` / `prop_assert_eq!` / `prop_oneof!`
-//! macros. Failing inputs are reported but **not shrunk** — a failure
-//! prints the case number and seeds are deterministic per test name, so
-//! failures reproduce exactly.
+//! `prop_flat_map` / `prop_recursive`, [`Just`](strategy::Just), tuple
+//! and integer-range strategies, [`collection::vec`],
+//! [`any`](arbitrary::any), and the `proptest!` / `prop_assert!` /
+//! `prop_assert_eq!` / `prop_oneof!` macros. Failing inputs are reported
+//! but **not shrunk** — a failure prints the case number and seeds are
+//! deterministic per test name, so failures reproduce exactly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +20,6 @@ pub mod test_runner {
     use std::fmt;
 
     /// Per-`proptest!` block configuration.
-    #[derive(Clone, Debug)]
     pub struct ProptestConfig {
         /// Number of generated cases per test.
         pub cases: u32,
@@ -33,15 +32,9 @@ pub mod test_runner {
         }
     }
 
-    impl Default for ProptestConfig {
-        fn default() -> ProptestConfig {
-            ProptestConfig { cases: 256 }
-        }
-    }
-
     /// A test-case failure: the body returned `Err` or an assertion macro
-    /// fired. (No distinction between fail/reject in this subset.)
-    #[derive(Clone, Debug)]
+    /// fired.
+    #[derive(Debug)]
     pub struct TestCaseError {
         message: String,
     }
@@ -51,12 +44,6 @@ pub mod test_runner {
         pub fn fail(reason: impl Into<String>) -> TestCaseError {
             TestCaseError { message: reason.into() }
         }
-
-        /// Alias of [`TestCaseError::fail`] (the published crate separates
-        /// rejection from failure; this subset does not filter inputs).
-        pub fn reject(reason: impl Into<String>) -> TestCaseError {
-            TestCaseError::fail(reason)
-        }
     }
 
     impl fmt::Display for TestCaseError {
@@ -64,8 +51,6 @@ pub mod test_runner {
             f.write_str(&self.message)
         }
     }
-
-    impl std::error::Error for TestCaseError {}
 
     /// Deterministic RNG handed to strategies (one per test function,
     /// seeded from the test name, streaming across cases).
@@ -182,7 +167,7 @@ pub mod strategy {
     }
 
     /// Strategy that always yields a clone of its value.
-    #[derive(Clone, Debug)]
+    #[derive(Clone)]
     pub struct Just<T: Clone>(pub T);
 
     impl<T: Clone> Strategy for Just<T> {
@@ -281,7 +266,7 @@ pub mod strategy {
         )*};
     }
 
-    impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    impl_range_strategy!(u32, u64, usize);
 
     macro_rules! impl_tuple_strategy {
         ($(($($s:ident . $idx:tt),+))*) => {$(
@@ -295,7 +280,6 @@ pub mod strategy {
     }
 
     impl_tuple_strategy! {
-        (A.0)
         (A.0, B.1)
         (A.0, B.1, C.2)
         (A.0, B.1, C.2, D.3)
@@ -329,12 +313,6 @@ pub mod collection {
         fn from(r: RangeInclusive<usize>) -> SizeRange {
             assert!(r.start() <= r.end(), "empty vec length range");
             SizeRange { min: *r.start(), max: *r.end() }
-        }
-    }
-
-    impl From<usize> for SizeRange {
-        fn from(n: usize) -> SizeRange {
-            SizeRange { min: n, max: n }
         }
     }
 
@@ -383,7 +361,7 @@ pub mod arbitrary {
         )*};
     }
 
-    impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    impl_arbitrary_int!(u8, u32, u64);
 
     impl Arbitrary for bool {
         fn arbitrary(rng: &mut TestRng) -> bool {
@@ -413,8 +391,9 @@ pub mod arbitrary {
     }
 }
 
-/// Defines property tests: each `fn name(pat in strategy, …) { body }`
-/// item expands to a `#[test]`-attributed function running the body over
+/// Defines property tests: after a `#![proptest_config(config)]` header,
+/// each `fn name(pat in strategy, …) { body }` item expands to a
+/// `#[test]`-attributed function running the body over `config.cases`
 /// generated inputs. Failures panic with the case number; inputs are not
 /// shrunk.
 #[macro_export]
@@ -445,13 +424,6 @@ macro_rules! proptest {
                 }
             }
         )*
-    };
-    ($($(#[$meta:meta])*
-       fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
-        $crate::proptest! {
-            #![proptest_config($crate::test_runner::ProptestConfig::default())]
-            $($(#[$meta])* fn $name($($pat in $strat),+) $body)*
-        }
     };
 }
 
@@ -504,8 +476,8 @@ macro_rules! prop_oneof {
 
 /// The usual glob import: strategies, macros, config and failure types.
 pub mod prelude {
-    pub use crate::arbitrary::{any, Arbitrary};
-    pub use crate::strategy::{BoxedStrategy, Just, Strategy, Union};
+    pub use crate::arbitrary::any;
+    pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
     pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }

@@ -4,10 +4,10 @@
 //! workspace vendors the interface the Armus sources rely on: the
 //! [`Rng`]/[`RngCore`]/[`SeedableRng`] traits, [`rngs::SmallRng`] (here a
 //! xoshiro256** generator seeded through SplitMix64), uniform range
-//! sampling, and [`seq::SliceRandom`]. Distributions are uniform and the
-//! streams are deterministic per seed, which is all the generators and
-//! property tests require; no claim of statistical equivalence with the
-//! published crate is made.
+//! sampling, and [`seq::SliceRandom::choose`]. Distributions are uniform
+//! and the streams are deterministic per seed, which is all the generators
+//! and property tests require; no claim of statistical equivalence with
+//! the published crate is made.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,11 +18,6 @@ use std::ops::{Range, RangeInclusive};
 pub trait RngCore {
     /// Returns the next 64 random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns the next 32 random bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Types that describe a range values can be uniformly sampled from.
@@ -53,7 +48,7 @@ macro_rules! impl_sample_range {
     )*};
 }
 
-impl_sample_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_sample_range!(u32, u64, usize);
 
 /// The user-facing generator interface (uniform sampling helpers).
 pub trait Rng: RngCore {
@@ -88,7 +83,6 @@ pub mod rngs {
     /// recommend. Matches the published `SmallRng`'s contract — speed and
     /// statistical quality without reproducibility guarantees across
     /// versions — not its exact stream.
-    #[derive(Clone, Debug)]
     pub struct SmallRng {
         s: [u64; 4],
     }
@@ -122,26 +116,19 @@ pub mod rngs {
             result
         }
     }
-
-    /// Alias: the sources only need determinism, not the published
-    /// ChaCha-based stream.
-    pub type StdRng = SmallRng;
 }
 
 /// Sequence-related helpers.
 pub mod seq {
     use super::RngCore;
 
-    /// Random selection and shuffling over slices.
+    /// Random selection over slices.
     pub trait SliceRandom {
         /// Element type.
         type Item;
 
         /// Uniformly random element, `None` on an empty slice.
         fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
-
-        /// Fisher–Yates shuffle in place.
-        fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
     }
 
     impl<T> SliceRandom for [T] {
@@ -154,26 +141,14 @@ pub mod seq {
                 Some(&self[(rng.next_u64() % self.len() as u64) as usize])
             }
         }
-
-        fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
-            for i in (1..self.len()).rev() {
-                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                self.swap(i, j);
-            }
-        }
     }
-}
-
-/// One-line import of the common traits, mirroring `rand::prelude`.
-pub mod prelude {
-    pub use crate::rngs::SmallRng;
-    pub use crate::seq::SliceRandom;
-    pub use crate::{Rng, RngCore, SeedableRng};
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
+    use super::rngs::SmallRng;
+    use super::seq::SliceRandom;
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -194,8 +169,6 @@ mod tests {
             assert!((3..17).contains(&v));
             let w: u64 = rng.gen_range(0..=5);
             assert!(w <= 5);
-            let x: i32 = rng.gen_range(-5..5);
-            assert!((-5..5).contains(&x));
         }
     }
 
@@ -209,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_shuffle_cover_the_slice() {
+    fn choose_covers_the_slice() {
         let mut rng = SmallRng::seed_from_u64(11);
         let items = [1, 2, 3, 4];
         let mut seen = std::collections::HashSet::new();
@@ -217,12 +190,6 @@ mod tests {
             seen.insert(*items.choose(&mut rng).unwrap());
         }
         assert_eq!(seen.len(), 4);
-        let mut v: Vec<u32> = (0..50).collect();
-        v.shuffle(&mut rng);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "50 elements almost surely move");
     }
 
     #[test]

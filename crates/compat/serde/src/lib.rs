@@ -7,12 +7,11 @@
 //! owned [`Value`] tree (the shape `serde_json` needs), which keeps the
 //! hand-written derive in `serde_derive` small. Externally it behaves like
 //! serde with JSON: structs become maps, newtype structs are transparent,
-//! unit enum variants become strings.
+//! unit enum variants become strings and newtype variants one-entry maps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -48,7 +47,7 @@ impl Value {
     }
 
     /// A short name of the variant, for error messages.
-    pub fn kind(&self) -> &'static str {
+    fn kind(&self) -> &'static str {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "bool",
@@ -62,7 +61,7 @@ impl Value {
 }
 
 /// Error produced when a [`Value`] does not match the requested type.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct DeError {
     message: String,
 }
@@ -84,8 +83,6 @@ impl fmt::Display for DeError {
         f.write_str(&self.message)
     }
 }
-
-impl std::error::Error for DeError {}
 
 /// Types that can be converted into a [`Value`] tree.
 pub trait Serialize {
@@ -123,32 +120,7 @@ macro_rules! impl_serde_uint {
     )*};
 }
 
-macro_rules! impl_serde_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 { Value::UInt(v as u64) } else { Value::Int(v) }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let raw: i64 = match value {
-                    Value::Int(n) => *n,
-                    Value::UInt(n) => i64::try_from(*n)
-                        .map_err(|_| DeError::new(format!("{n} out of range for i64")))?,
-                    other => return Err(DeError::mismatch("integer", other)),
-                };
-                <$t>::try_from(raw).map_err(|_| {
-                    DeError::new(format!("{raw} out of range for {}", stringify!($t)))
-                })
-            }
-        }
-    )*};
-}
-
-impl_serde_uint!(u8, u16, u32, u64, usize);
-impl_serde_int!(i8, i16, i32, i64, isize);
+impl_serde_uint!(u64, usize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -164,18 +136,6 @@ impl Deserialize for f64 {
             Value::Int(n) => Ok(*n as f64),
             other => Err(DeError::mismatch("number", other)),
         }
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        f64::from_value(value).map(|x| x as f32)
     }
 }
 
@@ -200,27 +160,6 @@ impl Serialize for String {
     }
 }
 
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::mismatch("string", other)),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
@@ -236,76 +175,20 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+        Value::Seq(vec![self.0.to_value(), self.1.to_value()])
     }
 }
 
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            None => Value::Null,
-            Some(v) => v.to_value(),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-macro_rules! impl_serde_tuple {
-    ($(($($t:ident . $idx:tt),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
+            Value::Seq(items) if items.len() == 2 => {
+                Ok((A::from_value(&items[0])?, B::from_value(&items[1])?))
             }
+            other => Err(DeError::mismatch("tuple sequence", other)),
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                const LEN: usize = 0 $(+ { let _ = stringify!($t); 1 })+;
-                match value {
-                    Value::Seq(items) if items.len() == LEN => {
-                        Ok(($($t::from_value(&items[$idx])?,)+))
-                    }
-                    other => Err(DeError::mismatch("tuple sequence", other)),
-                }
-            }
-        }
-    )*};
-}
-
-impl_serde_tuple! {
-    (A.0)
-    (A.0, B.1)
-    (A.0, B.1, C.2)
-    (A.0, B.1, C.2, D.3)
-}
-
-impl<K: fmt::Display, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(self.iter().map(|(k, v)| (k.to_string(), v.to_value())).collect())
-    }
-}
-
-impl<K: fmt::Display, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> =
-            self.iter().map(|(k, v)| (k.to_string(), v.to_value())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0)); // deterministic output
-        Value::Map(entries)
     }
 }
 
@@ -328,19 +211,16 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i32::from_value(&(-7i32).to_value()).unwrap(), -7);
         assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
         assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(String::from_value(&"hi".to_string().to_value()).unwrap(), "hi");
         assert_eq!(Vec::<u64>::from_value(&vec![1u64, 2, 3].to_value()).unwrap(), vec![1, 2, 3]);
-        assert_eq!(Option::<u64>::from_value(&Value::Null).unwrap(), None);
     }
 
     #[test]
     fn mismatches_are_reported() {
         assert!(u64::from_value(&Value::Str("x".into())).is_err());
         assert!(bool::from_value(&Value::UInt(1)).is_err());
-        assert!(u8::from_value(&Value::UInt(300)).is_err());
+        assert!(u64::from_value(&Value::Int(-1)).is_err());
     }
 
     #[test]

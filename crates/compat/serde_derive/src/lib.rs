@@ -3,9 +3,9 @@
 //! The build environment has no registry access, so `syn`/`quote` are not
 //! available; the input item is parsed by hand from the raw
 //! [`TokenStream`]. Supported shapes — the ones the Armus sources use —
-//! are non-generic structs (named, tuple, unit) and enums (unit, tuple and
-//! struct variants). Generic items produce a `compile_error!` naming the
-//! limitation rather than silently wrong code.
+//! are non-generic structs with named fields, newtype structs, and enums
+//! whose variants are units or newtypes. Any other item produces a
+//! `compile_error!` naming the limitation rather than silently wrong code.
 
 #![forbid(unsafe_code)]
 
@@ -28,15 +28,13 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 enum Shape {
     NamedStruct(Vec<String>),
-    TupleStruct(usize),
-    UnitStruct,
+    Newtype,
     Enum(Vec<(String, VariantShape)>),
 }
 
 enum VariantShape {
     Unit,
-    Tuple(usize),
-    Named(Vec<String>),
+    Newtype,
 }
 
 fn expand(input: TokenStream, gen: fn(&str, &Shape) -> String) -> TokenStream {
@@ -78,10 +76,12 @@ fn parse_item(input: TokenStream) -> Result<(String, Shape), String> {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 Ok((name, Shape::NamedStruct(parse_named_fields(g.stream())?)))
             }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Ok((name, Shape::TupleStruct(count_tuple_fields(g.stream()))))
+            Some(TokenTree::Group(g))
+                if g.delimiter() == Delimiter::Parenthesis
+                    && count_tuple_fields(g.stream()) == 1 =>
+            {
+                Ok((name, Shape::Newtype))
             }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Ok((name, Shape::UnitStruct)),
             other => Err(format!("serde_derive: unsupported struct body {other:?}")),
         },
         "enum" => match tokens.get(i) {
@@ -185,13 +185,15 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<(String, VariantShape)>, St
         };
         i += 1;
         let shape = match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
+            Some(TokenTree::Group(g))
+                if g.delimiter() == Delimiter::Parenthesis
+                    && count_tuple_fields(g.stream()) == 1 =>
+            {
                 i += 1;
-                VariantShape::Tuple(count_tuple_fields(g.stream()))
+                VariantShape::Newtype
             }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                i += 1;
-                VariantShape::Named(parse_named_fields(g.stream())?)
+            Some(TokenTree::Group(g)) => {
+                return Err(format!("serde_derive: variant `{name}` has an unsupported body {g}"));
             }
             _ => VariantShape::Unit,
         };
@@ -221,13 +223,7 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
                 .collect();
             format!("::serde::Value::Map(::std::vec![{}])", entries.join(", "))
         }
-        Shape::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::TupleStruct(n) => {
-            let items: Vec<String> =
-                (0..*n).map(|i| format!("::serde::Serialize::to_value(&self.{i})")).collect();
-            format!("::serde::Value::Seq(::std::vec![{}])", items.join(", "))
-        }
-        Shape::UnitStruct => "::serde::Value::Null".to_string(),
+        Shape::Newtype => "::serde::Serialize::to_value(&self.0)".to_string(),
         Shape::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
@@ -236,43 +232,11 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
                         "{name}::{v} => \
                          ::serde::Value::Str(::std::string::String::from({v:?}))"
                     ),
-                    VariantShape::Tuple(1) => format!(
+                    VariantShape::Newtype => format!(
                         "{name}::{v}(__f0) => ::serde::Value::Map(::std::vec![\
                          (::std::string::String::from({v:?}), \
                           ::serde::Serialize::to_value(__f0))])"
                     ),
-                    VariantShape::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        format!(
-                            "{name}::{v}({}) => ::serde::Value::Map(::std::vec![\
-                             (::std::string::String::from({v:?}), \
-                              ::serde::Value::Seq(::std::vec![{}]))])",
-                            binds.join(", "),
-                            items.join(", ")
-                        )
-                    }
-                    VariantShape::Named(fields) => {
-                        let entries: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(::std::string::String::from({f:?}), \
-                                     ::serde::Serialize::to_value({f}))"
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{name}::{v} {{ {} }} => ::serde::Value::Map(::std::vec![\
-                             (::std::string::String::from({v:?}), \
-                              ::serde::Value::Map(::std::vec![{}]))])",
-                            fields.join(", "),
-                            entries.join(", ")
-                        )
-                    }
                 })
                 .collect();
             format!("match self {{ {} }}", arms.join(", "))
@@ -305,24 +269,8 @@ fn gen_deserialize(name: &str, shape: &Shape) -> String {
                 inits.join(", ")
             )
         }
-        Shape::TupleStruct(1) => {
+        Shape::Newtype => {
             format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__value)?))")
-        }
-        Shape::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                .collect();
-            format!(
-                "match __value {{ \
-                 ::serde::Value::Seq(__items) if __items.len() == {n} => \
-                 ::std::result::Result::Ok({name}({})), \
-                 __other => ::std::result::Result::Err(\
-                 ::serde::DeError::mismatch(\"{n}-tuple for {name}\", __other)) }}",
-                items.join(", ")
-            )
-        }
-        Shape::UnitStruct => {
-            format!("{{ let _ = __value; ::std::result::Result::Ok({name}) }}")
         }
         Shape::Enum(variants) => {
             let unit_arms: Vec<String> = variants
@@ -334,39 +282,10 @@ fn gen_deserialize(name: &str, shape: &Shape) -> String {
                 .iter()
                 .filter_map(|(v, vs)| match vs {
                     VariantShape::Unit => None,
-                    VariantShape::Tuple(1) => Some(format!(
+                    VariantShape::Newtype => Some(format!(
                         "{v:?} => ::std::result::Result::Ok(\
                          {name}::{v}(::serde::Deserialize::from_value(__inner)?)),"
                     )),
-                    VariantShape::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                            .collect();
-                        Some(format!(
-                            "{v:?} => match __inner {{ \
-                             ::serde::Value::Seq(__items) if __items.len() == {n} => \
-                             ::std::result::Result::Ok({name}::{v}({})), \
-                             __other => ::std::result::Result::Err(\
-                             ::serde::DeError::mismatch(\"{n}-tuple\", __other)) }},",
-                            items.join(", ")
-                        ))
-                    }
-                    VariantShape::Named(fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(__inner.get({f:?})\
-                                     .ok_or_else(|| ::serde::DeError::new(\
-                                     concat!(\"missing field `\", {f:?}, \"`\")))?)?"
-                                )
-                            })
-                            .collect();
-                        Some(format!(
-                            "{v:?} => ::std::result::Result::Ok({name}::{v} {{ {} }}),",
-                            inits.join(", ")
-                        ))
-                    }
                 })
                 .collect();
             format!(

@@ -12,10 +12,10 @@
 
 use std::fmt;
 
-pub use serde::Value;
+use serde::Value;
 
 /// Error from [`from_str`] (a message with byte offset) or from emitters.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Error {
     message: String,
 }
@@ -31,8 +31,6 @@ impl fmt::Display for Error {
         f.write_str(&self.message)
     }
 }
-
-impl std::error::Error for Error {}
 
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String, Error> {
