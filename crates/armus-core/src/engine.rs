@@ -13,7 +13,10 @@
 //!   registration / waiter lists. [`IncrementalEngine::sync`] pulls the
 //!   journal suffix since the engine's cursor and applies each delta to
 //!   them in `O(own registrations + waits)`; a cursor that fell behind the
-//!   bounded journal triggers a snapshot resync.
+//!   bounded journal triggers a snapshot resync. An avoidance verifier
+//!   syncs only when it checks, so the blocks the fast path skips are
+//!   applied by the next check, in one sync, or reloaded by it once they
+//!   have outgrown the journal window.
 //! * **Live only while a query uses it** — four derived structures: the
 //!   refcounted SG adjacency, the refcounted WFG adjacency, and one
 //!   Pearce–Kelly topological order ([`crate::graph::TopoOrder`]) per

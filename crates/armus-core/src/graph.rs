@@ -17,7 +17,6 @@
 //! cycle *existence* is answered in `O(affected region)` per update
 //! instead of `O(V + E)` per check.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::ids::{IdMap, IdSet};
@@ -28,9 +27,9 @@ use crate::ids::{IdMap, IdSet};
 #[derive(Clone, Debug)]
 pub struct DiGraph<N> {
     nodes: Vec<N>,
-    index: HashMap<N, u32>,
+    index: IdMap<N, u32>,
     adj: Vec<Vec<u32>>,
-    edge_set: std::collections::HashSet<(u32, u32)>,
+    edge_set: IdSet<(u32, u32)>,
     edges: usize,
 }
 
@@ -45,9 +44,9 @@ impl<N: Copy + Eq + Hash> DiGraph<N> {
     pub fn new() -> DiGraph<N> {
         DiGraph {
             nodes: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             adj: Vec::new(),
-            edge_set: std::collections::HashSet::new(),
+            edge_set: IdSet::default(),
             edges: 0,
         }
     }
@@ -56,9 +55,9 @@ impl<N: Copy + Eq + Hash> DiGraph<N> {
     pub fn with_capacity(nodes: usize) -> DiGraph<N> {
         DiGraph {
             nodes: Vec::with_capacity(nodes),
-            index: HashMap::with_capacity(nodes),
+            index: IdMap::with_capacity_and_hasher(nodes, Default::default()),
             adj: Vec::with_capacity(nodes),
-            edge_set: std::collections::HashSet::new(),
+            edge_set: IdSet::default(),
             edges: 0,
         }
     }

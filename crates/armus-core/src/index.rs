@@ -4,10 +4,8 @@
 //! updated per delta; this index is the one-shot equivalent used by the
 //! from-scratch oracle builds and the canonical report path.)
 
-use std::collections::{HashMap, HashSet};
-
 use crate::deps::Snapshot;
-use crate::ids::{Phase, PhaserId, TaskId};
+use crate::ids::{IdMap, IdSet, Phase, PhaserId, TaskId};
 use crate::resource::Resource;
 
 /// Index over a snapshot:
@@ -17,9 +15,9 @@ use crate::resource::Resource;
 ///   by phase — the range of `W` (and the vertex set of the SG).
 pub struct SnapshotIndex {
     /// Per phaser, the (blocked task, local phase) registrations.
-    pub regs_by_phaser: HashMap<PhaserId, Vec<(TaskId, Phase)>>,
+    pub regs_by_phaser: IdMap<PhaserId, Vec<(TaskId, Phase)>>,
     /// Per phaser, the awaited events on it, sorted by phase.
-    pub waits_by_phaser: HashMap<PhaserId, Vec<Resource>>,
+    pub waits_by_phaser: IdMap<PhaserId, Vec<Resource>>,
     /// All distinct awaited events (SG vertex set), in first-seen order.
     pub wait_resources: Vec<Resource>,
 }
@@ -27,10 +25,10 @@ pub struct SnapshotIndex {
 impl SnapshotIndex {
     /// Builds the index in `O(Σ |waits| + Σ |registered|)` plus sorting.
     pub fn new(snapshot: &Snapshot) -> SnapshotIndex {
-        let mut regs_by_phaser: HashMap<PhaserId, Vec<(TaskId, Phase)>> = HashMap::new();
-        let mut waits_by_phaser: HashMap<PhaserId, Vec<Resource>> = HashMap::new();
+        let mut regs_by_phaser: IdMap<PhaserId, Vec<(TaskId, Phase)>> = IdMap::default();
+        let mut waits_by_phaser: IdMap<PhaserId, Vec<Resource>> = IdMap::default();
         let mut wait_resources = Vec::new();
-        let mut seen: HashSet<Resource> = HashSet::new();
+        let mut seen: IdSet<Resource> = IdSet::default();
 
         for info in &snapshot.tasks {
             for reg in &info.registered {

@@ -190,6 +190,9 @@ pub struct StatsSnapshot {
     /// Unblocks.
     pub unblocks: u64,
     /// Journal deltas applied to the incremental engine's maintained graph.
+    /// Only checks sync the engine, so an avoidance block the fast path
+    /// skips adds its delta here when the next check applies it (or none,
+    /// if that check reloads the engine from the registry instead).
     pub deltas_applied: u64,
     /// Canonical checks run on a hit (maintained-graph hits confirmed into
     /// canonical reports) — the counterpart of `deltas_applied`. An
@@ -202,8 +205,8 @@ pub struct StatsSnapshot {
     pub resyncs: u64,
     /// Avoidance blocks answered by the in-edge fast path: no blocked
     /// task waits on an event the new status impedes, so the block closes
-    /// no cycle and runs no check. Such a block still syncs the engine
-    /// when it finds the engine lock free.
+    /// no cycle and runs no check. Such a block leaves the engine alone:
+    /// the next check applies its delta.
     pub fastpath_skips: u64,
     /// Always 0. It counted avoidance checks skipped on a whole-program
     /// proof of deadlock-freedom; a proved-safe program now runs

@@ -42,10 +42,11 @@
 //!   a block with no in-edge is a source, so it takes no check. In a
 //!   barrier program the task that just blocked almost never has anybody
 //!   waiting behind it, so nearly every avoidance block is answered here.
-//!   A skipped block still catches the engine up if the engine lock is
-//!   free (`try_lock`), and otherwise leaves its delta to the next sync:
-//!   the block that does close a cycle then pays for its own sync, not for
-//!   the journal backlog and adjacency rebuild of every skip before it.
+//!   A skipped block is that one registry hold and nothing else: it leaves
+//!   the engine alone, and only a check brings the engine up to date. The
+//!   check's sync runs to the journal head, its own block included, so it
+//!   applies every block and unblock since the previous check, or reloads
+//!   from the registry once that backlog has outgrown the journal window.
 //! * **One engine lock, held for one check.** Every other blocker takes
 //!   the engine lock for its own journal sync and cycle query and nothing
 //!   more; one that finds the lock held counts the wait
@@ -301,10 +302,6 @@ impl Verifier {
                 let (_, in_edge) = self.registry.block_with_in_edge(info);
                 if !in_edge {
                     self.stats.record_fastpath_skip();
-                    if let Some(mut engine) = self.engine.try_lock() {
-                        self.sync_engine(&mut engine);
-                        self.stats.mirror_engine(engine.counters());
-                    }
                     return Ok(());
                 }
                 // Slow path: check through the maintained graph — no
@@ -318,7 +315,7 @@ impl Verifier {
                     None => Ok(()),
                     Some(report) => {
                         self.registry.unblock(task);
-                        self.deliver(report.clone());
+                        self.deliver(&report);
                         Err(DeadlockError { report })
                     }
                 }
@@ -394,7 +391,7 @@ impl Verifier {
             return None;
         }
         if self.mark_reported(&report.tasks) {
-            self.deliver(report.clone());
+            self.deliver(&report);
             Some(report)
         } else {
             None
@@ -503,7 +500,7 @@ impl Verifier {
         }
     }
 
-    fn deliver(&self, report: DeadlockReport) {
+    fn deliver(&self, report: &DeadlockReport) {
         self.stats.record_deadlock();
         // Retain before notifying: subscribers wake interrupted victims,
         // which may immediately call `take_reports` and must see this one.
@@ -513,7 +510,7 @@ impl Verifier {
         // not find the subscriber lock already held by its own thread.
         let subscribers: Vec<Subscriber> = self.subscribers.lock().clone();
         for sub in subscribers {
-            sub(&report);
+            sub(report);
         }
     }
 
@@ -1116,9 +1113,9 @@ mod tests {
         let v = Verifier::new(VerifierConfig::avoidance());
         (0..5).rev().for_each(|i| block_chain_member(&v, i));
         let s = v.stats();
-        // The first block skips the check and, finding the engine lock
-        // free, catches the engine up; each of the four checks then
-        // applies exactly the one delta its block journaled: 1+1+1+1+1.
+        // The first block skips the check and leaves the engine alone; the
+        // first check applies that delta and its own, and each of the other
+        // three exactly the one delta its block journaled: 2+1+1+1.
         assert_eq!((s.checks, s.fastpath_skips), (4, 1));
         assert_eq!(s.deltas_applied, 5);
         assert_eq!(s.resyncs, 0);
@@ -1143,21 +1140,18 @@ mod tests {
     #[test]
     fn fastpath_engine_backlog_is_applied_by_the_next_slow_check() {
         let v = Verifier::new(VerifierConfig::avoidance());
-        // Three workers nobody waits behind skip their checks; finding
-        // the engine lock held, they leave their deltas as backlog...
-        {
-            let _held = v.engine.lock();
-            for i in 1..=3 {
-                v.block(
-                    t(i),
-                    vec![r(1, 1)],
-                    vec![Registration::new(p(1), 1), Registration::new(p(2), 0)],
-                )
-                .unwrap();
-            }
+        // Three workers nobody waits behind skip their checks and leave
+        // their deltas as backlog...
+        for i in 1..=3 {
+            v.block(
+                t(i),
+                vec![r(1, 1)],
+                vec![Registration::new(p(1), 1), Registration::new(p(2), 0)],
+            )
+            .unwrap();
         }
         assert_eq!(v.stats().fastpath_skips, 3);
-        assert_eq!(v.stats().deltas_applied, 0, "a skip that finds the lock held does not sync");
+        assert_eq!(v.stats().deltas_applied, 0, "a skip does not sync");
         // ...and t4, whom the workers wait behind, is checked: its
         // sync consumes the whole backlog and it catches the cycle it closes.
         let err = v
@@ -1169,6 +1163,62 @@ mod tests {
             .expect_err("the closing block has the workers behind it and is checked");
         assert!(err.report.tasks.contains(&t(4)));
         assert_eq!(v.stats().deltas_applied, 4, "backlog of 3 + the driver's own block");
+    }
+
+    /// Only a check syncs the engine, and it applies every delta since the
+    /// previous check. Run beside a verifier that checks every block (so
+    /// its engine is caught up at each one), the deferring one refuses the
+    /// same closing block with the same report.
+    #[test]
+    fn skipped_blocks_leave_the_engine_to_the_next_check() {
+        const WORKERS: u64 = 8;
+        let deferring = Verifier::new(VerifierConfig::avoidance());
+        let caught_up = Verifier::new(VerifierConfig::avoidance().with_fastpath(false));
+        let worker = || vec![Registration::new(p(1), 1), Registration::new(p(2), 0)];
+        // A task that has arrived at and awaits barrier `ph`, and is one
+        // phase behind on barrier `behind`: whoever awaits `behind` waits
+        // on an event this task impedes, so its block is checked.
+        let bystander = |v: &Verifier, task: u64, ph: u64, behind: u64| {
+            let regs = vec![Registration::new(p(behind), 0), Registration::new(p(ph), 1)];
+            v.block(t(task), vec![r(ph, 1)], regs).expect("a bystander closes no cycle");
+        };
+        for v in [&deferring, &caught_up] {
+            for i in 1..=WORKERS {
+                v.block(t(i), vec![r(1, 1)], worker()).expect("the workers alone");
+            }
+        }
+        let s = deferring.stats();
+        assert_eq!((s.fastpath_skips, s.checks), (WORKERS, 0));
+        assert_eq!(s.deltas_applied, 0, "a skipped block leaves the engine alone");
+        assert_eq!(s.engine_lock_waits, 0, "a skipped block does not touch the engine lock");
+        // The workers await p1, which t100 holds back: t100 is checked,
+        // and its sync applies the workers' backlog and its own block.
+        for v in [&deferring, &caught_up] {
+            bystander(v, 100, 3, 1);
+        }
+        let s = deferring.stats();
+        assert_eq!((s.checks, s.deltas_applied), (1, WORKERS + 1));
+        // t200 blocks, unblocks and re-blocks between two checks (both
+        // blocks skips: nobody awaits its barrier p4); t101, which holds
+        // p4 back, is checked and applies t200's three deltas and its own.
+        for v in [&deferring, &caught_up] {
+            v.block(t(200), vec![r(4, 1)], vec![Registration::new(p(4), 1)]).unwrap();
+            v.unblock(t(200));
+            v.block(t(200), vec![r(4, 1)], vec![Registration::new(p(4), 1)]).unwrap();
+            bystander(v, 101, 5, 4);
+        }
+        let s = deferring.stats();
+        assert_eq!((s.fastpath_skips, s.checks), (WORKERS + 2, 2));
+        assert_eq!(s.deltas_applied, WORKERS + 1 + 4, "t200's three deltas and t101's own");
+        // The driver holds back the workers' p1 and awaits p2, which every
+        // worker holds back: both verifiers refuse it, with one report.
+        let refusals = [&deferring, &caught_up].map(|v| {
+            let regs = vec![Registration::new(p(1), 0), Registration::new(p(2), 1)];
+            v.block(t(4000), vec![r(2, 1)], regs).expect_err("the driver closes the cycle")
+        });
+        assert_eq!(refusals[0].report, refusals[1].report);
+        assert_eq!(refusals[0].report.tasks.len() as u64, WORKERS + 1);
+        assert_eq!(deferring.stats().engine_lock_waits, 0);
     }
 
     #[test]
@@ -1285,17 +1335,14 @@ mod tests {
 
     #[test]
     fn avoidance_never_builds_an_order_and_its_resyncs_rebuild_none() {
-        // Three skipped blocks that find the engine lock held overrun a
-        // window of 2, so t4's closing check resyncs — with an engine that
-        // only ever answers `check_task`: one adjacency build, no order,
-        // nothing to rebuild.
+        // Three skipped blocks overrun a window of 2, so t4's closing check
+        // resyncs — with an engine that only ever answers `check_task`: one
+        // adjacency build, no order, nothing to rebuild.
         let v = Verifier::new(VerifierConfig::avoidance().with_journal_capacity(2));
-        let held = v.engine.lock();
         for i in 1..=3 {
             let regs = vec![Registration::new(p(1), 1), Registration::new(p(2), 0)];
             v.block(t(i), vec![r(1, 1)], regs).unwrap();
         }
-        drop(held);
         let regs = vec![Registration::new(p(1), 0), Registration::new(p(2), 1)];
         v.block(t(4), vec![r(2, 1)], regs).expect_err("t4 closes the cycle");
         let s = v.stats();

@@ -255,6 +255,48 @@ proptest! {
         prop_assert!(inv.is_ok(), "order invariant broke after drain: {:?}", inv);
     }
 
+    /// An engine that syncs only now and then, as an avoidance verifier's
+    /// does (only its checks sync) — applying the suffix in one sync, or
+    /// reloading once it has left a window of five — stands after every
+    /// sync where an engine that applied the same journal one delta at a
+    /// time stands: the same state, byte-identical reports, valid orders.
+    /// Six task ids and gaps of up to nine ops give suffixes that repeat
+    /// tasks and that overrun.
+    #[test]
+    fn a_deferred_sync_matches_a_raw_replay(
+        ops in arb_ops(32),
+        gaps in proptest::collection::vec(1usize..=9, 1..=8),
+    ) {
+        let registry = Registry::with_journal_capacity(5);
+        let (mut deferred, mut raw) = (IncrementalEngine::new(), IncrementalEngine::new());
+        let mut gaps = gaps.into_iter().cycle();
+        let mut due = 0;
+        for (i, op) in ops.iter().enumerate() {
+            let touched = publish(&registry, op);
+            let one = raw.sync(&registry);
+            prop_assert!(one.deltas_applied <= 1 && !one.resynced, "raw replay: {:?}", one);
+            if i < due && i + 1 < ops.len() {
+                continue;
+            }
+            due = i + gaps.next().expect("a cycled non-empty list");
+            deferred.sync(&registry);
+            prop_assert_eq!(deferred.materialize(), raw.materialize());
+            for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
+                let (ours, theirs) = (deferred.check_full(choice, 2), raw.check_full(choice, 2));
+                prop_assert_eq!(ours.report, theirs.report, "full check, {}", choice);
+                prop_assert_eq!(ours.stats, theirs.stats, "full check stats, {}", choice);
+                let ours = deferred.check_task(touched, choice, 2);
+                let theirs = raw.check_task(touched, choice, 2);
+                prop_assert_eq!(ours.report, theirs.report, "task check, {}", choice);
+                prop_assert_eq!(ours.stats, theirs.stats, "task check stats, {}", choice);
+            }
+            for (name, engine) in [("deferred", &deferred), ("raw", &raw)] {
+                let inv = engine.order_invariants();
+                prop_assert!(inv.is_ok(), "{} order invariant broke: {:?}", name, inv);
+            }
+        }
+    }
+
     /// An engine that only ever resyncs (fresh engine against the live
     /// registry) agrees with one that followed the deltas throughout.
     #[test]
